@@ -106,24 +106,6 @@ func BenchmarkFig8Ablation(b *testing.B) {
 	runExp(b, "fig8-ablation", nil)
 }
 
-// benchFig8AblationShards drives the four ablation variants as one
-// cluster with the given worker budget (Options.Shards); comparing the
-// Shards1 and Shards4 variants measures the sharded-execution win —
-// real on multi-core hosts, a few percent of coupling overhead on one
-// core. ghost-bench -diff gates on the ratio when the recording host
-// has more than one CPU.
-func benchFig8AblationShards(b *testing.B, shards int) {
-	b.Helper()
-	opts := experiments.Options{Quick: true, Seed: 1, Parallel: 1, Shards: shards}
-	e := experiments.ByID("fig8-ablation")
-	for i := 0; i < b.N; i++ {
-		e.Run(opts)
-	}
-}
-
-func BenchmarkFig8AblationShards1(b *testing.B) { benchFig8AblationShards(b, 1) }
-func BenchmarkFig8AblationShards4(b *testing.B) { benchFig8AblationShards(b, 4) }
-
 func BenchmarkTable4SecureVM(b *testing.B) {
 	runExp(b, "table4", func(rep *experiments.Report, b *testing.B) {
 		b.ReportMetric(cellF(rep, 1, 1), "rate/kernel-cs")

@@ -12,9 +12,6 @@
 //	eventhandle   — sim.Event handles held by value, never compared with ==
 //	apisurface    — facade packages (ghost, env) never spell internal/* types
 //	                in exported signatures (aliases/re-exports are exempt)
-//	shardsafety   — code reachable from per-domain dispatch callbacks never
-//	                posts per-CPU work on the root engine or writes another
-//	                domain's table slots (DESIGN.md §3g)
 //	hotpathescape — (with -escape) compiler-reported heap escapes reachable
 //	                from the 0-alloc benchmark roots must be in the
 //	                committed baseline (internal/analysis/escape_baseline.txt)

@@ -7,10 +7,10 @@
 //	ghost-tune -list
 //	ghost-tune -scenario shinjuku-rocksdb
 //	ghost-tune -scenario all -quick -parallel 8
-//	ghost-tune -scenario fifo-snap -trials 9 -eta 3 -shards 4
+//	ghost-tune -scenario fifo-snap -trials 9 -eta 3
 //
 // Output is deterministic: for a fixed -seed the report is
-// byte-identical at any -parallel or -shards setting.
+// byte-identical at any -parallel setting.
 package main
 
 import (
@@ -34,7 +34,6 @@ func main() {
 	)
 	c.SeedFlag(flag.CommandLine, 1)
 	c.ParallelFlag(flag.CommandLine)
-	c.ShardsFlag(flag.CommandLine)
 	c.QuickFlag(flag.CommandLine, "shrink population and horizons for a fast pass")
 	flag.Parse()
 
@@ -50,7 +49,6 @@ func main() {
 		Eta:         *eta,
 		Seed:        c.Seed,
 		Parallel:    c.Parallel,
-		Shards:      c.Shards,
 		BaseHorizon: 20 * sim.Millisecond,
 	}
 	if c.Quick {

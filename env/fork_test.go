@@ -38,33 +38,26 @@ func stepDigest(e *env.Env, steps int) string {
 
 // TestForkTransparent is the Env-layer restore-transparency gate: warm
 // one environment, fork it, and require the fork's forward stream under
-// the same controller to be byte-identical to the original's — at a
-// single event queue and sharded.
+// the same controller to be byte-identical to the original's.
 func TestForkTransparent(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			spec := baseSpec()
-			spec.Shards = shards
-			e, err := env.Open(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			stepDigest(e, 60) // warm up: queues, in-flight requests, tracker state
-			f, err := e.Fork()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			if f.Now() != e.Now() {
-				t.Fatalf("fork at t=%v, original at t=%v", f.Now(), e.Now())
-			}
-			want := stepDigest(e, 100)
-			got := stepDigest(f, 100)
-			if got != want {
-				t.Fatalf("fork diverged from original under identical actions:\noriginal %s\nfork     %s", want, got)
-			}
-		})
+	e, err := env.Open(baseSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	stepDigest(e, 60) // warm up: queues, in-flight requests, tracker state
+	f, err := e.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if f.Now() != e.Now() {
+		t.Fatalf("fork at t=%v, original at t=%v", f.Now(), e.Now())
+	}
+	want := stepDigest(e, 100)
+	got := stepDigest(f, 100)
+	if got != want {
+		t.Fatalf("fork diverged from original under identical actions:\noriginal %s\nfork     %s", want, got)
 	}
 }
 

@@ -39,7 +39,7 @@ func run(preemptive bool, rate float64) *workload.LatencyRecorder {
 	pool := workload.NewWorkerPool(m.Kernel(), 200, rec, func(name string, body ghost.ThreadFunc) *ghost.Thread {
 		return m.Spawn(ghost.ThreadOpts{Name: name, Class: ghost.Ghost(enc)}, body)
 	})
-	workload.NewPoissonSource(m.Kernel().Scheduler(), sim.NewRand(7), rate,
+	workload.NewPoissonSource(m.Kernel().Engine(), sim.NewRand(7), rate,
 		workload.RocksDBService(), pool.Submit)
 
 	m.Run(dur)

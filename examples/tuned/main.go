@@ -5,7 +5,7 @@
 // the lowest idle CPU, preempt any CPU whose thread has held it past a
 // slice, and adapt the decision quantum to how the window p99 tracks
 // the SLO. The printed digest is the SHA-256 of the observation stream;
-// it is byte-identical for a given seed at any -shards value.
+// it is byte-identical for a given seed.
 package main
 
 import (
@@ -18,9 +18,8 @@ import (
 )
 
 var (
-	quick  = flag.Bool("quick", false, "run 10ms instead of 100ms (CI smoke)")
-	shards = flag.Int("shards", 1, "event-queue shards (stream is identical at any value)")
-	seed   = flag.Uint64("seed", 42, "simulation seed")
+	quick = flag.Bool("quick", false, "run 10ms instead of 100ms (CI smoke)")
+	seed  = flag.Uint64("seed", 42, "simulation seed")
 )
 
 func main() {
@@ -38,7 +37,6 @@ func main() {
 		Seed:     *seed,
 		Quantum:  50 * ghost.Microsecond,
 		Horizon:  horizon,
-		Shards:   *shards,
 		SLO:      slo,
 		Workload: env.WorkloadSpec{
 			Rate:    180_000,

@@ -112,7 +112,7 @@ func (c *Context) GlobalCPU() hw.CPUID { return c.set.globalCPU }
 // this as their virtual timer. The poke callback is bound once per agent
 // set so each repoll schedules allocation-free.
 func (c *Context) RepollAfter(d sim.Duration) {
-	c.Kernel.Scheduler().AfterCall(d, pokeActiveFn, c.set)
+	c.Kernel.Engine().AfterCall(d, pokeActiveFn, c.set)
 }
 
 // pokeActiveFn dispatches a repoll timer to its agent set.
@@ -241,7 +241,7 @@ func Start(k *kernel.Kernel, enc *ghostcore.Enclave, ac *kernel.AgentClass, poli
 		o(&cfg)
 	}
 	if cfg.plan != nil && k.Faults() == nil {
-		k.SetFaults(faults.NewInjector(k.Scheduler(), cfg.plan))
+		k.SetFaults(faults.NewInjector(k.Engine(), cfg.plan))
 	}
 	gp, isGlobal := policy.(GlobalPolicy)
 	pp, isPerCPU := policy.(PerCPUPolicy)
@@ -263,7 +263,7 @@ func Start(k *kernel.Kernel, enc *ghostcore.Enclave, ac *kernel.AgentClass, poli
 	}
 	set.startOpts = opts
 	if cfg.repoll > 0 {
-		set.repollTicker = sim.NewTicker(k.Scheduler(), cfg.repoll, set.repollFire)
+		set.repollTicker = sim.NewTicker(k.Engine(), cfg.repoll, set.repollFire)
 		set.repollTicker.Key = fmt.Sprintf("agentset.%d.repoll", enc.ID())
 	}
 	if in := k.Faults(); in != nil {

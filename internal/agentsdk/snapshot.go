@@ -68,7 +68,7 @@ func (set *AgentSet) policy() any {
 }
 
 // SaveRec serializes the agent set. It fails with a descriptive error
-// when the generation is outside the v1 snapshot envelope: a stopped set
+// when the generation is outside the snapshot envelope: a stopped set
 // (its runner threads are dead) or a policy without the snapshot
 // capability.
 // Policy returns the set's current-generation scheduling policy.

@@ -12,11 +12,9 @@ import (
 
 // Whole-program static call graph over the loaded packages. The graph is
 // the substrate for the interprocedural (taint/reachability) checks:
-// determinism needs "which functions can run inside the simulation",
-// shardsafety needs "which functions run as per-domain dispatch
-// callbacks", and hotpathescape needs "which functions are on the 0-alloc
-// benchmark paths". Three edge kinds cover the call shapes this codebase
-// uses:
+// determinism needs "which functions can run inside the simulation", and
+// hotpathescape needs "which functions are on the 0-alloc benchmark
+// paths". Three edge kinds cover the call shapes this codebase uses:
 //
 //   - call:    direct calls (pkg.F(), recv.M() with a concrete receiver);
 //   - dynamic: interface method calls devirtualized by class-hierarchy

@@ -28,10 +28,6 @@ func TestTaintFixture(t *testing.T) {
 	}
 }
 
-func TestShardSafetyFixture(t *testing.T) {
-	runFixture(t, "shardsafety", "fixturemod/internal/kernel/sfix", map[string]int{"shardsafety": 0})
-}
-
 // TestCallPathStability is the determinism guarantee for the linter
 // itself: two independent loaders — one of which first loads unrelated
 // real packages concurrently, perturbing FileSet registration order and

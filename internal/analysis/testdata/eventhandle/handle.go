@@ -19,24 +19,8 @@ func Track(e *sim.Engine) bool {
 	return a == b // want eventhandle "comparing sim.Event handles"
 }
 
-// TrackViaScheduler shows the same aliasing abuse is caught when the
-// handle comes through the sim.Scheduler interface instead of *Engine.
-func TrackViaScheduler(s sim.Scheduler) bool {
-	a := s.After(1, func() {})
-	b := s.After(2, func() {})
-	_ = &a        // want eventhandle "address of a sim.Event"
-	return a == b // want eventhandle "comparing sim.Event handles"
-}
-
-// schedHolder keeps a pointer to the scheduler interface — the seam is
-// a value; pointering it is flagged.
-type schedHolder struct {
-	s *sim.Scheduler // want eventhandle "declared *sim.Scheduler"
-}
-
-// Good holds handles by value and queries them through Pending; taking
-// the interface itself by value is the intended shape.
-func Good(s sim.Scheduler) bool {
-	ev := s.After(1, func() {})
+// Good holds handles by value and queries them through Pending.
+func Good(e *sim.Engine) bool {
+	ev := e.After(1, func() {})
 	return ev.Pending()
 }

@@ -128,7 +128,7 @@ func (w *spinWorker) Step(now sim.Time) (sim.Duration, kernel.Disposition) {
 	done := r
 	// Completion is recorded when the chunk's cost has elapsed; capture
 	// via a timestamped event.
-	dp.k.Scheduler().After(chunk, func() {
+	dp.k.Engine().After(chunk, func() {
 		dp.rec.Record(done, dp.k.Now())
 		if done.Done != nil {
 			done.Done(done, dp.k.Now())

@@ -2,6 +2,7 @@ package check
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -54,34 +55,6 @@ func violationStrings(r *Result) []string {
 	return out
 }
 
-// TestShardedScenarioIdentical is the oracle-level gate for event-queue
-// sharding: running a scenario over per-domain sub-engines must yield
-// exactly the single-queue violation list — none on clean scenarios,
-// and the same rendered violations in the same order when a protocol
-// bug is seeded.
-func TestShardedScenarioIdentical(t *testing.T) {
-	for seed := uint64(1); seed <= 12; seed++ {
-		s := Generate(seed)
-		if !s.ghostPolicy() {
-			continue
-		}
-		if seed%2 == 0 {
-			s.Mutation = MutationNames()[int(seed/2)%len(MutationNames())]
-		}
-		s.Shards = 0
-		base := violationStrings(s.Run())
-		for _, n := range []int{2, 4} {
-			c := s
-			c.Shards = n
-			got := violationStrings(c.Run())
-			if !reflect.DeepEqual(got, base) {
-				t.Errorf("seed %d shards=%d: violations differ from single queue:\n  shards=0: %v\n  shards=%d: %v",
-					seed, n, base, n, got)
-			}
-		}
-	}
-}
-
 // TestReproRoundTrip pins Repro/ParseRepro as a lossless pair: parsing a
 // rendered scenario yields the same scenario, and re-rendering yields
 // the same bytes.
@@ -105,6 +78,42 @@ func TestReproRoundTrip(t *testing.T) {
 	}
 }
 
+// TestKnownViolationRepros replays the seven status-word repros that
+// seeds 1-400 produce, as listed in cmd/ghost-perf/README.md. Two were
+// recorded while the event queue could be sharded and carry "shards=2":
+// that field must still parse, change nothing, and drop out of the
+// re-rendered string.
+func TestKnownViolationRepros(t *testing.T) {
+	for _, spec := range []string{
+		"seed=97 policy=shinjuku cpus=4 threads=11 horizon=30.000ms watchdog=10.000ms faults=ipiloss@16.783ms/298.000us/0.30000000000000004,ipidelay@8.877ms/566.000us/8.000us",
+		"seed=121 policy=coresched cpus=4 threads=15 horizon=25.000ms watchdog=10.000ms faults=upgrade@810.000us,ipiloss@6.360ms/1.586ms/0.4",
+		"seed=134 policy=shinjuku cpus=8 threads=12 horizon=40.000ms watchdog=10.000ms faults=ipiloss@16.476ms/1.648ms/0.5",
+		"seed=185 policy=shinjuku cpus=2 threads=9 horizon=40.000ms watchdog=10.000ms faults=ipiloss@28.037ms/712.000us/0.8",
+		"seed=228 policy=shinjuku cpus=2 threads=6 horizon=25.000ms watchdog=10.000ms faults=ipiloss@516.000us/1.952ms/0.7,ipidelay@4.870ms/899.000us/29.000us shards=2",
+		"seed=241 policy=shinjuku cpus=2 threads=15 horizon=35.000ms watchdog=10.000ms faults=slow@17.366ms/921.000us/2,stall@6.070ms/1.196ms,ipiloss@8.323ms/1.985ms/0.5 shards=2",
+		"seed=284 policy=shinjuku cpus=2 threads=12 horizon=35.000ms faults=msgdrop@15.296ms/641.000us/0.30000000000000004,ipiloss@12.837ms/782.000us/0.8",
+	} {
+		s, err := ParseRepro(spec)
+		if err != nil {
+			t.Fatalf("ParseRepro(%q): %v", spec, err)
+		}
+		if got, want := s.Repro(), strings.TrimSuffix(spec, " shards=2"); got != want {
+			t.Errorf("re-render mismatch:\n  got  %q\n  want %q", got, want)
+		}
+		if s != Generate(s.Seed) {
+			t.Errorf("seed %d: parsed scenario differs from Generate(%d)", s.Seed, s.Seed)
+		}
+		res := s.Run()
+		statusWord := false
+		for _, v := range res.Violations {
+			statusWord = statusWord || v.Oracle == "status-word"
+		}
+		if !statusWord {
+			t.Errorf("seed %d: replay raised no status-word violation: %v", s.Seed, violationStrings(res))
+		}
+	}
+}
+
 func TestParseReproErrors(t *testing.T) {
 	for _, bad := range []string{
 		"seed=1",                         // missing policy
@@ -115,6 +124,7 @@ func TestParseReproErrors(t *testing.T) {
 		"policy=shinjuku horizon=fast",   // bad duration
 		"garbage",                        // no key=value
 		"policy=shinjuku color=red",      // unknown key
+		"policy=shinjuku shards=two",     // bad shard count
 	} {
 		if _, err := ParseRepro(bad); err == nil {
 			t.Errorf("ParseRepro(%q): expected error, got nil", bad)

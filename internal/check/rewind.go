@@ -46,21 +46,10 @@ func init() {
 	})
 }
 
-// executed returns the engine's total executed-event count.
-func (rg *rig) executed() uint64 {
-	if rg.grp != nil {
-		return rg.grp.Executed()
-	}
-	return rg.eng.Executed
-}
-
 // target assembles the snapshot walk for the rig.
 func (rg *rig) target(sets []*agentsdk.AgentSet) *snap.Target {
 	return &snap.Target{
 		Eng:   rg.eng,
-		Grp:   rg.grp,
-		Coord: rg.shd,
-		Sched: rg.sched,
 		Topo:  rg.topo,
 		Cost:  &rg.cm,
 		K:     rg.k,
@@ -69,7 +58,7 @@ func (rg *rig) target(sets []*agentsdk.AgentSet) *snap.Target {
 	}
 }
 
-// SnapshotCapable reports whether the scenario stays inside the v1
+// SnapshotCapable reports whether the scenario stays inside the
 // snapshot envelope; when it does not, reason names the first blocker
 // (the checkpoint loop would skip every boundary).
 func (s Scenario) SnapshotCapable() (bool, string) {
@@ -124,7 +113,7 @@ func (s Scenario) RunWithCheckpoints(every sim.Duration) *CheckpointedResult {
 		if rem := s.Horizon - elapsed; chunk > rem {
 			chunk = rem
 		}
-		rg.runFor(chunk)
+		rg.eng.RunFor(chunk)
 		elapsed += chunk
 		if elapsed >= s.Horizon {
 			break // the final barrier ends the run; it is not a rewind point
@@ -135,10 +124,10 @@ func (s Scenario) RunWithCheckpoints(every sim.Duration) *CheckpointedResult {
 			cr.SkipReasons = append(cr.SkipReasons, err.Error())
 			continue
 		}
-		cr.Checkpoints = append(cr.Checkpoints, &Checkpoint{At: rg.now(), Executed: rg.executed(), Img: img})
+		cr.Checkpoints = append(cr.Checkpoints, &Checkpoint{At: rg.eng.Now(), Executed: rg.eng.Executed, Img: img})
 	}
-	ck.Finish(rg.now())
-	cr.FinalExecuted = rg.executed()
+	ck.Finish(rg.eng.Now())
+	cr.FinalExecuted = rg.eng.Executed
 	rg.k.Shutdown()
 	cr.Result = &Result{Scenario: s, Violations: ck.Violations()}
 	return cr
@@ -197,11 +186,11 @@ func RewindFrom(s Scenario, img *snap.Image) (*RewindReport, error) {
 	}
 	ck := s.attach(rg)
 	ck.PrimeResumed()
-	rg.runFor(s.Horizon - sim.Duration(at))
-	ck.Finish(rg.now())
+	rg.eng.RunFor(s.Horizon - sim.Duration(at))
+	ck.Finish(rg.eng.Now())
 	rep := &RewindReport{
 		From:     at,
-		Replayed: rg.executed() - img.Core.Executed,
+		Replayed: rg.eng.Executed - img.Core.Executed,
 		Skipped:  img.Core.Executed,
 		Result:   &Result{Scenario: s, Violations: ck.Violations()},
 	}

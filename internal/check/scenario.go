@@ -44,10 +44,6 @@ type Scenario struct {
 	// Mutation names an intentionally seeded protocol bug
 	// (skip-tseq | drop-wakeup | double-latch), "" for none.
 	Mutation string
-	// Shards splits the event queue into per-CPU-range domains
-	// (sim.Sharded); 0 or 1 runs the plain single-queue engine. Results
-	// are byte-identical either way — that is the invariant under test.
-	Shards int
 }
 
 // Generate derives a scenario from seed using only sim.Rand, so the same
@@ -66,11 +62,6 @@ func Generate(seed uint64) Scenario {
 			s.Watchdog = 10 * sim.Millisecond
 		}
 		s.FaultSpec = genFaults(r, s.Horizon)
-	}
-	// Drawn last so introducing sharding left every earlier draw — and
-	// therefore every historical seed's scenario — unchanged.
-	if s.Shards = []int{0, 0, 2, 4}[r.Intn(4)]; s.Shards > s.CPUs {
-		s.Shards = s.CPUs
 	}
 	return s
 }
@@ -166,14 +157,7 @@ func (r *Result) Failed() bool { return len(r.Violations) > 0 }
 type rig struct {
 	topo *hw.Topology
 	cm   hw.CostModel
-
-	eng   *sim.Engine  // single-queue mode
-	shd   *sim.Sharded // sharded mode
-	grp   *sim.Group   // sharded mode
-	sched sim.Scheduler
-
-	runFor func(sim.Duration)
-	now    func() sim.Time
+	eng  *sim.Engine
 
 	k   *kernel.Kernel
 	ac  *kernel.AgentClass
@@ -183,36 +167,19 @@ type rig struct {
 }
 
 // buildShell constructs the scenario's machine skeleton — topology,
-// engine(s), kernel, scheduling classes, seeded mutation — with no
-// checker, enclaves or threads yet. Both the forward run and a snapshot
-// restore start from this exact shell.
+// engine, kernel, scheduling classes, seeded mutation — with no checker,
+// enclaves or threads yet. Both the forward run and a snapshot restore
+// start from this exact shell.
 func (s Scenario) buildShell() *rig {
 	if s.CPUs < 2 {
 		s.CPUs = 2
 	}
-	rg := &rig{cm: hw.DefaultCostModel()}
+	rg := &rig{cm: hw.DefaultCostModel(), eng: sim.NewEngine()}
 	rg.topo = hw.NewTopology(hw.Config{
 		Name: "check", Sockets: 1, CCXsPerSocket: 1,
 		CoresPerCCX: s.CPUs / 2, SMTWidth: 2,
 	})
-	// Sharded scenarios drive the identical program through per-domain
-	// sub-engines; the oracles see the same byte-for-byte history.
-	if nd := s.Shards; nd > 1 {
-		if nd > s.CPUs {
-			nd = s.CPUs
-		}
-		rg.shd = sim.NewSharded(1)
-		rg.grp = rg.shd.NewGroup(rg.cm.RemoteCommitTargetCost(1, false), nd)
-		per := (s.CPUs + nd - 1) / nd
-		for cpu := 0; cpu < s.CPUs; cpu++ {
-			rg.grp.MapCPU(cpu, cpu/per)
-		}
-		rg.sched, rg.runFor, rg.now = rg.grp.Root(), rg.shd.RunFor, rg.shd.Now
-	} else {
-		rg.eng = sim.NewEngine()
-		rg.sched, rg.runFor, rg.now = rg.eng, rg.eng.RunFor, rg.eng.Now
-	}
-	rg.k = kernel.New(rg.sched, rg.topo, rg.cm)
+	rg.k = kernel.New(rg.eng, rg.topo, rg.cm)
 	rg.ac = kernel.NewAgentClass(rg.k)
 	rg.mq = kernel.NewMicroQuanta(rg.k)
 	rg.cfs = kernel.NewCFS(rg.k)
@@ -253,7 +220,7 @@ func (s Scenario) populate(rg *rig) []*agentsdk.AgentSet {
 			if err != nil {
 				panic(fmt.Sprintf("check: bad fault spec %q: %v", s.FaultSpec, err))
 			}
-			rg.k.SetFaults(faults.NewInjector(rg.sched, plan))
+			rg.k.SetFaults(faults.NewInjector(rg.eng, plan))
 		}
 		opts := []agentsdk.Option{
 			agentsdk.WithUpgradePolicy(func() any { return s.newPolicy() }),
@@ -301,8 +268,8 @@ func (s Scenario) Run() *Result {
 	rg := s.buildShell()
 	ck := s.attach(rg)
 	s.populate(rg)
-	rg.runFor(s.Horizon)
-	ck.Finish(rg.now())
+	rg.eng.RunFor(s.Horizon)
+	ck.Finish(rg.eng.Now())
 	rg.k.Shutdown()
 	return &Result{Scenario: s, Violations: ck.Violations()}
 }
@@ -414,13 +381,13 @@ func (s Scenario) Repro() string {
 	if s.Mutation != "" {
 		parts = append(parts, "mutate="+s.Mutation)
 	}
-	if s.Shards > 1 {
-		parts = append(parts, "shards="+strconv.Itoa(s.Shards))
-	}
 	return strings.Join(parts, " ")
 }
 
-// ParseRepro parses a Repro string back into a scenario.
+// ParseRepro parses a Repro string back into a scenario. Repro strings
+// from builds that could shard the event queue may carry "shards=N";
+// the field is validated and ignored, since the result never depended
+// on it.
 func ParseRepro(spec string) (Scenario, error) {
 	s := Scenario{CPUs: 2, Threads: 2, Horizon: 20 * sim.Millisecond}
 	for _, field := range strings.Fields(spec) {
@@ -442,7 +409,7 @@ func ParseRepro(spec string) (Scenario, error) {
 		case "threads":
 			s.Threads, err = strconv.Atoi(val)
 		case "shards":
-			s.Shards, err = strconv.Atoi(val)
+			_, err = strconv.Atoi(val)
 		case "horizon":
 			s.Horizon, err = parseDur(val)
 		case "watchdog":

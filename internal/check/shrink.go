@@ -13,9 +13,8 @@ const maxShrinkRuns = 200
 // Shrink reduces a failing scenario to a smaller one that still fails,
 // by deterministic bisection: at each step it tries, in a fixed order,
 // halving the thread count, dropping one thread, removing each fault op,
-// halving the horizon, halving the CPU count, disabling the watchdog,
-// and dropping sharding; the first candidate that still violates an
-// invariant is
+// halving the horizon, halving the CPU count, and disabling the
+// watchdog; the first candidate that still violates an invariant is
 // adopted and the search restarts from it. The result is the fixpoint —
 // no single reduction keeps it failing. Shrinking a given scenario is
 // fully deterministic, so repro strings are byte-stable across reruns.
@@ -89,13 +88,6 @@ func shrinkCandidates(s Scenario) []Scenario {
 	if s.Watchdog != 0 {
 		c := s
 		c.Watchdog = 0
-		add(c)
-	}
-	// Sharding never changes behaviour (that's its invariant), so a
-	// violation that survives on the single queue makes a simpler repro.
-	if s.Shards > 1 {
-		c := s
-		c.Shards = 0
 		add(c)
 	}
 	return out

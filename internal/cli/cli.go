@@ -1,6 +1,6 @@
 // Package cli centralizes the flag vocabulary shared by the ghost
 // commands (ghost-sim, ghost-bench, ghost-check): one spelling, default,
-// and usage string each for -seed, -seeds, -parallel, -shards, -quick,
+// and usage string each for -seed, -seeds, -parallel, -quick,
 // -snapshot-every, -restore, -cpuprofile, and -memprofile, so the tools
 // read identically in -help
 // and scripts can move between them without translating flags. Each
@@ -23,7 +23,6 @@ type Common struct {
 	Seed          uint64
 	Seeds         int
 	Parallel      int
-	Shards        int
 	Quick         bool
 	SnapshotEvery time.Duration
 	Restore       string
@@ -47,12 +46,6 @@ func (c *Common) SeedsFlag(fs *flag.FlagSet, def int, noun string) {
 func (c *Common) ParallelFlag(fs *flag.FlagSet) {
 	fs.IntVar(&c.Parallel, "parallel", 0,
 		"worker pool for independent runs (0 = GOMAXPROCS, 1 = serial); output is identical at any setting")
-}
-
-// ShardsFlag registers -shards: per-machine event-queue sharding.
-func (c *Common) ShardsFlag(fs *flag.FlagSet) {
-	fs.IntVar(&c.Shards, "shards", 0,
-		"event-queue shards (domains) per simulated machine (0 or 1 = single queue); results are byte-identical at any count")
 }
 
 // QuickFlag registers -quick. The effect string names what the fast

@@ -126,7 +126,7 @@ func fig5Sweep(max int, quick bool) []int {
 
 // fig5Point measures committed txns/s for one CPU count.
 func fig5Point(topo *hw.Topology, cpus []hw.CPUID, o Options) float64 {
-	m := newMachine(machineOpts{topo: topo, shards: o.Shards})
+	m := newMachine(machineOpts{topo: topo})
 	defer m.k.Shutdown()
 	encCPUs := append([]hw.CPUID{0}, cpus...)
 	enc := m.enclaveOn(encCPUs...)

@@ -61,7 +61,7 @@ func fig6Run(sys fig6System, rate float64, withBatch bool, o Options) fig6Result
 		warm = 100 * sim.Millisecond
 	}
 
-	m := newMachine(machineOpts{topo: topo, shards: o.Shards})
+	m := newMachine(machineOpts{topo: topo})
 	defer m.k.Shutdown()
 	rec := &workload.LatencyRecorder{WarmupUntil: warm}
 	svc := workload.RocksDBService()

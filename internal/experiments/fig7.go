@@ -79,7 +79,7 @@ func fig7Run(scheduler string, loaded bool, o Options) (*workload.LatencyRecorde
 	}
 
 	useGhost := scheduler == "ghost"
-	m := newMachine(machineOpts{topo: topo, mq: !useGhost, shards: o.Shards})
+	m := newMachine(machineOpts{topo: topo, mq: !useGhost})
 	defer m.k.Shutdown()
 
 	cfg := workload.DefaultSnapConfig()

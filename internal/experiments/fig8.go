@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"ghost"
 	"ghost/internal/hw"
 	"ghost/internal/kernel"
 	"ghost/internal/policies"
@@ -41,20 +40,13 @@ func fig8Dur(o Options) sim.Duration {
 	return 60 * sim.Second
 }
 
-// fig8Handle is a Search run that has been built but not yet driven:
-// the ablation couples several into one ghost.Cluster and runs them
-// concurrently, fig8Run drives a standalone machine.
-type fig8Handle struct {
-	m *machine
-	s *workload.Search
-}
-
-// fig8Start builds the Rome machine and Search workload under CFS or a
-// ghOSt Search-policy variant (nil policy selects CFS). With cl non-nil
-// the machine joins the cluster and the caller drives the run.
-func fig8Start(pol *policies.Search, o Options, cl *ghost.Cluster) *fig8Handle {
+// fig8Run builds the Rome machine and Search workload under CFS or a
+// ghOSt Search-policy variant (nil policy selects CFS) and runs it to
+// completion.
+func fig8Run(pol *policies.Search, o Options) fig8Outcome {
 	topo := hw.AMDRome()
-	m := newMachine(machineOpts{topo: topo, shards: o.Shards, cluster: cl})
+	m := newMachine(machineOpts{topo: topo})
+	defer m.k.Shutdown()
 
 	cfg := workload.DefaultSearchConfig()
 	cfg.Seed = o.Seed + 13
@@ -85,26 +77,14 @@ func fig8Start(pol *policies.Search, o Options, cl *ghost.Cluster) *fig8Handle {
 				return enc.SpawnThread(kernel.SpawnOpts{Name: name, Affinity: aff}, body)
 			}, spawnServer)
 	}
-	return &fig8Handle{m: m, s: s}
-}
-
-// finish extracts the outcome and tears the machine down.
-func (h *fig8Handle) finish() fig8Outcome {
-	defer h.m.k.Shutdown()
+	m.m.Run(fig8Dur(o))
 	var out fig8Outcome
 	for qt := 0; qt < 3; qt++ {
-		out.qps[qt] = h.s.QPS[qt]
-		out.p99[qt] = h.s.P99[qt]
-		out.tot[qt] = h.s.Totals[qt]
+		out.qps[qt] = s.QPS[qt]
+		out.p99[qt] = s.P99[qt]
+		out.tot[qt] = s.Totals[qt]
 	}
 	return out
-}
-
-// fig8Run executes one standalone Search machine to completion.
-func fig8Run(pol *policies.Search, o Options) fig8Outcome {
-	h := fig8Start(pol, o, nil)
-	h.m.m.Run(fig8Dur(o))
-	return h.finish()
 }
 
 func runFig8(o Options) *Report {
@@ -177,26 +157,10 @@ func runFig8Ablation(o Options) *Report {
 	}
 	oq := o
 	oq.Quick = true // ablation always runs at quick scale
-	// The four variants are state-disjoint machines coupled into one
-	// cluster: one sharded run drives them concurrently (bit-identically
-	// at any worker count). Options.Shards is the worker budget here —
-	// per-machine event-queue sharding adds merge overhead without
-	// cross-machine parallelism, so the variants stay single-domain.
-	oq.Shards = 0
-	workers := o.Shards
-	if workers == 0 {
-		workers = o.Parallelism()
-	}
-	cl := ghost.NewCluster(workers)
-	handles := make([]*fig8Handle, len(variants))
-	for i, v := range variants {
-		handles[i] = fig8Start(v.mk(), oq, cl)
-	}
-	cl.Run(fig8Dur(oq))
-	outs := make([]fig8Outcome, len(handles))
-	for i, h := range handles {
-		outs[i] = h.finish()
-	}
+	// The variants are independent machines: one job each.
+	outs := sweep(o, len(variants), func(i int) fig8Outcome {
+		return fig8Run(variants[i].mk(), oq)
+	})
 	for i, v := range variants {
 		out := outs[i]
 		rep.AddRow(v.name,

@@ -31,12 +31,6 @@ type Options struct {
 	// are collected in submission order, so reports are byte-identical
 	// at any setting.
 	Parallel int
-	// Shards splits each simulated machine's event queue into that many
-	// per-CPU-group domains (ghost.WithShards), and bounds the worker
-	// pool for cluster-coupled runs such as the fig8 ablation. 0 or 1 is
-	// the single-queue engine. Reports are byte-identical at any
-	// setting.
-	Shards int
 	// SnapshotEvery, when positive, turns on the snapshot smoke in the
 	// experiments that support it (fig5): each point snapshots its
 	// warmed machine, restores the snapshot, and requires the restored
@@ -137,7 +131,7 @@ func ByID(id string) *Experiment {
 // functional-options API.
 type machine struct {
 	m   *ghost.Machine
-	eng sim.Scheduler
+	eng *sim.Engine
 	k   *kernel.Kernel
 	cfs *kernel.CFS
 	ac  *kernel.AgentClass
@@ -149,11 +143,9 @@ type machine struct {
 // present (its hooks are inert without enclaves); extra forwards
 // additional public options such as ghost.WithFaults.
 type machineOpts struct {
-	topo    *hw.Topology
-	mq      bool
-	shards  int            // event-queue domains (ghost.WithShards)
-	cluster *ghost.Cluster // couple into a cluster (ghost.InCluster)
-	extra   []ghost.MachineOption
+	topo  *hw.Topology
+	mq    bool
+	extra []ghost.MachineOption
 }
 
 func newMachine(o machineOpts) *machine {
@@ -161,16 +153,10 @@ func newMachine(o machineOpts) *machine {
 	if !o.mq {
 		opts = append(opts, ghost.WithoutMicroQuanta())
 	}
-	if o.shards > 1 {
-		opts = append(opts, ghost.WithShards(o.shards))
-	}
-	if o.cluster != nil {
-		opts = append(opts, ghost.InCluster(o.cluster))
-	}
 	opts = append(opts, o.extra...)
 	gm := ghost.NewMachine(o.topo, opts...)
 	return &machine{
-		m: gm, eng: gm.Kernel().Scheduler(), k: gm.Kernel(),
+		m: gm, eng: gm.Kernel().Engine(), k: gm.Kernel(),
 		cfs: gm.CFS, ac: gm.Agents, mq: gm.MicroQuanta, g: gm.Ghost,
 	}
 }

@@ -308,7 +308,7 @@ func (e *Enclave) BeginUpgrade() {
 		timeout = DefaultUpgradeTimeout
 	}
 	if e.upgradeDeadline == nil {
-		e.upgradeDeadline = sim.NewDeadline(e.k.Scheduler())
+		e.upgradeDeadline = sim.NewDeadline(e.k.Engine())
 	}
 	e.upgradeDeadline.Arm(e.k.Now()+timeout, e.upgradeTimedOut)
 }
@@ -696,7 +696,7 @@ func (e *Enclave) apply(a *Agent, txn *Txn, groupSize int) {
 		tr.TxnCommitted(e.k.Now(), e.id, uint64(txn.TID), txn.CPU, groupSize, false, lat)
 		tr.IPI(e.k.Now(), txn.CPU, delay, groupSize)
 	}
-	e.k.SchedulerFor(txn.CPU).AfterCall(delay, g.installFn, rec)
+	e.k.Engine().AfterCall(delay, g.installFn, rec)
 }
 
 // TxnsRecall revokes committed transactions whose target threads have
@@ -837,7 +837,7 @@ func (e *Enclave) EnableWatchdog(timeout sim.Duration) {
 	if period < sim.Millisecond {
 		period = sim.Millisecond
 	}
-	e.watchdog = sim.NewTicker(e.k.Scheduler(), period, e.watchdogCheck)
+	e.watchdog = sim.NewTicker(e.k.Engine(), period, e.watchdogCheck)
 	e.watchdog.Key = fmt.Sprintf("enclave.%d.watchdog", e.id)
 }
 

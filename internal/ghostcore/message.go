@@ -171,7 +171,7 @@ func (q *Queue) post(m Message) {
 			return
 		case delay > 0:
 			q.enc.g.obsMsgDelayed(q.enc, m)
-			k.Scheduler().After(delay, func() { q.deliver(m, false, true) })
+			k.Engine().After(delay, func() { q.deliver(m, false, true) })
 			return
 		case dup:
 			q.deliver(m, false, false)

@@ -86,7 +86,7 @@ type ClassRec struct {
 }
 
 // SaveImage serializes the ghOSt class. It fails with a descriptive error
-// on state outside the v1 snapshot envelope: destroyed enclaves, attached
+// on state outside the snapshot envelope: destroyed enclaves, attached
 // BPF programs, in-flight agent upgrades, non-int/string hints.
 func (g *Class) SaveImage() (*ClassRec, error) {
 	rec := &ClassRec{

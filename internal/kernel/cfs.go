@@ -123,7 +123,7 @@ func NewCFS(k *Kernel) *CFS {
 		c.rqs[i] = &cfsRq{}
 	}
 	k.AddIdleHook(func(cpu *CPU) { c.idleStart[cpu.ID] = k.Now() })
-	c.balance = sim.NewTicker(k.Scheduler(), c.BalancePeriod, func(sim.Time) { c.loadBalance() })
+	c.balance = sim.NewTicker(k.Engine(), c.BalancePeriod, func(sim.Time) { c.loadBalance() })
 	c.balance.Key = "cfs.balance"
 	k.RegisterClass(c)
 	return c

@@ -108,7 +108,7 @@ func (c *CPU) startSegment() {
 			wall = 1
 		}
 		c.burning = true
-		c.completion = c.k.cpuSched[c.ID].AfterCall(wall, c.k.workDoneFn, c)
+		c.completion = c.k.eng.AfterCall(wall, c.k.workDoneFn, c)
 	} else {
 		c.burning = false
 		c.completion = sim.Event{}

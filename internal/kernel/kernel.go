@@ -21,17 +21,16 @@ import (
 
 // Kernel is a simulated kernel instance for one machine.
 type Kernel struct {
-	eng  sim.Scheduler
+	eng  *sim.Engine
 	topo *hw.Topology
 	cost hw.CostModel
 	rand *sim.Rand
 
-	cpus     []*CPU
-	cpuSched []sim.Scheduler // per-CPU event-queue domain; all = eng unsharded
-	threads  map[TID]*Thread
-	live     []*Thread
-	nextTID  TID
-	tickers  []*sim.Ticker // per-CPU timer-tick tickers (keyed for snapshots)
+	cpus    []*CPU
+	threads map[TID]*Thread
+	live    []*Thread
+	nextTID TID
+	tickers []*sim.Ticker // per-CPU timer-tick tickers (keyed for snapshots)
 
 	classes []Class // sorted by descending priority
 
@@ -66,7 +65,7 @@ type Kernel struct {
 // New creates a kernel for the given topology and cost model, attached to
 // the engine. Timer ticks are started for every CPU, staggered across the
 // tick period.
-func New(eng sim.Scheduler, topo *hw.Topology, cost hw.CostModel) *Kernel {
+func New(eng *sim.Engine, topo *hw.Topology, cost hw.CostModel) *Kernel {
 	k := &Kernel{
 		eng:     eng,
 		topo:    topo,
@@ -82,30 +81,22 @@ func New(eng sim.Scheduler, topo *hw.Topology, cost hw.CostModel) *Kernel {
 	k.wakeFn = k.wakeFire
 	n := topo.NumCPUs()
 	k.cpus = make([]*CPU, n)
-	k.cpuSched = make([]sim.Scheduler, n)
 	k.tickless = make([]bool, n)
-	router, routed := eng.(sim.DomainRouter)
 	for i := 0; i < n; i++ {
 		k.cpus[i] = &CPU{ID: hw.CPUID(i), Info: topo.CPU(hw.CPUID(i)), k: k}
-		if routed {
-			k.cpuSched[i] = router.DomainFor(i)
-		} else {
-			k.cpuSched[i] = eng
-		}
 	}
-	// Staggered per-CPU timer ticks, each on its CPU's home domain. The
-	// ticker objects are built eagerly (so snapshots have a stable, keyed
-	// object to link pending firings to) and armed by a keyed start event,
-	// preserving the exact event count and order of the start stagger.
+	// Staggered per-CPU timer ticks. The ticker objects are built eagerly
+	// (so snapshots have a stable, keyed object to link pending firings
+	// to) and armed by a keyed start event, preserving the exact event
+	// count and order of the start stagger.
 	k.tickers = make([]*sim.Ticker, n)
 	for i := 0; i < n; i++ {
 		c := k.cpus[i]
-		cs := k.cpuSched[i]
-		tk := sim.NewStoppedTicker(cs, cost.TickPeriod, func(sim.Time) { k.tick(c) })
+		tk := sim.NewStoppedTicker(eng, cost.TickPeriod, func(sim.Time) { k.tick(c) })
 		tk.Key = fmt.Sprintf("kernel.tick.%d", i)
 		k.tickers[i] = tk
 		offset := cost.TickPeriod * sim.Duration(i) / sim.Duration(n)
-		cs.AtCall(eng.Now()+offset, startTickFn, tk)
+		eng.AtCall(eng.Now()+offset, startTickFn, tk)
 	}
 	return k
 }
@@ -115,18 +106,8 @@ func New(eng sim.Scheduler, topo *hw.Topology, cost hw.CostModel) *Kernel {
 // "kernel.starttick", keyed by the ticker).
 func startTickFn(a any) { a.(*sim.Ticker).Start() }
 
-// Scheduler returns the kernel's root event scheduler.
-func (k *Kernel) Scheduler() sim.Scheduler { return k.eng }
-
-// SchedulerFor returns the event scheduler owning CPU id's queue — the
-// shard domain the CPU is mapped to when the machine is sharded, the root
-// scheduler otherwise (and for hw.NoCPU).
-func (k *Kernel) SchedulerFor(id hw.CPUID) sim.Scheduler {
-	if int(id) >= 0 && int(id) < len(k.cpuSched) {
-		return k.cpuSched[id]
-	}
-	return k.eng
-}
+// Engine returns the machine's event engine.
+func (k *Kernel) Engine() *sim.Engine { return k.eng }
 
 // SetTracer attaches a structured tracer (nil detaches). The ghOSt core
 // and agent SDK read it back with Tracer, so one tracer observes the
@@ -136,12 +117,9 @@ func (k *Kernel) SetTracer(tr *trace.Tracer) {
 	// The engine meters its own dispatch counts (Engine.Executed,
 	// Engine.MaxQueue); the per-dispatch callback is only worth its cost
 	// when a full event timeline is being recorded.
-	if obs, ok := k.eng.(sim.DispatchObserver); ok {
-		if tr.Enabled() {
-			obs.SetOnDispatch(tr.EngineDispatch)
-		} else {
-			obs.SetOnDispatch(nil)
-		}
+	k.eng.OnDispatch = nil
+	if tr.Enabled() {
+		k.eng.OnDispatch = tr.EngineDispatch
 	}
 }
 
@@ -388,7 +366,7 @@ func (k *Kernel) Resched(id hw.CPUID) {
 		return
 	}
 	c.reschedPending = true
-	k.cpuSched[id].AfterCall(0, k.reschedFn, c)
+	k.eng.AfterCall(0, k.reschedFn, c)
 }
 
 // reschedFire runs the deferred scheduling pass queued by Resched.
@@ -550,7 +528,7 @@ func (k *Kernel) switchTo(c *CPU, next *Thread) {
 }
 
 func (c *CPU) eventAfterSwitch(cost sim.Duration) {
-	c.k.cpuSched[c.ID].AfterCall(cost, c.k.switchDoneFn, c)
+	c.k.eng.AfterCall(cost, c.k.switchDoneFn, c)
 }
 
 // switchDoneFire ends context-switch dead time on a CPU.
@@ -642,7 +620,7 @@ func (k *Kernel) Poke(t *Thread) {
 	t.poked = true
 	if t.state == StateRunning && t.curKind == actSpinIdle && t.cpu != nil {
 		// Defer to an event so pokes inside other handlers coalesce.
-		k.cpuSched[t.cpu.ID].AfterCall(0, k.pokeFn, t)
+		k.eng.AfterCall(0, k.pokeFn, t)
 	}
 }
 

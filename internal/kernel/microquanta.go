@@ -97,15 +97,7 @@ func (m *MicroQuanta) armThrottle(t *Thread) {
 	if t.mq.budget <= 0 {
 		return
 	}
-	// Budget exhaustion is per-thread work owned by the CPU the thread
-	// occupies: post it on that domain's scheduler, not the root engine,
-	// so the sharded mailbox sequences it (SchedulerFor falls back to
-	// the root before the first placement).
-	cpu := t.lastCPU
-	if t.cpu != nil {
-		cpu = t.cpu.ID
-	}
-	t.mq.throttleEv = m.k.SchedulerFor(cpu).AfterCall(t.mq.budget, m.throttleFn, t)
+	t.mq.throttleEv = m.k.eng.AfterCall(t.mq.budget, m.throttleFn, t)
 }
 
 // throttleFire is the budget-exhaustion check behind armThrottle.
@@ -151,9 +143,7 @@ func (m *MicroQuanta) throttle(t *Thread) {
 		refillAt = now + 1
 	}
 	m.k.Tracef("mq: throttle %v until %v", t, refillAt)
-	// Same ownership rule as the wake path (thread.go): the refill runs
-	// where the thread last ran.
-	t.mq.refill = m.k.SchedulerFor(t.lastCPU).AtCall(refillAt, m.refillFn, t)
+	t.mq.refill = m.k.eng.AtCall(refillAt, m.refillFn, t)
 	if t.state == StateRunning && t.cpu != nil {
 		m.k.Resched(t.cpu.ID)
 	} else if t.mq.onRq {

@@ -342,7 +342,7 @@ func (tc *TaskContext) Block() {
 // Sleep blocks the thread for d nanoseconds of simulated time.
 func (tc *TaskContext) Sleep(d sim.Duration) {
 	t := tc.t
-	t.k.SchedulerFor(t.lastCPU).AfterCall(d, t.k.wakeFn, t)
+	t.k.eng.AfterCall(d, t.k.wakeFn, t)
 	tc.Block()
 }
 

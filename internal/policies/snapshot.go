@@ -16,7 +16,7 @@ import (
 // implements agentsdk.PolicySnapshotter by serializing its tracker and
 // private queues as TID-based records; on load, TIDs resolve back to
 // thread handles through the Attach context. Policies configured with
-// Go funcs (CentralFIFO.Band, Shinjuku.Batch) are outside the v1
+// Go funcs (CentralFIFO.Band, Shinjuku.Batch) are outside the
 // envelope: a func cannot ride in a byte stream, so Save reports a
 // descriptive error instead of silently dropping the classifier.
 

@@ -91,7 +91,7 @@ type event struct {
 	at   Time
 	seq  uint64 // tie-break for FIFO ordering of same-time events
 	gen  uint64 // bumped on every recycle; validates Event handles
-	idx  int    // position in its container; -1 when not queued, idxMailbox when parked
+	idx  int    // position in its container; -1 when not queued
 	slot int32  // wheel bucket index, or slotSpill; meaningful only when idx >= 0
 
 	fn  func()
@@ -100,12 +100,6 @@ type event struct {
 
 	eng *Engine
 }
-
-// idxMailbox marks an event parked in its domain's cross-domain mailbox,
-// awaiting release at the next window barrier (see sharded.go). Its seq
-// was reserved at schedule time, so releasing it preserves same-time FIFO
-// order exactly as if it had been wheel-inserted immediately.
-const idxMailbox = -2
 
 // Event is a generational handle to a scheduled callback.
 //
@@ -128,32 +122,21 @@ func (h Event) Cancel() {
 	if ev == nil || ev.gen != h.gen || ev.idx == -1 {
 		return
 	}
-	eng := ev.eng
-	if ev.idx == idxMailbox {
-		eng.dom.unmail(ev)
-		return
-	}
-	eng.remove(ev)
-	if eng.dom != nil {
-		eng.dom.g.pend--
-	}
-	eng.recycle(ev)
+	ev.eng.remove(ev)
+	ev.eng.recycle(ev)
 }
 
-// Pending reports whether the event is still queued (in the wheel, the
-// spill heap, or parked in a cross-domain mailbox).
+// Pending reports whether the event is still queued (in the wheel or the
+// spill heap).
 func (h Event) Pending() bool {
 	return h.e != nil && h.e.gen == h.gen && h.e.idx != -1
 }
 
-// Engine is the discrete-event scheduler. The zero value is not usable;
-// construct with NewEngine.
+// Engine is the discrete-event scheduler: one per simulated machine.
+// Construct with NewEngine.
 type Engine struct {
-	now  Time
-	seq  uint64
-	clk  *Time   // clock to read/advance; &e.now standalone, group clock when sharded
-	seqp *uint64 // sequence counter; &e.seq standalone, group counter when sharded
-	dom  *domain // owning shard domain, nil standalone
+	now Time
+	seq uint64
 
 	// Timing wheel: buckets[i] is a small (at, seq) min-heap of events
 	// with at in the bucket's fixed-width window; occ tracks non-empty
@@ -176,8 +159,7 @@ type Engine struct {
 
 	// MaxQueue is the high-water mark of the pending-event count,
 	// sampled at each dispatch. Cancelled events are removed eagerly and
-	// never counted. Sub-engines of a sharded group maintain the group's
-	// shared figure instead (Group.MaxQueue); this field stays zero there.
+	// never counted.
 	MaxQueue int
 
 	// OnDispatch, when non-nil, observes every event dispatch with the
@@ -188,15 +170,10 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with an empty event queue at time zero.
-func NewEngine() *Engine {
-	e := &Engine{}
-	e.clk = &e.now
-	e.seqp = &e.seq
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
-func (e *Engine) Now() Time { return *e.clk }
+func (e *Engine) Now() Time { return e.now }
 
 // alloc pops recycled event storage, or grows the pool.
 func (e *Engine) alloc() *event {
@@ -211,17 +188,14 @@ func (e *Engine) alloc() *event {
 
 // schedule queues a pooled event and returns its handle.
 func (e *Engine) schedule(at Time, fn func(), afn func(any), arg any) Event {
-	if at < *e.clk {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, *e.clk))
+	if at < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
 	e.sync()
 	ev := e.alloc()
-	ev.at, ev.fn, ev.afn, ev.arg, ev.seq = at, fn, afn, arg, *e.seqp
-	*e.seqp++
+	ev.at, ev.fn, ev.afn, ev.arg, ev.seq = at, fn, afn, arg, e.seq
+	e.seq++
 	e.push(ev)
-	if e.dom != nil {
-		e.dom.g.pend++
-	}
 	return Event{e: ev, gen: ev.gen}
 }
 
@@ -244,7 +218,7 @@ func (e *Engine) After(d Duration, fn func()) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return e.schedule(*e.clk+d, nil, nil, nil).bindFn(fn)
+	return e.schedule(e.now+d, nil, nil, nil).bindFn(fn)
 }
 
 // bindFn sets the niladic callback on a freshly scheduled event.
@@ -266,8 +240,11 @@ func (e *Engine) AfterCall(d Duration, fn func(any), arg any) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return e.schedule(*e.clk+d, nil, fn, arg)
+	return e.schedule(e.now+d, nil, fn, arg)
 }
+
+// Cancel cancels h; equivalent to h.Cancel.
+func (e *Engine) Cancel(h Event) { h.Cancel() }
 
 // Stop makes Run return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
@@ -287,29 +264,20 @@ func (e *Engine) step(limit Time) bool {
 	if next == nil || next.at > limit {
 		return false
 	}
-	if next.at < *e.clk {
+	if next.at < e.now {
 		panic("sim: event wheel returned time in the past")
 	}
 	e.remove(next)
-	*e.clk = next.at
+	e.now = next.at
 	e.Executed++
 	// The queued figure sampled here (and handed to OnDispatch) is the
-	// number of live events still pending after this pop. Sharded, that is
-	// the group-wide count — wheels plus mailboxes — which byte-matches the
-	// single-queue figure because dispatch order and every schedule/cancel
-	// point are identical (see sharded.go).
+	// number of live events still pending after this pop.
 	queued := e.nbucket + len(e.spill)
-	if d := e.dom; d != nil {
-		d.g.pend--
-		queued = d.g.pend
-		if queued > d.g.maxPend {
-			d.g.maxPend = queued
-		}
-	} else if queued > e.MaxQueue {
+	if queued > e.MaxQueue {
 		e.MaxQueue = queued
 	}
 	if e.OnDispatch != nil {
-		e.OnDispatch(*e.clk, queued)
+		e.OnDispatch(e.now, queued)
 	}
 	// Recycle before dispatch: the callback may immediately schedule a
 	// new event into this storage; outstanding handles to the fired
@@ -337,18 +305,18 @@ func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	for !e.stopped && e.step(deadline) {
 	}
-	if !e.stopped && *e.clk < deadline {
-		*e.clk = deadline
+	if !e.stopped && e.now < deadline {
+		e.now = deadline
 	}
 }
 
 // RunFor advances the simulation by d nanoseconds.
-func (e *Engine) RunFor(d Duration) { e.RunUntil(*e.clk + d) }
+func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now + d) }
 
 // --- timing wheel -----------------------------------------------------
 //
-// Invariants. All live events have at >= *e.clk (dispatch fires the global
-// minimum and schedule rejects the past) and base <= *e.clk at all times,
+// Invariants. All live events have at >= e.now (dispatch fires the global
+// minimum and schedule rejects the past) and base <= e.now at all times,
 // so every bucket event's at lies in [base, base+wheelSpan) and every
 // spill event's at in [base+wheelSpan, ∞). The bucket index of a time is
 // (at >> bucketShift) & bucketMask — independent of base — so advancing
@@ -361,11 +329,11 @@ func (e *Engine) RunFor(d Duration) { e.RunUntil(*e.clk + d) }
 // exact single-heap total order.
 
 // sync advances the wheel base to the clock's bucket boundary and migrates
-// spill events that the wider window now covers. The clock is shared
-// group-wide when sharded, so other domains advance it between our steps;
-// base therefore catches up lazily here rather than at every clock write.
+// spill events that the wider window now covers. RunUntil moves the clock
+// without dispatching, so base catches up lazily here rather than at
+// every clock write.
 func (e *Engine) sync() {
-	nb := (*e.clk >> bucketShift) << bucketShift
+	nb := (e.now >> bucketShift) << bucketShift
 	if nb <= e.base {
 		return
 	}
@@ -430,13 +398,13 @@ func (e *Engine) remove(ev *event) {
 
 // peek returns the pending event with the least (at, seq), or nil. The
 // result is cached until the minimum is popped, cancelled or displaced,
-// so the sharded merged-dispatch loop's repeated peeks are O(1).
+// so repeated peeks are O(1).
 func (e *Engine) peek() *event {
 	if e.minEv != nil {
 		return e.minEv
 	}
 	if e.nbucket > 0 {
-		start := *e.clk
+		start := e.now
 		if start < e.base {
 			start = e.base
 		}

@@ -11,36 +11,32 @@ import (
 // the live structure (Reset) and re-files each record with its original
 // sequence number (RestoreEvent), so the restored dispatch order is the
 // exact total order the original run would have produced. Only quiescent
-// barriers are snapshot points: RunUntil has returned, no event is mid-
-// dispatch, and (sharded) every cross-domain mailbox is empty.
+// barriers are snapshot points: RunUntil has returned and no event is
+// mid-dispatch.
 
 // PendingEvent is one serializable pending event: its firing time, its
-// schedule-time sequence number (the FIFO tie-break), its callback in
-// either form, and the domain whose sub-engine holds it (0 standalone).
+// schedule-time sequence number (the FIFO tie-break) and its callback in
+// either form.
 type PendingEvent struct {
 	At  Time
 	Seq uint64
 	Fn  func()
 	AFn func(any)
 	Arg any
-	Dom int
 }
 
-// appendPending collects the engine's live events (wheel + spill) in
-// arbitrary order; callers sort.
-func (e *Engine) appendPending(dst []PendingEvent, dom int) []PendingEvent {
+// Pending returns every live pending event (wheel + spill) in (at, seq)
+// dispatch order.
+func (e *Engine) Pending() []PendingEvent {
+	var evs []PendingEvent
 	for i := range e.buckets {
 		for _, ev := range e.buckets[i] {
-			dst = append(dst, PendingEvent{At: ev.at, Seq: ev.seq, Fn: ev.fn, AFn: ev.afn, Arg: ev.arg, Dom: dom})
+			evs = append(evs, PendingEvent{At: ev.at, Seq: ev.seq, Fn: ev.fn, AFn: ev.afn, Arg: ev.arg})
 		}
 	}
 	for _, ev := range e.spill {
-		dst = append(dst, PendingEvent{At: ev.at, Seq: ev.seq, Fn: ev.fn, AFn: ev.afn, Arg: ev.arg, Dom: dom})
+		evs = append(evs, PendingEvent{At: ev.at, Seq: ev.seq, Fn: ev.fn, AFn: ev.afn, Arg: ev.arg})
 	}
-	return dst
-}
-
-func sortPending(evs []PendingEvent) []PendingEvent {
 	sort.Slice(evs, func(i, j int) bool {
 		if evs[i].At != evs[j].At {
 			return evs[i].At < evs[j].At
@@ -50,29 +46,11 @@ func sortPending(evs []PendingEvent) []PendingEvent {
 	return evs
 }
 
-// Pending returns every live pending event in (at, seq) dispatch order.
-func (e *Engine) Pending() []PendingEvent {
-	return sortPending(e.appendPending(nil, 0))
-}
-
-// Pending returns every live pending event across the group's domains in
-// (at, seq) dispatch order, with each record's Dom set to the domain that
-// holds it. It panics if any cross-domain mailbox is non-empty: snapshots
-// are only taken at quiescent barriers, where RunUntil has flushed them.
-func (g *Group) Pending() []PendingEvent {
-	var evs []PendingEvent
-	for i, d := range g.domains {
-		if len(d.mbox) != 0 {
-			panic("sim: Pending with non-empty mailbox; snapshot only at a quiescent barrier")
-		}
-		evs = d.eng.appendPending(evs, i)
-	}
-	return sortPending(evs)
-}
-
-// reset drops every live event (recycling storage and invalidating
-// outstanding handles) and empties the wheel.
-func (e *Engine) reset() {
+// Reset drops every live event (recycling storage and invalidating
+// outstanding handles), empties the wheel, and primes the engine's clock,
+// sequence counter and diagnostic counters from a snapshot. Restored
+// events are re-filed afterwards with RestoreEvent.
+func (e *Engine) Reset(now Time, seq uint64, executed uint64, maxQueue int) {
 	for i := range e.buckets {
 		b := e.buckets[i]
 		for j, ev := range b {
@@ -93,16 +71,6 @@ func (e *Engine) reset() {
 	}
 	e.spill = e.spill[:0]
 	e.minEv = nil
-}
-
-// Reset clears a standalone engine and primes its clock, sequence counter
-// and diagnostic counters from a snapshot. Restored events are re-filed
-// afterwards with RestoreEvent.
-func (e *Engine) Reset(now Time, seq uint64, executed uint64, maxQueue int) {
-	if e.dom != nil {
-		panic("sim: Reset on a sharded sub-engine; use Group.Reset")
-	}
-	e.reset()
 	e.now = now
 	e.base = (now >> bucketShift) << bucketShift
 	e.seq = seq
@@ -110,72 +78,22 @@ func (e *Engine) Reset(now Time, seq uint64, executed uint64, maxQueue int) {
 	e.MaxQueue = maxQueue
 }
 
-// Reset clears every domain of the group and primes the shared clock,
-// sequence counter and group-wide accounting from a snapshot. The group
-// total of executed events is carried on domain 0 — per-domain splits are
-// shard-layout dependent and deliberately not part of the snapshot.
-func (g *Group) Reset(now Time, seq uint64, executed uint64, maxQueue int) {
-	for _, d := range g.domains {
-		for i, ev := range d.mbox {
-			ev.idx = -1
-			ev.eng.recycle(ev)
-			d.mbox[i] = nil
-		}
-		d.mbox = d.mbox[:0]
-		d.eng.reset()
-		d.eng.base = (now >> bucketShift) << bucketShift
-		d.eng.Executed = 0
-	}
-	g.domains[0].eng.Executed = executed
-	g.now = now
-	g.seq = seq
-	g.pend = 0
-	g.maxPend = maxQueue
-	g.windowEnd = 0
-	g.cur = -1
-}
-
 // Seq returns the engine's next-sequence counter (snapshot save).
-func (e *Engine) Seq() uint64 { return *e.seqp }
-
-// Seq returns the group's shared sequence counter (snapshot save).
-func (g *Group) Seq() uint64 { return g.seq }
-
-// RestoreClock primes the coordinator's barrier clock after a restore.
-func (s *Sharded) RestoreClock(now Time) { s.now = now }
+func (e *Engine) Seq() uint64 { return e.seq }
 
 // RestoreEvent re-files a serialized event with its original (at, seq)
 // pair, bypassing the monotonic sequence draw. The caller must have Reset
 // the engine with the snapshot's sequence counter so that later schedule
 // calls draw sequence numbers above every restored event.
 func (e *Engine) RestoreEvent(at Time, seq uint64, fn func(), afn func(any), arg any) Event {
-	if at < *e.clk {
-		panic(fmt.Sprintf("sim: restoring event at %v before now %v", at, *e.clk))
+	if at < e.now {
+		panic(fmt.Sprintf("sim: restoring event at %v before now %v", at, e.now))
 	}
 	e.sync()
 	ev := e.alloc()
 	ev.at, ev.fn, ev.afn, ev.arg, ev.seq = at, fn, afn, arg, seq
 	e.push(ev)
-	if e.dom != nil {
-		e.dom.g.pend++
-	}
 	return Event{e: ev, gen: ev.gen}
-}
-
-// RestoreEvent re-files a serialized event into domain dom's sub-engine.
-func (g *Group) RestoreEvent(dom int, at Time, seq uint64, fn func(), afn func(any), arg any) Event {
-	if dom < 0 || dom >= len(g.domains) {
-		panic(fmt.Sprintf("sim: RestoreEvent into nonexistent domain %d", dom))
-	}
-	return g.domains[dom].eng.RestoreEvent(at, seq, fn, afn, arg)
-}
-
-// DomainEngine returns domain i's sub-engine (restore plumbing).
-func (g *Group) DomainEngine(i int) *Engine { return g.domains[i].eng }
-
-// RestoreCounters overlays the group's window/traffic diagnostics.
-func (g *Group) RestoreCounters(windows, mailboxed, fastpath uint64) {
-	g.Windows, g.Mailboxed, g.Fastpath = windows, mailboxed, fastpath
 }
 
 // SameFn reports whether two callback values point at the same function

@@ -3,7 +3,7 @@ package sim
 // Ticker invokes a callback at a fixed period of simulated time. It is the
 // building block for kernel timer ticks and statistics samplers.
 type Ticker struct {
-	engine  Scheduler
+	engine  *Engine
 	period  Duration
 	fn      func(Time)
 	ev      Event
@@ -33,7 +33,7 @@ func tickerFire(a any) {
 
 // NewTicker starts a ticker whose first fire is one period from now.
 // The callback receives the fire time.
-func NewTicker(e Scheduler, period Duration, fn func(Time)) *Ticker {
+func NewTicker(e *Engine, period Duration, fn func(Time)) *Ticker {
 	t := NewStoppedTicker(e, period, fn)
 	t.arm()
 	return t
@@ -43,7 +43,7 @@ func NewTicker(e Scheduler, period Duration, fn func(Time)) *Ticker {
 // first fire one period from the call. It exists so subsystems can build
 // their ticker objects eagerly (giving snapshots a stable object to link
 // pending firings to) while deferring the first fire.
-func NewStoppedTicker(e Scheduler, period Duration, fn func(Time)) *Ticker {
+func NewStoppedTicker(e *Engine, period Duration, fn func(Time)) *Ticker {
 	if period <= 0 {
 		panic("sim: ticker period must be positive")
 	}

@@ -19,7 +19,7 @@ import (
 
 // Version is the snapshot wire-format version this build reads and
 // writes.
-const Version = 1
+const Version = 2
 
 var (
 	// ErrVersion is returned when decoding a snapshot written by an
@@ -60,9 +60,8 @@ type EventRec struct {
 	Args []int64 `json:"args,omitempty"`
 }
 
-// CoreImage is the shard-layout-independent machine state. The forward
-// digest is computed over its serialized form only, so snapshots of the
-// same logical machine agree across shard counts.
+// CoreImage is the serialized machine state. The forward digest is
+// computed over its JSON form.
 type CoreImage struct {
 	Topology hw.Config    `json:"topology"`
 	Cost     hw.CostModel `json:"cost"`
@@ -80,37 +79,25 @@ type CoreImage struct {
 	Events     []EventRec          `json:"events,omitempty"`
 }
 
-// ShardImage is the shard-layout-dependent remainder: the shard count,
-// each pending event's home domain, and the sharding diagnostics.
-type ShardImage struct {
-	Shards    int    `json:"shards"`
-	EventDoms []int  `json:"eventDoms,omitempty"`
-	Windows   uint64 `json:"windows,omitempty"`
-	Mailboxed uint64 `json:"mailboxed,omitempty"`
-	Fastpath  uint64 `json:"fastpath,omitempty"`
-}
-
-// Image is a decoded snapshot: the core state plus the shard section.
+// Image is a decoded snapshot.
 type Image struct {
-	Core  *CoreImage
-	Shard *ShardImage
+	Core *CoreImage
 
 	coreJSON []byte
 }
 
 // NewImage wraps freshly saved state into an Image (Save calls this; it
 // is exported for tests that construct images directly).
-func NewImage(core *CoreImage, shard *ShardImage) (*Image, error) {
+func NewImage(core *CoreImage) (*Image, error) {
 	cj, err := json.Marshal(core)
 	if err != nil {
 		return nil, err
 	}
-	return &Image{Core: core, Shard: shard, coreJSON: cj}, nil
+	return &Image{Core: core, coreJSON: cj}, nil
 }
 
 // Digest returns the hex sha256 of the serialized core state — the
-// machine-identity fingerprint used by the determinism gates. It is
-// independent of the shard layout.
+// machine-identity fingerprint used by the determinism gates.
 func (img *Image) Digest() string {
 	sum := sha256.Sum256(img.coreJSON)
 	return hex.EncodeToString(sum[:])
@@ -119,30 +106,20 @@ func (img *Image) Digest() string {
 // Now returns the simulated time the snapshot was taken at.
 func (img *Image) Now() sim.Time { return sim.Time(img.Core.Now) }
 
-// Shards returns the shard count the snapshot was taken under.
-func (img *Image) Shards() int { return img.Shard.Shards }
-
 // magic identifies the snapshot container format.
 var magic = [8]byte{'g', 'h', 'o', 's', 't', 's', 'n', 'p'}
 
-// Encode writes the snapshot container: magic, version, the two
-// length-prefixed JSON sections, and a trailing sha256 of everything
+// Encode writes the snapshot container: magic, version, the
+// length-prefixed core JSON section, and a trailing sha256 of everything
 // after the magic.
 func (img *Image) Encode(w io.Writer) error {
-	sj, err := json.Marshal(img.Shard)
-	if err != nil {
-		return err
-	}
 	var body bytes.Buffer
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], Version)
 	body.Write(hdr[:])
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(img.coreJSON)))
 	body.Write(hdr[:])
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(sj)))
-	body.Write(hdr[:])
 	body.Write(img.coreJSON)
-	body.Write(sj)
 	sum := sha256.Sum256(body.Bytes())
 	if _, err := w.Write(magic[:]); err != nil {
 		return err
@@ -150,13 +127,16 @@ func (img *Image) Encode(w io.Writer) error {
 	if _, err := w.Write(body.Bytes()); err != nil {
 		return err
 	}
-	_, err = w.Write(sum[:])
+	_, err := w.Write(sum[:])
 	return err
 }
 
 // Decode reads a snapshot container, returning ErrVersion for a format
 // version this build does not speak and ErrCorrupt for bad magic, a
-// checksum mismatch, or truncation.
+// checksum mismatch, or truncation. The section length in the header is
+// unverified until the checksum is, so the section is read through a
+// limited reader: memory follows the bytes actually present, never the
+// claimed length.
 func Decode(r io.Reader) (*Image, error) {
 	var m [8]byte
 	if _, err := io.ReadFull(r, m[:]); err != nil {
@@ -165,42 +145,37 @@ func Decode(r io.Reader) (*Image, error) {
 	if m != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var hdr [8]byte
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return nil, fmt.Errorf("%w: truncated header: %v", ErrCorrupt, err)
 	}
-	version := binary.LittleEndian.Uint32(hdr[0:4])
-	coreLen := binary.LittleEndian.Uint32(hdr[4:8])
-	shardLen := binary.LittleEndian.Uint32(hdr[8:12])
-	if version != Version {
+	if version := binary.LittleEndian.Uint32(hdr[:4]); version != Version {
 		return nil, fmt.Errorf("%w: snapshot is v%d, this build speaks v%d", ErrVersion, version, Version)
 	}
-	const maxSection = 1 << 30
-	if coreLen > maxSection || shardLen > maxSection {
-		return nil, fmt.Errorf("%w: implausible section lengths", ErrCorrupt)
+	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
+		return nil, fmt.Errorf("%w: truncated header: %v", ErrCorrupt, err)
 	}
-	payload := make([]byte, int(coreLen)+int(shardLen)+sha256.Size)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: truncated body: %v", ErrCorrupt, err)
+	coreLen := int64(binary.LittleEndian.Uint32(hdr[4:]))
+	cj, err := io.ReadAll(io.LimitReader(r, coreLen))
+	if err != nil {
+		return nil, fmt.Errorf("%w: core section: %v", ErrCorrupt, err)
 	}
-	body := payload[:int(coreLen)+int(shardLen)]
+	if int64(len(cj)) != coreLen {
+		return nil, fmt.Errorf("%w: truncated body: %d of %d bytes", ErrCorrupt, len(cj), coreLen)
+	}
 	var sum [sha256.Size]byte
-	copy(sum[:], payload[len(body):])
+	if _, err := io.ReadFull(r, sum[:]); err != nil {
+		return nil, fmt.Errorf("%w: truncated checksum: %v", ErrCorrupt, err)
+	}
 	h := sha256.New()
 	h.Write(hdr[:])
-	h.Write(body)
+	h.Write(cj)
 	if !bytes.Equal(h.Sum(nil), sum[:]) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	cj := body[:coreLen]
-	sj := body[coreLen:]
 	core := &CoreImage{}
 	if err := json.Unmarshal(cj, core); err != nil {
 		return nil, fmt.Errorf("%w: core section: %v", ErrCorrupt, err)
 	}
-	shard := &ShardImage{}
-	if err := json.Unmarshal(sj, shard); err != nil {
-		return nil, fmt.Errorf("%w: shard section: %v", ErrCorrupt, err)
-	}
-	return &Image{Core: core, Shard: shard, coreJSON: append([]byte(nil), cj...)}, nil
+	return &Image{Core: core, coreJSON: cj}, nil
 }

@@ -36,10 +36,10 @@ type Result struct {
 }
 
 // Load restores img onto a freshly built machine skeleton: the target
-// must have the same topology, cost model and shard count as the saved
-// machine, with its kernel and classes constructed but no threads,
-// enclaves or components yet. On return the machine's forward behavior
-// is byte-identical to the original's from the snapshot point.
+// must have the same topology and cost model as the saved machine, with
+// its kernel and classes constructed but no threads, enclaves or
+// components yet. On return the machine's forward behavior is
+// byte-identical to the original's from the snapshot point.
 //
 // The restore runs in phases: component shells, enclave shells, a global
 // TID-ordered spawn pass (body threads interleaved with agent sets, TIDs
@@ -48,15 +48,11 @@ type Result struct {
 // and finally the pending events with their original (at, seq) pairs.
 func Load(t *Target, img *Image, opts LoadOpts) (*Result, error) {
 	core := img.Core
-	if got, want := t.shards(), img.Shard.Shards; got != want {
-		return nil, fmt.Errorf("snap: snapshot was taken with %d shard(s), machine has %d; restore with a matching -shards", want, got)
-	}
 	if got, want := t.Topo.NumCPUs(), len(core.Kernel.CPUs); got != want {
 		return nil, fmt.Errorf("snap: snapshot has %d CPUs, machine has %d", want, got)
 	}
 
 	ctx := &RestoreCtx{
-		Sched:      t.Sched,
 		Kernel:     t.K,
 		Ghost:      t.Ghost,
 		UserData:   opts.UserData,
@@ -107,12 +103,7 @@ func Load(t *Target, img *Image, opts LoadOpts) (*Result, error) {
 
 	// Phase 4: engine reset — erases every event and sequence draw the
 	// construction above produced.
-	if t.Grp != nil {
-		t.Grp.Reset(sim.Time(core.Now), core.Seq, core.Executed, core.MaxQueue)
-		t.Coord.RestoreClock(sim.Time(core.Now))
-	} else {
-		t.Eng.Reset(sim.Time(core.Now), core.Seq, core.Executed, core.MaxQueue)
-	}
+	t.Eng.Reset(sim.Time(core.Now), core.Seq, core.Executed, core.MaxQueue)
 
 	// Phase 5: verbatim state overlay.
 	if err := t.K.RestoreImage(core.Kernel); err != nil {
@@ -163,22 +154,10 @@ func Load(t *Target, img *Image, opts LoadOpts) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		dom := 0
-		if i < len(img.Shard.EventDoms) {
-			dom = img.Shard.EventDoms[i]
-		}
-		var ev sim.Event
-		if t.Grp != nil {
-			ev = t.Grp.RestoreEvent(dom, sim.Time(erec.At), erec.Seq, nil, afn, arg)
-		} else {
-			ev = t.Eng.RestoreEvent(sim.Time(erec.At), erec.Seq, nil, afn, arg)
-		}
+		ev := t.Eng.RestoreEvent(sim.Time(erec.At), erec.Seq, nil, afn, arg)
 		if adopt != nil {
 			adopt(ev)
 		}
-	}
-	if t.Grp != nil {
-		t.Grp.RestoreCounters(img.Shard.Windows, img.Shard.Mailboxed, img.Shard.Fastpath)
 	}
 	return res, nil
 }

@@ -1,13 +1,12 @@
 // Package snap implements versioned snapshot/restore of a full simulated
 // machine (DESIGN.md §3j). A snapshot is taken only at a quiescent
-// barrier — RunUntil has returned, no event is mid-dispatch, every
-// cross-domain mailbox is empty — and captures the engine clock and
-// pending events, the kernel (CPUs, threads, baseline classes), the
-// ghOSt class (enclaves, queues, status words), the agent generations
-// (runners + policy state via the PolicySnapshotter capability), and any
-// registered workload components. Restore rebuilds a machine that is
+// barrier — RunUntil has returned and no event is mid-dispatch — and
+// captures the engine clock and pending events, the kernel (CPUs,
+// threads, baseline classes), the ghOSt class (enclaves, queues, status
+// words), the agent generations (runners + policy state via the
+// PolicySnapshotter capability), and any registered workload components. Restore rebuilds a machine that is
 // byte-identical going forward: digest(run 0→T) equals
-// digest(restore(snap@t), run t→T) at any shard count.
+// digest(restore(snap@t), run t→T).
 //
 // Live goroutine stacks are never serialized. Thread bodies parked in
 // Run or Block are re-spawned from registered body factories whose
@@ -94,8 +93,6 @@ func RegisterComponent(kind string, f ComponentFactory) { componentReg[kind] = f
 // RestoreCtx carries the partially rebuilt machine through the restore
 // phases; factories resolve their dependencies through it.
 type RestoreCtx struct {
-	// Sched is the machine's root scheduler.
-	Sched sim.Scheduler
 	// Kernel is the rebuilt kernel (threads appear as the spawn pass
 	// progresses).
 	Kernel *kernel.Kernel

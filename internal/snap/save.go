@@ -19,13 +19,9 @@ type ComponentEntry struct {
 	C   Component
 }
 
-// Target names every part of a machine the snapshot walks. Exactly one
-// of Eng (standalone engine) or Grp+Coord (sharded) is set.
+// Target names every part of a machine the snapshot walks.
 type Target struct {
-	Eng   *sim.Engine
-	Grp   *sim.Group
-	Coord *sim.Sharded
-	Sched sim.Scheduler
+	Eng *sim.Engine
 
 	Topo *hw.Topology
 	Cost *hw.CostModel
@@ -37,38 +33,18 @@ type Target struct {
 	Components []ComponentEntry
 }
 
-func (t *Target) now() sim.Time {
-	if t.Coord != nil {
-		return t.Coord.Now()
-	}
-	return t.Eng.Now()
-}
-
-func (t *Target) shards() int {
-	if t.Grp != nil {
-		return t.Grp.Domains()
-	}
-	return 1
-}
-
 // Save serializes the machine at a quiescent barrier. It returns a
 // descriptive error naming the culprit when any live state falls outside
-// the v1 snapshot envelope (an unregistered thread body, a closure
-// event, an armed deadline, a policy without the snapshot capability).
+// the snapshot envelope (an unregistered thread body, a closure event,
+// an armed deadline, a policy without the snapshot capability).
 func Save(t *Target) (*Image, error) {
 	core := &CoreImage{
 		Topology: t.Topo.Config(),
 		Cost:     *t.Cost,
-		Now:      int64(t.now()),
-	}
-	if t.Grp != nil {
-		core.Seq = t.Grp.Seq()
-		core.Executed = t.Grp.Executed()
-		core.MaxQueue = t.Grp.MaxQueue()
-	} else {
-		core.Seq = t.Eng.Seq()
-		core.Executed = t.Eng.Executed
-		core.MaxQueue = t.Eng.MaxQueue
+		Now:      int64(t.Eng.Now()),
+		Seq:      t.Eng.Seq(),
+		Executed: t.Eng.Executed,
+		MaxQueue: t.Eng.MaxQueue,
 	}
 
 	kimg, err := t.K.SaveImage()
@@ -106,25 +82,14 @@ func Save(t *Target) (*Image, error) {
 		core.Tickers = append(core.Tickers, TickerRec{Key: tk.Key, Period: int64(tk.Period()), Stopped: tk.Stopped()})
 	}
 
-	shard := &ShardImage{Shards: t.shards()}
-	var pending []sim.PendingEvent
-	if t.Grp != nil {
-		pending = t.Grp.Pending()
-		shard.Windows = t.Grp.Windows
-		shard.Mailboxed = t.Grp.Mailboxed
-		shard.Fastpath = t.Grp.Fastpath
-	} else {
-		pending = t.Eng.Pending()
-	}
-	for _, pe := range pending {
+	for _, pe := range t.Eng.Pending() {
 		rec, err := classifyPending(t, pe)
 		if err != nil {
 			return nil, err
 		}
 		core.Events = append(core.Events, rec)
-		shard.EventDoms = append(shard.EventDoms, pe.Dom)
 	}
-	return NewImage(core, shard)
+	return NewImage(core)
 }
 
 // collectTickers walks every keyed virtual timer in the machine,

@@ -44,21 +44,14 @@ func serve(m *ghost.Machine, workers int, affinity ghost.CPUMask,
 	return Objective{P99: rec.Hist.P99(), Throughput: rec.Throughput(m.Now())}
 }
 
-func machineOpts(shards int) []ghost.MachineOption {
-	if shards > 1 {
-		return []ghost.MachineOption{ghost.WithShards(shards)}
-	}
-	return nil
-}
-
 // shinjukuRocksDB tunes the §4.2 policy's timeslice and commit batching
 // on the RocksDB workload near saturation.
 var shinjukuRocksDB = Scenario{
 	Name:  "shinjuku-rocksdb",
 	Doc:   "Shinjuku slice/batching on RocksDB at 250 kreq/s (Fig 6 setup)",
 	Space: func() *tunable.Set { return ghost.NewShinjukuPolicy().Tunables() },
-	Run: func(params map[string]float64, seed uint64, horizon sim.Duration, shards int) Objective {
-		m := ghost.NewMachine(ghost.XeonE5(), machineOpts(shards)...)
+	Run: func(params map[string]float64, seed uint64, horizon sim.Duration) Objective {
+		m := ghost.NewMachine(ghost.XeonE5())
 		defer m.Shutdown()
 		// CPU 0 hosts the global agent; 1..20 serve requests.
 		enc := m.NewEnclave(ghost.MaskAll(21))
@@ -76,8 +69,8 @@ var fifoSnap = Scenario{
 	Name:  "fifo-snap",
 	Doc:   "banded FIFO quantum/preemption vs in-enclave antagonists",
 	Space: func() *tunable.Set { return ghost.NewFIFOPolicy().Tunables() },
-	Run: func(params map[string]float64, seed uint64, horizon sim.Duration, shards int) Objective {
-		m := ghost.NewMachine(ghost.XeonE5(), machineOpts(shards)...)
+	Run: func(params map[string]float64, seed uint64, horizon sim.Duration) Objective {
+		m := ghost.NewMachine(ghost.XeonE5())
 		defer m.Shutdown()
 		// CPU 0 hosts the agent; 1..8 serve workers and antagonists.
 		enc := m.NewEnclave(ghost.MaskAll(9))
@@ -109,8 +102,8 @@ var microQuanta = Scenario{
 		defer m.Shutdown()
 		return m.MicroQuanta.Tunables()
 	},
-	Run: func(params map[string]float64, seed uint64, horizon sim.Duration, shards int) Objective {
-		m := ghost.NewMachine(ghost.XeonE5(), machineOpts(shards)...)
+	Run: func(params map[string]float64, seed uint64, horizon sim.Duration) Objective {
+		m := ghost.NewMachine(ghost.XeonE5())
 		defer m.Shutdown()
 		applyParams(m.MicroQuanta.Tunables(), params)
 		cpus := ghost.MaskAll(8)

@@ -8,7 +8,7 @@
 // Everything is deterministic: configurations are drawn from one seeded
 // generator in trial order, every evaluation seeds its own simulation,
 // and rung evaluations run through experiments.RunJobs, so the rendered
-// report is byte-identical at any -parallel or -shards setting.
+// report is byte-identical at any -parallel setting.
 package tune
 
 import (
@@ -38,7 +38,7 @@ type Scenario struct {
 	Space func() *tunable.Set
 	// Run evaluates params (tunable name -> value; empty = policy
 	// defaults) for horizon simulated time and returns the objective.
-	Run func(params map[string]float64, seed uint64, horizon sim.Duration, shards int) Objective
+	Run func(params map[string]float64, seed uint64, horizon sim.Duration) Objective
 }
 
 // Config sizes a successive-halving search.
@@ -52,11 +52,9 @@ type Config struct {
 	Seed uint64
 	// BaseHorizon is the rung-0 simulation length (default 20 ms).
 	BaseHorizon sim.Duration
-	// Parallel bounds the evaluation worker pool (0 = GOMAXPROCS);
-	// Shards is passed through to each simulation. Neither changes a
-	// single output byte.
+	// Parallel bounds the evaluation worker pool (0 = GOMAXPROCS); it
+	// changes no output byte.
 	Parallel int
-	Shards   int
 }
 
 func (c Config) withDefaults() Config {
@@ -124,7 +122,7 @@ func evalAll(s Scenario, cfg Config, trials []*Trial, horizon sim.Duration, rung
 		jobs[i] = experiments.Job{
 			Name: fmt.Sprintf("%s/t%d/r%d", s.Name, tr.ID, rung),
 			Seed: seed,
-			Run:  func() any { return s.Run(tr.Params, seed, horizon, cfg.Shards) },
+			Run:  func() any { return s.Run(tr.Params, seed, horizon) },
 		}
 	}
 	par := experiments.Options{Parallel: cfg.Parallel}.Parallelism()
@@ -185,7 +183,7 @@ func Search(s Scenario, cfg Config) *Result {
 	res.Final = pop
 	res.Front = pareto(pop)
 	finalHorizon := res.Horizons[len(res.Horizons)-1]
-	res.Baseline = s.Run(nil, cfg.Seed+999_983, finalHorizon, cfg.Shards)
+	res.Baseline = s.Run(nil, cfg.Seed+999_983, finalHorizon)
 	return res
 }
 

@@ -23,7 +23,7 @@ import (
 // matching Fig 8's time axes.
 type Search struct {
 	k    *kernel.Kernel
-	eng  sim.Scheduler
+	eng  *sim.Engine
 	rand *sim.Rand
 
 	poolA   [2]*WorkerPool // per-socket pools
@@ -87,7 +87,7 @@ const (
 func NewSearch(k *kernel.Kernel, cfg SearchConfig,
 	spawnWorker func(name string, affinity kernel.Mask, body kernel.ThreadFunc) *kernel.Thread,
 	spawnServer func(name string, body kernel.ThreadFunc) *kernel.Thread) *Search {
-	s := &Search{k: k, eng: k.Scheduler(), rand: sim.NewRand(cfg.Seed)}
+	s := &Search{k: k, eng: k.Engine(), rand: sim.NewRand(cfg.Seed)}
 	for i := range s.recs {
 		s.recs[i] = &LatencyRecorder{}
 		s.Totals[i] = &LatencyRecorder{}

@@ -17,7 +17,7 @@ import (
 // (copy-dominated), matching the paper's test.
 type Snap struct {
 	k   *kernel.Kernel
-	eng sim.Scheduler
+	eng *sim.Engine
 
 	pkts     []*snapPkt // shared packet ring (ingress + egress events)
 	sleepers *kernel.WaitQueue
@@ -81,7 +81,7 @@ func NewSnap(k *kernel.Kernel, cfg SnapConfig,
 	spawnWorker func(name string, body kernel.ThreadFunc) *kernel.Thread,
 	spawnServer func(name string, body kernel.ThreadFunc) *kernel.Thread) *Snap {
 	s := &Snap{
-		k: k, eng: k.Scheduler(),
+		k: k, eng: k.Engine(),
 		sleepers: kernel.NewWaitQueue(k),
 		rand:     sim.NewRand(cfg.Seed),
 	}

@@ -99,7 +99,7 @@ type IsolationChecker struct {
 // NewIsolationChecker samples sibling pairs every period.
 func NewIsolationChecker(k *kernel.Kernel, period sim.Duration) *IsolationChecker {
 	ic := &IsolationChecker{k: k}
-	sim.NewTicker(k.Scheduler(), period, func(sim.Time) { ic.check() })
+	sim.NewTicker(k.Engine(), period, func(sim.Time) { ic.check() })
 	return ic
 }
 

@@ -17,7 +17,7 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
-echo "== ghost-lint -escape ./... (determinism taint, maporder, hotpathalloc, eventhandle, apisurface, shardsafety, hotpathescape)"
+echo "== ghost-lint -escape ./... (determinism taint, maporder, hotpathalloc, eventhandle, apisurface, hotpathescape)"
 go run ./cmd/ghost-lint -escape -summary ./...
 
 echo "== go test ./..."
@@ -28,9 +28,6 @@ go test -race -short ./...
 
 echo "== ghost-check smoke (property-based invariant scan)"
 go run ./cmd/ghost-check -quick -seeds 25 -parallel 4
-
-echo "== ghost-check sharded smoke (same invariants over sharded event queues)"
-go run ./cmd/ghost-check -quick -seeds 10 -parallel 4 -shards 2
 
 echo "== examples (build + quick smoke run)"
 for ex in examples/*/; do
@@ -55,21 +52,12 @@ sh scripts/bench.sh -quick
 echo "== bench regression diff (vs recorded artifact)"
 go run ./cmd/ghost-bench -diff BENCH_pr3.json /tmp/bench_quick.json
 
-echo "== bench recording gate (pr6 -> pr7 full artifacts)"
-go run ./cmd/ghost-bench -diff BENCH_pr6.json BENCH_pr7.json
-
-echo "== bench recording gate (pr7 -> pr9 full artifacts)"
-go run ./cmd/ghost-bench -diff BENCH_pr7.json BENCH_pr9.json
-
-echo "== bench recording gate (pr9 -> pr10 full artifacts)"
-go run ./cmd/ghost-bench -diff BENCH_pr9.json BENCH_pr10.json
-
 echo "== snapshot smoke (fig5 restore-transparency digest compare)"
 go run ./cmd/ghost-bench -exp fig5 -quick -snapshot-every 5ms >/dev/null
 
 echo "== snapshot smoke (ghost-check checkpoint rewind on a directed regression)"
 rewind_out=$(go run ./cmd/ghost-check \
-	-repro "seed=3 policy=central-fifo cpus=4 threads=9 horizon=25.000ms shards=2" \
+	-repro "seed=3 policy=central-fifo cpus=4 threads=9 horizon=25.000ms" \
 	-mutate drop-wakeup -snapshot-every 3ms || true)
 echo "$rewind_out" | grep -q "^rewind: from checkpoint" || {
 	echo "ghost-check rewind smoke: no rewind report in output:" >&2

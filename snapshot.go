@@ -16,10 +16,10 @@ import (
 // Checkpoint/restore (DESIGN.md §3j). A Snapshot is a versioned,
 // self-contained capture of a machine at a quiescent barrier; Restore
 // rebuilds a machine whose forward behavior is byte-identical —
-// digest(run 0→T) == digest(restore(snap@t), run t→T) at any shard
-// count. Snapshots serialize no goroutine stacks: thread bodies must be
-// registered (RegisterBody / SpawnBody, or library-provided bodies like
-// worker pools), and workload state rides via SnapshotComponent.
+// digest(run 0→T) == digest(restore(snap@t), run t→T). Snapshots
+// serialize no goroutine stacks: thread bodies must be registered
+// (RegisterBody / SpawnBody, or library-provided bodies like worker
+// pools), and workload state rides via SnapshotComponent.
 
 // SnapshotVersion is the snapshot wire-format version this build speaks.
 const SnapshotVersion = snap.Version
@@ -39,16 +39,12 @@ type Snapshot struct {
 	img *snap.Image
 }
 
-// Digest returns the hex sha256 of the snapshot's core (shard-layout-
-// independent) state — the fingerprint the determinism gates compare.
+// Digest returns the hex sha256 of the snapshot's core state — the
+// fingerprint the determinism gates compare.
 func (s *Snapshot) Digest() string { return s.img.Digest() }
 
 // Time returns the simulated instant the snapshot was taken at.
 func (s *Snapshot) Time() Time { return s.img.Now() }
-
-// Shards returns the shard count the snapshot was taken under; Restore
-// requires a matching count.
-func (s *Snapshot) Shards() int { return s.img.Shards() }
 
 // WriteTo serializes the snapshot container (implements io.WriterTo).
 func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
@@ -136,9 +132,6 @@ func (m *Machine) SnapshotSkips() int { return m.snapSkips }
 func (m *Machine) snapTarget() *snap.Target {
 	return &snap.Target{
 		Eng:        m.eng,
-		Grp:        m.grp,
-		Coord:      m.shd,
-		Sched:      m.sched,
 		Topo:       m.k.Topology(),
 		Cost:       m.k.Cost(),
 		K:          m.k,
@@ -154,9 +147,6 @@ func (m *Machine) snapTarget() *snap.Target {
 // never registered, a pending Machine.After closure, a policy without
 // the snapshot capability, an agent upgrade in flight.
 func (m *Machine) Snapshot() (*Snapshot, error) {
-	if m.eng == nil && m.shd == nil {
-		return nil, errors.New("ghost: machines driven by a Cluster are not snapshottable")
-	}
 	img, err := snap.Save(m.snapTarget())
 	if err != nil {
 		return nil, err
@@ -179,18 +169,15 @@ func WithRestoredComponent(key string, f func(m *Machine) (SnapshotComponent, er
 	}
 }
 
-// Restore rebuilds a machine from a snapshot. Topology, cost model and
-// shard count come from the snapshot itself; the remaining options
-// (WithTrace, WithInvariants, WithRestoredComponent, ...) apply to the
-// new machine. The restored machine's forward behavior is byte-identical
-// to the original's from the snapshot point.
+// Restore rebuilds a machine from a snapshot. Topology and cost model
+// come from the snapshot itself; the remaining options (WithTrace,
+// WithInvariants, WithRestoredComponent, ...) apply to the new machine.
+// The restored machine's forward behavior is byte-identical to the
+// original's from the snapshot point.
 func Restore(s *Snapshot, opts ...MachineOption) (*Machine, error) {
 	core := s.img.Core
 	topo := hw.NewTopology(core.Topology)
-	base := []MachineOption{
-		WithCostModel(core.Cost),
-		WithShards(s.img.Shards()),
-	}
+	base := []MachineOption{WithCostModel(core.Cost)}
 	if core.Kernel != nil && core.Kernel.MQ == nil {
 		base = append(base, WithoutMicroQuanta())
 	}
@@ -198,9 +185,6 @@ func Restore(s *Snapshot, opts ...MachineOption) (*Machine, error) {
 	var cfg machineConfig
 	for _, o := range all {
 		o(&cfg)
-	}
-	if cfg.cluster != nil {
-		return nil, errors.New("ghost: cannot restore into a Cluster")
 	}
 	m := NewMachine(topo, all...)
 	lo := snap.LoadOpts{

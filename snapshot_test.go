@@ -2,8 +2,9 @@ package ghost_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
-	"fmt"
+	"runtime"
 	"testing"
 
 	"ghost"
@@ -13,12 +14,7 @@ import (
 // snapshot-capable pieces: an enclave with a centralized FIFO agent, a
 // ghOSt-class worker pool fed by a Poisson source, and a spinner
 // antagonist sharing the enclave.
-func buildServing(shards int, extra ...ghost.MachineOption) *ghost.Machine {
-	opts := []ghost.MachineOption{}
-	if shards > 1 {
-		opts = append(opts, ghost.WithShards(shards))
-	}
-	opts = append(opts, extra...)
+func buildServing(opts ...ghost.MachineOption) *ghost.Machine {
 	m := ghost.NewMachine(ghost.XeonE5(), opts...)
 	enc := m.NewEnclave(ghost.MaskOf(0, 1, 2, 3))
 	m.StartAgents(enc, ghost.NewFIFOPolicy(), ghost.Global())
@@ -60,95 +56,71 @@ func digestAt(t *testing.T, m *ghost.Machine) string {
 
 // TestSnapshotRoundTripDeterminism is the restore-transparency gate:
 // digest(run 0→T) == digest(restore(snap@t), run t→T) for snapshot
-// points at the start, middle, and near the horizon, at shard counts 1
-// and 4. The snapshot is pushed through the wire codec on the way, so
-// the byte format is part of the proof.
+// points at the start, middle, and near the horizon. The snapshot is
+// pushed through the wire codec on the way, so the byte format is part
+// of the proof.
 func TestSnapshotRoundTripDeterminism(t *testing.T) {
 	const horizon = 4 * ghost.Millisecond
-	wants := map[int]string{}
-	for _, shards := range []int{1, 4} {
-		ref := buildServing(shards)
-		ref.Run(horizon)
-		want := digestAt(t, ref)
-		wants[shards] = want
-		ref.Shutdown()
+	ref := buildServing()
+	ref.Run(horizon)
+	want := digestAt(t, ref)
+	ref.Shutdown()
 
-		for _, tc := range []struct {
-			name string
-			at   ghost.Duration
-		}{
-			{"t0", 0},
-			{"mid", horizon / 2},
-			{"late", horizon - 200*ghost.Microsecond},
-		} {
-			t.Run(fmt.Sprintf("shards=%d/%s", shards, tc.name), func(t *testing.T) {
-				cand := buildServing(shards)
-				defer cand.Shutdown()
-				if tc.at > 0 {
-					cand.Run(tc.at)
-				}
-				s, err := cand.Snapshot()
-				if err != nil {
-					t.Fatalf("Snapshot at %v: %v", tc.at, err)
-				}
+	for _, tc := range []struct {
+		name string
+		at   ghost.Duration
+	}{
+		{"t0", 0},
+		{"mid", horizon / 2},
+		{"late", horizon - 200*ghost.Microsecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cand := buildServing()
+			defer cand.Shutdown()
+			if tc.at > 0 {
+				cand.Run(tc.at)
+			}
+			s, err := cand.Snapshot()
+			if err != nil {
+				t.Fatalf("Snapshot at %v: %v", tc.at, err)
+			}
 
-				// Round-trip through the serialized container.
-				var buf bytes.Buffer
-				if _, err := s.WriteTo(&buf); err != nil {
-					t.Fatalf("WriteTo: %v", err)
-				}
-				s2, err := ghost.ReadSnapshot(&buf)
-				if err != nil {
-					t.Fatalf("ReadSnapshot: %v", err)
-				}
-				if s2.Digest() != s.Digest() {
-					t.Fatalf("digest changed across codec: %s != %s", s2.Digest(), s.Digest())
-				}
-				if s2.Time() != tc.at {
-					t.Fatalf("snapshot time = %v, want %v", s2.Time(), tc.at)
-				}
+			// Round-trip through the serialized container.
+			var buf bytes.Buffer
+			if _, err := s.WriteTo(&buf); err != nil {
+				t.Fatalf("WriteTo: %v", err)
+			}
+			s2, err := ghost.ReadSnapshot(&buf)
+			if err != nil {
+				t.Fatalf("ReadSnapshot: %v", err)
+			}
+			if s2.Digest() != s.Digest() {
+				t.Fatalf("digest changed across codec: %s != %s", s2.Digest(), s.Digest())
+			}
+			if s2.Time() != tc.at {
+				t.Fatalf("snapshot time = %v, want %v", s2.Time(), tc.at)
+			}
 
-				restored, err := ghost.Restore(s2, servingRestoreOpts()...)
-				if err != nil {
-					t.Fatalf("Restore: %v", err)
-				}
-				defer restored.Shutdown()
-				if restored.Now() != tc.at {
-					t.Fatalf("restored Now = %v, want %v", restored.Now(), tc.at)
-				}
-				restored.RunUntil(horizon)
-				if got := digestAt(t, restored); got != want {
-					t.Fatalf("restore not transparent: digest %s, want %s", got, want)
-				}
-			})
-		}
-	}
-	// The core digest is shard-layout independent: the same logical
-	// machine fingerprints identically at 1 and 4 shards.
-	if wants[1] != wants[4] {
-		t.Fatalf("digest differs across shard counts: %s (1) != %s (4)", wants[1], wants[4])
-	}
-}
-
-// TestSnapshotShardMismatch: a snapshot restores only at its own shard
-// count (the shard section pins event domains).
-func TestSnapshotShardMismatch(t *testing.T) {
-	m := buildServing(4)
-	defer m.Shutdown()
-	m.Run(ghost.Millisecond)
-	s, err := m.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	if s.Shards() != 4 {
-		t.Fatalf("Shards = %d, want 4", s.Shards())
+			restored, err := ghost.Restore(s2, servingRestoreOpts()...)
+			if err != nil {
+				t.Fatalf("Restore: %v", err)
+			}
+			defer restored.Shutdown()
+			if restored.Now() != tc.at {
+				t.Fatalf("restored Now = %v, want %v", restored.Now(), tc.at)
+			}
+			restored.RunUntil(horizon)
+			if got := digestAt(t, restored); got != want {
+				t.Fatalf("restore not transparent: digest %s, want %s", got, want)
+			}
+		})
 	}
 }
 
 // TestSnapshotDecodeErrors: corrupt, truncated, and wrong-version
 // containers surface typed errors, never panics.
 func TestSnapshotDecodeErrors(t *testing.T) {
-	m := buildServing(1)
+	m := buildServing()
 	defer m.Shutdown()
 	m.Run(ghost.Millisecond)
 	s, err := m.Snapshot()
@@ -184,13 +156,39 @@ func TestSnapshotDecodeErrors(t *testing.T) {
 	bad = append([]byte(nil), good...)
 	bad[8] = 0x7f // version field, little-endian u32 after the magic
 	check("wrong-version", bad, ghost.ErrSnapshotVersion)
+
+	// A v1 container: magic, version 1, core and shard section lengths.
+	v1 := append([]byte("ghostsnp"), 1, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0)
+	v1 = append(v1, "{}{}"...)
+	check("wrong-version/v1", v1, ghost.ErrSnapshotVersion)
+}
+
+// TestSnapshotDecodeBounded: a header claiming a 1 GiB section, followed
+// by only 100 bytes, is rejected as corrupt without allocating anywhere
+// near the claimed length.
+func TestSnapshotDecodeBounded(t *testing.T) {
+	data := append([]byte("ghostsnp"), 0, 0, 0, 0, 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(data[8:], uint32(ghost.SnapshotVersion))
+	binary.LittleEndian.PutUint32(data[12:], 1<<30)
+	data = append(data, make([]byte, 100)...)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ghost.ReadSnapshot(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ghost.ErrSnapshotCorrupt) {
+		t.Fatalf("err = %v, want %v", err, ghost.ErrSnapshotCorrupt)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("decode allocated %d bytes for a 100-byte body", d)
+	}
 }
 
 // TestWithSnapshotEvery: periodic checkpoints land exactly on the
 // requested boundaries and none are skipped in a snapshot-capable
 // scenario.
 func TestWithSnapshotEvery(t *testing.T) {
-	m := buildServing(1, ghost.WithSnapshotEvery(ghost.Millisecond))
+	m := buildServing(ghost.WithSnapshotEvery(ghost.Millisecond))
 	defer m.Shutdown()
 	m.Run(3500 * ghost.Microsecond)
 	cks := m.Checkpoints()
