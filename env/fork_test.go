@@ -38,27 +38,31 @@ func stepDigest(e *env.Env, steps int) string {
 
 // TestForkTransparent is the Env-layer restore-transparency gate: warm
 // one environment, fork it, and require the fork's forward stream under
-// the same controller to be byte-identical to the original's.
+// the same controller to be byte-identical to the original's. The
+// subtest name "shards=0" means no intra-machine sharding, i.e. the one
+// event queue per machine, which is the only engine there is.
 func TestForkTransparent(t *testing.T) {
-	e, err := env.Open(baseSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	stepDigest(e, 60) // warm up: queues, in-flight requests, tracker state
-	f, err := e.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if f.Now() != e.Now() {
-		t.Fatalf("fork at t=%v, original at t=%v", f.Now(), e.Now())
-	}
-	want := stepDigest(e, 100)
-	got := stepDigest(f, 100)
-	if got != want {
-		t.Fatalf("fork diverged from original under identical actions:\noriginal %s\nfork     %s", want, got)
-	}
+	t.Run("shards=0", func(t *testing.T) {
+		e, err := env.Open(baseSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		stepDigest(e, 60) // warm up: queues, in-flight requests, tracker state
+		f, err := e.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if f.Now() != e.Now() {
+			t.Fatalf("fork at t=%v, original at t=%v", f.Now(), e.Now())
+		}
+		want := stepDigest(e, 100)
+		got := stepDigest(f, 100)
+		if got != want {
+			t.Fatalf("fork diverged from original under identical actions:\noriginal %s\nfork     %s", want, got)
+		}
+	})
 }
 
 // TestForkIndependence forks a warmed environment twice and drives the
