@@ -8,19 +8,20 @@ import (
 	"strings"
 )
 
-// DeterminismAnalyzer bans wall-clock reads and the global math/rand
-// state from simulation code. Every latency in the reproduction is
-// virtual time drawn from the engine clock, and every stochastic choice
-// draws from an explicitly seeded *sim.Rand (internal/sim/rand.go);
-// time.Now or rand.Intn anywhere reachable from the scoped packages
-// would let host wall-clock jitter or unseeded randomness perturb a run
-// that must be bit-reproducible for its seed.
+// DeterminismAnalyzer bans wall-clock reads, the global math/rand state
+// and goroutines from simulation code. Every latency in the reproduction
+// is virtual time drawn from the engine clock, every stochastic choice
+// draws from an explicitly seeded *sim.Rand (internal/sim/rand.go), and
+// the simulator has one thread of control (thread bodies are coroutines);
+// time.Now or rand.Intn anywhere reachable from the scoped packages, or
+// a goroutine racing the engine, would let host timing or unseeded
+// randomness perturb a run that must be bit-reproducible for its seed.
 //
 // The check runs in two passes over the same source model:
 //
 //   - per package (Run): direct violations inside the scoped packages —
-//     banned time.* calls and math/rand imports — exactly where they
-//     appear;
+//     banned time.* calls, math/rand imports and go statements — exactly
+//     where they appear;
 //   - whole program (RunProgram): taint over the call graph. Every
 //     function declared in a scoped package is a root (that set contains
 //     the sim-callback sinks — sim.Engine callbacks, Policy.Schedule
@@ -38,7 +39,7 @@ import (
 // examples/ mains) are exempt: taint neither enters nor flags them.
 var DeterminismAnalyzer = &Analyzer{
 	Name:       "determinism",
-	Doc:        "flags wall-clock (time.Now/Since/...) and global or unseeded math/rand reachable from sim code, with call paths",
+	Doc:        "flags wall-clock (time.Now/Since/...) and global or unseeded math/rand reachable from sim code, with call paths, and go statements in sim code",
 	Run:        runDeterminism,
 	RunProgram: runDeterminismProgram,
 }
@@ -111,6 +112,11 @@ func runDeterminism(p *Pass) {
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				p.Reportf(g.Pos(),
+					"go statement: sim code has one thread of control; a spawned goroutine races the engine (run thread bodies through kernel.Spawn)")
+				return true
+			}
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true

@@ -39,7 +39,7 @@ const (
 // sched_class chain. The ghOSt reproduction registers, from high to low:
 // the agent class, MicroQuanta (when used), CFS, and the ghOSt class.
 //
-// All methods are invoked from the simulation engine goroutine.
+// All methods run on the simulation's single thread of control.
 type Class interface {
 	// Name identifies the class in traces.
 	Name() string

@@ -5,8 +5,8 @@
 //
 // Thread bodies are written as plain Go functions that interact with the
 // kernel through a TaskContext; the kernel executes them deterministically
-// on virtual time using a strict hand-off between the simulation engine
-// goroutine and each thread goroutine.
+// on virtual time, each as a coroutine that the engine resumes and that
+// parks again at its next TaskContext call, so only one of them ever runs.
 package kernel
 
 import (
@@ -197,10 +197,6 @@ func (k *Kernel) AddIdleHook(fn func(*CPU)) { k.idleHooks = append(k.idleHooks, 
 // class tick). The ghOSt class uses this to emit TIMER_TICK messages.
 func (k *Kernel) AddTickHook(fn func(*CPU)) { k.tickHooks = append(k.tickHooks, fn) }
 
-// AddPressureHook registers fn to run when a lower-priority thread is
-// queued on a CPU held by a higher-priority one (e.g. a CFS thread
-// waiting behind a spinning global agent). The ghOSt agent SDK uses this
-// to trigger the global agent's "hot handoff" (§3.3).
 // AddSwitchHook registers fn to run after every context switch, once the
 // incoming thread is installed as the CPU's current. Invariant checkers
 // use it to audit cross-thread state at switch granularity.
@@ -208,6 +204,10 @@ func (k *Kernel) AddSwitchHook(fn func(*CPU, *Thread)) {
 	k.switchHooks = append(k.switchHooks, fn)
 }
 
+// AddPressureHook registers fn to run when a lower-priority thread is
+// queued on a CPU held by a higher-priority one (e.g. a CFS thread
+// waiting behind a spinning global agent). The ghOSt agent SDK uses this
+// to trigger the global agent's "hot handoff" (§3.3).
 func (k *Kernel) AddPressureHook(fn func(*CPU, *Thread)) {
 	k.pressureHooks = append(k.pressureHooks, fn)
 }
@@ -234,9 +234,7 @@ type SpawnOpts struct {
 // spawn time.
 func (k *Kernel) Spawn(opts SpawnOpts, body ThreadFunc) *Thread {
 	t := k.newThread(opts)
-	t.reqCh = make(chan action)
-	t.resCh = make(chan struct{})
-	go t.threadMain(body)
+	t.startBody(body)
 	k.applyAction(t, t.nextAction())
 	return t
 }
@@ -310,7 +308,7 @@ func (k *Kernel) Wake(t *Thread) {
 			t.curKind = actStepPending
 		} else {
 			// Complete the pending Block and fetch what's next.
-			k.fetchNext(t)
+			k.applyAction(t, t.nextAction())
 		}
 	default:
 		t.wakePending = true
@@ -578,7 +576,7 @@ func (k *Kernel) finishRun(c *CPU, t *Thread) {
 		fn()
 		return
 	}
-	k.fetchNext(t)
+	k.applyAction(t, t.nextAction())
 }
 
 // workDoneFire adapts workDone to the engine's pre-bound callback shape.
@@ -604,10 +602,8 @@ func (k *Kernel) stepperStep(t *Thread) {
 	if t.state != StateRunning || t.cpu == nil {
 		return
 	}
-	c := t.cpu
-	c.stopSegment()
+	t.cpu.stopSegment()
 	k.applyAction(t, t.nextAction())
-	_ = c
 }
 
 // Poke nudges a stepper thread: if it is spin-idling on a CPU its Step is
@@ -630,15 +626,6 @@ func (k *Kernel) pokeFire(a any) {
 	if t.poked && t.state == StateRunning && t.curKind == actSpinIdle {
 		k.stepperStep(t)
 	}
-}
-
-// fetchNext acknowledges a body thread's completed action and applies the
-// next one.
-func (k *Kernel) fetchNext(t *Thread) {
-	if t.stepper == nil {
-		t.resCh <- struct{}{}
-	}
-	k.applyAction(t, t.nextAction())
 }
 
 // applyAction implements the thread-action state machine.
@@ -675,7 +662,7 @@ func (k *Kernel) applyAction(t *Thread, a action) {
 				}
 				return
 			}
-			k.fetchNext(t)
+			k.applyAction(t, t.nextAction())
 			return
 		}
 		switch t.state {
@@ -707,7 +694,7 @@ func (k *Kernel) applyAction(t *Thread, a action) {
 			t.curKind = actStepPending
 			return
 		}
-		k.fetchNext(t)
+		k.applyAction(t, t.nextAction())
 	case actExit:
 		k.reap(t)
 	case actSpinIdle:
@@ -769,9 +756,8 @@ func (k *Kernel) reap(t *Thread) {
 		t.class.Dequeue(t, DeqDead)
 	}
 	t.class.ThreadDetached(t, DeqDead)
-	if t.stepper == nil && t.resCh != nil && !t.chClosed {
-		t.chClosed = true
-		close(t.resCh)
+	if t.stop != nil {
+		t.stop()
 	}
 	k.Tracef("exit %v", t)
 }
@@ -854,14 +840,14 @@ func (k *Kernel) tick(c *CPU) {
 	}
 }
 
-// Shutdown unwinds all thread goroutines so a finished simulation does
-// not leak them. The kernel is unusable afterwards.
+// Shutdown unwinds every parked thread body, ending its coroutine, so a
+// finished simulation does not leak them. The kernel is unusable
+// afterwards.
 func (k *Kernel) Shutdown() {
 	k.shutdown = true
 	for _, t := range k.live {
-		if t.state != StateDead && t.stepper == nil && t.resCh != nil && !t.chClosed {
-			t.chClosed = true
-			close(t.resCh)
+		if t.state != StateDead && t.stop != nil {
+			t.stop()
 		}
 		t.state = StateDead
 	}

@@ -38,9 +38,10 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", int(s))
 }
 
-// ThreadFunc is a simulated thread body. It runs in its own goroutine and
-// interacts with the simulated kernel exclusively through the TaskContext;
-// plain Go code between TaskContext calls executes in zero simulated time.
+// ThreadFunc is a simulated thread body. It runs as a coroutine in lock
+// step with the goroutine driving the engine, and interacts with the
+// simulated kernel exclusively through the TaskContext; plain Go code
+// between TaskContext calls executes in zero simulated time.
 type ThreadFunc func(tc *TaskContext)
 
 // Stepper is the callback-driven execution alternative used for scheduler
@@ -106,11 +107,11 @@ type Thread struct {
 	targetCPU hw.CPUID // placement chosen at wake; queue key for per-CPU classes
 	lastCPU   hw.CPUID // where the thread last ran, NoCPU if never
 
-	// Execution machinery: exactly one of reqCh/stepper is set.
-	reqCh    chan action
-	resCh    chan struct{}
-	chClosed bool
-	stepper  Stepper
+	// Execution machinery: a body's coroutine (coro.go) or a stepper.
+	next    func() (action, bool)
+	yield   func(action) bool
+	stop    func()
+	stepper Stepper
 
 	curKind     actionKind
 	pendingWork sim.Duration // remaining CPU work of the current action
@@ -240,39 +241,27 @@ func (t *Thread) String() string {
 	return fmt.Sprintf("T%d(%s,%s)", t.tid, t.name, t.state)
 }
 
-// errShutdown is panicked into thread goroutines on Kernel.Shutdown so
-// they unwind and exit.
+// errShutdown is panicked into a parked body when its thread is reaped
+// or the kernel shuts down, so the body unwinds and its coroutine ends.
 type errShutdown struct{}
 
-// threadMain is the goroutine wrapper for body-based threads.
-func (t *Thread) threadMain(body ThreadFunc) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(errShutdown); ok {
-				return
-			}
-			panic(r)
-		}
-	}()
-	body(&TaskContext{t: t})
-	t.reqCh <- action{kind: actExit}
-}
-
-// submit sends the next action to the kernel and waits for completion.
-// Called from the thread goroutine only.
+// submit hands the next action to the kernel and parks the body until
+// the action completes. Called from the thread body only.
 func (t *Thread) submit(a action) {
-	t.reqCh <- a
-	if _, ok := <-t.resCh; !ok {
+	if !t.yield(a) {
 		panic(errShutdown{})
 	}
 }
 
-// nextAction fetches the thread's next action: for body threads it reads
-// the goroutine's next request; for stepper threads it invokes Step and
-// translates the disposition. Engine-goroutine only.
+// nextAction fetches the thread's next action: for body threads it
+// resumes the body until its next request (a returned body exits); for
+// stepper threads it invokes Step and translates the disposition.
 func (t *Thread) nextAction() action {
 	if t.stepper == nil {
-		return <-t.reqCh
+		if a, ok := t.next(); ok {
+			return a
+		}
+		return action{kind: actExit}
 	}
 	t.poked = false
 	cost, disp := t.stepper.Step(t.k.eng.Now())
@@ -308,8 +297,8 @@ func (t *Thread) nextAction() action {
 }
 
 // TaskContext is the interface a simulated thread body uses to interact
-// with the kernel. All methods must be called only from the thread's own
-// goroutine (i.e. inside its ThreadFunc).
+// with the kernel. All methods must be called only from inside the
+// thread's own ThreadFunc.
 type TaskContext struct {
 	t *Thread
 }

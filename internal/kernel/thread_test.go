@@ -1,0 +1,112 @@
+package kernel
+
+import (
+	"runtime"
+	"testing"
+
+	"ghost/internal/hw"
+	"ghost/internal/sim"
+)
+
+// A body panic other than the shutdown unwind reaches whoever drives the
+// engine, at the simulated instant the body reached it, and can be
+// recovered there.
+func TestBodyPanicSurfaces(t *testing.T) {
+	env := newTestEnv(t, oneCPUTopo())
+	env.k.Spawn(SpawnOpts{Name: "bad", Class: env.cfs}, func(tc *TaskContext) {
+		tc.Run(10 * sim.Microsecond)
+		panic("body bug")
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		env.eng.RunFor(sim.Millisecond)
+		return nil
+	}()
+	if got != "body bug" {
+		t.Fatalf("recovered %v, want the body's panic value", got)
+	}
+	if want := 10*sim.Microsecond + env.k.Cost().ContextSwitchCFS; env.eng.Now() != want {
+		t.Fatalf("panic surfaced at %v, want %v", env.eng.Now(), want)
+	}
+}
+
+// Kill and Shutdown unwind parked bodies synchronously, whatever they are
+// parked in, and leave no goroutine behind.
+func TestShutdownUnwindsBodies(t *testing.T) {
+	base := runtime.NumGoroutine()
+	env := newTestEnv(t, oneCPUTopo())
+	unwound := 0
+	spawn := func(name string, body ThreadFunc) *Thread {
+		return env.k.Spawn(SpawnOpts{Name: name, Class: env.cfs}, func(tc *TaskContext) {
+			defer func() { unwound++ }()
+			body(tc)
+			t.Errorf("%s: body returned instead of unwinding", name)
+		})
+	}
+	running := spawn("running", func(tc *TaskContext) { tc.Run(sim.Second) })
+	blocked := spawn("blocked", func(tc *TaskContext) { tc.Block() })
+	fresh := spawn("fresh", func(tc *TaskContext) { tc.Run(sim.Millisecond) })
+
+	env.k.Kill(fresh) // still queued: never scheduled
+	if unwound != 1 || fresh.State() != StateDead {
+		t.Fatalf("after Kill: unwound=%d state=%v, want 1 and dead", unwound, fresh.State())
+	}
+	env.eng.RunFor(100 * sim.Microsecond)
+	if running.State() != StateRunning || blocked.State() != StateBlocked {
+		t.Fatalf("states %v/%v, want running/blocked", running.State(), blocked.State())
+	}
+	if n := runtime.NumGoroutine(); n != base+2 {
+		t.Fatalf("goroutines = %d with two parked bodies, want %d", n, base+2)
+	}
+	env.k.Shutdown()
+	if unwound != 3 {
+		t.Fatalf("unwound = %d after Shutdown, want 3", unwound)
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("goroutines = %d after Shutdown, want baseline %d", n, base)
+	}
+}
+
+// handoffLoop builds one CPU running one CFS thread that loops Run(1µs):
+// every segment is one completion event plus one resume/park round trip
+// with the body. Set *left and call eng.Run to execute that many
+// segments.
+func handoffLoop(tb testing.TB) (eng *sim.Engine, left *int) {
+	eng = sim.NewEngine()
+	k := New(eng, oneCPUTopo(), hw.DefaultCostModel())
+	cfs := NewCFS(k)
+	tb.Cleanup(k.Shutdown)
+	left = new(int)
+	k.Spawn(SpawnOpts{Name: "loop", Class: cfs}, func(tc *TaskContext) {
+		for {
+			tc.Run(sim.Microsecond)
+			if *left--; *left == 0 {
+				eng.Stop()
+			}
+		}
+	})
+	return eng, left
+}
+
+// BenchmarkThreadHandoff measures the kernel's cost per run segment of a
+// body thread (one op = one Run(1µs) segment).
+func BenchmarkThreadHandoff(b *testing.B) {
+	eng, left := handoffLoop(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	*left = b.N
+	eng.Run()
+}
+
+// The body run-segment path is allocation-free once warm.
+func TestThreadHandoffAllocFree(t *testing.T) {
+	eng, left := handoffLoop(t)
+	*left = 1000
+	eng.Run()
+	if avg := testing.AllocsPerRun(100, func() {
+		*left = 100
+		eng.Run()
+	}); avg != 0 {
+		t.Fatalf("100 run segments allocate %.1f times, want 0", avg)
+	}
+}

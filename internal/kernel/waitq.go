@@ -15,7 +15,7 @@ func NewWaitQueue(k *Kernel) *WaitQueue {
 }
 
 // Wait enrolls the calling thread and blocks it. Must be called from the
-// thread's own goroutine.
+// thread's own body.
 func (w *WaitQueue) Wait(tc *TaskContext) {
 	w.waiters = append(w.waiters, tc.t)
 	tc.Block()

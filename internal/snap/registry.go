@@ -8,10 +8,10 @@
 // byte-identical going forward: digest(run 0→T) equals
 // digest(restore(snap@t), run t→T).
 //
-// Live goroutine stacks are never serialized. Thread bodies parked in
+// Live coroutine stacks are never serialized. Thread bodies parked in
 // Run or Block are re-spawned from registered body factories whose
 // continuation is fully determined by the parked action kind; agent
-// steppers are goroutine-free state machines and re-spawn via
+// steppers are stackless state machines and re-spawn via
 // agentsdk.Start. Construction side effects of the re-spawn pass are
 // erased by an engine Reset before the serialized state is overlaid.
 package snap

@@ -17,7 +17,7 @@ import (
 // self-contained capture of a machine at a quiescent barrier; Restore
 // rebuilds a machine whose forward behavior is byte-identical —
 // digest(run 0→T) == digest(restore(snap@t), run t→T). Snapshots
-// serialize no goroutine stacks: thread bodies must be registered
+// serialize no thread-body coroutine stacks: bodies must be registered
 // (RegisterBody / SpawnBody, or library-provided bodies like worker
 // pools), and workload state rides via SnapshotComponent.
 
