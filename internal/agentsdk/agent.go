@@ -93,14 +93,25 @@ func (c *Context) IsIdle(cpu hw.CPUID) bool { return c.Kernel.CPU(cpu).Idle() }
 // retain it across scheduling steps.
 func (c *Context) IdleCPUs() []hw.CPUID {
 	out := c.idleScratch[:0]
-	c.Enclave.CPUs().ForEach(func(id hw.CPUID) bool {
-		if c.Kernel.CPU(id).Idle() && c.Enclave.LatchedFor(id) == nil {
-			out = append(out, id)
-		}
+	c.IdleMask().ForEach(func(id hw.CPUID) bool {
+		out = append(out, id)
 		return true
 	})
 	c.idleScratch = out
 	return out
+}
+
+// IdleMask is IdleCPUs as a mask: the enclave's idle CPUs (from the
+// kernel's idle mask) minus those with a commit in flight.
+func (c *Context) IdleMask() kernel.Mask {
+	idle := c.Enclave.CPUs().And(c.Kernel.IdleMask())
+	idle.ForEach(func(id hw.CPUID) bool {
+		if c.Enclave.LatchedFor(id) != nil {
+			idle.Clear(id)
+		}
+		return true
+	})
+	return idle
 }
 
 // GlobalCPU returns the CPU the active global agent runs on, hw.NoCPU in

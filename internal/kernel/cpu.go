@@ -38,6 +38,24 @@ func (c *CPU) Curr() *Thread { return c.curr }
 // Idle reports whether the CPU has no thread.
 func (c *CPU) Idle() bool { return c.curr == nil && !c.switching }
 
+// setCurr and setSwitching are the only writers of curr and switching
+// outside snapshot restore; both keep the kernel's idle mask in step.
+func (c *CPU) setCurr(t *Thread) { c.curr = t; c.syncIdle() }
+
+func (c *CPU) setSwitching(on bool) { c.switching = on; c.syncIdle() }
+
+// syncIdle re-derives c's bit of the kernel's idle mask. It runs on
+// every context switch, so it writes the word directly (inlinable; c.ID
+// is always in range, unlike Mask.Set's arguments).
+func (c *CPU) syncIdle() {
+	w, bit := &c.k.idle.bits[uint(c.ID)/64], uint64(1)<<(uint(c.ID)%64)
+	if c.Idle() {
+		*w |= bit
+	} else {
+		*w &^= bit
+	}
+}
+
 // FreeForPlacement reports whether the CPU is idle and has no pending
 // scheduling pass that might already have claimed it. Wake placement uses
 // this to spread simultaneous wakeups instead of piling them on one CPU.

@@ -27,6 +27,7 @@ type Kernel struct {
 	rand *sim.Rand
 
 	cpus    []*CPU
+	idle    Mask // {c : c.Idle()}, kept by CPU.setCurr/setSwitching
 	threads map[TID]*Thread
 	live    []*Thread
 	nextTID TID
@@ -81,6 +82,7 @@ func New(eng *sim.Engine, topo *hw.Topology, cost hw.CostModel) *Kernel {
 	k.wakeFn = k.wakeFire
 	n := topo.NumCPUs()
 	k.cpus = make([]*CPU, n)
+	k.idle = MaskAll(n)
 	k.tickless = make([]bool, n)
 	for i := 0; i < n; i++ {
 		k.cpus[i] = &CPU{ID: hw.CPUID(i), Info: topo.CPU(hw.CPUID(i)), k: k}
@@ -390,7 +392,7 @@ func (k *Kernel) doSchedule(c *CPU) {
 		c.stopSegment()
 		prev.cpu = nil
 		prev.lastCPU = c.ID
-		c.curr = nil
+		c.setCurr(nil)
 		k.makeRunnable(prev, EnqWake)
 		prev = nil
 	}
@@ -456,7 +458,7 @@ func (k *Kernel) doSchedule(c *CPU) {
 			prevSame.state = StateRunnable
 			prevSame.runnableAt = k.eng.Now()
 		}
-		c.curr = nil
+		c.setCurr(nil)
 	}
 	k.switchTo(c, next)
 }
@@ -465,7 +467,7 @@ func (k *Kernel) doSchedule(c *CPU) {
 func (k *Kernel) offCPU(c *CPU, t *Thread, r EnqueueReason) {
 	t.cpu = nil
 	t.lastCPU = c.ID
-	c.curr = nil
+	c.setCurr(nil)
 	t.state = StateRunnable
 	t.runnableAt = k.eng.Now()
 	t.targetCPU = c.ID
@@ -505,7 +507,7 @@ func (k *Kernel) switchTo(c *CPU, next *Thread) {
 	next.schedDelay += now - next.runnableAt
 	next.switchCount++
 	c.switches++
-	c.curr = next
+	c.setCurr(next)
 	c.accountBusy()
 	k.traceCPU(c)
 	for _, fn := range k.switchHooks {
@@ -521,7 +523,7 @@ func (k *Kernel) switchTo(c *CPU, next *Thread) {
 		k.resumeOnCPU(c)
 		return
 	}
-	c.switching = true
+	c.setSwitching(true)
 	c.eventAfterSwitch(cost)
 }
 
@@ -532,7 +534,7 @@ func (c *CPU) eventAfterSwitch(cost sim.Duration) {
 // switchDoneFire ends context-switch dead time on a CPU.
 func (k *Kernel) switchDoneFire(a any) {
 	c := a.(*CPU)
-	c.switching = false
+	c.setSwitching(false)
 	resched := c.needResched
 	c.needResched = false
 	k.resumeOnCPU(c)
@@ -674,7 +676,7 @@ func (k *Kernel) applyAction(t *Thread, a action) {
 			t.state = StateBlocked
 			t.cpu = nil
 			t.lastCPU = c.ID
-			c.curr = nil
+			c.setCurr(nil)
 			t.class.Dequeue(t, DeqBlock)
 			k.Resched(c.ID)
 		case StateRunnable:
@@ -750,7 +752,7 @@ func (k *Kernel) reap(t *Thread) {
 		c.stopSegment()
 		t.cpu = nil
 		t.lastCPU = c.ID
-		c.curr = nil
+		c.setCurr(nil)
 		k.Resched(c.ID)
 	} else if prevState == StateRunnable {
 		t.class.Dequeue(t, DeqDead)
@@ -797,7 +799,7 @@ func (k *Kernel) SetClass(t *Thread, nc Class) {
 		c.stopSegment()
 		t.cpu = nil
 		t.lastCPU = c.ID
-		c.curr = nil
+		c.setCurr(nil)
 		t.state = StateRunnable
 		k.Resched(c.ID)
 	} else if oldState == StateRunnable {
@@ -853,16 +855,11 @@ func (k *Kernel) Shutdown() {
 	}
 }
 
-// IdleCPUs returns the ids of all currently idle CPUs.
-func (k *Kernel) IdleCPUs() []hw.CPUID {
-	var out []hw.CPUID
-	for _, c := range k.cpus {
-		if c.Idle() {
-			out = append(out, c.ID)
-		}
-	}
-	return out
-}
+// IdleMask returns the set of currently idle CPUs.
+func (k *Kernel) IdleMask() Mask { return k.idle }
+
+// IdleCPUs returns the ids of all currently idle CPUs in ascending order.
+func (k *Kernel) IdleCPUs() []hw.CPUID { return k.idle.CPUs() }
 
 // Rand returns the kernel's deterministic random source (used for tie
 // breaking in load balancing).

@@ -366,6 +366,7 @@ func (k *Kernel) RestoreImage(img *KernelImage) error {
 			}
 		}
 		c.switching = rec.Switching
+		c.syncIdle()
 		c.needResched = rec.NeedResched
 		c.reschedPending = rec.ReschedPending
 		c.segStart = sim.Time(rec.SegStart)

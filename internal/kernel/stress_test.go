@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"testing"
 
 	"ghost/internal/hw"
@@ -15,6 +16,10 @@ import (
 //   - every running thread is on a CPU its affinity allows
 //   - CPU busy accounting never exceeds wall time
 //   - no runnable thread starves for more than a balance period + slack
+//
+// and, after every event, that IdleMask is exactly the set of CPUs
+// whose Idle() is true; the same must hold after a SaveImage →
+// RestoreImage round trip.
 func TestKernelStressInvariants(t *testing.T) {
 	topo := hw.NewTopology(hw.Config{Name: "s", Sockets: 2, CCXsPerSocket: 2, CoresPerCCX: 2, SMTWidth: 2})
 	eng := sim.NewEngine()
@@ -59,10 +64,29 @@ func TestKernelStressInvariants(t *testing.T) {
 					}
 				}
 			})
+		th.SetBodyDesc(&BodyDesc{Kind: "test.stress"}) // saveable for the round trip
 		threads = append(threads, th)
 	}
 
 	violations := 0
+	checkIdle := func(when string) {
+		var want Mask
+		for i := 0; i < k.NumCPUs(); i++ {
+			if k.CPU(hw.CPUID(i)).Idle() {
+				want.Set(hw.CPUID(i))
+			}
+		}
+		if got := k.IdleMask(); got != want {
+			t.Errorf("%s: IdleMask = %v, CPUs with Idle() = %v", when, got, want)
+			violations++
+		}
+	}
+	eng.OnDispatch = func(now sim.Time, _ int) {
+		// Dispatch of event n+1 observes the state event n left.
+		if violations < 10 {
+			checkIdle(fmt.Sprintf("t=%v", now))
+		}
+	}
 	check := func(now sim.Time) {
 		onCPU := map[TID]hw.CPUID{}
 		for i := 0; i < k.NumCPUs(); i++ {
@@ -110,6 +134,41 @@ func TestKernelStressInvariants(t *testing.T) {
 	}
 	if done < 35 {
 		t.Fatalf("only %d/40 threads finished", done)
+	}
+	checkIdle("end of run")
+
+	// Round trip with some CPUs busy and some idle: RestoreImage must
+	// re-derive the mask rather than keep whatever it finds.
+	for _, cpu := range []hw.CPUID{1, 6, 11} {
+		th := k.Spawn(SpawnOpts{Name: "spin", Class: cfs, Affinity: MaskOf(cpu)}, func(tc *TaskContext) {
+			for {
+				tc.Run(100 * sim.Microsecond)
+			}
+		})
+		th.SetBodyDesc(&BodyDesc{Kind: "test.spin"})
+	}
+	eng.RunFor(sim.Millisecond)
+	before := k.IdleMask()
+	if before.Empty() || before.Count() == k.NumCPUs() {
+		t.Fatalf("round trip needs a mixed idle set, got %v", before)
+	}
+	img, err := k.SaveImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wrong Mask // the complement: RestoreImage must set and clear bits
+	for i := 0; i < k.NumCPUs(); i++ {
+		if !before.Has(hw.CPUID(i)) {
+			wrong.Set(hw.CPUID(i))
+		}
+	}
+	k.idle = wrong
+	if err := k.RestoreImage(img); err != nil {
+		t.Fatal(err)
+	}
+	checkIdle("after SaveImage/RestoreImage")
+	if got := k.IdleMask(); got != before {
+		t.Errorf("round trip changed IdleMask: %v, was %v", got, before)
 	}
 }
 

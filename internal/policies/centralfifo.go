@@ -1,8 +1,6 @@
 package policies
 
 import (
-	"sort"
-
 	"ghost/internal/agentsdk"
 	"ghost/internal/ghostcore"
 	"ghost/internal/hw"
@@ -38,7 +36,7 @@ type CentralFIFO struct {
 	tr     *Tracker
 	queues [][]*TState
 	// running mirrors which tracked thread the policy put on each CPU.
-	running map[hw.CPUID]*TState
+	running placements
 	tun     *tunable.Set
 	// ctx is retained from Attach for snapshot TID resolution.
 	ctx *agentsdk.Context
@@ -68,23 +66,29 @@ func (p *CentralFIFO) Attach(ctx *agentsdk.Context) {
 		p.NumBands = 1
 	}
 	p.queues = make([][]*TState, p.NumBands)
-	p.running = make(map[hw.CPUID]*TState)
+	p.running = newPlacements(ctx)
 	p.tr = NewTracker()
 	p.tr.OnRunnable = func(ts *TState, m ghostcore.Message) {
-		if ts.CPU >= 0 {
-			delete(p.running, hw.CPUID(ts.CPU))
-			ts.CPU = -1
-		}
+		p.vacate(ts)
 		p.enqueue(ts)
 	}
 	p.tr.OnRemoved = func(ts *TState, m ghostcore.Message) {
-		if ts.CPU >= 0 {
-			delete(p.running, hw.CPUID(ts.CPU))
-			ts.CPU = -1
-		}
+		p.vacate(ts)
 		p.dequeue(ts)
 	}
 	p.tr.Rebuild(ctx)
+}
+
+// vacate empties the slot of the CPU ts was last placed on, whoever
+// holds it now, and forgets the placement. After a quantum preemption
+// the slot holds the successor, which is then never timesliced; the
+// schedules every report pins depend on this, so a fix (Shinjuku's
+// placements.release) must re-record them.
+func (p *CentralFIFO) vacate(ts *TState) {
+	if ts.CPU >= 0 {
+		p.running[ts.CPU] = nil
+		ts.CPU = -1
+	}
 }
 
 func (p *CentralFIFO) enqueue(ts *TState) {
@@ -150,15 +154,14 @@ func (p *CentralFIFO) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 		// threads (Snap workers over antagonists, §4.3).
 		for b := 0; b < len(p.queues)-1; b++ {
 			for len(p.queues[b]) > 0 {
-				victimCPU, ok := p.findLowerBandVictim(b)
-				if !ok {
+				victimCPU := p.findLowerBandVictim(b)
+				if victimCPU == hw.NoCPU {
 					break
 				}
 				ts := p.popFor(b, victimCPU)
 				if ts == nil {
 					break
 				}
-				delete(p.running, victimCPU)
 				p.tr.MarkScheduled(ts, int(victimCPU), now)
 				p.running[victimCPU] = ts
 				out = append(out, agentsdk.Assignment{Thread: ts.Thread, CPU: victimCPU})
@@ -168,12 +171,13 @@ func (p *CentralFIFO) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 	if p.Quantum > 0 {
 		// Round-robin (Fig 5): a thread past its quantum yields to queued
 		// work of the same or a higher band; the preempted thread's
-		// THREAD_PREEMPTED message re-enqueues it at the back.
-		for _, cur := range p.runningSorted() {
-			if now-cur.LastStart < p.Quantum {
+		// THREAD_PREEMPTED message re-enqueues it at the back. The walk
+		// only rewrites the slot it is visiting (cur.CPU == i).
+		for i, cur := range p.running {
+			if cur == nil || now-cur.LastStart < p.Quantum {
 				continue
 			}
-			cpu := hw.CPUID(cur.CPU)
+			cpu := hw.CPUID(i)
 			band := p.bandOf(cur.Thread)
 			var ts *TState
 			for b := 0; b <= band && ts == nil; b++ {
@@ -182,7 +186,6 @@ func (p *CentralFIFO) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 			if ts == nil {
 				continue
 			}
-			delete(p.running, cpu)
 			p.tr.MarkScheduled(ts, int(cpu), now)
 			p.running[cpu] = ts
 			out = append(out, agentsdk.Assignment{Thread: ts.Thread, CPU: cpu})
@@ -194,26 +197,14 @@ func (p *CentralFIFO) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 	return out
 }
 
-// runningSorted returns policy-placed running threads in CPU order (map
-// iteration is randomized; preemption commits must be reproducible).
-func (p *CentralFIFO) runningSorted() []*TState {
-	cpus := make([]int, 0, len(p.running))
-	for cpu := range p.running {
-		cpus = append(cpus, int(cpu))
-	}
-	sort.Ints(cpus)
-	out := make([]*TState, 0, len(cpus))
-	for _, cpu := range cpus {
-		out = append(out, p.running[hw.CPUID(cpu)])
-	}
-	return out
-}
-
 // nextExpiry returns the delay until the earliest running thread exceeds
 // the quantum, 0 when nothing is running.
 func (p *CentralFIFO) nextExpiry(now sim.Time) sim.Duration {
 	var min sim.Duration
 	for _, ts := range p.running {
+		if ts == nil {
+			continue
+		}
 		d := ts.LastStart + p.Quantum - now
 		if d < sim.Microsecond {
 			d = sim.Microsecond
@@ -225,19 +216,15 @@ func (p *CentralFIFO) nextExpiry(now sim.Time) sim.Duration {
 	return min
 }
 
-func (p *CentralFIFO) findLowerBandVictim(band int) (hw.CPUID, bool) {
-	// Fold to the lowest eligible CPU: picking the first map hit would
-	// make the victim — and the whole downstream schedule — depend on
-	// map iteration order.
-	best := hw.NoCPU
+// findLowerBandVictim returns the lowest CPU running a placed thread of
+// a band below band, hw.NoCPU if none.
+func (p *CentralFIFO) findLowerBandVictim(band int) hw.CPUID {
 	for cpu, ts := range p.running {
-		if p.bandOf(ts.Thread) > band && ts.Thread.State() == kernel.StateRunning {
-			if best == hw.NoCPU || cpu < best {
-				best = cpu
-			}
+		if ts != nil && p.bandOf(ts.Thread) > band && ts.Thread.State() == kernel.StateRunning {
+			return hw.CPUID(cpu)
 		}
 	}
-	return best, best != hw.NoCPU
+	return hw.NoCPU
 }
 
 // OnTxnFail implements agentsdk.GlobalPolicy: failed commits re-enter the
@@ -247,7 +234,7 @@ func (p *CentralFIFO) OnTxnFail(ctx *agentsdk.Context, a agentsdk.Assignment, s 
 	if ts == nil {
 		return
 	}
-	delete(p.running, a.CPU)
+	p.running[a.CPU] = nil
 	p.tr.MarkFailed(ts)
 	if ts.Thread.State() == kernel.StateRunnable {
 		p.enqueue(ts)

@@ -110,10 +110,7 @@ func (p *Search) OnMessage(ctx *agentsdk.Context, m ghostcore.Message) {
 func (p *Search) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 	now := ctx.Now()
 	topo := ctx.Topology()
-	var idle kernel.Mask
-	for _, cpu := range ctx.IdleCPUs() {
-		idle.Set(cpu)
-	}
+	idle := ctx.IdleMask()
 	var out []agentsdk.Assignment
 	var skipped []*heapEnt
 	for p.heap.Len() > 0 && !idle.Empty() {

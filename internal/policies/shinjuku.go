@@ -1,8 +1,6 @@
 package policies
 
 import (
-	"sort"
-
 	"ghost/internal/agentsdk"
 	"ghost/internal/ghostcore"
 	"ghost/internal/hw"
@@ -35,13 +33,9 @@ type Shinjuku struct {
 	tr      *Tracker
 	fifo    []*TState // latency-critical runnable FIFO
 	batchq  []*TState
-	running map[hw.CPUID]*TState // latency threads the policy placed
-	batchOn map[hw.CPUID]*TState // batch threads the policy placed
+	running placements // latency threads the policy placed
+	batchOn placements // batch threads the policy placed
 	tun     *tunable.Set
-
-	// runningSorted scratch, reused every scheduling step.
-	cpuScratch []int
-	runScratch []*TState
 
 	// ctx is retained from Attach for snapshot TID resolution.
 	ctx *agentsdk.Context
@@ -67,8 +61,8 @@ func (p *Shinjuku) isBatch(t *kernel.Thread) bool {
 // Attach implements agentsdk.GlobalPolicy.
 func (p *Shinjuku) Attach(ctx *agentsdk.Context) {
 	p.ctx = ctx
-	p.running = make(map[hw.CPUID]*TState)
-	p.batchOn = make(map[hw.CPUID]*TState)
+	p.running = newPlacements(ctx)
+	p.batchOn = newPlacements(ctx)
 	p.tr = NewTracker()
 	p.tr.OnRunnable = func(ts *TState, m ghostcore.Message) {
 		p.clearPlacement(ts)
@@ -82,16 +76,8 @@ func (p *Shinjuku) Attach(ctx *agentsdk.Context) {
 }
 
 func (p *Shinjuku) clearPlacement(ts *TState) {
-	if ts.CPU < 0 {
-		return
-	}
-	cpu := hw.CPUID(ts.CPU)
-	if p.running[cpu] == ts {
-		delete(p.running, cpu)
-	}
-	if p.batchOn[cpu] == ts {
-		delete(p.batchOn, cpu)
-	}
+	p.running.release(ts)
+	p.batchOn.release(ts)
 	ts.CPU = -1
 }
 
@@ -175,38 +161,37 @@ func (p *Shinjuku) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 
 	// 2. Latency work still waiting displaces batch threads.
 	for len(p.fifo) > 0 && !full() {
-		victim, ok := p.anyBatchCPU()
-		if !ok {
+		victim := p.anyBatchCPU()
+		if victim == hw.NoCPU {
 			break
 		}
 		ts := p.pop(&p.fifo, victim)
 		if ts == nil {
 			break
 		}
-		delete(p.batchOn, victim)
+		p.batchOn[victim] = nil
 		place(ts, victim, false)
 	}
 
 	// 3. Timeslice expiry: round-robin preemption of long requests.
-	if len(p.fifo) > 0 {
-		for cpu, cur := range p.runningSorted() {
-			_ = cpu
-			if len(p.fifo) == 0 || full() {
-				break
-			}
-			if now-cur.LastStart < p.Slice {
-				continue
-			}
-			tgt := hw.CPUID(cur.CPU)
-			ts := p.pop(&p.fifo, tgt)
-			if ts == nil {
-				continue
-			}
-			// The commit preempts cur; its THREAD_PREEMPTED message
-			// re-enqueues it at the back of the FIFO.
-			delete(p.running, tgt)
-			place(ts, tgt, false)
+	// The walk visits exactly the occupants present when it starts, in
+	// CPU order: the only slot it rewrites is the one it is visiting
+	// (cur.CPU == cpu, see placements).
+	for cpu, cur := range p.running {
+		if len(p.fifo) == 0 || full() {
+			break
 		}
+		if cur == nil || now-cur.LastStart < p.Slice {
+			continue
+		}
+		tgt := hw.CPUID(cpu)
+		ts := p.pop(&p.fifo, tgt)
+		if ts == nil {
+			continue
+		}
+		// The commit preempts cur; its THREAD_PREEMPTED message
+		// re-enqueues it at the back of the FIFO.
+		place(ts, tgt, false)
 	}
 
 	// 4. Spare capacity goes to batch threads (Shenango extension).
@@ -226,33 +211,15 @@ func (p *Shinjuku) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 	return out
 }
 
-// runningSorted returns running latency threads in deterministic CPU
-// order (map iteration is randomized; commits must be reproducible).
-// The slice is scratch, valid until the next call.
-func (p *Shinjuku) runningSorted() []*TState {
-	cpus := p.cpuScratch[:0]
-	for cpu := range p.running {
-		cpus = append(cpus, int(cpu))
-	}
-	sort.Ints(cpus)
-	out := p.runScratch[:0]
-	for _, cpu := range cpus {
-		out = append(out, p.running[hw.CPUID(cpu)])
-	}
-	p.cpuScratch, p.runScratch = cpus, out
-	return out
-}
-
-func (p *Shinjuku) anyBatchCPU() (hw.CPUID, bool) {
-	best := hw.NoCPU
+// anyBatchCPU returns the lowest CPU running a batch thread the policy
+// placed, hw.NoCPU if none.
+func (p *Shinjuku) anyBatchCPU() hw.CPUID {
 	for cpu, ts := range p.batchOn {
-		if ts.Thread.State() == kernel.StateRunning {
-			if best == hw.NoCPU || cpu < best {
-				best = cpu
-			}
+		if ts != nil && ts.Thread.State() == kernel.StateRunning {
+			return hw.CPUID(cpu)
 		}
 	}
-	return best, best != hw.NoCPU
+	return hw.NoCPU
 }
 
 // nextExpiry returns the time until the earliest running thread exceeds
@@ -260,6 +227,9 @@ func (p *Shinjuku) anyBatchCPU() (hw.CPUID, bool) {
 func (p *Shinjuku) nextExpiry(now sim.Time) sim.Duration {
 	var min sim.Duration
 	for _, ts := range p.running {
+		if ts == nil {
+			continue
+		}
 		d := ts.LastStart + p.Slice - now
 		if d < sim.Microsecond {
 			d = sim.Microsecond

@@ -58,7 +58,11 @@ func saveTracker(tr *Tracker) []TStateRec {
 // The tracker's lifecycle callbacks (installed by Attach) are preserved.
 func loadTracker(tr *Tracker, ctx *agentsdk.Context, recs []TStateRec) error {
 	tr.Threads = make(map[kernel.TID]*TState, len(recs))
+	ncpu := ctx.Topology().NumCPUs()
 	for _, rec := range recs {
+		if rec.CPU < -1 || rec.CPU >= ncpu {
+			return fmt.Errorf("tracker places T%d on cpu%d, outside [-1,%d)", rec.TID, rec.CPU, ncpu)
+		}
 		t := ctx.Thread(kernel.TID(rec.TID))
 		if t == nil {
 			return fmt.Errorf("tracker refers to T%d, which does not exist after restore", rec.TID)
@@ -109,32 +113,37 @@ func resolveQueue(tr *Tracker, tids []int) ([]*TState, error) {
 	return out, nil
 }
 
-// placementPairs serializes a cpu→state map as (cpu, tid) pairs in CPU
-// order.
-func placementPairs(m map[hw.CPUID]*TState) [][2]int {
-	cpus := make([]int, 0, len(m))
-	for cpu := range m {
-		cpus = append(cpus, int(cpu))
-	}
-	sort.Ints(cpus)
-	out := make([][2]int, 0, len(cpus))
-	for _, cpu := range cpus {
-		out = append(out, [2]int{cpu, int(m[hw.CPUID(cpu)].Thread.TID())})
+// pairs serializes the table as (cpu, tid) pairs in CPU order.
+func (pl placements) pairs() [][2]int {
+	var out [][2]int
+	for cpu, ts := range pl {
+		if ts != nil {
+			out = append(out, [2]int{cpu, int(ts.Thread.TID())})
+		}
 	}
 	return out
 }
 
-// resolvePlacements rebuilds a cpu→state map from (cpu, tid) pairs.
-func resolvePlacements(tr *Tracker, pairs [][2]int) (map[hw.CPUID]*TState, error) {
-	m := make(map[hw.CPUID]*TState, len(pairs))
+// load refills the table from (cpu, tid) pairs, rejecting any pair the
+// live table could not hold.
+func (pl placements) load(tr *Tracker, pairs [][2]int) error {
+	clear(pl)
 	for _, pair := range pairs {
-		ts := tr.Threads[kernel.TID(pair[1])]
-		if ts == nil {
-			return nil, fmt.Errorf("placement on cpu%d refers to untracked T%d", pair[0], pair[1])
+		cpu, tid := pair[0], pair[1]
+		ts := tr.Threads[kernel.TID(tid)]
+		switch {
+		case cpu < 0 || cpu >= len(pl):
+			return fmt.Errorf("placement cpu%d out of range [0,%d)", cpu, len(pl))
+		case pl[cpu] != nil:
+			return fmt.Errorf("duplicate placement on cpu%d", cpu)
+		case ts == nil:
+			return fmt.Errorf("placement on cpu%d refers to untracked T%d", cpu, tid)
+		case ts.CPU != cpu:
+			return fmt.Errorf("placement on cpu%d holds T%d, which the tracker has on cpu%d", cpu, tid, ts.CPU)
 		}
-		m[hw.CPUID(pair[0])] = ts
+		pl[cpu] = ts
 	}
-	return m, nil
+	return nil
 }
 
 // --- CentralFIFO ---
@@ -162,7 +171,7 @@ func (p *CentralFIFO) SnapshotSave() ([]byte, error) {
 		Quantum:      int64(p.Quantum),
 		Tracker:      saveTracker(p.tr),
 		Queues:       make([][]int, len(p.queues)),
-		Running:      placementPairs(p.running),
+		Running:      p.running.pairs(),
 	}
 	for b, q := range p.queues {
 		st.Queues[b] = queueTIDs(q)
@@ -191,11 +200,9 @@ func (p *CentralFIFO) SnapshotLoad(data []byte) error {
 		}
 		p.queues[b] = q
 	}
-	running, err := resolvePlacements(p.tr, st.Running)
-	if err != nil {
+	if err := p.running.load(p.tr, st.Running); err != nil {
 		return fmt.Errorf("central-fifo: %w", err)
 	}
-	p.running = running
 	return nil
 }
 
@@ -225,8 +232,8 @@ func (p *Shinjuku) SnapshotSave() ([]byte, error) {
 		Tracker:    saveTracker(p.tr),
 		FIFO:       queueTIDs(p.fifo),
 		BatchQ:     queueTIDs(p.batchq),
-		Running:    placementPairs(p.running),
-		BatchOn:    placementPairs(p.batchOn),
+		Running:    p.running.pairs(),
+		BatchOn:    p.batchOn.pairs(),
 	}
 	return json.Marshal(st)
 }
@@ -249,11 +256,11 @@ func (p *Shinjuku) SnapshotLoad(data []byte) error {
 	if p.batchq, err = resolveQueue(p.tr, st.BatchQ); err != nil {
 		return fmt.Errorf("shinjuku batchq: %w", err)
 	}
-	if p.running, err = resolvePlacements(p.tr, st.Running); err != nil {
-		return fmt.Errorf("shinjuku: %w", err)
+	if err := p.running.load(p.tr, st.Running); err != nil {
+		return fmt.Errorf("shinjuku running: %w", err)
 	}
-	if p.batchOn, err = resolvePlacements(p.tr, st.BatchOn); err != nil {
-		return fmt.Errorf("shinjuku: %w", err)
+	if err := p.batchOn.load(p.tr, st.BatchOn); err != nil {
+		return fmt.Errorf("shinjuku batchOn: %w", err)
 	}
 	return nil
 }

@@ -169,3 +169,23 @@ func (tr *Tracker) MarkFailed(ts *TState) {
 	ts.Runnable = true
 	ts.CPU = -1
 }
+
+// placements records which tracked thread a centralized policy put on
+// each CPU, indexed by CPU id (nil: none). Index order is CPU order, so
+// a plain range walk is deterministic with no sorting. Every occupant
+// satisfies pl[c].CPU == c: a slot is only filled together with
+// MarkScheduled for that same CPU, and an occupant's CPU only changes
+// after it has left its slot. SnapshotLoad rejects states that break
+// this.
+type placements []*TState
+
+func newPlacements(ctx *agentsdk.Context) placements {
+	return make(placements, ctx.Topology().NumCPUs())
+}
+
+// release empties ts's slot if ts still holds it.
+func (pl placements) release(ts *TState) {
+	if ts.CPU >= 0 && pl[ts.CPU] == ts {
+		pl[ts.CPU] = nil
+	}
+}

@@ -23,6 +23,9 @@ go run ./cmd/ghost-lint -escape -summary ./...
 echo "== go test ./..."
 go test ./...
 
+echo "== cmd/ghost-perf (its own module: vet + test against the current facade)"
+(cd cmd/ghost-perf && go vet ./... && go test ./...)
+
 echo "== go test -race -short ./..."
 go test -race -short ./...
 
