@@ -8,12 +8,10 @@
 //	ghost-bench -exp all -quick
 //	ghost-bench -exp fig8-ablation -parallel 4
 //	ghost-bench -exp fig5 -quick -snapshot-every 5ms  # restore-transparency smoke
-//	ghost-bench -diff BENCH_old.json BENCH_new.json
 //
 // Each experiment prints an aligned text table with the paper's numbers
 // alongside the measured ones, plus notes on the expected shape. The
-// -diff mode compares two scripts/bench.sh recordings and fails on
-// per-benchmark regressions beyond the built-in thresholds.
+// simulator's own speed is measured by cmd/ghost-perf, not here.
 package main
 
 import (
@@ -37,7 +35,6 @@ func realMain() int {
 		c    cli.Common
 		exp  = flag.String("exp", "all", "experiment id (see -list) or 'all'")
 		list = flag.Bool("list", false, "list available experiments")
-		diff = flag.Bool("diff", false, "compare two scripts/bench.sh JSON recordings: ghost-bench -diff old.json new.json")
 	)
 	c.SeedFlag(flag.CommandLine, 1)
 	c.ParallelFlag(flag.CommandLine)
@@ -49,14 +46,6 @@ func realMain() int {
 	if c.Restore != "" {
 		fmt.Fprintln(os.Stderr, "ghost-bench: experiments are generated, not restored; -restore belongs to ghost-sim/ghost-check")
 		return 2
-	}
-
-	if *diff {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: ghost-bench -diff old.json new.json")
-			return 2
-		}
-		return runDiff(flag.Arg(0), flag.Arg(1))
 	}
 
 	if *list {

@@ -78,21 +78,24 @@ func TestReproRoundTrip(t *testing.T) {
 	}
 }
 
-// TestKnownViolationRepros replays the seven status-word repros that
-// seeds 1-400 produce, as listed in cmd/ghost-perf/README.md. Two were
-// recorded while the event queue could be sharded and carry "shards=2":
-// that field must still parse, change nothing, and drop out of the
+// knownViolationRepros are the seven status-word repros that seeds
+// 1-400 produce, as listed in cmd/ghost-perf/README.md. Two were
+// recorded while the event queue could be sharded and carry "shards=2".
+var knownViolationRepros = []string{
+	"seed=97 policy=shinjuku cpus=4 threads=11 horizon=30.000ms watchdog=10.000ms faults=ipiloss@16.783ms/298.000us/0.30000000000000004,ipidelay@8.877ms/566.000us/8.000us",
+	"seed=121 policy=coresched cpus=4 threads=15 horizon=25.000ms watchdog=10.000ms faults=upgrade@810.000us,ipiloss@6.360ms/1.586ms/0.4",
+	"seed=134 policy=shinjuku cpus=8 threads=12 horizon=40.000ms watchdog=10.000ms faults=ipiloss@16.476ms/1.648ms/0.5",
+	"seed=185 policy=shinjuku cpus=2 threads=9 horizon=40.000ms watchdog=10.000ms faults=ipiloss@28.037ms/712.000us/0.8",
+	"seed=228 policy=shinjuku cpus=2 threads=6 horizon=25.000ms watchdog=10.000ms faults=ipiloss@516.000us/1.952ms/0.7,ipidelay@4.870ms/899.000us/29.000us shards=2",
+	"seed=241 policy=shinjuku cpus=2 threads=15 horizon=35.000ms watchdog=10.000ms faults=slow@17.366ms/921.000us/2,stall@6.070ms/1.196ms,ipiloss@8.323ms/1.985ms/0.5 shards=2",
+	"seed=284 policy=shinjuku cpus=2 threads=12 horizon=35.000ms faults=msgdrop@15.296ms/641.000us/0.30000000000000004,ipiloss@12.837ms/782.000us/0.8",
+}
+
+// TestKnownViolationRepros replays knownViolationRepros. The "shards=2"
+// field must still parse, change nothing, and drop out of the
 // re-rendered string.
 func TestKnownViolationRepros(t *testing.T) {
-	for _, spec := range []string{
-		"seed=97 policy=shinjuku cpus=4 threads=11 horizon=30.000ms watchdog=10.000ms faults=ipiloss@16.783ms/298.000us/0.30000000000000004,ipidelay@8.877ms/566.000us/8.000us",
-		"seed=121 policy=coresched cpus=4 threads=15 horizon=25.000ms watchdog=10.000ms faults=upgrade@810.000us,ipiloss@6.360ms/1.586ms/0.4",
-		"seed=134 policy=shinjuku cpus=8 threads=12 horizon=40.000ms watchdog=10.000ms faults=ipiloss@16.476ms/1.648ms/0.5",
-		"seed=185 policy=shinjuku cpus=2 threads=9 horizon=40.000ms watchdog=10.000ms faults=ipiloss@28.037ms/712.000us/0.8",
-		"seed=228 policy=shinjuku cpus=2 threads=6 horizon=25.000ms watchdog=10.000ms faults=ipiloss@516.000us/1.952ms/0.7,ipidelay@4.870ms/899.000us/29.000us shards=2",
-		"seed=241 policy=shinjuku cpus=2 threads=15 horizon=35.000ms watchdog=10.000ms faults=slow@17.366ms/921.000us/2,stall@6.070ms/1.196ms,ipiloss@8.323ms/1.985ms/0.5 shards=2",
-		"seed=284 policy=shinjuku cpus=2 threads=12 horizon=35.000ms faults=msgdrop@15.296ms/641.000us/0.30000000000000004,ipiloss@12.837ms/782.000us/0.8",
-	} {
+	for _, spec := range knownViolationRepros {
 		s, err := ParseRepro(spec)
 		if err != nil {
 			t.Fatalf("ParseRepro(%q): %v", spec, err)

@@ -29,18 +29,11 @@ func init() {
 		if len(rec.Args) != 1 || r == nil {
 			return nil, fmt.Errorf("check.worker wants 1 arg and a random stream, got %d args", len(rec.Args))
 		}
-		burst := int(rec.Args[0])
-		if !res.Resuming {
-			return workerBody(r, burst), nil
-		}
-		return resumedWorkerBody(r, burst, res.InRun), nil
+		return resumedWorkerBody(r, int(rec.Args[0]), res.InRun), nil
 	})
 	snap.RegisterBody("check.noise", func(_ *snap.RestoreCtx, rec kernel.BodyRec, r *sim.Rand, res snap.Resume) (kernel.ThreadFunc, error) {
 		if r == nil {
 			return nil, errors.New("check.noise wants a random stream")
-		}
-		if !res.Resuming {
-			return noiseBody(r), nil
 		}
 		return resumedNoiseBody(r, res.InRun), nil
 	})

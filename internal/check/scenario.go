@@ -1,6 +1,7 @@
 package check
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -171,9 +172,6 @@ type rig struct {
 // enclaves or threads yet. Both the forward run and a snapshot restore
 // start from this exact shell.
 func (s Scenario) buildShell() *rig {
-	if s.CPUs < 2 {
-		s.CPUs = 2
-	}
 	rg := &rig{cm: hw.DefaultCostModel(), eng: sim.NewEngine()}
 	rg.topo = hw.NewTopology(hw.Config{
 		Name: "check", Sockets: 1, CCXsPerSocket: 1,
@@ -384,10 +382,18 @@ func (s Scenario) Repro() string {
 	return strings.Join(parts, " ")
 }
 
+// maxCPUs is the widest scenario machine: kernel.Mask holds 256 CPUs.
+const maxCPUs = 256
+
 // ParseRepro parses a Repro string back into a scenario. Repro strings
 // from builds that could shard the event queue may carry "shards=N";
 // the field is validated and ignored, since the result never depended
 // on it.
+//
+// It rejects any value Run cannot honour as written: the machine is
+// built from SMT pairs, so cpus must be even and within kernel.Mask.
+// Durations must be ones Repro renders exactly (see parseDur), so every
+// accepted spec round-trips.
 func ParseRepro(spec string) (Scenario, error) {
 	s := Scenario{CPUs: 2, Threads: 2, Horizon: 20 * sim.Millisecond}
 	for _, field := range strings.Fields(spec) {
@@ -406,14 +412,26 @@ func ParseRepro(spec string) (Scenario, error) {
 			s.Policy = val
 		case "cpus":
 			s.CPUs, err = strconv.Atoi(val)
+			if err == nil && (s.CPUs < 2 || s.CPUs > maxCPUs || s.CPUs%2 != 0) {
+				err = fmt.Errorf("want an even count from 2 to %d", maxCPUs)
+			}
 		case "threads":
 			s.Threads, err = strconv.Atoi(val)
+			if err == nil && s.Threads < 0 {
+				err = errors.New("negative thread count")
+			}
 		case "shards":
 			_, err = strconv.Atoi(val)
 		case "horizon":
 			s.Horizon, err = parseDur(val)
+			if err == nil && s.Horizon <= 0 {
+				err = errors.New("horizon must be positive")
+			}
 		case "watchdog":
 			s.Watchdog, err = parseDur(val)
+			if err == nil && s.Watchdog < 0 {
+				err = errors.New("negative watchdog")
+			}
 		case "faults":
 			_, err = faults.ParsePlan(val, 0)
 			s.FaultSpec = val
@@ -447,11 +465,16 @@ func contains(xs []string, x string) bool {
 }
 
 // parseDur parses Go duration syntax (including the "us" spelling the
-// sim package emits) into a sim.Duration.
+// sim package emits) into a sim.Duration. It accepts only durations that
+// sim.Time.String renders exactly: whole microseconds, and at most 2^53
+// ns (about 104 days), beyond which its float formatting rounds.
 func parseDur(s string) (sim.Duration, error) {
 	d, err := time.ParseDuration(s)
 	if err != nil {
 		return 0, err
+	}
+	if d%time.Microsecond != 0 || d > 1<<53 {
+		return 0, errors.New("want whole microseconds, at most 2^53ns")
 	}
 	return sim.Duration(d.Nanoseconds()), nil
 }

@@ -21,9 +21,6 @@ func init() {
 			return nil, fmt.Errorf("fig5-looper wants 1 arg, got %d", len(rec.Args))
 		}
 		work := sim.Duration(rec.Args[0])
-		if !res.Resuming {
-			return fig5Looper(work), nil
-		}
 		return func(tc *kernel.TaskContext) {
 			if res.InRun {
 				// Parked mid-transaction: re-enter the run (the snapshot

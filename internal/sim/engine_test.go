@@ -396,6 +396,12 @@ func TestEngineScheduleAllocFree(t *testing.T) {
 		t.Fatalf("AfterCall schedule→dispatch allocates %.1f/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
+		e.After(1, func() {})
+		e.step(MaxTime)
+	}); avg != 0 {
+		t.Fatalf("After (closure) schedule→dispatch allocates %.1f/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
 		h := e.AfterCall(1, fn, e)
 		h.Cancel()
 	}); avg != 0 {

@@ -13,9 +13,6 @@ import (
 
 // LoadOpts customizes a restore.
 type LoadOpts struct {
-	// BodyOverrides take precedence over the global body registry, by
-	// kind (the facade routes its own registered bodies through here).
-	BodyOverrides map[string]BodyFactory
 	// ComponentOverrides take precedence over the kind registry, by
 	// component KEY — required for components whose construction needs
 	// owner-bound closures (a Poisson source's sink).
@@ -232,7 +229,7 @@ func spawnBody(t *Target, ctx *RestoreCtx, opts LoadOpts, tidEnc map[int]int, re
 	if rec.Body == nil {
 		return fmt.Errorf("snap: thread T%d (%s) has no body descriptor", rec.TID, rec.Name)
 	}
-	f, err := bodyFactory(rec.Body.Kind, opts.BodyOverrides)
+	f, err := bodyFactory(rec.Body.Kind)
 	if err != nil {
 		return fmt.Errorf("snap: thread T%d (%s): %w", rec.TID, rec.Name, err)
 	}
@@ -241,7 +238,7 @@ func spawnBody(t *Target, ctx *RestoreCtx, opts LoadOpts, tidEnc map[int]int, re
 		// State is overlaid after the spawn; the seed is a placeholder.
 		r = sim.NewRand(1)
 	}
-	fn, err := f(ctx, *rec.Body, r, Resume{Resuming: true, InRun: rec.ParkedInRun()})
+	fn, err := f(ctx, *rec.Body, r, Resume{InRun: rec.ParkedInRun()})
 	if err != nil {
 		return fmt.Errorf("snap: thread T%d (%s): %w", rec.TID, rec.Name, err)
 	}

@@ -18,7 +18,6 @@ package snap
 
 import (
 	"fmt"
-	"sort"
 
 	"ghost/internal/ghostcore"
 	"ghost/internal/kernel"
@@ -28,9 +27,6 @@ import (
 // Resume tells a body factory where the serialized thread was parked, so
 // the rebuilt body re-submits exactly that action first.
 type Resume struct {
-	// Resuming is false when the factory is building a body for a fresh
-	// spawn (facade SpawnBody) rather than a snapshot restore.
-	Resuming bool
 	// InRun: the thread was parked inside Run (the overlay restores the
 	// remaining work); otherwise it was parked inside Block (a pending
 	// wake, if any, is restored as an event or the WakePending flag).
@@ -113,20 +109,7 @@ func (ctx *RestoreCtx) Component(key string) Component { return ctx.components[k
 // Enclave returns the rebuilt enclave with the given id, nil if none.
 func (ctx *RestoreCtx) Enclave(id int) *ghostcore.Enclave { return ctx.enclaves[id] }
 
-// ComponentKeys lists the rebuilt components' keys in sorted order.
-func (ctx *RestoreCtx) ComponentKeys() []string {
-	keys := make([]string, 0, len(ctx.components))
-	for k := range ctx.components {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func bodyFactory(kind string, overrides map[string]BodyFactory) (BodyFactory, error) {
-	if f, ok := overrides[kind]; ok {
-		return f, nil
-	}
+func bodyFactory(kind string) (BodyFactory, error) {
 	if f, ok := bodyReg[kind]; ok {
 		return f, nil
 	}

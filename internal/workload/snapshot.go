@@ -333,10 +333,6 @@ func NewPoissonShell(eng *sim.Engine, sink func(*Request)) *PoissonSource {
 	return &PoissonSource{eng: eng, rand: sim.NewRand(1), stopped: true, sink: sink}
 }
 
-// SetSink replaces the source's sink (restore assemblers that build the
-// shell before its consumer exists).
-func (p *PoissonSource) SetSink(sink func(*Request)) { p.sink = sink }
-
 // --- registered resumable bodies ---------------------------------------
 
 // SpinnerDesc is the body descriptor matching Spinner(chunk); spawn
@@ -350,9 +346,6 @@ func init() {
 		return NewPoolShell(ctx.Kernel, nil), nil
 	})
 	snap.RegisterBody("workload.pool-worker", func(ctx *snap.RestoreCtx, rec kernel.BodyRec, _ *sim.Rand, resume snap.Resume) (kernel.ThreadFunc, error) {
-		if !resume.Resuming {
-			return nil, fmt.Errorf("pool workers are only created by NewWorkerPool")
-		}
 		p, ok := ctx.Component(rec.Key).(*WorkerPool)
 		if !ok {
 			return nil, fmt.Errorf("pool worker references component %q which is not a WorkerPool", rec.Key)
@@ -365,7 +358,7 @@ func init() {
 		}
 		chunk := sim.Duration(rec.Args[0])
 		body := Spinner(chunk)
-		if resume.Resuming && resume.InRun {
+		if resume.InRun {
 			// The spinner only ever parks inside Run; re-enter with a
 			// placeholder segment whose remaining work the overlay fixes.
 			return func(tc *kernel.TaskContext) {

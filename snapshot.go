@@ -254,7 +254,7 @@ func RegisterBody(kind string, f BodyFactory) {
 		if !ok {
 			return nil, fmt.Errorf("ghost: body %q restored outside a machine context", rec.Kind)
 		}
-		return f(m, rec.Args, r, BodyResume{Resuming: resume.Resuming, InRun: resume.InRun})
+		return f(m, rec.Args, r, BodyResume{Resuming: true, InRun: resume.InRun})
 	})
 }
 
