@@ -42,6 +42,12 @@ type GlobalPolicy interface {
 	OnMessage(ctx *Context, m ghostcore.Message)
 	// Schedule maps runnable threads to CPUs. Called after messages are
 	// drained and whenever capacity changes.
+	//
+	// The agent reads the returned slice, and calls OnTxnFail for its
+	// failed members, before it calls Schedule again; it never retains
+	// the slice. A policy may therefore return the same backing array
+	// every step (resliced to zero length first), as the built-in
+	// policies do, so a scheduling step allocates nothing.
 	Schedule(ctx *Context) []Assignment
 	// OnTxnFail is invoked for each assignment whose transaction did not
 	// commit, so the policy can re-enqueue the thread.
@@ -204,6 +210,16 @@ type runner struct {
 	stallUntil sim.Time
 	slowUntil  sim.Time
 	slowFactor float64
+
+	// Commit buffers reused across global steps, the simulated
+	// counterpart of the kernel's preallocated transaction slots
+	// (§3.2): txns holds one step's transactions by value and kept the
+	// assignments they came from; plain and plainAsg are the ungrouped
+	// subset handed to TXNS_COMMIT.
+	txns     []ghostcore.Txn
+	kept     []Assignment
+	plain    []*ghostcore.Txn
+	plainAsg []Assignment
 }
 
 // Option configures Start.
@@ -596,45 +612,49 @@ func (r *runner) globalStep(now sim.Time) (sim.Duration, kernel.Disposition) {
 	}
 
 	asgs := set.global.Schedule(set.ctx)
-	if len(asgs) > 0 {
-		var plain []*ghostcore.Txn
-		var plainAsg []Assignment
+	// One value Txn per live assignment. Pointers into txns are taken
+	// only once it has stopped growing.
+	txns, kept := r.txns[:0], r.kept[:0]
+	for _, a := range asgs {
+		if a.Thread == nil || a.CPU == set.globalCPU {
+			continue
+		}
+		txn := ghostcore.Txn{TID: a.Thread.TID(), CPU: a.CPU}
+		if !a.NoSeqCheck {
+			txn.ThreadSeq = set.enc.ThreadSeq(a.Thread)
+		}
+		txns = append(txns, txn)
+		kept = append(kept, a)
+	}
+	r.txns, r.kept = txns, kept
+	if n := len(txns); n > 0 {
+		committed = n
+		cost += cm.Syscall + cm.RemoteCommitAgentCost(n)
+		plain, plainAsg := r.plain[:0], r.plainAsg[:0]
 		groups := make(map[int][]*ghostcore.Txn)
 		groupAsg := make(map[int][]Assignment)
-		n := 0
-		for _, a := range asgs {
-			if a.Thread == nil || a.CPU == set.globalCPU {
-				continue
-			}
-			txn := set.enc.TxnCreate(a.Thread.TID(), a.CPU)
-			if !a.NoSeqCheck {
-				txn.ThreadSeq = set.enc.ThreadSeq(a.Thread)
-			}
-			n++
+		for i, a := range kept {
 			if a.Group != 0 {
-				groups[a.Group] = append(groups[a.Group], txn)
+				groups[a.Group] = append(groups[a.Group], &txns[i])
 				groupAsg[a.Group] = append(groupAsg[a.Group], a)
 			} else {
-				plain = append(plain, txn)
+				plain = append(plain, &txns[i])
 				plainAsg = append(plainAsg, a)
 			}
 		}
-		if n > 0 {
-			committed = n
-			cost += cm.Syscall + cm.RemoteCommitAgentCost(n)
-			if len(plain) > 0 {
-				set.enc.TxnsCommit(r.agent, plain)
-				set.reportTxns(plain, plainAsg)
-			}
-			gids := make([]int, 0, len(groups))
-			for gid := range groups {
-				gids = append(gids, gid)
-			}
-			sort.Ints(gids) // deterministic commit order
-			for _, gid := range gids {
-				set.enc.TxnsCommitAtomic(r.agent, groups[gid])
-				set.reportTxns(groups[gid], groupAsg[gid])
-			}
+		r.plain, r.plainAsg = plain, plainAsg
+		if len(plain) > 0 {
+			set.enc.TxnsCommit(r.agent, plain)
+			set.reportTxns(plain, plainAsg)
+		}
+		gids := make([]int, 0, len(groups))
+		for gid := range groups {
+			gids = append(gids, gid)
+		}
+		sort.Ints(gids) // deterministic commit order
+		for _, gid := range gids {
+			set.enc.TxnsCommitAtomic(r.agent, groups[gid])
+			set.reportTxns(groups[gid], groupAsg[gid])
 		}
 	}
 	if tr := set.k.Tracer(); tr != nil {

@@ -260,13 +260,28 @@ func TestBPFFastpathShape(t *testing.T) {
 	}
 }
 
+// TestFig8AblationRuns checks the §4.4 locality ablation's shape: NUMA
+// placement recovers type A throughput and tails, CCX placement lowers
+// the type B tail further.
 func TestFig8AblationRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long experiment")
 	}
 	rep := runFig8Ablation(quick)
-	if len(rep.Rows) != 4 {
-		t.Fatalf("rows = %d", len(rep.Rows))
+	// Rows: no-locality, numa-only, numa+ccx, numa+ccx+hold. Columns:
+	// A, B and C p99 (µs), then A QPS.
+	const noLoc, numa, ccx = 0, 1, 2
+	const p99A, p99B, qpsA = 1, 2, 4
+	// §4.4: placement locality is what lets the memory-bound type A
+	// keep up with its offered load at all.
+	if r := cell(t, rep, noLoc, qpsA) / cell(t, rep, numa, qpsA); r >= 0.5 {
+		t.Fatalf("no-locality/numa-only A QPS = %.2f, want < 0.5 (locality recovers throughput)", r)
+	}
+	if a, b := cell(t, rep, numa, p99A), cell(t, rep, noLoc, p99A); a >= b {
+		t.Fatalf("numa-only A p99 %.0fµs, want below no-locality's %.0fµs", a, b)
+	}
+	if a, b := cell(t, rep, ccx, p99B), cell(t, rep, numa, p99B); a >= b {
+		t.Fatalf("numa+ccx B p99 %.0fµs, want below numa-only's %.0fµs", a, b)
 	}
 }
 

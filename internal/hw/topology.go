@@ -76,6 +76,10 @@ type Topology struct {
 	smtWidth      int
 }
 
+// MaxCPUs is the largest logical CPU count a topology may have; CPU
+// masks are fixed 256-bit sets.
+const MaxCPUs = 256
+
 // Config describes a machine to build with NewTopology.
 type Config struct {
 	Name          string
@@ -88,12 +92,10 @@ type Config struct {
 // NewTopology builds a topology with CPU IDs assigned in the Linux
 // convention: CPU i and CPU i + ncores are SMT siblings, where ncores is
 // the machine-wide physical core count.
+// It panics on a Config that Validate rejects.
 func NewTopology(cfg Config) *Topology {
-	if cfg.Sockets <= 0 || cfg.CCXsPerSocket <= 0 || cfg.CoresPerCCX <= 0 {
-		panic("hw: topology dimensions must be positive")
-	}
-	if cfg.SMTWidth < 1 || cfg.SMTWidth > 2 {
-		panic("hw: SMT width must be 1 or 2")
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	ncores := cfg.Sockets * cfg.CCXsPerSocket * cfg.CoresPerCCX
 	ncpus := ncores * cfg.SMTWidth
@@ -124,6 +126,24 @@ func NewTopology(cfg Config) *Topology {
 		}
 	}
 	return t
+}
+
+// Validate reports whether NewTopology can build cfg: every dimension
+// positive, an SMT width of 1 or 2, and at most MaxCPUs logical CPUs.
+func (cfg Config) Validate() error {
+	if cfg.Sockets <= 0 || cfg.CCXsPerSocket <= 0 || cfg.CoresPerCCX <= 0 {
+		return fmt.Errorf("hw: topology dimensions must be positive, got %d sockets × %d CCXs × %d cores",
+			cfg.Sockets, cfg.CCXsPerSocket, cfg.CoresPerCCX)
+	}
+	if cfg.SMTWidth < 1 || cfg.SMTWidth > 2 {
+		return fmt.Errorf("hw: SMT width must be 1 or 2, got %d", cfg.SMTWidth)
+	}
+	// Divide rather than multiply, so huge dimensions cannot overflow.
+	if cfg.Sockets > MaxCPUs/cfg.CCXsPerSocket/cfg.CoresPerCCX/cfg.SMTWidth {
+		return fmt.Errorf("hw: topology has more than %d CPUs (%d sockets × %d CCXs × %d cores × %d SMT)",
+			MaxCPUs, cfg.Sockets, cfg.CCXsPerSocket, cfg.CoresPerCCX, cfg.SMTWidth)
+	}
+	return nil
 }
 
 // Config returns the configuration this topology was built from, so an

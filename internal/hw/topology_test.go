@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -206,6 +207,8 @@ func TestBadConfigPanics(t *testing.T) {
 		{Sockets: 0, CCXsPerSocket: 1, CoresPerCCX: 1, SMTWidth: 1},
 		{Sockets: 1, CCXsPerSocket: 1, CoresPerCCX: 1, SMTWidth: 3},
 		{Sockets: 1, CCXsPerSocket: 0, CoresPerCCX: 1, SMTWidth: 1},
+		{Sockets: 2, CCXsPerSocket: 16, CoresPerCCX: 5, SMTWidth: 2},                    // 320 CPUs
+		{Sockets: math.MaxInt, CCXsPerSocket: math.MaxInt, CoresPerCCX: 1, SMTWidth: 1}, // product overflows
 	} {
 		func() {
 			defer func() {

@@ -27,7 +27,8 @@ type Kernel struct {
 	rand *sim.Rand
 
 	cpus    []*CPU
-	idle    Mask // {c : c.Idle()}, kept by CPU.setCurr/setSwitching
+	idle    Mask   // {c : c.Idle()}, kept by CPU.setCurr/setSwitching
+	ccx     []Mask // CPUs of each CCX (L3 domain), by CCX index
 	threads map[TID]*Thread
 	live    []*Thread
 	nextTID TID
@@ -83,9 +84,11 @@ func New(eng *sim.Engine, topo *hw.Topology, cost hw.CostModel) *Kernel {
 	n := topo.NumCPUs()
 	k.cpus = make([]*CPU, n)
 	k.idle = MaskAll(n)
+	k.ccx = make([]Mask, topo.NumCCXs())
 	k.tickless = make([]bool, n)
 	for i := 0; i < n; i++ {
 		k.cpus[i] = &CPU{ID: hw.CPUID(i), Info: topo.CPU(hw.CPUID(i)), k: k}
+		k.ccx[k.cpus[i].Info.CCX].Set(hw.CPUID(i))
 	}
 	// Staggered per-CPU timer ticks. The ticker objects are built eagerly
 	// (so snapshots have a stable, keyed object to link pending firings
@@ -214,7 +217,9 @@ func (k *Kernel) AddPressureHook(fn func(*CPU, *Thread)) {
 	k.pressureHooks = append(k.pressureHooks, fn)
 }
 
-// Tracef emits a trace line when tracing is enabled.
+// Tracef emits a trace line when tracing is enabled. Hot call sites
+// test TraceFn first: boxing the arguments costs an allocation each
+// even when tracing is off.
 func (k *Kernel) Tracef(format string, args ...any) {
 	if k.TraceFn != nil {
 		k.TraceFn(fmt.Sprintf("[%v] ", k.eng.Now()) + fmt.Sprintf(format, args...))
@@ -483,7 +488,9 @@ func (k *Kernel) cpuIdle(c *CPU) {
 	}
 	c.accountIdle()
 	k.traceCPU(c)
-	k.Tracef("cpu%d idle", c.ID)
+	if k.TraceFn != nil {
+		k.Tracef("cpu%d idle", c.ID)
+	}
 	for _, h := range k.idleHooks {
 		h(c)
 		if c.curr != nil || c.switching {
@@ -518,7 +525,9 @@ func (k *Kernel) switchTo(c *CPU, next *Thread) {
 		next.pendingWork += k.cost.MigrationPenalty(k.topo.Dist(next.lastCPU, c.ID))
 	}
 	cost := next.class.SwitchInCost()
-	k.Tracef("cpu%d switch -> %v (cost %v)", c.ID, next, cost)
+	if k.TraceFn != nil {
+		k.Tracef("cpu%d switch -> %v (cost %v)", c.ID, next, cost)
+	}
 	if cost <= 0 {
 		k.resumeOnCPU(c)
 		return

@@ -1,12 +1,44 @@
 package kernel
 
+// fifo is a slice-backed FIFO that reuses its backing array. Popped
+// slots are cleared, so popped items do not stay reachable, and an
+// append that would grow a half-consumed array slides the live items to
+// the front instead.
+type fifo[T any] struct {
+	buf  []T
+	head int // buf[head:] are the live items
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+func (q *fifo[T]) push(x T) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) && 2*q.head >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, x)
+}
+
+// pop removes and returns the oldest item; the FIFO must not be empty.
+func (q *fifo[T]) pop() T {
+	x := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return x
+}
+
 // WaitQueue is a FIFO of blocked threads, the building block for workload
 // synchronization (request queues, semaphores). Wakes may be spurious
 // from the waiter's perspective, so callers re-check their condition in a
 // loop, as with condition variables.
 type WaitQueue struct {
 	k       *Kernel
-	waiters []*Thread
+	waiters fifo[*Thread]
 }
 
 // NewWaitQueue creates a wait queue on k.
@@ -17,27 +49,14 @@ func NewWaitQueue(k *Kernel) *WaitQueue {
 // Wait enrolls the calling thread and blocks it. Must be called from the
 // thread's own body.
 func (w *WaitQueue) Wait(tc *TaskContext) {
-	w.waiters = append(w.waiters, tc.t)
+	w.waiters.push(tc.t)
 	tc.Block()
-}
-
-// remove drops t from the waiter list if present.
-func (w *WaitQueue) remove(t *Thread) bool {
-	for i, q := range w.waiters {
-		if q == t {
-			w.waiters = append(w.waiters[:i], w.waiters[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 // WakeOne wakes the oldest waiter; returns false if none.
 func (w *WaitQueue) WakeOne() bool {
-	for len(w.waiters) > 0 {
-		t := w.waiters[0]
-		w.waiters = w.waiters[1:]
-		if t.state != StateDead {
+	for w.waiters.len() > 0 {
+		if t := w.waiters.pop(); t.state != StateDead {
 			w.k.Wake(t)
 			return true
 		}
@@ -52,13 +71,13 @@ func (w *WaitQueue) WakeAll() {
 }
 
 // Len returns the number of enrolled waiters.
-func (w *WaitQueue) Len() int { return len(w.waiters) }
+func (w *WaitQueue) Len() int { return w.waiters.len() }
 
 // Mailbox is an unbounded FIFO of items with blocking receive, used to
 // hand requests to simulated worker threads.
 type Mailbox[T any] struct {
 	k     *Kernel
-	items []T
+	items fifo[T]
 	wq    *WaitQueue
 }
 
@@ -70,31 +89,27 @@ func NewMailbox[T any](k *Kernel) *Mailbox[T] {
 // Put appends an item and wakes one waiting receiver. Callable from any
 // context (engine events or thread bodies).
 func (m *Mailbox[T]) Put(x T) {
-	m.items = append(m.items, x)
+	m.items.push(x)
 	m.wq.WakeOne()
 }
 
 // Get blocks the calling thread until an item is available, then returns
 // the oldest one.
 func (m *Mailbox[T]) Get(tc *TaskContext) T {
-	for len(m.items) == 0 {
+	for m.items.len() == 0 {
 		m.wq.Wait(tc)
 	}
-	x := m.items[0]
-	m.items = m.items[1:]
-	return x
+	return m.items.pop()
 }
 
 // TryGet returns the oldest item without blocking.
 func (m *Mailbox[T]) TryGet() (T, bool) {
-	var zero T
-	if len(m.items) == 0 {
+	if m.items.len() == 0 {
+		var zero T
 		return zero, false
 	}
-	x := m.items[0]
-	m.items = m.items[1:]
-	return x, true
+	return m.items.pop(), true
 }
 
 // Len returns the number of queued items.
-func (m *Mailbox[T]) Len() int { return len(m.items) }
+func (m *Mailbox[T]) Len() int { return m.items.len() }

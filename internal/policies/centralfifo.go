@@ -38,6 +38,9 @@ type CentralFIFO struct {
 	// running mirrors which tracked thread the policy put on each CPU.
 	running placements
 	tun     *tunable.Set
+	// out is Schedule's result buffer, reused every step (see the
+	// agentsdk.GlobalPolicy result contract).
+	out []agentsdk.Assignment
 	// ctx is retained from Attach for snapshot TID resolution.
 	ctx *agentsdk.Context
 }
@@ -136,7 +139,7 @@ func (p *CentralFIFO) popFor(b int, cpu hw.CPUID) *TState {
 
 // Schedule implements agentsdk.GlobalPolicy (the Fig 4 loop).
 func (p *CentralFIFO) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
-	var out []agentsdk.Assignment
+	out := p.out[:0]
 	now := ctx.Now()
 	for _, cpu := range ctx.IdleCPUs() {
 		assigned := false
@@ -194,6 +197,7 @@ func (p *CentralFIFO) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 			ctx.RepollAfter(next)
 		}
 	}
+	p.out = out
 	return out
 }
 

@@ -33,6 +33,11 @@ type Search struct {
 	tr   *Tracker
 	heap runtimeHeap
 	seq  uint64
+
+	// out and skipped are Schedule's buffers, reused every step (see
+	// the agentsdk.GlobalPolicy result contract).
+	out     []agentsdk.Assignment
+	skipped []*TState
 }
 
 // NewSearch builds the policy with all optimizations on.
@@ -40,60 +45,59 @@ func NewSearch() *Search {
 	return &Search{NUMAAware: true, CCXAware: true}
 }
 
-// heap entry bookkeeping lives in TState.CPU/Runtime; order by Runtime.
-type heapEnt struct {
-	ts  *TState
-	seq uint64
-	idx int
-}
+// runtimeHeap orders waiting threads by (Runtime, heapSeq): least
+// runtime first, FIFO among equals. Each TState records its own slot
+// (heapIdx), so pushes, pops and removals allocate nothing.
+type runtimeHeap []*TState
 
-type runtimeHeap struct {
-	ents []*heapEnt
-	by   map[*TState]*heapEnt
-}
-
-func (h *runtimeHeap) Len() int { return len(h.ents) }
-func (h *runtimeHeap) Less(i, j int) bool {
-	a, b := h.ents[i], h.ents[j]
-	if a.ts.Runtime != b.ts.Runtime {
-		return a.ts.Runtime < b.ts.Runtime
+func (h runtimeHeap) Len() int { return len(h) }
+func (h runtimeHeap) Less(i, j int) bool {
+	a, b := h[i], h[j]
+	if a.Runtime != b.Runtime {
+		return a.Runtime < b.Runtime
 	}
-	return a.seq < b.seq
+	return a.heapSeq < b.heapSeq
 }
-func (h *runtimeHeap) Swap(i, j int) {
-	h.ents[i], h.ents[j] = h.ents[j], h.ents[i]
-	h.ents[i].idx = i
-	h.ents[j].idx = j
+func (h runtimeHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].heapIdx = i + 1
+	h[j].heapIdx = j + 1
 }
 func (h *runtimeHeap) Push(x any) {
-	e := x.(*heapEnt)
-	e.idx = len(h.ents)
-	h.ents = append(h.ents, e)
-	h.by[e.ts] = e
+	ts := x.(*TState)
+	ts.heapIdx = len(*h) + 1
+	*h = append(*h, ts)
 }
 func (h *runtimeHeap) Pop() any {
-	n := len(h.ents)
-	e := h.ents[n-1]
-	h.ents = h.ents[:n-1]
-	delete(h.by, e.ts)
-	e.idx = -1
-	return e
+	old := *h
+	n := len(old)
+	ts := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	ts.heapIdx = 0
+	return ts
+}
+
+// push queues ts behind every thread of equal runtime.
+func (p *Search) push(ts *TState) {
+	ts.Enqueued = true
+	ts.heapSeq = p.seq
+	p.seq++
+	heap.Push(&p.heap, ts)
 }
 
 // Attach implements agentsdk.GlobalPolicy.
 func (p *Search) Attach(ctx *agentsdk.Context) {
-	p.heap = runtimeHeap{by: make(map[*TState]*heapEnt)}
+	p.heap = nil
 	p.tr = NewTracker()
 	p.tr.OnRunnable = func(ts *TState, m ghostcore.Message) {
 		if !ts.Enqueued {
-			ts.Enqueued = true
-			heap.Push(&p.heap, &heapEnt{ts: ts, seq: p.seq})
-			p.seq++
+			p.push(ts)
 		}
 	}
 	p.tr.OnRemoved = func(ts *TState, m ghostcore.Message) {
-		if e, ok := p.heap.by[ts]; ok && e.idx >= 0 {
-			heap.Remove(&p.heap, e.idx)
+		if ts.heapIdx > 0 {
+			heap.Remove(&p.heap, ts.heapIdx-1)
 		}
 		ts.Enqueued = false
 	}
@@ -111,24 +115,22 @@ func (p *Search) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 	now := ctx.Now()
 	topo := ctx.Topology()
 	idle := ctx.IdleMask()
-	var out []agentsdk.Assignment
-	var skipped []*heapEnt
+	out, skipped := p.out[:0], p.skipped[:0]
 	for p.heap.Len() > 0 && !idle.Empty() {
-		e := heap.Pop(&p.heap).(*heapEnt)
-		ts := e.ts
+		ts := heap.Pop(&p.heap).(*TState)
 		if ts.Thread.State() != kernel.StateRunnable {
 			ts.Enqueued = false
 			continue
 		}
 		cpu, quality := p.bestCPU(topo, ts.Thread, idle)
 		if cpu == hw.NoCPU {
-			skipped = append(skipped, e)
+			skipped = append(skipped, ts)
 			continue
 		}
 		// Optionally hold for the preferred CCX rather than migrate.
 		if p.HoldForCCX > 0 && quality > hw.DistCCX && ts.Thread.LastCPU() != hw.NoCPU &&
 			now-ts.Thread.WakeTime() < p.HoldForCCX {
-			skipped = append(skipped, e)
+			skipped = append(skipped, ts)
 			continue
 		}
 		idle.Clear(cpu)
@@ -136,9 +138,13 @@ func (p *Search) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 		p.tr.MarkScheduled(ts, int(cpu), now)
 		out = append(out, agentsdk.Assignment{Thread: ts.Thread, CPU: cpu})
 	}
-	for _, e := range skipped {
-		heap.Push(&p.heap, e) // revisit next scheduling loop (§4.4)
+	// Skipped threads keep their heapSeq, so they return to their old
+	// place among equals.
+	for _, ts := range skipped {
+		heap.Push(&p.heap, ts) // revisit next scheduling loop (§4.4)
 	}
+	clear(skipped)
+	p.out, p.skipped = out, skipped
 	if len(skipped) > 0 {
 		ctx.RepollAfter(10 * sim.Microsecond)
 	}
@@ -186,9 +192,7 @@ func (p *Search) OnTxnFail(ctx *agentsdk.Context, a agentsdk.Assignment, s ghost
 	}
 	p.tr.MarkFailed(ts)
 	if ts.Thread.State() == kernel.StateRunnable && !ts.Enqueued {
-		ts.Enqueued = true
-		heap.Push(&p.heap, &heapEnt{ts: ts, seq: p.seq})
-		p.seq++
+		p.push(ts)
 	} else if ts.Thread.State() != kernel.StateRunnable {
 		ts.Runnable = false
 	}

@@ -36,6 +36,9 @@ type Shinjuku struct {
 	running placements // latency threads the policy placed
 	batchOn placements // batch threads the policy placed
 	tun     *tunable.Set
+	// out is Schedule's result buffer, reused every step (see the
+	// agentsdk.GlobalPolicy result contract).
+	out []agentsdk.Assignment
 
 	// ctx is retained from Attach for snapshot TID resolution.
 	ctx *agentsdk.Context
@@ -131,7 +134,7 @@ func (p *Shinjuku) pop(q *[]*TState, cpu hw.CPUID) *TState {
 // transactional preemptions, then hand leftovers to batch threads.
 func (p *Shinjuku) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 	now := ctx.Now()
-	var out []agentsdk.Assignment
+	out := p.out[:0]
 	// full reports the commit batch exhausted (MaxCommits); leftover
 	// runnable work stays queued for the next step.
 	full := func() bool { return p.MaxCommits > 0 && len(out) >= p.MaxCommits }
@@ -208,6 +211,7 @@ func (p *Shinjuku) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 	if next := p.nextExpiry(now); next > 0 {
 		ctx.RepollAfter(next)
 	}
+	p.out = out
 	return out
 }
 

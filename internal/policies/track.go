@@ -36,6 +36,13 @@ type TState struct {
 	// Enqueued marks presence in the policy's own runqueue, preventing
 	// double-queueing on duplicate wake messages.
 	Enqueued bool
+
+	// heapIdx is the thread's 1-based slot in the owning policy's
+	// indexed heap (Search's runtime heap), 0 when it is not in one;
+	// heapSeq is its FIFO tie-break there. Keeping them on the thread
+	// lets the heap move and remove threads with no per-push entry.
+	heapIdx int
+	heapSeq uint64
 }
 
 // Tracker converts the message stream into per-thread state and hands

@@ -163,21 +163,35 @@ func NewSearch(k *kernel.Kernel, cfg SearchConfig,
 	return s
 }
 
+// arrivals is one query type's Poisson arrival process. It is bound
+// once, so every arrival schedules the next through AfterCall without a
+// closure.
+type arrivals struct {
+	s    *Search
+	qt   int
+	r    *sim.Rand
+	mean sim.Duration
+	svc  ServiceDist
+	n    int // queries issued so far
+}
+
 func (s *Search) startArrivals(qt int, rate float64, svc ServiceDist) {
-	r := s.rand.Fork()
-	mean := sim.Duration(1e9 / rate)
-	i := 0
-	var arm func()
-	arm = func() {
-		s.eng.After(r.Exp(mean), func() {
-			q := &Request{ID: uint64(i), Arrival: s.eng.Now(), Class: qt, Service: svc.Sample(r)}
-			q.Remaining = q.Service
-			s.servers[i%len(s.servers)].Put(q)
-			i++
-			arm()
-		})
-	}
-	arm()
+	a := &arrivals{s: s, qt: qt, r: s.rand.Fork(), mean: sim.Duration(1e9 / rate), svc: svc}
+	a.arm()
+}
+
+func (a *arrivals) arm() { a.s.eng.AfterCall(a.r.Exp(a.mean), arrivalFire, a) }
+
+// arrivalFire dispatches an arrival event to its process.
+func arrivalFire(x any) { x.(*arrivals).fire() }
+
+func (a *arrivals) fire() {
+	s := a.s
+	q := &Request{ID: uint64(a.n), Arrival: s.eng.Now(), Class: a.qt, Service: a.svc.Sample(a.r)}
+	q.Remaining = q.Service
+	s.servers[a.n%len(s.servers)].Put(q)
+	a.n++
+	a.arm()
 }
 
 // dispatch routes a preprocessed query to its worker pool.

@@ -9,6 +9,12 @@ import (
 // The scheduling policies evaluated in the paper, re-exported. Each is a
 // GlobalPolicy (or PerCPUPolicy) implementation a downstream user can
 // run as-is or embed in their own policy.
+//
+// A GlobalPolicy's Schedule result is read by the agent, failed members
+// reported through OnTxnFail, before Schedule is called again; the agent
+// never keeps it. The policies here return one reused buffer every step,
+// and a custom policy may do the same. A policy that wraps another must
+// consume the inner result before the next inner Schedule call.
 type (
 	// FIFOPolicy is the centralized FIFO of Fig 5 / §4.3 (priority
 	// bands, optional preemption of lower bands, optional round-robin

@@ -176,6 +176,9 @@ func WithRestoredComponent(key string, f func(m *Machine) (SnapshotComponent, er
 // original's from the snapshot point.
 func Restore(s *Snapshot, opts ...MachineOption) (*Machine, error) {
 	core := s.img.Core
+	if err := core.Topology.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+	}
 	topo := hw.NewTopology(core.Topology)
 	base := []MachineOption{WithCostModel(core.Cost)}
 	if core.Kernel != nil && core.Kernel.MQ == nil {

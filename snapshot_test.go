@@ -2,7 +2,9 @@ package ghost_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"runtime"
 	"testing"
@@ -161,6 +163,80 @@ func TestSnapshotDecodeErrors(t *testing.T) {
 	v1 := append([]byte("ghostsnp"), 1, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0)
 	v1 = append(v1, "{}{}"...)
 	check("wrong-version/v1", v1, ghost.ErrSnapshotVersion)
+}
+
+// resealSnapshot decodes the core JSON of an encoded snapshot, applies
+// mutate to it and re-encodes the container with a fresh length and
+// checksum, so the mutated state gets past the codec's integrity checks.
+func resealSnapshot(t *testing.T, enc []byte, mutate func(core map[string]any)) []byte {
+	t.Helper()
+	const hdr = 16 // magic, version, core length
+	n := binary.LittleEndian.Uint32(enc[12:hdr])
+	var core map[string]any
+	if err := json.Unmarshal(enc[hdr:hdr+int(n)], &core); err != nil {
+		t.Fatalf("core JSON: %v", err)
+	}
+	mutate(core)
+	cj, err := json.Marshal(core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(nil), enc[:hdr]...)
+	binary.LittleEndian.PutUint32(out[12:hdr], uint32(len(cj)))
+	out = append(out, cj...)
+	sum := sha256.Sum256(out[8:])
+	return append(out, sum[:]...)
+}
+
+// TestRestoreRejectsBadTopology: a checksummed snapshot whose topology
+// NewTopology cannot build is rejected with ErrSnapshotCorrupt, never a
+// panic.
+func TestRestoreRejectsBadTopology(t *testing.T) {
+	m := buildServing()
+	defer m.Shutdown()
+	m.Run(ghost.Millisecond)
+	s, err := m.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		field string
+		value int
+	}{
+		{"zero-sockets", "Sockets", 0},
+		{"negative-ccxs", "CCXsPerSocket", -1},
+		{"zero-cores", "CoresPerCCX", 0},
+		{"smt-3", "SMTWidth", 3},
+		{"smt-0", "SMTWidth", 0},
+		{"320-cpus", "CoresPerCCX", 80}, // 2 sockets × 80 cores × 2 SMT
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := resealSnapshot(t, buf.Bytes(), func(core map[string]any) {
+				core["topology"].(map[string]any)[tc.field] = tc.value
+			})
+			s2, err := ghost.ReadSnapshot(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("ReadSnapshot of a resealed snapshot: %v", err)
+			}
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("Restore panicked: %v", p)
+				}
+			}()
+			restored, err := ghost.Restore(s2, servingRestoreOpts()...)
+			if err == nil {
+				restored.Shutdown()
+			}
+			if !errors.Is(err, ghost.ErrSnapshotCorrupt) {
+				t.Fatalf("Restore err = %v, want %v", err, ghost.ErrSnapshotCorrupt)
+			}
+		})
+	}
 }
 
 // TestSnapshotDecodeBounded: a header claiming a 1 GiB section, followed
