@@ -108,10 +108,12 @@ func (c *Context) IdleCPUs() []hw.CPUID {
 }
 
 // IdleMask is IdleCPUs as a mask: the enclave's idle CPUs (from the
-// kernel's idle mask) minus those with a commit in flight.
+// kernel's idle mask) minus those with a commit in flight. Only idle
+// CPUs the enclave holds (Enclave.Held) can have one, so LatchedFor —
+// which also clears stale in-flight entries — runs on just those.
 func (c *Context) IdleMask() kernel.Mask {
 	idle := c.Enclave.CPUs().And(c.Kernel.IdleMask())
-	idle.ForEach(func(id hw.CPUID) bool {
+	idle.And(c.Enclave.Held()).ForEach(func(id hw.CPUID) bool {
 		if c.Enclave.LatchedFor(id) != nil {
 			idle.Clear(id)
 		}
@@ -400,7 +402,7 @@ func startCentralized(k *kernel.Kernel, enc *ghostcore.Enclave, ac *kernel.Agent
 	// The default queue is the single global queue (Fig 2 right): every
 	// managed thread posts there and the spinning global agent drains it.
 	set.globalQueue = enc.DefaultQueue()
-	first := enc.CPUs().CPUs()[0]
+	first := enc.CPUs().First()
 	set.globalCPU = first
 	enc.ConfigQueueWakeup(set.globalQueue, set.runners[first].agent, true)
 	policy.Attach(set.ctx)
@@ -435,7 +437,7 @@ func startPerCPU(k *kernel.Kernel, enc *ghostcore.Enclave, ac *kernel.AgentClass
 	}
 	// New-thread routing: the default queue wakes the first CPU's agent,
 	// which assigns threads to CPUs.
-	first := enc.CPUs().CPUs()[0]
+	first := enc.CPUs().First()
 	enc.ConfigQueueWakeup(enc.DefaultQueue(), set.runners[first].agent, true)
 	policy.Attach(set.ctx)
 	return set
@@ -695,7 +697,7 @@ func (r *runner) localStep(now sim.Time) (sim.Duration, kernel.Disposition) {
 
 	// The first CPU's agent also drains the default queue, assigning
 	// new threads to CPUs.
-	if r.cpu == set.enc.CPUs().CPUs()[0] {
+	if r.cpu == set.enc.CPUs().First() {
 		dmsgs, dc := r.drain(set.enc.DefaultQueue(), now)
 		cost += dc
 		drained += len(dmsgs)

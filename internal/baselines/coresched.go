@@ -314,7 +314,7 @@ func (c *KernelCoreSched) SelectCPU(t *kernel.Thread) hw.CPUID {
 			return cand
 		}
 	}
-	return t.Affinity().CPUs()[0]
+	return t.Affinity().First()
 }
 
 // WantsPreempt implements kernel.Class.

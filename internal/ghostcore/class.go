@@ -43,6 +43,11 @@ type Class struct {
 	cpuOwner []*Enclave       // enclave owning each CPU, nil if none
 	slots    []*kernel.Thread // per-CPU latched thread (install done)
 	inflight []*kernel.Thread // per-CPU committed thread, IPI in flight
+	// held is {cpu : slots[cpu] != nil || inflight[cpu] != nil}. Only
+	// setSlot and setInflight write slots and inflight, and both keep
+	// held in step, so agents test 256 CPUs for pending commits with a
+	// few word operations (Enclave.Held).
+	held kernel.Mask
 
 	enclaves  []*Enclave
 	nextEncID int
@@ -90,6 +95,18 @@ func NewClass(k *kernel.Kernel, fallback kernel.Class) *Class {
 
 // Kernel returns the owning kernel.
 func (g *Class) Kernel() *kernel.Kernel { return g.k }
+
+// setSlot and setInflight are the only writers of slots and inflight;
+// both re-derive cpu's bit of held.
+func (g *Class) setSlot(cpu hw.CPUID, t *kernel.Thread) {
+	g.slots[cpu] = t
+	g.held.SetTo(cpu, t != nil || g.inflight[cpu] != nil)
+}
+
+func (g *Class) setInflight(cpu hw.CPUID, t *kernel.Thread) {
+	g.inflight[cpu] = t
+	g.held.SetTo(cpu, t != nil || g.slots[cpu] != nil)
+}
 
 func gstate(t *kernel.Thread) *ghostThread {
 	gt, _ := t.Ghost.(*ghostThread)
@@ -237,14 +254,14 @@ func (g *Class) clearSlot(t *kernel.Thread) {
 	found := false
 	for i, s := range g.slots {
 		if s == t {
-			g.slots[i] = nil
+			g.setSlot(hw.CPUID(i), nil)
 			found = true
 			g.obsUnlatched(gt.enc, hw.CPUID(i), t, "clear")
 		}
 	}
 	for i, s := range g.inflight {
 		if s == t {
-			g.inflight[i] = nil
+			g.setInflight(hw.CPUID(i), nil)
 			found = true
 			g.obsUnlatched(gt.enc, hw.CPUID(i), t, "clear")
 		}
@@ -274,7 +291,7 @@ func (g *Class) PickNext(c *kernel.CPU, prev *kernel.Thread) *kernel.Thread {
 		return prev
 	}
 	if s == prev {
-		g.slots[c.ID] = nil
+		g.setSlot(c.ID, nil)
 		sgt := gstate(s)
 		sgt.latched = false
 		g.obsUnlatched(sgt.enc, c.ID, s, "switch-in")
@@ -283,14 +300,14 @@ func (g *Class) PickNext(c *kernel.CPU, prev *kernel.Thread) *kernel.Thread {
 	}
 	if s.State() != kernel.StateRunnable || !s.Affinity().Has(c.ID) {
 		// The latched thread changed state between commit and install.
-		g.slots[c.ID] = nil
+		g.setSlot(c.ID, nil)
 		if gt := gstate(s); gt != nil {
 			gt.latched = false
 			g.obsUnlatched(gt.enc, c.ID, s, "stale")
 		}
 		return prev
 	}
-	g.slots[c.ID] = nil
+	g.setSlot(c.ID, nil)
 	gt := gstate(s)
 	gt.latched = false
 	gt.runnable = false
@@ -313,12 +330,11 @@ func (g *Class) SelectCPU(t *kernel.Thread) hw.CPUID {
 		if last := t.LastCPU(); last != hw.NoCPU && t.Affinity().Has(last) && gt.enc.cpus.Has(last) {
 			return last
 		}
-		inEnc := t.Affinity().And(gt.enc.cpus)
-		if !inEnc.Empty() {
-			return inEnc.CPUs()[0]
+		if first := t.Affinity().And(gt.enc.cpus).First(); first != hw.NoCPU {
+			return first
 		}
 	}
-	return t.Affinity().CPUs()[0]
+	return t.Affinity().First()
 }
 
 // WantsPreempt implements kernel.Class.
@@ -367,7 +383,7 @@ func (g *Class) onIdle(c *kernel.CPU) {
 	}
 	gt.latched = true
 	gt.runnable = false
-	g.slots[c.ID] = t
+	g.setSlot(c.ID, t)
 	g.obsLatched(enc, c.ID, t)
 	g.BPFCommits++
 	if tr := g.k.Tracer(); tr != nil {

@@ -372,7 +372,9 @@ func (e *Enclave) SetTickless(on bool) {
 // LatchedFor returns the thread committed-but-not-yet-switched-in on
 // cpu, nil if none: either an installed latch awaiting pick, or a commit
 // whose IPI is still in flight. Agents and policies use this to avoid
-// double-committing a CPU.
+// double-committing a CPU. It is non-nil only on Held CPUs, so callers
+// scanning many CPUs test Held first. An in-flight entry whose thread is
+// no longer latched is stale: LatchedFor clears it (and its held bit).
 func (e *Enclave) LatchedFor(cpu hw.CPUID) *kernel.Thread {
 	if e.g.Mut.DoubleLatch {
 		// Seeded double-latch bug: claim no commit is pending, so agents
@@ -389,9 +391,24 @@ func (e *Enclave) LatchedFor(cpu hw.CPUID) *kernel.Thread {
 		if gt := gstate(s); gt != nil && gt.latched {
 			return s
 		}
-		e.g.inflight[cpu] = nil
+		e.g.setInflight(cpu, nil)
 	}
 	return nil
+}
+
+// Held returns the enclave CPUs with a latched slot or an in-flight
+// commit: the only CPUs where LatchedFor can return non-nil. The mask
+// may include stale in-flight entries that LatchedFor will clear.
+func (e *Enclave) Held() kernel.Mask { return e.g.held.And(e.cpus) }
+
+// DebugSlots returns cpu's latched slot and in-flight commit as stored,
+// without LatchedFor's stale-entry clearing, so invariant tests can
+// recompute Held from them.
+func (e *Enclave) DebugSlots(cpu hw.CPUID) (slot, inflight *kernel.Thread) {
+	if !e.cpus.Has(cpu) {
+		return nil, nil
+	}
+	return e.g.slots[cpu], e.g.inflight[cpu]
 }
 
 // DebugThreadState reports the ghOSt-side view of a thread (runnable,
@@ -505,7 +522,7 @@ func (e *Enclave) PreemptCPU(cpu hw.CPUID) {
 			gt.latched = false
 			g.obsUnlatched(e, cpu, s, "preempt-cpu")
 		}
-		g.slots[cpu] = nil
+		g.setSlot(cpu, nil)
 		g.Preemptions++
 		g.postThreadMsg(s, MsgThreadPreempted)
 	}
@@ -516,7 +533,7 @@ func (e *Enclave) PreemptCPU(cpu hw.CPUID) {
 			g.Preemptions++
 			g.postThreadMsg(s, MsgThreadPreempted)
 		}
-		g.inflight[cpu] = nil
+		g.setInflight(cpu, nil)
 	}
 	curr := e.k.CPU(cpu).Curr()
 	if curr != nil && curr.Class() == kernel.Class(g) {
@@ -618,7 +635,7 @@ func (g *Class) doInstall(rec *installRec) {
 	g.installPool = append(g.installPool, rec)
 
 	if g.inflight[cpu] == t {
-		g.inflight[cpu] = nil
+		g.setInflight(cpu, nil)
 	}
 	if DebugInstall != nil {
 		DebugInstall(t, cpu, e.destroyed, gt.latched, int(t.State()))
@@ -648,7 +665,7 @@ func (g *Class) doInstall(rec *installRec) {
 		g.obsUnlatched(e, cpu, old, "displaced")
 		g.Enqueue(old, cpu, kernel.EnqPreempt)
 	}
-	g.slots[cpu] = t
+	g.setSlot(cpu, t)
 	e.k.Resched(cpu)
 }
 
@@ -661,7 +678,7 @@ func (e *Enclave) apply(a *Agent, txn *Txn, groupSize int) {
 	txn.Status = TxnCommitted
 	g.TxnsOK++
 	gt.latched = true
-	g.inflight[txn.CPU] = t
+	g.setInflight(txn.CPU, t)
 	g.obsLatched(e, txn.CPU, t)
 
 	rec := g.getInstallRec()
@@ -721,10 +738,10 @@ func (e *Enclave) TxnsRecall(txns []*Txn) int {
 		gt.latched = false
 		e.g.obsUnlatched(e, txn.CPU, t, "recall")
 		if e.g.slots[txn.CPU] == t {
-			e.g.slots[txn.CPU] = nil
+			e.g.setSlot(txn.CPU, nil)
 		}
 		if e.g.inflight[txn.CPU] == t {
-			e.g.inflight[txn.CPU] = nil
+			e.g.setInflight(txn.CPU, nil)
 		}
 		txn.Status = TxnRecalled
 		if tr := e.k.Tracer(); tr != nil {
@@ -789,9 +806,9 @@ func (e *Enclave) DestroyWith(cause error) {
 				gt.latched = false
 				e.g.obsUnlatched(e, c, s, "destroy")
 			}
-			e.g.slots[c] = nil
+			e.g.setSlot(c, nil)
 		}
-		e.g.inflight[c] = nil
+		e.g.setInflight(c, nil)
 		e.g.cpuOwner[c] = nil
 		return true
 	})

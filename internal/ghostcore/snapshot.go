@@ -249,7 +249,16 @@ func (g *Class) RestoreEnclaveShells(rec *ClassRec) ([]*Enclave, error) {
 		g.SetNextEncID(erec.ID)
 		var m kernel.Mask
 		for _, id := range erec.CPUs {
+			if id < 0 || id >= len(g.cpuOwner) {
+				return nil, fmt.Errorf("enclave %d: CPU %d out of range [0, %d)", erec.ID, id, len(g.cpuOwner))
+			}
+			if g.cpuOwner[id] != nil {
+				return nil, fmt.Errorf("enclave %d: CPU %d already in enclave %d", erec.ID, id, g.cpuOwner[id].id)
+			}
 			m.Set(hw.CPUID(id))
+		}
+		if m.Empty() {
+			return nil, fmt.Errorf("enclave %d has no CPUs", erec.ID)
 		}
 		e := NewEnclave(g, m)
 		e.DeliverTicks = erec.DeliverTicks
@@ -274,24 +283,31 @@ func (g *Class) RestoreImage(rec *ClassRec) error {
 	g.TxnsFailed = rec.TxnsFailed
 	g.BPFCommits = rec.BPFCommits
 	g.Preemptions = rec.Preemptions
+	if len(rec.Slots) > len(g.slots) || len(rec.Inflight) > len(g.inflight) {
+		return fmt.Errorf("ghost slots list %d CPUs and in-flight commits %d, machine has %d",
+			len(rec.Slots), len(rec.Inflight), len(g.slots))
+	}
 	for i := range g.slots {
-		g.slots[i] = nil
-		g.inflight[i] = nil
+		cpu := hw.CPUID(i)
+		g.setSlot(cpu, nil)
+		g.setInflight(cpu, nil)
 	}
 	for i, tid := range rec.Slots {
 		if tid != 0 {
-			g.slots[i] = g.k.Thread(kernel.TID(tid))
-			if g.slots[i] == nil {
+			t := g.k.Thread(kernel.TID(tid))
+			if t == nil {
 				return fmt.Errorf("ghost slot cpu%d: thread T%d missing", i, tid)
 			}
+			g.setSlot(hw.CPUID(i), t)
 		}
 	}
 	for i, tid := range rec.Inflight {
 		if tid != 0 {
-			g.inflight[i] = g.k.Thread(kernel.TID(tid))
-			if g.inflight[i] == nil {
+			t := g.k.Thread(kernel.TID(tid))
+			if t == nil {
 				return fmt.Errorf("ghost inflight cpu%d: thread T%d missing", i, tid)
 			}
+			g.setInflight(hw.CPUID(i), t)
 		}
 	}
 	for i := range rec.Enclaves {
@@ -433,7 +449,11 @@ func (g *Class) EventForKind(kind string, args []int64) (afn func(any), arg any,
 			return nil, nil, false
 		}
 	}
+	cpu := hw.CPUID(args[2])
+	if !e.cpus.Has(cpu) {
+		return nil, nil, false
+	}
 	rec := g.getInstallRec()
-	*rec = installRec{e: e, t: t, gt: gt, cpu: hw.CPUID(args[2]), local: args[3] != 0, a: a}
+	*rec = installRec{e: e, t: t, gt: gt, cpu: cpu, local: args[3] != 0, a: a}
 	return g.installFn, rec, true
 }

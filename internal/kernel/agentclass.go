@@ -78,7 +78,7 @@ func (a *AgentClass) PickNext(c *CPU, prev *Thread) *Thread {
 // SelectCPU implements Class: agents are pinned; run on the sole CPU of
 // their affinity mask (or the first if wider).
 func (a *AgentClass) SelectCPU(t *Thread) hw.CPUID {
-	return t.affinity.CPUs()[0]
+	return t.affinity.First()
 }
 
 // WantsPreempt implements Class: agents never preempt each other.

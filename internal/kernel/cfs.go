@@ -374,7 +374,7 @@ func (c *CFS) SelectCPU(t *Thread) hw.CPUID {
 	if least != hw.NoCPU {
 		return least
 	}
-	return t.affinity.CPUs()[0]
+	return t.affinity.First()
 }
 
 // WantsPreempt implements Class: wake preemption when the incoming thread

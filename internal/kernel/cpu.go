@@ -12,6 +12,7 @@ type CPU struct {
 	Info *hw.CPU
 
 	k    *Kernel
+	sib  *CPU // the other hyperthread of this core, nil without SMT
 	curr *Thread
 
 	switching      bool // in context-switch dead time
@@ -45,16 +46,9 @@ func (c *CPU) setCurr(t *Thread) { c.curr = t; c.syncIdle() }
 func (c *CPU) setSwitching(on bool) { c.switching = on; c.syncIdle() }
 
 // syncIdle re-derives c's bit of the kernel's idle mask. It runs on
-// every context switch, so it writes the word directly (inlinable; c.ID
-// is always in range, unlike Mask.Set's arguments).
-func (c *CPU) syncIdle() {
-	w, bit := &c.k.idle.bits[uint(c.ID)/64], uint64(1)<<(uint(c.ID)%64)
-	if c.Idle() {
-		*w |= bit
-	} else {
-		*w &^= bit
-	}
-}
+// every context switch, so it uses the inlinable SetTo (c.ID is always
+// in range, unlike Mask.Set's arguments).
+func (c *CPU) syncIdle() { c.k.idle.SetTo(c.ID, c.Idle()) }
 
 // FreeForPlacement reports whether the CPU is idle and has no pending
 // scheduling pass that might already have claimed it. Wake placement uses
@@ -99,11 +93,7 @@ func (c *CPU) busy() bool { return c.curr != nil || c.switching }
 
 // effSpeed computes the current execution speed given sibling activity.
 func (c *CPU) effSpeed() float64 {
-	sib := c.Info.Sibling()
-	if sib == hw.NoCPU {
-		return 1.0
-	}
-	if c.k.cpus[sib].busy() {
+	if c.sib != nil && c.sib.busy() {
 		return 1.0 / c.k.cost.SMTPenalty
 	}
 	return 1.0
@@ -171,11 +161,10 @@ func (c *CPU) resegment() {
 // smtChanged is invoked when this CPU's busy state flips, so the sibling
 // can re-derive its execution speed.
 func (c *CPU) smtChanged() {
-	sib := c.Info.Sibling()
-	if sib == hw.NoCPU {
+	sc := c.sib
+	if sc == nil {
 		return
 	}
-	sc := c.k.cpus[sib]
 	if sc.curr != nil && !sc.switching && sc.speed != sc.effSpeed() {
 		sc.resegment()
 	}

@@ -27,9 +27,9 @@ type Kernel struct {
 	rand *sim.Rand
 
 	cpus    []*CPU
-	idle    Mask   // {c : c.Idle()}, kept by CPU.setCurr/setSwitching
-	ccx     []Mask // CPUs of each CCX (L3 domain), by CCX index
-	threads map[TID]*Thread
+	idle    Mask      // {c : c.Idle()}, kept by CPU.setCurr/setSwitching
+	ccx     []Mask    // CPUs of each CCX (L3 domain), by CCX index
+	threads []*Thread // indexed by TID; nil for TID 0 and unused TIDs
 	live    []*Thread
 	nextTID TID
 	tickers []*sim.Ticker // per-CPU timer-tick tickers (keyed for snapshots)
@@ -73,7 +73,7 @@ func New(eng *sim.Engine, topo *hw.Topology, cost hw.CostModel) *Kernel {
 		topo:    topo,
 		cost:    cost,
 		rand:    sim.NewRand(0xC0FFEE),
-		threads: make(map[TID]*Thread),
+		threads: make([]*Thread, 1),
 		nextTID: 1,
 	}
 	k.reschedFn = k.reschedFire
@@ -89,6 +89,11 @@ func New(eng *sim.Engine, topo *hw.Topology, cost hw.CostModel) *Kernel {
 	for i := 0; i < n; i++ {
 		k.cpus[i] = &CPU{ID: hw.CPUID(i), Info: topo.CPU(hw.CPUID(i)), k: k}
 		k.ccx[k.cpus[i].Info.CCX].Set(hw.CPUID(i))
+	}
+	for _, c := range k.cpus {
+		if sib := c.Info.Sibling(); sib != hw.NoCPU {
+			c.sib = k.cpus[sib]
+		}
 	}
 	// Staggered per-CPU timer ticks. The ticker objects are built eagerly
 	// (so snapshots have a stable, keyed object to link pending firings
@@ -264,6 +269,9 @@ func (k *Kernel) newThread(opts SpawnOpts) *Thread {
 	if opts.Affinity.Empty() {
 		opts.Affinity = MaskAll(k.topo.NumCPUs())
 	}
+	if k.nextTID >= MaxTID {
+		panic(fmt.Sprintf("kernel: TID space exhausted (%d threads)", MaxTID-1))
+	}
 	t := &Thread{
 		tid:      k.nextTID,
 		name:     opts.Name,
@@ -276,6 +284,10 @@ func (k *Kernel) newThread(opts SpawnOpts) *Thread {
 		Tag:      opts.Tag,
 	}
 	k.nextTID++
+	if n := int(t.tid) + 1; n > len(k.threads) {
+		// TIDs are dense except for gaps SetNextTID leaves at restore.
+		k.threads = append(k.threads, make([]*Thread, n-len(k.threads))...)
+	}
 	k.threads[t.tid] = t
 	k.live = append(k.live, t)
 	t.class.ThreadAttached(t)
@@ -283,8 +295,19 @@ func (k *Kernel) newThread(opts SpawnOpts) *Thread {
 	return t
 }
 
+// MaxTID bounds thread ids: every TID is in [1, MaxTID). The thread
+// table is a slice indexed by TID, so the bound caps its size, and
+// Spawn panics once the space is used up. Restore rejects snapshots
+// whose TIDs or next TID exceed it.
+const MaxTID TID = 1 << 20
+
 // Thread returns the thread with the given id, or nil.
-func (k *Kernel) Thread(tid TID) *Thread { return k.threads[tid] }
+func (k *Kernel) Thread(tid TID) *Thread {
+	if tid < 0 || int(tid) >= len(k.threads) {
+		return nil
+	}
+	return k.threads[tid]
+}
 
 // Threads returns all live (non-dead) threads.
 func (k *Kernel) Threads() []*Thread {

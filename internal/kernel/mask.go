@@ -40,6 +40,18 @@ func (m *Mask) Set(c hw.CPUID) {
 	m.bits[c/64] |= 1 << (uint(c) % 64)
 }
 
+// SetTo sets cpu's bit when on and clears it otherwise. Unlike Set it
+// builds no panic message (an out-of-range cpu is a plain index panic),
+// so it stays inlinable and allocation-free on per-event paths.
+func (m *Mask) SetTo(c hw.CPUID, on bool) {
+	w, bit := &m.bits[uint(c)/64], uint64(1)<<(uint(c)%64)
+	if on {
+		*w |= bit
+	} else {
+		*w &^= bit
+	}
+}
+
 // Clear removes cpu from the mask.
 func (m *Mask) Clear(c hw.CPUID) {
 	if c < 0 || int(c) >= 256 {
@@ -59,6 +71,16 @@ func (m Mask) Has(c hw.CPUID) bool {
 // Empty reports whether no CPU is set.
 func (m Mask) Empty() bool {
 	return m.bits[0]|m.bits[1]|m.bits[2]|m.bits[3] == 0
+}
+
+// First returns the lowest CPU in the mask, hw.NoCPU when it is empty.
+func (m Mask) First() hw.CPUID {
+	for w, word := range m.bits {
+		if word != 0 {
+			return hw.CPUID(w*64 + bits.TrailingZeros64(word))
+		}
+	}
+	return hw.NoCPU
 }
 
 // Count returns the number of CPUs in the mask.

@@ -331,12 +331,16 @@ func (r *ThreadRec) ParkedInRun() bool { return actionKind(r.CurKind) == actRun 
 
 // SetNextTID pins the TID the next spawn will receive, so restore can
 // reproduce TID assignment exactly (including gaps left by dead threads).
-// It never moves the counter backwards.
-func (k *Kernel) SetNextTID(tid TID) {
+// It never moves the counter backwards, nor past MaxTID.
+func (k *Kernel) SetNextTID(tid TID) error {
 	if tid < k.nextTID {
-		panic(fmt.Sprintf("kernel: SetNextTID(%d) below current %d", tid, k.nextTID))
+		return fmt.Errorf("next TID %d below current %d", tid, k.nextTID)
+	}
+	if tid >= MaxTID {
+		return fmt.Errorf("TID %d out of range [1, %d)", tid, MaxTID)
 	}
 	k.nextTID = tid
+	return nil
 }
 
 // EachTicker visits the kernel's own keyed tickers (the per-CPU timer
@@ -352,15 +356,22 @@ func (k *Kernel) EachTicker(f func(*sim.Ticker)) {
 // whose engine has been Reset. Every semantic field the re-spawn touched
 // is overwritten here, erasing construction side effects.
 func (k *Kernel) RestoreImage(img *KernelImage) error {
+	// The re-spawn pass left nextTID just above every restored TID; the
+	// image may only move it further, and not past MaxTID.
+	if err := k.SetNextTID(TID(img.NextTID)); err != nil {
+		return err
+	}
 	k.rand.SetState(img.Rand)
-	k.nextTID = TID(img.NextTID)
 	copy(k.tickless, img.Tickless)
 	for i := range img.CPUs {
 		rec := &img.CPUs[i]
+		if rec.ID < 0 || rec.ID >= len(k.cpus) {
+			return fmt.Errorf("cpu record %d: CPU id %d out of range [0, %d)", i, rec.ID, len(k.cpus))
+		}
 		c := k.cpus[rec.ID]
 		c.curr = nil
 		if rec.Curr != 0 {
-			c.curr = k.threads[TID(rec.Curr)]
+			c.curr = k.Thread(TID(rec.Curr))
 			if c.curr == nil {
 				return fmt.Errorf("cpu%d: running thread T%d missing", rec.ID, rec.Curr)
 			}
@@ -380,7 +391,7 @@ func (k *Kernel) RestoreImage(img *KernelImage) error {
 	}
 	for i := range img.Threads {
 		rec := &img.Threads[i]
-		t := k.threads[TID(rec.TID)]
+		t := k.Thread(TID(rec.TID))
 		if t == nil {
 			return fmt.Errorf("thread T%d missing after re-spawn", rec.TID)
 		}
@@ -406,7 +417,7 @@ func (k *Kernel) RestoreImage(img *KernelImage) error {
 		m.Quanta = sim.Duration(img.MQ.Quanta)
 		m.queue = m.queue[:0]
 		for _, tid := range img.MQ.Queue {
-			t := k.threads[TID(tid)]
+			t := k.Thread(TID(tid))
 			if t == nil {
 				return fmt.Errorf("microquanta queue: thread T%d missing", tid)
 			}
@@ -423,7 +434,7 @@ func (k *Kernel) RestoreImage(img *KernelImage) error {
 		}
 		for i, rq := range img.Agents.RQs {
 			for _, tid := range rq {
-				t := k.threads[TID(tid)]
+				t := k.Thread(TID(tid))
 				if t == nil {
 					return fmt.Errorf("agent rq %d: thread T%d missing", i, tid)
 				}
@@ -443,6 +454,9 @@ func (t *Thread) restoreRec(rec *ThreadRec) error {
 	}
 	t.state = State(rec.State)
 	t.cpu = nil
+	if rec.CPU >= len(k.cpus) {
+		return fmt.Errorf("thread %v: CPU %d out of range [0, %d)", t, rec.CPU, len(k.cpus))
+	}
 	if rec.CPU >= 0 {
 		t.cpu = k.cpus[rec.CPU]
 	}
@@ -503,7 +517,7 @@ func (c *CFS) restoreRec(rec *CFSRec) error {
 		rq.threads = rq.threads[:0]
 		rq.minVrun = rec.RQs[i].MinVrun
 		for pos, tid := range rec.RQs[i].Threads {
-			t := c.k.threads[TID(tid)]
+			t := c.k.Thread(TID(tid))
 			if t == nil {
 				return fmt.Errorf("cfs rq %d: thread T%d missing", i, tid)
 			}
@@ -566,15 +580,23 @@ func (k *Kernel) ClassifyEvent(afn func(any), arg any) (kind string, ref int64, 
 // kernel-owned event, plus an adopt function to re-link the Event handle
 // where one is held in a struct (CPU completions, MicroQuanta timers).
 func (k *Kernel) EventForKind(kind string, ref int64) (afn func(any), arg any, adopt func(sim.Event), ok bool) {
-	thread := func() *Thread { return k.threads[TID(ref)] }
+	thread := func() *Thread { return k.Thread(TID(ref)) }
+	cpu := func() *CPU {
+		if ref < 0 || ref >= int64(len(k.cpus)) {
+			return nil
+		}
+		return k.cpus[ref]
+	}
 	switch kind {
 	case "kernel.resched":
-		return k.reschedFn, k.cpus[ref], nil, true
+		c := cpu()
+		return k.reschedFn, c, nil, c != nil
 	case "kernel.workdone":
-		c := k.cpus[ref]
-		return k.workDoneFn, c, func(ev sim.Event) { c.completion = ev }, true
+		c := cpu()
+		return k.workDoneFn, c, func(ev sim.Event) { c.completion = ev }, c != nil
 	case "kernel.switchdone":
-		return k.switchDoneFn, k.cpus[ref], nil, true
+		c := cpu()
+		return k.switchDoneFn, c, nil, c != nil
 	case "kernel.wake":
 		t := thread()
 		return k.wakeFn, t, nil, t != nil

@@ -21,7 +21,7 @@ type env struct {
 	enc *ghostcore.Enclave
 }
 
-func newEnv(t *testing.T, topo *hw.Topology, encMask kernel.Mask) *env {
+func newEnv(t testing.TB, topo *hw.Topology, encMask kernel.Mask) *env {
 	t.Helper()
 	eng := sim.NewEngine()
 	k := kernel.New(eng, topo, hw.DefaultCostModel())

@@ -34,6 +34,11 @@ type Search struct {
 	heap runtimeHeap
 	seq  uint64
 
+	// core, ccx and socket hold each topology domain's CPUs, indexed by
+	// the domain numbers of hw.CPU; bestCPU intersects them with the
+	// candidate CPUs, nearest domain first.
+	core, ccx, socket []kernel.Mask
+
 	// out and skipped are Schedule's buffers, reused every step (see
 	// the agentsdk.GlobalPolicy result contract).
 	out     []agentsdk.Assignment
@@ -88,6 +93,7 @@ func (p *Search) push(ts *TState) {
 
 // Attach implements agentsdk.GlobalPolicy.
 func (p *Search) Attach(ctx *agentsdk.Context) {
+	p.buildLocality(ctx.Topology())
 	p.heap = nil
 	p.tr = NewTracker()
 	p.tr.OnRunnable = func(ts *TState, m ghostcore.Message) {
@@ -122,7 +128,7 @@ func (p *Search) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 			ts.Enqueued = false
 			continue
 		}
-		cpu, quality := p.bestCPU(topo, ts.Thread, idle)
+		cpu, quality := p.bestCPU(topo, ts.Thread.LastCPU(), ts.Thread.Affinity().And(idle))
 		if cpu == hw.NoCPU {
 			skipped = append(skipped, ts)
 			continue
@@ -151,37 +157,52 @@ func (p *Search) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 	return out
 }
 
-// bestCPU picks the idle CPU closest to where t last ran, returning the
-// achieved distance. With locality disabled it returns the lowest-id
-// idle CPU in the mask.
-func (p *Search) bestCPU(topo *hw.Topology, t *kernel.Thread, idle kernel.Mask) (hw.CPUID, hw.Distance) {
-	last := t.LastCPU()
-	best := hw.NoCPU
-	bestDist := hw.DistRemote + 1
-	// Intersecting up front walks only the idle CPUs in the thread's
-	// mask — no per-CPU membership test in the loop.
-	t.Affinity().And(idle).ForEach(func(cpu hw.CPUID) bool {
-		var d hw.Distance
-		switch {
-		case last == hw.NoCPU || (!p.CCXAware && !p.NUMAAware):
-			d = hw.DistCCX // all equal: first idle wins
-		default:
-			d = topo.Dist(last, cpu)
-			if !p.CCXAware && d <= hw.DistSocket {
-				// Socket-level only: anything on-socket is equal.
-				d = hw.DistCCX
-			}
-			if !p.NUMAAware && d == hw.DistRemote {
-				d = hw.DistSocket
-			}
+// buildLocality fills the per-domain CPU masks bestCPU reads.
+func (p *Search) buildLocality(topo *hw.Topology) {
+	p.core = make([]kernel.Mask, topo.NumCores())
+	p.ccx = make([]kernel.Mask, topo.NumCCXs())
+	p.socket = make([]kernel.Mask, topo.NumSockets())
+	for i := 0; i < topo.NumCPUs(); i++ {
+		c := topo.CPU(hw.CPUID(i))
+		p.core[c.Core].Set(c.ID)
+		p.ccx[c.CCX].Set(c.ID)
+		p.socket[c.Socket].Set(c.ID)
+	}
+}
+
+// bestCPU picks the candidate CPU (idle, in the thread's mask) closest
+// to last, where the thread last ran, returning the achieved distance.
+// It takes the lowest CPU of the nearest domain that has a candidate:
+// same core, then same CCX, then same socket, then anywhere. Within the
+// core the lowest CPU wins even over last itself. With locality
+// disabled, or no last CPU, it returns the lowest candidate.
+func (p *Search) bestCPU(topo *hw.Topology, last hw.CPUID, cand kernel.Mask) (hw.CPUID, hw.Distance) {
+	first := cand.First()
+	if first == hw.NoCPU {
+		return hw.NoCPU, hw.DistRemote + 1
+	}
+	if last == hw.NoCPU || (!p.CCXAware && !p.NUMAAware) {
+		return first, hw.DistCCX // all equal: first idle wins
+	}
+	at := topo.CPU(last)
+	if p.CCXAware {
+		if c := cand.And(p.core[at.Core]).First(); c != hw.NoCPU {
+			return c, topo.Dist(last, c)
 		}
-		if d < bestDist {
-			bestDist = d
-			best = cpu
+		if c := cand.And(p.ccx[at.CCX]).First(); c != hw.NoCPU {
+			return c, hw.DistCCX
 		}
-		return bestDist > hw.DistSMT // stop early on a same-core hit
-	})
-	return best, bestDist
+	}
+	if !p.NUMAAware {
+		return first, hw.DistSocket // CCX-level only: off-CCX is equal
+	}
+	if c := cand.And(p.socket[at.Socket]).First(); c != hw.NoCPU {
+		if !p.CCXAware {
+			return c, hw.DistCCX // socket-level only: on-socket is equal
+		}
+		return c, hw.DistSocket
+	}
+	return first, hw.DistRemote
 }
 
 // OnTxnFail implements agentsdk.GlobalPolicy.

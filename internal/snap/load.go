@@ -85,7 +85,7 @@ func Load(t *Target, img *Image, opts LoadOpts) (*Result, error) {
 		}
 		encs, err := t.Ghost.RestoreEnclaveShells(core.Ghost)
 		if err != nil {
-			return nil, fmt.Errorf("snap: ghost: %w", err)
+			return nil, fmt.Errorf("%w: ghost: %w", ErrCorrupt, err)
 		}
 		ctx.enclaves = make(map[int]*ghostcore.Enclave, len(encs))
 		for _, e := range encs {
@@ -104,11 +104,11 @@ func Load(t *Target, img *Image, opts LoadOpts) (*Result, error) {
 
 	// Phase 5: verbatim state overlay.
 	if err := t.K.RestoreImage(core.Kernel); err != nil {
-		return nil, fmt.Errorf("snap: kernel: %w", err)
+		return nil, fmt.Errorf("%w: kernel: %w", ErrCorrupt, err)
 	}
 	if core.Ghost != nil {
 		if err := t.Ghost.RestoreImage(core.Ghost); err != nil {
-			return nil, fmt.Errorf("snap: ghost: %w", err)
+			return nil, fmt.Errorf("%w: ghost: %w", ErrCorrupt, err)
 		}
 	}
 	for i, set := range res.Sets {
@@ -214,7 +214,9 @@ func spawnPass(t *Target, core *CoreImage, ctx *RestoreCtx, opts LoadOpts, res *
 			if err != nil {
 				return fmt.Errorf("snap: %w", err)
 			}
-			t.K.SetNextTID(kernel.TID(it.tid))
+			if err := t.K.SetNextTID(kernel.TID(it.tid)); err != nil {
+				return fmt.Errorf("%w: agent set: %v", ErrCorrupt, err)
+			}
 			res.Sets[it.setIdx] = agentsdk.Start(t.K, enc, ac, policy, sopts...)
 			continue
 		}
@@ -250,7 +252,9 @@ func spawnBody(t *Target, ctx *RestoreCtx, opts LoadOpts, tidEnc map[int]int, re
 	if rec.Tag != nil {
 		sopts.Tag = int(*rec.Tag)
 	}
-	t.K.SetNextTID(kernel.TID(rec.TID))
+	if err := t.K.SetNextTID(kernel.TID(rec.TID)); err != nil {
+		return fmt.Errorf("%w: thread %s: %v", ErrCorrupt, rec.Name, err)
+	}
 	var th *kernel.Thread
 	if rec.Class == "ghost" {
 		enc := ctx.Enclave(tidEnc[rec.TID])
@@ -289,7 +293,7 @@ func eventCallback(t *Target, ctx *RestoreCtx, tickers map[string]*sim.Ticker, s
 		}
 		afn, arg, ok := t.Ghost.EventForKind(erec.Kind, erec.Args)
 		if !ok {
-			return nil, nil, nil, fmt.Errorf("snap: ghost.install event %v did not resolve", erec.Args)
+			return nil, nil, nil, fmt.Errorf("%w: ghost.install event %v did not resolve", ErrCorrupt, erec.Args)
 		}
 		return afn, arg, nil, nil
 	case "agentsdk.pokeactive":
@@ -317,7 +321,7 @@ func eventCallback(t *Target, ctx *RestoreCtx, tickers map[string]*sim.Ticker, s
 	default:
 		afn, arg, adopt, ok := t.K.EventForKind(erec.Kind, erec.Ref)
 		if !ok {
-			return nil, nil, nil, fmt.Errorf("snap: event kind %q (ref %d) did not resolve", erec.Kind, erec.Ref)
+			return nil, nil, nil, fmt.Errorf("%w: event kind %q (ref %d) did not resolve", ErrCorrupt, erec.Kind, erec.Ref)
 		}
 		return afn, arg, adopt, nil
 	}

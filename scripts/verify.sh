@@ -35,6 +35,11 @@ fi
 echo "== go test ./..."
 go test ./...
 
+# One iteration of every micro-benchmark (~5 s), so a broken benchmark
+# fails here instead of at the next measurement.
+echo "== go test -bench . -benchtime 1x ./... (every micro-benchmark once)"
+go test -run '^$' -bench . -benchtime 1x ./...
+
 echo "== cmd/ghost-perf (its own module: vet + test against the current facade)"
 (cd cmd/ghost-perf && go vet ./... && go test ./...)
 

@@ -188,10 +188,10 @@ func resealSnapshot(t *testing.T, enc []byte, mutate func(core map[string]any)) 
 	return append(out, sum[:]...)
 }
 
-// TestRestoreRejectsBadTopology: a checksummed snapshot whose topology
-// NewTopology cannot build is rejected with ErrSnapshotCorrupt, never a
-// panic.
-func TestRestoreRejectsBadTopology(t *testing.T) {
+// servingWire returns the wire bytes of a buildServing snapshot taken
+// at 1 ms.
+func servingWire(t *testing.T) []byte {
+	t.Helper()
 	m := buildServing()
 	defer m.Shutdown()
 	m.Run(ghost.Millisecond)
@@ -203,6 +203,36 @@ func TestRestoreRejectsBadTopology(t *testing.T) {
 	if _, err := s.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
+	return buf.Bytes()
+}
+
+// requireRestoreCorrupt restores a resealed snapshot and fails unless
+// Restore returns ErrSnapshotCorrupt without panicking.
+func requireRestoreCorrupt(t *testing.T, data []byte) {
+	t.Helper()
+	s, err := ghost.ReadSnapshot(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("ReadSnapshot of a resealed snapshot: %v", err)
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			t.Fatalf("Restore panicked: %v", p)
+		}
+	}()
+	restored, err := ghost.Restore(s, servingRestoreOpts()...)
+	if err == nil {
+		restored.Shutdown()
+	}
+	if !errors.Is(err, ghost.ErrSnapshotCorrupt) {
+		t.Fatalf("Restore err = %v, want %v", err, ghost.ErrSnapshotCorrupt)
+	}
+}
+
+// TestRestoreRejectsBadTopology: a checksummed snapshot whose topology
+// NewTopology cannot build is rejected with ErrSnapshotCorrupt, never a
+// panic.
+func TestRestoreRejectsBadTopology(t *testing.T) {
+	wire := servingWire(t)
 	for _, tc := range []struct {
 		name  string
 		field string
@@ -216,25 +246,61 @@ func TestRestoreRejectsBadTopology(t *testing.T) {
 		{"320-cpus", "CoresPerCCX", 80}, // 2 sockets × 80 cores × 2 SMT
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			data := resealSnapshot(t, buf.Bytes(), func(core map[string]any) {
+			requireRestoreCorrupt(t, resealSnapshot(t, wire, func(core map[string]any) {
 				core["topology"].(map[string]any)[tc.field] = tc.value
-			})
-			s2, err := ghost.ReadSnapshot(bytes.NewReader(data))
-			if err != nil {
-				t.Fatalf("ReadSnapshot of a resealed snapshot: %v", err)
-			}
-			defer func() {
-				if p := recover(); p != nil {
-					t.Fatalf("Restore panicked: %v", p)
+			}))
+		})
+	}
+}
+
+// TestRestoreRejectsBadIndices: a checksummed snapshot naming a CPU or
+// TID outside the machine's tables is rejected with ErrSnapshotCorrupt,
+// never a panic or an unbounded allocation.
+func TestRestoreRejectsBadIndices(t *testing.T) {
+	wire := servingWire(t)
+	kernelRec := func(core map[string]any) map[string]any { return core["kernel"].(map[string]any) }
+	ghostRec := func(core map[string]any) map[string]any { return core["ghost"].(map[string]any) }
+	record := func(rec map[string]any, list string, i int) map[string]any {
+		return rec[list].([]any)[i].(map[string]any)
+	}
+	firstTID := func(core map[string]any) any { return record(kernelRec(core), "threads", 0)["tid"] }
+	for _, tc := range []struct {
+		name   string
+		mutate func(core map[string]any)
+	}{
+		{"cpu-id-high", func(core map[string]any) { record(kernelRec(core), "cpus", 1)["id"] = 1_000_000 }},
+		{"cpu-id-negative", func(core map[string]any) { record(kernelRec(core), "cpus", 1)["id"] = -1 }},
+		{"thread-cpu-high", func(core map[string]any) { record(kernelRec(core), "threads", 0)["cpu"] = 1_000_000 }},
+		{"next-tid-huge", func(core map[string]any) { kernelRec(core)["nextTID"] = 1 << 40 }},
+		{"next-tid-reused", func(core map[string]any) { kernelRec(core)["nextTID"] = 1 }},
+		{"thread-tid-huge", func(core map[string]any) {
+			threads := kernelRec(core)["threads"].([]any)
+			threads[len(threads)-1].(map[string]any)["tid"] = 1 << 40
+		}},
+		{"ghost-slot-cpu-high", func(core map[string]any) {
+			g := ghostRec(core)
+			g["slots"] = append(g["slots"].([]any), firstTID(core))
+		}},
+		{"ghost-inflight-cpu-high", func(core map[string]any) {
+			g := ghostRec(core)
+			g["inflight"] = append(g["inflight"].([]any), firstTID(core))
+		}},
+		{"event-cpu-high", func(core map[string]any) {
+			for _, ev := range core["events"].([]any) {
+				if ev := ev.(map[string]any); ev["kind"] == "kernel.workdone" {
+					ev["ref"] = 1_000_000
+					return
 				}
-			}()
-			restored, err := ghost.Restore(s2, servingRestoreOpts()...)
-			if err == nil {
-				restored.Shutdown()
 			}
-			if !errors.Is(err, ghost.ErrSnapshotCorrupt) {
-				t.Fatalf("Restore err = %v, want %v", err, ghost.ErrSnapshotCorrupt)
-			}
+			t.Fatal("snapshot has no pending kernel.workdone event")
+		}},
+		{"enclave-cpu-high", func(core map[string]any) {
+			e := record(ghostRec(core), "enclaves", 0)
+			e["cpus"] = append(e["cpus"].([]any), 1_000_000)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			requireRestoreCorrupt(t, resealSnapshot(t, wire, tc.mutate))
 		})
 	}
 }
