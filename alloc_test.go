@@ -81,3 +81,29 @@ func budgetSearch(ghostSched bool) *ghost.Machine {
 		})
 	return m
 }
+
+// The hot workload bodies — Search's servers and pool workers and the
+// WorkerPool's workers — are kernel.Steps machines, not coroutines: the
+// ghost-perf machines hold no goroutine per thread. Their agents are
+// steppers, so only a small constant of goroutines may appear.
+func TestHotBodiesKeepNoCoroutine(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() *ghost.Machine
+	}{
+		{"shinjuku-rocksdb", budgetShinjuku},
+		{"search-ghost", func() *ghost.Machine { return budgetSearch(true) }},
+		{"search-cfs", func() *ghost.Machine { return budgetSearch(false) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			m := tc.build()
+			defer m.Shutdown()
+			m.Run(ghost.Millisecond)
+			if n := runtime.NumGoroutine(); n > base+2 {
+				t.Fatalf("%d goroutines after 1 ms, %d before the build (%d threads)",
+					n, base, len(m.Kernel().Threads()))
+			}
+		})
+	}
+}

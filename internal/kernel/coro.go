@@ -12,7 +12,7 @@ import "iter"
 // errShutdown. Any other body panic surfaces from next, on the engine's
 // side.
 func (t *Thread) startBody(body ThreadFunc) {
-	t.next, t.stop = iter.Pull(func(yield func(action) bool) {
+	t.next, t.stop = iter.Pull(func(yield func(Action) bool) {
 		t.yield = yield
 		defer func() {
 			if r := recover(); r != nil && r != (errShutdown{}) {

@@ -7,6 +7,8 @@
 // kernel through a TaskContext; the kernel executes them deterministically
 // on virtual time, each as a coroutine that the engine resumes and that
 // parks again at its next TaskContext call, so only one of them ever runs.
+// Hot bodies may instead be explicit state machines (Steps) that the
+// kernel calls at the same points.
 package kernel
 
 import (
@@ -663,7 +665,7 @@ func (k *Kernel) pokeFire(a any) {
 }
 
 // applyAction implements the thread-action state machine.
-func (k *Kernel) applyAction(t *Thread, a action) {
+func (k *Kernel) applyAction(t *Thread, a Action) {
 	t.curKind = a.kind
 	switch a.kind {
 	case actRun:

@@ -463,14 +463,17 @@ func (t *Thread) restoreRec(rec *ThreadRec) error {
 	t.targetCPU = hw.CPUID(rec.TargetCPU)
 	t.lastCPU = hw.CPUID(rec.LastCPU)
 	t.curKind = actionKind(rec.CurKind)
+	if rec.PendingWork < 0 {
+		return fmt.Errorf("thread %v: negative pending work %d", t, rec.PendingWork)
+	}
 	t.pendingWork = sim.Duration(rec.PendingWork)
 	t.onWorkDone = nil
 	if rec.WorkDoneIsAfterFn {
 		t.onWorkDone = t.ensureAfterFn()
 	}
-	t.afterAction = action{}
+	t.afterAction = Action{}
 	if rec.AfterKind != 0 {
-		t.afterAction = action{kind: actionKind(rec.AfterKind), dur: sim.Duration(rec.AfterDur)}
+		t.afterAction = Action{kind: actionKind(rec.AfterKind), dur: sim.Duration(rec.AfterDur)}
 	}
 	t.wakePending = rec.WakePending
 	t.poked = rec.Poked

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"errors"
 	"fmt"
 
 	"ghost/internal/hw"
@@ -41,8 +42,26 @@ func (s State) String() string {
 // ThreadFunc is a simulated thread body. It runs as a coroutine in lock
 // step with the goroutine driving the engine, and interacts with the
 // simulated kernel exclusively through the TaskContext; plain Go code
-// between TaskContext calls executes in zero simulated time.
+// between TaskContext calls executes in zero simulated time. A body built
+// by Steps instead hands the thread to an explicit state machine.
 type ThreadFunc func(tc *TaskContext)
+
+// Steps returns a body that runs the thread as the state machine step
+// instead of a coroutine. The kernel calls step wherever it would resume
+// a coroutine body: at Spawn, when a blocked thread is woken, when a run
+// completes, and when a Block consumes a pending wake. Each call does the
+// thread's zero-time work up to its next request and returns that
+// request (RunAction, BlockAction, Thread.SleepAction,
+// WaitQueue.WaitAction, Mailbox.TryGetOrWait), or false to exit. Like
+// Run(0), a zero-length RunAction does not yield: step is called again at
+// once.
+//
+// The body only installs step and returns; its short-lived coroutine
+// ends inside Spawn and the thread keeps no coroutine afterwards. A body
+// may call the returned body last, after TaskContext calls of its own.
+func Steps(step func(*Thread) (Action, bool)) ThreadFunc {
+	return func(tc *TaskContext) { tc.t.steps = step }
+}
 
 // Stepper is the callback-driven execution alternative used for scheduler
 // agents and dataplane pollers: when the thread is on CPU with no pending
@@ -71,7 +90,7 @@ const (
 	DispExit
 )
 
-// action is a request from a thread's execution to the kernel.
+// actionKind is what an Action asks of the kernel.
 type actionKind int
 
 const (
@@ -84,7 +103,10 @@ const (
 	actStepPending // stepper: Step must run next time the thread is on CPU
 )
 
-type action struct {
+// Action is a request from a thread's execution to the kernel: run for a
+// while, block, yield or exit. Coroutine bodies make requests through
+// their TaskContext; Steps machines return them.
+type Action struct {
 	kind actionKind
 	dur  sim.Duration
 	// then, when set, is invoked in place of fetching the next action
@@ -107,10 +129,13 @@ type Thread struct {
 	targetCPU hw.CPUID // placement chosen at wake; queue key for per-CPU classes
 	lastCPU   hw.CPUID // where the thread last ran, NoCPU if never
 
-	// Execution machinery: a body's coroutine (coro.go) or a stepper.
-	next    func() (action, bool)
-	yield   func(action) bool
+	// Execution machinery: a body's coroutine (coro.go), a Steps
+	// machine, or a stepper. A machine takes over once next, the
+	// coroutine of the body that installed it, has ended.
+	next    func() (Action, bool)
+	yield   func(Action) bool
 	stop    func()
+	steps   func(*Thread) (Action, bool)
 	stepper Stepper
 
 	curKind     actionKind
@@ -121,7 +146,7 @@ type Thread struct {
 	// thread has at most one pending post-run action, so one closure per
 	// thread (allocated lazily on first use) replaces one per run
 	// segment — the top allocation site in CPU-bound sweeps.
-	afterAction action
+	afterAction Action
 	afterFn     func()
 
 	wakePending bool // Wake arrived while not blocked
@@ -247,42 +272,52 @@ type errShutdown struct{}
 
 // submit hands the next action to the kernel and parks the body until
 // the action completes. Called from the thread body only.
-func (t *Thread) submit(a action) {
+func (t *Thread) submit(a Action) {
 	if !t.yield(a) {
 		panic(errShutdown{})
 	}
 }
 
 // nextAction fetches the thread's next action: for body threads it
-// resumes the body until its next request (a returned body exits); for
-// stepper threads it invokes Step and translates the disposition.
-func (t *Thread) nextAction() action {
+// resumes the body until its next request (a returned body exits, unless
+// it installed a Steps machine); for stepper threads it invokes Step and
+// translates the disposition.
+func (t *Thread) nextAction() Action {
 	if t.stepper == nil {
-		if a, ok := t.next(); ok {
-			return a
+		if t.next != nil {
+			if a, ok := t.next(); ok {
+				return a
+			}
+			if t.steps == nil {
+				return Action{kind: actExit}
+			}
+			// The body returned with a Steps machine installed, so its
+			// coroutine has ended and there is nothing left to unwind:
+			// from now on the machine is the thread's execution.
+			t.next, t.yield, t.stop = nil, nil, nil
 		}
-		return action{kind: actExit}
+		return t.stepMachine()
 	}
 	t.poked = false
 	cost, disp := t.stepper.Step(t.k.eng.Now())
 	if cost < 0 {
 		panic("kernel: stepper returned negative cost")
 	}
-	var after action
+	var after Action
 	switch disp {
 	case DispSpin:
-		after = action{kind: actSpinIdle}
+		after = Action{kind: actSpinIdle}
 	case DispBlock:
-		after = action{kind: actBlock}
+		after = Action{kind: actBlock}
 	case DispYield:
-		after = action{kind: actYield}
+		after = Action{kind: actYield}
 	case DispAgain:
 		if cost == 0 {
 			panic("kernel: DispAgain with zero cost would livelock")
 		}
-		return action{kind: actRun, dur: cost}
+		return Action{kind: actRun, dur: cost}
 	case DispExit:
-		after = action{kind: actExit}
+		after = Action{kind: actExit}
 	default:
 		panic("kernel: unknown disposition")
 	}
@@ -293,7 +328,47 @@ func (t *Thread) nextAction() action {
 		t.afterFn = func() { t.k.applyAction(t, t.afterAction) }
 	}
 	t.afterAction = after
-	return action{kind: actRun, dur: cost, then: t.afterFn}
+	return Action{kind: actRun, dur: cost, then: t.afterFn}
+}
+
+// errStepsAction is the panic value of a Steps machine that returns an
+// action the vocabulary cannot build, such as the zero Action.
+var errStepsAction = errors.New("kernel: Steps machine returned an action other than Run or Block")
+
+// stepMachine asks the thread's Steps machine for its next request,
+// skipping zero-length runs as TaskContext.Run(0) does.
+func (t *Thread) stepMachine() Action {
+	for {
+		a, ok := t.steps(t)
+		switch {
+		case !ok:
+			return Action{kind: actExit}
+		case a.kind == actRun && a.dur == 0:
+			continue
+		case a.kind != actRun && a.kind != actBlock:
+			panic(errStepsAction)
+		}
+		return a
+	}
+}
+
+// RunAction requests d of CPU time, like TaskContext.Run(d).
+func RunAction(d sim.Duration) Action {
+	if d < 0 {
+		panic("kernel: Run with negative duration")
+	}
+	return Action{kind: actRun, dur: d}
+}
+
+// BlockAction suspends the thread until Wake, like TaskContext.Block; a
+// Wake that arrived since the last Block completes it at once.
+func BlockAction() Action { return Action{kind: actBlock} }
+
+// SleepAction arms a wakeup d from now and returns the Block that waits
+// for it: TaskContext.Sleep(d) for a Steps machine.
+func (t *Thread) SleepAction(d sim.Duration) Action {
+	t.k.eng.AfterCall(d, t.k.wakeFn, t)
+	return BlockAction()
 }
 
 // TaskContext is the interface a simulated thread body uses to interact
@@ -313,32 +388,26 @@ func (tc *TaskContext) Now() sim.Time { return tc.t.k.eng.Now() }
 // has been executed; with preemptions or SMT contention the elapsed
 // simulated time can be much larger than d.
 func (tc *TaskContext) Run(d sim.Duration) {
-	if d < 0 {
-		panic("kernel: Run with negative duration")
+	if a := RunAction(d); d > 0 {
+		tc.t.submit(a)
 	}
-	if d == 0 {
-		return
-	}
-	tc.t.submit(action{kind: actRun, dur: d})
 }
 
 // Block suspends the thread until another thread calls Wake on it. If a
 // Wake arrived since the last Block, it returns immediately.
 func (tc *TaskContext) Block() {
-	tc.t.submit(action{kind: actBlock})
+	tc.t.submit(BlockAction())
 }
 
 // Sleep blocks the thread for d nanoseconds of simulated time.
 func (tc *TaskContext) Sleep(d sim.Duration) {
-	t := tc.t
-	t.k.eng.AfterCall(d, t.k.wakeFn, t)
-	tc.Block()
+	tc.t.submit(tc.t.SleepAction(d))
 }
 
 // Yield relinquishes the CPU, moving the thread to the back of its
 // class's runqueue.
 func (tc *TaskContext) Yield() {
-	tc.t.submit(action{kind: actYield})
+	tc.t.submit(Action{kind: actYield})
 }
 
 // SetAffinity restricts the thread to the given CPUs. Takes effect on the

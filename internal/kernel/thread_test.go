@@ -68,45 +68,69 @@ func TestShutdownUnwindsBodies(t *testing.T) {
 }
 
 // handoffLoop builds one CPU running one CFS thread that loops Run(1µs):
-// every segment is one completion event plus one resume/park round trip
-// with the body. Set *left and call eng.Run to execute that many
+// every segment is one completion event plus one request from the body —
+// a resume/park round trip with its coroutine, or, with steps, a call to
+// its Steps machine. Set *left and call eng.Run to execute that many
 // segments.
-func handoffLoop(tb testing.TB) (eng *sim.Engine, left *int) {
+func handoffLoop(tb testing.TB, steps bool) (eng *sim.Engine, left *int) {
 	eng = sim.NewEngine()
 	k := New(eng, oneCPUTopo(), hw.DefaultCostModel())
 	cfs := NewCFS(k)
 	tb.Cleanup(k.Shutdown)
 	left = new(int)
-	k.Spawn(SpawnOpts{Name: "loop", Class: cfs}, func(tc *TaskContext) {
+	segmentDone := func() {
+		if *left--; *left == 0 {
+			eng.Stop()
+		}
+	}
+	body := func(tc *TaskContext) {
 		for {
 			tc.Run(sim.Microsecond)
-			if *left--; *left == 0 {
-				eng.Stop()
-			}
+			segmentDone()
 		}
-	})
+	}
+	if steps {
+		started := false
+		body = Steps(func(*Thread) (Action, bool) {
+			if started {
+				segmentDone()
+			}
+			started = true
+			return RunAction(sim.Microsecond), true
+		})
+	}
+	k.Spawn(SpawnOpts{Name: "loop", Class: cfs}, body)
 	return eng, left
 }
 
-// BenchmarkThreadHandoff measures the kernel's cost per run segment of a
-// body thread (one op = one Run(1µs) segment).
-func BenchmarkThreadHandoff(b *testing.B) {
-	eng, left := handoffLoop(b)
+func benchmarkHandoff(b *testing.B, steps bool) {
+	eng, left := handoffLoop(b, steps)
 	b.ReportAllocs()
 	b.ResetTimer()
 	*left = b.N
 	eng.Run()
 }
 
-// The body run-segment path is allocation-free once warm.
+// BenchmarkThreadHandoff measures the kernel's cost per run segment of a
+// coroutine body thread (one op = one Run(1µs) segment).
+func BenchmarkThreadHandoff(b *testing.B) { benchmarkHandoff(b, false) }
+
+// BenchmarkThreadHandoffSteps is BenchmarkThreadHandoff with the body
+// written as a Steps machine.
+func BenchmarkThreadHandoffSteps(b *testing.B) { benchmarkHandoff(b, true) }
+
+// The run-segment path is allocation-free once warm, for coroutine
+// bodies and Steps machines alike.
 func TestThreadHandoffAllocFree(t *testing.T) {
-	eng, left := handoffLoop(t)
-	*left = 1000
-	eng.Run()
-	if avg := testing.AllocsPerRun(100, func() {
-		*left = 100
+	for _, steps := range []bool{false, true} {
+		eng, left := handoffLoop(t, steps)
+		*left = 1000
 		eng.Run()
-	}); avg != 0 {
-		t.Fatalf("100 run segments allocate %.1f times, want 0", avg)
+		if avg := testing.AllocsPerRun(100, func() {
+			*left = 100
+			eng.Run()
+		}); avg != 0 {
+			t.Fatalf("steps=%v: 100 run segments allocate %.1f times, want 0", steps, avg)
+		}
 	}
 }

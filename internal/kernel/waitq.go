@@ -49,8 +49,14 @@ func NewWaitQueue(k *Kernel) *WaitQueue {
 // Wait enrolls the calling thread and blocks it. Must be called from the
 // thread's own body.
 func (w *WaitQueue) Wait(tc *TaskContext) {
-	w.waiters.push(tc.t)
-	tc.Block()
+	tc.t.submit(w.WaitAction(tc.t))
+}
+
+// WaitAction enrolls t and returns the Block that waits for a wake: Wait
+// for a Steps machine.
+func (w *WaitQueue) WaitAction(t *Thread) Action {
+	w.waiters.push(t)
+	return BlockAction()
 }
 
 // WakeOne wakes the oldest waiter; returns false if none.
@@ -96,10 +102,24 @@ func (m *Mailbox[T]) Put(x T) {
 // Get blocks the calling thread until an item is available, then returns
 // the oldest one.
 func (m *Mailbox[T]) Get(tc *TaskContext) T {
-	for m.items.len() == 0 {
-		m.wq.Wait(tc)
+	for {
+		x, wait, ok := m.TryGetOrWait(tc.t)
+		if ok {
+			return x
+		}
+		tc.t.submit(wait)
 	}
-	return m.items.pop()
+}
+
+// TryGetOrWait is Get for a Steps machine: it returns the oldest item
+// and true or, with the mailbox empty, enrolls t as a receiver and
+// returns the Block to wait with. A woken machine calls it again, since
+// another receiver may have taken the item.
+func (m *Mailbox[T]) TryGetOrWait(t *Thread) (x T, wait Action, ok bool) {
+	if m.items.len() == 0 {
+		return x, m.wq.WaitAction(t), false
+	}
+	return m.items.pop(), Action{}, true
 }
 
 // TryGet returns the oldest item without blocking.

@@ -84,16 +84,17 @@ func (e *Engine) Seq() uint64 { return e.seq }
 // RestoreEvent re-files a serialized event with its original (at, seq)
 // pair, bypassing the monotonic sequence draw. The caller must have Reset
 // the engine with the snapshot's sequence counter so that later schedule
-// calls draw sequence numbers above every restored event.
-func (e *Engine) RestoreEvent(at Time, seq uint64, fn func(), afn func(any), arg any) Event {
+// calls draw sequence numbers above every restored event. An event
+// before the engine's clock is an error: it could never fire in order.
+func (e *Engine) RestoreEvent(at Time, seq uint64, fn func(), afn func(any), arg any) (Event, error) {
 	if at < e.now {
-		panic(fmt.Sprintf("sim: restoring event at %v before now %v", at, e.now))
+		return Event{}, fmt.Errorf("sim: restoring event at %v before now %v", at, e.now)
 	}
 	e.sync()
 	ev := e.alloc()
 	ev.at, ev.fn, ev.afn, ev.arg, ev.seq = at, fn, afn, arg, seq
 	e.push(ev)
-	return Event{e: ev, gen: ev.gen}
+	return Event{e: ev, gen: ev.gen}, nil
 }
 
 // SameFn reports whether two callback values point at the same function

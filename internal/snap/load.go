@@ -151,7 +151,10 @@ func Load(t *Target, img *Image, opts LoadOpts) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ev := t.Eng.RestoreEvent(sim.Time(erec.At), erec.Seq, nil, afn, arg)
+		ev, err := t.Eng.RestoreEvent(sim.Time(erec.At), erec.Seq, nil, afn, arg)
+		if err != nil {
+			return nil, fmt.Errorf("%w: event %d: %v", ErrCorrupt, i, err)
+		}
 		if adopt != nil {
 			adopt(ev)
 		}

@@ -6,6 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -22,12 +23,6 @@ type Histogram struct {
 	sum    float64
 	min    sim.Duration
 	max    sim.Duration
-
-	// memoized bucketOf result: simulation latencies are modeled costs
-	// that repeat the same handful of values, so this skips the Log10 on
-	// the vast majority of records.
-	memoVal    sim.Duration
-	memoBucket int
 }
 
 const (
@@ -36,13 +31,68 @@ const (
 	histBuckets      = bucketsPerDecade*histDecades + 2
 )
 
-func bucketOf(d sim.Duration) int {
+// log10Bucket defines the bucket of d: 64 per decade, by the leading
+// digits of its base-10 logarithm. bucketOf computes the same bucket
+// from tables built with it once, at package init.
+func log10Bucket(d sim.Duration) int {
 	if d < 1 {
 		return 0
 	}
 	b := int(math.Log10(float64(d))*bucketsPerDecade) + 1
 	if b >= histBuckets {
 		b = histBuckets - 1
+	}
+	return b
+}
+
+// bucketLows[b] is the smallest positive duration in bucket b, so the
+// bucket of d ≥ 1 is the last b with bucketLows[b] <= d (log10Bucket is
+// monotone). bucketFloor[i] is the bucket of the smallest duration with
+// floorKey i: a lower bound that bucketOf advances from in at most four
+// steps, since a key spans less than an eighth of an octave.
+var (
+	bucketLows  [histBuckets]sim.Duration
+	bucketFloor [floorKeys]uint16
+)
+
+// floorKeys counts the floorKey values of positive int64 durations.
+const floorKeys = (63-4)*8 + 16
+
+// floorKey indexes d ≥ 1 by its bit length and its four leading bits:
+// d itself below 16, else 8 keys per bit length.
+func floorKey(d sim.Duration) int {
+	shift := max(bits.Len64(uint64(d))-4, 0)
+	return shift*8 + int(d>>shift)
+}
+
+func init() {
+	for b := 1; b < histBuckets; b++ {
+		// Start at the exact power of ten, then settle on the float
+		// formula's own boundary.
+		d := sim.Duration(math.Ceil(math.Pow(10, float64(b-1)/bucketsPerDecade)))
+		for d > 1 && log10Bucket(d-1) >= b {
+			d--
+		}
+		for log10Bucket(d) < b {
+			d++
+		}
+		bucketLows[b] = d
+	}
+	for i := 1; i < floorKeys; i++ {
+		shift := max(i/8-1, 0)
+		low := sim.Duration(i-shift*8) << shift // smallest d with floorKey(d) == i
+		b := sort.Search(histBuckets, func(b int) bool { return bucketLows[b] > low }) - 1
+		bucketFloor[i] = uint16(b)
+	}
+}
+
+func bucketOf(d sim.Duration) int {
+	if d < 1 {
+		return 0
+	}
+	b := int(bucketFloor[floorKey(d)])
+	for b+1 < histBuckets && bucketLows[b+1] <= d {
+		b++
 	}
 	return b
 }
@@ -60,12 +110,8 @@ func bucketLow(b int) sim.Duration {
 func (h *Histogram) Record(d sim.Duration) {
 	if h.total == 0 {
 		h.min = math.MaxInt64
-		h.memoVal = -1
 	}
-	if d != h.memoVal {
-		h.memoVal, h.memoBucket = d, bucketOf(d)
-	}
-	h.counts[h.memoBucket]++
+	h.counts[bucketOf(d)]++
 	h.total++
 	h.sum += float64(d)
 	if d < h.min {
@@ -150,7 +196,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 	if h.total == 0 {
 		h.min = math.MaxInt64
-		h.memoVal = -1
 	}
 	for i, c := range other.counts[:] {
 		h.counts[i] += c
@@ -167,8 +212,7 @@ func (h *Histogram) Merge(other *Histogram) {
 
 // HistogramState is a histogram's serialized form (snapshot/restore):
 // non-zero buckets as parallel index/count arrays plus the scalar
-// aggregates. The memoization fields are deliberately not part of the
-// state — they are a cache and never affect recorded values.
+// aggregates.
 type HistogramState struct {
 	Idx   []int    `json:"idx,omitempty"`
 	N     []uint64 `json:"n,omitempty"`

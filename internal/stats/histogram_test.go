@@ -8,6 +8,29 @@ import (
 	"ghost/internal/sim"
 )
 
+// bucketOf's tables reproduce the Log10 definition exactly: around every
+// bucket boundary, at a million random durations up to 1e12 (where the
+// last bucket starts), and at the extremes of the int64 range.
+func TestBucketOfMatchesLog10(t *testing.T) {
+	check := func(d sim.Duration) {
+		if got, want := bucketOf(d), log10Bucket(d); got != want {
+			t.Fatalf("bucketOf(%d) = %d, Log10 definition gives %d", d, got, want)
+		}
+	}
+	for b := 1; b < histBuckets; b++ {
+		for d := bucketLows[b] - 2; d <= bucketLows[b]+2; d++ {
+			check(d)
+		}
+	}
+	r := sim.NewRand(1)
+	for i := 0; i < 1_000_000; i++ {
+		check(1 + sim.Duration(r.Uint64()%1e12))
+	}
+	for _, d := range []sim.Duration{math.MinInt64, -1, 0, 1e12 - 1, 1e12, 1e15, 1 << 62, math.MaxInt64} {
+		check(d)
+	}
+}
+
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram
 	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {

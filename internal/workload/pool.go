@@ -15,6 +15,8 @@ import (
 type WorkerPool struct {
 	k        *kernel.Kernel
 	rec      *LatencyRecorder
+	total    *LatencyRecorder // optional second recorder (Search's run totals)
+	serve    serveFunc
 	workers  []*kernel.Thread
 	free     []*kernel.Thread
 	inbox    map[kernel.TID]*Request
@@ -29,51 +31,104 @@ type WorkerPool struct {
 	DoneRebinder func(*Request)
 }
 
+// serveFunc is how a pool serves one request: the action for stage i of
+// serving r on thread t, or false once r is served. Each stage starts
+// when the previous one completes.
+type serveFunc func(t *kernel.Thread, r *Request, stage int) (kernel.Action, bool)
+
+// runService serves a request by running its service time.
+func runService(_ *kernel.Thread, r *Request, stage int) (kernel.Action, bool) {
+	if stage > 0 {
+		return kernel.Action{}, false
+	}
+	return kernel.RunAction(r.Service), true
+}
+
 // NewWorkerPool spawns n worker threads with the given spawner (so the
 // caller chooses the scheduling class: CFS, or an enclave). spawn must
 // create a thread running the provided body.
 func NewWorkerPool(k *kernel.Kernel, n int, rec *LatencyRecorder,
 	spawn func(name string, body kernel.ThreadFunc) *kernel.Thread) *WorkerPool {
-	p := &WorkerPool{k: k, rec: rec, inbox: make(map[kernel.TID]*Request)}
+	return newPool(k, n, "worker-%d", rec, nil, runService, spawn)
+}
+
+// newPool builds a pool whose workers serve requests with serve and
+// record each completion in rec and, when set, total.
+func newPool(k *kernel.Kernel, n int, nameFmt string, rec, total *LatencyRecorder, serve serveFunc,
+	spawn func(name string, body kernel.ThreadFunc) *kernel.Thread) *WorkerPool {
+	p := &WorkerPool{k: k, rec: rec, total: total, serve: serve, inbox: make(map[kernel.TID]*Request)}
 	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("worker-%d", i)
-		var th *kernel.Thread
-		th = spawn(name, func(tc *kernel.TaskContext) {
-			p.workerLoop(tc)
-		})
+		w := &poolWorker{p: p, stage: workerStart}
+		th := spawn(fmt.Sprintf(nameFmt, i), kernel.Steps(w.step))
 		p.workers = append(p.workers, th)
 		p.free = append(p.free, th)
 	}
 	return p
 }
 
-func (p *WorkerPool) workerLoop(tc *kernel.TaskContext) {
-	self := tc.Thread()
-	for {
-		tc.Block()
+// poolWorker is one worker thread as a kernel.Steps machine: block until
+// its inbox slot holds a request, serve it stage by stage, complete it,
+// and block again. stage is the next serve stage of the request in
+// service, or one of the negative phases below.
+type poolWorker struct {
+	p     *WorkerPool
+	r     *Request // the request in service; nil until looked up
+	stage int
+}
+
+// Negative poolWorker stages.
+const (
+	workerIdle      = -1 // woken from Block: look for a request
+	workerStart     = -2 // just spawned: block first
+	workerResumeRun = -3 // restored while parked in Run: Run(1), then finish
+)
+
+func (w *poolWorker) step(t *kernel.Thread) (kernel.Action, bool) {
+	p := w.p
+	switch w.stage {
+	case workerStart:
+		w.stage = workerIdle
+		return kernel.BlockAction(), true
+	case workerResumeRun:
+		// The overlay restores the true remaining work of this segment;
+		// the request it completes is the one the restored inbox holds.
+		w.stage = 1
+		return kernel.RunAction(1), true
+	case workerIdle:
 		if p.stopping {
-			return
+			return kernel.Action{}, false
 		}
-		r := p.inbox[self.TID()]
-		if r == nil {
-			continue
+		// The inbox entry stays until the service completes, so a
+		// snapshot taken mid-Run still knows which request this worker
+		// is serving.
+		if w.r = p.inbox[t.TID()]; w.r == nil {
+			return kernel.BlockAction(), true
 		}
-		// The inbox entry stays until the service completes, so a snapshot
-		// taken mid-Run still knows which request this worker is serving.
-		tc.Run(r.Service)
-		p.finishRequest(tc)
+		w.stage = 0
 	}
+	if w.r == nil { // resumed in Run: the restored inbox holds the request
+		w.r = p.inbox[t.TID()]
+	}
+	if a, more := p.serve(t, w.r, w.stage); more {
+		w.stage++
+		return a, true
+	}
+	w.r, w.stage = nil, workerIdle
+	p.finishRequest(t)
+	return kernel.BlockAction(), true
 }
 
 // finishRequest completes the request in the worker's inbox slot after
-// its service time ran: record latency, invoke Done, pick up backlog
-// work before returning to the free list.
-func (p *WorkerPool) finishRequest(tc *kernel.TaskContext) {
-	self := tc.Thread()
+// it was served: record latency, invoke Done, pick up backlog work
+// before returning to the free list.
+func (p *WorkerPool) finishRequest(self *kernel.Thread) {
 	r := p.inbox[self.TID()]
 	delete(p.inbox, self.TID())
-	done := tc.Now()
+	done := p.k.Now()
 	p.rec.Record(r, done)
+	if p.total != nil {
+		p.total.Record(r, done)
+	}
 	if r.Done != nil {
 		r.Done(r, done)
 	}
@@ -81,8 +136,8 @@ func (p *WorkerPool) finishRequest(tc *kernel.TaskContext) {
 		next := p.backlog[0]
 		p.backlog = p.backlog[1:]
 		p.inbox[self.TID()] = next
-		// Loop around; Block consumes the self-wake immediately.
-		tc.Kernel().Wake(self)
+		// The worker's next Block consumes the self-wake immediately.
+		p.k.Wake(self)
 		return
 	}
 	p.free = append(p.free, self)

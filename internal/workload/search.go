@@ -101,56 +101,49 @@ func NewSearch(k *kernel.Kernel, cfg SearchConfig,
 	// the worker last ran on costs a cold-cache factor — the effect the
 	// §4.4 CCX-aware placement optimization targets.
 	prevCCX := make(map[kernel.TID]int)
+	serveA := func(t *kernel.Thread, r *Request, stage int) (kernel.Action, bool) {
+		if stage > 0 {
+			return kernel.Action{}, false
+		}
+		svc := r.Service
+		if cpu := t.OnCPU(); cpu >= 0 {
+			ccx := topo.CPU(cpu).CCX
+			if last, ok := prevCCX[t.TID()]; ok && last != ccx {
+				svc = svc * 135 / 100 // cold L3
+			}
+			prevCCX[t.TID()] = ccx
+		}
+		return kernel.RunAction(svc), true
+	}
 	for sock := 0; sock < 2 && sock < topo.NumSockets(); sock++ {
 		mask := kernel.MaskOf(topo.CPUsOfSocket(sock)...)
-		rec := s.recs[QueryA]
-		s.poolA[sock] = newSearchPool(k, cfg.WorkersA/2, rec, s.Totals[QueryA],
+		s.poolA[sock] = newPool(k, cfg.WorkersA/2, "w%d-A", s.recs[QueryA], s.Totals[QueryA], serveA,
 			func(name string, body kernel.ThreadFunc) *kernel.Thread {
-				return spawnWorker(name+"-A", mask, body)
-			},
-			func(tc *kernel.TaskContext, r *Request) {
-				svc := r.Service
-				cpu := tc.Thread().OnCPU()
-				if cpu >= 0 {
-					ccx := topo.CPU(cpu).CCX
-					if last, ok := prevCCX[tc.TID()]; ok && last != ccx {
-						svc = svc * 135 / 100 // cold L3
-					}
-					prevCCX[tc.TID()] = ccx
-				}
-				tc.Run(svc)
+				return spawnWorker(name, mask, body)
 			})
 	}
+	anyCPU := func(name string, body kernel.ThreadFunc) *kernel.Thread {
+		return spawnWorker(name, kernel.Mask{}, body)
+	}
 	// Type B: SSD-bound short workers, any CPU.
-	s.poolB = newSearchPool(k, cfg.WorkersB, s.recs[QueryB], s.Totals[QueryB],
-		func(name string, body kernel.ThreadFunc) *kernel.Thread {
-			return spawnWorker(name+"-B", kernel.Mask{}, body)
-		},
-		func(tc *kernel.TaskContext, r *Request) {
-			tc.Run(r.Service / 2)
-			tc.Sleep(ssdWait)
-			tc.Run(r.Service / 2)
-		})
+	s.poolB = newPool(k, cfg.WorkersB, "w%d-B", s.recs[QueryB], s.Totals[QueryB],
+		func(t *kernel.Thread, r *Request, stage int) (kernel.Action, bool) {
+			switch stage {
+			case 0, 2:
+				return kernel.RunAction(r.Service / 2), true
+			case 1:
+				return t.SleepAction(ssdWait), true
+			}
+			return kernel.Action{}, false
+		}, anyCPU)
 	// Type C: long-living CPU-bound workers, any CPU.
-	s.poolC = newSearchPool(k, cfg.WorkersC, s.recs[QueryC], s.Totals[QueryC],
-		func(name string, body kernel.ThreadFunc) *kernel.Thread {
-			return spawnWorker(name+"-C", kernel.Mask{}, body)
-		},
-		func(tc *kernel.TaskContext, r *Request) {
-			tc.Run(r.Service)
-		})
+	s.poolC = newPool(k, cfg.WorkersC, "w%d-C", s.recs[QueryC], s.Totals[QueryC], runService, anyCPU)
 
 	// Server threads: receive queries, preprocess, dispatch.
 	for i := 0; i < cfg.Servers; i++ {
-		mb := kernel.NewMailbox[*Request](k)
-		s.servers = append(s.servers, mb)
-		spawnServer(fmt.Sprintf("search-server-%d", i), func(tc *kernel.TaskContext) {
-			for {
-				q := mb.Get(tc)
-				tc.Run(preprocess)
-				s.dispatch(q)
-			}
-		})
+		sv := &searchServer{s: s, mb: kernel.NewMailbox[*Request](k)}
+		s.servers = append(s.servers, sv.mb)
+		spawnServer(fmt.Sprintf("search-server-%d", i), kernel.Steps(sv.step))
 	}
 
 	// Arrival processes.
@@ -226,43 +219,26 @@ func (s *Search) sample(now sim.Time, period sim.Duration) {
 	}
 }
 
-// newSearchPool is a WorkerPool variant with a custom service body.
-func newSearchPool(k *kernel.Kernel, n int, rec, total *LatencyRecorder,
-	spawn func(string, kernel.ThreadFunc) *kernel.Thread,
-	serve func(*kernel.TaskContext, *Request)) *WorkerPool {
-	p := &WorkerPool{k: k, rec: rec, inbox: make(map[kernel.TID]*Request)}
-	for i := 0; i < n; i++ {
-		var th *kernel.Thread
-		th = spawn(fmt.Sprintf("w%d", i), func(tc *kernel.TaskContext) {
-			self := tc.Thread()
-			for {
-				tc.Block()
-				if p.stopping {
-					return
-				}
-				r := p.inbox[self.TID()]
-				if r == nil {
-					continue
-				}
-				delete(p.inbox, self.TID())
-				serve(tc, r)
-				done := tc.Now()
-				p.rec.Record(r, done)
-				total.Record(r, done)
-				if len(p.backlog) > 0 {
-					next := p.backlog[0]
-					p.backlog = p.backlog[1:]
-					p.inbox[self.TID()] = next
-					tc.Kernel().Wake(self)
-					continue
-				}
-				p.free = append(p.free, self)
-			}
-		})
-		p.workers = append(p.workers, th)
-		p.free = append(p.free, th)
+// searchServer is a server thread as a kernel.Steps machine: take the
+// next query from the mailbox, run its preprocessing, dispatch it to its
+// pool, and take the next.
+type searchServer struct {
+	s  *Search
+	mb *kernel.Mailbox[*Request]
+	q  *Request // the query being preprocessed
+}
+
+func (sv *searchServer) step(t *kernel.Thread) (kernel.Action, bool) {
+	if sv.q != nil {
+		sv.s.dispatch(sv.q)
 	}
-	return p
+	q, wait, ok := sv.mb.TryGetOrWait(t)
+	if !ok {
+		sv.q = nil
+		return wait, true
+	}
+	sv.q = q
+	return kernel.RunAction(preprocess), true
 }
 
 // AllWorkers returns every worker thread across the pools, so an

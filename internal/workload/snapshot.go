@@ -12,11 +12,10 @@ import (
 
 // Snapshot support (DESIGN.md §3j): the worker pool and the Poisson
 // source are snap.Components, and their thread bodies (pool workers,
-// spinners) are registered resumable bodies. A worker parked inside
-// tc.Run resumes by re-running a placeholder segment — the overlay
-// restores the true remaining work — and then completing the request it
-// still finds in the pool's inbox; a worker parked in tc.Block resumes
-// by re-entering the loop at the Block.
+// spinners) are registered resumable bodies. A worker parked in Run
+// resumes by re-running a placeholder segment — the overlay restores the
+// true remaining work — and then completing the request it still finds
+// in the pool's inbox; a worker parked in Block resumes at the Block.
 
 // requestRec is a Request without its Done callback, which cannot ride
 // in a byte stream; HadDone tells restore to re-attach one via the
@@ -193,7 +192,7 @@ func NewPoolShell(k *kernel.Kernel, rec *LatencyRecorder) *WorkerPool {
 	if rec == nil {
 		rec = &LatencyRecorder{}
 	}
-	return &WorkerPool{k: k, rec: rec, inbox: make(map[kernel.TID]*Request)}
+	return &WorkerPool{k: k, rec: rec, serve: runService, inbox: make(map[kernel.TID]*Request)}
 }
 
 // Recorder returns the pool's latency recorder.
@@ -210,16 +209,17 @@ func (p *WorkerPool) adoptWorker(t *kernel.Thread) {
 // resumeWorkerBody rebuilds a pool worker's body. Parked in Run: the
 // worker was serving the request the restored inbox holds for it, so it
 // re-runs a placeholder segment (the overlay sets the true remaining
-// work) and completes that request. Parked in Block: it re-enters the
-// loop at the Block.
+// work) and completes that request. Parked in Block: it starts at the
+// Block.
 func (p *WorkerPool) resumeWorkerBody(inRun bool) kernel.ThreadFunc {
+	w := &poolWorker{p: p, stage: workerStart}
+	if inRun {
+		w.stage = workerResumeRun
+	}
+	steps := kernel.Steps(w.step)
 	return func(tc *kernel.TaskContext) {
 		p.adoptWorker(tc.Thread())
-		if inRun {
-			tc.Run(1)
-			p.finishRequest(tc)
-		}
-		p.workerLoop(tc)
+		steps(tc)
 	}
 }
 
@@ -357,6 +357,11 @@ func init() {
 			return nil, fmt.Errorf("workload.spinner wants 1 arg, got %d", len(rec.Args))
 		}
 		chunk := sim.Duration(rec.Args[0])
+		if chunk <= 0 {
+			// A spinner never spawns with such a chunk: it would hang or
+			// panic in its first Run.
+			return nil, fmt.Errorf("%w: workload.spinner chunk %d is not positive", snap.ErrCorrupt, chunk)
+		}
 		body := Spinner(chunk)
 		if resume.InRun {
 			// The spinner only ever parks inside Run; re-enter with a

@@ -119,6 +119,54 @@ func TestSnapshotRoundTripDeterminism(t *testing.T) {
 	}
 }
 
+// A pool worker snapshotted while parked in Run resumes from its
+// restore phase (a placeholder segment, then the request its restored
+// inbox slot holds) and the run continues byte-identically.
+func TestSnapshotResumesPoolWorkerInRun(t *testing.T) {
+	cand := buildServing()
+	defer cand.Shutdown()
+	var wire []byte
+	for wire == nil && cand.Now() < 2*ghost.Millisecond {
+		cand.Run(10 * ghost.Microsecond)
+		s, err := cand.Snapshot()
+		if err != nil {
+			t.Fatalf("Snapshot at %v: %v", cand.Now(), err)
+		}
+		var buf bytes.Buffer
+		if _, err := s.WriteTo(&buf); err != nil {
+			t.Fatalf("WriteTo: %v", err)
+		}
+		for _, th := range snapshotCore(t, buf.Bytes())["kernel"].(map[string]any)["threads"].([]any) {
+			th := th.(map[string]any)
+			body, _ := th["body"].(map[string]any)
+			// curKind 1 is a thread parked in Run.
+			if body != nil && body["kind"] == "workload.pool-worker" && th["curKind"] == 1.0 && th["pendingWork"].(float64) > 0 {
+				wire = buf.Bytes()
+			}
+		}
+	}
+	if wire == nil {
+		t.Fatal("no pool worker was parked in Run at any 10 µs boundary up to 2 ms")
+	}
+	at := cand.Now()
+	horizon := at + ghost.Millisecond
+
+	s, err := ghost.ReadSnapshot(bytes.NewReader(wire))
+	if err != nil {
+		t.Fatalf("ReadSnapshot: %v", err)
+	}
+	restored, err := ghost.Restore(s, servingRestoreOpts()...)
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	defer restored.Shutdown()
+	restored.RunUntil(horizon)
+	cand.RunUntil(horizon)
+	if got, want := digestAt(t, restored), digestAt(t, cand); got != want {
+		t.Fatalf("restore at %v not transparent: digest %s, want %s", at, got, want)
+	}
+}
+
 // TestSnapshotDecodeErrors: corrupt, truncated, and wrong-version
 // containers surface typed errors, never panics.
 func TestSnapshotDecodeErrors(t *testing.T) {
@@ -171,11 +219,7 @@ func TestSnapshotDecodeErrors(t *testing.T) {
 func resealSnapshot(t *testing.T, enc []byte, mutate func(core map[string]any)) []byte {
 	t.Helper()
 	const hdr = 16 // magic, version, core length
-	n := binary.LittleEndian.Uint32(enc[12:hdr])
-	var core map[string]any
-	if err := json.Unmarshal(enc[hdr:hdr+int(n)], &core); err != nil {
-		t.Fatalf("core JSON: %v", err)
-	}
+	core := snapshotCore(t, enc)
 	mutate(core)
 	cj, err := json.Marshal(core)
 	if err != nil {
@@ -186,6 +230,18 @@ func resealSnapshot(t *testing.T, enc []byte, mutate func(core map[string]any)) 
 	out = append(out, cj...)
 	sum := sha256.Sum256(out[8:])
 	return append(out, sum[:]...)
+}
+
+// snapshotCore decodes the core JSON of an encoded snapshot.
+func snapshotCore(t *testing.T, enc []byte) map[string]any {
+	t.Helper()
+	const hdr = 16 // magic, version, core length
+	n := binary.LittleEndian.Uint32(enc[12:hdr])
+	var core map[string]any
+	if err := json.Unmarshal(enc[hdr:hdr+int(n)], &core); err != nil {
+		t.Fatalf("core JSON: %v", err)
+	}
+	return core
 }
 
 // servingWire returns the wire bytes of a buildServing snapshot taken
@@ -207,7 +263,8 @@ func servingWire(t *testing.T) []byte {
 }
 
 // requireRestoreCorrupt restores a resealed snapshot and fails unless
-// Restore returns ErrSnapshotCorrupt without panicking.
+// Restore returns ErrSnapshotCorrupt without panicking. An image Restore
+// wrongly accepts is run for 1 ms, so a latent panic is reported as one.
 func requireRestoreCorrupt(t *testing.T, data []byte) {
 	t.Helper()
 	s, err := ghost.ReadSnapshot(bytes.NewReader(data))
@@ -221,7 +278,8 @@ func requireRestoreCorrupt(t *testing.T, data []byte) {
 	}()
 	restored, err := ghost.Restore(s, servingRestoreOpts()...)
 	if err == nil {
-		restored.Shutdown()
+		defer restored.Shutdown()
+		restored.Run(ghost.Millisecond)
 	}
 	if !errors.Is(err, ghost.ErrSnapshotCorrupt) {
 		t.Fatalf("Restore err = %v, want %v", err, ghost.ErrSnapshotCorrupt)
@@ -298,6 +356,17 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 			e := record(ghostRec(core), "enclaves", 0)
 			e["cpus"] = append(e["cpus"].([]any), 1_000_000)
 		}},
+		{"event-before-now", func(core map[string]any) { record(core, "events", 0)["at"] = 0 }},
+		{"spinner-chunk-negative", func(core map[string]any) {
+			for _, th := range kernelRec(core)["threads"].([]any) {
+				if body, ok := th.(map[string]any)["body"].(map[string]any); ok && body["kind"] == "workload.spinner" {
+					body["args"] = []any{-1}
+					return
+				}
+			}
+			t.Fatal("snapshot has no workload.spinner thread")
+		}},
+		{"pending-work-negative", func(core map[string]any) { record(kernelRec(core), "threads", 0)["pendingWork"] = -1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			requireRestoreCorrupt(t, resealSnapshot(t, wire, tc.mutate))
