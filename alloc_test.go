@@ -85,7 +85,7 @@ func budgetSearch(ghostSched bool) *ghost.Machine {
 // The hot workload bodies — Search's servers and pool workers and the
 // WorkerPool's workers — are kernel.Steps machines, not coroutines: the
 // ghost-perf machines hold no goroutine per thread. Their agents are
-// steppers, so only a small constant of goroutines may appear.
+// Steps machines too, so only a small constant of goroutines may appear.
 func TestHotBodiesKeepNoCoroutine(t *testing.T) {
 	for _, tc := range []struct {
 		name  string

@@ -198,13 +198,17 @@ type AgentSet struct {
 	TxnsFailed    uint64
 }
 
-// runner is one agent thread (a kernel Stepper).
+// runner is one agent thread, run as a kernel Steps machine (step).
 type runner struct {
 	set    *AgentSet
 	cpu    hw.CPUID
 	thread *kernel.Thread
 	agent  *ghostcore.Agent
 	queue  *ghostcore.Queue // per-CPU queue (per-CPU mode only)
+
+	// charge holds what the agent does once its current step's cost has
+	// been charged (snapshotted as RunnerRec.Pending).
+	charge kernel.Charge
 
 	// Injected-fault state: until stallUntil the agent burns CPU making
 	// no decisions; until slowUntil its step costs multiply by
@@ -222,7 +226,17 @@ type runner struct {
 	kept     []Assignment
 	plain    []*ghostcore.Txn
 	plainAsg []Assignment
+	// localTxn is the per-CPU step's one transaction, committed through
+	// localTxns, a one-element slice pointing at it.
+	localTxn  ghostcore.Txn
+	localTxns []*ghostcore.Txn
 }
+
+// RunnerBody is the body kind of agent runner threads: the restore spawn
+// pass skips them, as they re-spawn with their agent set.
+const RunnerBody = "agentsdk.runner"
+
+var runnerBody = &kernel.BodyDesc{Kind: RunnerBody}
 
 // Option configures Start.
 type Option func(*startConfig)
@@ -432,6 +446,7 @@ func startPerCPU(k *kernel.Kernel, enc *ghostcore.Enclave, ac *kernel.AgentClass
 	set.percpu = policy
 	set.globalCPU = hw.NoCPU
 	for _, r := range set.sortedRunners() {
+		r.localTxns = []*ghostcore.Txn{&r.localTxn}
 		r.queue = enc.CreateQueue("cpu-queue")
 		enc.ConfigQueueWakeup(r.queue, r.agent, true)
 	}
@@ -452,11 +467,12 @@ func newSet(k *kernel.Kernel, enc *ghostcore.Enclave, ac *kernel.AgentClass) *Ag
 	set.ctx = &Context{set: set, Enclave: enc, Kernel: k}
 	enc.CPUs().ForEach(func(cpu hw.CPUID) bool {
 		r := &runner{set: set, cpu: cpu}
-		r.thread = k.SpawnStepper(kernel.SpawnOpts{
+		r.thread = k.Spawn(kernel.SpawnOpts{
 			Name:     "ghost-agent",
 			Class:    ac,
 			Affinity: kernel.MaskOf(cpu),
-		}, r)
+		}, kernel.Steps(r.step))
+		r.thread.SetBodyDesc(runnerBody)
 		r.agent = enc.AttachAgent(cpu, r.thread)
 		set.runners[cpu] = r
 		return true
@@ -551,34 +567,40 @@ func (set *AgentSet) onPressure(c *kernel.CPU) {
 	set.k.Poke(old.thread)
 }
 
-// Step implements kernel.Stepper: dispatch to the mode-specific loop,
-// applying any injected stall/slow fault first.
-func (r *runner) Step(now sim.Time) (sim.Duration, kernel.Disposition) {
+// step is the runner's Steps machine. A call with an action pending in
+// the charge returns it; otherwise the agent, now on its CPU, takes a
+// scheduling step: the mode-specific loop, after any injected stall or
+// slow fault, charged before the action that follows it.
+func (r *runner) step(t *kernel.Thread) (kernel.Action, bool) {
+	if a, ok := r.charge.Next(t); ok {
+		return a, true
+	}
 	set := r.set
 	if set.stopped || set.enc.Destroyed() {
-		return 0, kernel.DispExit
+		return kernel.Action{}, false
 	}
+	now := set.k.Now()
 	if now < r.stallUntil {
 		// Injected stall (§3.4 robustness: a GC-paused or buggy agent):
 		// burn the CPU making no decisions until the stall ends.
-		return r.stallUntil - now, kernel.DispSpin
+		return r.charge.Then(r.stallUntil-now, kernel.SpinAction()), true
 	}
 	set.StepsExecuted++
 	var cost sim.Duration
-	var disp kernel.Disposition
+	var after kernel.Action
 	if set.globalCPU != hw.NoCPU {
 		if r.cpu != set.globalCPU {
 			// Inactive agent: vacate the CPU immediately (§3.3).
-			return 0, kernel.DispBlock
+			return r.charge.Then(0, kernel.BlockAction()), true
 		}
-		cost, disp = r.globalStep(now)
+		cost, after = r.globalStep(now)
 	} else {
-		cost, disp = r.localStep(now)
+		cost, after = r.localStep(now)
 	}
 	if now < r.slowUntil && r.slowFactor > 1 && cost > 0 {
 		cost = sim.Duration(float64(cost) * r.slowFactor)
 	}
-	return cost, disp
+	return r.charge.Then(cost, after), true
 }
 
 // drain consumes a queue, charging per-message cost and recording
@@ -600,8 +622,9 @@ func (r *runner) drain(q *ghostcore.Queue, now sim.Time) ([]ghostcore.Message, s
 	return msgs, cost
 }
 
-// globalStep is the centralized scheduling loop (Fig 4).
-func (r *runner) globalStep(now sim.Time) (sim.Duration, kernel.Disposition) {
+// globalStep is the centralized scheduling loop (Fig 4). It returns the
+// step's cost and the action that follows it, as localStep does.
+func (r *runner) globalStep(now sim.Time) (sim.Duration, kernel.Action) {
 	set := r.set
 	cm := set.k.Cost()
 	cost := cm.AgentLoopOverhead
@@ -662,7 +685,7 @@ func (r *runner) globalStep(now sim.Time) (sim.Duration, kernel.Disposition) {
 	if tr := set.k.Tracer(); tr != nil {
 		tr.AgentStep(now, set.enc.ID(), r.cpu, cost, len(msgs), committed, "global")
 	}
-	return cost, kernel.DispSpin
+	return cost, kernel.SpinAction()
 }
 
 // reportTxns tallies commit outcomes and routes failures to the policy.
@@ -681,7 +704,7 @@ func (set *AgentSet) reportTxns(txns []*ghostcore.Txn, asgs []Assignment) {
 func (c *Context) PreemptCPU(cpu hw.CPUID) { c.Enclave.PreemptCPU(cpu) }
 
 // localStep is the per-CPU scheduling loop (Fig 3).
-func (r *runner) localStep(now sim.Time) (sim.Duration, kernel.Disposition) {
+func (r *runner) localStep(now sim.Time) (sim.Duration, kernel.Action) {
 	set := r.set
 	cm := set.k.Cost()
 	cost := cm.AgentLoopOverhead
@@ -740,34 +763,33 @@ func (r *runner) localStep(now sim.Time) (sim.Duration, kernel.Disposition) {
 		// A previous commit has not switched in yet (the agent was
 		// re-woken before yielding); let it take effect.
 		span(0)
-		return cost, kernel.DispBlock
+		return cost, kernel.BlockAction()
 	}
 
 	next := set.percpu.PickNext(set.ctx, r.cpu)
 	if next == nil {
 		span(0)
-		return cost, kernel.DispBlock
+		return cost, kernel.BlockAction()
 	}
-	txn := set.enc.TxnCreate(next.TID(), r.cpu)
-	txn.AgentSeq = aseq
+	r.localTxn = ghostcore.Txn{TID: next.TID(), CPU: r.cpu, AgentSeq: aseq}
 	// Local commit: validation plus the local dispatch path; together
 	// with the context switch this reproduces Table 3 line 3 (888 ns).
 	cost += cm.LocalSchedule - cm.ContextSwitchMinimal
-	set.enc.TxnsCommit(r.agent, []*ghostcore.Txn{txn})
+	set.enc.TxnsCommit(r.agent, r.localTxns)
 	span(1)
-	switch txn.Status {
+	switch status := r.localTxn.Status; status {
 	case ghostcore.TxnCommitted:
 		set.TxnsCommitted++
 		// Yield the CPU to the committed thread.
-		return cost, kernel.DispBlock
+		return cost, kernel.BlockAction()
 	case ghostcore.TxnESTALE:
 		set.TxnsFailed++
 		// Newer messages arrived: drain and retry (§3.2).
-		return cost, kernel.DispAgain
+		return cost, kernel.StepOnCPUAction()
 	default:
 		set.TxnsFailed++
-		set.percpu.OnTxnFail(set.ctx, r.cpu, next, txn.Status)
-		return cost, kernel.DispAgain
+		set.percpu.OnTxnFail(set.ctx, r.cpu, next, status)
+		return cost, kernel.StepOnCPUAction()
 	}
 }
 

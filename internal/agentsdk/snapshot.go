@@ -13,7 +13,7 @@ import (
 
 // Snapshot/restore support (DESIGN.md §3j). An agent set serializes to a
 // SetRec; restore re-runs Start (the TID-pinned spawn pass recreates the
-// runner steppers and agent handles) and RestoreImage overlays the
+// runner threads and agent handles) and RestoreImage overlays the
 // generation's state afterwards. The policy rides along as a
 // (kind, opaque blob) pair via the PolicySnapshotter capability.
 
@@ -26,10 +26,13 @@ type PolicySnapshotter interface {
 	SnapshotLoad(data []byte) error
 }
 
-// RunnerRec is one serialized agent runner.
+// RunnerRec is one serialized agent runner. Pending is the action its
+// machine takes once the current step's cost is charged
+// (kernel.Charge.State).
 type RunnerRec struct {
 	CPU        int     `json:"cpu"`
 	TID        int     `json:"tid"`
+	Pending    int     `json:"pending,omitempty"`
 	StallUntil int64   `json:"stallUntil,omitempty"`
 	SlowUntil  int64   `json:"slowUntil,omitempty"`
 	SlowFactor float64 `json:"slowFactor,omitempty"`
@@ -107,6 +110,7 @@ func (set *AgentSet) SaveRec() (*SetRec, error) {
 		rec.Runners = append(rec.Runners, RunnerRec{
 			CPU:        int(r.cpu),
 			TID:        int(r.thread.TID()),
+			Pending:    r.charge.State(),
 			StallUntil: int64(r.stallUntil),
 			SlowUntil:  int64(r.slowUntil),
 			SlowFactor: r.slowFactor,
@@ -166,6 +170,9 @@ func (set *AgentSet) RestoreImage(rec *SetRec) error {
 		}
 		if int(r.thread.TID()) != rr.TID {
 			return fmt.Errorf("agent set on enclave %d: runner on cpu%d re-spawned as T%d, snapshot has T%d", rec.EncID, rr.CPU, r.thread.TID(), rr.TID)
+		}
+		if err := r.charge.SetState(rr.Pending); err != nil {
+			return fmt.Errorf("agent set on enclave %d: runner on cpu%d: %w", rec.EncID, rr.CPU, err)
 		}
 		r.stallUntil = sim.Time(rr.StallUntil)
 		r.slowUntil = sim.Time(rr.SlowUntil)

@@ -22,7 +22,13 @@ import (
 //     contributes its method — the type-assertion-free common case), and
 //     calls through function-valued fields/locals resolved against the
 //     bindings seen program-wide (fields) or in the same function
-//     (locals);
+//     (locals). A parameter or field stored into a field makes that
+//     field an alias of it, and a call through the field also reaches
+//     the functions passed to the parameter at its direct call sites, so
+//     a value handed to a constructor that keeps it (kernel.Steps(r.step))
+//     is tracked. A call through the parameter itself (a higher-order
+//     helper such as Mask.ForEach) is not resolved that way: every
+//     caller's function would reach every other caller;
 //   - ref:     a function value referenced without being called (passed
 //     to a scheduler, stored in a field, returned). For reachability a
 //     reference is treated like a call: whoever holds the value may
@@ -95,14 +101,27 @@ type fieldCall struct {
 	pos   token.Position
 }
 
+// litArg is a function literal passed to a parameter, bound once the
+// walk has created the literal's node.
+type litArg struct {
+	param *types.Var
+	lit   *ast.FuncLit
+}
+
 type graphBuilder struct {
 	g       *CallGraph
 	fset    *token.FileSet
 	types   []*types.Named // all loaded non-interface named types (CHA)
 	ifaces  []ifaceCall
 	fcalls  []fieldCall
-	litSeq  map[*FuncNode]int // per-parent literal ordinal
-	curInfo *types.Info
+	litArgs []litArg
+	// alias maps a field to the parameters and fields stored into it,
+	// and paramBind a parameter to the functions passed to it: a call
+	// through the field reaches both.
+	alias     map[*types.Var][]*types.Var
+	paramBind map[*types.Var][]*FuncNode
+	litSeq    map[*FuncNode]int // per-parent literal ordinal
+	curInfo   *types.Info
 }
 
 // NewCallGraph builds the graph over pkgs. Deterministic: node and edge
@@ -115,7 +134,12 @@ func NewCallGraph(pkgs []*Package) *CallGraph {
 		fieldBind: map[*types.Var][]*FuncNode{},
 		byFile:    map[string][]*FuncNode{},
 	}
-	b := &graphBuilder{g: g, litSeq: map[*FuncNode]int{}}
+	b := &graphBuilder{
+		g:         g,
+		alias:     map[*types.Var][]*types.Var{},
+		paramBind: map[*types.Var][]*FuncNode{},
+		litSeq:    map[*FuncNode]int{},
+	}
 	if len(pkgs) > 0 {
 		b.fset = pkgs[0].Fset
 	}
@@ -299,6 +323,11 @@ func (b *graphBuilder) walkFunc(cur *FuncNode, body ast.Node) {
 				if i >= len(n.Lhs) {
 					break
 				}
+				if lhs, ok := n.Lhs[i].(*ast.SelectorExpr); ok {
+					if dst, src := b.fieldOf(lhs), b.varOf(rhs, localBind); dst != nil && src != nil {
+						b.alias[dst] = append(b.alias[dst], src)
+					}
+				}
 				fns := b.funcValues(rhs, localBind)
 				if len(fns) == 0 {
 					continue
@@ -331,6 +360,9 @@ func (b *graphBuilder) walkFunc(cur *FuncNode, body ast.Node) {
 				if v, ok := info.Uses[key].(*types.Var); ok && v.IsField() {
 					for _, fn := range b.funcValues(n.Value, localBind) {
 						b.g.fieldBind[v] = append(b.g.fieldBind[v], fn)
+					}
+					if src := b.varOf(n.Value, localBind); src != nil {
+						b.alias[v] = append(b.alias[v], src)
 					}
 				}
 			}
@@ -393,6 +425,7 @@ func (b *graphBuilder) callEdges(from *FuncNode, call *ast.CallExpr, localBind m
 		switch obj := objectOf(info, fun).(type) {
 		case *types.Func:
 			b.edge(from, b.extNode(obj), call.Pos(), "call")
+			b.bindArgs(obj, call, localBind)
 		case *types.Var:
 			// Call through a function-valued variable: local bindings
 			// resolve here; package-level and field bindings defer.
@@ -417,6 +450,7 @@ func (b *graphBuilder) callEdges(from *FuncNode, call *ast.CallExpr, localBind m
 					return
 				}
 				b.edge(from, b.extNode(fn), call.Pos(), "call")
+				b.bindArgs(fn, call, localBind)
 			case types.FieldVal:
 				if v, ok := sel.Obj().(*types.Var); ok {
 					b.fcalls = append(b.fcalls, fieldCall{from: from, field: v, pos: b.fset.Position(call.Pos())})
@@ -431,10 +465,42 @@ func (b *graphBuilder) callEdges(from *FuncNode, call *ast.CallExpr, localBind m
 				return
 			}
 			b.edge(from, b.extNode(fn), call.Pos(), "call")
+			b.bindArgs(fn, call, localBind)
 		} else if v, ok := info.Uses[fun.Sel].(*types.Var); ok {
 			b.fcalls = append(b.fcalls, fieldCall{from: from, field: v, pos: b.fset.Position(call.Pos())})
 		}
 	}
+}
+
+// bindArgs records the function values a direct call passes to fn's
+// parameters, for the fields fn stores them into.
+func (b *graphBuilder) bindArgs(fn *types.Func, call *ast.CallExpr, localBind map[*types.Var][]*FuncNode) {
+	params := fn.Origin().Type().(*types.Signature).Params()
+	for i, arg := range call.Args {
+		if i >= params.Len() {
+			break
+		}
+		p := params.At(i)
+		if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+			b.litArgs = append(b.litArgs, litArg{param: p, lit: lit})
+			continue
+		}
+		b.paramBind[p] = append(b.paramBind[p], b.funcValues(arg, localBind)...)
+	}
+}
+
+// varOf resolves an expression to the parameter or field it reads, if it
+// is one and not a locally bound variable.
+func (b *graphBuilder) varOf(e ast.Expr, localBind map[*types.Var][]*FuncNode) *types.Var {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		if v, ok := objectOf(b.curInfo, e).(*types.Var); ok && localBind[v] == nil {
+			return v
+		}
+	case *ast.SelectorExpr:
+		return b.fieldOf(e)
+	}
+	return nil
 }
 
 // funcValues resolves an expression to the function nodes it denotes, for
@@ -506,11 +572,49 @@ func (b *graphBuilder) resolveDeferred() {
 			}
 		}
 	}
+	for _, la := range b.litArgs {
+		if n := b.g.byLit[la.lit]; n != nil {
+			b.paramBind[la.param] = append(b.paramBind[la.param], n)
+		}
+	}
 	for _, fc := range b.fcalls {
-		for _, target := range b.g.fieldBind[fc.field] {
+		for _, target := range b.bound(fc.field) {
 			fc.from.Edges = append(fc.from.Edges, &Edge{From: fc.from, To: target, Pos: fc.pos, Kind: "dynamic"})
 		}
 	}
+}
+
+// bound returns the functions a call through v reaches, each once: v's
+// own bindings, and for a field those of the parameters and fields
+// stored into it.
+func (b *graphBuilder) bound(v *types.Var) []*FuncNode {
+	var out []*FuncNode
+	seenVar := map[*types.Var]bool{}
+	seenFn := map[*FuncNode]bool{}
+	add := func(fns []*FuncNode) {
+		for _, fn := range fns {
+			if !seenFn[fn] {
+				seenFn[fn] = true
+				out = append(out, fn)
+			}
+		}
+	}
+	var visit func(v *types.Var, root bool)
+	visit = func(v *types.Var, root bool) {
+		if seenVar[v] {
+			return
+		}
+		seenVar[v] = true
+		add(b.g.fieldBind[v])
+		if !root {
+			add(b.paramBind[v])
+		}
+		for _, src := range b.alias[v] {
+			visit(src, false)
+		}
+	}
+	visit(v, true)
+	return out
 }
 
 // finish sorts nodes and edges into their canonical deterministic order

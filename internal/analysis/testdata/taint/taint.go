@@ -12,3 +12,9 @@ func Tick() int64 { return taintutil.Jitter() }
 
 // Roll stands in for a policy decision helper.
 func Roll() int { return taintutil.Draw() }
+
+// Step stands in for the kernel asking a thread for its next action.
+func Step(t *taintutil.Thread) int64 { return t.Next() }
+
+// Poll stands in for a higher-order helper call.
+func Poll() int64 { return taintutil.Each(taintutil.Zero) }

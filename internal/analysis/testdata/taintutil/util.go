@@ -28,3 +28,33 @@ func rollDice() int {
 
 // Unreached is never called from sim code; its clock read is fine here.
 func Unreached() time.Time { return time.Now() }
+
+// Thread keeps a step handed to its constructor and calls it through the
+// field, the way kernel.Steps installs a machine.
+type Thread struct{ step func() int64 }
+
+// Steps builds a thread running step.
+func Steps(step func() int64) *Thread { return &Thread{step: step} }
+
+// Next calls the installed step.
+func (t *Thread) Next() int64 { return t.step() }
+
+// NewStamper is never called from sim code, but the step it installs
+// runs wherever sim code calls Next.
+func NewStamper() *Thread { return Steps(stamp) }
+
+func stamp() int64 {
+	return time.Now().UnixNano() // want determinism "time.Now: wall-clock read in taintutil.stamp, reachable from sim code: tfix.Step -> taintutil.(*Thread).Next"
+}
+
+// Each calls fn. A call through a parameter reaches only what the
+// caller passes, not every function any caller passes.
+func Each(fn func() int64) int64 { return fn() }
+
+// Zero is what sim code passes to Each.
+func Zero() int64 { return 0 }
+
+// EachClock is never called from sim code; its argument stays silent.
+func EachClock() int64 { return Each(clock) }
+
+func clock() int64 { return time.Now().UnixNano() }

@@ -43,6 +43,7 @@ type spinWorker struct {
 	cpu    hw.CPUID
 	thread *kernel.Thread
 	cur    *workload.Request
+	charge kernel.Charge
 	// idle is true only while the worker is genuinely spin-waiting on
 	// the FIFO (not mid-chunk); Submit uses it to pick a poke target.
 	idle bool
@@ -61,17 +62,21 @@ func NewShinjukuDataplane(k *kernel.Kernel, dc *kernel.AgentClass,
 	}
 	// Dispatcher: pure spinner occupying its core (its work is folded
 	// into DispatchCost on the worker side).
-	dp.dispatcher = k.SpawnStepper(kernel.SpawnOpts{
+	var spin kernel.Charge
+	dp.dispatcher = k.Spawn(kernel.SpawnOpts{
 		Name: "shinjuku-dispatcher", Class: dc, Affinity: kernel.MaskOf(dispatcherCPU),
-	}, stepFunc(func(now sim.Time) (sim.Duration, kernel.Disposition) {
-		return 0, kernel.DispSpin
+	}, kernel.Steps(func(t *kernel.Thread) (kernel.Action, bool) {
+		if a, ok := spin.Next(t); ok {
+			return a, true
+		}
+		return kernel.SpinAction(), true
 	}))
 	k.Wake(dp.dispatcher)
 	for _, cpu := range workerCPUs {
 		w := &spinWorker{dp: dp, cpu: cpu}
-		w.thread = k.SpawnStepper(kernel.SpawnOpts{
+		w.thread = k.Spawn(kernel.SpawnOpts{
 			Name: fmt.Sprintf("shinjuku-worker-%d", cpu), Class: dc, Affinity: kernel.MaskOf(cpu),
-		}, w)
+		}, kernel.Steps(w.step))
 		dp.workers = append(dp.workers, w)
 		k.Wake(w.thread)
 	}
@@ -97,20 +102,24 @@ func (dp *ShinjukuDataplane) kickIdle(except *spinWorker) {
 	}
 }
 
-// Step implements kernel.Stepper for a worker: run the current request
-// for up to a slice; preempt long requests back to the FIFO.
-func (w *spinWorker) Step(now sim.Time) (sim.Duration, kernel.Disposition) {
+// step is a worker's Steps machine: run the current request for up to a
+// slice; preempt long requests back to the FIFO. Each step's cost is
+// charged before the worker steps again.
+func (w *spinWorker) step(t *kernel.Thread) (kernel.Action, bool) {
+	if a, ok := w.charge.Next(t); ok {
+		return a, true
+	}
 	dp := w.dp
 	w.idle = false
 	if w.cur == nil {
 		if len(dp.fifo) == 0 {
 			w.idle = true
-			return 0, kernel.DispSpin // spin-wait on the request queue
+			return kernel.SpinAction(), true // spin-wait on the request queue
 		}
 		w.cur = dp.fifo[0]
 		dp.fifo = dp.fifo[1:]
 		dp.kickIdle(w) // more queued work: wake another idle worker
-		return dp.DispatchCost, kernel.DispAgain
+		return w.charge.Then(dp.DispatchCost, kernel.StepOnCPUAction()), true
 	}
 	r := w.cur
 	chunk := r.Remaining
@@ -122,7 +131,7 @@ func (w *spinWorker) Step(now sim.Time) (sim.Duration, kernel.Disposition) {
 		// Preemption: requeue at the back of the FIFO (§4.2).
 		w.cur = nil
 		dp.fifo = append(dp.fifo, r)
-		return chunk + dp.PreemptCost, kernel.DispAgain
+		return w.charge.Then(chunk+dp.PreemptCost, kernel.StepOnCPUAction()), true
 	}
 	w.cur = nil
 	done := r
@@ -134,13 +143,8 @@ func (w *spinWorker) Step(now sim.Time) (sim.Duration, kernel.Disposition) {
 			done.Done(done, dp.k.Now())
 		}
 	})
-	return chunk, kernel.DispAgain
+	return w.charge.Then(chunk, kernel.StepOnCPUAction()), true
 }
 
 // QueueLen returns the FIFO depth (for tests).
 func (dp *ShinjukuDataplane) QueueLen() int { return len(dp.fifo) }
-
-// stepFunc adapts a function to kernel.Stepper.
-type stepFunc func(now sim.Time) (sim.Duration, kernel.Disposition)
-
-func (f stepFunc) Step(now sim.Time) (sim.Duration, kernel.Disposition) { return f(now) }

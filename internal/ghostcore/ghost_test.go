@@ -427,10 +427,7 @@ func TestNewEnclaveAfterDestroy(t *testing.T) {
 
 func TestAgentDetachTriggersFallback(t *testing.T) {
 	env := newGhostEnv(t)
-	agThread := env.k.SpawnStepper(kernel.SpawnOpts{Name: "agent", Class: env.ac, Affinity: kernel.MaskOf(0)},
-		stepFunc(func(now sim.Time) (sim.Duration, kernel.Disposition) {
-			return 100, kernel.DispBlock
-		}))
+	agThread := env.spawnAgent(100, func() {})
 	a := env.enc.AttachAgent(0, agThread)
 	th := env.spawnGhost("w", 100*sim.Microsecond, 1)
 	env.eng.RunFor(sim.Millisecond)
@@ -446,12 +443,7 @@ func TestAgentDetachTriggersFallback(t *testing.T) {
 
 func TestUpgradeKeepsEnclave(t *testing.T) {
 	env := newGhostEnv(t)
-	mk := func() *kernel.Thread {
-		return env.k.SpawnStepper(kernel.SpawnOpts{Name: "agent", Class: env.ac, Affinity: kernel.MaskOf(0)},
-			stepFunc(func(now sim.Time) (sim.Duration, kernel.Disposition) {
-				return 100, kernel.DispBlock
-			}))
-	}
+	mk := func() *kernel.Thread { return env.spawnAgent(100, func() {}) }
 	a1 := env.enc.AttachAgent(0, mk())
 	th := env.spawnGhost("w", 100*sim.Microsecond, 1)
 	env.eng.RunFor(sim.Millisecond)
@@ -483,9 +475,19 @@ func TestUpgradeKeepsEnclave(t *testing.T) {
 	}
 }
 
-type stepFunc func(now sim.Time) (sim.Duration, kernel.Disposition)
-
-func (f stepFunc) Step(now sim.Time) (sim.Duration, kernel.Disposition) { return f(now) }
+// spawnAgent spawns a blocked agent thread on cpu0 whose every step
+// calls onStep, charges cost and blocks.
+func (env *ghostEnv) spawnAgent(cost sim.Duration, onStep func()) *kernel.Thread {
+	var c kernel.Charge
+	return env.k.Spawn(kernel.SpawnOpts{Name: "agent", Class: env.ac, Affinity: kernel.MaskOf(0)},
+		kernel.Steps(func(t *kernel.Thread) (kernel.Action, bool) {
+			if a, ok := c.Next(t); ok {
+				return a, true
+			}
+			onStep()
+			return c.Then(cost, kernel.BlockAction()), true
+		}))
+}
 
 type bpfFunc func(cpu hw.CPUID) *kernel.Thread
 
@@ -514,10 +516,7 @@ func TestBPFFastpath(t *testing.T) {
 
 func TestAgentSeqAndESTALE(t *testing.T) {
 	env := newGhostEnv(t)
-	agThread := env.k.SpawnStepper(kernel.SpawnOpts{Name: "agent", Class: env.ac, Affinity: kernel.MaskOf(0)},
-		stepFunc(func(now sim.Time) (sim.Duration, kernel.Disposition) {
-			return 100, kernel.DispBlock
-		}))
+	agThread := env.spawnAgent(100, func() {})
 	a := env.enc.AttachAgent(0, agThread)
 	q := env.enc.CreateQueue("agentq")
 	env.enc.ConfigQueueWakeup(q, a, false)
@@ -552,11 +551,7 @@ func TestAgentSeqAndESTALE(t *testing.T) {
 func TestQueueWakeupWakesAgent(t *testing.T) {
 	env := newGhostEnv(t)
 	steps := 0
-	agThread := env.k.SpawnStepper(kernel.SpawnOpts{Name: "agent", Class: env.ac, Affinity: kernel.MaskOf(0)},
-		stepFunc(func(now sim.Time) (sim.Duration, kernel.Disposition) {
-			steps++
-			return 200, kernel.DispBlock
-		}))
+	agThread := env.spawnAgent(200, func() { steps++ })
 	a := env.enc.AttachAgent(0, agThread)
 	q := env.enc.CreateQueue("agentq")
 	env.enc.ConfigQueueWakeup(q, a, true)

@@ -1,6 +1,11 @@
 package hw
 
-import "ghost/internal/sim"
+import (
+	"fmt"
+	"reflect"
+
+	"ghost/internal/sim"
+)
 
 // CostModel holds the nanosecond costs of scheduling-relevant operations.
 // The default values are taken from Table 3 of the ghOSt paper (measured
@@ -66,6 +71,19 @@ type CostModel struct {
 	MsgEnqueue sim.Duration
 	// MsgDequeue is the agent-side cost of consuming one message.
 	MsgDequeue sim.Duration
+}
+
+// Validate reports whether every field of c is non-negative: a negative
+// cost would run a thread's work or an event backwards.
+func (c CostModel) Validate() error {
+	v := reflect.ValueOf(c)
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if (f.CanInt() && f.Int() < 0) || (f.CanFloat() && f.Float() < 0) {
+			return fmt.Errorf("hw: cost model field %s is negative (%v)", v.Type().Field(i).Name, f)
+		}
+	}
+	return nil
 }
 
 // DefaultCostModel returns the Table 3-anchored cost model.

@@ -71,7 +71,7 @@ func (a *AgentClass) PickNext(c *CPU, prev *Thread) *Thread {
 		return nil
 	}
 	t := rq[0]
-	a.rqs[c.ID] = rq[1:]
+	a.rqs[c.ID] = append(rq[:0], rq[1:]...) // keep the capacity: Enqueue stays alloc-free
 	return t
 }
 

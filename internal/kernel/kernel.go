@@ -3,12 +3,14 @@
 // affinity, and nice values. It is the substrate on which the ghOSt
 // scheduling class (internal/ghostcore) and the baseline schedulers run.
 //
-// Thread bodies are written as plain Go functions that interact with the
-// kernel through a TaskContext; the kernel executes them deterministically
-// on virtual time, each as a coroutine that the engine resumes and that
-// parks again at its next TaskContext call, so only one of them ever runs.
-// Hot bodies may instead be explicit state machines (Steps) that the
-// kernel calls at the same points.
+// Every thread runs through one seam: a step function the kernel calls
+// for the thread's next action. Thread bodies are written as plain Go
+// functions that interact with the kernel through a TaskContext; the
+// kernel executes them deterministically on virtual time, each as a
+// coroutine that its step resumes and that parks again at its next
+// TaskContext call, so only one of them ever runs. Hot bodies, the
+// scheduler agents and the dataplane pollers are instead explicit state
+// machines (Steps) that the kernel calls at the same points.
 package kernel
 
 import (
@@ -253,17 +255,6 @@ func (k *Kernel) Spawn(opts SpawnOpts, body ThreadFunc) *Thread {
 	return t
 }
 
-// SpawnStepper creates a thread driven by a Stepper (used for scheduler
-// agents and dataplane pollers). The thread is created blocked; Wake it
-// to start.
-func (k *Kernel) SpawnStepper(opts SpawnOpts, s Stepper) *Thread {
-	t := k.newThread(opts)
-	t.stepper = s
-	t.state = StateBlocked
-	t.curKind = actStepPending
-	return t
-}
-
 func (k *Kernel) newThread(opts SpawnOpts) *Thread {
 	if opts.Class == nil {
 		panic("kernel: Spawn without class")
@@ -335,13 +326,8 @@ func (k *Kernel) Wake(t *Thread) {
 		return
 	case StateBlocked:
 		k.makeRunnable(t, EnqWake)
-		if t.stepper != nil {
-			// Step runs once the thread is actually on a CPU.
-			t.curKind = actStepPending
-		} else {
-			// Complete the pending Block and fetch what's next.
-			k.applyAction(t, t.nextAction())
-		}
+		// Complete the pending Block and fetch what's next.
+		k.applyAction(t, t.nextAction())
 	default:
 		t.wakePending = true
 	}
@@ -590,29 +576,12 @@ func (k *Kernel) resumeOnCPU(c *CPU) {
 	switch t.curKind {
 	case actRun:
 		// Work already exhausted (completed exactly at preemption).
-		k.finishRun(c, t)
-	case actStepPending:
-		k.stepperStep(t)
-	case actSpinIdle:
-		c.startSegment() // occupies CPU without a completion event
-		if t.poked {
-			k.stepperStep(t)
-		}
+		k.applyAction(t, t.nextAction())
+	case actSpinIdle, actStepPending:
+		k.applyAction(t, Action{kind: t.curKind})
 	default:
 		c.startSegment()
 	}
-}
-
-// finishRun completes an actRun whose work is exhausted: either invoke
-// its continuation or fetch the thread's next action.
-func (k *Kernel) finishRun(c *CPU, t *Thread) {
-	if t.onWorkDone != nil {
-		fn := t.onWorkDone
-		t.onWorkDone = nil
-		fn()
-		return
-	}
-	k.applyAction(t, t.nextAction())
 }
 
 // workDoneFire adapts workDone to the engine's pre-bound callback shape.
@@ -630,11 +599,12 @@ func (k *Kernel) workDone(c *CPU) {
 		c.startSegment()
 		return
 	}
-	k.finishRun(c, t)
+	k.applyAction(t, t.nextAction())
 }
 
-// stepperStep invokes a stepper thread's Step while it is on CPU.
-func (k *Kernel) stepperStep(t *Thread) {
+// stepOnCPU asks a thread on a CPU for its next action, ending the
+// current segment first.
+func (k *Kernel) stepOnCPU(t *Thread) {
 	if t.state != StateRunning || t.cpu == nil {
 		return
 	}
@@ -642,9 +612,9 @@ func (k *Kernel) stepperStep(t *Thread) {
 	k.applyAction(t, t.nextAction())
 }
 
-// Poke nudges a stepper thread: if it is spin-idling on a CPU its Step is
-// invoked promptly; otherwise the poke is remembered and consumed at the
-// next Step opportunity.
+// Poke nudges a polling thread: if it is spinning on a CPU (SpinAction)
+// it is stepped promptly; otherwise the poke is remembered until the
+// thread's next step (see Charge).
 func (k *Kernel) Poke(t *Thread) {
 	if t == nil || t.state == StateDead {
 		return
@@ -656,11 +626,11 @@ func (k *Kernel) Poke(t *Thread) {
 	}
 }
 
-// pokeFire delivers a deferred Poke to a spin-idling stepper.
+// pokeFire delivers a deferred Poke to a spinning thread.
 func (k *Kernel) pokeFire(a any) {
 	t := a.(*Thread)
 	if t.poked && t.state == StateRunning && t.curKind == actSpinIdle {
-		k.stepperStep(t)
+		k.stepOnCPU(t)
 	}
 }
 
@@ -670,7 +640,6 @@ func (k *Kernel) applyAction(t *Thread, a Action) {
 	switch a.kind {
 	case actRun:
 		t.pendingWork = a.dur
-		t.onWorkDone = a.then
 		switch t.state {
 		case StateNew:
 			k.makeRunnable(t, EnqWake)
@@ -682,22 +651,16 @@ func (k *Kernel) applyAction(t *Thread, a Action) {
 			panic(fmt.Sprintf("kernel: Run from %v in state %v", t, t.state))
 		}
 	case actBlock:
-		if t.stepper != nil && t.poked && t.state == StateRunning {
+		if t.poked && t.state == StateRunning {
 			// A poke (e.g. a new ghOSt message) landed while the step's
-			// cost was being charged; re-step instead of blocking so
-			// the event is not stranded until the next wakeup.
-			k.stepperStep(t)
+			// cost was being charged; complete the Block at once, so the
+			// thread steps again instead of stranding the event until
+			// the next wakeup.
+			k.applyAction(t, t.nextAction())
 			return
 		}
 		if t.wakePending {
 			t.wakePending = false
-			if t.stepper != nil {
-				t.curKind = actStepPending
-				if t.state == StateRunning {
-					k.stepperStep(t)
-				}
-				return
-			}
 			k.applyAction(t, t.nextAction())
 			return
 		}
@@ -726,28 +689,27 @@ func (k *Kernel) applyAction(t *Thread, a Action) {
 			k.offCPU(c, t, EnqYield)
 			k.Resched(c.ID)
 		}
-		if t.stepper != nil {
-			t.curKind = actStepPending
-			return
-		}
 		k.applyAction(t, t.nextAction())
 	case actExit:
 		k.reap(t)
-	case actSpinIdle:
+	case actSpinIdle, actStepPending:
 		switch t.state {
 		case StateRunning:
-			t.cpu.startSegment()
-			if t.poked {
+			if a.kind == actSpinIdle {
+				t.cpu.startSegment() // occupies the CPU without a completion event
+				if !t.poked {
+					return
+				}
 				// A poke landed while the step's cost was charging;
 				// re-step now rather than spinning past the event.
-				k.stepperStep(t)
 			}
+			k.stepOnCPU(t)
 		case StateNew:
 			k.makeRunnable(t, EnqWake)
 		case StateRunnable:
-			// Will spin once scheduled.
+			// Spins or steps once switched in (resumeOnCPU).
 		default:
-			panic(fmt.Sprintf("kernel: SpinIdle from %v in state %v", t, t.state))
+			panic(fmt.Sprintf("kernel: %v spins or steps on CPU from state %v", t, t.state))
 		}
 	}
 }

@@ -446,15 +446,12 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestStepperSpinOccupiesCPU(t *testing.T) {
+func TestSpinActionOccupiesCPU(t *testing.T) {
 	env := newTestEnv(t, oneCPUTopo())
 	ac := NewAgentClass(env.k)
 	steps := 0
-	st := stepFunc(func(now sim.Time) (sim.Duration, Disposition) {
-		steps++
-		return 100, DispSpin
-	})
-	ag := env.k.SpawnStepper(SpawnOpts{Name: "agent", Class: ac, Affinity: MaskOf(0)}, st)
+	ag := env.k.Spawn(SpawnOpts{Name: "agent", Class: ac, Affinity: MaskOf(0)},
+		poller(100, SpinAction(), func(sim.Time) { steps++ }))
 	env.k.Wake(ag)
 	env.eng.RunFor(sim.Millisecond)
 	if ag.State() != StateRunning {
@@ -475,20 +472,25 @@ func TestStepperSpinOccupiesCPU(t *testing.T) {
 	}
 }
 
-// stepFunc adapts a function to the Stepper interface.
-type stepFunc func(now sim.Time) (sim.Duration, Disposition)
+// poller is a polling machine's body: the thread starts blocked, and
+// each step calls onStep and charges cost before after.
+func poller(cost sim.Duration, after Action, onStep func(now sim.Time)) ThreadFunc {
+	var c Charge
+	return Steps(func(t *Thread) (Action, bool) {
+		if a, ok := c.Next(t); ok {
+			return a, true
+		}
+		onStep(t.k.Now())
+		return c.Then(cost, after), true
+	})
+}
 
-func (f stepFunc) Step(now sim.Time) (sim.Duration, Disposition) { return f(now) }
-
-func TestStepperBlockWakeCycle(t *testing.T) {
+func TestChargeBlockWakeCycle(t *testing.T) {
 	env := newTestEnv(t, oneCPUTopo())
 	ac := NewAgentClass(env.k)
 	var stepTimes []sim.Time
-	st := stepFunc(func(now sim.Time) (sim.Duration, Disposition) {
-		stepTimes = append(stepTimes, now)
-		return 500, DispBlock
-	})
-	ag := env.k.SpawnStepper(SpawnOpts{Name: "agent", Class: ac, Affinity: MaskOf(0)}, st)
+	ag := env.k.Spawn(SpawnOpts{Name: "agent", Class: ac, Affinity: MaskOf(0)},
+		poller(500, BlockAction(), func(now sim.Time) { stepTimes = append(stepTimes, now) }))
 	env.k.Wake(ag)
 	env.eng.RunFor(sim.Millisecond)
 	if len(stepTimes) != 1 {
@@ -505,6 +507,33 @@ func TestStepperBlockWakeCycle(t *testing.T) {
 	env.eng.RunFor(sim.Millisecond)
 	if len(stepTimes) != 2 {
 		t.Fatalf("steps = %d after second wake", len(stepTimes))
+	}
+}
+
+// A poke that lands while a step's cost is charged makes the thread step
+// again as soon as the cost has elapsed, instead of blocking or spinning
+// past the event.
+func TestPokeDuringChargeResteps(t *testing.T) {
+	for _, after := range []Action{BlockAction(), SpinAction()} {
+		env := newTestEnv(t, oneCPUTopo())
+		ac := NewAgentClass(env.k)
+		var ag *Thread
+		var stepTimes []sim.Time
+		ag = env.k.Spawn(SpawnOpts{Name: "agent", Class: ac, Affinity: MaskOf(0)},
+			poller(500, after, func(now sim.Time) {
+				if len(stepTimes) == 0 {
+					env.eng.After(100, func() { env.k.Poke(ag) })
+				}
+				stepTimes = append(stepTimes, now)
+			}))
+		env.k.Wake(ag)
+		env.eng.RunFor(sim.Millisecond)
+		if len(stepTimes) != 2 || stepTimes[1]-stepTimes[0] != 500 {
+			t.Fatalf("after kind %d: steps at %v, want two, the second as the first's 500ns cost ends", after.kind, stepTimes)
+		}
+		if want := map[actionKind]State{actBlock: StateBlocked, actSpinIdle: StateRunning}[after.kind]; ag.State() != want {
+			t.Fatalf("after kind %d: state %v, want %v", after.kind, ag.State(), want)
+		}
 	}
 }
 
@@ -529,11 +558,8 @@ func TestAgentPreemptsEverything(t *testing.T) {
 	eng.RunFor(2 * sim.Millisecond)
 
 	var ranAt sim.Time
-	st := stepFunc(func(now sim.Time) (sim.Duration, Disposition) {
-		ranAt = now
-		return 100, DispBlock
-	})
-	ag := k.SpawnStepper(SpawnOpts{Name: "agent", Class: ac, Affinity: MaskOf(0)}, st)
+	ag := k.Spawn(SpawnOpts{Name: "agent", Class: ac, Affinity: MaskOf(0)},
+		poller(100, BlockAction(), func(now sim.Time) { ranAt = now }))
 	wakeAt := eng.Now()
 	k.Wake(ag)
 	eng.RunFor(sim.Millisecond)

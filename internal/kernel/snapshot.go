@@ -72,14 +72,10 @@ type ThreadRec struct {
 	TargetCPU int `json:"targetCPU"`
 	LastCPU   int `json:"lastCPU"`
 
-	Stepper           bool  `json:"stepper,omitempty"`
-	CurKind           int   `json:"curKind"`
-	PendingWork       int64 `json:"pendingWork"`
-	WorkDoneIsAfterFn bool  `json:"workDoneIsAfterFn,omitempty"`
-	AfterKind         int   `json:"afterKind,omitempty"`
-	AfterDur          int64 `json:"afterDur,omitempty"`
-	WakePending       bool  `json:"wakePending,omitempty"`
-	Poked             bool  `json:"poked,omitempty"`
+	CurKind     int   `json:"curKind"`
+	PendingWork int64 `json:"pendingWork"`
+	WakePending bool  `json:"wakePending,omitempty"`
+	Poked       bool  `json:"poked,omitempty"`
 
 	CPUTime     int64  `json:"cpuTime"`
 	WakeTime    int64  `json:"wakeTime"`
@@ -230,7 +226,6 @@ func (t *Thread) saveRec() (ThreadRec, error) {
 		CPU:         -1,
 		TargetCPU:   int(t.targetCPU),
 		LastCPU:     int(t.lastCPU),
-		Stepper:     t.stepper != nil,
 		CurKind:     int(t.curKind),
 		PendingWork: int64(t.pendingWork),
 		WakePending: t.wakePending,
@@ -252,30 +247,16 @@ func (t *Thread) saveRec() (ThreadRec, error) {
 	default:
 		return rec, fmt.Errorf("thread %v: non-integer Tag %T is not serializable", t, t.Tag)
 	}
-	if t.onWorkDone != nil {
-		// Body threads never set onWorkDone; steppers only ever set it to
-		// their reusable afterFn (see nextAction), so a bool suffices.
-		rec.WorkDoneIsAfterFn = true
+	if t.body == nil {
+		return rec, fmt.Errorf("thread %v has no registered resumable body (see snap.RegisterBody)", t)
 	}
-	if t.afterAction.kind != actNone {
-		rec.AfterKind = int(t.afterAction.kind)
-		rec.AfterDur = int64(t.afterAction.dur)
-		if t.afterAction.then != nil {
-			return rec, fmt.Errorf("thread %v: afterAction with continuation is not serializable", t)
-		}
+	if !parked(t.curKind) {
+		return rec, fmt.Errorf("thread %v parked in unexpected action %d", t, t.curKind)
 	}
-	if t.stepper == nil {
-		if t.body == nil {
-			return rec, fmt.Errorf("thread %v has no registered resumable body (see snap.RegisterBody)", t)
-		}
-		if t.curKind != actRun && t.curKind != actBlock {
-			return rec, fmt.Errorf("thread %v parked in unexpected action %d", t, t.curKind)
-		}
-		rec.Body = &BodyRec{Kind: t.body.Kind, Key: t.body.Key, Args: append([]int64(nil), t.body.Args...)}
-		if t.body.Rand != nil {
-			st := t.body.Rand.State()
-			rec.Body.Rand = &st
-		}
+	rec.Body = &BodyRec{Kind: t.body.Kind, Key: t.body.Key, Args: append([]int64(nil), t.body.Args...)}
+	if t.body.Rand != nil {
+		st := t.body.Rand.State()
+		rec.Body.Rand = &st
 	}
 	switch t.class.Name() {
 	case "cfs":
@@ -322,6 +303,12 @@ func (c *CFS) saveRec() *CFSRec {
 
 func (m *MicroQuanta) saveRec() *MQRec {
 	return &MQRec{Period: int64(m.Period), Quanta: int64(m.Quanta), Queue: tids(m.queue)}
+}
+
+// parked reports whether a live thread can rest in action kind k between
+// events: running, blocked, spinning or waiting to step on a CPU.
+func parked(k actionKind) bool {
+	return k == actRun || k == actBlock || k == actSpinIdle || k == actStepPending
 }
 
 // ParkedInRun reports whether the serialized body thread was parked
@@ -463,18 +450,13 @@ func (t *Thread) restoreRec(rec *ThreadRec) error {
 	t.targetCPU = hw.CPUID(rec.TargetCPU)
 	t.lastCPU = hw.CPUID(rec.LastCPU)
 	t.curKind = actionKind(rec.CurKind)
+	if !parked(t.curKind) {
+		return fmt.Errorf("thread %v: action kind %d", t, rec.CurKind)
+	}
 	if rec.PendingWork < 0 {
 		return fmt.Errorf("thread %v: negative pending work %d", t, rec.PendingWork)
 	}
 	t.pendingWork = sim.Duration(rec.PendingWork)
-	t.onWorkDone = nil
-	if rec.WorkDoneIsAfterFn {
-		t.onWorkDone = t.ensureAfterFn()
-	}
-	t.afterAction = Action{}
-	if rec.AfterKind != 0 {
-		t.afterAction = Action{kind: actionKind(rec.AfterKind), dur: sim.Duration(rec.AfterDur)}
-	}
 	t.wakePending = rec.WakePending
 	t.poked = rec.Poked
 	t.cpuTime = sim.Duration(rec.CPUTime)

@@ -49,48 +49,23 @@ type ThreadFunc func(tc *TaskContext)
 // Steps returns a body that runs the thread as the state machine step
 // instead of a coroutine. The kernel calls step wherever it would resume
 // a coroutine body: at Spawn, when a blocked thread is woken, when a run
-// completes, and when a Block consumes a pending wake. Each call does the
+// completes, when a Block consumes a pending wake, and when it steps an
+// on-CPU thread (StepOnCPUAction, SpinAction). Each call does the
 // thread's zero-time work up to its next request and returns that
 // request (RunAction, BlockAction, Thread.SleepAction,
-// WaitQueue.WaitAction, Mailbox.TryGetOrWait), or false to exit. Like
-// Run(0), a zero-length RunAction does not yield: step is called again at
-// once.
+// WaitQueue.WaitAction, Mailbox.TryGetOrWait, SpinAction,
+// StepOnCPUAction), or false to exit. Like Run(0), a zero-length
+// RunAction does not yield: step is called again at once.
 //
 // The body only installs step and returns; its short-lived coroutine
 // ends inside Spawn and the thread keeps no coroutine afterwards. A body
 // may call the returned body last, after TaskContext calls of its own.
 func Steps(step func(*Thread) (Action, bool)) ThreadFunc {
-	return func(tc *TaskContext) { tc.t.steps = step }
+	return func(tc *TaskContext) { tc.steps = step }
 }
 
-// Stepper is the callback-driven execution alternative used for scheduler
-// agents and dataplane pollers: when the thread is on CPU with no pending
-// work, the kernel invokes Step, which performs instantaneous actions,
-// returns the CPU time those actions cost, and a disposition for what the
-// thread does once that cost has been charged.
-type Stepper interface {
-	Step(now sim.Time) (cost sim.Duration, disp Disposition)
-}
-
-// Disposition tells the kernel what a Stepper thread does after its step
-// cost has been charged.
-type Disposition int
-
-const (
-	// DispSpin keeps the thread on CPU, busy-polling; Step is invoked
-	// again when the thread is poked.
-	DispSpin Disposition = iota
-	// DispBlock blocks the thread until Wake.
-	DispBlock
-	// DispYield puts the thread at the back of its class's queue.
-	DispYield
-	// DispAgain re-invokes Step as soon as the cost has elapsed.
-	DispAgain
-	// DispExit terminates the thread.
-	DispExit
-)
-
-// actionKind is what an Action asks of the kernel.
+// actionKind is what an Action asks of the kernel. The values are
+// serialized (ThreadRec.CurKind, Charge.State).
 type actionKind int
 
 const (
@@ -99,19 +74,16 @@ const (
 	actBlock
 	actYield
 	actExit
-	actSpinIdle    // stepper: stay on CPU, wait for a poke
-	actStepPending // stepper: Step must run next time the thread is on CPU
+	actSpinIdle    // stay on CPU until poked, then step
+	actStepPending // step once on a CPU
 )
 
 // Action is a request from a thread's execution to the kernel: run for a
-// while, block, yield or exit. Coroutine bodies make requests through
-// their TaskContext; Steps machines return them.
+// while, block, yield, spin or step on CPU. Coroutine bodies make
+// requests through their TaskContext; Steps machines return them.
 type Action struct {
 	kind actionKind
 	dur  sim.Duration
-	// then, when set, is invoked in place of fetching the next action
-	// once the run completes. Used by stepper dispositions.
-	then func()
 }
 
 // Thread is a simulated kernel thread.
@@ -129,28 +101,18 @@ type Thread struct {
 	targetCPU hw.CPUID // placement chosen at wake; queue key for per-CPU classes
 	lastCPU   hw.CPUID // where the thread last ran, NoCPU if never
 
-	// Execution machinery: a body's coroutine (coro.go), a Steps
-	// machine, or a stepper. A machine takes over once next, the
-	// coroutine of the body that installed it, has ended.
-	next    func() (Action, bool)
-	yield   func(Action) bool
-	stop    func()
-	steps   func(*Thread) (Action, bool)
-	stepper Stepper
+	// step is the thread's one execution seam: it returns the thread's
+	// next request, or false to exit. It is a Steps machine, or a
+	// machine over the body's coroutine (coro.go) until the body
+	// installs one; stop unwinds a parked coroutine, nil without one.
+	step func(*Thread) (Action, bool)
+	stop func()
 
 	curKind     actionKind
 	pendingWork sim.Duration // remaining CPU work of the current action
-	onWorkDone  func()
-
-	// afterAction and afterFn are nextAction's reusable continuation: a
-	// thread has at most one pending post-run action, so one closure per
-	// thread (allocated lazily on first use) replaces one per run
-	// segment — the top allocation site in CPU-bound sweeps.
-	afterAction Action
-	afterFn     func()
 
 	wakePending bool // Wake arrived while not blocked
-	poked       bool // poke arrived for a stepper thread
+	poked       bool // Poke arrived since the thread's last step
 
 	// Accounting.
 	cpuTime     sim.Duration // total on-CPU wall time
@@ -199,17 +161,6 @@ func (t *Thread) SetBodyDesc(d *BodyDesc) { t.body = d }
 
 // BodyDesc returns the thread's resumable-body descriptor, nil if none.
 func (t *Thread) BodyDesc() *BodyDesc { return t.body }
-
-// ensureAfterFn returns the thread's reusable post-run continuation,
-// creating it on first use. Restore-only: the hot path (nextAction)
-// creates the identical closure inline so the literal stays out of any
-// function reachable from the 0-alloc wake path.
-func (t *Thread) ensureAfterFn() func() {
-	if t.afterFn == nil {
-		t.afterFn = func() { t.k.applyAction(t, t.afterAction) }
-	}
-	return t.afterFn
-}
 
 // TID returns the thread id.
 func (t *Thread) TID() TID { return t.tid }
@@ -270,82 +221,21 @@ func (t *Thread) String() string {
 // or the kernel shuts down, so the body unwinds and its coroutine ends.
 type errShutdown struct{}
 
-// submit hands the next action to the kernel and parks the body until
-// the action completes. Called from the thread body only.
-func (t *Thread) submit(a Action) {
-	if !t.yield(a) {
-		panic(errShutdown{})
-	}
-}
-
-// nextAction fetches the thread's next action: for body threads it
-// resumes the body until its next request (a returned body exits, unless
-// it installed a Steps machine); for stepper threads it invokes Step and
-// translates the disposition.
-func (t *Thread) nextAction() Action {
-	if t.stepper == nil {
-		if t.next != nil {
-			if a, ok := t.next(); ok {
-				return a
-			}
-			if t.steps == nil {
-				return Action{kind: actExit}
-			}
-			// The body returned with a Steps machine installed, so its
-			// coroutine has ended and there is nothing left to unwind:
-			// from now on the machine is the thread's execution.
-			t.next, t.yield, t.stop = nil, nil, nil
-		}
-		return t.stepMachine()
-	}
-	t.poked = false
-	cost, disp := t.stepper.Step(t.k.eng.Now())
-	if cost < 0 {
-		panic("kernel: stepper returned negative cost")
-	}
-	var after Action
-	switch disp {
-	case DispSpin:
-		after = Action{kind: actSpinIdle}
-	case DispBlock:
-		after = Action{kind: actBlock}
-	case DispYield:
-		after = Action{kind: actYield}
-	case DispAgain:
-		if cost == 0 {
-			panic("kernel: DispAgain with zero cost would livelock")
-		}
-		return Action{kind: actRun, dur: cost}
-	case DispExit:
-		after = Action{kind: actExit}
-	default:
-		panic("kernel: unknown disposition")
-	}
-	if cost == 0 {
-		return after
-	}
-	if t.afterFn == nil {
-		t.afterFn = func() { t.k.applyAction(t, t.afterAction) }
-	}
-	t.afterAction = after
-	return Action{kind: actRun, dur: cost, then: t.afterFn}
-}
-
-// errStepsAction is the panic value of a Steps machine that returns an
+// errStepsAction is the panic value of a thread step that returns an
 // action the vocabulary cannot build, such as the zero Action.
-var errStepsAction = errors.New("kernel: Steps machine returned an action other than Run or Block")
+var errStepsAction = errors.New("kernel: thread step returned an action outside the vocabulary")
 
-// stepMachine asks the thread's Steps machine for its next request,
-// skipping zero-length runs as TaskContext.Run(0) does.
-func (t *Thread) stepMachine() Action {
+// nextAction asks the thread's step for its next request, skipping
+// zero-length runs as TaskContext.Run(0) does.
+func (t *Thread) nextAction() Action {
 	for {
-		a, ok := t.steps(t)
+		a, ok := t.step(t)
 		switch {
 		case !ok:
 			return Action{kind: actExit}
 		case a.kind == actRun && a.dur == 0:
 			continue
-		case a.kind != actRun && a.kind != actBlock:
+		case a.kind == actNone || a.kind == actExit:
 			panic(errStepsAction)
 		}
 		return a
@@ -371,11 +261,95 @@ func (t *Thread) SleepAction(d sim.Duration) Action {
 	return BlockAction()
 }
 
+// SpinAction keeps the thread on its CPU, busy-polling without a
+// completion event, until Poke: then the kernel steps it again. A
+// runnable thread starts spinning once it is switched in.
+func SpinAction() Action { return Action{kind: actSpinIdle} }
+
+// StepOnCPUAction asks the kernel to call the thread's step again once
+// the thread is on a CPU: at once when it is running, else at its next
+// switch-in. A new thread becomes runnable first.
+func StepOnCPUAction() Action { return Action{kind: actStepPending} }
+
+// Charge is the pending action of a polling Steps machine, such as a
+// ghOSt agent or a dataplane spinner: each of its steps costs CPU time
+// and then blocks, spins until poked, or steps again. Then charges the
+// cost and keeps what follows it; Next hands that out at the machine's
+// next call. The zero value has nothing pending.
+type Charge struct{ after Action }
+
+// Next returns the action pending for the machine's call, if any. A new
+// thread starts blocked, so Wake starts it, and a Block is followed by
+// StepOnCPUAction, so a woken machine steps once it is on a CPU, not at
+// Wake. With nothing pending the machine takes a step, which consumes
+// the pokes that arrived before it.
+func (c *Charge) Next(t *Thread) (Action, bool) {
+	if t.state == StateNew {
+		c.after = BlockAction()
+	} else if c.after.kind == actNone {
+		t.poked = false
+		return Action{}, false
+	}
+	return c.pop(), true
+}
+
+// Then returns the action that charges a step's cost before after:
+// BlockAction, SpinAction, or StepOnCPUAction to step again as soon as
+// the cost has elapsed.
+func (c *Charge) Then(cost sim.Duration, after Action) Action {
+	if cost < 0 {
+		panic("kernel: step returned negative cost")
+	}
+	if after.kind == actStepPending {
+		if cost == 0 {
+			panic("kernel: stepping again at zero cost would livelock")
+		}
+		after = Action{}
+	}
+	c.after = after
+	if cost > 0 {
+		return RunAction(cost)
+	}
+	return c.pop()
+}
+
+func (c *Charge) pop() Action {
+	a := c.after
+	c.after = Action{}
+	if a.kind == actBlock {
+		c.after = StepOnCPUAction()
+	}
+	return a
+}
+
+// State returns the pending action's kind for a snapshot.
+func (c *Charge) State() int { return int(c.after.kind) }
+
+// SetState restores a pending action saved by State.
+func (c *Charge) SetState(kind int) error {
+	switch k := actionKind(kind); k {
+	case actNone, actBlock, actSpinIdle, actStepPending:
+		c.after = Action{kind: k}
+		return nil
+	}
+	return fmt.Errorf("action kind %d cannot follow a step", kind)
+}
+
 // TaskContext is the interface a simulated thread body uses to interact
 // with the kernel. All methods must be called only from inside the
 // thread's own ThreadFunc.
 type TaskContext struct {
-	t *Thread
+	t     *Thread
+	yield func(Action) bool
+	steps func(*Thread) (Action, bool) // installed by a Steps body
+}
+
+// submit hands the next action to the kernel and parks the body until
+// the action completes.
+func (tc *TaskContext) submit(a Action) {
+	if !tc.yield(a) {
+		panic(errShutdown{})
+	}
 }
 
 // Thread returns the underlying thread.
@@ -389,25 +363,25 @@ func (tc *TaskContext) Now() sim.Time { return tc.t.k.eng.Now() }
 // simulated time can be much larger than d.
 func (tc *TaskContext) Run(d sim.Duration) {
 	if a := RunAction(d); d > 0 {
-		tc.t.submit(a)
+		tc.submit(a)
 	}
 }
 
 // Block suspends the thread until another thread calls Wake on it. If a
 // Wake arrived since the last Block, it returns immediately.
 func (tc *TaskContext) Block() {
-	tc.t.submit(BlockAction())
+	tc.submit(BlockAction())
 }
 
 // Sleep blocks the thread for d nanoseconds of simulated time.
 func (tc *TaskContext) Sleep(d sim.Duration) {
-	tc.t.submit(tc.t.SleepAction(d))
+	tc.submit(tc.t.SleepAction(d))
 }
 
 // Yield relinquishes the CPU, moving the thread to the back of its
 // class's runqueue.
 func (tc *TaskContext) Yield() {
-	tc.t.submit(Action{kind: actYield})
+	tc.submit(Action{kind: actYield})
 }
 
 // SetAffinity restricts the thread to the given CPUs. Takes effect on the

@@ -49,7 +49,7 @@ func NewWaitQueue(k *Kernel) *WaitQueue {
 // Wait enrolls the calling thread and blocks it. Must be called from the
 // thread's own body.
 func (w *WaitQueue) Wait(tc *TaskContext) {
-	tc.t.submit(w.WaitAction(tc.t))
+	tc.submit(w.WaitAction(tc.t))
 }
 
 // WaitAction enrolls t and returns the Block that waits for a wake: Wait
@@ -107,7 +107,7 @@ func (m *Mailbox[T]) Get(tc *TaskContext) T {
 		if ok {
 			return x
 		}
-		tc.t.submit(wait)
+		tc.submit(wait)
 	}
 }
 

@@ -98,7 +98,7 @@ func (p *PerCPUFIFO) PickNext(ctx *agentsdk.Context, cpu hw.CPUID) *kernel.Threa
 	q := p.rqs[cpu]
 	for len(q) > 0 {
 		ts := q[0]
-		q = q[1:]
+		q = append(q[:0], q[1:]...) // keep the capacity: push stays alloc-free
 		p.rqs[cpu] = q
 		ts.Enqueued = false
 		if ts.Thread.State() == kernel.StateRunnable && ts.Thread.Affinity().Has(cpu) {

@@ -6,17 +6,12 @@ package sim
 // windows — that are armed and disarmed as state changes.
 //
 // The callback is stored on the struct and dispatched through a
-// package-level trampoline (rather than captured in a per-Arm closure) so
-// that a pending firing is serializable: snapshots record it under the
-// deadline's Key and restore re-links it via RestoreArmed.
+// package-level trampoline, so re-arming allocates no closure. A pending
+// firing is not serializable: a snapshot taken while one is armed fails.
 type Deadline struct {
 	eng *Engine
 	fn  func()
 	ev  Event
-
-	// Key is the deadline's stable identity across snapshot/restore; see
-	// Ticker.Key.
-	Key string
 }
 
 // deadlineFire dispatches an armed deadline (allocation-free AtCall path).
@@ -44,10 +39,3 @@ func (d *Deadline) Cancel() { d.ev.Cancel() }
 
 // Pending reports whether a firing is scheduled.
 func (d *Deadline) Pending() bool { return d.ev.Pending() }
-
-// RestoreArmed re-links a restored pending firing and its callback
-// (restore path; the callback is reconstructed by the owning subsystem).
-func (d *Deadline) RestoreArmed(fn func(), ev Event) {
-	d.fn = fn
-	d.ev = ev
-}

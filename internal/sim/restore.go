@@ -105,25 +105,15 @@ func SameFn(a, b func(any)) bool {
 }
 
 // ClassifyEvent recognizes the sim package's own pre-bound callbacks.
-// Tickers and deadlines are serialized by their stable Key, assigned at
-// construction by the owning subsystem; an unkeyed ticker or deadline is
-// not snapshottable and makes ok false.
+// Tickers are serialized by their stable Key, assigned at construction
+// by the owning subsystem; an unkeyed ticker is not snapshottable and
+// makes ok false.
 func ClassifyEvent(afn func(any), arg any) (kind, key string, ok bool) {
-	switch v := arg.(type) {
-	case *Ticker:
-		if SameFn(afn, tickerFire) {
-			return "sim.ticker", v.Key, v.Key != ""
-		}
-	case *Deadline:
-		if SameFn(afn, deadlineFire) {
-			return "sim.deadline", v.Key, v.Key != ""
-		}
+	if tk, isTicker := arg.(*Ticker); isTicker && SameFn(afn, tickerFire) {
+		return "sim.ticker", tk.Key, tk.Key != ""
 	}
 	return "", "", false
 }
 
 // TickerFireFn exposes the ticker dispatch callback for event restore.
 func TickerFireFn() func(any) { return tickerFire }
-
-// DeadlineFireFn exposes the deadline dispatch callback for event restore.
-func DeadlineFireFn() func(any) { return deadlineFire }

@@ -18,8 +18,9 @@ import (
 )
 
 // Version is the snapshot wire-format version this build reads and
-// writes.
-const Version = 2
+// writes. Version 3 moved a runner's post-step action from its kernel
+// thread record to its agent-set record (RunnerRec.Pending).
+const Version = 3
 
 var (
 	// ErrVersion is returned when decoding a snapshot written by an

@@ -113,7 +113,7 @@ func Load(t *Target, img *Image, opts LoadOpts) (*Result, error) {
 	}
 	for i, set := range res.Sets {
 		if err := set.RestoreImage(core.Sets[i]); err != nil {
-			return nil, fmt.Errorf("snap: agents: %w", err)
+			return nil, fmt.Errorf("%w: agents: %w", ErrCorrupt, err)
 		}
 	}
 	for _, crec := range core.Components {
@@ -184,7 +184,7 @@ func spawnPass(t *Target, core *CoreImage, ctx *RestoreCtx, opts LoadOpts, res *
 	var items []spawnItem
 	for i := range core.Kernel.Threads {
 		rec := &core.Kernel.Threads[i]
-		if rec.Stepper {
+		if rec.Body != nil && rec.Body.Kind == agentsdk.RunnerBody {
 			continue // agent runners re-spawn with their set
 		}
 		items = append(items, spawnItem{tid: rec.TID, thread: rec})

@@ -10,10 +10,12 @@
 //
 // Live coroutine stacks are never serialized. Thread bodies parked in
 // Run or Block are re-spawned from registered body factories whose
-// continuation is fully determined by the parked action kind; agent
-// steppers are stackless state machines and re-spawn via
-// agentsdk.Start. Construction side effects of the re-spawn pass are
-// erased by an engine Reset before the serialized state is overlaid.
+// continuation is fully determined by the parked action kind. Agent
+// runner threads (body kind agentsdk.RunnerBody) are Steps machines
+// whose only state is the action pending after their step's cost
+// (agentsdk.RunnerRec.Pending); they re-spawn via agentsdk.Start.
+// Construction side effects of the re-spawn pass are erased by an engine
+// Reset before the serialized state is overlaid.
 package snap
 
 import (

@@ -138,9 +138,6 @@ func classifyPending(t *Target, pe sim.PendingEvent) (EventRec, error) {
 		return rec, fmt.Errorf("snap: pending event at %v is a plain closure (Machine.After, fault plans); not snapshottable", pe.At)
 	}
 	if kind, key, ok := sim.ClassifyEvent(pe.AFn, pe.Arg); ok {
-		if kind == "sim.deadline" {
-			return rec, fmt.Errorf("snap: armed deadline %q at %v; deadlines (agent upgrades) are not snapshottable", key, pe.At)
-		}
 		rec.Kind, rec.Key = kind, key
 		return rec, nil
 	}

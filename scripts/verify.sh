@@ -81,6 +81,18 @@ echo "$rewind_out" | grep -q "^rewind: from checkpoint" || {
 echo "$rewind_out" | grep "^rewind:"
 rm -f ./*.snap
 
+echo "== snapshot smoke (ghost-sim global-agent checkpoint: restore at 40ms, same final digest)"
+ckpt=$(mktemp -d)
+go build -o "$ckpt/ghost-sim" ./cmd/ghost-sim
+full=$(cd "$ckpt" && ./ghost-sim -sched ghost-shinjuku -rocksdb -rate 200000 -dur 100ms -snapshot-every 40ms | grep '^digest:')
+resumed=$(cd "$ckpt" && ./ghost-sim -restore ghost-sim-seed1-t40.000ms.snap -dur 100ms | grep '^digest:')
+rm -rf "$ckpt"
+if [ -z "$full" ] || [ "$full" != "$resumed" ]; then
+	echo "ghost-sim checkpoint smoke: full run '$full', restored run '$resumed'" >&2
+	exit 1
+fi
+echo "$full"
+
 echo "== profile smoke (-cpuprofile/-memprofile produce non-empty pprof)"
 sh scripts/profile.sh -out /tmp/ghost-profile-verify ghost-bench -exp fig6a -quick >/dev/null
 

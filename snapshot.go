@@ -179,6 +179,9 @@ func Restore(s *Snapshot, opts ...MachineOption) (*Machine, error) {
 	if err := core.Topology.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
+	if err := core.Cost.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+	}
 	topo := hw.NewTopology(core.Topology)
 	base := []MachineOption{WithCostModel(core.Cost)}
 	if core.Kernel != nil && core.Kernel.MQ == nil {

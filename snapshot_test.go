@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 
 	"ghost"
@@ -123,11 +124,55 @@ func TestSnapshotRoundTripDeterminism(t *testing.T) {
 // restore phase (a placeholder segment, then the request its restored
 // inbox slot holds) and the run continues byte-identically.
 func TestSnapshotResumesPoolWorkerInRun(t *testing.T) {
+	requireTransparentAt(t, 10*ghost.Microsecond, "a pool worker parked in Run", func(core map[string]any) bool {
+		for _, th := range core["kernel"].(map[string]any)["threads"].([]any) {
+			th := th.(map[string]any)
+			body, _ := th["body"].(map[string]any)
+			// curKind 1 is a thread parked in Run.
+			if body != nil && body["kind"] == "workload.pool-worker" && th["curKind"] == 1.0 && th["pendingWork"].(float64) > 0 {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// A global agent snapshotted mid-run while its step's cost is being
+// charged resumes with the action that follows the cost (its runner's
+// pending action) and the run continues byte-identically.
+func TestSnapshotResumesAgentMidCost(t *testing.T) {
+	requireTransparentAt(t, ghost.Microsecond, "the global agent charging a step after 500 µs", func(core map[string]any) bool {
+		if core["now"].(float64) < float64(500*ghost.Microsecond) {
+			return false
+		}
+		set := core["sets"].([]any)[0].(map[string]any)
+		tids := map[float64]bool{}
+		for _, r := range set["runners"].([]any) {
+			if r := r.(map[string]any); r["pending"] != nil {
+				tids[r["tid"].(float64)] = true
+			}
+		}
+		for _, th := range core["kernel"].(map[string]any)["threads"].([]any) {
+			th := th.(map[string]any)
+			if tids[th["tid"].(float64)] && th["pendingWork"].(float64) > 0 {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// requireTransparentAt runs buildServing in windows of step until a
+// snapshot's core JSON satisfies want (giving up at 2 ms), restores that
+// snapshot through the wire codec, and requires the restored machine's
+// digest 1 ms later to match the original's.
+func requireTransparentAt(t *testing.T, step ghost.Duration, what string, want func(core map[string]any) bool) {
+	t.Helper()
 	cand := buildServing()
 	defer cand.Shutdown()
 	var wire []byte
 	for wire == nil && cand.Now() < 2*ghost.Millisecond {
-		cand.Run(10 * ghost.Microsecond)
+		cand.Run(step)
 		s, err := cand.Snapshot()
 		if err != nil {
 			t.Fatalf("Snapshot at %v: %v", cand.Now(), err)
@@ -136,17 +181,12 @@ func TestSnapshotResumesPoolWorkerInRun(t *testing.T) {
 		if _, err := s.WriteTo(&buf); err != nil {
 			t.Fatalf("WriteTo: %v", err)
 		}
-		for _, th := range snapshotCore(t, buf.Bytes())["kernel"].(map[string]any)["threads"].([]any) {
-			th := th.(map[string]any)
-			body, _ := th["body"].(map[string]any)
-			// curKind 1 is a thread parked in Run.
-			if body != nil && body["kind"] == "workload.pool-worker" && th["curKind"] == 1.0 && th["pendingWork"].(float64) > 0 {
-				wire = buf.Bytes()
-			}
+		if want(snapshotCore(t, buf.Bytes())) {
+			wire = buf.Bytes()
 		}
 	}
 	if wire == nil {
-		t.Fatal("no pool worker was parked in Run at any 10 µs boundary up to 2 ms")
+		t.Fatalf("no snapshot with %s at any %v boundary up to 2 ms", what, step)
 	}
 	at := cand.Now()
 	horizon := at + ghost.Millisecond
@@ -367,6 +407,9 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 			t.Fatal("snapshot has no workload.spinner thread")
 		}},
 		{"pending-work-negative", func(core map[string]any) { record(kernelRec(core), "threads", 0)["pendingWork"] = -1 }},
+		{"agent-loop-overhead-negative", func(core map[string]any) { core["cost"].(map[string]any)["AgentLoopOverhead"] = -1000 }},
+		{"thread-curkind-exit", func(core map[string]any) { record(kernelRec(core), "threads", 0)["curKind"] = 4 }},
+		{"runner-pending-run", func(core map[string]any) { record(record(core, "sets", 0), "runners", 0)["pending"] = 1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			requireRestoreCorrupt(t, resealSnapshot(t, wire, tc.mutate))
@@ -424,6 +467,24 @@ func TestWithSnapshotEvery(t *testing.T) {
 	defer restored.Shutdown()
 	if restored.Now() != 2*ghost.Millisecond {
 		t.Fatalf("restored Now = %v", restored.Now())
+	}
+}
+
+// A snapshot taken while an enclave's upgrade-attach deadline is armed
+// fails: an upgrade in flight, deadline included, is outside the
+// snapshot envelope.
+func TestSnapshotRefusesPendingUpgradeDeadline(t *testing.T) {
+	m := ghost.NewMachine(ghost.XeonE5())
+	defer m.Shutdown()
+	enc := m.NewEnclave(ghost.MaskOf(0, 1))
+	m.StartAgents(enc, ghost.NewFIFOPolicy(), ghost.Global())
+	m.Run(ghost.Millisecond)
+	if _, err := m.Snapshot(); err != nil {
+		t.Fatalf("Snapshot before the upgrade: %v", err)
+	}
+	enc.BeginUpgrade()
+	if _, err := m.Snapshot(); err == nil || !strings.Contains(err.Error(), "upgrade in flight") {
+		t.Fatalf("Snapshot with an armed upgrade deadline: err = %v, want an upgrade-in-flight refusal", err)
 	}
 }
 
