@@ -178,10 +178,23 @@ func (set *AgentSet) RestoreImage(rec *SetRec) error {
 		r.slowUntil = sim.Time(rr.SlowUntil)
 		r.slowFactor = rr.SlowFactor
 	}
-	set.globalCPU = hw.CPUID(rec.GlobalCPU)
+	// A global set's agent lives on one of its runners' CPUs; a per-CPU
+	// set has none, and places threads only on its runners' CPUs.
+	switch global := hw.CPUID(rec.GlobalCPU); {
+	case set.global != nil && set.runners[global] == nil:
+		return fmt.Errorf("agent set on enclave %d: global agent on cpu%d, which has no runner", rec.EncID, global)
+	case set.global == nil && global != hw.NoCPU:
+		return fmt.Errorf("agent set on enclave %d: per-CPU set has a global agent on cpu%d", rec.EncID, global)
+	default:
+		set.globalCPU = global
+	}
 	set.threadCPU = make(map[kernel.TID]hw.CPUID, len(rec.ThreadCPU))
 	for _, pair := range rec.ThreadCPU {
-		set.threadCPU[kernel.TID(pair[0])] = hw.CPUID(pair[1])
+		cpu := hw.CPUID(pair[1])
+		if set.runners[cpu] == nil {
+			return fmt.Errorf("agent set on enclave %d: T%d placed on cpu%d, which has no runner", rec.EncID, pair[0], cpu)
+		}
+		set.threadCPU[kernel.TID(pair[0])] = cpu
 	}
 	set.Handoffs = rec.Handoffs
 	set.StepsExecuted = rec.StepsExecuted

@@ -432,9 +432,6 @@ func (e *Enclave) DebugRunnableSince(t *kernel.Thread) sim.Time {
 	return gt.runnableSince
 }
 
-// DebugInstall, when set, observes every transaction install attempt.
-var DebugInstall func(t *kernel.Thread, cpu hw.CPUID, destroyed, latched bool, state int)
-
 // TxnCreate opens a transaction to run t on cpu (TXN_CREATE).
 func (e *Enclave) TxnCreate(tid kernel.TID, cpu hw.CPUID) *Txn {
 	return &Txn{TID: tid, CPU: cpu}
@@ -636,9 +633,6 @@ func (g *Class) doInstall(rec *installRec) {
 
 	if g.inflight[cpu] == t {
 		g.setInflight(cpu, nil)
-	}
-	if DebugInstall != nil {
-		DebugInstall(t, cpu, e.destroyed, gt.latched, int(t.State()))
 	}
 	if e.destroyed || !gt.latched || t.State() != kernel.StateRunnable {
 		return

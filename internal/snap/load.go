@@ -122,7 +122,7 @@ func Load(t *Target, img *Image, opts LoadOpts) (*Result, error) {
 			kb.BindSnapshotKey(crec.Key)
 		}
 		if err := c.SnapshotLoad(crec.Data); err != nil {
-			return nil, fmt.Errorf("snap: component %q: %w", crec.Key, err)
+			return nil, fmt.Errorf("%w: component %q: %w", ErrCorrupt, crec.Key, err)
 		}
 	}
 

@@ -17,9 +17,8 @@ type WorkerPool struct {
 	rec      *LatencyRecorder
 	total    *LatencyRecorder // optional second recorder (Search's run totals)
 	serve    serveFunc
-	workers  []*kernel.Thread
-	free     []*kernel.Thread
-	inbox    map[kernel.TID]*Request
+	workers  []*poolWorker
+	free     []*poolWorker
 	backlog  []*Request
 	stopping bool
 
@@ -56,23 +55,28 @@ func NewWorkerPool(k *kernel.Kernel, n int, rec *LatencyRecorder,
 // record each completion in rec and, when set, total.
 func newPool(k *kernel.Kernel, n int, nameFmt string, rec, total *LatencyRecorder, serve serveFunc,
 	spawn func(name string, body kernel.ThreadFunc) *kernel.Thread) *WorkerPool {
-	p := &WorkerPool{k: k, rec: rec, total: total, serve: serve, inbox: make(map[kernel.TID]*Request)}
+	p := &WorkerPool{k: k, rec: rec, total: total, serve: serve}
 	for i := 0; i < n; i++ {
 		w := &poolWorker{p: p, stage: workerStart}
-		th := spawn(fmt.Sprintf(nameFmt, i), kernel.Steps(w.step))
-		p.workers = append(p.workers, th)
-		p.free = append(p.free, th)
+		w.t = spawn(fmt.Sprintf(nameFmt, i), kernel.Steps(w.step))
+		p.workers = append(p.workers, w)
+		p.free = append(p.free, w)
 	}
 	return p
 }
 
 // poolWorker is one worker thread as a kernel.Steps machine: block until
-// its inbox slot holds a request, serve it stage by stage, complete it,
-// and block again. stage is the next serve stage of the request in
-// service, or one of the negative phases below.
+// it is handed a request, serve it stage by stage, complete it, and
+// block again. stage is the next serve stage of the request in service,
+// or one of the negative phases below.
 type poolWorker struct {
-	p     *WorkerPool
-	r     *Request // the request in service; nil until looked up
+	p *WorkerPool
+	t *kernel.Thread
+	// r is the request in service, held from hand-off (Submit, or the
+	// backlog pick-up in finishRequest) until it completes, so a
+	// snapshot taken mid-Run still knows which request this worker is
+	// serving.
+	r     *Request
 	stage int
 }
 
@@ -91,39 +95,34 @@ func (w *poolWorker) step(t *kernel.Thread) (kernel.Action, bool) {
 		return kernel.BlockAction(), true
 	case workerResumeRun:
 		// The overlay restores the true remaining work of this segment;
-		// the request it completes is the one the restored inbox holds.
+		// the request it completes is the one the pool record restored
+		// into w.r.
 		w.stage = 1
 		return kernel.RunAction(1), true
 	case workerIdle:
 		if p.stopping {
 			return kernel.Action{}, false
 		}
-		// The inbox entry stays until the service completes, so a
-		// snapshot taken mid-Run still knows which request this worker
-		// is serving.
-		if w.r = p.inbox[t.TID()]; w.r == nil {
+		if w.r == nil {
 			return kernel.BlockAction(), true
 		}
 		w.stage = 0
-	}
-	if w.r == nil { // resumed in Run: the restored inbox holds the request
-		w.r = p.inbox[t.TID()]
 	}
 	if a, more := p.serve(t, w.r, w.stage); more {
 		w.stage++
 		return a, true
 	}
-	w.r, w.stage = nil, workerIdle
-	p.finishRequest(t)
+	w.stage = workerIdle
+	p.finishRequest(w)
 	return kernel.BlockAction(), true
 }
 
-// finishRequest completes the request in the worker's inbox slot after
-// it was served: record latency, invoke Done, pick up backlog work
-// before returning to the free list.
-func (p *WorkerPool) finishRequest(self *kernel.Thread) {
-	r := p.inbox[self.TID()]
-	delete(p.inbox, self.TID())
+// finishRequest completes the worker's request after it was served:
+// record latency, invoke Done, pick up backlog work before returning to
+// the free list.
+func (p *WorkerPool) finishRequest(w *poolWorker) {
+	r := w.r
+	w.r = nil
 	done := p.k.Now()
 	p.rec.Record(r, done)
 	if p.total != nil {
@@ -135,12 +134,12 @@ func (p *WorkerPool) finishRequest(self *kernel.Thread) {
 	if len(p.backlog) > 0 {
 		next := p.backlog[0]
 		p.backlog = p.backlog[1:]
-		p.inbox[self.TID()] = next
+		w.r = next
 		// The worker's next Block consumes the self-wake immediately.
-		p.k.Wake(self)
+		p.k.Wake(w.t)
 		return
 	}
-	p.free = append(p.free, self)
+	p.free = append(p.free, w)
 }
 
 // Submit hands a request to the pool (the PoissonSource sink).
@@ -151,21 +150,18 @@ func (p *WorkerPool) Submit(r *Request) {
 	}
 	w := p.free[0]
 	p.free = p.free[1:]
-	p.inbox[w.TID()] = r
-	p.k.Wake(w)
+	w.r = r
+	p.k.Wake(w.t)
 }
 
 // Backlog returns the number of requests waiting for a free worker.
 func (p *WorkerPool) Backlog() int { return len(p.backlog) }
 
-// Workers returns the pool's threads.
-func (p *WorkerPool) Workers() []*kernel.Thread { return p.workers }
-
 // Stop makes workers exit at their next wakeup.
 func (p *WorkerPool) Stop() {
 	p.stopping = true
 	for _, w := range p.workers {
-		p.k.Wake(w)
+		p.k.Wake(w.t)
 	}
 }
 

@@ -156,35 +156,13 @@ func NewSearch(k *kernel.Kernel, cfg SearchConfig,
 	return s
 }
 
-// arrivals is one query type's Poisson arrival process. It is bound
-// once, so every arrival schedules the next through AfterCall without a
-// closure.
-type arrivals struct {
-	s    *Search
-	qt   int
-	r    *sim.Rand
-	mean sim.Duration
-	svc  ServiceDist
-	n    int // queries issued so far
-}
-
+// startArrivals starts one query type's Poisson arrival process. Its
+// queries go to the servers round-robin by ID.
 func (s *Search) startArrivals(qt int, rate float64, svc ServiceDist) {
-	a := &arrivals{s: s, qt: qt, r: s.rand.Fork(), mean: sim.Duration(1e9 / rate), svc: svc}
-	a.arm()
-}
-
-func (a *arrivals) arm() { a.s.eng.AfterCall(a.r.Exp(a.mean), arrivalFire, a) }
-
-// arrivalFire dispatches an arrival event to its process.
-func arrivalFire(x any) { x.(*arrivals).fire() }
-
-func (a *arrivals) fire() {
-	s := a.s
-	q := &Request{ID: uint64(a.n), Arrival: s.eng.Now(), Class: a.qt, Service: a.svc.Sample(a.r)}
-	q.Remaining = q.Service
-	s.servers[a.n%len(s.servers)].Put(q)
-	a.n++
-	a.arm()
+	NewPoissonSource(s.eng, s.rand.Fork(), rate, svc, func(q *Request) {
+		q.Class = qt
+		s.servers[q.ID%uint64(len(s.servers))].Put(q)
+	})
 }
 
 // dispatch routes a preprocessed query to its worker pool.
@@ -239,18 +217,4 @@ func (sv *searchServer) step(t *kernel.Thread) (kernel.Action, bool) {
 	}
 	sv.q = q
 	return kernel.RunAction(preprocess), true
-}
-
-// AllWorkers returns every worker thread across the pools, so an
-// experiment can move them into a ghOSt enclave.
-func (s *Search) AllWorkers() []*kernel.Thread {
-	var out []*kernel.Thread
-	for _, p := range s.poolA {
-		if p != nil {
-			out = append(out, p.Workers()...)
-		}
-	}
-	out = append(out, s.poolB.Workers()...)
-	out = append(out, s.poolC.Workers()...)
-	return out
 }

@@ -22,7 +22,6 @@ type Snap struct {
 	pkts     []*snapPkt // shared packet ring (ingress + egress events)
 	sleepers *kernel.WaitQueue
 	servers  []*kernel.Mailbox[*snapPkt]
-	workers  []*kernel.Thread
 
 	// Rec64B and Rec64K record RTT per size class.
 	Rec64B LatencyRecorder
@@ -91,7 +90,7 @@ func NewSnap(k *kernel.Kernel, cfg SnapConfig,
 		spawnServer(fmt.Sprintf("snap-server-%d", i), s.serverLoop(mb))
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		s.workers = append(s.workers, spawnWorker(fmt.Sprintf("snap-worker-%d", i), s.workerLoop()))
+		spawnWorker(fmt.Sprintf("snap-worker-%d", i), s.workerLoop())
 	}
 	flow := 0
 	for i := 0; i < cfg.Flows64B; i++ {
@@ -105,19 +104,14 @@ func NewSnap(k *kernel.Kernel, cfg SnapConfig,
 	return s
 }
 
-// startFlow schedules Poisson message arrivals for one flow.
+// startFlow starts one flow's Poisson message arrivals. A message's
+// processing costs come from its class, so its service time is zero
+// (Fixed draws no random number).
 func (s *Snap) startFlow(id, class int, rate float64) {
-	r := s.rand.Fork()
-	mean := sim.Duration(1e9 / rate)
-	var arm func()
-	arm = func() {
-		s.eng.After(r.Exp(mean), func() {
-			req := &Request{Arrival: s.eng.Now(), Class: class}
-			s.post(&snapPkt{req: req, server: id % len(s.servers)})
-			arm()
-		})
-	}
-	arm()
+	NewPoissonSource(s.eng, s.rand.Fork(), rate, Fixed(0), func(req *Request) {
+		req.Class = class
+		s.post(&snapPkt{req: req, server: id % len(s.servers)})
+	})
 }
 
 // post adds a packet event to the shared ring; a sleeping worker is
@@ -191,9 +185,6 @@ func (s *Snap) complete(req *Request, now sim.Time) {
 		rec.Hist.Record(rtt)
 	}
 }
-
-// Workers returns the Snap worker threads (for enclave management).
-func (s *Snap) Workers() []*kernel.Thread { return s.workers }
 
 // SetWarmup discards samples arriving before t.
 func (s *Snap) SetWarmup(t sim.Time) {

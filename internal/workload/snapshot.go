@@ -14,8 +14,13 @@ import (
 // source are snap.Components, and their thread bodies (pool workers,
 // spinners) are registered resumable bodies. A worker parked in Run
 // resumes by re-running a placeholder segment — the overlay restores the
-// true remaining work — and then completing the request it still finds
-// in the pool's inbox; a worker parked in Block resumes at the Block.
+// true remaining work — and then completing the request it holds; a
+// worker parked in Block resumes at the Block.
+//
+// The pool record lists the free workers and the busy ones with their
+// requests (the "inbox", by TID), then the backlog. Each of those TIDs
+// must name one of the pool's own workers, at most once; restore fails
+// with snap.ErrCorrupt otherwise.
 
 // requestRec is a Request without its Done callback, which cannot ride
 // in a byte stream; HadDone tells restore to re-attach one via the
@@ -40,7 +45,7 @@ func saveRequest(r *Request) requestRec {
 	}
 }
 
-func (p *WorkerPool) loadRequest(rec requestRec) *Request {
+func (p *WorkerPool) loadRequest(rec requestRec) (*Request, error) {
 	r := &Request{
 		ID:        rec.ID,
 		Arrival:   sim.Time(rec.Arrival),
@@ -49,9 +54,12 @@ func (p *WorkerPool) loadRequest(rec requestRec) *Request {
 		Class:     rec.Class,
 	}
 	if rec.HadDone {
+		if p.DoneRebinder == nil {
+			return nil, fmt.Errorf("worker pool %q: snapshot has requests with Done callbacks but the restored pool has no DoneRebinder", p.snapKey)
+		}
 		p.DoneRebinder(r)
 	}
-	return r
+	return r, nil
 }
 
 type inboxRec struct {
@@ -81,11 +89,11 @@ func (p *WorkerPool) SnapshotKind() string { return "workload.pool" }
 func (p *WorkerPool) BindSnapshotKey(key string) {
 	p.snapKey = key
 	for _, w := range p.workers {
-		if d := w.BodyDesc(); d != nil {
+		if d := w.t.BodyDesc(); d != nil {
 			d.Key = key
 			continue
 		}
-		w.SetBodyDesc(&kernel.BodyDesc{Kind: "workload.pool-worker", Key: key})
+		w.t.SetBodyDesc(&kernel.BodyDesc{Kind: "workload.pool-worker", Key: key})
 	}
 }
 
@@ -106,17 +114,16 @@ func (p *WorkerPool) SnapshotSave() ([]byte, error) {
 		WarmupUntil: int64(p.rec.WarmupUntil),
 	}}
 	for _, w := range p.free {
-		st.Free = append(st.Free, int(w.TID()))
+		st.Free = append(st.Free, int(w.t.TID()))
 	}
 	for _, w := range p.workers {
-		r := p.inbox[w.TID()]
-		if r == nil {
+		if w.r == nil {
 			continue
 		}
-		if err := checkDone(r); err != nil {
+		if err := checkDone(w.r); err != nil {
 			return nil, err
 		}
-		st.Inbox = append(st.Inbox, inboxRec{TID: int(w.TID()), Req: saveRequest(r)})
+		st.Inbox = append(st.Inbox, inboxRec{TID: int(w.t.TID()), Req: saveRequest(w.r)})
 	}
 	for _, r := range p.backlog {
 		if err := checkDone(r); err != nil {
@@ -137,46 +144,58 @@ func (p *WorkerPool) SnapshotLoad(data []byte) error {
 	return p.applyState(&st)
 }
 
+// applyState overlays a pool record. Every free and busy TID must name
+// one of the pool's own workers, each at most once: a worker is either
+// free or serving one request. A worker parked in Run is serving one.
 func (p *WorkerPool) applyState(st *poolState) error {
-	hasDone := func(recs []requestRec) bool {
-		for _, r := range recs {
-			if r.HadDone {
-				return true
-			}
-		}
-		return false
+	byTID := make(map[int]*poolWorker, len(p.workers))
+	for _, w := range p.workers {
+		w.r = nil
+		byTID[int(w.t.TID())] = w
 	}
-	if p.DoneRebinder == nil {
-		all := append(append([]requestRec(nil), st.Backlog...), func() []requestRec {
-			out := make([]requestRec, len(st.Inbox))
-			for i, ir := range st.Inbox {
-				out[i] = ir.Req
-			}
-			return out
-		}()...)
-		if hasDone(all) {
-			return fmt.Errorf("worker pool %q: snapshot has requests with Done callbacks but the restored pool has no DoneRebinder", p.snapKey)
+	claim := func(tid int, what string) (*poolWorker, error) {
+		w, mine := byTID[tid]
+		switch {
+		case !mine:
+			return nil, fmt.Errorf("worker pool %q: %s T%d is not one of its workers", p.snapKey, what, tid)
+		case w == nil:
+			return nil, fmt.Errorf("worker pool %q: %s T%d is listed twice", p.snapKey, what, tid)
 		}
+		byTID[tid] = nil // claimed
+		return w, nil
 	}
 	p.stopping = false
 	p.free = p.free[:0]
 	for _, tid := range st.Free {
-		t := p.k.Thread(kernel.TID(tid))
-		if t == nil {
-			return fmt.Errorf("worker pool %q: free worker T%d missing", p.snapKey, tid)
+		w, err := claim(tid, "free worker")
+		if err != nil {
+			return err
 		}
-		p.free = append(p.free, t)
+		p.free = append(p.free, w)
 	}
-	p.inbox = make(map[kernel.TID]*Request, len(st.Inbox))
 	for _, ir := range st.Inbox {
-		if p.k.Thread(kernel.TID(ir.TID)) == nil {
-			return fmt.Errorf("worker pool %q: busy worker T%d missing", p.snapKey, ir.TID)
+		w, err := claim(ir.TID, "busy worker")
+		if err != nil {
+			return err
 		}
-		p.inbox[kernel.TID(ir.TID)] = p.loadRequest(ir.Req)
+		if w.r, err = p.loadRequest(ir.Req); err != nil {
+			return err
+		}
+	}
+	for _, w := range p.workers {
+		// The spawn pass has already stepped a worker resumed in Run
+		// into its serve stage 1.
+		if w.stage >= 0 && w.r == nil {
+			return fmt.Errorf("worker pool %q: T%d is parked in Run but serves no request", p.snapKey, w.t.TID())
+		}
 	}
 	p.backlog = p.backlog[:0]
 	for _, rr := range st.Backlog {
-		p.backlog = append(p.backlog, p.loadRequest(rr))
+		r, err := p.loadRequest(rr)
+		if err != nil {
+			return err
+		}
+		p.backlog = append(p.backlog, r)
 	}
 	p.rec.Hist.SetState(st.Recorder.Hist)
 	p.rec.Completed = st.Recorder.Completed
@@ -192,25 +211,22 @@ func NewPoolShell(k *kernel.Kernel, rec *LatencyRecorder) *WorkerPool {
 	if rec == nil {
 		rec = &LatencyRecorder{}
 	}
-	return &WorkerPool{k: k, rec: rec, serve: runService, inbox: make(map[kernel.TID]*Request)}
+	return &WorkerPool{k: k, rec: rec, serve: runService}
 }
 
 // Recorder returns the pool's latency recorder.
 func (p *WorkerPool) Recorder() *LatencyRecorder { return p.rec }
 
-// adoptWorker registers a resumed worker thread with the pool shell; it
-// runs synchronously inside the spawn pass (the body's code before its
-// first kernel call executes during Spawn), so workers append in TID
-// order — the original spawn order.
-func (p *WorkerPool) adoptWorker(t *kernel.Thread) {
-	p.workers = append(p.workers, t)
-}
-
 // resumeWorkerBody rebuilds a pool worker's body. Parked in Run: the
-// worker was serving the request the restored inbox holds for it, so it
-// re-runs a placeholder segment (the overlay sets the true remaining
+// worker was serving the request the pool record restores into it, so
+// it re-runs a placeholder segment (the overlay sets the true remaining
 // work) and completes that request. Parked in Block: it starts at the
 // Block.
+//
+// The body adopts its worker into the pool shell. It runs synchronously
+// inside the spawn pass (the body's code before its first kernel call
+// executes during Spawn), so workers append in TID order — the original
+// spawn order.
 func (p *WorkerPool) resumeWorkerBody(inRun bool) kernel.ThreadFunc {
 	w := &poolWorker{p: p, stage: workerStart}
 	if inRun {
@@ -218,7 +234,8 @@ func (p *WorkerPool) resumeWorkerBody(inRun bool) kernel.ThreadFunc {
 	}
 	steps := kernel.Steps(w.step)
 	return func(tc *kernel.TaskContext) {
-		p.adoptWorker(tc.Thread())
+		w.t = tc.Thread()
+		p.workers = append(p.workers, w)
 		steps(tc)
 	}
 }

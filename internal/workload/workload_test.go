@@ -10,7 +10,7 @@ import (
 	"ghost/internal/sim"
 )
 
-func testKernel(t *testing.T, cpus int) (*sim.Engine, *kernel.Kernel, *kernel.CFS) {
+func testKernel(t testing.TB, cpus int) (*sim.Engine, *kernel.Kernel, *kernel.CFS) {
 	t.Helper()
 	topo := hw.NewTopology(hw.Config{Name: "w", Sockets: 1, CCXsPerSocket: 1, CoresPerCCX: cpus / 2, SMTWidth: 2})
 	eng := sim.NewEngine()

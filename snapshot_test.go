@@ -3,6 +3,7 @@ package ghost_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -18,9 +19,14 @@ import (
 // ghOSt-class worker pool fed by a Poisson source, and a spinner
 // antagonist sharing the enclave.
 func buildServing(opts ...ghost.MachineOption) *ghost.Machine {
+	return buildServingWith(ghost.NewFIFOPolicy(), ghost.Global(), opts...)
+}
+
+// buildServingWith is buildServing with the given agent policy and mode.
+func buildServingWith(policy any, mode ghost.AgentOption, opts ...ghost.MachineOption) *ghost.Machine {
 	m := ghost.NewMachine(ghost.XeonE5(), opts...)
 	enc := m.NewEnclave(ghost.MaskOf(0, 1, 2, 3))
-	m.StartAgents(enc, ghost.NewFIFOPolicy(), ghost.Global())
+	m.StartAgents(enc, policy, mode)
 	pool := m.NewWorkerPool(3, &ghost.LatencyRecorder{}, func(name string, body ghost.ThreadFunc) *ghost.Thread {
 		return m.Spawn(ghost.ThreadOpts{Name: name, Class: ghost.Ghost(enc)}, body)
 	})
@@ -288,7 +294,13 @@ func snapshotCore(t *testing.T, enc []byte) map[string]any {
 // at 1 ms.
 func servingWire(t *testing.T) []byte {
 	t.Helper()
-	m := buildServing()
+	return wireAt1ms(t, buildServing())
+}
+
+// wireAt1ms runs m for 1 ms, shuts it down and returns the wire bytes of
+// its snapshot.
+func wireAt1ms(t *testing.T, m *ghost.Machine) []byte {
+	t.Helper()
 	defer m.Shutdown()
 	m.Run(ghost.Millisecond)
 	s, err := m.Snapshot()
@@ -300,6 +312,31 @@ func servingWire(t *testing.T) []byte {
 		t.Fatalf("WriteTo: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// editComponent decodes the JSON data of the component stored under
+// key, applies edit to it and re-encodes it in place.
+func editComponent(t *testing.T, core map[string]any, key string, edit func(data map[string]any)) {
+	t.Helper()
+	for _, c := range core["components"].([]any) {
+		if c := c.(map[string]any); c["key"] == key {
+			raw, err := base64.StdEncoding.DecodeString(c["data"].(string))
+			if err != nil {
+				t.Fatalf("component %q data: %v", key, err)
+			}
+			var data map[string]any
+			if err := json.Unmarshal(raw, &data); err != nil {
+				t.Fatalf("component %q JSON: %v", key, err)
+			}
+			edit(data)
+			if raw, err = json.Marshal(data); err != nil {
+				t.Fatal(err)
+			}
+			c["data"] = base64.StdEncoding.EncodeToString(raw)
+			return
+		}
+	}
+	t.Fatalf("snapshot has no component %q", key)
 }
 
 // requireRestoreCorrupt restores a resealed snapshot and fails unless
@@ -362,6 +399,23 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 		return rec[list].([]any)[i].(map[string]any)
 	}
 	firstTID := func(core map[string]any) any { return record(kernelRec(core), "threads", 0)["tid"] }
+	spinnerTID := func(core map[string]any) any {
+		for _, th := range kernelRec(core)["threads"].([]any) {
+			if body, ok := th.(map[string]any)["body"].(map[string]any); ok && body["kind"] == "workload.spinner" {
+				return th.(map[string]any)["tid"]
+			}
+		}
+		t.Fatal("snapshot has no workload.spinner thread")
+		return nil
+	}
+	// freeWorkerTID is the pool's first free worker.
+	freeWorkerTID := func(pool map[string]any) any {
+		free, _ := pool["free"].([]any)
+		if len(free) == 0 {
+			t.Fatal("snapshot's pool has no free worker")
+		}
+		return free[0]
+	}
 	for _, tc := range []struct {
 		name   string
 		mutate func(core map[string]any)
@@ -410,11 +464,52 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 		{"agent-loop-overhead-negative", func(core map[string]any) { core["cost"].(map[string]any)["AgentLoopOverhead"] = -1000 }},
 		{"thread-curkind-exit", func(core map[string]any) { record(kernelRec(core), "threads", 0)["curKind"] = 4 }},
 		{"runner-pending-run", func(core map[string]any) { record(record(core, "sets", 0), "runners", 0)["pending"] = 1 }},
+		{"pool-free-foreign", func(core map[string]any) {
+			tid := spinnerTID(core)
+			editComponent(t, core, "pool", func(pool map[string]any) {
+				free, _ := pool["free"].([]any)
+				pool["free"] = append(free, tid)
+			})
+		}},
+		{"pool-worker-twice", func(core map[string]any) {
+			editComponent(t, core, "pool", func(pool map[string]any) {
+				pool["free"] = append(pool["free"].([]any), freeWorkerTID(pool))
+			})
+		}},
+		{"pool-worker-free-and-busy", func(core map[string]any) {
+			editComponent(t, core, "pool", func(pool map[string]any) {
+				inbox, _ := pool["inbox"].([]any)
+				pool["inbox"] = append(inbox, map[string]any{"tid": freeWorkerTID(pool), "req": map[string]any{"id": 1 << 30}})
+			})
+		}},
+		{"pool-busy-worker-dropped", func(core map[string]any) {
+			editComponent(t, core, "pool", func(pool map[string]any) {
+				if inbox, _ := pool["inbox"].([]any); len(inbox) == 0 {
+					t.Fatal("snapshot's pool has no busy worker")
+				}
+				delete(pool, "inbox")
+			})
+		}},
+		{"agent-global-cpu-high", func(core map[string]any) { record(core, "sets", 0)["globalCPU"] = 1000 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			requireRestoreCorrupt(t, resealSnapshot(t, wire, tc.mutate))
 		})
 	}
+
+	// A per-CPU agent set places threads only on its runners' CPUs; the
+	// enclave is CPUs 0-3 of a 48-CPU machine.
+	perCPU := wireAt1ms(t, buildServingWith(ghost.NewPerCPUFIFOPolicy(), ghost.PerCPU()))
+	t.Run("agent-thread-cpu-no-runner", func(t *testing.T) {
+		requireRestoreCorrupt(t, resealSnapshot(t, perCPU, func(core map[string]any) {
+			set := record(core, "sets", 0)
+			pairs, _ := set["threadCPU"].([]any)
+			if len(pairs) == 0 {
+				t.Fatal("per-CPU snapshot places no threads")
+			}
+			pairs[0].([]any)[1] = 40
+		}))
+	})
 }
 
 // TestSnapshotDecodeBounded: a header claiming a 1 GiB section, followed
