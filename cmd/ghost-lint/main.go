@@ -12,6 +12,11 @@
 //	eventhandle   — sim.Event handles held by value, never compared with ==
 //	apisurface    — facade packages (ghost, env) never spell internal/* types
 //	                in exported signatures (aliases/re-exports are exempt)
+//	unreachable   — no declared function that no root reaches: mains,
+//	                inits, package-level var initializers, facade exports,
+//	                standard-library interface methods, names spelled in
+//	                tests or nested modules, //ghostlint:root functions;
+//	                silent unless the whole module is loaded
 //	hotpathescape — (with -escape) compiler-reported heap escapes reachable
 //	                from the 0-alloc benchmark roots must be in the
 //	                committed baseline (internal/analysis/escape_baseline.txt)
@@ -23,8 +28,10 @@
 // -escape compiles the module with -gcflags=-m=2 (cheap on a warm build
 // cache — diagnostics replay) and gates hot-path escapes against the
 // baseline; -escape-update rewrites the baseline to the current set.
-// Findings are waived per file with `//ghostlint:allow <check> <reason>`;
-// -summary reports kept and suppressed counts per check.
+// Findings are waived per file with `//ghostlint:allow <check> <reason>`,
+// and a function is kept as an unreachable root with
+// `//ghostlint:root <reason>` in its doc comment; -summary reports kept
+// and suppressed counts per check.
 package main
 
 import (

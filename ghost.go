@@ -179,8 +179,10 @@ var (
 // Invariant checking (attach with WithInvariants; see cmd/ghost-check
 // for the standalone property-based scanner).
 type (
-	// InvariantOracle checks one protocol invariant online; implement
-	// internal/check.Oracle (embedding check.Base) for custom oracles.
+	// InvariantOracle checks one protocol invariant online. It is a
+	// ghOSt protocol observer of its own, plus a name, a switch-in hook
+	// and an end-of-run check; custom oracles implement
+	// internal/check.Oracle by embedding check.Base.
 	InvariantOracle = check.Oracle
 	// InvariantChecker collects violations from the attached oracles.
 	InvariantChecker = check.Checker

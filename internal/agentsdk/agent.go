@@ -87,9 +87,6 @@ func (c *Context) Now() sim.Time { return c.Kernel.Now() }
 // Topology returns the machine topology.
 func (c *Context) Topology() *hw.Topology { return c.Kernel.Topology() }
 
-// IsIdle reports whether cpu is idle (no thread at all).
-func (c *Context) IsIdle(cpu hw.CPUID) bool { return c.Kernel.CPU(cpu).Idle() }
-
 // IdleCPUs returns the enclave's idle CPUs (GetIdleCPUs() in Fig 4).
 // CPUs with a committed-but-not-yet-installed transaction are excluded:
 // re-assigning them would displace the in-flight commit.
@@ -801,14 +798,3 @@ func (set *AgentSet) GlobalAgentThread() *kernel.Thread {
 	}
 	return set.runners[set.globalCPU].thread
 }
-
-// Runner returns the agent thread pinned to cpu.
-func (set *AgentSet) Runner(cpu hw.CPUID) *kernel.Thread {
-	if r, ok := set.runners[cpu]; ok {
-		return r.thread
-	}
-	return nil
-}
-
-// Ctx exposes the policy context (for tests).
-func (set *AgentSet) Ctx() *Context { return set.ctx }

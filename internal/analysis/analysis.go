@@ -4,10 +4,11 @@
 // rest on conventions that the compiler cannot enforce: no wall-clock or
 // global rand in sim code, no map-iteration order leaking into
 // scheduling decisions or report assembly, the alloc-free
-// AtCall/AfterCall(fn, arg) pattern on the engine hot path, and the
-// generational sim.Event handle rules. Each convention is mechanically
-// enforced by one analyzer here; `ghost-lint ./...` runs them all and is
-// wired into scripts/verify.sh and CI.
+// AtCall/AfterCall(fn, arg) pattern on the engine hot path, the
+// generational sim.Event handle rules, and no code that nothing reaches.
+// Each convention is mechanically enforced by one analyzer here;
+// `ghost-lint ./...` runs them all and is wired into scripts/verify.sh
+// and CI.
 //
 // The framework is stdlib-only: packages are enumerated with
 // `go list -json`, parsed with go/parser and type-checked with go/types,
@@ -19,7 +20,9 @@
 //
 // The reason is mandatory; a malformed or unknown directive is itself a
 // diagnostic. Suppressions are counted and reported by the summary so
-// waivers stay visible.
+// waivers stay visible. A function the unreachable check must keep
+// carries `//ghostlint:root <reason>` in its doc comment, with the same
+// mandatory reason.
 package analysis
 
 import (
@@ -137,6 +140,7 @@ func Analyzers() []*Analyzer {
 		HotPathAllocAnalyzer,
 		EventHandleAnalyzer,
 		APISurfaceAnalyzer,
+		UnreachableAnalyzer,
 	}
 }
 

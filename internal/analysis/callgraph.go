@@ -261,8 +261,11 @@ func (b *graphBuilder) declNode(obj *types.Func, fd *ast.FuncDecl, pkg *Package)
 	return n
 }
 
-// extNode returns the (possibly body-less) node for a referenced function.
+// extNode returns the (possibly body-less) node for a referenced
+// function. A method of an instantiated generic type maps to its
+// origin, the object whose declaration holds the body.
 func (b *graphBuilder) extNode(obj *types.Func) *FuncNode {
+	obj = obj.Origin()
 	if n := b.g.byObj[obj]; n != nil {
 		return n
 	}
@@ -662,47 +665,6 @@ func (g *CallGraph) finish() {
 
 // NodeOf returns the node for a declared function, nil if not loaded.
 func (g *CallGraph) NodeOf(fn *types.Func) *FuncNode { return g.byObj[fn] }
-
-// LitNodeOf returns the node for a function literal, nil if not walked.
-func (g *CallGraph) LitNodeOf(lit *ast.FuncLit) *FuncNode { return g.byLit[lit] }
-
-// FieldBindings returns the function nodes observed bound into a
-// function-typed field or package-level variable.
-func (g *CallGraph) FieldBindings(v *types.Var) []*FuncNode { return g.fieldBind[v] }
-
-// FnBindVars returns every field or package-level variable observed
-// holding a function value, in deterministic (package, name, position)
-// order.
-func (g *CallGraph) FnBindVars() []*types.Var {
-	var fset *token.FileSet
-	if len(g.Pkgs) > 0 {
-		fset = g.Pkgs[0].Fset
-	}
-	var vars []*types.Var
-	for v := range g.fieldBind {
-		vars = append(vars, v)
-	}
-	sort.Slice(vars, func(i, j int) bool {
-		pi, pj := "", ""
-		if vars[i].Pkg() != nil {
-			pi = vars[i].Pkg().Path()
-		}
-		if vars[j].Pkg() != nil {
-			pj = vars[j].Pkg().Path()
-		}
-		if pi != pj {
-			return pi < pj
-		}
-		if vars[i].Name() != vars[j].Name() {
-			return vars[i].Name() < vars[j].Name()
-		}
-		if fset != nil {
-			return posLess(fset.Position(vars[i].Pos()), fset.Position(vars[j].Pos()))
-		}
-		return false
-	})
-	return vars
-}
 
 // EnclosingFunc returns the innermost function node whose body spans
 // (file, line), nil when the position lies outside every loaded body.

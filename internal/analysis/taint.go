@@ -74,9 +74,6 @@ func (r *Reachability) PathTo(n *FuncNode) []*Edge {
 	return path
 }
 
-// Hops returns the length of the witness chain to n (0 for a root).
-func (r *Reachability) Hops(n *FuncNode) int { return len(r.PathTo(n)) }
-
 // FormatPath renders a witness chain for a diagnostic:
 //
 //	kernel.(*Kernel).tick -> stats.jitter (kernel.go:41) -> stats.wallNow (stats.go:9)

@@ -18,3 +18,6 @@ func Step(t *taintutil.Thread) int64 { return t.Next() }
 
 // Poll stands in for a higher-order helper call.
 func Poll() int64 { return taintutil.Each(taintutil.Zero) }
+
+// Ring stands in for a kernel queue operation on a generic container.
+func Ring(r *taintutil.Ring[int]) int64 { return r.Stamp() }

@@ -58,3 +58,13 @@ func Zero() int64 { return 0 }
 func EachClock() int64 { return Each(clock) }
 
 func clock() int64 { return time.Now().UnixNano() }
+
+// Ring is a generic buffer. Sim code calls Stamp through an
+// instantiated receiver, which the call graph must map back to the
+// generic method's body.
+type Ring[T any] struct{ buf []T }
+
+// Stamp reads the wall clock inside a generic method.
+func (r *Ring[T]) Stamp() int64 {
+	return time.Now().UnixNano() + int64(len(r.buf)) // want determinism "time.Now: wall-clock read in taintutil.(*Ring).Stamp, reachable from sim code: tfix.Ring -> taintutil.(*Ring).Stamp"
+}

@@ -38,51 +38,45 @@ func (v Violation) String() string {
 // maxViolations caps collection so a badly broken run stays cheap.
 const maxViolations = 64
 
-// Oracle checks one protocol invariant. Implementations embed Base for
-// no-op defaults and override the events they watch, reporting breaches
-// through Checker.Reportf.
+// Oracle checks one protocol invariant. Each oracle is a ghostcore
+// observer of its own: Attach registers it on the class, which calls it
+// for every protocol event. The checker adds the kernel's switch-in and
+// the end-of-run check. Implementations embed Base for no-op defaults
+// and the Checker they report through, and override the events they
+// watch.
 type Oracle interface {
+	ghostcore.Observer
 	Name() string
-	Tseq(c *Checker, e *ghostcore.Enclave, t *kernel.Thread, old, new uint64, mt ghostcore.MsgType)
-	Aseq(c *Checker, e *ghostcore.Enclave, a *ghostcore.Agent, old, new uint64)
-	MsgIntent(c *Checker, e *ghostcore.Enclave, tid kernel.TID, mt ghostcore.MsgType)
-	MsgDelivered(c *Checker, e *ghostcore.Enclave, m ghostcore.Message, dup, delayed bool)
-	MsgFaultDropped(c *Checker, e *ghostcore.Enclave, m ghostcore.Message)
-	MsgDelayed(c *Checker, e *ghostcore.Enclave, m ghostcore.Message)
-	MsgDiscarded(c *Checker, e *ghostcore.Enclave, m ghostcore.Message)
-	MsgDrained(c *Checker, e *ghostcore.Enclave, m ghostcore.Message)
-	Latched(c *Checker, e *ghostcore.Enclave, cpu hw.CPUID, t *kernel.Thread)
-	Unlatched(c *Checker, e *ghostcore.Enclave, cpu hw.CPUID, t *kernel.Thread, why string)
-	Installed(c *Checker, e *ghostcore.Enclave, cpu hw.CPUID, t *kernel.Thread)
-	TxnGroup(c *Checker, e *ghostcore.Enclave, txns []*ghostcore.Txn, atomic bool)
-	SwitchIn(c *Checker, cpu *kernel.CPU, t *kernel.Thread)
-	Destroyed(c *Checker, e *ghostcore.Enclave, cause error, threads []*kernel.Thread)
-	Finish(c *Checker, now sim.Time)
+	SwitchIn(cpu *kernel.CPU, t *kernel.Thread)
+	Finish(now sim.Time)
+	attach(c *Checker)
 }
 
-// Base provides no-op Oracle methods; embed it and override the events
-// your invariant watches.
-type Base struct{}
+// Base provides no-op Oracle methods and holds the Checker the oracle
+// reports through, set once by Attach.
+type Base struct{ c *Checker }
 
-func (Base) Tseq(*Checker, *ghostcore.Enclave, *kernel.Thread, uint64, uint64, ghostcore.MsgType) {}
-func (Base) Aseq(*Checker, *ghostcore.Enclave, *ghostcore.Agent, uint64, uint64)                  {}
-func (Base) MsgIntent(*Checker, *ghostcore.Enclave, kernel.TID, ghostcore.MsgType)                {}
-func (Base) MsgDelivered(*Checker, *ghostcore.Enclave, ghostcore.Message, bool, bool)             {}
-func (Base) MsgFaultDropped(*Checker, *ghostcore.Enclave, ghostcore.Message)                      {}
-func (Base) MsgDelayed(*Checker, *ghostcore.Enclave, ghostcore.Message)                           {}
-func (Base) MsgDiscarded(*Checker, *ghostcore.Enclave, ghostcore.Message)                         {}
-func (Base) MsgDrained(*Checker, *ghostcore.Enclave, ghostcore.Message)                           {}
-func (Base) Latched(*Checker, *ghostcore.Enclave, hw.CPUID, *kernel.Thread)                       {}
-func (Base) Unlatched(*Checker, *ghostcore.Enclave, hw.CPUID, *kernel.Thread, string)             {}
-func (Base) Installed(*Checker, *ghostcore.Enclave, hw.CPUID, *kernel.Thread)                     {}
-func (Base) TxnGroup(*Checker, *ghostcore.Enclave, []*ghostcore.Txn, bool)                        {}
-func (Base) SwitchIn(*Checker, *kernel.CPU, *kernel.Thread)                                       {}
-func (Base) Destroyed(*Checker, *ghostcore.Enclave, error, []*kernel.Thread)                      {}
-func (Base) Finish(*Checker, sim.Time)                                                            {}
+func (b *Base) attach(c *Checker) { b.c = c }
 
-// Checker fans ghostcore/kernel protocol events out to a set of oracles
-// and collects their violations. Attach wires it to a class; Finish runs
-// the end-of-run checks. One Checker serves one machine.
+func (Base) Tseq(*ghostcore.Enclave, *kernel.Thread, uint64, uint64, ghostcore.MsgType) {}
+func (Base) Aseq(*ghostcore.Enclave, *ghostcore.Agent, uint64, uint64)                  {}
+func (Base) MsgIntent(*ghostcore.Enclave, kernel.TID, ghostcore.MsgType)                {}
+func (Base) MsgDelivered(*ghostcore.Enclave, ghostcore.Message, bool, bool)             {}
+func (Base) MsgFaultDropped(*ghostcore.Enclave, ghostcore.Message)                      {}
+func (Base) MsgDelayed(*ghostcore.Enclave, ghostcore.Message)                           {}
+func (Base) MsgDiscarded(*ghostcore.Enclave, ghostcore.Message)                         {}
+func (Base) MsgDrained(*ghostcore.Enclave, ghostcore.Message)                           {}
+func (Base) Latched(*ghostcore.Enclave, hw.CPUID, *kernel.Thread)                       {}
+func (Base) Unlatched(*ghostcore.Enclave, hw.CPUID, *kernel.Thread, string)             {}
+func (Base) Installed(*ghostcore.Enclave, hw.CPUID, *kernel.Thread)                     {}
+func (Base) TxnGroup(*ghostcore.Enclave, []*ghostcore.Txn, bool)                        {}
+func (Base) SwitchIn(*kernel.CPU, *kernel.Thread)                                       {}
+func (Base) Destroyed(*ghostcore.Enclave, error, []*kernel.Thread)                      {}
+func (Base) Finish(sim.Time)                                                            {}
+
+// Checker collects the violations of a set of oracles. Attach wires the
+// oracles to a class and kernel; Finish runs the end-of-run checks. One
+// Checker serves one machine.
 type Checker struct {
 	k *kernel.Kernel
 	g *ghostcore.Class
@@ -96,11 +90,15 @@ type Checker struct {
 	finished   bool
 }
 
-// Attach registers the oracles on the class (as a protocol observer) and
-// the kernel (switch hook) and returns the checker.
+// Attach registers each oracle on the class as a protocol observer, in
+// order, and the checker on the kernel's switch hook, and returns the
+// checker.
 func Attach(k *kernel.Kernel, g *ghostcore.Class, oracles ...Oracle) *Checker {
 	c := &Checker{k: k, g: g, oracles: oracles, LostThreshold: 10 * sim.Millisecond}
-	g.AddObserver((*classObserver)(c))
+	for _, o := range oracles {
+		o.attach(c)
+		g.AddObserver(o)
+	}
 	k.AddSwitchHook(c.onSwitch)
 	return c
 }
@@ -129,14 +127,6 @@ func (c *Checker) Violations() []Violation { return c.violations }
 // Failed reports whether any invariant was violated.
 func (c *Checker) Failed() bool { return len(c.violations) > 0 }
 
-// Err returns the first violation as an error, nil if none.
-func (c *Checker) Err() error {
-	if len(c.violations) == 0 {
-		return nil
-	}
-	return fmt.Errorf("invariant violated: %s (%d total)", c.violations[0], len(c.violations))
-}
-
 // Reportf records a violation on behalf of an oracle.
 func (c *Checker) Reportf(o Oracle, format string, args ...any) {
 	if len(c.violations) >= maxViolations {
@@ -157,96 +147,12 @@ func (c *Checker) Finish(now sim.Time) {
 	}
 	c.finished = true
 	for _, o := range c.oracles {
-		o.Finish(c, now)
+		o.Finish(now)
 	}
 }
 
 func (c *Checker) onSwitch(cpu *kernel.CPU, t *kernel.Thread) {
 	for _, o := range c.oracles {
-		o.SwitchIn(c, cpu, t)
-	}
-}
-
-// classObserver adapts Checker to ghostcore.Observer without exposing
-// the observer methods on the public Checker API.
-type classObserver Checker
-
-func (co *classObserver) c() *Checker { return (*Checker)(co) }
-
-func (co *classObserver) Tseq(e *ghostcore.Enclave, t *kernel.Thread, old, new uint64, mt ghostcore.MsgType) {
-	for _, o := range co.oracles {
-		o.Tseq(co.c(), e, t, old, new, mt)
-	}
-}
-
-func (co *classObserver) Aseq(e *ghostcore.Enclave, a *ghostcore.Agent, old, new uint64) {
-	for _, o := range co.oracles {
-		o.Aseq(co.c(), e, a, old, new)
-	}
-}
-
-func (co *classObserver) MsgIntent(e *ghostcore.Enclave, tid kernel.TID, mt ghostcore.MsgType) {
-	for _, o := range co.oracles {
-		o.MsgIntent(co.c(), e, tid, mt)
-	}
-}
-
-func (co *classObserver) MsgDelivered(e *ghostcore.Enclave, m ghostcore.Message, dup, delayed bool) {
-	for _, o := range co.oracles {
-		o.MsgDelivered(co.c(), e, m, dup, delayed)
-	}
-}
-
-func (co *classObserver) MsgFaultDropped(e *ghostcore.Enclave, m ghostcore.Message) {
-	for _, o := range co.oracles {
-		o.MsgFaultDropped(co.c(), e, m)
-	}
-}
-
-func (co *classObserver) MsgDelayed(e *ghostcore.Enclave, m ghostcore.Message) {
-	for _, o := range co.oracles {
-		o.MsgDelayed(co.c(), e, m)
-	}
-}
-
-func (co *classObserver) MsgDiscarded(e *ghostcore.Enclave, m ghostcore.Message) {
-	for _, o := range co.oracles {
-		o.MsgDiscarded(co.c(), e, m)
-	}
-}
-
-func (co *classObserver) MsgDrained(e *ghostcore.Enclave, m ghostcore.Message) {
-	for _, o := range co.oracles {
-		o.MsgDrained(co.c(), e, m)
-	}
-}
-
-func (co *classObserver) Latched(e *ghostcore.Enclave, cpu hw.CPUID, t *kernel.Thread) {
-	for _, o := range co.oracles {
-		o.Latched(co.c(), e, cpu, t)
-	}
-}
-
-func (co *classObserver) Unlatched(e *ghostcore.Enclave, cpu hw.CPUID, t *kernel.Thread, why string) {
-	for _, o := range co.oracles {
-		o.Unlatched(co.c(), e, cpu, t, why)
-	}
-}
-
-func (co *classObserver) Installed(e *ghostcore.Enclave, cpu hw.CPUID, t *kernel.Thread) {
-	for _, o := range co.oracles {
-		o.Installed(co.c(), e, cpu, t)
-	}
-}
-
-func (co *classObserver) TxnGroup(e *ghostcore.Enclave, txns []*ghostcore.Txn, atomic bool) {
-	for _, o := range co.oracles {
-		o.TxnGroup(co.c(), e, txns, atomic)
-	}
-}
-
-func (co *classObserver) Destroyed(e *ghostcore.Enclave, cause error, threads []*kernel.Thread) {
-	for _, o := range co.oracles {
-		o.Destroyed(co.c(), e, cause, threads)
+		o.SwitchIn(cpu, t)
 	}
 }

@@ -28,25 +28,25 @@ func newSeqOracle() *seqOracle {
 
 func (o *seqOracle) Name() string { return "seq-monotonic" }
 
-func (o *seqOracle) Tseq(c *Checker, e *ghostcore.Enclave, t *kernel.Thread, old, new uint64, mt ghostcore.MsgType) {
+func (o *seqOracle) Tseq(e *ghostcore.Enclave, t *kernel.Thread, old, new uint64, mt ghostcore.MsgType) {
 	if new != old+1 {
-		c.Reportf(o, "enc%d thread %d tseq did not advance on %v: %d -> %d",
+		o.c.Reportf(o, "enc%d thread %d tseq did not advance on %v: %d -> %d",
 			e.ID(), t.TID(), mt, old, new)
 	}
 	if last, ok := o.tseq[t]; ok && old != last {
-		c.Reportf(o, "enc%d thread %d tseq regressed or skipped: last seen %d, event from %d",
+		o.c.Reportf(o, "enc%d thread %d tseq regressed or skipped: last seen %d, event from %d",
 			e.ID(), t.TID(), last, old)
 	}
 	o.tseq[t] = new
 }
 
-func (o *seqOracle) Aseq(c *Checker, e *ghostcore.Enclave, a *ghostcore.Agent, old, new uint64) {
+func (o *seqOracle) Aseq(e *ghostcore.Enclave, a *ghostcore.Agent, old, new uint64) {
 	if new != old+1 {
-		c.Reportf(o, "enc%d agent cpu%d aseq did not advance: %d -> %d",
+		o.c.Reportf(o, "enc%d agent cpu%d aseq did not advance: %d -> %d",
 			e.ID(), a.CPU(), old, new)
 	}
 	if last, ok := o.aseq[a]; ok && old != last {
-		c.Reportf(o, "enc%d agent cpu%d aseq regressed or skipped: last seen %d, event from %d",
+		o.c.Reportf(o, "enc%d agent cpu%d aseq regressed or skipped: last seen %d, event from %d",
 			e.ID(), a.CPU(), last, old)
 	}
 	o.aseq[a] = new
@@ -67,11 +67,11 @@ func newStatusWordOracle() *statusWordOracle {
 
 func (o *statusWordOracle) Name() string { return "status-word" }
 
-func (o *statusWordOracle) SwitchIn(c *Checker, cpu *kernel.CPU, t *kernel.Thread) {
+func (o *statusWordOracle) SwitchIn(cpu *kernel.CPU, t *kernel.Thread) {
 	// Scan every live enclave's status words: OnCpu threads must be
 	// Running, and no CPU may carry two OnCpu claims. The switch hook
 	// runs between events, so the snapshot is consistent.
-	for _, e := range c.Ghost().Enclaves() {
+	for _, e := range o.c.Ghost().Enclaves() {
 		var byCPU map[hw.CPUID][]kernel.TID
 		for _, th := range e.Threads() {
 			sw := e.StatusWord(th)
@@ -79,7 +79,7 @@ func (o *statusWordOracle) SwitchIn(c *Checker, cpu *kernel.CPU, t *kernel.Threa
 				continue
 			}
 			if th.State() != kernel.StateRunning {
-				c.Reportf(o, "enc%d thread %d status word claims OnCpu (cpu%d) but state is %v",
+				o.c.Reportf(o, "enc%d thread %d status word claims OnCpu (cpu%d) but state is %v",
 					e.ID(), th.TID(), sw.CPU, th.State())
 			}
 			if byCPU == nil {
@@ -99,26 +99,26 @@ func (o *statusWordOracle) SwitchIn(c *Checker, cpu *kernel.CPU, t *kernel.Threa
 			// tids come from the TID-sorted Threads() walk, so the
 			// message is deterministic.
 			if tids := byCPU[hw.CPUID(swCPU)]; len(tids) > 1 {
-				c.Reportf(o, "enc%d: %d threads claim OnCpu for cpu%d: %v",
+				o.c.Reportf(o, "enc%d: %d threads claim OnCpu for cpu%d: %v",
 					e.ID(), len(tids), swCPU, tids)
 			}
 		}
 	}
 }
 
-func (o *statusWordOracle) Latched(c *Checker, e *ghostcore.Enclave, cpu hw.CPUID, t *kernel.Thread) {
+func (o *statusWordOracle) Latched(e *ghostcore.Enclave, cpu hw.CPUID, t *kernel.Thread) {
 	if prev, ok := o.latched[t]; ok && prev != cpu {
-		c.Reportf(o, "enc%d thread %d latched on cpu%d while still latched on cpu%d",
+		o.c.Reportf(o, "enc%d thread %d latched on cpu%d while still latched on cpu%d",
 			e.ID(), t.TID(), cpu, prev)
 	}
 	o.latched[t] = cpu
 }
 
-func (o *statusWordOracle) Unlatched(c *Checker, e *ghostcore.Enclave, cpu hw.CPUID, t *kernel.Thread, why string) {
+func (o *statusWordOracle) Unlatched(e *ghostcore.Enclave, cpu hw.CPUID, t *kernel.Thread, why string) {
 	delete(o.latched, t)
 }
 
-func (o *statusWordOracle) Installed(c *Checker, e *ghostcore.Enclave, cpu hw.CPUID, t *kernel.Thread) {
+func (o *statusWordOracle) Installed(e *ghostcore.Enclave, cpu hw.CPUID, t *kernel.Thread) {
 	// A switch-in consumed cpu's latch slot; no other thread may still
 	// believe it is latched there — that would mean a commit overwrote
 	// the slot without handing the displaced thread back (double latch).
@@ -130,7 +130,7 @@ func (o *statusWordOracle) Installed(c *Checker, e *ghostcore.Enclave, cpu hw.CP
 	}
 	if len(stuck) > 0 {
 		sort.Slice(stuck, func(i, j int) bool { return stuck[i] < stuck[j] })
-		c.Reportf(o, "enc%d: cpu%d installed thread %d while threads %v are still latched there (double latch)",
+		o.c.Reportf(o, "enc%d: cpu%d installed thread %d while threads %v are still latched there (double latch)",
 			e.ID(), cpu, t.TID(), stuck)
 	}
 }
@@ -143,13 +143,13 @@ func newAtomicityOracle() *atomicityOracle { return &atomicityOracle{} }
 
 func (o *atomicityOracle) Name() string { return "txn-atomicity" }
 
-func (o *atomicityOracle) TxnGroup(c *Checker, e *ghostcore.Enclave, txns []*ghostcore.Txn, atomic bool) {
+func (o *atomicityOracle) TxnGroup(e *ghostcore.Enclave, txns []*ghostcore.Txn, atomic bool) {
 	if !atomic || len(txns) == 0 {
 		// Non-atomic groups only promise per-member statuses; check that
 		// no member was left pending.
 		for _, txn := range txns {
 			if txn.Status == ghostcore.TxnPending {
-				c.Reportf(o, "enc%d: TXNS_COMMIT left txn (tid %d cpu%d) pending",
+				o.c.Reportf(o, "enc%d: TXNS_COMMIT left txn (tid %d cpu%d) pending",
 					e.ID(), txn.TID, txn.CPU)
 			}
 		}
@@ -162,7 +162,7 @@ func (o *atomicityOracle) TxnGroup(c *Checker, e *ghostcore.Enclave, txns []*gho
 		}
 	}
 	if committed != 0 && committed != len(txns) {
-		c.Reportf(o, "enc%d: atomic group of %d committed only %d members",
+		o.c.Reportf(o, "enc%d: atomic group of %d committed only %d members",
 			e.ID(), len(txns), committed)
 	}
 }
@@ -214,14 +214,14 @@ func (o *conservationOracle) line(e *ghostcore.Enclave, tid kernel.TID, mt ghost
 	return mc
 }
 
-func (o *conservationOracle) MsgIntent(c *Checker, e *ghostcore.Enclave, tid kernel.TID, mt ghostcore.MsgType) {
+func (o *conservationOracle) MsgIntent(e *ghostcore.Enclave, tid kernel.TID, mt ghostcore.MsgType) {
 	if mt == ghostcore.MsgTimerTick || tid == 0 {
 		return
 	}
 	o.line(e, tid, mt).intents++
 }
 
-func (o *conservationOracle) MsgDelivered(c *Checker, e *ghostcore.Enclave, m ghostcore.Message, dup, delayed bool) {
+func (o *conservationOracle) MsgDelivered(e *ghostcore.Enclave, m ghostcore.Message, dup, delayed bool) {
 	if m.Type == ghostcore.MsgTimerTick || m.TID == 0 {
 		return
 	}
@@ -234,49 +234,49 @@ func (o *conservationOracle) MsgDelivered(c *Checker, e *ghostcore.Enclave, m gh
 		mc.pending--
 	}
 	if mc.delivered-mc.dups > mc.intents {
-		c.Reportf(o, "enc%d thread %d %v delivered %d times for %d intents (duplication outside a fault window)",
+		o.c.Reportf(o, "enc%d thread %d %v delivered %d times for %d intents (duplication outside a fault window)",
 			e.ID(), m.TID, m.Type, mc.delivered-mc.dups, mc.intents)
 	}
 }
 
-func (o *conservationOracle) MsgFaultDropped(c *Checker, e *ghostcore.Enclave, m ghostcore.Message) {
+func (o *conservationOracle) MsgFaultDropped(e *ghostcore.Enclave, m ghostcore.Message) {
 	if m.Type == ghostcore.MsgTimerTick || m.TID == 0 {
 		return
 	}
 	o.line(e, m.TID, m.Type).dropped++
 }
 
-func (o *conservationOracle) MsgDelayed(c *Checker, e *ghostcore.Enclave, m ghostcore.Message) {
+func (o *conservationOracle) MsgDelayed(e *ghostcore.Enclave, m ghostcore.Message) {
 	if m.Type == ghostcore.MsgTimerTick || m.TID == 0 {
 		return
 	}
 	o.line(e, m.TID, m.Type).pending++
 }
 
-func (o *conservationOracle) MsgDiscarded(c *Checker, e *ghostcore.Enclave, m ghostcore.Message) {
+func (o *conservationOracle) MsgDiscarded(e *ghostcore.Enclave, m ghostcore.Message) {
 	if m.Type == ghostcore.MsgTimerTick || m.TID == 0 {
 		return
 	}
 	o.line(e, m.TID, m.Type).discarded++
 }
 
-func (o *conservationOracle) MsgDrained(c *Checker, e *ghostcore.Enclave, m ghostcore.Message) {
+func (o *conservationOracle) MsgDrained(e *ghostcore.Enclave, m ghostcore.Message) {
 	if m.Type == ghostcore.MsgTimerTick || m.TID == 0 {
 		return
 	}
 	mc := o.line(e, m.TID, m.Type)
 	mc.drained++
 	if mc.drained > mc.delivered {
-		c.Reportf(o, "enc%d thread %d %v drained %d times but only %d delivered",
+		o.c.Reportf(o, "enc%d thread %d %v drained %d times but only %d delivered",
 			e.ID(), m.TID, m.Type, mc.drained, mc.delivered)
 	}
 }
 
-func (o *conservationOracle) Destroyed(c *Checker, e *ghostcore.Enclave, cause error, threads []*kernel.Thread) {
+func (o *conservationOracle) Destroyed(e *ghostcore.Enclave, cause error, threads []*kernel.Thread) {
 	o.excused[e.ID()] = true
 }
 
-func (o *conservationOracle) Finish(c *Checker, now sim.Time) {
+func (o *conservationOracle) Finish(now sim.Time) {
 	keys := make([]msgKey, 0, len(o.counts))
 	for k := range o.counts {
 		keys = append(keys, k)
@@ -297,7 +297,7 @@ func (o *conservationOracle) Finish(c *Checker, now sim.Time) {
 		}
 		mc := o.counts[k]
 		if mc.intents+mc.dups != mc.delivered+mc.dropped+mc.discarded+mc.pending {
-			c.Reportf(o, "enc%d thread %d %v not conserved: %d posted (+%d dup) vs %d delivered, %d dropped, %d discarded, %d in flight",
+			o.c.Reportf(o, "enc%d thread %d %v not conserved: %d posted (+%d dup) vs %d delivered, %d dropped, %d discarded, %d in flight",
 				k.enc, k.tid, k.mt, mc.intents, mc.dups,
 				mc.delivered, mc.dropped, mc.discarded, mc.pending)
 		}
@@ -329,7 +329,7 @@ func newLostThreadOracle() *lostThreadOracle {
 
 func (o *lostThreadOracle) Name() string { return "no-lost-thread" }
 
-func (o *lostThreadOracle) MsgFaultDropped(c *Checker, e *ghostcore.Enclave, m ghostcore.Message) {
+func (o *lostThreadOracle) MsgFaultDropped(e *ghostcore.Enclave, m ghostcore.Message) {
 	if m.TID != 0 {
 		// A legitimately dropped message means only the watchdog can
 		// recover this thread; don't second-guess the fault window.
@@ -337,7 +337,7 @@ func (o *lostThreadOracle) MsgFaultDropped(c *Checker, e *ghostcore.Enclave, m g
 	}
 }
 
-func (o *lostThreadOracle) MsgDelivered(c *Checker, e *ghostcore.Enclave, m ghostcore.Message, dup, delayed bool) {
+func (o *lostThreadOracle) MsgDelivered(e *ghostcore.Enclave, m ghostcore.Message, dup, delayed bool) {
 	if m.TID == 0 || !m.Runnable || delayed {
 		// Delayed messages were already counted at MsgDelayed.
 		return
@@ -345,26 +345,26 @@ func (o *lostThreadOracle) MsgDelivered(c *Checker, e *ghostcore.Enclave, m ghos
 	o.queued[m.TID]++
 }
 
-func (o *lostThreadOracle) MsgDelayed(c *Checker, e *ghostcore.Enclave, m ghostcore.Message) {
+func (o *lostThreadOracle) MsgDelayed(e *ghostcore.Enclave, m ghostcore.Message) {
 	if m.TID == 0 || !m.Runnable {
 		return
 	}
 	o.queued[m.TID]++
 }
 
-func (o *lostThreadOracle) MsgDrained(c *Checker, e *ghostcore.Enclave, m ghostcore.Message) {
+func (o *lostThreadOracle) MsgDrained(e *ghostcore.Enclave, m ghostcore.Message) {
 	if m.TID == 0 || !m.Runnable {
 		return
 	}
-	o.informed[m.TID] = c.k.Now()
+	o.informed[m.TID] = o.c.k.Now()
 	if o.queued[m.TID] > 0 {
 		o.queued[m.TID]--
 	}
 }
 
-func (o *lostThreadOracle) Finish(c *Checker, now sim.Time) {
-	threshold := c.LostThreshold
-	for _, e := range c.Ghost().Enclaves() {
+func (o *lostThreadOracle) Finish(now sim.Time) {
+	threshold := o.c.LostThreshold
+	for _, e := range o.c.Ghost().Enclaves() {
 		if e.AgentsAttached() == 0 {
 			// No agent generation attached (mid-upgrade at horizon end):
 			// the upgrade timeout, not this oracle, bounds that state.
@@ -388,7 +388,7 @@ func (o *lostThreadOracle) Finish(c *Checker, now sim.Time) {
 				continue
 			}
 			if wait := now - since; wait > sim.Time(threshold) {
-				c.Reportf(o, "enc%d thread %d lost: runnable for %v with no queued or drained wakeup (threshold %v)",
+				o.c.Reportf(o, "enc%d thread %d lost: runnable for %v with no queued or drained wakeup (threshold %v)",
 					e.ID(), tid, sim.Duration(wait), threshold)
 			}
 		}
@@ -412,35 +412,35 @@ func newFallbackOracle() *fallbackOracle { return &fallbackOracle{} }
 
 func (o *fallbackOracle) Name() string { return "cfs-fallback" }
 
-func (o *fallbackOracle) Destroyed(c *Checker, e *ghostcore.Enclave, cause error, threads []*kernel.Thread) {
+func (o *fallbackOracle) Destroyed(e *ghostcore.Enclave, cause error, threads []*kernel.Thread) {
 	if cause == nil {
-		c.Reportf(o, "enc%d destroyed with nil cause", e.ID())
+		o.c.Reportf(o, "enc%d destroyed with nil cause", e.ID())
 	} else if !errors.Is(cause, ghostcore.ErrWatchdog) &&
 		!errors.Is(cause, ghostcore.ErrAgentCrash) &&
 		!errors.Is(cause, ghostcore.ErrUpgradeTimeout) &&
 		!errors.Is(cause, ghostcore.ErrDestroyed) {
-		c.Reportf(o, "enc%d destroyed with untyped cause %q", e.ID(), cause)
+		o.c.Reportf(o, "enc%d destroyed with untyped cause %q", e.ID(), cause)
 	}
-	o.checkFallback(c, e.ID(), threads)
+	o.checkFallback(e.ID(), threads)
 	o.records = append(o.records, fallbackRecord{enc: e.ID(), threads: threads})
 }
 
-func (o *fallbackOracle) checkFallback(c *Checker, enc int, threads []*kernel.Thread) {
-	ghostClass := kernel.Class(c.Ghost())
+func (o *fallbackOracle) checkFallback(enc int, threads []*kernel.Thread) {
+	ghostClass := kernel.Class(o.c.Ghost())
 	for _, t := range threads {
 		if t.State() == kernel.StateDead {
 			continue
 		}
 		if t.Class() == ghostClass {
-			c.Reportf(o, "enc%d thread %d stranded in the ghost class after destroy", enc, t.TID())
+			o.c.Reportf(o, "enc%d thread %d stranded in the ghost class after destroy", enc, t.TID())
 		}
 	}
 }
 
-func (o *fallbackOracle) Finish(c *Checker, now sim.Time) {
+func (o *fallbackOracle) Finish(now sim.Time) {
 	// Re-verify at horizon end: fallen-back threads must not have drifted
 	// back under a destroyed enclave's class.
 	for _, r := range o.records {
-		o.checkFallback(c, r.enc, r.threads)
+		o.checkFallback(r.enc, r.threads)
 	}
 }

@@ -200,8 +200,8 @@ func (c *Checker) PrimeResumed() {
 	for _, e := range c.g.Enclaves() {
 		e.EachQueuedMessage(func(m ghostcore.Message) {
 			for _, o := range c.oracles {
-				o.MsgIntent(c, e, m.TID, m.Type)
-				o.MsgDelivered(c, e, m, false, false)
+				o.MsgIntent(e, m.TID, m.Type)
+				o.MsgDelivered(e, m, false, false)
 			}
 		})
 	}

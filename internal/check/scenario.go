@@ -186,12 +186,11 @@ func (s Scenario) buildShell() *rig {
 	return rg
 }
 
-// attach wires a fresh Checker (Default oracles plus test extras) onto
-// the rig. Called before populate on a forward run, and after snap.Load
+// attach wires a fresh Checker with the Default oracles onto the rig. Called before populate on a forward run, and after snap.Load
 // on a rewind — oracles must never observe construction-time noise that
 // a restore overlay erases.
 func (s Scenario) attach(rg *rig) *Checker {
-	ck := Attach(rg.k, rg.g, append(Default(), testExtraOracles...)...)
+	ck := Attach(rg.k, rg.g, Default()...)
 	if th := s.Horizon / 2; th > ck.LostThreshold {
 		ck.LostThreshold = th
 	}
@@ -478,7 +477,3 @@ func parseDur(s string) (sim.Duration, error) {
 	}
 	return sim.Duration(d.Nanoseconds()), nil
 }
-
-// testExtraOracles is appended to the Default set by Run; tests use it
-// to instrument scenarios.
-var testExtraOracles []Oracle

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"ghost/internal/hw"
 	"ghost/internal/kernel"
 	"ghost/internal/policies"
@@ -130,6 +128,3 @@ func fig7Run(scheduler string, loaded bool, o Options) (*workload.LatencyRecorde
 	m.m.Run(dur)
 	return &snap.Rec64B, &snap.Rec64K
 }
-
-// fmtShare renders a fraction as a percentage.
-func fmtShare(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }

@@ -366,9 +366,6 @@ func NewInjector(eng *sim.Engine, plan *Plan) *Injector {
 	return in
 }
 
-// Plan returns the installed plan.
-func (in *Injector) Plan() *Plan { return in.plan }
-
 // BindTracer supplies the tracer lookup used to emit fault events; the
 // kernel calls this from SetFaults so the injector always sees the
 // tracer currently attached.

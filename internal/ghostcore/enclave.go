@@ -132,6 +132,8 @@ func (e *Enclave) CreateQueue(name string) *Queue {
 
 // DestroyQueue removes a queue (DESTROY_QUEUE). Threads associated with
 // it fall back to the default queue.
+//
+//ghostlint:root DESTROY_QUEUE is an agent API call of the paper's Table 1; no bundled policy destroys a queue
 func (e *Enclave) DestroyQueue(q *Queue) {
 	q.dead = true
 	for _, t := range e.threads {
@@ -175,18 +177,6 @@ func (e *Enclave) ConfigQueueWakeup(q *Queue, a *Agent, wake bool) {
 	if a != nil {
 		a.queue = q
 	}
-}
-
-// AddThread moves a native thread under ghOSt management in this enclave
-// (the thread joins the ghOSt scheduling class; the agent learns of it
-// via THREAD_CREATED).
-func (e *Enclave) AddThread(t *kernel.Thread) {
-	if e.destroyed {
-		panic("ghostcore: AddThread on destroyed enclave")
-	}
-	e.g.pendingEnclave = e
-	e.k.SetClass(t, e.g)
-	e.g.pendingEnclave = nil
 }
 
 // SpawnThread spawns a new thread directly into this enclave.

@@ -7,9 +7,9 @@ import (
 
 // Observer receives fine-grained protocol events from the ghOSt class:
 // sequence-number advances, message lifecycle, latch/install transitions,
-// transaction groups, and enclave destruction. Invariant checkers
-// (internal/check) register as observers; with none registered every
-// emission short-circuits on a nil-slice length test.
+// transaction groups, and enclave destruction. Each invariant oracle
+// (internal/check) registers as an observer of its own; with none
+// registered every emission short-circuits on a nil-slice length test.
 //
 // All callbacks run synchronously inside the simulator event that caused
 // them, so an observer sees a globally consistent snapshot.

@@ -479,7 +479,3 @@ func (c *CFS) balanceOnce() bool {
 	}
 	return false
 }
-
-// NrQueued returns the number of queued CFS threads on cpu (excluding a
-// running one), for tests and policies.
-func (c *CFS) NrQueued(cpu hw.CPUID) int { return c.rqs[cpu].Len() }

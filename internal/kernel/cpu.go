@@ -55,9 +55,6 @@ func (c *CPU) syncIdle() { c.k.idle.SetTo(c.ID, c.Idle()) }
 // this to spread simultaneous wakeups instead of piling them on one CPU.
 func (c *CPU) FreeForPlacement() bool { return c.Idle() && !c.reschedPending }
 
-// Switching reports whether the CPU is in context-switch dead time.
-func (c *CPU) Switching() bool { return c.switching }
-
 // BusyTime returns cumulative wall time this CPU was non-idle.
 func (c *CPU) BusyTime() sim.Duration {
 	t := c.busyNS

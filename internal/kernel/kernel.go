@@ -772,17 +772,6 @@ func (k *Kernel) SetAffinity(t *Thread, m Mask) {
 	}
 }
 
-// SetNice updates a thread's nice value.
-func (k *Kernel) SetNice(t *Thread, n int) {
-	if n < -20 {
-		n = -20
-	}
-	if n > 19 {
-		n = 19
-	}
-	t.nice = n
-}
-
 // SetClass migrates a thread to a different scheduling class. Running or
 // runnable threads are requeued in the new class.
 func (k *Kernel) SetClass(t *Thread, nc Class) {

@@ -491,21 +491,32 @@ func (t *Thread) restoreRec(rec *ThreadRec) error {
 }
 
 func (c *CFS) restoreRec(rec *CFSRec) error {
+	if n := len(c.rqs); len(rec.RQs) != n || len(rec.IdleStart) != n || len(rec.AvgIdle) != n {
+		return fmt.Errorf("cfs: %d run queues, %d idle starts and %d idle averages for %d CPUs",
+			len(rec.RQs), len(rec.IdleStart), len(rec.AvgIdle), n)
+	}
 	c.seq = rec.Seq
 	c.TargetLatency = sim.Duration(rec.TargetLatency)
 	c.MinGranularity = sim.Duration(rec.MinGranularity)
 	c.WakeupGran = sim.Duration(rec.WakeupGran)
 	c.BalancePeriod = sim.Duration(rec.BalancePeriod)
 	c.MigrationCost = sim.Duration(rec.MigrationCost)
+	listed := make(map[*Thread]bool)
 	for i := range rec.RQs {
 		rq := c.rqs[i]
 		rq.threads = rq.threads[:0]
 		rq.minVrun = rec.RQs[i].MinVrun
 		for pos, tid := range rec.RQs[i].Threads {
 			t := c.k.Thread(TID(tid))
-			if t == nil {
+			switch {
+			case t == nil:
 				return fmt.Errorf("cfs rq %d: thread T%d missing", i, tid)
+			case t.class != Class(c) || !t.cfs.onRq || t.cfs.rqCPU != hw.CPUID(i):
+				return fmt.Errorf("cfs rq %d: %v is not a CFS thread queued there", i, t)
+			case listed[t]:
+				return fmt.Errorf("cfs rq %d: %v listed twice", i, t)
 			}
+			listed[t] = true
 			t.cfs.idx = pos
 			rq.threads = append(rq.threads, t)
 		}

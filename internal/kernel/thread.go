@@ -391,11 +391,6 @@ func (tc *TaskContext) SetAffinity(m Mask) {
 	tc.t.k.SetAffinity(tc.t, m)
 }
 
-// SetNice adjusts the thread's nice value.
-func (tc *TaskContext) SetNice(n int) {
-	tc.t.k.SetNice(tc.t, n)
-}
-
 // TID returns the thread's id.
 func (tc *TaskContext) TID() TID { return tc.t.tid }
 

@@ -64,24 +64,6 @@ func (r *Rand) Normal(mean, stddev float64) float64 {
 	return mean + stddev*z
 }
 
-// NormalDuration returns a normally distributed duration clamped to be
-// at least min.
-func (r *Rand) NormalDuration(mean, stddev, min Duration) Duration {
-	d := Duration(r.Normal(float64(mean), float64(stddev)))
-	if d < min {
-		d = min
-	}
-	return d
-}
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Fork derives an independent generator; useful to give each workload
 // source its own stream so adding a source does not perturb the others.
 func (r *Rand) Fork() *Rand {

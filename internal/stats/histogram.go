@@ -180,14 +180,12 @@ func (h *Histogram) Quantile(q float64) sim.Duration {
 	return h.max
 }
 
-// P50, P90, P99, P999, P9999, P99999 are the percentile shorthands used by
-// the paper's figures.
-func (h *Histogram) P50() sim.Duration    { return h.Quantile(0.50) }
-func (h *Histogram) P90() sim.Duration    { return h.Quantile(0.90) }
-func (h *Histogram) P99() sim.Duration    { return h.Quantile(0.99) }
-func (h *Histogram) P999() sim.Duration   { return h.Quantile(0.999) }
-func (h *Histogram) P9999() sim.Duration  { return h.Quantile(0.9999) }
-func (h *Histogram) P99999() sim.Duration { return h.Quantile(0.99999) }
+// P50, P90, P99 and P999 are the percentile shorthands used by the
+// paper's figures.
+func (h *Histogram) P50() sim.Duration  { return h.Quantile(0.50) }
+func (h *Histogram) P90() sim.Duration  { return h.Quantile(0.90) }
+func (h *Histogram) P99() sim.Duration  { return h.Quantile(0.99) }
+func (h *Histogram) P999() sim.Duration { return h.Quantile(0.999) }
 
 // Merge adds all of other's observations into h.
 func (h *Histogram) Merge(other *Histogram) {

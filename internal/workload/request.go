@@ -29,8 +29,6 @@ type Request struct {
 // ServiceDist draws request service times.
 type ServiceDist interface {
 	Sample(r *sim.Rand) sim.Duration
-	// Mean returns the expected service time, for utilization math.
-	Mean() sim.Duration
 }
 
 // Fixed is a constant service time.
@@ -39,17 +37,11 @@ type Fixed sim.Duration
 // Sample implements ServiceDist.
 func (f Fixed) Sample(*sim.Rand) sim.Duration { return sim.Duration(f) }
 
-// Mean implements ServiceDist.
-func (f Fixed) Mean() sim.Duration { return sim.Duration(f) }
-
 // Exponential service times with the given mean.
 type Exponential sim.Duration
 
 // Sample implements ServiceDist.
 func (e Exponential) Sample(r *sim.Rand) sim.Duration { return r.Exp(sim.Duration(e)) }
-
-// Mean implements ServiceDist.
-func (e Exponential) Mean() sim.Duration { return sim.Duration(e) }
 
 // Bimodal is the dispersive distribution of §4.2: with probability
 // PLong, service takes Long; otherwise Short.
@@ -65,11 +57,6 @@ func (b Bimodal) Sample(r *sim.Rand) sim.Duration {
 		return b.Long
 	}
 	return b.Short
-}
-
-// Mean implements ServiceDist.
-func (b Bimodal) Mean() sim.Duration {
-	return sim.Duration(float64(b.Long)*b.PLong + float64(b.Short)*(1-b.PLong))
 }
 
 // RocksDBService returns the §4.2 workload: every request performs an

@@ -3,6 +3,7 @@ package workload
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"ghost/internal/kernel"
 	"ghost/internal/sim"
@@ -264,6 +265,12 @@ func saveService(d ServiceDist) (serviceRec, error) {
 }
 
 func loadService(rec serviceRec) (ServiceDist, error) {
+	if rec.A < 0 || rec.B < 0 {
+		return nil, fmt.Errorf("%s service distribution with negative duration (a=%d, b=%d)", rec.Kind, rec.A, rec.B)
+	}
+	if !(rec.P >= 0 && rec.P <= 1) {
+		return nil, fmt.Errorf("%s service distribution with probability %v outside [0, 1]", rec.Kind, rec.P)
+	}
 	switch rec.Kind {
 	case "fixed":
 		return Fixed(rec.A), nil
@@ -310,6 +317,9 @@ func (p *PoissonSource) SnapshotLoad(data []byte) error {
 	var st poissonState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return err
+	}
+	if !(st.Rate > 0) || math.IsInf(st.Rate, 1) {
+		return fmt.Errorf("poisson source: arrival rate %v is not finite and above 0", st.Rate)
 	}
 	svc, err := loadService(st.Service)
 	if err != nil {

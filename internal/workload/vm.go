@@ -70,15 +70,6 @@ func NewVMSet(k *kernel.Kernel, numVMs, vcpusPerVM int, work, chunk sim.Duration
 	return set
 }
 
-// AllVCPUs returns every vCPU thread.
-func (s *VMSet) AllVCPUs() []*kernel.Thread {
-	var out []*kernel.Thread
-	for _, vm := range s.VMs {
-		out = append(out, vm.VCPUs...)
-	}
-	return out
-}
-
 // VMOf reads the VM id from a thread's tag, -1 if absent.
 func VMOf(t *kernel.Thread) int {
 	if tag, ok := t.Tag.(*VMTag); ok {

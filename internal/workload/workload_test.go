@@ -60,23 +60,30 @@ func TestBimodalStats(t *testing.T) {
 	if frac < 0.004 || frac > 0.006 {
 		t.Fatalf("long fraction = %.4f, want ~0.005", frac)
 	}
-	mean := sim.Duration(sum / n)
-	want := float64(b.Mean())
-	if math.Abs(float64(mean)-want)/want > 0.05 {
-		t.Fatalf("sampled mean %v vs analytic %v", mean, b.Mean())
+	mean := sum / n
+	want := float64(b.Long)*b.PLong + float64(b.Short)*(1-b.PLong)
+	if math.Abs(mean-want)/want > 0.05 {
+		t.Fatalf("sampled mean %v vs analytic %v", sim.Duration(mean), sim.Duration(want))
 	}
 }
 
+// TestServiceDistMeans checks that Fixed and Exponential draw service
+// times whose mean is their parameter. Durations start at 1 µs, so the
+// whole-nanosecond truncation of Exponential's draws stays far below
+// the 5% tolerance.
 func TestServiceDistMeans(t *testing.T) {
 	f := func(raw uint16) bool {
-		d := sim.Duration(raw) + 1
-		if Fixed(d).Mean() != d {
+		d := sim.Duration(raw) + sim.Microsecond
+		r := sim.NewRand(uint64(raw))
+		if Fixed(d).Sample(r) != d {
 			return false
 		}
-		if Exponential(d).Mean() != d {
-			return false
+		const n = 20000
+		var sum float64
+		for i := 0; i < n; i++ {
+			sum += float64(Exponential(d).Sample(r))
 		}
-		return true
+		return math.Abs(sum/n-float64(d))/float64(d) < 0.05
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -18,16 +18,17 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
-echo "== ghost-lint -escape ./... (determinism taint, maporder, hotpathalloc, eventhandle, apisurface, hotpathescape)"
+echo "== ghost-lint -escape ./... (determinism taint, maporder, hotpathalloc, eventhandle, apisurface, unreachable, hotpathescape)"
 go run ./cmd/ghost-lint -escape -summary ./...
 
-# ghost-lint already fails on a reason-less //ghostlint:allow; this grep
-# also catches the case where the directive grammar itself has drifted.
-# testdata holds the analyzer's deliberately malformed fixtures.
-echo "== reason-less //ghostlint:allow gate"
-bad=$(grep -rnE '//ghostlint:allow[[:space:]]+[a-z]+[[:space:]]*$' --include='*.go' --exclude-dir=testdata . || true)
+# ghost-lint already fails on a reason-less //ghostlint:allow or
+# //ghostlint:root; this grep also catches the case where the directive
+# grammar itself has drifted. testdata holds the analyzer's deliberately
+# malformed fixtures.
+echo "== reason-less //ghostlint:allow and //ghostlint:root gate"
+bad=$(grep -rnE '//ghostlint:(allow[[:space:]]+[a-z]+|root)[[:space:]]*$' --include='*.go' --exclude-dir=testdata . || true)
 if [ -n "$bad" ]; then
-	echo "reason-less //ghostlint:allow directives:" >&2
+	echo "reason-less //ghostlint directives:" >&2
 	echo "$bad" >&2
 	exit 1
 fi

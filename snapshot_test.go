@@ -491,6 +491,34 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 			})
 		}},
 		{"agent-global-cpu-high", func(core map[string]any) { record(core, "sets", 0)["globalCPU"] = 1000 }},
+		{"poisson-rate-zero", func(core map[string]any) {
+			editComponent(t, core, "src", func(src map[string]any) { src["rate"] = 0 })
+		}},
+		{"poisson-service-negative", func(core map[string]any) {
+			editComponent(t, core, "src", func(src map[string]any) {
+				src["service"] = map[string]any{"kind": "fixed", "a": -20000}
+			})
+		}},
+		{"poisson-bimodal-p-high", func(core map[string]any) {
+			editComponent(t, core, "src", func(src map[string]any) {
+				src["service"] = map[string]any{"kind": "bimodal", "a": 10000, "b": 10_000_000, "p": 2}
+			})
+		}},
+		{"cfs-rq-extra", func(core map[string]any) {
+			cfs := kernelRec(core)["cfs"].(map[string]any)
+			cfs["rqs"] = append(cfs["rqs"].([]any), map[string]any{"minVrun": 0})
+		}},
+		{"cfs-idle-start-extra", func(core map[string]any) {
+			cfs := kernelRec(core)["cfs"].(map[string]any)
+			cfs["idleStart"] = append(cfs["idleStart"].([]any), 0)
+		}},
+		{"cfs-rq-foreign-thread", func(core map[string]any) {
+			var worker any
+			editComponent(t, core, "pool", func(pool map[string]any) { worker = freeWorkerTID(pool) })
+			rq := record(kernelRec(core)["cfs"].(map[string]any), "rqs", 0)
+			threads, _ := rq["threads"].([]any)
+			rq["threads"] = append(threads, worker)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			requireRestoreCorrupt(t, resealSnapshot(t, wire, tc.mutate))
