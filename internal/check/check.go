@@ -107,13 +107,17 @@ func Attach(k *kernel.Kernel, g *ghostcore.Class, oracles ...Oracle) *Checker {
 func Default() []Oracle {
 	return []Oracle{
 		newSeqOracle(),
-		newStatusWordOracle(),
+		newStatusWord(),
 		newAtomicityOracle(),
 		newConservationOracle(),
 		newLostThreadOracle(),
 		newFallbackOracle(),
 	}
 }
+
+// newStatusWord builds Default's status-word oracle. Tests swap in the
+// full-scan reference that the OnCpu index is checked against.
+var newStatusWord = func() Oracle { return newStatusWordOracle() }
 
 // Kernel returns the kernel under check.
 func (c *Checker) Kernel() *kernel.Kernel { return c.k }

@@ -56,9 +56,28 @@ func (o *seqOracle) Aseq(e *ghostcore.Enclave, a *ghostcore.Agent, old, new uint
 // status word claiming OnCpu implies the thread is Running on exactly
 // one CPU, and a latch-slot install never silently overwrites another
 // thread's latch (the displaced thread must be handed back first).
+//
+// The OnCpu check reads an index instead of every thread of every
+// enclave. Outside restore, only two kernel paths set a status word's
+// OnCPU claim: postThreadMsg, which fires Tseq first, and PickNext, which
+// fires Installed. Those events mark the thread dirty; a switch-in folds
+// the dirty threads into claims, drops the claims that lapsed and checks
+// the rest. Restore writes status words with no event, so the first
+// switch-in seeds the index with every thread of every live enclave.
 type statusWordOracle struct {
 	Base
 	latched map[*kernel.Thread]hw.CPUID
+
+	seeded bool
+	dirty  []swClaim // threads whose status word may have changed since the last switch-in
+	claims []swClaim // threads whose status word claimed OnCpu, in TID order
+	perCPU []int     // OnCpu claims per CPU within one enclave, zero between checks
+}
+
+// swClaim names a thread and the enclave of its latest status-word event.
+type swClaim struct {
+	e *ghostcore.Enclave
+	t *kernel.Thread
 }
 
 func newStatusWordOracle() *statusWordOracle {
@@ -67,41 +86,122 @@ func newStatusWordOracle() *statusWordOracle {
 
 func (o *statusWordOracle) Name() string { return "status-word" }
 
+func (o *statusWordOracle) Tseq(e *ghostcore.Enclave, t *kernel.Thread, old, new uint64, mt ghostcore.MsgType) {
+	o.dirty = append(o.dirty, swClaim{e, t})
+}
+
+// SwitchIn checks that OnCpu threads are Running and that no CPU carries
+// two OnCpu claims. The switch hook runs between events, so the status
+// words it reads are consistent.
 func (o *statusWordOracle) SwitchIn(cpu *kernel.CPU, t *kernel.Thread) {
-	// Scan every live enclave's status words: OnCpu threads must be
-	// Running, and no CPU may carry two OnCpu claims. The switch hook
-	// runs between events, so the snapshot is consistent.
-	for _, e := range o.c.Ghost().Enclaves() {
-		var byCPU map[hw.CPUID][]kernel.TID
-		for _, th := range e.Threads() {
-			sw := e.StatusWord(th)
-			if sw == nil || !sw.OnCPU {
-				continue
+	if !o.seeded {
+		o.seeded = true
+		o.perCPU = make([]int, o.c.Kernel().NumCPUs())
+		for _, e := range o.c.Ghost().Enclaves() {
+			for _, th := range e.Threads() {
+				o.dirty = append(o.dirty, swClaim{e, th})
 			}
-			if th.State() != kernel.StateRunning {
-				o.c.Reportf(o, "enc%d thread %d status word claims OnCpu (cpu%d) but state is %v",
-					e.ID(), th.TID(), sw.CPU, th.State())
-			}
-			if byCPU == nil {
-				byCPU = make(map[hw.CPUID][]kernel.TID)
-			}
-			byCPU[sw.CPU] = append(byCPU[sw.CPU], th.TID())
 		}
-		if byCPU == nil {
+	}
+	for _, d := range o.dirty {
+		o.fold(d)
+	}
+	o.dirty = o.dirty[:0]
+	live := o.claims[:0]
+	for _, cl := range o.claims {
+		if sw := cl.e.StatusWord(cl.t); sw != nil && sw.OnCPU && !cl.e.Destroyed() {
+			live = append(live, cl)
+		}
+	}
+	o.claims = live
+	// Check per enclave in Enclaves() order. That is creation order, and
+	// enclave ids only grow, so it is ascending id order.
+	for last := -1; ; {
+		var e *ghostcore.Enclave
+		for _, cl := range o.claims {
+			if id := cl.e.ID(); id > last && (e == nil || id < e.ID()) {
+				e = cl.e
+			}
+		}
+		if e == nil {
+			return
+		}
+		o.checkEnclave(e)
+		last = e.ID()
+	}
+}
+
+// fold records d's thread in claims, in TID order, if its status word
+// claims OnCpu.
+func (o *statusWordOracle) fold(d swClaim) {
+	if sw := d.e.StatusWord(d.t); sw == nil || !sw.OnCPU {
+		return
+	}
+	tid := d.t.TID()
+	i := sort.Search(len(o.claims), func(i int) bool { return o.claims[i].t.TID() >= tid })
+	if i < len(o.claims) && o.claims[i].t == d.t {
+		o.claims[i].e = d.e
+		return
+	}
+	o.claims = append(o.claims, swClaim{})
+	copy(o.claims[i+1:], o.claims[i:])
+	o.claims[i] = d
+}
+
+// checkEnclave checks e's OnCpu claims: each claimed thread must be
+// Running, and no CPU may carry two claims.
+func (o *statusWordOracle) checkEnclave(e *ghostcore.Enclave) {
+	dup := false
+	for _, cl := range o.claims {
+		if cl.e != e {
 			continue
 		}
-		cpus := make([]int, 0, len(byCPU))
-		for swCPU := range byCPU {
-			cpus = append(cpus, int(swCPU))
+		sw := e.StatusWord(cl.t)
+		if cl.t.State() != kernel.StateRunning {
+			o.c.Reportf(o, "enc%d thread %d status word claims OnCpu (cpu%d) but state is %v",
+				e.ID(), cl.t.TID(), sw.CPU, cl.t.State())
 		}
-		sort.Ints(cpus)
-		for _, swCPU := range cpus {
-			// tids come from the TID-sorted Threads() walk, so the
-			// message is deterministic.
-			if tids := byCPU[hw.CPUID(swCPU)]; len(tids) > 1 {
-				o.c.Reportf(o, "enc%d: %d threads claim OnCpu for cpu%d: %v",
-					e.ID(), len(tids), swCPU, tids)
-			}
+		if c := int(sw.CPU); c >= 0 && c < len(o.perCPU) {
+			o.perCPU[c]++
+			dup = dup || o.perCPU[c] > 1
+		} else {
+			dup = true // no counter for this CPU: let the full grouping judge it
+		}
+	}
+	for _, cl := range o.claims {
+		if cl.e != e {
+			continue
+		}
+		if c := int(e.StatusWord(cl.t).CPU); c >= 0 && c < len(o.perCPU) {
+			o.perCPU[c] = 0
+		}
+	}
+	if dup {
+		o.reportDoubleClaims(e)
+	}
+}
+
+// reportDoubleClaims reports every CPU of e that two or more OnCpu claims
+// name, in CPU order. It runs only when checkEnclave found a duplicate,
+// so its allocations stay off the clean path.
+func (o *statusWordOracle) reportDoubleClaims(e *ghostcore.Enclave) {
+	byCPU := make(map[hw.CPUID][]kernel.TID)
+	for _, cl := range o.claims {
+		if cl.e == e {
+			c := e.StatusWord(cl.t).CPU
+			byCPU[c] = append(byCPU[c], cl.t.TID())
+		}
+	}
+	cpus := make([]int, 0, len(byCPU))
+	for c := range byCPU {
+		cpus = append(cpus, int(c))
+	}
+	sort.Ints(cpus)
+	for _, c := range cpus {
+		// claims is TID-ordered, so each list is too.
+		if tids := byCPU[hw.CPUID(c)]; len(tids) > 1 {
+			o.c.Reportf(o, "enc%d: %d threads claim OnCpu for cpu%d: %v",
+				e.ID(), len(tids), c, tids)
 		}
 	}
 }
@@ -119,6 +219,7 @@ func (o *statusWordOracle) Unlatched(e *ghostcore.Enclave, cpu hw.CPUID, t *kern
 }
 
 func (o *statusWordOracle) Installed(e *ghostcore.Enclave, cpu hw.CPUID, t *kernel.Thread) {
+	o.dirty = append(o.dirty, swClaim{e, t})
 	// A switch-in consumed cpu's latch slot; no other thread may still
 	// believe it is latched there — that would mean a commit overwrote
 	// the slot without handing the displaced thread back (double latch).
@@ -167,13 +268,6 @@ func (o *atomicityOracle) TxnGroup(e *ghostcore.Enclave, txns []*ghostcore.Txn, 
 	}
 }
 
-// msgKey identifies one conservation ledger line.
-type msgKey struct {
-	enc int
-	tid kernel.TID
-	mt  ghostcore.MsgType
-}
-
 // msgCount is the ledger for one (enclave, thread, type) line.
 type msgCount struct {
 	intents   int // kernel decided to post
@@ -185,33 +279,48 @@ type msgCount struct {
 	drained   int // consumed by an agent
 }
 
+// msgRow holds one thread's ledger lines, indexed by message type.
+// MsgTimerTick, the last type, is never recorded.
+type msgRow [ghostcore.MsgTimerTick]msgCount
+
+// encLedger is one enclave's ledger: a row per TID, grown on demand.
+type encLedger struct {
+	rows    []*msgRow
+	excused bool // destroyed mid-run: teardown discards freely
+}
+
 // conservationOracle checks message-queue conservation: every message
 // the kernel intends to post is delivered exactly once, or accountably
 // dropped/discarded/delayed by a fault — never lost and never duplicated
 // outside a fault window.
 type conservationOracle struct {
 	Base
-	counts  map[msgKey]*msgCount
-	excused map[int]bool // enclaves destroyed mid-run: teardown discards freely
+	encs []encLedger // indexed by enclave id
 }
 
-func newConservationOracle() *conservationOracle {
-	return &conservationOracle{
-		counts:  make(map[msgKey]*msgCount),
-		excused: make(map[int]bool),
-	}
-}
+func newConservationOracle() *conservationOracle { return &conservationOracle{} }
 
 func (o *conservationOracle) Name() string { return "msg-conservation" }
 
-func (o *conservationOracle) line(e *ghostcore.Enclave, tid kernel.TID, mt ghostcore.MsgType) *msgCount {
-	k := msgKey{enc: e.ID(), tid: tid, mt: mt}
-	mc := o.counts[k]
-	if mc == nil {
-		mc = &msgCount{}
-		o.counts[k] = mc
+// enclave returns the ledger of enclave id, growing the table to hold it.
+func (o *conservationOracle) enclave(id int) *encLedger {
+	for len(o.encs) <= id {
+		o.encs = append(o.encs, encLedger{})
 	}
-	return mc
+	return &o.encs[id]
+}
+
+func (o *conservationOracle) line(e *ghostcore.Enclave, tid kernel.TID, mt ghostcore.MsgType) *msgCount {
+	el := o.enclave(e.ID())
+	for len(el.rows) <= int(tid) {
+		el.rows = append(el.rows, nil)
+	}
+	row := el.rows[tid]
+	if row == nil {
+		row = new(msgRow)
+		el.rows[tid] = row
+	}
+	return &row[mt]
 }
 
 func (o *conservationOracle) MsgIntent(e *ghostcore.Enclave, tid kernel.TID, mt ghostcore.MsgType) {
@@ -273,33 +382,26 @@ func (o *conservationOracle) MsgDrained(e *ghostcore.Enclave, m ghostcore.Messag
 }
 
 func (o *conservationOracle) Destroyed(e *ghostcore.Enclave, cause error, threads []*kernel.Thread) {
-	o.excused[e.ID()] = true
+	o.enclave(e.ID()).excused = true
 }
 
 func (o *conservationOracle) Finish(now sim.Time) {
-	keys := make([]msgKey, 0, len(o.counts))
-	for k := range o.counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.enc != b.enc {
-			return a.enc < b.enc
-		}
-		if a.tid != b.tid {
-			return a.tid < b.tid
-		}
-		return a.mt < b.mt
-	})
-	for _, k := range keys {
-		if o.excused[k.enc] {
+	for id, el := range o.encs {
+		if el.excused {
 			continue
 		}
-		mc := o.counts[k]
-		if mc.intents+mc.dups != mc.delivered+mc.dropped+mc.discarded+mc.pending {
-			o.c.Reportf(o, "enc%d thread %d %v not conserved: %d posted (+%d dup) vs %d delivered, %d dropped, %d discarded, %d in flight",
-				k.enc, k.tid, k.mt, mc.intents, mc.dups,
-				mc.delivered, mc.dropped, mc.discarded, mc.pending)
+		for tid, row := range el.rows {
+			if row == nil {
+				continue
+			}
+			for mt := range row {
+				mc := &row[mt]
+				if mc.intents+mc.dups != mc.delivered+mc.dropped+mc.discarded+mc.pending {
+					o.c.Reportf(o, "enc%d thread %d %v not conserved: %d posted (+%d dup) vs %d delivered, %d dropped, %d discarded, %d in flight",
+						id, tid, ghostcore.MsgType(mt), mc.intents, mc.dups,
+						mc.delivered, mc.dropped, mc.discarded, mc.pending)
+				}
+			}
 		}
 	}
 }

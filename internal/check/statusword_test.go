@@ -1,0 +1,224 @@
+package check
+
+import (
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"ghost/internal/hw"
+	"ghost/internal/kernel"
+	"ghost/internal/snap"
+)
+
+// fullScanStatusWord is the status-word oracle as it was before the
+// OnCpu index: every switch-in rescans every thread of every live
+// enclave. TestStatusWordIndexMatchesFullScan holds the index to it.
+type fullScanStatusWord struct{ *statusWordOracle }
+
+func (o fullScanStatusWord) SwitchIn(cpu *kernel.CPU, t *kernel.Thread) {
+	// Tseq and Installed still mark threads dirty; nothing folds them.
+	o.dirty = o.dirty[:0]
+	for _, e := range o.c.Ghost().Enclaves() {
+		var byCPU map[hw.CPUID][]kernel.TID
+		for _, th := range e.Threads() {
+			sw := e.StatusWord(th)
+			if sw == nil || !sw.OnCPU {
+				continue
+			}
+			if th.State() != kernel.StateRunning {
+				o.c.Reportf(o, "enc%d thread %d status word claims OnCpu (cpu%d) but state is %v",
+					e.ID(), th.TID(), sw.CPU, th.State())
+			}
+			if byCPU == nil {
+				byCPU = make(map[hw.CPUID][]kernel.TID)
+			}
+			byCPU[sw.CPU] = append(byCPU[sw.CPU], th.TID())
+		}
+		if byCPU == nil {
+			continue
+		}
+		cpus := make([]int, 0, len(byCPU))
+		for swCPU := range byCPU {
+			cpus = append(cpus, int(swCPU))
+		}
+		sort.Ints(cpus)
+		for _, swCPU := range cpus {
+			if tids := byCPU[hw.CPUID(swCPU)]; len(tids) > 1 {
+				o.c.Reportf(o, "enc%d: %d threads claim OnCpu for cpu%d: %v",
+					e.ID(), len(tids), swCPU, tids)
+			}
+		}
+	}
+}
+
+// useFullScan makes Default build the full-scan reference instead of the
+// indexed status-word oracle until the returned func runs.
+func useFullScan() (restore func()) {
+	prev := newStatusWord
+	newStatusWord = func() Oracle { return fullScanStatusWord{newStatusWordOracle()} }
+	return func() { newStatusWord = prev }
+}
+
+// indexedAndFullScan runs run once with Default's indexed status-word
+// oracle and once with the full-scan reference, and fails unless the two
+// violation lists match message for message. It returns the number of
+// status-word violations whose message contains sub.
+func indexedAndFullScan(t *testing.T, name, sub string, run func() []Violation) int {
+	t.Helper()
+	got := run()
+	want := func() []Violation {
+		defer useFullScan()()
+		return run()
+	}()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: indexed oracle diverged from the full scan:\nindexed:   %v\nfull scan: %v", name, got, want)
+	}
+	n := 0
+	for _, v := range got {
+		if v.Oracle == "status-word" && strings.Contains(v.Msg, sub) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestStatusWordIndexMatchesFullScan: the status-word oracle's OnCpu
+// index reports exactly what a rescan of every thread on every switch-in
+// reports, over generated seeds, the seeded bugs that make it report, and
+// rewinds that start the oracles on a restored machine.
+func TestStatusWordIndexMatchesFullScan(t *testing.T) {
+	seeds, repros := uint64(300), knownViolationRepros
+	if testing.Short() {
+		seeds, repros = 15, repros[:1]
+	}
+	reports := 0
+	for seed := uint64(1); seed <= seeds; seed++ {
+		for _, mut := range []string{"", "double-latch", "skip-tseq"} {
+			s := Generate(seed)
+			if mut != "" && !s.ghostPolicy() {
+				continue // the seeded bugs live in the ghOSt class
+			}
+			s.Mutation = mut
+			reports += indexedAndFullScan(t, s.Repro(), "", func() []Violation { return s.Run().Violations })
+		}
+	}
+	if reports == 0 {
+		t.Fatal("no scenario raised a status-word violation; the comparison is vacuous")
+	}
+
+	// Rewinds: the oracles attach after the restore, so the index starts
+	// from its first-switch-in seed. Fault plans block checkpoints, so the
+	// known repros' seeds run without theirs, with and without a seeded
+	// double latch. The generated seeds never raise an OnCpu violation,
+	// so each checkpoint is rewound once more with a forged claim, which
+	// only the seed can put in the index.
+	rewinds, rewindReports, forgedReports := 0, 0, 0
+	for _, spec := range repros {
+		s, err := ParseRepro(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.FaultSpec = ""
+		if ok, _ := s.SnapshotCapable(); !ok {
+			continue
+		}
+		for _, mut := range []string{"", "double-latch"} {
+			s.Mutation = mut
+			cr := s.RunWithCheckpoints(s.Horizon / 4)
+			for _, ck := range cr.Checkpoints {
+				rewind := func() []Violation {
+					rep, err := RewindFrom(s, ck.Img)
+					if err != nil {
+						t.Fatalf("%s: rewind from t=%v: %v", s.Repro(), ck.At, err)
+					}
+					return rep.Result.Violations
+				}
+				rewinds++
+				rewindReports += indexedAndFullScan(t, s.Repro(), "", rewind)
+				forgeOnCPUClaim(ck.Img)
+				forgedReports += indexedAndFullScan(t, s.Repro()+" forged", "OnCpu", rewind)
+			}
+		}
+	}
+	if rewinds == 0 || rewindReports == 0 || forgedReports == 0 {
+		t.Fatalf("%d rewinds raised %d status-word violations, %d OnCpu ones with forged claims; the rewind comparison is vacuous",
+			rewinds, rewindReports, forgedReports)
+	}
+	t.Logf("status-word violations: %d over the seeds, %d over %d rewinds, %d OnCpu ones with forged claims",
+		reports, rewindReports, rewinds, forgedReports)
+}
+
+// forgeOnCPUClaim makes the first thread of each enclave in img whose
+// status word is off-CPU claim OnCpu on the CPU of a thread that does
+// claim it, or on the enclave's first CPU. The restore writes the forged
+// word with no status-word event.
+func forgeOnCPUClaim(img *snap.Image) {
+	for i := range img.Core.Ghost.Enclaves {
+		e := &img.Core.Ghost.Enclaves[i]
+		cpu := hw.CPUID(e.CPUs[0])
+		for _, tr := range e.Threads {
+			if tr.SW.OnCPU {
+				cpu = tr.SW.CPU
+			}
+		}
+		for j := range e.Threads {
+			if sw := &e.Threads[j].SW; !sw.OnCPU {
+				sw.OnCPU, sw.CPU = true, cpu
+				break
+			}
+		}
+	}
+}
+
+// TestStatusWordSwitchInAllocFree: once warm, a switch-in check folds
+// status-word events and checks the OnCpu claims without allocating.
+func TestStatusWordSwitchInAllocFree(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		s := Generate(seed)
+		if !s.ghostPolicy() {
+			continue
+		}
+		rg := s.buildShell()
+		o := newStatusWordOracle()
+		Attach(rg.k, rg.g, o)
+		s.populate(rg)
+		rg.eng.RunFor(s.Horizon / 2)
+		if len(o.claims) == 0 {
+			rg.k.Shutdown()
+			continue
+		}
+		cpu := rg.k.CPU(0)
+		claims := append([]swClaim(nil), o.claims...)
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, cl := range claims {
+				o.Tseq(cl.e, cl.t, 0, 1, 0)
+			}
+			o.SwitchIn(cpu, cpu.Curr())
+		})
+		rg.k.Shutdown()
+		if allocs != 0 {
+			t.Fatalf("seed %d: SwitchIn allocates %v per call with %d claims, want 0", seed, allocs, len(claims))
+		}
+		return
+	}
+	t.Fatal("no generated ghOSt scenario holds an OnCpu claim at half its horizon")
+}
+
+// benchResult keeps the compiler from dropping benchmarked runs.
+var benchResult *Result
+
+// BenchmarkCheckScenario runs a fixed set of generated scenarios under
+// every default oracle: the per-scenario cost of a ghost-check scan.
+func BenchmarkCheckScenario(b *testing.B) {
+	var scenarios []Scenario
+	for seed := uint64(1); seed <= 16; seed++ {
+		scenarios = append(scenarios, Generate(seed))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range scenarios {
+			benchResult = s.Run()
+		}
+	}
+}

@@ -321,22 +321,44 @@ func (p *PerCPUFIFO) SnapshotLoad(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("percpu-fifo state: %w", err)
 	}
+	if st.NextRR < 0 {
+		return fmt.Errorf("percpu-fifo: negative round-robin cursor %d", st.NextRR)
+	}
 	p.Steal = st.Steal
 	p.nextRR = st.NextRR
 	if err := loadTracker(p.tr, p.ctx, st.Tracker); err != nil {
 		return fmt.Errorf("percpu-fifo: %w", err)
 	}
+	cpus := p.ctx.Enclave.CPUs()
 	p.rqs = make(map[hw.CPUID][]*TState, len(st.RunQueues))
+	queued := make(map[kernel.TID]bool)
 	for _, qr := range st.RunQueues {
+		cpu := hw.CPUID(qr.CPU)
+		if !cpus.Has(cpu) {
+			return fmt.Errorf("percpu-fifo: run queue on cpu%d, outside the enclave", qr.CPU)
+		}
+		if _, dup := p.rqs[cpu]; dup {
+			return fmt.Errorf("percpu-fifo: two run queues for cpu%d", qr.CPU)
+		}
 		q, err := resolveQueue(p.tr, qr.TIDs)
 		if err != nil {
 			return fmt.Errorf("percpu-fifo cpu%d: %w", qr.CPU, err)
 		}
-		p.rqs[hw.CPUID(qr.CPU)] = q
+		for _, ts := range q {
+			if queued[ts.Thread.TID()] {
+				return fmt.Errorf("percpu-fifo cpu%d: T%d is queued twice", qr.CPU, ts.Thread.TID())
+			}
+			queued[ts.Thread.TID()] = true
+		}
+		p.rqs[cpu] = q
 	}
 	p.home = make(map[kernel.TID]hw.CPUID, len(st.Home))
 	for _, pair := range st.Home {
-		p.home[kernel.TID(pair[0])] = hw.CPUID(pair[1])
+		cpu := hw.CPUID(pair[1])
+		if !cpus.Has(cpu) {
+			return fmt.Errorf("percpu-fifo: T%d homed on cpu%d, outside the enclave", pair[0], pair[1])
+		}
+		p.home[kernel.TID(pair[0])] = cpu
 	}
 	return nil
 }

@@ -538,6 +538,78 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 			pairs[0].([]any)[1] = 40
 		}))
 	})
+	// The per-CPU FIFO's round-robin cursor, homes and run queues must
+	// stay on the enclave's CPUs.
+	for _, tc := range []struct {
+		name string
+		edit func(st map[string]any)
+	}{
+		{"percpu-nextrr-negative", func(st map[string]any) { st["nextRR"] = -1 }},
+		{"percpu-home-cpu-foreign", func(st map[string]any) {
+			home, _ := st["home"].([]any)
+			if len(home) == 0 {
+				t.Fatal("per-CPU snapshot homes no threads")
+			}
+			home[0].([]any)[1] = 40
+		}},
+		{"percpu-rq-cpu-foreign", func(st map[string]any) {
+			rqs, _ := st["runQueues"].([]any)
+			st["runQueues"] = append(rqs, map[string]any{"cpu": 40, "tids": []any{}})
+		}},
+		{"percpu-rq-cpu-twice", func(st map[string]any) { addRunQueues(t, st, []any{}, []any{}) }},
+		{"percpu-rq-tid-twice", func(st map[string]any) {
+			tid := record(st, "tracker", 0)["tid"]
+			addRunQueues(t, st, []any{tid, tid})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			requireRestoreCorrupt(t, resealSnapshot(t, perCPU, func(core map[string]any) {
+				editPolicy(t, record(core, "sets", 0), tc.edit)
+			}))
+		})
+	}
+}
+
+// addRunQueues appends one run-queue record per TID list to a per-CPU
+// FIFO policy state, all on the first enclave CPU (0-3) that no record
+// names yet.
+func addRunQueues(t *testing.T, st map[string]any, tidLists ...[]any) {
+	t.Helper()
+	rqs, _ := st["runQueues"].([]any)
+	used := map[float64]bool{}
+	for _, rq := range rqs {
+		used[rq.(map[string]any)["cpu"].(float64)] = true
+	}
+	for cpu := 0.0; cpu < 4; cpu++ {
+		if !used[cpu] {
+			for _, tids := range tidLists {
+				rqs = append(rqs, map[string]any{"cpu": cpu, "tids": tids})
+			}
+			st["runQueues"] = rqs
+			return
+		}
+	}
+	t.Fatal("per-CPU snapshot has a run queue on every enclave CPU")
+}
+
+// editPolicy decodes the JSON state of an agent set's policy, applies
+// edit to it and re-encodes it in place.
+func editPolicy(t *testing.T, set map[string]any, edit func(st map[string]any)) {
+	t.Helper()
+	policy := set["policy"].(map[string]any)
+	raw, err := base64.StdEncoding.DecodeString(policy["data"].(string))
+	if err != nil {
+		t.Fatalf("policy data: %v", err)
+	}
+	var st map[string]any
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatalf("policy JSON: %v", err)
+	}
+	edit(st)
+	if raw, err = json.Marshal(st); err != nil {
+		t.Fatal(err)
+	}
+	policy["data"] = base64.StdEncoding.EncodeToString(raw)
 }
 
 // TestSnapshotDecodeBounded: a header claiming a 1 GiB section, followed
