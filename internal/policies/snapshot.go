@@ -100,14 +100,20 @@ func queueTIDs(q []*TState) []int {
 	return out
 }
 
-// resolveQueue maps TIDs back to tracked states.
-func resolveQueue(tr *Tracker, tids []int) ([]*TState, error) {
+// resolveQueue maps TIDs back to tracked states. seen holds the TIDs of
+// every queue the policy has restored so far, so a TID listed twice, in
+// one queue or across two, is an error.
+func resolveQueue(tr *Tracker, tids []int, seen map[kernel.TID]bool) ([]*TState, error) {
 	out := make([]*TState, 0, len(tids))
 	for _, tid := range tids {
 		ts := tr.Threads[kernel.TID(tid)]
 		if ts == nil {
 			return nil, fmt.Errorf("queue refers to untracked T%d", tid)
 		}
+		if seen[kernel.TID(tid)] {
+			return nil, fmt.Errorf("T%d is queued twice", tid)
+		}
+		seen[kernel.TID(tid)] = true
 		out = append(out, ts)
 	}
 	return out, nil
@@ -189,12 +195,16 @@ func (p *CentralFIFO) SnapshotLoad(data []byte) error {
 	p.NumBands = st.NumBands
 	p.PreemptLower = st.PreemptLower
 	p.Quantum = sim.Duration(st.Quantum)
+	if st.NumBands <= 0 || len(st.Queues) != st.NumBands {
+		return fmt.Errorf("central-fifo: %d band queues for %d bands", len(st.Queues), st.NumBands)
+	}
 	if err := loadTracker(p.tr, p.ctx, st.Tracker); err != nil {
 		return fmt.Errorf("central-fifo: %w", err)
 	}
 	p.queues = make([][]*TState, len(st.Queues))
+	seen := make(map[kernel.TID]bool)
 	for b, tids := range st.Queues {
-		q, err := resolveQueue(p.tr, tids)
+		q, err := resolveQueue(p.tr, tids, seen)
 		if err != nil {
 			return fmt.Errorf("central-fifo band %d: %w", b, err)
 		}
@@ -250,10 +260,11 @@ func (p *Shinjuku) SnapshotLoad(data []byte) error {
 		return fmt.Errorf("shinjuku: %w", err)
 	}
 	var err error
-	if p.fifo, err = resolveQueue(p.tr, st.FIFO); err != nil {
+	seen := make(map[kernel.TID]bool)
+	if p.fifo, err = resolveQueue(p.tr, st.FIFO, seen); err != nil {
 		return fmt.Errorf("shinjuku fifo: %w", err)
 	}
-	if p.batchq, err = resolveQueue(p.tr, st.BatchQ); err != nil {
+	if p.batchq, err = resolveQueue(p.tr, st.BatchQ, seen); err != nil {
 		return fmt.Errorf("shinjuku batchq: %w", err)
 	}
 	if err := p.running.load(p.tr, st.Running); err != nil {
@@ -331,7 +342,7 @@ func (p *PerCPUFIFO) SnapshotLoad(data []byte) error {
 	}
 	cpus := p.ctx.Enclave.CPUs()
 	p.rqs = make(map[hw.CPUID][]*TState, len(st.RunQueues))
-	queued := make(map[kernel.TID]bool)
+	seen := make(map[kernel.TID]bool)
 	for _, qr := range st.RunQueues {
 		cpu := hw.CPUID(qr.CPU)
 		if !cpus.Has(cpu) {
@@ -340,15 +351,9 @@ func (p *PerCPUFIFO) SnapshotLoad(data []byte) error {
 		if _, dup := p.rqs[cpu]; dup {
 			return fmt.Errorf("percpu-fifo: two run queues for cpu%d", qr.CPU)
 		}
-		q, err := resolveQueue(p.tr, qr.TIDs)
+		q, err := resolveQueue(p.tr, qr.TIDs, seen)
 		if err != nil {
 			return fmt.Errorf("percpu-fifo cpu%d: %w", qr.CPU, err)
-		}
-		for _, ts := range q {
-			if queued[ts.Thread.TID()] {
-				return fmt.Errorf("percpu-fifo cpu%d: T%d is queued twice", qr.CPU, ts.Thread.TID())
-			}
-			queued[ts.Thread.TID()] = true
 		}
 		p.rqs[cpu] = q
 	}

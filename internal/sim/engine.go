@@ -8,14 +8,17 @@
 // time; wall-clock effects such as Go garbage collection cannot perturb
 // simulated latencies.
 //
-// The pending-event structure is a timing-wheel / calendar-queue hybrid
-// (see DESIGN.md §3i): events within the near horizon land in fixed-width
-// buckets indexed directly from their timestamp, far events overflow to a
-// sorted spill heap and migrate into the wheel as the clock approaches
-// them. Dispatch order is exactly the (at, seq) total order a single
-// binary heap would produce — the wheel only changes *where* an event
-// waits, never *when* it fires relative to its peers — which the
-// differential test against a reference heap (refheap_test.go) pins.
+// The pending-event structure has three tiers, shaped to the simulator's
+// event mix (see DESIGN.md §3i). Events due at the current instant go to
+// a FIFO now-lane and never enter the wheel. Events within the ~1 ms near
+// horizon land in fixed-width timing-wheel buckets indexed directly from
+// their timestamp, each an (at, seq)-sorted intrusive list, so a fire or
+// a cancel is an O(1) unlink. Far events overflow to a spill heap and
+// migrate into the wheel as the clock approaches them. Dispatch order is
+// exactly the (at, seq) total order a single binary heap would produce —
+// the tiers only change *where* an event waits, never *when* it fires
+// relative to its peers — which the differential test against a
+// reference heap (refheap_test.go) pins.
 //
 // The scheduling hot path is allocation-free: fired and cancelled events
 // are recycled through a per-engine free list, and the AtCall/AfterCall
@@ -65,36 +68,48 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // Timing-wheel geometry. Buckets are 2^bucketShift ns wide and the wheel
 // holds numBuckets of them, so the near horizon spans wheelSpan ns
-// (256 × 1.024 µs ≈ 262 µs) ahead of the wheel base. The figures are
+// (1024 × 1.024 µs ≈ 1.05 ms) ahead of the wheel base. The figures are
 // calibrated to the simulator's event mix: context-switch and message
-// costs (0.1–5 µs), scheduling quanta (5–250 µs) and agent wakeups all
-// land inside the wheel; only millisecond-scale timers (ticks, watchdogs,
-// deadlines) take the spill path, and each migrates into the wheel at
-// most once. Geometry affects performance only — dispatch order is the
-// (at, seq) total order regardless.
+// costs (0.1–5 µs), scheduling quanta (5–250 µs), agent wakeups and most
+// of Search's 0.1–2 ms request completions land inside the wheel, so the
+// cancels that preemption makes against those completions are list
+// unlinks. Only millisecond-scale timers (ticks, watchdogs, deadlines)
+// and the longest completions take the spill path, and each migrates
+// into the wheel at most once. A bucket is one pointer, so the wheel
+// costs 8 KB per engine; a wider wheel measured no faster. Geometry
+// affects performance only — dispatch order is the (at, seq) total order
+// regardless.
 const (
 	bucketShift = 10
 	bucketWidth = Time(1) << bucketShift
-	numBuckets  = 256
+	numBuckets  = 1024
 	bucketMask  = numBuckets - 1
 	wheelSpan   = bucketWidth * numBuckets
 )
 
-// slotSpill marks an event parked in the spill heap rather than a wheel
-// bucket. Values >= 0 are wheel bucket indices.
-const slotSpill = -1
+// Where a queued event waits. Values >= 0 are wheel bucket indices.
+const (
+	slotSpill = -1 // the spill heap, at position idx
+	slotLane  = -2 // the now-lane
+)
 
-// event is the pooled storage behind a scheduled callback. Exactly one of
-// fn/afn is set; afn receives arg, which lets pre-bound callbacks avoid a
-// per-event closure allocation.
+// event is the pooled storage behind a scheduled callback: afn(arg), or,
+// when afn is nil, arg is the niladic func() that At and After take.
+// Pre-bound afn callbacks let callers avoid a per-event closure
+// allocation.
+//
+// An event is queued exactly while its gen matches its handle's: every
+// path that takes an event out of the engine (fire, cancel, Reset)
+// recycles it, and recycling bumps gen.
 type event struct {
 	at   Time
 	seq  uint64 // tie-break for FIFO ordering of same-time events
 	gen  uint64 // bumped on every recycle; validates Event handles
-	idx  int    // position in its container; -1 when not queued
-	slot int32  // wheel bucket index, or slotSpill; meaningful only when idx >= 0
+	prev *event // neighbours in its bucket list or the now-lane
+	next *event
+	idx  int32 // position in the spill heap when slot == slotSpill
+	slot int32 // wheel bucket index, slotSpill or slotLane
 
-	fn  func()
 	afn func(any)
 	arg any
 
@@ -119,17 +134,17 @@ type Event struct {
 // cancelled) is a no-op, even if its storage now backs a newer event.
 func (h Event) Cancel() {
 	ev := h.e
-	if ev == nil || ev.gen != h.gen || ev.idx == -1 {
+	if ev == nil || ev.gen != h.gen {
 		return
 	}
 	ev.eng.remove(ev)
 	ev.eng.recycle(ev)
 }
 
-// Pending reports whether the event is still queued (in the wheel or the
-// spill heap).
+// Pending reports whether the event is still queued (in the now-lane, the
+// wheel or the spill heap).
 func (h Event) Pending() bool {
-	return h.e != nil && h.e.gen == h.gen && h.e.idx != -1
+	return h.e != nil && h.e.gen == h.gen
 }
 
 // Engine is the discrete-event scheduler: one per simulated machine.
@@ -138,14 +153,22 @@ type Engine struct {
 	now Time
 	seq uint64
 
-	// Timing wheel: buckets[i] is a small (at, seq) min-heap of events
+	// Now-lane: the events scheduled with at == now, in seq order. They
+	// skip the wheel. A wheel event due now was scheduled before the
+	// clock reached now, so its seq is below every lane event's and step
+	// fires it first; the lane drains before the clock advances.
+	lane  evList
+	nlane int
+
+	// Timing wheel: buckets[i] is the (at, seq)-sorted list of events
 	// with at in the bucket's fixed-width window; occ tracks non-empty
 	// buckets for O(words) next-bucket scans. base is the wheel window
-	// start (aligned to bucketWidth, advanced lazily from the clock);
+	// start, the clock's bucket boundary (advance keeps it there);
 	// spill is the (at, seq) min-heap of events at or beyond base +
-	// wheelSpan. minEv caches the pending minimum; nil means recompute.
+	// wheelSpan. minEv caches the minimum over the wheel and the spill
+	// (never a lane event); nil means recompute.
 	base    Time
-	buckets [numBuckets][]*event
+	buckets [numBuckets]evList
 	occ     [numBuckets / 64]uint64
 	nbucket int // live events across all buckets
 	spill   []*event
@@ -183,19 +206,24 @@ func (e *Engine) alloc() *event {
 		e.free = e.free[:n-1]
 		return ev
 	}
-	return &event{eng: e, idx: -1}
+	return &event{eng: e}
 }
 
 // schedule queues a pooled event and returns its handle.
-func (e *Engine) schedule(at Time, fn func(), afn func(any), arg any) Event {
+func (e *Engine) schedule(at Time, afn func(any), arg any) Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
-	e.sync()
 	ev := e.alloc()
-	ev.at, ev.fn, ev.afn, ev.arg, ev.seq = at, fn, afn, arg, e.seq
+	ev.at, ev.afn, ev.arg, ev.seq = at, afn, arg, e.seq
 	e.seq++
-	e.push(ev)
+	if at == e.now {
+		ev.slot = slotLane
+		e.lane.insert(ev)
+		e.nlane++
+	} else {
+		e.push(ev)
+	}
 	return Event{e: ev, gen: ev.gen}
 }
 
@@ -203,14 +231,14 @@ func (e *Engine) schedule(at Time, fn func(), afn func(any), arg any) Event {
 // the free list. ev must not be queued.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
-	ev.fn, ev.afn, ev.arg = nil, nil, nil
+	ev.afn, ev.arg = nil, nil
 	e.free = append(e.free, ev)
 }
 
 // At schedules fn to run at absolute time at. Scheduling in the past
 // panics: it would silently reorder causality.
 func (e *Engine) At(at Time, fn func()) Event {
-	return e.schedule(at, fn, nil, nil)
+	return e.schedule(at, nil, fn)
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -218,13 +246,7 @@ func (e *Engine) After(d Duration, fn func()) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return e.schedule(e.now+d, nil, nil, nil).bindFn(fn)
-}
-
-// bindFn sets the niladic callback on a freshly scheduled event.
-func (h Event) bindFn(fn func()) Event {
-	h.e.fn = fn
-	return h
+	return e.schedule(e.now+d, nil, fn)
 }
 
 // AtCall schedules fn(arg) at absolute time at. With a callback bound
@@ -232,7 +254,7 @@ func (h Event) bindFn(fn func()) Event {
 // allocates nothing — the high-frequency sites (reschedule passes, run
 // completions, timer ticks, transaction installs) use this form.
 func (e *Engine) AtCall(at Time, fn func(any), arg any) Event {
-	return e.schedule(at, nil, fn, arg)
+	return e.schedule(at, fn, arg)
 }
 
 // AfterCall schedules fn(arg) to run d nanoseconds from now. See AtCall.
@@ -240,27 +262,28 @@ func (e *Engine) AfterCall(d Duration, fn func(any), arg any) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return e.schedule(e.now+d, nil, fn, arg)
+	return e.schedule(e.now+d, fn, arg)
 }
-
-// Cancel cancels h; equivalent to h.Cancel.
-func (e *Engine) Cancel(h Event) { h.Cancel() }
 
 // Stop makes Run return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Empty reports whether no events remain. Cancelled events are removed
-// from the wheel eagerly, so this is O(1).
-func (e *Engine) Empty() bool { return e.nbucket+len(e.spill) == 0 }
+// eagerly, so this is O(1).
+func (e *Engine) Empty() bool { return e.Queued() == 0 }
 
 // Queued returns the number of pending (live) events.
-func (e *Engine) Queued() int { return e.nbucket + len(e.spill) }
+func (e *Engine) Queued() int { return e.nlane + e.nbucket + len(e.spill) }
 
 // step fires the next event. Returns false when the queue is exhausted or
 // only events beyond limit remain.
 func (e *Engine) step(limit Time) bool {
-	e.sync()
 	next := e.peek()
+	if e.lane.head != nil && (next == nil || next.at != e.now) {
+		// A wheel event due now outranks the lane (smaller seq);
+		// otherwise the lane head, due now, is the minimum.
+		next = e.lane.head
+	}
 	if next == nil || next.at > limit {
 		return false
 	}
@@ -268,26 +291,28 @@ func (e *Engine) step(limit Time) bool {
 		panic("sim: event wheel returned time in the past")
 	}
 	e.remove(next)
-	e.now = next.at
+	if next.at != e.now {
+		e.advance(next.at)
+	}
 	e.Executed++
+	// Recycle before dispatch: the callback may immediately schedule a
+	// new event into this storage; outstanding handles to the fired
+	// event are invalidated by the generation bump either way.
+	afn, arg := next.afn, next.arg
+	e.recycle(next)
 	// The queued figure sampled here (and handed to OnDispatch) is the
 	// number of live events still pending after this pop.
-	queued := e.nbucket + len(e.spill)
+	queued := e.Queued()
 	if queued > e.MaxQueue {
 		e.MaxQueue = queued
 	}
 	if e.OnDispatch != nil {
 		e.OnDispatch(e.now, queued)
 	}
-	// Recycle before dispatch: the callback may immediately schedule a
-	// new event into this storage; outstanding handles to the fired
-	// event are invalidated by the generation bump either way.
-	fn, afn, arg := next.fn, next.afn, next.arg
-	e.recycle(next)
 	if afn != nil {
 		afn(arg)
 	} else {
-		fn()
+		arg.(func())()
 	}
 	return true
 }
@@ -306,34 +331,105 @@ func (e *Engine) RunUntil(deadline Time) {
 	for !e.stopped && e.step(deadline) {
 	}
 	if !e.stopped && e.now < deadline {
-		e.now = deadline
+		e.advance(deadline)
 	}
 }
 
 // RunFor advances the simulation by d nanoseconds.
 func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now + d) }
 
-// --- timing wheel -----------------------------------------------------
+// --- now-lane, timing wheel and spill ---------------------------------
 //
 // Invariants. All live events have at >= e.now (dispatch fires the global
-// minimum and schedule rejects the past) and base <= e.now at all times,
-// so every bucket event's at lies in [base, base+wheelSpan) and every
-// spill event's at in [base+wheelSpan, ∞). The bucket index of a time is
+// minimum and schedule rejects the past), and base is the clock's bucket
+// boundary at all times (every clock write goes through advance), so
+// every bucket event's at lies in [base, base+wheelSpan) and every spill
+// event's at in [base+wheelSpan, ∞). The bucket index of a time is
 // (at >> bucketShift) & bucketMask — independent of base — so advancing
-// base never relocates bucket events; it only widens the window, after
-// which sync migrates newly covered spill events into their buckets.
-// Within one bucket the mini-heap orders by (at, seq); across buckets the
-// scan from the clock's slot visits strictly increasing time windows; and
-// the spill heap only surfaces when every bucket is empty, in which case
-// its (at, seq) minimum is the global one. Hence peek/pop realize the
-// exact single-heap total order.
+// base never relocates bucket events; it only moves the window, after
+// which advance migrates newly covered spill events into their buckets.
+// Within one bucket the list is sorted by (at, seq); across buckets the
+// scan from base's slot visits strictly increasing time windows; and the
+// spill heap only surfaces when every bucket is empty, in which case its
+// (at, seq) minimum is the global one. Hence peek yields the exact
+// single-heap minimum of the wheel and spill.
+//
+// The now-lane holds only events with at == e.now, appended in seq
+// order. Any wheel or spill event with at == e.now was scheduled while
+// the clock was earlier (or restored with a seq below the restored
+// counter), so its seq is below every lane seq: step fires it before the
+// lane head, and the lane head before any later wheel event. Nothing in
+// the lane can be passed over by the clock: step only moves the clock to
+// the global minimum, which is at now while the lane is non-empty, and
+// RunUntil only moves it once step has found nothing due by the deadline,
+// which a non-empty lane contradicts. Hence the lane empties before the
+// clock advances, and step realizes the exact single-heap total order.
 
-// sync advances the wheel base to the clock's bucket boundary and migrates
-// spill events that the wider window now covers. RunUntil moves the clock
-// without dispatching, so base catches up lazily here rather than at
-// every clock write.
-func (e *Engine) sync() {
-	nb := (e.now >> bucketShift) << bucketShift
+// evList is an intrusive circular doubly linked list of events in
+// (at, seq) order: one wheel bucket, or the now-lane. It holds only its
+// head (the tail is head.prev), so a bucket costs one pointer.
+type evList struct{ head *event }
+
+// insert links ev in (at, seq) order, walking back from the tail: events
+// mostly arrive in time order, so the walk usually stops at once (and
+// always does for the lane, whose events arrive in seq order).
+func (l *evList) insert(ev *event) {
+	h := l.head
+	if h == nil {
+		ev.prev, ev.next = ev, ev
+		l.head = ev
+		return
+	}
+	p := h.prev
+	for eventLess(ev, p) {
+		if p == h { // ev precedes every event: it becomes the head
+			l.head = ev
+			p = h.prev
+			break
+		}
+		p = p.prev
+	}
+	ev.prev, ev.next = p, p.next
+	p.next.prev = ev
+	p.next = ev
+}
+
+// unlink removes ev from the list.
+func (l *evList) unlink(ev *event) {
+	if ev.next == ev {
+		l.head = nil
+	} else {
+		ev.prev.next = ev.next
+		ev.next.prev = ev.prev
+		if l.head == ev {
+			l.head = ev.next
+		}
+	}
+	ev.prev, ev.next = nil, nil
+}
+
+// each calls fn on every event of l in order. fn may clear the links of
+// the event it is handed, but must not otherwise change the list.
+func (l *evList) each(fn func(*event)) {
+	h := l.head
+	if h == nil {
+		return
+	}
+	for ev, last := h, h.prev; ; {
+		next := ev.next
+		fn(ev)
+		if ev == last {
+			return
+		}
+		ev = next
+	}
+}
+
+// advance moves the clock forward to t and the wheel base to t's bucket
+// boundary, migrating the spill events that the moved window now covers.
+func (e *Engine) advance(t Time) {
+	e.now = t
+	nb := (t >> bucketShift) << bucketShift
 	if nb <= e.base {
 		return
 	}
@@ -352,9 +448,9 @@ func (e *Engine) sync() {
 func (e *Engine) push(ev *event) {
 	if ev.at-e.base >= wheelSpan {
 		ev.slot = slotSpill
-		ev.idx = len(e.spill)
+		ev.idx = int32(len(e.spill))
 		e.spill = append(e.spill, ev)
-		heapUp(e.spill, ev.idx)
+		heapUp(e.spill, len(e.spill)-1)
 	} else {
 		e.bucketPush(ev)
 	}
@@ -368,61 +464,60 @@ func (e *Engine) bucketPush(ev *event) {
 	slot := int(ev.at>>bucketShift) & bucketMask
 	ev.slot = int32(slot)
 	b := &e.buckets[slot]
-	ev.idx = len(*b)
-	*b = append(*b, ev)
-	heapUp(*b, ev.idx)
-	if len(*b) == 1 {
+	if b.head == nil {
 		e.occ[slot>>6] |= 1 << (slot & 63)
 	}
+	b.insert(ev)
 	e.nbucket++
 }
 
-// remove unfiles a live event from its container (wheel bucket or spill
-// heap). The caller recycles or re-files it.
+// remove unfiles a live event from the lane, its wheel bucket or the
+// spill heap. The caller recycles or re-files it.
 func (e *Engine) remove(ev *event) {
-	if ev == e.minEv {
-		e.minEv = nil
+	switch ev.slot {
+	case slotLane:
+		e.lane.unlink(ev)
+		e.nlane--
+	case slotSpill:
+		if ev == e.minEv {
+			e.minEv = nil
+		}
+		heapRemoveAt(&e.spill, int(ev.idx))
+	default:
+		slot := int(ev.slot)
+		b := &e.buckets[slot]
+		b.unlink(ev)
+		if ev == e.minEv {
+			// The minimum heads the first occupied bucket, so the
+			// bucket's new head, if any, is the next minimum.
+			e.minEv = b.head
+		}
+		if b.head == nil {
+			e.occ[slot>>6] &^= 1 << (slot & 63)
+		}
+		e.nbucket--
 	}
-	if ev.slot == slotSpill {
-		heapRemoveAt(&e.spill, ev.idx)
-		return
-	}
-	slot := int(ev.slot)
-	b := &e.buckets[slot]
-	heapRemoveAt(b, ev.idx)
-	if len(*b) == 0 {
-		e.occ[slot>>6] &^= 1 << (slot & 63)
-	}
-	e.nbucket--
 }
 
-// peek returns the pending event with the least (at, seq), or nil. The
-// result is cached until the minimum is popped, cancelled or displaced,
-// so repeated peeks are O(1).
+// peek returns the wheel or spill event with the least (at, seq), or nil;
+// step weighs it against the now-lane. The result is cached until the
+// minimum is popped, cancelled or displaced, so repeated peeks are O(1).
 func (e *Engine) peek() *event {
 	if e.minEv != nil {
 		return e.minEv
 	}
 	if e.nbucket > 0 {
-		start := e.now
-		if start < e.base {
-			start = e.base
-		}
-		s := int(start>>bucketShift) & bucketMask
-		baseSlot := int(e.base>>bucketShift) & bucketMask
-		b := -1
-		if s >= baseSlot {
-			b = e.occScan(s, numBuckets-1)
-			if b < 0 && baseSlot > 0 {
-				b = e.occScan(0, baseSlot-1)
-			}
-		} else {
-			b = e.occScan(s, baseSlot-1)
+		// The window [base, base+wheelSpan) starts at base's slot and
+		// wraps around the ring.
+		s := int(e.base>>bucketShift) & bucketMask
+		b := e.occScan(s, numBuckets-1)
+		if b < 0 && s > 0 {
+			b = e.occScan(0, s-1)
 		}
 		if b < 0 {
 			panic("sim: wheel occupancy out of sync")
 		}
-		e.minEv = e.buckets[b][0]
+		e.minEv = e.buckets[b].head
 		return e.minEv
 	}
 	if len(e.spill) > 0 {
@@ -450,14 +545,12 @@ func (e *Engine) occScan(from, to int) int {
 	return -1
 }
 
-// --- per-container event heap ----------------------------------------
+// --- spill heap ---------------------------------------------------------
 //
-// A hand-rolled binary min-heap on (at, seq), shared by the per-bucket
-// mini-heaps and the spill heap. container/heap would box every push
+// A hand-rolled binary min-heap on (at, seq) for the far events only; the
+// lane and the buckets are lists. container/heap would box every push
 // through an interface value and indirect every comparison; inlining the
-// sift operations keeps the schedule->dispatch path free of both. Bucket
-// heaps hold only the events of one ~1 µs window, so sift depth is a
-// couple of levels over a cache-resident slice.
+// sift operations keeps the spill path free of both.
 
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
@@ -466,15 +559,14 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// heapRemoveAt removes and returns the event at index i of heap *q,
-// clearing its idx.
+// heapRemoveAt removes and returns the event at index i of heap *q.
 func heapRemoveAt(q *[]*event, i int) *event {
 	s := *q
 	n := len(s) - 1
 	ev := s[i]
 	if i != n {
 		s[i] = s[n]
-		s[i].idx = i
+		s[i].idx = int32(i)
 	}
 	s[n] = nil
 	*q = s[:n]
@@ -483,7 +575,6 @@ func heapRemoveAt(q *[]*event, i int) *event {
 			heapUp(s[:n], i)
 		}
 	}
-	ev.idx = -1
 	return ev
 }
 
@@ -494,8 +585,8 @@ func heapUp(q []*event, i int) {
 			break
 		}
 		q[i], q[parent] = q[parent], q[i]
-		q[i].idx = i
-		q[parent].idx = parent
+		q[i].idx = int32(i)
+		q[parent].idx = int32(parent)
 		i = parent
 	}
 }
@@ -517,8 +608,8 @@ func heapDown(q []*event, i int) bool {
 			break
 		}
 		q[i], q[least] = q[least], q[i]
-		q[i].idx = i
-		q[least].idx = least
+		q[i].idx = int32(i)
+		q[least].idx = int32(least)
 		i = least
 	}
 	return i > start

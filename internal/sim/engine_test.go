@@ -407,6 +407,18 @@ func TestEngineScheduleAllocFree(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("schedule→cancel allocates %.1f/op, want 0", avg)
 	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		e.AfterCall(0, fn, e)
+		e.step(MaxTime)
+	}); avg != 0 {
+		t.Fatalf("zero-delay (now-lane) schedule→dispatch allocates %.1f/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		h := e.AfterCall(0, fn, e)
+		h.Cancel()
+	}); avg != 0 {
+		t.Fatalf("now-lane schedule→cancel allocates %.1f/op, want 0", avg)
+	}
 }
 
 // warmEngine pre-grows the queue and free list so benchmarks measure
@@ -448,5 +460,84 @@ func BenchmarkEngineScheduleCancel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h := e.AfterCall(1, fn, e)
 		h.Cancel()
+	}
+}
+
+// mixLoad replays search-ghost's measured event mix on a bare engine:
+// 30% of scheduled events are due at now, 21% are cancelled 200 µs
+// before they are due, and about 340 events stay live, with 44% of
+// events scheduled more than 262 µs ahead. Every fired event schedules
+// one successor drawn from a fixed plan, so the population holds steady.
+type mixLoad struct {
+	e       *Engine
+	plan    []mixDraw
+	next    int
+	victims [1024]Event // doomed events, each awaiting its canceller
+	nv      int
+	fire    func(any)
+	cancel  func(any)
+}
+
+// mixDraw is one successor: a delay, or (doomed) an event that a
+// canceller scheduled 200 µs before its due time takes out.
+type mixDraw struct {
+	d      Time
+	doomed bool
+}
+
+func newMixLoad(live int) *mixLoad {
+	m := &mixLoad{e: NewEngine()}
+	m.fire, m.cancel = m.onFire, m.onCancel
+	rng := NewRand(1)
+	uniform := func(lo, hi Time) Time { return lo + Time(rng.Intn(int(hi-lo))) }
+	m.plan = make([]mixDraw, 1<<12)
+	for i := range m.plan {
+		switch u := rng.Intn(100); {
+		case u < 38: // Resched, Poke and the other zero-delay events
+		case u < 65: // a completion that preemption cancels
+			m.plan[i] = mixDraw{d: uniform(200*Microsecond, 2*Millisecond), doomed: true}
+		case u < 80: // context-switch and message costs
+			m.plan[i].d = uniform(100, 5*Microsecond)
+		case u < 92: // scheduling quanta
+			m.plan[i].d = uniform(5*Microsecond, 250*Microsecond)
+		default: // completions that fire
+			m.plan[i].d = uniform(100*Microsecond, 2*Millisecond)
+		}
+	}
+	for i := 0; i < live; i++ {
+		m.e.AfterCall(uniform(0, 2*Millisecond), m.fire, nil)
+	}
+	return m
+}
+
+func (m *mixLoad) onFire(any) {
+	p := m.plan[m.next]
+	m.next = (m.next + 1) & (len(m.plan) - 1)
+	if !p.doomed {
+		m.e.AfterCall(p.d, m.fire, nil)
+		return
+	}
+	v := &m.victims[m.nv]
+	m.nv = (m.nv + 1) & (len(m.victims) - 1)
+	*v = m.e.AfterCall(p.d, m.fire, nil)
+	m.e.AfterCall(p.d-200*Microsecond, m.cancel, v)
+}
+
+func (m *mixLoad) onCancel(arg any) {
+	arg.(*Event).Cancel()
+	m.onFire(nil)
+}
+
+// BenchmarkEngineMix measures one dispatch of the mixed load, with the
+// schedules and cancels it triggers.
+func BenchmarkEngineMix(b *testing.B) {
+	m := newMixLoad(200)
+	for i := 0; i < 100000; i++ { // reach the steady state
+		m.e.step(MaxTime)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.e.step(MaxTime)
 	}
 }

@@ -1,29 +1,33 @@
 package sim
 
-import "testing"
+import (
+	"sort"
+	"testing"
+)
 
-// Differential test: the timing-wheel engine against a reference copy of
-// the binary min-heap it replaced. The reference implements the same
-// (at, seq) total order with the simplest possible structure — one heap,
-// no buckets, no spill, no free list — so any divergence in dispatch
-// order or handle behavior is the wheel's fault.
+// Differential test: the engine (now-lane, list-bucket timing wheel and
+// spill heap) against a reference copy of the binary min-heap it
+// replaced. The reference implements the same (at, seq) total order with
+// the simplest possible structure — one heap, no lane, no buckets, no
+// spill, no free list — so any divergence in dispatch order, queue
+// length or handle behavior is the engine's fault.
 
 // refEvent is a reference-queue entry.
 type refEvent struct {
-	at        Time
-	seq       uint64
-	id        int // trace-assigned identity, compared against the engine's dispatch log
-	cancelled bool
+	at  Time
+	seq uint64
+	id  int // trace-assigned identity, the engine event's argument
 }
 
-// refHeap is the pre-PR8 engine's event queue: a binary min-heap on
+// refHeap is the engine's original event queue: a binary min-heap on
 // (at, seq) with eager removal on cancel.
 type refHeap struct {
-	now  Time
-	seq  uint64
-	q    []*refEvent
-	pos  map[*refEvent]int
-	live map[int]*refEvent // id -> live event, for cancel/pending queries
+	seq      uint64
+	popped   uint64 // events dispatched
+	maxQueue int    // high-water mark of len(q) after a pop
+	q        []*refEvent
+	pos      map[*refEvent]int
+	live     map[int]*refEvent // id -> live event, for cancel/pending queries
 }
 
 func newRefHeap() *refHeap {
@@ -61,16 +65,34 @@ func (r *refHeap) pending(id int) bool {
 	return ok
 }
 
-// pop removes and returns the next event id, or -1 if none at or before
-// limit.
-func (r *refHeap) pop(limit Time) int {
-	if len(r.q) == 0 || r.q[0].at > limit {
-		return -1
+// pop removes and returns the next event, or nil when none is queued,
+// and records the queue's high-water mark the way Engine.MaxQueue does.
+func (r *refHeap) pop() *refEvent {
+	if len(r.q) == 0 {
+		return nil
 	}
 	ev := r.removeAt(0)
-	r.now = ev.at
 	delete(r.live, ev.id)
-	return ev.id
+	r.popped++
+	if len(r.q) > r.maxQueue {
+		r.maxQueue = len(r.q)
+	}
+	return ev
+}
+
+// next returns the time of the next event, if any.
+func (r *refHeap) next() (Time, bool) {
+	if len(r.q) == 0 {
+		return 0, false
+	}
+	return r.q[0].at, true
+}
+
+// ordered returns the live events in (at, seq) order.
+func (r *refHeap) ordered() []*refEvent {
+	evs := append([]*refEvent(nil), r.q...)
+	sort.Slice(evs, func(i, j int) bool { return r.less(evs[i], evs[j]) })
+	return evs
 }
 
 func (r *refHeap) removeAt(i int) *refEvent {
@@ -120,120 +142,258 @@ func (r *refHeap) down(i int) {
 	}
 }
 
-// TestEngineMatchesReferenceHeap drives random schedule/cancel/run traces
-// through the wheel engine and the reference heap in lockstep and asserts
-// identical dispatch order plus identical handle (Pending, stale-Cancel)
-// behavior. Delays are drawn across the wheel's interesting ranges: zero
-// (same-time FIFO), sub-bucket, bucket-straddling, beyond the wheel span
-// (spill migration), and bucket-aligned edge values.
-func TestEngineMatchesReferenceHeap(t *testing.T) {
-	delays := []func(rng *Rand) Time{
-		func(rng *Rand) Time { return 0 },
-		func(rng *Rand) Time { return Time(rng.Intn(int(bucketWidth))) },
-		func(rng *Rand) Time { return Time(rng.Intn(int(8 * bucketWidth))) },
-		func(rng *Rand) Time { return Time(rng.Intn(int(2 * wheelSpan))) },
-		func(rng *Rand) Time { return wheelSpan - bucketWidth + Time(rng.Intn(int(3*bucketWidth))) },
-		func(rng *Rand) Time { return Time(rng.Intn(64)) * bucketWidth },
+// refDelays draws delays across the engine's interesting ranges: zero
+// (the now-lane), sub-bucket, bucket-straddling, bucket-aligned, across
+// the wheel span's edge, and far past it (spill migration).
+var refDelays = []func(rng *Rand) Time{
+	func(rng *Rand) Time { return 0 },
+	func(rng *Rand) Time { return Time(rng.Intn(int(bucketWidth))) },
+	func(rng *Rand) Time { return Time(rng.Intn(int(8 * bucketWidth))) },
+	func(rng *Rand) Time { return Time(rng.Intn(64)) * bucketWidth },
+	func(rng *Rand) Time { return Time(rng.Intn(int(2 * wheelSpan))) },
+	func(rng *Rand) Time { return wheelSpan - 2*bucketWidth + Time(rng.Intn(int(4*bucketWidth))) },
+	func(rng *Rand) Time { return Time(2+rng.Intn(8))*wheelSpan + Time(rng.Intn(int(wheelSpan))) },
+}
+
+// diffRun is one differential trace: the engine and the reference in
+// lockstep. The reference pops in OnDispatch, so every engine dispatch
+// is checked against it as it happens, and callbacks may schedule,
+// cancel and Stop on both sides from inside dispatch.
+type diffRun struct {
+	t     *testing.T
+	trace int
+	rng   *Rand
+	eng   *Engine
+	ref   *refHeap
+
+	handles map[int]Event // id -> engine handle, stale ones included
+	chain   map[int]int   // id -> zero-delay links still to schedule when it fires
+	nextID  int
+	popped  int  // id of the event the reference popped at the current dispatch
+	stopped bool // a callback called Stop during the current run
+	fire    func(any)
+
+	// Coverage: the paths the trace must have reached.
+	laneCancels, wheelCancels, laneStops, restoredAtNow int
+}
+
+func (r *diffRun) fatalf(format string, args ...any) {
+	r.t.Helper()
+	r.t.Fatalf("trace %d: "+format, append([]any{r.trace}, args...)...)
+}
+
+func newDiffRun(t *testing.T, trace int) *diffRun {
+	r := &diffRun{
+		t: t, trace: trace, rng: NewRand(uint64(trace) + 1),
+		eng: NewEngine(), ref: newRefHeap(),
+		handles: map[int]Event{}, chain: map[int]int{},
 	}
-	for trace := 0; trace < 50; trace++ {
-		rng := NewRand(uint64(trace) + 1)
-		eng := NewEngine()
-		ref := newRefHeap()
-
-		var dispatched []int       // engine-side dispatch log, appended by callbacks
-		handles := map[int]Event{} // id -> engine handle (including stale ones)
-		nextID := 0
-
-		schedule := func() {
-			d := delays[rng.Intn(len(delays))](rng)
-			id := nextID
-			nextID++
-			handles[id] = eng.AtCall(eng.Now()+d, func(a any) {
-				dispatched = append(dispatched, a.(int))
-			}, id)
-			ref.schedule(eng.Now()+d, id)
+	r.fire = r.dispatch
+	r.eng.OnDispatch = func(now Time, queued int) {
+		ev := r.ref.pop()
+		switch {
+		case ev == nil:
+			r.fatalf("engine dispatched at %v, reference is empty", now)
+		case ev.at != now:
+			r.fatalf("engine dispatched at %v, reference id %d is due at %v", now, ev.id, ev.at)
+		case queued != len(r.ref.q):
+			r.fatalf("engine reports %d queued after dispatch, reference %d", queued, len(r.ref.q))
 		}
+		r.popped = ev.id
+	}
+	return r
+}
 
-		// Seed the queues, then interleave ops with bounded runs.
+// schedule files one event at now+d on both sides and returns its id.
+func (r *diffRun) schedule(d Time) int {
+	return r.scheduleAt(r.eng.Now() + d)
+}
+
+func (r *diffRun) scheduleAt(at Time) int {
+	id := r.nextID
+	r.nextID++
+	r.handles[id] = r.eng.AtCall(at, r.fire, id)
+	r.ref.schedule(at, id)
+	return id
+}
+
+// cancel cancels id on both sides; they must agree on whether it was
+// live, and the engine handle must go stale.
+func (r *diffRun) cancel(id int) {
+	h := r.handles[id]
+	wasLive := r.ref.cancel(id)
+	if got := h.Pending(); got != wasLive {
+		r.fatalf("Pending(%d) = %v before cancel, reference live = %v", id, got, wasLive)
+	}
+	if wasLive {
+		if h.e.slot == slotLane {
+			r.laneCancels++
+		} else {
+			r.wheelCancels++
+		}
+	}
+	h.Cancel()
+	if h.Pending() {
+		r.fatalf("event %d Pending after Cancel", id)
+	}
+	if r.eng.Queued() != len(r.ref.q) {
+		r.fatalf("Queued = %d after cancel, reference %d", r.eng.Queued(), len(r.ref.q))
+	}
+}
+
+// dispatch is every event's callback: it checks the id against the
+// reference's pop, then acts from inside dispatch.
+func (r *diffRun) dispatch(a any) {
+	id := a.(int)
+	if id != r.popped {
+		r.fatalf("dispatched id %d, reference popped id %d", id, r.popped)
+	}
+	if links, ok := r.chain[id]; ok {
+		// A zero-delay chain link schedules only the next link.
+		delete(r.chain, id)
+		if links > 0 {
+			r.chain[r.schedule(0)] = links - 1
+		}
+		return
+	}
+	if r.nextID > 20000 {
+		return
+	}
+	switch k := r.rng.Intn(40); {
+	case k < 6: // schedule from inside dispatch
+		r.schedule(refDelays[r.rng.Intn(len(refDelays))](r.rng))
+	case k < 10: // a nested zero-delay chain
+		r.chain[r.schedule(0)] = r.rng.Intn(4)
+	case k < 13: // cancel a fresh lane event
+		r.cancel(r.schedule(0))
+	case k < 18: // cancel a recent event: lane, wheel or spill
+		r.schedule(0)
+		r.cancel(r.nextID - 1 - r.rng.Intn(min(r.nextID, 12)))
+	case k < 19: // Stop with the lane non-empty
+		for n := 1 + r.rng.Intn(3); n > 0; n-- {
+			r.schedule(0)
+		}
+		r.eng.Stop()
+		r.stopped = true
+	}
+}
+
+// reverseBurst files n events into one bucket in descending time order,
+// so every insert walks the bucket list from the tail to its head.
+func (r *diffRun) reverseBurst() {
+	w := ((r.eng.Now()+Time(r.rng.Intn(int(wheelSpan))))>>bucketShift)<<bucketShift + bucketWidth
+	n := 5 + r.rng.Intn(36)
+	for k := 0; k < n; k++ {
+		r.scheduleAt(w + bucketWidth - 1 - Time(k)*(bucketWidth/Time(n)))
+	}
+}
+
+// run executes to limit (MaxTime: Run to exhaustion). Each Stop from a
+// callback is followed by a Pending → Reset → RestoreEvent round trip.
+func (r *diffRun) run(limit Time) {
+	for {
+		r.stopped = false
+		if limit == MaxTime {
+			r.eng.Run()
+		} else {
+			r.eng.RunUntil(limit)
+		}
+		if !r.stopped {
+			break
+		}
+		r.roundTrip()
+	}
+	if at, ok := r.ref.next(); ok && at <= limit {
+		r.fatalf("run to %v stopped early: reference has an event due at %v", limit, at)
+	}
+}
+
+// roundTrip snapshots the engine's pending events, resets it and re-files
+// them, as checkpoint restore does; the order must match the reference.
+func (r *diffRun) roundTrip() {
+	if r.eng.nlane > 0 {
+		r.laneStops++
+	}
+	pend := r.eng.Pending()
+	want := r.ref.ordered()
+	if len(pend) != len(want) {
+		r.fatalf("Pending has %d events, reference %d", len(pend), len(want))
+	}
+	for i, p := range pend {
+		if w := want[i]; p.Arg.(int) != w.id || p.At != w.at || p.Seq != w.seq {
+			r.fatalf("Pending[%d] = id %v (%v, %d), reference id %d (%v, %d)", i, p.Arg, p.At, p.Seq, w.id, w.at, w.seq)
+		}
+	}
+	e := r.eng
+	e.Reset(e.Now(), e.Seq(), e.Executed, e.MaxQueue)
+	for _, p := range pend {
+		id := p.Arg.(int)
+		if r.handles[id].Pending() {
+			r.fatalf("handle %d still Pending after Reset", id)
+		}
+		h, err := e.RestoreEvent(p.At, p.Seq, p.Fn, p.AFn, p.Arg)
+		if err != nil {
+			r.fatalf("RestoreEvent: %v", err)
+		}
+		r.handles[id] = h
+		if p.At == e.Now() {
+			r.restoredAtNow++
+		}
+	}
+	if e.nlane != 0 || e.Queued() != len(want) {
+		r.fatalf("after restore: lane %d, queued %d, want lane 0, queued %d", e.nlane, e.Queued(), len(want))
+	}
+}
+
+// TestEngineMatchesReferenceHeap drives random schedule/cancel/run traces
+// through the engine and the reference heap in lockstep and asserts
+// identical dispatch order, queue length, MaxQueue and handle (Pending,
+// stale-Cancel) behavior. Callbacks schedule (including nested
+// zero-delay chains), cancel lane and wheel events and Stop from inside
+// dispatch; a Stop is followed by a checkpoint round trip.
+func TestEngineMatchesReferenceHeap(t *testing.T) {
+	var laneCancels, wheelCancels, laneStops, restoredAtNow int
+	for trace := 0; trace < 60; trace++ {
+		r := newDiffRun(t, trace)
+		eng, rng := r.eng, r.rng
 		for i := 0; i < 20; i++ {
-			schedule()
+			r.schedule(refDelays[rng.Intn(len(refDelays))](rng))
 		}
 		for op := 0; op < 400; op++ {
-			switch rng.Intn(10) {
+			switch rng.Intn(12) {
 			case 0, 1, 2, 3:
-				schedule()
+				r.schedule(refDelays[rng.Intn(len(refDelays))](rng))
 			case 4, 5:
-				// Cancel a random known id — live or stale. Both sides
-				// must agree on whether it was live.
-				if nextID == 0 {
-					continue
-				}
-				id := rng.Intn(nextID)
-				wasLive := ref.cancel(id)
-				if got := handles[id].Pending(); got != wasLive {
-					t.Fatalf("trace %d: Pending(%d) = %v before cancel, reference live = %v", trace, id, got, wasLive)
-				}
-				handles[id].Cancel()
-				if handles[id].Pending() {
-					t.Fatalf("trace %d: event %d Pending after Cancel", trace, id)
-				}
+				// Cancel a random known id, live or stale.
+				r.cancel(rng.Intn(r.nextID))
 			case 6:
 				// Pending probe on a random id must match the reference.
-				if nextID == 0 {
-					continue
+				id := rng.Intn(r.nextID)
+				if got, want := r.handles[id].Pending(), r.ref.pending(id); got != want {
+					r.fatalf("Pending(%d) = %v, reference = %v", id, got, want)
 				}
-				id := rng.Intn(nextID)
-				if got, want := handles[id].Pending(), ref.pending(id); got != want {
-					t.Fatalf("trace %d: Pending(%d) = %v, reference = %v", trace, id, got, want)
-				}
+			case 7:
+				r.reverseBurst()
 			default:
-				// Run a bounded slice of virtual time on both sides.
-				limit := eng.Now() + Time(rng.Intn(int(wheelSpan/2)))
-				start := len(dispatched)
-				eng.RunUntil(limit)
-				i := start
-				for {
-					id := ref.pop(limit)
-					if id < 0 {
-						break
-					}
-					if i >= len(dispatched) {
-						t.Fatalf("trace %d: engine dispatched %d events to %v, reference has more (next id %d)",
-							trace, len(dispatched)-start, limit, id)
-					}
-					if dispatched[i] != id {
-						t.Fatalf("trace %d: dispatch %d = id %d, reference id %d", trace, i, dispatched[i], id)
-					}
-					i++
-				}
-				if i != len(dispatched) {
-					t.Fatalf("trace %d: engine dispatched %d extra events past the reference", trace, len(dispatched)-i)
-				}
+				r.run(eng.Now() + Time(rng.Intn(int(wheelSpan/2))))
 			}
 		}
-		// Drain both completely and compare the tails id by id.
-		start := len(dispatched)
-		eng.Run()
-		i := start
-		for {
-			id := ref.pop(MaxTime)
-			if id < 0 {
-				break
-			}
-			if i >= len(dispatched) {
-				t.Fatalf("trace %d: final drain: engine stopped after %d events, reference has id %d next",
-					trace, len(dispatched)-start, id)
-			}
-			if dispatched[i] != id {
-				t.Fatalf("trace %d: final drain dispatch %d = id %d, reference id %d", trace, i, dispatched[i], id)
-			}
-			i++
+		r.run(MaxTime)
+		if !eng.Empty() || eng.Queued() != 0 || len(r.ref.q) != 0 {
+			r.fatalf("not empty after full drain: engine %d, reference %d", eng.Queued(), len(r.ref.q))
 		}
-		if i != len(dispatched) {
-			t.Fatalf("trace %d: final drain: engine dispatched %d extra events", trace, len(dispatched)-i)
+		if eng.Executed != r.ref.popped || eng.MaxQueue != r.ref.maxQueue {
+			r.fatalf("Executed %d MaxQueue %d, reference %d and %d", eng.Executed, eng.MaxQueue, r.ref.popped, r.ref.maxQueue)
 		}
-		if !eng.Empty() || eng.Queued() != 0 {
-			t.Fatalf("trace %d: engine not empty after full drain", trace)
-		}
+		laneCancels += r.laneCancels
+		wheelCancels += r.wheelCancels
+		laneStops += r.laneStops
+		restoredAtNow += r.restoredAtNow
 	}
+	if laneCancels == 0 || wheelCancels == 0 || laneStops == 0 || restoredAtNow == 0 {
+		t.Fatalf("traces missed a path: %d lane cancels, %d wheel cancels, %d stops with a non-empty lane, %d events restored at now",
+			laneCancels, wheelCancels, laneStops, restoredAtNow)
+	}
+	t.Logf("%d lane cancels, %d wheel cancels, %d stops with a non-empty lane, %d events restored at now",
+		laneCancels, wheelCancels, laneStops, restoredAtNow)
 }

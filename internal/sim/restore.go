@@ -25,17 +25,23 @@ type PendingEvent struct {
 	Arg any
 }
 
-// Pending returns every live pending event (wheel + spill) in (at, seq)
-// dispatch order.
+// Pending returns every live pending event (lane, wheel and spill) in
+// (at, seq) dispatch order.
 func (e *Engine) Pending() []PendingEvent {
 	var evs []PendingEvent
-	for i := range e.buckets {
-		for _, ev := range e.buckets[i] {
-			evs = append(evs, PendingEvent{At: ev.at, Seq: ev.seq, Fn: ev.fn, AFn: ev.afn, Arg: ev.arg})
+	add := func(ev *event) {
+		pe := PendingEvent{At: ev.at, Seq: ev.seq, AFn: ev.afn, Arg: ev.arg}
+		if ev.afn == nil {
+			pe.Fn, pe.Arg = ev.arg.(func()), nil
 		}
+		evs = append(evs, pe)
+	}
+	e.lane.each(add)
+	for i := range e.buckets {
+		e.buckets[i].each(add)
 	}
 	for _, ev := range e.spill {
-		evs = append(evs, PendingEvent{At: ev.at, Seq: ev.seq, Fn: ev.fn, AFn: ev.afn, Arg: ev.arg})
+		add(ev)
 	}
 	sort.Slice(evs, func(i, j int) bool {
 		if evs[i].At != evs[j].At {
@@ -47,25 +53,18 @@ func (e *Engine) Pending() []PendingEvent {
 }
 
 // Reset drops every live event (recycling storage and invalidating
-// outstanding handles), empties the wheel, and primes the engine's clock,
-// sequence counter and diagnostic counters from a snapshot. Restored
-// events are re-filed afterwards with RestoreEvent.
+// outstanding handles), empties the lane and the wheel, and primes the
+// engine's clock, sequence counter and diagnostic counters from a
+// snapshot. Restored events are re-filed afterwards with RestoreEvent.
 func (e *Engine) Reset(now Time, seq uint64, executed uint64, maxQueue int) {
+	e.dropList(&e.lane)
+	e.nlane = 0
 	for i := range e.buckets {
-		b := e.buckets[i]
-		for j, ev := range b {
-			ev.idx = -1
-			e.recycle(ev)
-			b[j] = nil
-		}
-		e.buckets[i] = b[:0]
+		e.dropList(&e.buckets[i])
 	}
-	for i := range e.occ {
-		e.occ[i] = 0
-	}
+	e.occ = [len(e.occ)]uint64{}
 	e.nbucket = 0
 	for i, ev := range e.spill {
-		ev.idx = -1
 		e.recycle(ev)
 		e.spill[i] = nil
 	}
@@ -78,6 +77,15 @@ func (e *Engine) Reset(now Time, seq uint64, executed uint64, maxQueue int) {
 	e.MaxQueue = maxQueue
 }
 
+// dropList recycles every event on l and empties it.
+func (e *Engine) dropList(l *evList) {
+	l.each(func(ev *event) {
+		ev.prev, ev.next = nil, nil
+		e.recycle(ev)
+	})
+	l.head = nil
+}
+
 // Seq returns the engine's next-sequence counter (snapshot save).
 func (e *Engine) Seq() uint64 { return e.seq }
 
@@ -86,13 +94,18 @@ func (e *Engine) Seq() uint64 { return e.seq }
 // the engine with the snapshot's sequence counter so that later schedule
 // calls draw sequence numbers above every restored event. An event
 // before the engine's clock is an error: it could never fire in order.
+// A restored event due at the clock goes to the wheel, never the
+// now-lane: its seq is below every later lane event's, which is the
+// order the wheel-before-lane rule in step realizes.
 func (e *Engine) RestoreEvent(at Time, seq uint64, fn func(), afn func(any), arg any) (Event, error) {
 	if at < e.now {
 		return Event{}, fmt.Errorf("sim: restoring event at %v before now %v", at, e.now)
 	}
-	e.sync()
+	if afn == nil {
+		arg = fn
+	}
 	ev := e.alloc()
-	ev.at, ev.fn, ev.afn, ev.arg, ev.seq = at, fn, afn, arg, seq
+	ev.at, ev.afn, ev.arg, ev.seq = at, afn, arg, seq
 	e.push(ev)
 	return Event{e: ev, gen: ev.gen}, nil
 }

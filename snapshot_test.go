@@ -568,6 +568,42 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 			}))
 		})
 	}
+
+	// A centralized policy queues each thread at most once, across all of
+	// its queues: CentralFIFO's bands, Shinjuku's fifo and batchq; and
+	// CentralFIFO has one queue per band, at least one band.
+	shinjuku := wireAt1ms(t, buildServingWith(ghost.NewShinjukuPolicy(), ghost.Global()))
+	for _, tc := range []struct {
+		name string
+		wire []byte
+		edit func(st map[string]any)
+	}{
+		{"central-band-tid-twice", wire, func(st map[string]any) {
+			queues := st["queues"].([]any)
+			tid := record(st, "tracker", 0)["tid"]
+			queues[0] = []any{tid, tid}
+		}},
+		{"central-tid-in-two-bands", wire, func(st map[string]any) {
+			tid := record(st, "tracker", 0)["tid"]
+			st["numBands"], st["queues"] = 2, []any{[]any{tid}, []any{tid}}
+		}},
+		{"central-zero-bands", wire, func(st map[string]any) { st["numBands"], st["queues"] = 0, []any{} }},
+		{"central-bands-queues-mismatch", wire, func(st map[string]any) { st["queues"] = []any{} }},
+		{"shinjuku-fifo-tid-twice", shinjuku, func(st map[string]any) {
+			tid := record(st, "tracker", 0)["tid"]
+			st["fifo"] = []any{tid, tid}
+		}},
+		{"shinjuku-fifo-and-batchq", shinjuku, func(st map[string]any) {
+			tid := record(st, "tracker", 0)["tid"]
+			st["fifo"], st["batchq"] = []any{tid}, []any{tid}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			requireRestoreCorrupt(t, resealSnapshot(t, tc.wire, func(core map[string]any) {
+				editPolicy(t, record(core, "sets", 0), tc.edit)
+			}))
+		})
+	}
 }
 
 // addRunQueues appends one run-queue record per TID list to a per-CPU
