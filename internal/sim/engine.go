@@ -357,7 +357,7 @@ func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now + d) }
 // The now-lane holds only events with at == e.now, appended in seq
 // order. Any wheel or spill event with at == e.now was scheduled while
 // the clock was earlier (or restored with a seq below the restored
-// counter), so its seq is below every lane seq: step fires it before the
+// counter, which RestoreEvent checks), so its seq is below every lane seq: step fires it before the
 // lane head, and the lane head before any later wheel event. Nothing in
 // the lane can be passed over by the clock: step only moves the clock to
 // the global minimum, which is at now while the lane is non-empty, and

@@ -171,6 +171,7 @@ type diffRun struct {
 	nextID  int
 	popped  int  // id of the event the reference popped at the current dispatch
 	stopped bool // a callback called Stop during the current run
+	limit   Time // deadline of the current run (MaxTime for Run)
 	fire    func(any)
 
 	// Coverage: the paths the trace must have reached.
@@ -196,6 +197,8 @@ func newDiffRun(t *testing.T, trace int) *diffRun {
 			r.fatalf("engine dispatched at %v, reference is empty", now)
 		case ev.at != now:
 			r.fatalf("engine dispatched at %v, reference id %d is due at %v", now, ev.id, ev.at)
+		case now > r.limit:
+			r.fatalf("engine dispatched at %v, past the run's deadline %v", now, r.limit)
 		case queued != len(r.ref.q):
 			r.fatalf("engine reports %d queued after dispatch, reference %d", queued, len(r.ref.q))
 		}
@@ -290,7 +293,11 @@ func (r *diffRun) reverseBurst() {
 
 // run executes to limit (MaxTime: Run to exhaustion). Each Stop from a
 // callback is followed by a Pending → Reset → RestoreEvent round trip.
+// No dispatch may pass the deadline (checked in OnDispatch), no event due
+// by it may be left behind, and a RunUntil that was not stopped must end
+// with the clock exactly at the deadline.
 func (r *diffRun) run(limit Time) {
+	r.limit = limit
 	for {
 		r.stopped = false
 		if limit == MaxTime {
@@ -305,6 +312,9 @@ func (r *diffRun) run(limit Time) {
 	}
 	if at, ok := r.ref.next(); ok && at <= limit {
 		r.fatalf("run to %v stopped early: reference has an event due at %v", limit, at)
+	}
+	if limit != MaxTime && r.eng.Now() != limit {
+		r.fatalf("RunUntil(%v) left the clock at %v", limit, r.eng.Now())
 	}
 }
 

@@ -94,12 +94,16 @@ func (e *Engine) Seq() uint64 { return e.seq }
 // the engine with the snapshot's sequence counter so that later schedule
 // calls draw sequence numbers above every restored event. An event
 // before the engine's clock is an error: it could never fire in order.
-// A restored event due at the clock goes to the wheel, never the
-// now-lane: its seq is below every later lane event's, which is the
-// order the wheel-before-lane rule in step realizes.
+// So is a seq at or above the restored counter: a later schedule could
+// draw the same seq. A restored event due at the clock goes to the
+// wheel, never the now-lane: its seq is below every later lane event's,
+// which is the order the wheel-before-lane rule in step realizes.
 func (e *Engine) RestoreEvent(at Time, seq uint64, fn func(), afn func(any), arg any) (Event, error) {
 	if at < e.now {
 		return Event{}, fmt.Errorf("sim: restoring event at %v before now %v", at, e.now)
+	}
+	if seq >= e.seq {
+		return Event{}, fmt.Errorf("sim: restoring event seq %d at or above the counter %d", seq, e.seq)
 	}
 	if afn == nil {
 		arg = fn

@@ -451,6 +451,7 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 			e["cpus"] = append(e["cpus"].([]any), 1_000_000)
 		}},
 		{"event-before-now", func(core map[string]any) { record(core, "events", 0)["at"] = 0 }},
+		{"event-seq-above-counter", func(core map[string]any) { record(core, "events", 0)["seq"] = core["seq"] }},
 		{"spinner-chunk-negative", func(core map[string]any) {
 			for _, th := range kernelRec(core)["threads"].([]any) {
 				if body, ok := th.(map[string]any)["body"].(map[string]any); ok && body["kind"] == "workload.spinner" {
