@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -112,13 +113,6 @@ func realMain() int {
 		return 1
 	}
 
-	stop, err := c.StartProfiles()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ghost-sim:", err)
-		return 1
-	}
-	defer stop()
-
 	sc := scenario{
 		machine: *machine, topo: topo, sched: *sched, rate: *rate,
 		service: *service, bimodal: *bimodal, workers: *workers, cpus: *cpus,
@@ -126,6 +120,18 @@ func realMain() int {
 		restore: c.Restore, traceLog: *traceLog, traceOut: *traceOut,
 		metrics: *metrics, faultsIn: *faultsIn, invar: *invar,
 	}
+	if err := sc.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "ghost-sim:", err)
+		return 1
+	}
+
+	stop, err := c.StartProfiles()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ghost-sim:", err)
+		return 1
+	}
+	defer stop()
+
 	if sc.restore != "" {
 		out, err := sc.runRestored()
 		fmt.Print(out)
@@ -177,6 +183,24 @@ func realMain() int {
 		return 1
 	}
 	return 0
+}
+
+// validate rejects workload flags that would panic or simulate nothing,
+// before any machine is built.
+func (sc scenario) validate() error {
+	switch {
+	case !(sc.rate > 0) || math.IsInf(sc.rate, 1):
+		return fmt.Errorf("-rate %v: want a finite arrival rate above 0", sc.rate)
+	case sc.service < 0:
+		return fmt.Errorf("-service %v: want a service time of at least 0", sc.service)
+	case sc.workers < 1:
+		return fmt.Errorf("-workers %d: want at least 1 worker", sc.workers)
+	case sc.cpus < 1:
+		return fmt.Errorf("-cpus %d: want at least 1 worker CPU", sc.cpus)
+	case sc.dur <= 0:
+		return fmt.Errorf("-dur %v: want a simulated duration above 0", sc.dur)
+	}
+	return nil
 }
 
 // run executes the scenario and returns its rendered output. Errors from

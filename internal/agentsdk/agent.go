@@ -241,7 +241,6 @@ type Option func(*startConfig)
 type startConfig struct {
 	mode    int // 0 = infer from policy type, 1 = global, 2 = per-CPU
 	repoll  sim.Duration
-	plan    *faults.Plan
 	upgrade func() any
 }
 
@@ -257,11 +256,6 @@ func PerCPU() Option { return func(c *startConfig) { c.mode = 2 } }
 // without new messages (a periodic virtual timer, like Shinjuku's
 // timeslice poll).
 func WithRepoll(d sim.Duration) Option { return func(c *startConfig) { c.repoll = d } }
-
-// WithFaultPlan installs plan into the kernel's fault injector (if one
-// is not installed yet) before the agents start, so agent-level faults
-// can target this generation.
-func WithFaultPlan(p *faults.Plan) Option { return func(c *startConfig) { c.plan = p } }
 
 // WithUpgradePolicy supplies the successor-policy factory used when a
 // forced-upgrade fault fires: the running generation stops and a new one
@@ -279,9 +273,6 @@ func Start(k *kernel.Kernel, enc *ghostcore.Enclave, ac *kernel.AgentClass, poli
 	var cfg startConfig
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.plan != nil && k.Faults() == nil {
-		k.SetFaults(faults.NewInjector(k.Engine(), cfg.plan))
 	}
 	gp, isGlobal := policy.(GlobalPolicy)
 	pp, isPerCPU := policy.(PerCPUPolicy)

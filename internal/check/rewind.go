@@ -25,17 +25,20 @@ import (
 // restored machine's forward history is byte-identical.
 
 func init() {
-	snap.RegisterBody("check.worker", func(_ *snap.RestoreCtx, rec kernel.BodyRec, r *sim.Rand, res snap.Resume) (kernel.ThreadFunc, error) {
+	snap.RegisterBody("check.worker", func(_ *snap.RestoreCtx, rec kernel.BodyRec, r *sim.Rand) (kernel.ThreadFunc, error) {
 		if len(rec.Args) != 1 || r == nil {
 			return nil, fmt.Errorf("check.worker wants 1 arg and a random stream, got %d args", len(rec.Args))
 		}
-		return resumedWorkerBody(r, int(rec.Args[0]), res.InRun), nil
+		if rec.Args[0] < 1 {
+			return nil, fmt.Errorf("%w: check.worker burst bound %d is below 1", snap.ErrCorrupt, rec.Args[0])
+		}
+		return workerBody(r, int(rec.Args[0])), nil
 	})
-	snap.RegisterBody("check.noise", func(_ *snap.RestoreCtx, rec kernel.BodyRec, r *sim.Rand, res snap.Resume) (kernel.ThreadFunc, error) {
+	snap.RegisterBody("check.noise", func(_ *snap.RestoreCtx, _ kernel.BodyRec, r *sim.Rand) (kernel.ThreadFunc, error) {
 		if r == nil {
 			return nil, errors.New("check.noise wants a random stream")
 		}
-		return resumedNoiseBody(r, res.InRun), nil
+		return noiseBody(r), nil
 	})
 }
 

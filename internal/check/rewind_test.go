@@ -1,8 +1,15 @@
 package check
 
 import (
+	"bytes"
+	"errors"
 	"reflect"
 	"testing"
+
+	"ghost/internal/ghostcore"
+	"ghost/internal/kernel"
+	"ghost/internal/sim"
+	"ghost/internal/snap"
 )
 
 // The directed time-travel regression: a snapshot-capable scenario with a
@@ -88,5 +95,138 @@ func TestSnapshotCapableGates(t *testing.T) {
 	s = Scenario{Policy: "central-fifo"}
 	if ok, why := s.SnapshotCapable(); !ok || why != "" {
 		t.Fatalf("plain central-fifo should be capable, got %v %q", ok, why)
+	}
+}
+
+// lastMsg records the type of the latest message posted for each thread.
+type lastMsg struct {
+	Base
+	of map[kernel.TID]ghostcore.MsgType
+}
+
+func (o *lastMsg) Name() string { return "last-msg" }
+
+func (o *lastMsg) MsgIntent(_ *ghostcore.Enclave, tid kernel.TID, typ ghostcore.MsgType) {
+	o.of[tid] = typ
+}
+
+// Restore builds every check body as spawned, wherever it was parked: a
+// worker in Run, in a Sleep's Block and in the Run that follows a Yield
+// (its latest message is THREAD_YIELD), and a noise thread in Run and in
+// Block. Each case is the first 10 µs barrier of a checkpointed run that
+// shows it; that snapshot goes through the codec onto a fresh shell,
+// runs 1 ms, and must reach the original run's digest there.
+func TestRewindRestoresBodiesWhereParked(t *testing.T) {
+	s := Generate(3)
+	if ok, why := s.SnapshotCapable(); !ok || !s.ghostPolicy() {
+		t.Fatalf("seed 3 must be a snapshot-capable ghOSt scenario (%s)", why)
+	}
+	const step, ahead = 10 * sim.Microsecond, sim.Millisecond
+	msgs := &lastMsg{of: map[kernel.TID]ghostcore.MsgType{}}
+	cases := []struct {
+		what  string
+		kind  string
+		match func(th *kernel.Thread) bool
+		wire  []byte   // the snapshot, once a barrier shows the case
+		due   sim.Time // when the original run's digest is compared
+	}{
+		{what: "worker parked in Run", kind: "check.worker", match: (*kernel.Thread).Ran},
+		{what: "worker parked in Block", kind: "check.worker", match: blocked},
+		{what: "worker in the Run after a Yield", kind: "check.worker", match: func(th *kernel.Thread) bool {
+			return th.Ran() && msgs.of[th.TID()] == ghostcore.MsgThreadYield
+		}},
+		{what: "noise parked in Run", kind: "check.noise", match: (*kernel.Thread).Ran},
+		{what: "noise parked in Block", kind: "check.noise", match: blocked},
+	}
+
+	rg := s.buildShell()
+	Attach(rg.k, rg.g, msgs)
+	sets := s.populate(rg)
+	defer rg.k.Shutdown()
+	for left := len(cases); left > 0; {
+		if rg.eng.Now()+sim.Time(step) > sim.Time(s.Horizon) {
+			for _, c := range cases {
+				if c.wire == nil || c.due > 0 {
+					t.Errorf("%s: not verified before the %v horizon", c.what, s.Horizon)
+				}
+			}
+			return
+		}
+		rg.eng.RunFor(step)
+		img, err := snap.Save(rg.target(sets))
+		if err != nil {
+			t.Fatalf("Save at %v: %v", rg.eng.Now(), err)
+		}
+		for i := range cases {
+			c := &cases[i]
+			switch {
+			case c.wire == nil && showsCase(rg.k, c.kind, c.match):
+				var buf bytes.Buffer
+				if err := img.Encode(&buf); err != nil {
+					t.Fatalf("%s: Encode: %v", c.what, err)
+				}
+				c.wire, c.due = buf.Bytes(), rg.eng.Now()+sim.Time(ahead)
+			case c.due == rg.eng.Now():
+				if got := restoreAndRun(t, s, c.wire, ahead); got != img.Digest() {
+					t.Errorf("%s: restore at %v not transparent: digest %s, want %s",
+						c.what, c.due-sim.Time(ahead), got, img.Digest())
+				}
+				c.due = 0
+				left--
+			}
+		}
+	}
+}
+
+func blocked(th *kernel.Thread) bool { return th.State() == kernel.StateBlocked }
+
+// showsCase reports whether a live thread with body kind matches.
+func showsCase(k *kernel.Kernel, kind string, match func(*kernel.Thread) bool) bool {
+	for _, th := range k.Threads() {
+		if d := th.BodyDesc(); d != nil && d.Kind == kind && match(th) {
+			return true
+		}
+	}
+	return false
+}
+
+// restoreAndRun decodes wire onto a fresh shell of s, runs it for d and
+// returns the digest there.
+func restoreAndRun(t *testing.T, s Scenario, wire []byte, d sim.Duration) string {
+	t.Helper()
+	img, err := snap.Decode(bytes.NewReader(wire))
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	rg := s.buildShell()
+	defer rg.k.Shutdown()
+	res, err := snap.Load(rg.target(nil), img, snap.LoadOpts{})
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	rg.eng.RunFor(d)
+	out, err := snap.Save(rg.target(res.Sets))
+	if err != nil {
+		t.Fatalf("Save after restore: %v", err)
+	}
+	return out.Digest()
+}
+
+// A check.worker record whose burst bound is below 1 is corrupt: the
+// rebuilt worker's first draw would panic in the spawn pass.
+func TestRestoreRejectsWorkerBurstBelowOne(t *testing.T) {
+	s := Generate(3)
+	cr := s.RunWithCheckpoints(s.Horizon / 4)
+	img := cr.Checkpoints[0].Img
+	for i := range img.Core.Kernel.Threads {
+		if b := img.Core.Kernel.Threads[i].Body; b != nil && b.Kind == "check.worker" {
+			b.Args[0] = 0
+			break
+		}
+	}
+	rg := s.buildShell()
+	defer rg.k.Shutdown()
+	if _, err := snap.Load(rg.target(nil), img, snap.LoadOpts{}); !errors.Is(err, snap.ErrCorrupt) {
+		t.Fatalf("Load = %v, want ErrCorrupt", err)
 	}
 }

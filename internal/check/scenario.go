@@ -272,74 +272,33 @@ func (s Scenario) Run() *Result {
 }
 
 // workerBody is a deterministic run/sleep/yield loop; maxBurstUS bounds
-// the service time in microseconds.
+// the service time in microseconds. After each Run it draws how to park:
+// a long or a short Sleep, or a Yield.
 func workerBody(r *sim.Rand, maxBurstUS int) kernel.ThreadFunc {
-	return func(tc *kernel.TaskContext) {
-		for {
-			tc.Run(sim.Duration(1+r.Intn(maxBurstUS)) * sim.Microsecond)
-			workerPark(tc, r)
+	return kernel.Steps(func(t *kernel.Thread) (kernel.Action, bool) {
+		if !t.Ran() {
+			return kernel.RunAction(sim.Duration(1+r.Intn(maxBurstUS)) * sim.Microsecond), true
 		}
-	}
-}
-
-// workerPark is the tail of one worker iteration: the branch draw and
-// the park (or yield) it selects. Split out so a body resumed from a
-// snapshot mid-Run re-enters the loop at exactly this point.
-func workerPark(tc *kernel.TaskContext, r *sim.Rand) {
-	switch r.Intn(4) {
-	case 0, 1:
-		tc.Sleep(sim.Duration(20+r.Intn(200)) * sim.Microsecond)
-	case 2:
-		tc.Yield()
-	default:
-		tc.Sleep(sim.Duration(1+r.Intn(20)) * sim.Microsecond)
-	}
-}
-
-// resumedWorkerBody rebuilds a worker parked in a snapshot: re-issue the
-// parked call first (the overlay restores the remaining service time and
-// the sleep wake-up is re-filed as a pending event), then continue the
-// loop with the restored random stream.
-func resumedWorkerBody(r *sim.Rand, maxBurstUS int, inRun bool) kernel.ThreadFunc {
-	return func(tc *kernel.TaskContext) {
-		if inRun {
-			tc.Run(1) // remaining service restored by the state overlay
-			workerPark(tc, r)
-		} else {
-			tc.Block() // re-enter the Sleep park; the wake event is re-filed
+		switch r.Intn(4) {
+		case 0, 1:
+			return t.SleepAction(sim.Duration(20+r.Intn(200)) * sim.Microsecond), true
+		case 2:
+			return kernel.YieldAction(), true
+		default:
+			return t.SleepAction(sim.Duration(1+r.Intn(20)) * sim.Microsecond), true
 		}
-		for {
-			tc.Run(sim.Duration(1+r.Intn(maxBurstUS)) * sim.Microsecond)
-			workerPark(tc, r)
-		}
-	}
+	})
 }
 
 // noiseBody keeps CFS load light (short bursts, long sleeps) so the
 // enclave is perturbed but never starved.
 func noiseBody(r *sim.Rand) kernel.ThreadFunc {
-	return func(tc *kernel.TaskContext) {
-		for {
-			tc.Run(sim.Duration(5+r.Intn(45)) * sim.Microsecond)
-			tc.Sleep(sim.Duration(200+r.Intn(800)) * sim.Microsecond)
+	return kernel.Steps(func(t *kernel.Thread) (kernel.Action, bool) {
+		if !t.Ran() {
+			return kernel.RunAction(sim.Duration(5+r.Intn(45)) * sim.Microsecond), true
 		}
-	}
-}
-
-// resumedNoiseBody is noiseBody's snapshot-resume counterpart.
-func resumedNoiseBody(r *sim.Rand, inRun bool) kernel.ThreadFunc {
-	return func(tc *kernel.TaskContext) {
-		if inRun {
-			tc.Run(1) // remaining work restored by the state overlay
-			tc.Sleep(sim.Duration(200+r.Intn(800)) * sim.Microsecond)
-		} else {
-			tc.Block() // re-enter the Sleep park; the wake event is re-filed
-		}
-		for {
-			tc.Run(sim.Duration(5+r.Intn(45)) * sim.Microsecond)
-			tc.Sleep(sim.Duration(200+r.Intn(800)) * sim.Microsecond)
-		}
-	}
+		return t.SleepAction(sim.Duration(200+r.Intn(800)) * sim.Microsecond), true
+	})
 }
 
 func applyMutation(g *ghostcore.Class, name string) {

@@ -170,8 +170,7 @@ func ticklessRun(tickless bool, work sim.Duration, o Options) (sim.Duration, sim
 	topo := hw.SkylakeDefault()
 	cost := hw.DefaultCostModel()
 	cost.TickOverhead = 2 * sim.Microsecond
-	m := ghost.NewMachine(topo, ghost.WithCostModel(cost),
-		ghost.WithoutMetrics(), ghost.WithoutMicroQuanta())
+	m := ghost.NewMachine(topo, ghost.WithCostModel(cost), ghost.WithoutMetrics())
 	k := m.Kernel()
 	defer m.Shutdown()
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"ghost/internal/agentsdk"
 	"ghost/internal/hw"
 	"ghost/internal/kernel"
 	"ghost/internal/policies"
@@ -126,21 +127,8 @@ func fig5Sweep(max int, quick bool) []int {
 
 // fig5Point measures committed txns/s for one CPU count.
 func fig5Point(topo *hw.Topology, cpus []hw.CPUID, o Options) float64 {
-	m := newMachine(machineOpts{topo: topo})
+	m, set := fig5Machine(topo, cpus)
 	defer m.k.Shutdown()
-	encCPUs := append([]hw.CPUID{0}, cpus...)
-	enc := m.enclaveOn(encCPUs...)
-	set := m.startCentral(enc, policies.NewCentralFIFO())
-
-	// Yield-loopers: each completed transaction is ~work + a yield, so
-	// every CPU consumes transactions at ~1/work per second until the
-	// agent saturates.
-	const work = 15 * sim.Microsecond
-	nThreads := 2 * len(cpus)
-	for i := 0; i < nThreads; i++ {
-		th := enc.SpawnThread(kernel.SpawnOpts{Name: "looper"}, fig5Looper(work))
-		th.SetBodyDesc(&kernel.BodyDesc{Kind: "experiments.fig5-looper", Args: []int64{int64(work)}})
-	}
 	warm := 5 * sim.Millisecond
 	window := 50 * sim.Millisecond
 	if o.Quick {
@@ -156,4 +144,20 @@ func fig5Point(topo *hw.Topology, cpus []hw.CPUID, o Options) float64 {
 		m.m.Run(window)
 	}
 	return float64(set.TxnsCommitted-base) / window.Seconds()
+}
+
+// fig5Machine builds one fig5 point: a global agent on CPU 0 and two
+// yield-loopers per CPU in cpus. Each completed transaction is ~work + a
+// yield, so every CPU consumes transactions at ~1/work per second until
+// the agent saturates.
+func fig5Machine(topo *hw.Topology, cpus []hw.CPUID) (*machine, *agentsdk.AgentSet) {
+	m := newMachine(machineOpts{topo: topo})
+	enc := m.enclaveOn(append([]hw.CPUID{0}, cpus...)...)
+	set := m.startCentral(enc, policies.NewCentralFIFO())
+	const work = 15 * sim.Microsecond
+	for i := 0; i < 2*len(cpus); i++ {
+		th := enc.SpawnThread(kernel.SpawnOpts{Name: "looper"}, fig5Looper(work))
+		th.SetBodyDesc(&kernel.BodyDesc{Kind: "experiments.fig5-looper", Args: []int64{int64(work)}})
+	}
+	return m, set
 }

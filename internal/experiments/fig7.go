@@ -77,7 +77,7 @@ func fig7Run(scheduler string, loaded bool, o Options) (*workload.LatencyRecorde
 	}
 
 	useGhost := scheduler == "ghost"
-	m := newMachine(machineOpts{topo: topo, mq: !useGhost})
+	m := newMachine(machineOpts{topo: topo})
 	defer m.k.Shutdown()
 
 	cfg := workload.DefaultSnapConfig()

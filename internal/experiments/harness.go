@@ -139,22 +139,16 @@ type machine struct {
 	g   *ghostcore.Class
 }
 
-// machineOpts selects the stack variant. The ghOSt class is always
-// present (its hooks are inert without enclaves); extra forwards
-// additional public options such as ghost.WithFaults.
+// machineOpts selects the stack variant. The full class stack is always
+// present (the ghOSt and MicroQuanta classes are inert while empty);
+// extra forwards additional public options such as ghost.WithFaults.
 type machineOpts struct {
 	topo  *hw.Topology
-	mq    bool
 	extra []ghost.MachineOption
 }
 
 func newMachine(o machineOpts) *machine {
-	opts := []ghost.MachineOption{ghost.WithoutMetrics()}
-	if !o.mq {
-		opts = append(opts, ghost.WithoutMicroQuanta())
-	}
-	opts = append(opts, o.extra...)
-	gm := ghost.NewMachine(o.topo, opts...)
+	gm := ghost.NewMachine(o.topo, append([]ghost.MachineOption{ghost.WithoutMetrics()}, o.extra...)...)
 	return &machine{
 		m: gm, eng: gm.Kernel().Engine(), k: gm.Kernel(),
 		cfs: gm.CFS, ac: gm.Agents, mq: gm.MicroQuanta, g: gm.Ghost,

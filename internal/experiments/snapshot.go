@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 
 	"ghost"
@@ -16,41 +17,47 @@ import (
 // forward digest to match the original run's byte-for-byte.
 
 func init() {
-	snap.RegisterBody("experiments.fig5-looper", func(_ *snap.RestoreCtx, rec kernel.BodyRec, _ *sim.Rand, res snap.Resume) (kernel.ThreadFunc, error) {
+	snap.RegisterBody("experiments.fig5-looper", func(_ *snap.RestoreCtx, rec kernel.BodyRec, _ *sim.Rand) (kernel.ThreadFunc, error) {
 		if len(rec.Args) != 1 {
 			return nil, fmt.Errorf("fig5-looper wants 1 arg, got %d", len(rec.Args))
 		}
 		work := sim.Duration(rec.Args[0])
-		return func(tc *kernel.TaskContext) {
-			if res.InRun {
-				// Parked mid-transaction: re-enter the run (the snapshot
-				// overlay re-applies the true remaining work) and finish it.
-				tc.Run(1)
-				tc.Yield()
-			}
-			fig5Looper(work)(tc)
-		}, nil
+		if work <= 0 {
+			// The looper never spawns with such work: it would step
+			// forever at its first zero-length Run.
+			return nil, fmt.Errorf("%w: fig5-looper work %d is not positive", snap.ErrCorrupt, work)
+		}
+		return fig5Looper(work), nil
 	})
 }
 
 // fig5Looper is the fig5 workload body: one transaction is work worth of
 // CPU followed by a yield.
 func fig5Looper(work sim.Duration) kernel.ThreadFunc {
-	return func(tc *kernel.TaskContext) {
-		for {
-			tc.Run(work)
-			tc.Yield()
+	return kernel.Steps(func(t *kernel.Thread) (kernel.Action, bool) {
+		if t.Ran() {
+			return kernel.YieldAction(), true
 		}
-	}
+		return kernel.RunAction(work), true
+	})
 }
 
 // fig5SnapshotSmoke verifies restore transparency on a live experiment
 // machine: snapshot m at the current quiescent barrier, run the original
-// to until, restore the snapshot into a second machine and run it to the
-// same time, then compare the two core digests. A mismatch is a
-// determinism bug, not a measurement artifact — fail loudly.
+// to until, restore the snapshot through the wire codec into a second
+// machine and run it to the same time, then compare the two core
+// digests. A mismatch is a determinism bug, not a measurement artifact —
+// fail loudly.
 func fig5SnapshotSmoke(m *machine, until sim.Time) {
-	s, err := m.m.Snapshot()
+	snapshot, err := m.m.Snapshot()
+	if err != nil {
+		panic(fmt.Sprintf("experiments: fig5 snapshot smoke: %v", err))
+	}
+	var wire bytes.Buffer
+	if _, err := snapshot.WriteTo(&wire); err != nil {
+		panic(fmt.Sprintf("experiments: fig5 snapshot smoke: %v", err))
+	}
+	s, err := ghost.ReadSnapshot(&wire)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: fig5 snapshot smoke: %v", err))
 	}

@@ -9,8 +9,10 @@
 // kernel executes them deterministically on virtual time, each as a
 // coroutine that its step resumes and that parks again at its next
 // TaskContext call, so only one of them ever runs. Hot bodies, the
-// scheduler agents and the dataplane pollers are instead explicit state
-// machines (Steps) that the kernel calls at the same points.
+// scheduler agents, the dataplane pollers and every body a snapshot can
+// carry are instead explicit state machines (Steps) that the kernel
+// calls at the same points; a snapshot refuses a thread that still runs
+// on a coroutine.
 package kernel
 
 import (

@@ -10,10 +10,12 @@ import (
 // Snapshot/restore support (DESIGN.md §3j). The kernel serializes to a
 // KernelImage of plain records; restore happens in two phases driven by
 // internal/snap: first every live thread is re-spawned (with its TID
-// pinned and a registered resume body), then — after the engine has been
-// Reset, erasing all spawn side effects — RestoreImage overlays every
-// semantic field verbatim. Pending kernel-owned events are classified by
-// ClassifyEvent at save and rebuilt by EventForKind at restore.
+// pinned and its body built exactly as at spawn), then — after the
+// engine has been Reset, erasing all spawn side effects — RestoreImage
+// overlays every semantic field verbatim, including the request each
+// thread is parked in, which its Steps machine reads through Thread.Ran.
+// Pending kernel-owned events are classified by ClassifyEvent at save
+// and rebuilt by EventForKind at restore.
 
 // CPURec is the serialized per-CPU state.
 type CPURec struct {
@@ -250,6 +252,9 @@ func (t *Thread) saveRec() (ThreadRec, error) {
 	if t.body == nil {
 		return rec, fmt.Errorf("thread %v has no registered resumable body (see snap.RegisterBody)", t)
 	}
+	if t.stop != nil {
+		return rec, fmt.Errorf("thread %v: body %q runs on a coroutine; only Steps machines are snapshotted", t, t.body.Kind)
+	}
 	if !parked(t.curKind) {
 		return rec, fmt.Errorf("thread %v parked in unexpected action %d", t, t.curKind)
 	}
@@ -310,11 +315,6 @@ func (m *MicroQuanta) saveRec() *MQRec {
 func parked(k actionKind) bool {
 	return k == actRun || k == actBlock || k == actSpinIdle || k == actStepPending
 }
-
-// ParkedInRun reports whether the serialized body thread was parked
-// inside Run (as opposed to Block) — the restore spawn pass picks the
-// resumed body's first kernel call from this.
-func (r *ThreadRec) ParkedInRun() bool { return actionKind(r.CurKind) == actRun }
 
 // SetNextTID pins the TID the next spawn will receive, so restore can
 // reproduce TID assignment exactly (including gaps left by dead threads).

@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ghost/internal/sim"
@@ -25,8 +26,8 @@ func scriptItem(i int) sim.Duration { return sim.Duration(i%4) * sim.Microsecond
 // runStepsScript runs a small machine with every thread body a
 // coroutine, or with steps, every body a Steps machine. Two workers
 // share a mailbox fed by a producer: they Run each item (some of zero
-// length), then alternately Block on a pending self-Wake and Sleep, and
-// exit after twelve items. A victim is killed mid-Run, and at the end
+// length), then in turn Block on a pending self-Wake, Sleep and Yield,
+// and exit after twelve items. A victim is killed mid-Run, and at the end
 // the producer is parked in Block and a spinner in Run when the kernel
 // shuts down.
 func runStepsScript(t *testing.T, steps bool) stepsOutcome {
@@ -49,6 +50,8 @@ func runStepsScript(t *testing.T, steps bool) stepsOutcome {
 					tc.Block()
 				case 1:
 					tc.Sleep(3 * sim.Microsecond)
+				default:
+					tc.Yield()
 				}
 			}
 		}
@@ -129,6 +132,8 @@ func (w *scriptWorker) step(t *Thread) (Action, bool) {
 			return BlockAction(), true
 		case 1:
 			return t.SleepAction(3 * sim.Microsecond), true
+		default:
+			return YieldAction(), true
 		}
 	}
 	if w.i == scriptPerWorker {
@@ -225,5 +230,33 @@ func TestStepsRejectZeroAction(t *testing.T) {
 	}()
 	if got != errStepsAction {
 		t.Fatalf("Spawn recovered %v, want %v", got, errStepsAction)
+	}
+}
+
+// A snapshot carries only Steps machines: a thread that has a body
+// descriptor but still runs on a coroutine is refused, while the same
+// body as a machine saves.
+func TestSaveRefusesCoroutineBody(t *testing.T) {
+	env := newTestEnv(t, oneCPUTopo())
+	coro := env.k.Spawn(SpawnOpts{Name: "coro", Class: env.cfs}, func(tc *TaskContext) {
+		for {
+			tc.Run(10 * sim.Microsecond)
+		}
+	})
+	coro.SetBodyDesc(&BodyDesc{Kind: "test.spin"})
+	env.eng.RunFor(25 * sim.Microsecond)
+	_, err := env.k.SaveImage()
+	if err == nil || !strings.Contains(err.Error(), "runs on a coroutine") {
+		t.Fatalf("SaveImage with a coroutine body = %v, want a coroutine error", err)
+	}
+
+	env.k.Kill(coro)
+	machine := env.k.Spawn(SpawnOpts{Name: "machine", Class: env.cfs}, Steps(func(*Thread) (Action, bool) {
+		return RunAction(10 * sim.Microsecond), true
+	}))
+	machine.SetBodyDesc(&BodyDesc{Kind: "test.spin"})
+	env.eng.RunFor(25 * sim.Microsecond)
+	if _, err := env.k.SaveImage(); err != nil {
+		t.Fatalf("SaveImage with a Steps body: %v", err)
 	}
 }

@@ -64,7 +64,6 @@ func TestKernelStressInvariants(t *testing.T) {
 					}
 				}
 			})
-		th.SetBodyDesc(&BodyDesc{Kind: "test.stress"}) // saveable for the round trip
 		threads = append(threads, th)
 	}
 
@@ -140,12 +139,10 @@ func TestKernelStressInvariants(t *testing.T) {
 	// Round trip with some CPUs busy and some idle: RestoreImage must
 	// re-derive the mask rather than keep whatever it finds.
 	for _, cpu := range []hw.CPUID{1, 6, 11} {
-		th := k.Spawn(SpawnOpts{Name: "spin", Class: cfs, Affinity: MaskOf(cpu)}, func(tc *TaskContext) {
-			for {
-				tc.Run(100 * sim.Microsecond)
-			}
-		})
-		th.SetBodyDesc(&BodyDesc{Kind: "test.spin"})
+		th := k.Spawn(SpawnOpts{Name: "spin", Class: cfs, Affinity: MaskOf(cpu)}, Steps(func(*Thread) (Action, bool) {
+			return RunAction(100 * sim.Microsecond), true
+		}))
+		th.SetBodyDesc(&BodyDesc{Kind: "test.spin"}) // a machine, so saveable
 	}
 	eng.RunFor(sim.Millisecond)
 	before := k.IdleMask()

@@ -49,13 +49,17 @@ type ThreadFunc func(tc *TaskContext)
 // Steps returns a body that runs the thread as the state machine step
 // instead of a coroutine. The kernel calls step wherever it would resume
 // a coroutine body: at Spawn, when a blocked thread is woken, when a run
-// completes, when a Block consumes a pending wake, and when it steps an
-// on-CPU thread (StepOnCPUAction, SpinAction). Each call does the
-// thread's zero-time work up to its next request and returns that
-// request (RunAction, BlockAction, Thread.SleepAction,
-// WaitQueue.WaitAction, Mailbox.TryGetOrWait, SpinAction,
-// StepOnCPUAction), or false to exit. Like Run(0), a zero-length
-// RunAction does not yield: step is called again at once.
+// completes, when a Block consumes a pending wake, after a yield, and
+// when it steps an on-CPU thread (StepOnCPUAction, SpinAction). Each
+// call does the thread's zero-time work up to its next request and
+// returns that request (RunAction, BlockAction, YieldAction,
+// Thread.SleepAction, WaitQueue.WaitAction, Mailbox.TryGetOrWait,
+// SpinAction, StepOnCPUAction), or false to exit. Like Run(0), a
+// zero-length RunAction does not yield: step is called again at once.
+// Thread.Ran tells step whether the request that just finished was a
+// Run, so a machine can pick its next request from the kernel's record
+// alone; that is how a restored machine resumes where its thread was
+// parked.
 //
 // The body only installs step and returns; its short-lived coroutine
 // ends inside Spawn and the thread keeps no coroutine afterwards. A body
@@ -165,6 +169,12 @@ func (t *Thread) BodyDesc() *BodyDesc { return t.body }
 // TID returns the thread id.
 func (t *Thread) TID() TID { return t.tid }
 
+// Ran reports whether the thread's latest request is a Run. Inside the
+// thread's step it is the request that just finished (false at Spawn,
+// and a zero-length Run is no request); between events it is the request
+// the thread is parked in.
+func (t *Thread) Ran() bool { return t.curKind == actRun }
+
 // Name returns the thread's human-readable name.
 func (t *Thread) Name() string { return t.name }
 
@@ -253,6 +263,10 @@ func RunAction(d sim.Duration) Action {
 // BlockAction suspends the thread until Wake, like TaskContext.Block; a
 // Wake that arrived since the last Block completes it at once.
 func BlockAction() Action { return Action{kind: actBlock} }
+
+// YieldAction gives up the CPU, like TaskContext.Yield: the thread goes
+// to the back of its class's runqueue and is stepped again at once.
+func YieldAction() Action { return Action{kind: actYield} }
 
 // SleepAction arms a wakeup d from now and returns the Block that waits
 // for it: TaskContext.Sleep(d) for a Steps machine.
@@ -381,7 +395,7 @@ func (tc *TaskContext) Sleep(d sim.Duration) {
 // Yield relinquishes the CPU, moving the thread to the back of its
 // class's runqueue.
 func (tc *TaskContext) Yield() {
-	tc.submit(Action{kind: actYield})
+	tc.submit(YieldAction())
 }
 
 // SetAffinity restricts the thread to the given CPUs. Takes effect on the

@@ -243,7 +243,7 @@ func spawnBody(t *Target, ctx *RestoreCtx, opts LoadOpts, tidEnc map[int]int, re
 		// State is overlaid after the spawn; the seed is a placeholder.
 		r = sim.NewRand(1)
 	}
-	fn, err := f(ctx, *rec.Body, r, Resume{InRun: rec.ParkedInRun()})
+	fn, err := f(ctx, *rec.Body, r)
 	if err != nil {
 		return fmt.Errorf("snap: thread T%d (%s): %w", rec.TID, rec.Name, err)
 	}

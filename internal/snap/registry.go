@@ -8,14 +8,17 @@
 // byte-identical going forward: digest(run 0→T) equals
 // digest(restore(snap@t), run t→T).
 //
-// Live coroutine stacks are never serialized. Thread bodies parked in
-// Run or Block are re-spawned from registered body factories whose
-// continuation is fully determined by the parked action kind. Agent
-// runner threads (body kind agentsdk.RunnerBody) are Steps machines
-// whose only state is the action pending after their step's cost
+// Every snapshotted thread body is a kernel.Steps machine; no coroutine
+// stack is ever serialized. Restore builds each body exactly as its
+// spawn site does, from a registered body factory, and the kernel
+// overlay then records where the thread was parked: a machine reads the
+// request its thread just finished (kernel.Thread.Ran) to pick its next
+// one, so a restored thread continues with no resume phase. Agent runner
+// threads (body kind agentsdk.RunnerBody) are machines whose only state
+// is the action pending after their step's cost
 // (agentsdk.RunnerRec.Pending); they re-spawn via agentsdk.Start.
-// Construction side effects of the re-spawn pass are erased by an engine
-// Reset before the serialized state is overlaid.
+// Construction side effects of the re-spawn pass (its first step, its
+// random draws) are erased by an engine Reset and the overlay.
 package snap
 
 import (
@@ -26,20 +29,11 @@ import (
 	"ghost/internal/sim"
 )
 
-// Resume tells a body factory where the serialized thread was parked, so
-// the rebuilt body re-submits exactly that action first.
-type Resume struct {
-	// InRun: the thread was parked inside Run (the overlay restores the
-	// remaining work); otherwise it was parked inside Block (a pending
-	// wake, if any, is restored as an event or the WakePending flag).
-	InRun bool
-}
-
-// BodyFactory rebuilds a thread body from its serialized descriptor.
-// rand is the body's private random stream (nil if the body recorded
-// none); its state is overlaid after spawn, so the factory only wires
-// the object through.
-type BodyFactory func(ctx *RestoreCtx, rec kernel.BodyRec, rand *sim.Rand, resume Resume) (kernel.ThreadFunc, error)
+// BodyFactory rebuilds a thread body from its serialized descriptor: the
+// same Steps machine the body's spawn site builds. rand is the body's
+// private random stream (nil if the body recorded none); its state is
+// overlaid after spawn, so the factory only wires the object through.
+type BodyFactory func(ctx *RestoreCtx, rec kernel.BodyRec, rand *sim.Rand) (kernel.ThreadFunc, error)
 
 // PolicyFactory rebuilds a scheduling policy shell for an agent set; its
 // serialized state is overlaid later via PolicySnapshotter.SnapshotLoad.
@@ -97,7 +91,8 @@ type RestoreCtx struct {
 	// Ghost is the rebuilt ghOSt class.
 	Ghost *ghostcore.Class
 	// UserData is opaque caller context (the facade passes the Machine
-	// being rebuilt, so facade-registered body factories can reach it).
+	// being rebuilt, so its restore-time component factories can reach
+	// it).
 	UserData any
 
 	components map[string]Component

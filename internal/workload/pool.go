@@ -57,18 +57,29 @@ func newPool(k *kernel.Kernel, n int, nameFmt string, rec, total *LatencyRecorde
 	spawn func(name string, body kernel.ThreadFunc) *kernel.Thread) *WorkerPool {
 	p := &WorkerPool{k: k, rec: rec, total: total, serve: serve}
 	for i := 0; i < n; i++ {
-		w := &poolWorker{p: p, stage: workerStart}
-		w.t = spawn(fmt.Sprintf(nameFmt, i), kernel.Steps(w.step))
-		p.workers = append(p.workers, w)
-		p.free = append(p.free, w)
+		spawn(fmt.Sprintf(nameFmt, i), p.workerBody())
 	}
+	p.free = append(p.free, p.workers...)
 	return p
+}
+
+// workerBody returns the body of a new worker. The worker joins the pool
+// when its thread spawns, so workers are listed in spawn (TID) order;
+// restore builds worker bodies here too, for the pool shell.
+func (p *WorkerPool) workerBody() kernel.ThreadFunc {
+	w := &poolWorker{p: p, stage: workerIdle}
+	steps := kernel.Steps(w.step)
+	return func(tc *kernel.TaskContext) {
+		w.t = tc.Thread()
+		p.workers = append(p.workers, w)
+		steps(tc)
+	}
 }
 
 // poolWorker is one worker thread as a kernel.Steps machine: block until
 // it is handed a request, serve it stage by stage, complete it, and
 // block again. stage is the next serve stage of the request in service,
-// or one of the negative phases below.
+// or workerIdle.
 type poolWorker struct {
 	p *WorkerPool
 	t *kernel.Thread
@@ -80,26 +91,13 @@ type poolWorker struct {
 	stage int
 }
 
-// Negative poolWorker stages.
-const (
-	workerIdle      = -1 // woken from Block: look for a request
-	workerStart     = -2 // just spawned: block first
-	workerResumeRun = -3 // restored while parked in Run: Run(1), then finish
-)
+// workerIdle is the stage of a worker that serves no request: just
+// spawned, or woken from Block.
+const workerIdle = -1
 
 func (w *poolWorker) step(t *kernel.Thread) (kernel.Action, bool) {
 	p := w.p
-	switch w.stage {
-	case workerStart:
-		w.stage = workerIdle
-		return kernel.BlockAction(), true
-	case workerResumeRun:
-		// The overlay restores the true remaining work of this segment;
-		// the request it completes is the one the pool record restored
-		// into w.r.
-		w.stage = 1
-		return kernel.RunAction(1), true
-	case workerIdle:
+	if w.stage == workerIdle {
 		if p.stopping {
 			return kernel.Action{}, false
 		}
@@ -169,11 +167,9 @@ func (p *WorkerPool) Stop() {
 // small chunks (so preemption statistics stay fine-grained). Its CPU
 // share is read via Thread.CPUTime (Fig 6c, §4.3 loaded mode).
 func Spinner(chunk sim.Duration) kernel.ThreadFunc {
-	return func(tc *kernel.TaskContext) {
-		for {
-			tc.Run(chunk)
-		}
-	}
+	return kernel.Steps(func(*kernel.Thread) (kernel.Action, bool) {
+		return kernel.RunAction(chunk), true
+	})
 }
 
 // FiniteSpinner runs total CPU work in chunks, then exits; used by the

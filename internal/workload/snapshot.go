@@ -13,10 +13,11 @@ import (
 
 // Snapshot support (DESIGN.md §3j): the worker pool and the Poisson
 // source are snap.Components, and their thread bodies (pool workers,
-// spinners) are registered resumable bodies. A worker parked in Run
-// resumes by re-running a placeholder segment — the overlay restores the
-// true remaining work — and then completing the request it holds; a
-// worker parked in Block resumes at the Block.
+// spinners) are registered resumable bodies, rebuilt exactly as spawned.
+// The pool record restores each worker's request; the kernel record says
+// where the worker is parked. A worker parked in Run is in its request's
+// service, which a restorable pool runs as one Run (runService), so it
+// completes the request when that Run finishes.
 //
 // The pool record lists the free workers and the busy ones with their
 // requests (the "inbox", by TID), then the backlog. Each of those TIDs
@@ -184,10 +185,12 @@ func (p *WorkerPool) applyState(st *poolState) error {
 		}
 	}
 	for _, w := range p.workers {
-		// The spawn pass has already stepped a worker resumed in Run
-		// into its serve stage 1.
-		if w.stage >= 0 && w.r == nil {
-			return fmt.Errorf("worker pool %q: T%d is parked in Run but serves no request", p.snapKey, w.t.TID())
+		w.stage = workerIdle
+		if w.t.Ran() {
+			if w.r == nil {
+				return fmt.Errorf("worker pool %q: T%d is parked in Run but serves no request", p.snapKey, w.t.TID())
+			}
+			w.stage = 1 // in its request's one service Run
 		}
 	}
 	p.backlog = p.backlog[:0]
@@ -205,8 +208,8 @@ func (p *WorkerPool) applyState(st *poolState) error {
 }
 
 // NewPoolShell builds an empty WorkerPool for snapshot restore: no
-// workers yet (resumed worker bodies attach themselves during the spawn
-// pass), state overlaid later by SnapshotLoad. rec may be nil, in which
+// workers yet (worker bodies join the pool as the spawn pass spawns
+// them), state overlaid later by SnapshotLoad. rec may be nil, in which
 // case the pool owns a fresh recorder.
 func NewPoolShell(k *kernel.Kernel, rec *LatencyRecorder) *WorkerPool {
 	if rec == nil {
@@ -217,29 +220,6 @@ func NewPoolShell(k *kernel.Kernel, rec *LatencyRecorder) *WorkerPool {
 
 // Recorder returns the pool's latency recorder.
 func (p *WorkerPool) Recorder() *LatencyRecorder { return p.rec }
-
-// resumeWorkerBody rebuilds a pool worker's body. Parked in Run: the
-// worker was serving the request the pool record restores into it, so
-// it re-runs a placeholder segment (the overlay sets the true remaining
-// work) and completes that request. Parked in Block: it starts at the
-// Block.
-//
-// The body adopts its worker into the pool shell. It runs synchronously
-// inside the spawn pass (the body's code before its first kernel call
-// executes during Spawn), so workers append in TID order — the original
-// spawn order.
-func (p *WorkerPool) resumeWorkerBody(inRun bool) kernel.ThreadFunc {
-	w := &poolWorker{p: p, stage: workerStart}
-	if inRun {
-		w.stage = workerResumeRun
-	}
-	steps := kernel.Steps(w.step)
-	return func(tc *kernel.TaskContext) {
-		w.t = tc.Thread()
-		p.workers = append(p.workers, w)
-		steps(tc)
-	}
-}
 
 // --- Poisson source ----------------------------------------------------
 
@@ -372,14 +352,14 @@ func init() {
 	snap.RegisterComponent("workload.pool", func(ctx *snap.RestoreCtx, key string) (snap.Component, error) {
 		return NewPoolShell(ctx.Kernel, nil), nil
 	})
-	snap.RegisterBody("workload.pool-worker", func(ctx *snap.RestoreCtx, rec kernel.BodyRec, _ *sim.Rand, resume snap.Resume) (kernel.ThreadFunc, error) {
+	snap.RegisterBody("workload.pool-worker", func(ctx *snap.RestoreCtx, rec kernel.BodyRec, _ *sim.Rand) (kernel.ThreadFunc, error) {
 		p, ok := ctx.Component(rec.Key).(*WorkerPool)
 		if !ok {
 			return nil, fmt.Errorf("pool worker references component %q which is not a WorkerPool", rec.Key)
 		}
-		return p.resumeWorkerBody(resume.InRun), nil
+		return p.workerBody(), nil
 	})
-	snap.RegisterBody("workload.spinner", func(ctx *snap.RestoreCtx, rec kernel.BodyRec, _ *sim.Rand, resume snap.Resume) (kernel.ThreadFunc, error) {
+	snap.RegisterBody("workload.spinner", func(ctx *snap.RestoreCtx, rec kernel.BodyRec, _ *sim.Rand) (kernel.ThreadFunc, error) {
 		if len(rec.Args) != 1 {
 			return nil, fmt.Errorf("workload.spinner wants 1 arg, got %d", len(rec.Args))
 		}
@@ -389,15 +369,6 @@ func init() {
 			// panic in its first Run.
 			return nil, fmt.Errorf("%w: workload.spinner chunk %d is not positive", snap.ErrCorrupt, chunk)
 		}
-		body := Spinner(chunk)
-		if resume.InRun {
-			// The spinner only ever parks inside Run; re-enter with a
-			// placeholder segment whose remaining work the overlay fixes.
-			return func(tc *kernel.TaskContext) {
-				tc.Run(1)
-				body(tc)
-			}, nil
-		}
-		return body, nil
+		return Spinner(chunk), nil
 	})
 }

@@ -46,13 +46,12 @@ type Machine struct {
 
 // machineConfig collects the effects of MachineOptions.
 type machineConfig struct {
-	cost          hw.CostModel
-	noMicroQuanta bool
-	tracer        *trace.Tracer
-	plan          *faults.Plan
-	oracles       []check.Oracle
-	snapEvery     sim.Duration
-	restoreComps  map[string]func(*Machine) (SnapshotComponent, error)
+	cost         hw.CostModel
+	tracer       *trace.Tracer
+	plan         *faults.Plan
+	oracles      []check.Oracle
+	snapEvery    sim.Duration
+	restoreComps map[string]func(*Machine) (SnapshotComponent, error)
 }
 
 // MachineOption customizes NewMachine. Options are applied in order;
@@ -70,11 +69,6 @@ func WithCostModel(cm CostModel) MachineOption {
 // aggregate Metrics, but records no events.
 func WithTrace(tr *Tracer) MachineOption {
 	return func(c *machineConfig) { c.tracer = tr }
-}
-
-// WithoutMicroQuanta omits the MicroQuanta class from the stack.
-func WithoutMicroQuanta() MachineOption {
-	return func(c *machineConfig) { c.noMicroQuanta = true }
 }
 
 // WithoutMetrics disables even aggregate metrics collection, detaching
@@ -123,9 +117,7 @@ func NewMachine(topo *Topology, opts ...MachineOption) *Machine {
 	m.k = k
 	k.SetTracer(cfg.tracer)
 	m.Agents = kernel.NewAgentClass(k)
-	if !cfg.noMicroQuanta {
-		m.MicroQuanta = kernel.NewMicroQuanta(k)
-	}
+	m.MicroQuanta = kernel.NewMicroQuanta(k)
 	m.CFS = kernel.NewCFS(k)
 	m.Ghost = ghostcore.NewClass(k, m.CFS)
 	if len(cfg.oracles) > 0 {
@@ -246,7 +238,7 @@ func (m *Machine) NewEnclave(cpus CPUMask, opts ...EnclaveOption) *Enclave {
 }
 
 // AgentOption customizes Machine.StartAgents; see Global, PerCPU,
-// WithRepoll, WithFaultPlan, and WithUpgradePolicy.
+// WithRepoll, and WithUpgradePolicy.
 type AgentOption = agentsdk.Option
 
 // Agent-start options, re-exported from the agent SDK.
@@ -257,9 +249,6 @@ var (
 	PerCPU = agentsdk.PerCPU
 	// WithRepoll re-nudges agents every period (defensive polling).
 	WithRepoll = agentsdk.WithRepoll
-	// WithFaultPlan installs a fault plan scoped to this agent set's
-	// kernel (equivalent to the machine-level WithFaults).
-	WithFaultPlan = agentsdk.WithFaultPlan
 	// WithUpgradePolicy supplies the successor-policy factory used when
 	// a forced "upgrade" fault fires (§3.4).
 	WithUpgradePolicy = agentsdk.WithUpgradePolicy

@@ -41,6 +41,11 @@ go test ./...
 echo "== go test -bench . -benchtime 1x ./... (every micro-benchmark once)"
 go test -run '^$' -bench . -benchtime 1x ./...
 
+# Tier-1 runs only the fuzz targets' seed corpora; this runs the -repro
+# parser's target as a fuzzer for 10 s (~25 s with its instrumented build).
+echo "== go test -fuzz FuzzParseRepro -fuzztime 10s ./internal/check"
+go test -run '^$' -fuzz '^FuzzParseRepro$' -fuzztime 10s ./internal/check
+
 echo "== cmd/ghost-perf (its own module: vet + test against the current facade)"
 (cd cmd/ghost-perf && go vet ./... && go test ./...)
 

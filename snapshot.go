@@ -7,9 +7,7 @@ import (
 
 	"ghost/internal/agentsdk"
 	"ghost/internal/hw"
-	"ghost/internal/kernel"
 	"ghost/internal/policies"
-	"ghost/internal/sim"
 	"ghost/internal/snap"
 )
 
@@ -17,9 +15,9 @@ import (
 // self-contained capture of a machine at a quiescent barrier; Restore
 // rebuilds a machine whose forward behavior is byte-identical —
 // digest(run 0→T) == digest(restore(snap@t), run t→T). Snapshots
-// serialize no thread-body coroutine stacks: bodies must be registered
-// (RegisterBody / SpawnBody, or library-provided bodies like worker
-// pools), and workload state rides via SnapshotComponent.
+// serialize no thread-body coroutine stacks: only the library's own
+// state-machine bodies (worker pools, spinners) are snapshot-capable,
+// and workload state rides via SnapshotComponent.
 
 // SnapshotVersion is the snapshot wire-format version this build speaks.
 const SnapshotVersion = snap.Version
@@ -183,11 +181,7 @@ func Restore(s *Snapshot, opts ...MachineOption) (*Machine, error) {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
 	topo := hw.NewTopology(core.Topology)
-	base := []MachineOption{WithCostModel(core.Cost)}
-	if core.Kernel != nil && core.Kernel.MQ == nil {
-		base = append(base, WithoutMicroQuanta())
-	}
-	all := append(base, opts...)
+	all := append([]MachineOption{WithCostModel(core.Cost)}, opts...)
 	var cfg machineConfig
 	for _, o := range all {
 		o(&cfg)
@@ -229,60 +223,6 @@ func Restore(s *Snapshot, opts ...MachineOption) (*Machine, error) {
 	m.sets = res.Sets
 	m.comps = res.Components
 	return m, nil
-}
-
-// BodyResume tells a registered body factory whether it is rebuilding a
-// thread from a snapshot, and if so where that thread was parked: inside
-// Run (InRun; the remaining work is restored by the overlay) or inside
-// Block (a pending wake is restored independently).
-type BodyResume struct {
-	Resuming bool
-	InRun    bool
-}
-
-// BodyFactory builds (or resumes) a registered thread body. args are the
-// construction parameters recorded at spawn; r is the body's private
-// random stream (nil unless one was attached), whose state is restored
-// after the spawn.
-type BodyFactory func(m *Machine, args []int64, r *Rand, resume BodyResume) (ThreadFunc, error)
-
-var facadeBodies = map[string]BodyFactory{}
-
-// RegisterBody registers a resumable thread-body factory under kind.
-// Threads spawned via Machine.SpawnBody with this kind survive
-// snapshot/restore: the factory is re-invoked at restore with
-// resume.Resuming set, and must re-issue the parked call first (Run when
-// resume.InRun, Block otherwise) before continuing its loop.
-func RegisterBody(kind string, f BodyFactory) {
-	facadeBodies[kind] = f
-	snap.RegisterBody(kind, func(ctx *snap.RestoreCtx, rec kernel.BodyRec, r *sim.Rand, resume snap.Resume) (kernel.ThreadFunc, error) {
-		m, ok := ctx.UserData.(*Machine)
-		if !ok {
-			return nil, fmt.Errorf("ghost: body %q restored outside a machine context", rec.Kind)
-		}
-		return f(m, rec.Args, r, BodyResume{Resuming: true, InRun: resume.InRun})
-	})
-}
-
-// SpawnBody spawns a thread whose body was registered with RegisterBody,
-// making it snapshot-capable. seed, when non-zero, gives the body a
-// private random stream delivered to the factory.
-func (m *Machine) SpawnBody(o ThreadOpts, kind string, seed uint64, args ...int64) (*Thread, error) {
-	f := facadeBodies[kind]
-	if f == nil {
-		return nil, fmt.Errorf("ghost: no registered body kind %q", kind)
-	}
-	var r *sim.Rand
-	if seed != 0 {
-		r = sim.NewRand(seed)
-	}
-	fn, err := f(m, args, r, BodyResume{})
-	if err != nil {
-		return nil, err
-	}
-	th := m.Spawn(o, fn)
-	th.SetBodyDesc(&kernel.BodyDesc{Kind: kind, Args: append([]int64(nil), args...), Rand: r})
-	return th, nil
 }
 
 // PolicySnapshotter is the capability a custom scheduling policy

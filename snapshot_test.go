@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -126,9 +127,9 @@ func TestSnapshotRoundTripDeterminism(t *testing.T) {
 	}
 }
 
-// A pool worker snapshotted while parked in Run resumes from its
-// restore phase (a placeholder segment, then the request its restored
-// inbox slot holds) and the run continues byte-identically.
+// A pool worker snapshotted while parked in Run finishes that Run and
+// then completes the request its restored inbox slot holds, and the run
+// continues byte-identically.
 func TestSnapshotResumesPoolWorkerInRun(t *testing.T) {
 	requireTransparentAt(t, 10*ghost.Microsecond, "a pool worker parked in Run", func(core map[string]any) bool {
 		for _, th := range core["kernel"].(map[string]any)["threads"].([]any) {
@@ -141,6 +142,63 @@ func TestSnapshotResumesPoolWorkerInRun(t *testing.T) {
 		}
 		return false
 	})
+}
+
+// Restore builds every workload body as spawned, wherever it was parked:
+// a pool worker in Block (TestSnapshotResumesPoolWorkerInRun has one in
+// Run) and the spinner, which only ever parks in Run.
+func TestSnapshotRestoresBodiesWhereParked(t *testing.T) {
+	for _, tc := range []struct {
+		kind    string
+		curKind float64 // 1 is a thread parked in Run, 2 in Block
+		what    string
+	}{
+		{"workload.pool-worker", 2, "a pool worker parked in Block"},
+		{"workload.spinner", 1, "the spinner parked in Run"},
+	} {
+		t.Run(tc.what, func(t *testing.T) {
+			requireTransparentAt(t, 10*ghost.Microsecond, tc.what, func(core map[string]any) bool {
+				for _, th := range core["kernel"].(map[string]any)["threads"].([]any) {
+					th := th.(map[string]any)
+					body, _ := th["body"].(map[string]any)
+					if body != nil && body["kind"] == tc.kind && th["curKind"] == tc.curKind {
+						return true
+					}
+				}
+				return false
+			})
+		})
+	}
+}
+
+// servingSnap4ms is testdata/serving-4ms.snap's buildServing machine run
+// on to 5 ms: the digest the tree that wrote the file recorded there.
+const servingSnap4ms = "cacb0864d2e0ae18ccd431f83171c3e8361dfba2558185d35ad0a3bdc1fcf031"
+
+// A Version 3 snapshot file written by an earlier tree (buildServing at
+// 4 ms) still restores, and the restored machine runs 1 ms on to the
+// digest that tree recorded.
+func TestRestoreRecordedSnapshot(t *testing.T) {
+	data, err := os.ReadFile("testdata/serving-4ms.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := ghost.ReadSnapshot(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("ReadSnapshot: %v", err)
+	}
+	if s.Time() != 4*ghost.Millisecond {
+		t.Fatalf("snapshot time = %v, want 4ms", s.Time())
+	}
+	restored, err := ghost.Restore(s, servingRestoreOpts()...)
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	defer restored.Shutdown()
+	restored.RunUntil(5 * ghost.Millisecond)
+	if got := digestAt(t, restored); got != servingSnap4ms {
+		t.Fatalf("restored run digest %s, want %s", got, servingSnap4ms)
+	}
 }
 
 // A global agent snapshotted mid-run while its step's cost is being
