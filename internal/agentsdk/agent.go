@@ -628,6 +628,7 @@ func (r *runner) globalStep(now sim.Time) (sim.Duration, kernel.Action) {
 	// One value Txn per live assignment. Pointers into txns are taken
 	// only once it has stopped growing.
 	txns, kept := r.txns[:0], r.kept[:0]
+	grouped := false
 	for _, a := range asgs {
 		if a.Thread == nil || a.CPU == set.globalCPU {
 			continue
@@ -638,14 +639,21 @@ func (r *runner) globalStep(now sim.Time) (sim.Duration, kernel.Action) {
 		}
 		txns = append(txns, txn)
 		kept = append(kept, a)
+		grouped = grouped || a.Group != 0
 	}
 	r.txns, r.kept = txns, kept
 	if n := len(txns); n > 0 {
 		committed = n
 		cost += cm.Syscall + cm.RemoteCommitAgentCost(n)
 		plain, plainAsg := r.plain[:0], r.plainAsg[:0]
-		groups := make(map[int][]*ghostcore.Txn)
-		groupAsg := make(map[int][]Assignment)
+		// Only CoreSched forms atomic groups; without them the
+		// group maps and the sorted commit order are skipped.
+		var groups map[int][]*ghostcore.Txn
+		var groupAsg map[int][]Assignment
+		if grouped {
+			groups = make(map[int][]*ghostcore.Txn)
+			groupAsg = make(map[int][]Assignment)
+		}
 		for i, a := range kept {
 			if a.Group != 0 {
 				groups[a.Group] = append(groups[a.Group], &txns[i])
@@ -660,14 +668,16 @@ func (r *runner) globalStep(now sim.Time) (sim.Duration, kernel.Action) {
 			set.enc.TxnsCommit(r.agent, plain)
 			set.reportTxns(plain, plainAsg)
 		}
-		gids := make([]int, 0, len(groups))
-		for gid := range groups {
-			gids = append(gids, gid)
-		}
-		sort.Ints(gids) // deterministic commit order
-		for _, gid := range gids {
-			set.enc.TxnsCommitAtomic(r.agent, groups[gid])
-			set.reportTxns(groups[gid], groupAsg[gid])
+		if grouped {
+			gids := make([]int, 0, len(groups))
+			for gid := range groups {
+				gids = append(gids, gid)
+			}
+			sort.Ints(gids) // deterministic commit order
+			for _, gid := range gids {
+				set.enc.TxnsCommitAtomic(r.agent, groups[gid])
+				set.reportTxns(groups[gid], groupAsg[gid])
+			}
 		}
 	}
 	if tr := set.k.Tracer(); tr != nil {

@@ -89,7 +89,7 @@ func (p *CentralFIFO) Attach(ctx *agentsdk.Context) {
 // placements.release) must re-record them.
 func (p *CentralFIFO) vacate(ts *TState) {
 	if ts.CPU >= 0 {
-		p.running[ts.CPU] = nil
+		p.running.clear(hw.CPUID(ts.CPU))
 		ts.CPU = -1
 	}
 }
@@ -146,7 +146,7 @@ func (p *CentralFIFO) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 		for b := 0; b < len(p.queues) && !assigned; b++ {
 			if ts := p.popFor(b, cpu); ts != nil {
 				p.tr.MarkScheduled(ts, int(cpu), now)
-				p.running[cpu] = ts
+				p.running.put(cpu, ts)
 				out = append(out, agentsdk.Assignment{Thread: ts.Thread, CPU: cpu})
 				assigned = true
 			}
@@ -166,7 +166,7 @@ func (p *CentralFIFO) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 					break
 				}
 				p.tr.MarkScheduled(ts, int(victimCPU), now)
-				p.running[victimCPU] = ts
+				p.running.put(victimCPU, ts)
 				out = append(out, agentsdk.Assignment{Thread: ts.Thread, CPU: victimCPU})
 			}
 		}
@@ -175,13 +175,12 @@ func (p *CentralFIFO) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 		// Round-robin (Fig 5): a thread past its quantum yields to queued
 		// work of the same or a higher band; the preempted thread's
 		// THREAD_PREEMPTED message re-enqueues it at the back. The walk
-		// only rewrites the slot it is visiting (cur.CPU == i).
-		for i, cur := range p.running {
-			if cur == nil || now-cur.LastStart < p.Quantum {
-				continue
-			}
-			cpu := hw.CPUID(i)
-			band := p.bandOf(cur.Thread)
+		// visits the slots expired when it starts, in CPU order; it
+		// only rewrites the slot it is visiting.
+		for exp := p.running.expired(now, p.Quantum); !exp.Empty(); {
+			cpu := exp.First()
+			exp.Clear(cpu)
+			band := p.bandOf(p.running.at(cpu).Thread)
 			var ts *TState
 			for b := 0; b <= band && ts == nil; b++ {
 				ts = p.popFor(b, cpu)
@@ -190,10 +189,10 @@ func (p *CentralFIFO) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 				continue
 			}
 			p.tr.MarkScheduled(ts, int(cpu), now)
-			p.running[cpu] = ts
+			p.running.put(cpu, ts)
 			out = append(out, agentsdk.Assignment{Thread: ts.Thread, CPU: cpu})
 		}
-		if next := p.nextExpiry(now); next > 0 {
+		if next := p.running.nextExpiry(now, p.Quantum); next > 0 {
 			ctx.RepollAfter(next)
 		}
 	}
@@ -201,32 +200,15 @@ func (p *CentralFIFO) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 	return out
 }
 
-// nextExpiry returns the delay until the earliest running thread exceeds
-// the quantum, 0 when nothing is running.
-func (p *CentralFIFO) nextExpiry(now sim.Time) sim.Duration {
-	var min sim.Duration
-	for _, ts := range p.running {
-		if ts == nil {
-			continue
-		}
-		d := ts.LastStart + p.Quantum - now
-		if d < sim.Microsecond {
-			d = sim.Microsecond
-		}
-		if min == 0 || d < min {
-			min = d
-		}
-	}
-	return min
-}
-
 // findLowerBandVictim returns the lowest CPU running a placed thread of
 // a band below band, hw.NoCPU if none.
 func (p *CentralFIFO) findLowerBandVictim(band int) hw.CPUID {
-	for cpu, ts := range p.running {
-		if ts != nil && p.bandOf(ts.Thread) > band && ts.Thread.State() == kernel.StateRunning {
-			return hw.CPUID(cpu)
+	for occ := p.running.occ; !occ.Empty(); {
+		cpu := occ.First()
+		if ts := p.running.at(cpu); p.bandOf(ts.Thread) > band && ts.Thread.State() == kernel.StateRunning {
+			return cpu
 		}
+		occ.Clear(cpu)
 	}
 	return hw.NoCPU
 }
@@ -238,7 +220,7 @@ func (p *CentralFIFO) OnTxnFail(ctx *agentsdk.Context, a agentsdk.Assignment, s 
 	if ts == nil {
 		return
 	}
-	p.running[a.CPU] = nil
+	p.running.clear(a.CPU)
 	p.tr.MarkFailed(ts)
 	if ts.Thread.State() == kernel.StateRunnable {
 		p.enqueue(ts)

@@ -141,9 +141,9 @@ func (p *Shinjuku) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 	place := func(ts *TState, cpu hw.CPUID, batch bool) {
 		p.tr.MarkScheduled(ts, int(cpu), now)
 		if batch {
-			p.batchOn[cpu] = ts
+			p.batchOn.put(cpu, ts)
 		} else {
-			p.running[cpu] = ts
+			p.running.put(cpu, ts)
 		}
 		out = append(out, agentsdk.Assignment{Thread: ts.Thread, CPU: cpu})
 	}
@@ -172,28 +172,24 @@ func (p *Shinjuku) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 		if ts == nil {
 			break
 		}
-		p.batchOn[victim] = nil
+		p.batchOn.clear(victim)
 		place(ts, victim, false)
 	}
 
 	// 3. Timeslice expiry: round-robin preemption of long requests.
-	// The walk visits exactly the occupants present when it starts, in
-	// CPU order: the only slot it rewrites is the one it is visiting
-	// (cur.CPU == cpu, see placements).
-	for cpu, cur := range p.running {
-		if len(p.fifo) == 0 || full() {
-			break
-		}
-		if cur == nil || now-cur.LastStart < p.Slice {
-			continue
-		}
-		tgt := hw.CPUID(cpu)
+	// The walk visits exactly the occupants that had expired when it
+	// starts, in CPU order: the only slot it rewrites is the one it is
+	// visiting (an occupant sits at its ts.CPU, see placements), and
+	// the rewrite starts a fresh slice there.
+	for exp := p.running.expired(now, p.Slice); !exp.Empty() && len(p.fifo) > 0 && !full(); {
+		tgt := exp.First()
+		exp.Clear(tgt)
 		ts := p.pop(&p.fifo, tgt)
 		if ts == nil {
 			continue
 		}
-		// The commit preempts cur; its THREAD_PREEMPTED message
-		// re-enqueues it at the back of the FIFO.
+		// The commit preempts the occupant; its THREAD_PREEMPTED
+		// message re-enqueues it at the back of the FIFO.
 		place(ts, tgt, false)
 	}
 
@@ -208,7 +204,7 @@ func (p *Shinjuku) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 	}
 
 	// Re-poll in time for the next slice expiry.
-	if next := p.nextExpiry(now); next > 0 {
+	if next := p.running.nextExpiry(now, p.Slice); next > 0 {
 		ctx.RepollAfter(next)
 	}
 	p.out = out
@@ -218,31 +214,14 @@ func (p *Shinjuku) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 // anyBatchCPU returns the lowest CPU running a batch thread the policy
 // placed, hw.NoCPU if none.
 func (p *Shinjuku) anyBatchCPU() hw.CPUID {
-	for cpu, ts := range p.batchOn {
-		if ts != nil && ts.Thread.State() == kernel.StateRunning {
-			return hw.CPUID(cpu)
+	for occ := p.batchOn.occ; !occ.Empty(); {
+		cpu := occ.First()
+		if p.batchOn.at(cpu).Thread.State() == kernel.StateRunning {
+			return cpu
 		}
+		occ.Clear(cpu)
 	}
 	return hw.NoCPU
-}
-
-// nextExpiry returns the time until the earliest running thread exceeds
-// its slice, 0 if nothing is running.
-func (p *Shinjuku) nextExpiry(now sim.Time) sim.Duration {
-	var min sim.Duration
-	for _, ts := range p.running {
-		if ts == nil {
-			continue
-		}
-		d := ts.LastStart + p.Slice - now
-		if d < sim.Microsecond {
-			d = sim.Microsecond
-		}
-		if min == 0 || d < min {
-			min = d
-		}
-	}
-	return min
 }
 
 // OnTxnFail implements agentsdk.GlobalPolicy.

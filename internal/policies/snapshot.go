@@ -55,13 +55,19 @@ func saveTracker(tr *Tracker) []TStateRec {
 }
 
 // loadTracker rebuilds tr.Threads from recs, resolving TIDs through ctx.
-// The tracker's lifecycle callbacks (installed by Attach) are preserved.
+// A thread cannot have been scheduled after the restored clock: the
+// placement ring's order and the next Runtime charge both rely on
+// LastStart <= now. The tracker's lifecycle callbacks (installed by
+// Attach) are preserved.
 func loadTracker(tr *Tracker, ctx *agentsdk.Context, recs []TStateRec) error {
 	tr.Threads = make(map[kernel.TID]*TState, len(recs))
-	ncpu := ctx.Topology().NumCPUs()
+	ncpu, now := ctx.Topology().NumCPUs(), ctx.Now()
 	for _, rec := range recs {
 		if rec.CPU < -1 || rec.CPU >= ncpu {
 			return fmt.Errorf("tracker places T%d on cpu%d, outside [-1,%d)", rec.TID, rec.CPU, ncpu)
+		}
+		if sim.Time(rec.LastStart) > now {
+			return fmt.Errorf("tracker has T%d last scheduled at %v, after the restored clock %v", rec.TID, sim.Time(rec.LastStart), now)
 		}
 		t := ctx.Thread(kernel.TID(rec.TID))
 		if t == nil {
@@ -120,34 +126,47 @@ func resolveQueue(tr *Tracker, tids []int, seen map[kernel.TID]bool) ([]*TState,
 }
 
 // pairs serializes the table as (cpu, tid) pairs in CPU order.
-func (pl placements) pairs() [][2]int {
+func (pl *placements) pairs() [][2]int {
 	var out [][2]int
-	for cpu, ts := range pl {
-		if ts != nil {
-			out = append(out, [2]int{cpu, int(ts.Thread.TID())})
+	for cpu, s := range pl.slots {
+		if s.ts != nil {
+			out = append(out, [2]int{cpu, int(s.ts.Thread.TID())})
 		}
 	}
 	return out
 }
 
 // load refills the table from (cpu, tid) pairs, rejecting any pair the
-// live table could not hold.
-func (pl placements) load(tr *Tracker, pairs [][2]int) error {
-	clear(pl)
+// live table could not hold, and relinks the ring in (LastStart, cpu)
+// order. loadTracker has checked every LastStart against the clock.
+func (pl *placements) load(tr *Tracker, pairs [][2]int) error {
+	for cpu := range pl.slots {
+		pl.clear(hw.CPUID(cpu))
+	}
+	held := make([]*TState, len(pl.slots))
+	var order []int
 	for _, pair := range pairs {
 		cpu, tid := pair[0], pair[1]
 		ts := tr.Threads[kernel.TID(tid)]
 		switch {
-		case cpu < 0 || cpu >= len(pl):
-			return fmt.Errorf("placement cpu%d out of range [0,%d)", cpu, len(pl))
-		case pl[cpu] != nil:
+		case cpu < 0 || cpu >= len(pl.slots):
+			return fmt.Errorf("placement cpu%d out of range [0,%d)", cpu, len(pl.slots))
+		case held[cpu] != nil:
 			return fmt.Errorf("duplicate placement on cpu%d", cpu)
 		case ts == nil:
 			return fmt.Errorf("placement on cpu%d refers to untracked T%d", cpu, tid)
 		case ts.CPU != cpu:
 			return fmt.Errorf("placement on cpu%d holds T%d, which the tracker has on cpu%d", cpu, tid, ts.CPU)
 		}
-		pl[cpu] = ts
+		held[cpu] = ts
+		order = append(order, cpu)
+	}
+	sort.Slice(order, func(i, j int) bool {
+		a, b := held[order[i]].LastStart, held[order[j]].LastStart
+		return a < b || a == b && order[i] < order[j]
+	})
+	for _, cpu := range order {
+		pl.put(hw.CPUID(cpu), held[cpu])
 	}
 	return nil
 }

@@ -13,6 +13,7 @@ package policies
 import (
 	"ghost/internal/agentsdk"
 	"ghost/internal/ghostcore"
+	"ghost/internal/hw"
 	"ghost/internal/kernel"
 	"ghost/internal/sim"
 )
@@ -178,21 +179,117 @@ func (tr *Tracker) MarkFailed(ts *TState) {
 }
 
 // placements records which tracked thread a centralized policy put on
-// each CPU, indexed by CPU id (nil: none). Index order is CPU order, so
-// a plain range walk is deterministic with no sorting. Every occupant
-// satisfies pl[c].CPU == c: a slot is only filled together with
-// MarkScheduled for that same CPU, and an occupant's CPU only changes
-// after it has left its slot. SnapshotLoad rejects states that break
-// this.
-type placements []*TState
+// each CPU. Every occupant satisfies slots[c].ts.CPU == c: a slot is only
+// filled together with MarkScheduled for that same CPU, and an
+// occupant's CPU only changes after it has left its slot. SnapshotLoad
+// rejects states that break this.
+//
+// Besides the CPU-indexed slots the table keeps two indexes, written
+// only by put and clear:
+//   - occ, the occupied CPUs, so victim searches walk occupancy bits in
+//     CPU order;
+//   - a ring of the occupied slots in placement order, linked through
+//     the slots' prev/next and headed by the oldest. A placement stamps
+//     LastStart = now and the clock never goes backwards, so the ring is
+//     sorted by start time: the next slice expiry is the head's, and the
+//     expired slots are a prefix of the ring. Restore relinks it in
+//     (LastStart, cpu) order, and loadTracker rejects a LastStart after
+//     the restored clock.
+type placements struct {
+	slots []slot
+	head  int32 // CPU of the oldest placement, -1 when the table is empty
+	occ   kernel.Mask
+}
+
+// slot is one CPU's entry: its occupant (nil: none), the occupant's
+// LastStart when it was placed, and its ring links (CPU ids; int32
+// keeps the entry at three words).
+type slot struct {
+	ts         *TState
+	start      sim.Time
+	prev, next int32
+}
 
 func newPlacements(ctx *agentsdk.Context) placements {
-	return make(placements, ctx.Topology().NumCPUs())
+	return placements{slots: make([]slot, ctx.Topology().NumCPUs()), head: -1}
+}
+
+// at returns cpu's occupant, nil if none.
+func (pl *placements) at(cpu hw.CPUID) *TState { return pl.slots[cpu].ts }
+
+// put makes ts, just stamped by MarkScheduled, the occupant of cpu,
+// replacing any previous one. It joins the ring at the tail: its
+// LastStart is now, so no occupant started later.
+func (pl *placements) put(cpu hw.CPUID, ts *TState) {
+	c := int32(cpu)
+	if pl.slots[c].ts != nil {
+		pl.unlink(c)
+	}
+	s := &pl.slots[c]
+	s.ts, s.start = ts, ts.LastStart
+	if pl.head < 0 {
+		s.prev, s.next, pl.head = c, c, c
+	} else {
+		tail := pl.slots[pl.head].prev
+		s.prev, s.next = tail, pl.head
+		pl.slots[tail].next = c
+		pl.slots[pl.head].prev = c
+	}
+	pl.occ.SetTo(cpu, true)
+}
+
+// clear empties cpu's slot, whoever holds it.
+func (pl *placements) clear(cpu hw.CPUID) {
+	if pl.slots[cpu].ts != nil {
+		pl.unlink(int32(cpu))
+	}
 }
 
 // release empties ts's slot if ts still holds it.
-func (pl placements) release(ts *TState) {
-	if ts.CPU >= 0 && pl[ts.CPU] == ts {
-		pl[ts.CPU] = nil
+func (pl *placements) release(ts *TState) {
+	if ts.CPU >= 0 && pl.slots[ts.CPU].ts == ts {
+		pl.unlink(int32(ts.CPU))
 	}
+}
+
+// unlink takes occupied slot c out of the ring and empties it.
+func (pl *placements) unlink(c int32) {
+	s := &pl.slots[c]
+	if s.next == c {
+		pl.head = -1
+	} else {
+		pl.slots[s.prev].next = s.next
+		pl.slots[s.next].prev = s.prev
+		if pl.head == c {
+			pl.head = s.next
+		}
+	}
+	s.ts = nil
+	pl.occ.SetTo(hw.CPUID(c), false)
+}
+
+// nextExpiry returns the time until the oldest placement has run for
+// slice, at least 1 µs, and 0 if the table is empty.
+func (pl *placements) nextExpiry(now sim.Time, slice sim.Duration) sim.Duration {
+	if pl.head < 0 {
+		return 0
+	}
+	d := pl.slots[pl.head].start + slice - now
+	if d < sim.Microsecond {
+		d = sim.Microsecond
+	}
+	return d
+}
+
+// expired returns the CPUs whose occupant has run for at least slice:
+// the ring's prefix up to the first placement that has not.
+func (pl *placements) expired(now sim.Time, slice sim.Duration) kernel.Mask {
+	var m kernel.Mask
+	for c := pl.head; c >= 0 && now-pl.slots[c].start >= slice; {
+		m.SetTo(hw.CPUID(c), true)
+		if c = pl.slots[c].next; c == pl.head {
+			break
+		}
+	}
+	return m
 }

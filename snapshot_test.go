@@ -550,6 +550,11 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 			})
 		}},
 		{"agent-global-cpu-high", func(core map[string]any) { record(core, "sets", 0)["globalCPU"] = 1000 }},
+		{"tracker-laststart-future", func(core map[string]any) {
+			editPolicy(t, record(core, "sets", 0), func(st map[string]any) {
+				record(st, "tracker", 0)["lastStart"] = core["now"].(float64) + 1
+			})
+		}},
 		{"poisson-rate-zero", func(core map[string]any) {
 			editComponent(t, core, "src", func(src map[string]any) { src["rate"] = 0 })
 		}},
