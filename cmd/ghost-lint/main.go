@@ -15,8 +15,8 @@
 //	unreachable   — no declared function that no root reaches: mains,
 //	                inits, package-level var initializers, facade exports,
 //	                standard-library interface methods, names spelled in
-//	                tests or nested modules, //ghostlint:root functions;
-//	                silent unless the whole module is loaded
+//	                nested modules, //ghostlint:root functions; tests root
+//	                nothing; silent unless the whole module is loaded
 //	hotpathescape — (with -escape) compiler-reported heap escapes reachable
 //	                from the 0-alloc benchmark roots must be in the
 //	                committed baseline (internal/analysis/escape_baseline.txt)

@@ -790,12 +790,3 @@ func (r *runner) localStep(now sim.Time) (sim.Duration, kernel.Action) {
 		return cost, kernel.StepOnCPUAction()
 	}
 }
-
-// GlobalAgentThread returns the active global agent's kernel thread (for
-// tests and experiments).
-func (set *AgentSet) GlobalAgentThread() *kernel.Thread {
-	if set.globalCPU == hw.NoCPU {
-		return nil
-	}
-	return set.runners[set.globalCPU].thread
-}

@@ -87,13 +87,12 @@ func TestCentralizedAgentOccupiesOneCPU(t *testing.T) {
 	agentsdk.Start(e.k, e.enc, e.ac, policies.NewCentralFIFO(), agentsdk.Global())
 	e.eng.RunFor(5 * sim.Millisecond)
 	// Agent spins on CPU 0.
-	busy := e.k.CPU(0).BusyTime()
-	if busy < 4*sim.Millisecond {
-		t.Fatalf("agent cpu busy = %v, want ~5ms", busy)
-	}
 	cur := e.k.CPU(0).Curr()
 	if cur == nil || cur.Name() != "ghost-agent" {
 		t.Fatalf("cpu0 running %v, want agent", cur)
+	}
+	if busy := cur.RuntimeNow(); busy < 4*sim.Millisecond {
+		t.Fatalf("agent cpu time = %v, want ~5ms", busy)
 	}
 }
 
@@ -118,11 +117,18 @@ func TestPerCPUSchedulesWorkers(t *testing.T) {
 		t.Fatalf("txns = %d", set.TxnsCommitted)
 	}
 	// Local agents block between decisions: CPUs are shared with the
-	// workers, so no CPU should be saturated by agents alone.
-	for i := 0; i < 4; i++ {
-		if e.k.CPU(hw.CPUID(i)).BusyTime() > 25*sim.Millisecond {
-			t.Fatalf("cpu %d suspiciously busy", i)
+	// workers, so no agent may saturate its CPU.
+	agents := 0
+	for tid := kernel.TID(1); e.k.Thread(tid) != nil; tid++ {
+		if th := e.k.Thread(tid); th.Name() == "ghost-agent" {
+			agents++
+			if th.RuntimeNow() > 25*sim.Millisecond {
+				t.Fatalf("agent on cpu %d ran %v of 30ms", th.LastCPU(), th.RuntimeNow())
+			}
 		}
+	}
+	if agents != 4 {
+		t.Fatalf("%d agent threads, want one per CPU", agents)
 	}
 }
 
@@ -144,14 +150,12 @@ func TestPerCPUWorkStealing(t *testing.T) {
 			t.Fatalf("thread %d: %v", i, th.State())
 		}
 	}
-	busyCPUs := 0
-	for i := 0; i < 4; i++ {
-		if e.k.CPU(hw.CPUID(i)).BusyTime() > 300*sim.Microsecond {
-			busyCPUs++
-		}
+	ran := map[hw.CPUID]bool{}
+	for _, th := range ths {
+		ran[th.LastCPU()] = true
 	}
-	if busyCPUs < 2 {
-		t.Fatalf("work not spread: %d busy CPUs", busyCPUs)
+	if len(ran) < 2 {
+		t.Fatalf("work not spread: the threads ran on %d CPUs", len(ran))
 	}
 }
 
@@ -159,7 +163,7 @@ func TestHotHandoff(t *testing.T) {
 	e := newEnv(t, 4)
 	set := agentsdk.Start(e.k, e.enc, e.ac, policies.NewCentralFIFO(), agentsdk.Global())
 	e.eng.RunFor(sim.Millisecond)
-	if got := set.GlobalAgentThread().OnCPU(); got != 0 {
+	if got := globalAgentCPU(e); got != 0 {
 		t.Fatalf("global agent on cpu %d, want 0", got)
 	}
 	// A CFS daemon pinned to CPU 0 must displace the global agent.
@@ -172,8 +176,8 @@ func TestHotHandoff(t *testing.T) {
 	if set.Handoffs == 0 {
 		t.Fatal("no hot handoff recorded")
 	}
-	if got := set.GlobalAgentThread().OnCPU(); got == 0 {
-		t.Fatal("global agent did not move off cpu 0")
+	if got := globalAgentCPU(e); got == 0 || got == hw.NoCPU {
+		t.Fatalf("global agent on cpu %d, want it moved off cpu 0", got)
 	}
 	// Scheduling still works after the handoff.
 	w := spawnWorkers(e, 1, 1, 10*sim.Microsecond)[0]
@@ -294,18 +298,29 @@ func TestPriorityBandsWithPreemption(t *testing.T) {
 		t.Fatalf("batch running = %d, want 3", running)
 	}
 	// A latency-critical thread arrives: must preempt a batch thread.
+	start := e.eng.Now()
+	var began sim.Time
 	lat := e.enc.SpawnThread(kernel.SpawnOpts{Name: "latency"}, func(tc *kernel.TaskContext) {
+		began = tc.Now()
 		tc.Run(10 * sim.Microsecond)
 	})
-	start := e.eng.Now()
 	e.eng.RunFor(sim.Millisecond)
 	if lat.State() != kernel.StateDead {
 		t.Fatalf("latency thread state %v", lat.State())
 	}
 	// It must have started well before any batch 100us chunk ended.
-	delay := lat.SchedDelay()
-	if delay > 50*sim.Microsecond {
+	if delay := began - start; delay > 50*sim.Microsecond {
 		t.Fatalf("latency thread sched delay %v", delay)
 	}
-	_ = start
+}
+
+// globalAgentCPU returns the CPU the spinning global agent occupies,
+// hw.NoCPU if no CPU runs an agent.
+func globalAgentCPU(e *env) hw.CPUID {
+	for i := 0; i < e.k.NumCPUs(); i++ {
+		if cur := e.k.CPU(hw.CPUID(i)).Curr(); cur != nil && cur.Name() == "ghost-agent" {
+			return hw.CPUID(i)
+		}
+	}
+	return hw.NoCPU
 }

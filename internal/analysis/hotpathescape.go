@@ -54,7 +54,6 @@ var escapeRoots = []struct{ pkgSeg, recv, method string }{
 	{"/internal/ghostcore", "Queue", "deliver"},
 	{"/internal/ghostcore", "Queue", "enqueue"},
 	{"/internal/ghostcore", "Queue", "Drain"},
-	{"/internal/ghostcore", "Queue", "Pop"},
 }
 
 // EscapeDiag is one compiler escape-analysis diagnostic.

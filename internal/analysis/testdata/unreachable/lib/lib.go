@@ -63,8 +63,8 @@ func init() { fromInit() }
 
 func fromInit() {}
 
-// TestOnly is named only in lib_test.go, which the loader never
-// type-checks: a name there roots it.
+// TestOnly is called only from lib_test.go. Tests root nothing, so it
+// is reported.
 func TestOnly() int { return 7 }
 
 // NestedOnly is named only by the nested module.

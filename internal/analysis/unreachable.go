@@ -24,19 +24,23 @@ import (
 //   - methods that implement an exported interface of an imported
 //     standard-library package, or error (String, Error, heap.Interface,
 //     types.ImporterFrom: the standard library calls them);
-//   - every function or method whose name appears in a .go file the
-//     loader does not type-check: every _test.go file and every nested
-//     module. Those files are parsed, not type-checked, so one name roots
-//     every function of that name; a function only tests reach is
-//     therefore not reported;
+//   - every function or method whose name appears in a .go file of a
+//     nested module (cmd/ghost-perf builds against the facade from its
+//     own module). Those files are parsed, not type-checked, so one name
+//     roots every function of that name;
 //   - a function whose doc comment carries //ghostlint:root <reason>.
+//
+// Tests root nothing: _test.go files are neither loaded nor parsed, so a
+// function that only tests reach is reported like any other. Delete it,
+// move it into a _test.go file of its package, or give it a root whose
+// reason names the paper entry it implements.
 //
 // The check is whole-program only: when any non-test package directory
 // of the module (outside testdata and nested modules) was not loaded, it
 // reports nothing, so `ghost-lint ./internal/sim` stays quiet.
 var UnreachableAnalyzer = &Analyzer{
 	Name:       "unreachable",
-	Doc:        "flags declared functions that no main, init, package-level var, facade export, standard-library interface, test or //ghostlint:root reaches",
+	Doc:        "flags declared functions that no main, init, package-level var, facade export, standard-library interface, nested-module name or //ghostlint:root reaches (tests root nothing)",
 	RunProgram: runUnreachable,
 }
 
@@ -96,10 +100,11 @@ func isRoot(n *FuncNode, names map[string]bool, std map[string][]*types.Interfac
 }
 
 // unloadedNames walks the module enclosing the loaded packages and
-// returns every identifier spelled in a .go file the loader does not
-// type-check: _test.go files and the files of nested modules. ok is
-// false when the load is partial, that is when a non-test package
-// directory outside testdata and nested modules was not loaded.
+// returns every identifier spelled in the non-test .go files of nested
+// modules, which the loader does not type-check. _test.go files are
+// skipped: tests root nothing. ok is false when the load is partial,
+// that is when a non-test package directory outside testdata and nested
+// modules was not loaded.
 func unloadedNames(pkgs []*Package) (names map[string]bool, ok bool) {
 	loaded := map[string]bool{}
 	for _, pkg := range pkgs {
@@ -127,10 +132,10 @@ func unloadedNames(pkgs []*Package) (names map[string]bool, ok bool) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(name, ".go") {
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
-		if !strings.HasSuffix(name, "_test.go") && moduleRootOf(filepath.Dir(path)) == root {
+		if moduleRootOf(filepath.Dir(path)) == root {
 			partial = !loaded[filepath.Dir(path)]
 			if partial {
 				return filepath.SkipAll

@@ -15,9 +15,10 @@ var unreachableFixture = []fixtureDir{
 }
 
 // TestUnreachableFixture pins the check's whole output on the fixture
-// module: the dead functions are reported, every kind of root and what
-// it calls stays silent, and a root directive without a reason is a
-// ghostlint diagnostic that roots nothing.
+// module: the dead functions are reported, and so is a function only a
+// test calls; every kind of root and what it calls stays silent, and a
+// root directive without a reason is a ghostlint diagnostic that roots
+// nothing.
 func TestUnreachableFixture(t *testing.T) {
 	pkgs := loadFixtures(t, sharedLoader(), unreachableFixture)
 	res := Run(pkgs, Analyzers())
@@ -29,6 +30,7 @@ func TestUnreachableFixture(t *testing.T) {
 	const why = "no root reaches it; delete it, or mark it //ghostlint:root <reason>"
 	want := []string{
 		"env/api.go:18:6: unreachable: env.internalOnly: " + why,
+		"lib/lib.go:68:6: unreachable: lib.TestOnly: " + why,
 		"lib/lib.go:83:1: ghostlint: //ghostlint:root: a reason is required",
 		"lib/lib.go:84:6: unreachable: lib.Bare: " + why,
 		"lib/lib.go:87:6: unreachable: lib.Dead: " + why,

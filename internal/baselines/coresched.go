@@ -333,6 +333,3 @@ func (c *KernelCoreSched) Tick(cpu *kernel.CPU, t *kernel.Thread) {
 		c.k.Resched(cpu.ID)
 	}
 }
-
-// AffinityChanged implements kernel.Class.
-func (c *KernelCoreSched) AffinityChanged(t *kernel.Thread) {}

@@ -145,6 +145,3 @@ func (w *spinWorker) step(t *kernel.Thread) (kernel.Action, bool) {
 	})
 	return w.charge.Then(chunk, kernel.StepOnCPUAction()), true
 }
-
-// QueueLen returns the FIFO depth (for tests).
-func (dp *ShinjukuDataplane) QueueLen() int { return len(dp.fifo) }

@@ -180,10 +180,12 @@ func TestRewindRestoresBodiesWhereParked(t *testing.T) {
 
 func blocked(th *kernel.Thread) bool { return th.State() == kernel.StateBlocked }
 
-// showsCase reports whether a live thread with body kind matches.
+// showsCase reports whether a live thread with body kind matches. The
+// machine was built, not restored, so its TIDs run densely from 1.
 func showsCase(k *kernel.Kernel, kind string, match func(*kernel.Thread) bool) bool {
-	for _, th := range k.Threads() {
-		if d := th.BodyDesc(); d != nil && d.Kind == kind && match(th) {
+	for tid := kernel.TID(1); k.Thread(tid) != nil; tid++ {
+		th := k.Thread(tid)
+		if d := th.BodyDesc(); th.State() != kernel.StateDead && d != nil && d.Kind == kind && match(th) {
 			return true
 		}
 	}

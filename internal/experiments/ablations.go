@@ -77,8 +77,9 @@ func runBPFFastpath(o Options) *Report {
 	return rep
 }
 
-// bpfQueue adapts the CentralFIFO policy runqueue into a BPF program: a
-// shared ring the in-kernel hook pops when a CPU idles.
+// bpfQueue is the experiment's BPF program: when an enclave CPU idles,
+// it offers the first runnable enclave thread allowed on that CPU. The
+// idle hook re-validates the pick before it commits.
 type bpfQueue struct {
 	enc *ghost.Enclave
 }

@@ -390,7 +390,7 @@ func TestFig5LooperRestoresInRun(t *testing.T) {
 	defer m.k.Shutdown()
 	m.m.Run(sim.Millisecond)
 	parked := 0
-	for _, th := range m.k.Threads() {
+	for _, th := range spawned(m.k) {
 		if d := th.BodyDesc(); d != nil && d.Kind == "experiments.fig5-looper" && th.Ran() {
 			parked++
 		}
@@ -401,6 +401,16 @@ func TestFig5LooperRestoresInRun(t *testing.T) {
 	fig5SnapshotSmoke(m, m.m.Now()+sim.Time(sim.Millisecond))
 }
 
+// spawned returns every thread k has spawned, in TID order; a machine
+// that was built, not restored, numbers its threads densely from 1.
+func spawned(k *kernel.Kernel) []*kernel.Thread {
+	var out []*kernel.Thread
+	for tid := kernel.TID(1); k.Thread(tid) != nil; tid++ {
+		out = append(out, k.Thread(tid))
+	}
+	return out
+}
+
 // A fig5-looper record with non-positive work is corrupt: the rebuilt
 // looper would step forever at its first zero-length Run.
 func TestRestoreRejectsLooperWithoutWork(t *testing.T) {
@@ -408,7 +418,7 @@ func TestRestoreRejectsLooperWithoutWork(t *testing.T) {
 	m, _ := fig5Machine(topo, fig5CPUOrder(topo)[:1])
 	defer m.k.Shutdown()
 	var looper *kernel.Thread
-	for _, th := range m.k.Threads() {
+	for _, th := range spawned(m.k) {
 		if d := th.BodyDesc(); d != nil && d.Kind == "experiments.fig5-looper" {
 			looper = th
 		}

@@ -344,12 +344,6 @@ func (g *Class) WantsPreempt(c *kernel.CPU, curr, incoming *kernel.Thread) bool 
 // produced by the kernel tick hook instead).
 func (g *Class) Tick(c *kernel.CPU, t *kernel.Thread) {}
 
-// AffinityChanged implements kernel.Class: agents learn via
-// THREAD_AFFINITY (the sched_setaffinity flow of §3.3).
-func (g *Class) AffinityChanged(t *kernel.Thread) {
-	g.postThreadMsg(t, MsgThreadAffinity)
-}
-
 // onTick routes TIMER_TICK messages to the agent queue of the ticking
 // CPU (§3.1) when the enclave asked for them.
 func (g *Class) onTick(c *kernel.CPU) {

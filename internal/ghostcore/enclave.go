@@ -391,16 +391,6 @@ func (e *Enclave) LatchedFor(cpu hw.CPUID) *kernel.Thread {
 // may include stale in-flight entries that LatchedFor will clear.
 func (e *Enclave) Held() kernel.Mask { return e.g.held.And(e.cpus) }
 
-// DebugSlots returns cpu's latched slot and in-flight commit as stored,
-// without LatchedFor's stale-entry clearing, so invariant tests can
-// recompute Held from them.
-func (e *Enclave) DebugSlots(cpu hw.CPUID) (slot, inflight *kernel.Thread) {
-	if !e.cpus.Has(cpu) {
-		return nil, nil
-	}
-	return e.g.slots[cpu], e.g.inflight[cpu]
-}
-
 // DebugThreadState reports the ghOSt-side view of a thread (runnable,
 // latched) for diagnostics and tests.
 func (e *Enclave) DebugThreadState(t *kernel.Thread) (runnable, latched bool) {
@@ -705,6 +695,8 @@ func (e *Enclave) apply(a *Agent, txn *Txn, groupSize int) {
 // return to the runnable-waiting state; the count of recalls is
 // returned. Transactions whose thread already started running are left
 // alone.
+//
+//ghostlint:root TXNS_RECALL is an agent API call of the paper's Table 1; no bundled policy recalls a commit
 func (e *Enclave) TxnsRecall(txns []*Txn) int {
 	n := 0
 	for _, txn := range txns {
@@ -739,6 +731,8 @@ func (e *Enclave) TxnsRecall(txns []*Txn) int {
 // SetHint attaches an application-supplied scheduling hint to a thread
 // (the "optional scheduling hints" channel of Fig 1). Hints are opaque
 // to the kernel; policies read them with Hint.
+//
+//ghostlint:root the application-to-agent scheduling hints of the paper's Fig 1; no bundled workload sets one
 func (e *Enclave) SetHint(t *kernel.Thread, hint any) {
 	if gt := gstate(t); gt != nil && gt.enc == e {
 		gt.hint = hint
@@ -746,6 +740,8 @@ func (e *Enclave) SetHint(t *kernel.Thread, hint any) {
 }
 
 // Hint returns the thread's current scheduling hint, nil if none.
+//
+//ghostlint:root the agent side of the paper's Fig 1 scheduling hints; no bundled policy reads one
 func (e *Enclave) Hint(t *kernel.Thread) any {
 	if gt := gstate(t); gt != nil && gt.enc == e {
 		return gt.hint
@@ -755,6 +751,8 @@ func (e *Enclave) Hint(t *kernel.Thread) any {
 
 // Destroy tears the enclave down: agents are killed, all managed threads
 // fall back to the default scheduler, and the CPUs are released (§3.4).
+//
+//ghostlint:root enclave destruction is the paper's §3.4 fallback call (the enclave's destroy control); bundled runs destroy only with a typed cause via DestroyWith
 func (e *Enclave) Destroy() { e.DestroyWith(ErrDestroyed) }
 
 // DestroyWith records why the enclave died. cause should wrap one of the

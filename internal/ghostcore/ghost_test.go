@@ -34,7 +34,12 @@ func newGhostEnv(t *testing.T) *ghostEnv {
 
 // spawnGhost spawns a thread into the enclave that loops run/block.
 func (e *ghostEnv) spawnGhost(name string, work sim.Duration, iters int) *kernel.Thread {
-	return e.enc.SpawnThread(kernel.SpawnOpts{Name: name}, func(tc *kernel.TaskContext) {
+	return e.spawnGhostOn(kernel.SpawnOpts{Name: name}, work, iters)
+}
+
+// spawnGhostOn is spawnGhost with explicit spawn options (affinity).
+func (e *ghostEnv) spawnGhostOn(opts kernel.SpawnOpts, work sim.Duration, iters int) *kernel.Thread {
+	return e.enc.SpawnThread(opts, func(tc *kernel.TaskContext) {
 		for i := 0; i < iters; i++ {
 			tc.Run(work)
 			if i < iters-1 {
@@ -118,7 +123,7 @@ func TestTxnInstallDelay(t *testing.T) {
 
 func TestTxnValidationFailures(t *testing.T) {
 	env := newGhostEnv(t)
-	th := env.spawnGhost("w", 10*sim.Microsecond, 2)
+	th := env.spawnGhostOn(kernel.SpawnOpts{Name: "w", Affinity: kernel.MaskOf(0, 1)}, 10*sim.Microsecond, 2)
 	env.eng.RunFor(0)
 
 	// Unknown TID.
@@ -128,10 +133,7 @@ func TestTxnValidationFailures(t *testing.T) {
 		t.Fatalf("unknown tid: %v", bad.Status)
 	}
 
-	// CPU outside enclave mask (mask covers 0-3 on a 4-CPU box, so use
-	// a second enclave machine; here use an out-of-range-but-valid id).
-	// Instead: restrict thread affinity and violate it.
-	env.k.SetAffinity(th, kernel.MaskOf(0, 1))
+	// An enclave CPU outside the thread's affinity.
 	aff := env.enc.TxnCreate(th.TID(), 3)
 	env.enc.TxnsCommit(nil, []*Txn{aff})
 	if aff.Status != TxnAffinityViolation {
@@ -493,24 +495,91 @@ type bpfFunc func(cpu hw.CPUID) *kernel.Thread
 
 func (f bpfFunc) PickNextOnIdle(cpu hw.CPUID) *kernel.Thread { return f(cpu) }
 
+// TestBPFFastpath runs one valid idle-time pick through the kernel's
+// idle hook, then hands onIdle picks it must refuse: the program is
+// untrusted, so every pick is re-validated and none of these commit.
 func TestBPFFastpath(t *testing.T) {
-	env := newGhostEnv(t)
-	th := env.spawnGhost("w", 10*sim.Microsecond, 1)
-	env.enc.SetBPF(bpfFunc(func(cpu hw.CPUID) *kernel.Thread {
-		if th.State() == kernel.StateRunnable {
-			return th
+	t.Run("valid", func(t *testing.T) {
+		env := newGhostEnv(t)
+		th := env.spawnGhost("w", 10*sim.Microsecond, 1)
+		env.enc.SetBPF(bpfFunc(func(cpu hw.CPUID) *kernel.Thread {
+			if th.State() == kernel.StateRunnable {
+				return th
+			}
+			return nil
+		}))
+		// Poke the idle path by scheduling and finishing a CFS thread.
+		env.k.Spawn(kernel.SpawnOpts{Name: "c", Class: env.cfs, Affinity: kernel.MaskOf(3)},
+			func(tc *kernel.TaskContext) { tc.Run(5 * sim.Microsecond) })
+		env.eng.RunFor(sim.Millisecond)
+		if th.State() != kernel.StateDead {
+			t.Fatalf("BPF fastpath did not run thread: %v", th.State())
 		}
-		return nil
-	}))
-	// Poke the idle path by scheduling and finishing a CFS thread.
-	env.k.Spawn(kernel.SpawnOpts{Name: "c", Class: env.cfs, Affinity: kernel.MaskOf(3)},
-		func(tc *kernel.TaskContext) { tc.Run(5 * sim.Microsecond) })
-	env.eng.RunFor(sim.Millisecond)
-	if th.State() != kernel.StateDead {
-		t.Fatalf("BPF fastpath did not run thread: %v", th.State())
+		if env.g.BPFCommits != 1 {
+			t.Fatalf("BPFCommits = %d, want 1", env.g.BPFCommits)
+		}
+	})
+
+	// Each case returns the thread the program will pick when env.enc's
+	// CPU 3 is idle.
+	stale := []struct {
+		name string
+		pick func(env *ghostEnv) *kernel.Thread
+	}{
+		{"latched", func(env *ghostEnv) *kernel.Thread {
+			th := env.spawnGhost("w", 10*sim.Microsecond, 1)
+			env.enc.TxnsCommit(nil, []*Txn{env.enc.TxnCreate(th.TID(), 1)})
+			return th // committed to CPU 1, its IPI still in flight
+		}},
+		{"blocked", func(env *ghostEnv) *kernel.Thread {
+			th := env.spawnGhost("w", 10*sim.Microsecond, 2)
+			env.enc.TxnsCommit(nil, []*Txn{env.enc.TxnCreate(th.TID(), 1)})
+			env.eng.RunFor(sim.Millisecond)
+			return th
+		}},
+		{"dead", func(env *ghostEnv) *kernel.Thread {
+			th := env.spawnGhost("w", 10*sim.Microsecond, 1)
+			env.enc.TxnsCommit(nil, []*Txn{env.enc.TxnCreate(th.TID(), 1)})
+			env.eng.RunFor(sim.Millisecond)
+			return th
+		}},
+		{"other-enclave", func(env *ghostEnv) *kernel.Thread {
+			env.enc.Destroy()
+			env.enc = NewEnclave(env.g, kernel.MaskOf(2, 3))
+			other := NewEnclave(env.g, kernel.MaskOf(0, 1))
+			return other.SpawnThread(kernel.SpawnOpts{Name: "w"}, func(tc *kernel.TaskContext) {
+				tc.Run(10 * sim.Microsecond)
+			})
+		}},
+		{"affinity", func(env *ghostEnv) *kernel.Thread {
+			return env.spawnGhostOn(kernel.SpawnOpts{Name: "w", Affinity: kernel.MaskOf(0, 1, 2)}, 10*sim.Microsecond, 1)
+		}},
 	}
-	if env.g.BPFCommits == 0 {
-		t.Fatal("BPF commit not counted")
+	for _, c := range stale {
+		t.Run(c.name, func(t *testing.T) {
+			env := newGhostEnv(t)
+			th := c.pick(env)
+			state := th.State()
+			picks := 0
+			env.enc.SetBPF(bpfFunc(func(cpu hw.CPUID) *kernel.Thread {
+				picks++
+				return th
+			}))
+			cpu := env.k.CPU(3)
+			if !cpu.Idle() {
+				t.Fatalf("cpu 3 not idle: running %v", cpu.Curr())
+			}
+			env.g.onIdle(cpu)
+			if picks != 1 {
+				t.Fatalf("program consulted %d times, want 1", picks)
+			}
+			if env.g.BPFCommits != 0 || env.enc.LatchedFor(3) != nil {
+				t.Fatalf("stale pick committed: BPFCommits = %d, cpu 3 latched %v", env.g.BPFCommits, env.enc.LatchedFor(3))
+			}
+			if th.State() != state {
+				t.Fatalf("stale pick changed thread state %v -> %v", state, th.State())
+			}
+		})
 	}
 }
 
@@ -521,20 +590,23 @@ func TestAgentSeqAndESTALE(t *testing.T) {
 	q := env.enc.CreateQueue("agentq")
 	env.enc.ConfigQueueWakeup(q, a, false)
 
-	th := env.spawnGhost("w", 10*sim.Microsecond, 1)
+	th := env.spawnGhost("w", 10*sim.Microsecond, 2)
 	env.enc.DefaultQueue().Drain()
 	if err := env.enc.AssociateQueue(th, q); err != nil {
 		t.Fatal(err)
 	}
 	seq0 := a.Seq()
-	// Generate a message: change affinity.
-	env.k.SetAffinity(th, kernel.MaskOf(1, 2))
-	if a.Seq() != seq0+1 {
-		t.Fatalf("Aseq = %d, want %d", a.Seq(), seq0+1)
+	// Generate two messages: the thread runs once and blocks
+	// (THREAD_BLOCKED), then is woken (THREAD_WAKEUP).
+	env.enc.TxnsCommit(nil, []*Txn{env.enc.TxnCreate(th.TID(), 1)})
+	env.eng.RunFor(sim.Millisecond)
+	env.k.Wake(th)
+	if a.Seq() != seq0+2 {
+		t.Fatalf("Aseq = %d, want %d", a.Seq(), seq0+2)
 	}
-	// Commit carrying the stale Aseq must fail.
+	// Commit carrying a stale Aseq must fail.
 	txn := env.enc.TxnCreate(th.TID(), 1)
-	txn.AgentSeq = seq0
+	txn.AgentSeq = seq0 + 1
 	env.enc.TxnsCommit(a, []*Txn{txn})
 	if txn.Status != TxnESTALE {
 		t.Fatalf("status = %v, want ESTALE", txn.Status)
@@ -555,15 +627,16 @@ func TestQueueWakeupWakesAgent(t *testing.T) {
 	a := env.enc.AttachAgent(0, agThread)
 	q := env.enc.CreateQueue("agentq")
 	env.enc.ConfigQueueWakeup(q, a, true)
-	th := env.spawnGhost("w", 10*sim.Microsecond, 1)
+	th := env.spawnGhost("w", 10*sim.Microsecond, 2)
 	env.enc.DefaultQueue().Drain()
 	if err := env.enc.AssociateQueue(th, q); err != nil {
 		t.Fatal(err)
 	}
 	env.eng.RunFor(sim.Millisecond)
 	base := steps
-	// A wakeup message must wake the blocked agent.
-	env.k.SetAffinity(th, kernel.MaskOf(1, 2)) // posts THREAD_AFFINITY
+	// A message on the queue must wake the blocked agent: the thread
+	// runs once and blocks, posting THREAD_BLOCKED.
+	env.enc.TxnsCommit(nil, []*Txn{env.enc.TxnCreate(th.TID(), 1)})
 	env.eng.RunFor(sim.Millisecond)
 	if steps != base+1 {
 		t.Fatalf("agent steps = %d, want %d", steps, base+1)

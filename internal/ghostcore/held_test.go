@@ -1,4 +1,4 @@
-package ghost_test
+package ghostcore_test
 
 import (
 	"errors"
@@ -122,4 +122,36 @@ func TestHeldMaskExact(t *testing.T) {
 			t.Fatalf("no held CPU in %d checks: the run never committed remotely", h.checks)
 		}
 	})
+}
+
+// buildServing is a small serving machine: a global FIFO agent on four
+// XeonE5 CPUs, three pool workers fed by a Poisson source, and a
+// spinner, with the pool and source registered for snapshots.
+func buildServing() *ghost.Machine {
+	m := ghost.NewMachine(ghost.XeonE5())
+	enc := m.NewEnclave(ghost.MaskOf(0, 1, 2, 3))
+	m.StartAgents(enc, ghost.NewFIFOPolicy(), ghost.Global())
+	pool := m.NewWorkerPool(3, &ghost.LatencyRecorder{}, func(name string, body ghost.ThreadFunc) *ghost.Thread {
+		return m.Spawn(ghost.ThreadOpts{Name: name, Class: ghost.Ghost(enc)}, body)
+	})
+	m.AddSnapshotComponent("pool", pool)
+	src := m.NewPoissonSource(ghost.NewRand(7), 40_000, ghost.ExponentialService(20*ghost.Microsecond),
+		func(r *ghost.Request) { pool.Submit(r) })
+	m.AddSnapshotComponent("src", src)
+	m.SpawnSpinner(ghost.ThreadOpts{Name: "spin", Class: ghost.Ghost(enc)}, 15*ghost.Microsecond)
+	return m
+}
+
+// servingRestoreOpts re-wires the Poisson source's sink, the one
+// closure a snapshot cannot carry, to the restored pool.
+func servingRestoreOpts() []ghost.MachineOption {
+	return []ghost.MachineOption{
+		ghost.WithRestoredComponent("src", func(m *ghost.Machine) (ghost.SnapshotComponent, error) {
+			pool, ok := m.SnapshotComponent("pool").(*ghost.WorkerPool)
+			if !ok {
+				return nil, errors.New("pool not restored before src")
+			}
+			return m.NewPoissonShell(func(r *ghost.Request) { pool.Submit(r) }), nil
+		}),
+	}
 }

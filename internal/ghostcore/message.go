@@ -252,20 +252,3 @@ func (q *Queue) growScratch(n int) {
 	}
 	q.scratch = make([]Message, 0, c)
 }
-
-// Pop removes and returns the oldest message. Unlike the pre-ring
-// implementation, popping never retains the rest of the backing array.
-func (q *Queue) Pop() (Message, bool) {
-	if q.tail == q.head {
-		return Message{}, false
-	}
-	m := q.buf[q.head&uint64(len(q.buf)-1)]
-	q.head++
-	if gt := q.enc.ghostOf(m.TID); gt != nil {
-		gt.pendingMsgs--
-	}
-	if g := q.enc.g; len(g.observers) > 0 {
-		g.obsMsgDrained(q.enc, m)
-	}
-	return m, true
-}

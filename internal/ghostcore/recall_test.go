@@ -86,17 +86,18 @@ func TestSchedulingHints(t *testing.T) {
 
 func TestEnclaveTicklessLifecycle(t *testing.T) {
 	env := newGhostEnv(t)
+	ticks := map[hw.CPUID]int{}
+	env.k.AddTickHook(func(c *kernel.CPU) { ticks[c.ID]++ })
 	env.enc.SetTickless(true)
-	env.enc.CPUs().ForEach(func(c hw.CPUID) bool {
-		if !env.k.Tickless(c) {
-			t.Fatalf("cpu %d not tickless", c)
-		}
-		return true
-	})
+	env.eng.RunFor(3 * sim.Millisecond)
+	if len(ticks) != 0 {
+		t.Fatalf("tickless enclave CPUs ticked: %v", ticks)
+	}
 	// Destroying the enclave restores ticks (CFS needs them).
 	env.enc.Destroy()
+	env.eng.RunFor(3 * sim.Millisecond)
 	env.enc.CPUs().ForEach(func(c hw.CPUID) bool {
-		if env.k.Tickless(c) {
+		if ticks[c] == 0 {
 			t.Fatalf("cpu %d still tickless after destroy", c)
 		}
 		return true

@@ -170,17 +170,9 @@ func (t *Topology) NumSockets() int { return t.sockets }
 // NumCCXs returns the number of L3 domains.
 func (t *Topology) NumCCXs() int { return t.sockets * t.ccxsPerSocket }
 
-// SMTWidth returns logical CPUs per physical core.
-func (t *Topology) SMTWidth() int { return t.smtWidth }
-
 // CPU returns the descriptor for logical CPU id.
 func (t *Topology) CPU(id CPUID) *CPU {
 	return &t.cpus[id]
-}
-
-// Valid reports whether id names a CPU of this machine.
-func (t *Topology) Valid(id CPUID) bool {
-	return id >= 0 && int(id) < len(t.cpus)
 }
 
 // Dist returns the topological distance between two logical CPUs.
@@ -205,17 +197,6 @@ func (t *Topology) CPUsOfSocket(s int) []CPUID {
 	var out []CPUID
 	for i := range t.cpus {
 		if t.cpus[i].Socket == s {
-			out = append(out, t.cpus[i].ID)
-		}
-	}
-	return out
-}
-
-// CPUsOfCCX returns the logical CPUs belonging to CCX index ccx.
-func (t *Topology) CPUsOfCCX(ccx int) []CPUID {
-	var out []CPUID
-	for i := range t.cpus {
-		if t.cpus[i].CCX == ccx {
 			out = append(out, t.cpus[i].ID)
 		}
 	}

@@ -86,6 +86,3 @@ func (a *AgentClass) WantsPreempt(c *CPU, curr, incoming *Thread) bool { return 
 
 // Tick implements Class.
 func (a *AgentClass) Tick(c *CPU, t *Thread) {}
-
-// AffinityChanged implements Class.
-func (a *AgentClass) AffinityChanged(t *Thread) {}

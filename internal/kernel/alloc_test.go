@@ -29,13 +29,11 @@ func TestCFSSelectCPUAllocFree(t *testing.T) {
 func TestMailboxAllocFree(t *testing.T) {
 	env := newTestEnv(t, oneCPUTopo())
 	mb := NewMailbox[int](env.k)
-	left := 0
+	got := 0
 	env.k.Spawn(SpawnOpts{Name: "consumer", Class: env.cfs}, func(tc *TaskContext) {
 		for {
 			mb.Get(tc)
-			if left--; left == 0 {
-				env.eng.Stop()
-			}
+			got++
 		}
 	})
 	env.k.Spawn(SpawnOpts{Name: "producer", Class: env.cfs}, func(tc *TaskContext) {
@@ -46,12 +44,13 @@ func TestMailboxAllocFree(t *testing.T) {
 			tc.Sleep(sim.Microsecond)
 		}
 	})
-	left = 1000
-	env.eng.Run()
-	if avg := testing.AllocsPerRun(100, func() {
-		left = 100
-		env.eng.Run()
-	}); avg != 0 {
+	run := func(n int) {
+		for target := got + n; got < target; {
+			env.eng.RunFor(sim.Microsecond)
+		}
+	}
+	run(1000)
+	if avg := testing.AllocsPerRun(100, func() { run(100) }); avg != 0 {
 		t.Fatalf("100 mailbox hand-offs allocate %.1f times, want 0", avg)
 	}
 }

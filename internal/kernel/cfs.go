@@ -401,18 +401,6 @@ func (c *CFS) Tick(cpu *CPU, t *Thread) {
 	}
 }
 
-// AffinityChanged implements Class: requeue if the thread's current queue
-// is no longer allowed.
-func (c *CFS) AffinityChanged(t *Thread) {
-	if t.cfs.onRq && !t.affinity.Has(t.cfs.rqCPU) {
-		c.Dequeue(t, DeqClassChange)
-		t.cfs.onRq = false
-		cpu := c.SelectCPU(t)
-		c.Enqueue(t, cpu, EnqWake)
-		c.k.Resched(cpu)
-	}
-}
-
 // loadBalance evens queue lengths across the machine every
 // BalancePeriod: repeated migrations from the busiest runqueue to the
 // least-loaded CPU admitted by each candidate's affinity, including idle

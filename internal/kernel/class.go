@@ -88,8 +88,6 @@ type Class interface {
 
 	// Tick is the periodic timer tick while t runs on c.
 	Tick(c *CPU, t *Thread)
-	// AffinityChanged notifies the class that a thread's mask changed.
-	AffinityChanged(t *Thread)
 }
 
 // Priorities of the built-in classes. Matches the paper's hierarchy

@@ -55,18 +55,6 @@ func (c *CPU) syncIdle() { c.k.idle.SetTo(c.ID, c.Idle()) }
 // this to spread simultaneous wakeups instead of piling them on one CPU.
 func (c *CPU) FreeForPlacement() bool { return c.Idle() && !c.reschedPending }
 
-// BusyTime returns cumulative wall time this CPU was non-idle.
-func (c *CPU) BusyTime() sim.Duration {
-	t := c.busyNS
-	if c.accBusy {
-		t += c.k.eng.Now() - c.busyStart
-	}
-	return t
-}
-
-// Switches returns the number of context switches performed.
-func (c *CPU) Switches() uint64 { return c.switches }
-
 // accountBusy marks the start of a busy period.
 func (c *CPU) accountBusy() {
 	if !c.accBusy {

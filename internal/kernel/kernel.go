@@ -304,17 +304,6 @@ func (k *Kernel) Thread(tid TID) *Thread {
 	return k.threads[tid]
 }
 
-// Threads returns all live (non-dead) threads.
-func (k *Kernel) Threads() []*Thread {
-	out := make([]*Thread, 0, len(k.live))
-	for _, t := range k.live {
-		if t.state != StateDead {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // wakeFire adapts Wake to the engine's pre-bound callback shape; it backs
 // sleep timers.
 func (k *Kernel) wakeFire(a any) { k.Wake(a.(*Thread)) }
@@ -762,18 +751,6 @@ func (k *Kernel) reap(t *Thread) {
 	k.Tracef("exit %v", t)
 }
 
-// SetAffinity updates a thread's CPU mask and notifies its class.
-func (k *Kernel) SetAffinity(t *Thread, m Mask) {
-	if m.Empty() {
-		panic("kernel: empty affinity mask")
-	}
-	t.affinity = m
-	t.class.AffinityChanged(t)
-	if t.state == StateRunning && !m.Has(t.cpu.ID) {
-		k.Resched(t.cpu.ID)
-	}
-}
-
 // SetClass migrates a thread to a different scheduling class. Running or
 // runnable threads are requeued in the new class.
 func (k *Kernel) SetClass(t *Thread, nc Class) {
@@ -805,9 +782,6 @@ func (k *Kernel) SetClass(t *Thread, nc Class) {
 // callbacks — safe for ghOSt CPUs driven by a spinning global agent,
 // which is exactly the §5 tickless-scheduling optimization.
 func (k *Kernel) SetTickless(id hw.CPUID, on bool) { k.tickless[id] = on }
-
-// Tickless reports whether ticks are disabled on a CPU.
-func (k *Kernel) Tickless(id hw.CPUID) bool { return k.tickless[id] }
 
 // tick delivers the periodic timer tick on c.
 func (k *Kernel) tick(c *CPU) {
@@ -847,7 +821,3 @@ func (k *Kernel) IdleMask() Mask { return k.idle }
 
 // IdleCPUs returns the ids of all currently idle CPUs in ascending order.
 func (k *Kernel) IdleCPUs() []hw.CPUID { return k.idle.CPUs() }
-
-// Rand returns the kernel's deterministic random source (used for tie
-// breaking in load balancing).
-func (k *Kernel) Rand() *sim.Rand { return k.rand }

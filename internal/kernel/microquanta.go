@@ -289,6 +289,3 @@ func (m *MicroQuanta) WantsPreempt(c *CPU, curr, incoming *Thread) bool { return
 func (m *MicroQuanta) Tick(c *CPU, t *Thread) {
 	m.charge(t)
 }
-
-// AffinityChanged implements Class.
-func (m *MicroQuanta) AffinityChanged(t *Thread) {}

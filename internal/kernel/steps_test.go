@@ -108,7 +108,7 @@ func runStepsScript(t *testing.T, steps bool) stepsOutcome {
 	}
 	for _, th := range threads {
 		out.Threads = append(out.Threads, fmt.Sprintf("%v cpu=%v delay=%v switches=%d",
-			th, th.CPUTime(), th.SchedDelay(), th.Switches()))
+			th, th.CPUTime(), th.schedDelay, th.switchCount))
 	}
 	out.Executed, out.Seq = env.eng.Executed, env.eng.Seq()
 	env.k.Shutdown()

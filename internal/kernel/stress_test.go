@@ -44,9 +44,9 @@ func TestKernelStressInvariants(t *testing.T) {
 		}
 		th := k.Spawn(SpawnOpts{Name: "w", Class: cls, Affinity: aff, Nice: r.Intn(10) - 5},
 			func(tc *TaskContext) {
-				lr := sim.NewRand(uint64(tc.TID()))
+				lr := sim.NewRand(uint64(tc.Thread().TID()))
 				for it := 0; it < 300; it++ {
-					switch lr.Intn(4) {
+					switch lr.Intn(3) {
 					case 0:
 						tc.Run(sim.Duration(1+lr.Intn(200)) * sim.Microsecond)
 					case 1:
@@ -54,13 +54,6 @@ func TestKernelStressInvariants(t *testing.T) {
 					case 2:
 						tc.Run(sim.Duration(1+lr.Intn(20)) * sim.Microsecond)
 						tc.Yield()
-					case 3:
-						var m Mask
-						for j := 0; j < 4; j++ {
-							m.Set(hw.CPUID(lr.Intn(16)))
-						}
-						tc.SetAffinity(m)
-						tc.Run(sim.Duration(1+lr.Intn(50)) * sim.Microsecond)
 					}
 				}
 			})
@@ -182,7 +175,7 @@ func TestKernelStressDeterminism(t *testing.T) {
 		var ths []*Thread
 		for i := 0; i < 12; i++ {
 			ths = append(ths, k.Spawn(SpawnOpts{Name: "w", Class: cfs}, func(tc *TaskContext) {
-				lr := sim.NewRand(uint64(tc.TID()) * 31)
+				lr := sim.NewRand(uint64(tc.Thread().TID()) * 31)
 				for it := 0; it < 100; it++ {
 					tc.Run(sim.Duration(1+lr.Intn(100)) * sim.Microsecond)
 					if lr.Intn(3) == 0 {

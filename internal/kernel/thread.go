@@ -181,9 +181,6 @@ func (t *Thread) Name() string { return t.name }
 // State returns the thread's current run state.
 func (t *Thread) State() State { return t.state }
 
-// Nice returns the thread's nice value (CFS weighting, -20..19).
-func (t *Thread) Nice() int { return t.nice }
-
 // Affinity returns the thread's CPU affinity mask.
 func (t *Thread) Affinity() Mask { return t.affinity }
 
@@ -213,12 +210,6 @@ func (t *Thread) RuntimeNow() sim.Duration {
 	}
 	return rt
 }
-
-// SchedDelay returns the cumulative runnable-to-running latency.
-func (t *Thread) SchedDelay() sim.Duration { return t.schedDelay }
-
-// Switches returns the number of times the thread was switched in.
-func (t *Thread) Switches() uint64 { return t.switchCount }
 
 // WakeTime returns when the thread last became runnable.
 func (t *Thread) WakeTime() sim.Time { return t.wakeTime }
@@ -394,19 +385,11 @@ func (tc *TaskContext) Sleep(d sim.Duration) {
 
 // Yield relinquishes the CPU, moving the thread to the back of its
 // class's runqueue.
+//
+//ghostlint:root sched_yield, the source of the THREAD_YIELD message of the paper's Table 1; bundled bodies yield through YieldAction
 func (tc *TaskContext) Yield() {
 	tc.submit(YieldAction())
 }
-
-// SetAffinity restricts the thread to the given CPUs. Takes effect on the
-// next scheduling decision; notifies the scheduling class (for ghOSt this
-// produces a THREAD_AFFINITY message).
-func (tc *TaskContext) SetAffinity(m Mask) {
-	tc.t.k.SetAffinity(tc.t, m)
-}
-
-// TID returns the thread's id.
-func (tc *TaskContext) TID() TID { return tc.t.tid }
 
 // Kernel returns the owning kernel, for workload code that needs to wake
 // other threads or inspect time.

@@ -70,19 +70,14 @@ func TestShutdownUnwindsBodies(t *testing.T) {
 // handoffLoop builds one CPU running one CFS thread that loops Run(1µs):
 // every segment is one completion event plus one request from the body —
 // a resume/park round trip with its coroutine, or, with steps, a call to
-// its Steps machine. Set *left and call eng.Run to execute that many
-// segments.
-func handoffLoop(tb testing.TB, steps bool) (eng *sim.Engine, left *int) {
-	eng = sim.NewEngine()
+// its Steps machine. run(n) executes at least n more segments.
+func handoffLoop(tb testing.TB, steps bool) (run func(n int)) {
+	eng := sim.NewEngine()
 	k := New(eng, oneCPUTopo(), hw.DefaultCostModel())
 	cfs := NewCFS(k)
 	tb.Cleanup(k.Shutdown)
-	left = new(int)
-	segmentDone := func() {
-		if *left--; *left == 0 {
-			eng.Stop()
-		}
-	}
+	segments := 0
+	segmentDone := func() { segments++ }
 	body := func(tc *TaskContext) {
 		for {
 			tc.Run(sim.Microsecond)
@@ -100,15 +95,18 @@ func handoffLoop(tb testing.TB, steps bool) (eng *sim.Engine, left *int) {
 		})
 	}
 	k.Spawn(SpawnOpts{Name: "loop", Class: cfs}, body)
-	return eng, left
+	return func(n int) {
+		for target := segments + n; segments < target; {
+			eng.RunFor(sim.Microsecond)
+		}
+	}
 }
 
 func benchmarkHandoff(b *testing.B, steps bool) {
-	eng, left := handoffLoop(b, steps)
+	run := handoffLoop(b, steps)
 	b.ReportAllocs()
 	b.ResetTimer()
-	*left = b.N
-	eng.Run()
+	run(b.N)
 }
 
 // BenchmarkThreadHandoff measures the kernel's cost per run segment of a
@@ -123,13 +121,9 @@ func BenchmarkThreadHandoffSteps(b *testing.B) { benchmarkHandoff(b, true) }
 // bodies and Steps machines alike.
 func TestThreadHandoffAllocFree(t *testing.T) {
 	for _, steps := range []bool{false, true} {
-		eng, left := handoffLoop(t, steps)
-		*left = 1000
-		eng.Run()
-		if avg := testing.AllocsPerRun(100, func() {
-			*left = 100
-			eng.Run()
-		}); avg != 0 {
+		run := handoffLoop(t, steps)
+		run(1000)
+		if avg := testing.AllocsPerRun(100, func() { run(100) }); avg != 0 {
 			t.Fatalf("steps=%v: 100 run segments allocate %.1f times, want 0", steps, avg)
 		}
 	}

@@ -70,15 +70,6 @@ func (w *WaitQueue) WakeOne() bool {
 	return false
 }
 
-// WakeAll wakes every waiter.
-func (w *WaitQueue) WakeAll() {
-	for w.WakeOne() {
-	}
-}
-
-// Len returns the number of enrolled waiters.
-func (w *WaitQueue) Len() int { return w.waiters.len() }
-
 // Mailbox is an unbounded FIFO of items with blocking receive, used to
 // hand requests to simulated worker threads.
 type Mailbox[T any] struct {
@@ -121,15 +112,3 @@ func (m *Mailbox[T]) TryGetOrWait(t *Thread) (x T, wait Action, ok bool) {
 	}
 	return m.items.pop(), Action{}, true
 }
-
-// TryGet returns the oldest item without blocking.
-func (m *Mailbox[T]) TryGet() (T, bool) {
-	if m.items.len() == 0 {
-		var zero T
-		return zero, false
-	}
-	return m.items.pop(), true
-}
-
-// Len returns the number of queued items.
-func (m *Mailbox[T]) Len() int { return m.items.len() }

@@ -247,12 +247,3 @@ func (p *CentralFIFO) Tunables() *tunable.Set {
 	}
 	return p.tun
 }
-
-// QueueLen reports the number of queued (waiting) threads, for tests.
-func (p *CentralFIFO) QueueLen() int {
-	n := 0
-	for _, q := range p.queues {
-		n += len(q)
-	}
-	return n
-}

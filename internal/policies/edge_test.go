@@ -1,6 +1,7 @@
 package policies_test
 
 import (
+	"encoding/json"
 	"testing"
 
 	"ghost/internal/agentsdk"
@@ -136,8 +137,19 @@ func TestShinjukuQueueAccounting(t *testing.T) {
 			t.Fatalf("thread %d: %v", i, th.State())
 		}
 	}
-	lat, batch := pol.QueueLens()
-	if lat != 0 || batch != 0 {
-		t.Fatalf("queues not drained: %d/%d", lat, batch)
+	// The policy's own state record lists its queued TIDs.
+	raw, err := pol.SnapshotSave()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queues struct {
+		FIFO   []int `json:"fifo"`
+		BatchQ []int `json:"batchq"`
+	}
+	if err := json.Unmarshal(raw, &queues); err != nil {
+		t.Fatal(err)
+	}
+	if len(queues.FIFO) != 0 || len(queues.BatchQ) != 0 {
+		t.Fatalf("queues not drained: fifo %v, batch %v", queues.FIFO, queues.BatchQ)
 	}
 }

@@ -218,6 +218,3 @@ func (p *Search) OnTxnFail(ctx *agentsdk.Context, a agentsdk.Assignment, s ghost
 		ts.Runnable = false
 	}
 }
-
-// QueueLen reports the number of waiting threads (for tests).
-func (p *Search) QueueLen() int { return p.heap.Len() }

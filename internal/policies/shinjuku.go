@@ -257,8 +257,3 @@ func (p *Shinjuku) Tunables() *tunable.Set {
 	}
 	return p.tun
 }
-
-// QueueLens reports FIFO and batch queue lengths (for tests).
-func (p *Shinjuku) QueueLens() (latency, batch int) {
-	return len(p.fifo), len(p.batchq)
-}

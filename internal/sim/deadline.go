@@ -36,6 +36,3 @@ func (d *Deadline) Arm(t Time, fn func()) {
 
 // Cancel disarms the deadline; a no-op when nothing is pending.
 func (d *Deadline) Cancel() { d.ev.Cancel() }
-
-// Pending reports whether a firing is scheduled.
-func (d *Deadline) Pending() bool { return d.ev.Pending() }

@@ -174,8 +174,7 @@ type Engine struct {
 	spill   []*event
 	minEv   *event
 
-	free    []*event // recycled event storage
-	stopped bool
+	free []*event // recycled event storage
 
 	// Executed counts events that have fired, for diagnostics.
 	Executed uint64
@@ -265,13 +264,6 @@ func (e *Engine) AfterCall(d Duration, fn func(any), arg any) Event {
 	return e.schedule(e.now+d, fn, arg)
 }
 
-// Stop makes Run return after the currently executing event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Empty reports whether no events remain. Cancelled events are removed
-// eagerly, so this is O(1).
-func (e *Engine) Empty() bool { return e.Queued() == 0 }
-
 // Queued returns the number of pending (live) events.
 func (e *Engine) Queued() int { return e.nlane + e.nbucket + len(e.spill) }
 
@@ -317,20 +309,18 @@ func (e *Engine) step(limit Time) bool {
 	return true
 }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.step(MaxTime) {
+	for e.step(MaxTime) {
 	}
 }
 
 // RunUntil executes events with At <= deadline, then advances the clock to
 // exactly deadline. Events scheduled beyond the deadline remain queued.
 func (e *Engine) RunUntil(deadline Time) {
-	e.stopped = false
-	for !e.stopped && e.step(deadline) {
+	for e.step(deadline) {
 	}
-	if !e.stopped && e.now < deadline {
+	if e.now < deadline {
 		e.advance(deadline)
 	}
 }

@@ -158,7 +158,7 @@ var refDelays = []func(rng *Rand) Time{
 // diffRun is one differential trace: the engine and the reference in
 // lockstep. The reference pops in OnDispatch, so every engine dispatch
 // is checked against it as it happens, and callbacks may schedule,
-// cancel and Stop on both sides from inside dispatch.
+// cancel and checkpoint on both sides from inside dispatch.
 type diffRun struct {
 	t     *testing.T
 	trace int
@@ -170,12 +170,11 @@ type diffRun struct {
 	chain   map[int]int   // id -> zero-delay links still to schedule when it fires
 	nextID  int
 	popped  int  // id of the event the reference popped at the current dispatch
-	stopped bool // a callback called Stop during the current run
 	limit   Time // deadline of the current run (MaxTime for Run)
 	fire    func(any)
 
 	// Coverage: the paths the trace must have reached.
-	laneCancels, wheelCancels, laneStops, restoredAtNow int
+	laneCancels, wheelCancels, laneTrips, restoredAtNow int
 }
 
 func (r *diffRun) fatalf(format string, args ...any) {
@@ -272,12 +271,11 @@ func (r *diffRun) dispatch(a any) {
 	case k < 18: // cancel a recent event: lane, wheel or spill
 		r.schedule(0)
 		r.cancel(r.nextID - 1 - r.rng.Intn(min(r.nextID, 12)))
-	case k < 19: // Stop with the lane non-empty
+	case k < 19: // a checkpoint round trip with the lane non-empty
 		for n := 1 + r.rng.Intn(3); n > 0; n-- {
 			r.schedule(0)
 		}
-		r.eng.Stop()
-		r.stopped = true
+		r.roundTrip()
 	}
 }
 
@@ -291,24 +289,16 @@ func (r *diffRun) reverseBurst() {
 	}
 }
 
-// run executes to limit (MaxTime: Run to exhaustion). Each Stop from a
-// callback is followed by a Pending → Reset → RestoreEvent round trip.
-// No dispatch may pass the deadline (checked in OnDispatch), no event due
-// by it may be left behind, and a RunUntil that was not stopped must end
-// with the clock exactly at the deadline.
+// run executes to limit (MaxTime: Run to exhaustion). No dispatch may
+// pass the deadline (checked in OnDispatch), no event due by it may be
+// left behind, and a RunUntil must end with the clock exactly at the
+// deadline.
 func (r *diffRun) run(limit Time) {
 	r.limit = limit
-	for {
-		r.stopped = false
-		if limit == MaxTime {
-			r.eng.Run()
-		} else {
-			r.eng.RunUntil(limit)
-		}
-		if !r.stopped {
-			break
-		}
-		r.roundTrip()
+	if limit == MaxTime {
+		r.eng.Run()
+	} else {
+		r.eng.RunUntil(limit)
 	}
 	if at, ok := r.ref.next(); ok && at <= limit {
 		r.fatalf("run to %v stopped early: reference has an event due at %v", limit, at)
@@ -320,9 +310,11 @@ func (r *diffRun) run(limit Time) {
 
 // roundTrip snapshots the engine's pending events, resets it and re-files
 // them, as checkpoint restore does; the order must match the reference.
+// A callback calls it as its last action, so the dispatch loop goes on
+// from the restored queue exactly as a run resumed from the checkpoint.
 func (r *diffRun) roundTrip() {
 	if r.eng.nlane > 0 {
-		r.laneStops++
+		r.laneTrips++
 	}
 	pend := r.eng.Pending()
 	want := r.ref.ordered()
@@ -359,10 +351,10 @@ func (r *diffRun) roundTrip() {
 // through the engine and the reference heap in lockstep and asserts
 // identical dispatch order, queue length, MaxQueue and handle (Pending,
 // stale-Cancel) behavior. Callbacks schedule (including nested
-// zero-delay chains), cancel lane and wheel events and Stop from inside
-// dispatch; a Stop is followed by a checkpoint round trip.
+// zero-delay chains), cancel lane and wheel events and make a checkpoint
+// round trip from inside dispatch.
 func TestEngineMatchesReferenceHeap(t *testing.T) {
-	var laneCancels, wheelCancels, laneStops, restoredAtNow int
+	var laneCancels, wheelCancels, laneTrips, restoredAtNow int
 	for trace := 0; trace < 60; trace++ {
 		r := newDiffRun(t, trace)
 		eng, rng := r.eng, r.rng
@@ -389,7 +381,7 @@ func TestEngineMatchesReferenceHeap(t *testing.T) {
 			}
 		}
 		r.run(MaxTime)
-		if !eng.Empty() || eng.Queued() != 0 || len(r.ref.q) != 0 {
+		if eng.Queued() != 0 || len(r.ref.q) != 0 {
 			r.fatalf("not empty after full drain: engine %d, reference %d", eng.Queued(), len(r.ref.q))
 		}
 		if eng.Executed != r.ref.popped || eng.MaxQueue != r.ref.maxQueue {
@@ -397,13 +389,13 @@ func TestEngineMatchesReferenceHeap(t *testing.T) {
 		}
 		laneCancels += r.laneCancels
 		wheelCancels += r.wheelCancels
-		laneStops += r.laneStops
+		laneTrips += r.laneTrips
 		restoredAtNow += r.restoredAtNow
 	}
-	if laneCancels == 0 || wheelCancels == 0 || laneStops == 0 || restoredAtNow == 0 {
-		t.Fatalf("traces missed a path: %d lane cancels, %d wheel cancels, %d stops with a non-empty lane, %d events restored at now",
-			laneCancels, wheelCancels, laneStops, restoredAtNow)
+	if laneCancels == 0 || wheelCancels == 0 || laneTrips == 0 || restoredAtNow == 0 {
+		t.Fatalf("traces missed a path: %d lane cancels, %d wheel cancels, %d round trips with a non-empty lane, %d events restored at now",
+			laneCancels, wheelCancels, laneTrips, restoredAtNow)
 	}
-	t.Logf("%d lane cancels, %d wheel cancels, %d stops with a non-empty lane, %d events restored at now",
-		laneCancels, wheelCancels, laneStops, restoredAtNow)
+	t.Logf("%d lane cancels, %d wheel cancels, %d round trips with a non-empty lane, %d events restored at now",
+		laneCancels, wheelCancels, laneTrips, restoredAtNow)
 }

@@ -133,14 +133,6 @@ func (h *Histogram) Mean() sim.Duration {
 	return sim.Duration(h.sum / float64(h.total))
 }
 
-// Min returns the smallest recorded value, 0 when empty.
-func (h *Histogram) Min() sim.Duration {
-	if h.total == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Max returns the largest recorded value.
 func (h *Histogram) Max() sim.Duration { return h.max }
 
@@ -274,51 +266,4 @@ func (h *Histogram) Percentiles() string {
 		fmt.Fprintf(&b, "%s=%v ", p.name, h.Quantile(p.q))
 	}
 	return strings.TrimSpace(b.String())
-}
-
-// Exact is a small exact-percentile recorder for tests and low-volume
-// series; it stores every observation.
-type Exact struct {
-	vals   []sim.Duration
-	sorted bool
-}
-
-// Record adds one observation.
-func (e *Exact) Record(d sim.Duration) {
-	e.vals = append(e.vals, d)
-	e.sorted = false
-}
-
-// Count returns the number of observations.
-func (e *Exact) Count() int { return len(e.vals) }
-
-// Quantile returns the exact q-quantile by nearest-rank.
-func (e *Exact) Quantile(q float64) sim.Duration {
-	if len(e.vals) == 0 {
-		return 0
-	}
-	if !e.sorted {
-		sort.Slice(e.vals, func(i, j int) bool { return e.vals[i] < e.vals[j] })
-		e.sorted = true
-	}
-	idx := int(q * float64(len(e.vals)))
-	if idx >= len(e.vals) {
-		idx = len(e.vals) - 1
-	}
-	if idx < 0 {
-		idx = 0
-	}
-	return e.vals[idx]
-}
-
-// Mean returns the arithmetic mean.
-func (e *Exact) Mean() sim.Duration {
-	if len(e.vals) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range e.vals {
-		sum += float64(v)
-	}
-	return sim.Duration(sum / float64(len(e.vals)))
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -42,8 +43,8 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Count() != 100 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if h.Min() != 1000 || h.Max() != 100000 {
-		t.Fatalf("min/max = %d/%d", h.Min(), h.Max())
+	if h.Quantile(0) != 1000 || h.Max() != 100000 {
+		t.Fatalf("min/max = %d/%d", h.Quantile(0), h.Max())
 	}
 	mean := h.Mean()
 	if mean < 49000 || mean > 52000 {
@@ -88,8 +89,8 @@ func TestHistogramMerge(t *testing.T) {
 	if a.Count() != 2000 {
 		t.Fatalf("merged count = %d", a.Count())
 	}
-	if a.Min() != 100 || a.Max() != 100999 {
-		t.Fatalf("merged min/max = %d/%d", a.Min(), a.Max())
+	if a.Quantile(0) != 100 || a.Max() != 100999 {
+		t.Fatalf("merged min/max = %d/%d", a.Quantile(0), a.Max())
 	}
 	med := a.Quantile(0.5)
 	if med > 100000 && med < 100 {
@@ -114,8 +115,8 @@ func TestHistogramReset(t *testing.T) {
 		t.Fatal("reset did not clear")
 	}
 	h.Record(7)
-	if h.Min() != 7 {
-		t.Fatalf("min after reset = %d", h.Min())
+	if h.Quantile(0) != 7 {
+		t.Fatalf("min after reset = %d", h.Quantile(0))
 	}
 }
 
@@ -132,7 +133,7 @@ func TestHistogramQuantileMonotone(t *testing.T) {
 		prev := sim.Duration(-1)
 		for q := 0.0; q <= 1.0; q += 0.05 {
 			v := h.Quantile(q)
-			if v < prev || v < h.Min() || v > h.Max() {
+			if v < prev || v < h.Quantile(0) || v > h.Max() {
 				return false
 			}
 			prev = v
@@ -249,4 +250,48 @@ func TestHistogramRecordAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(1, func() { fresh.Record(1) }); n != 0 {
 		t.Fatalf("first Record into zero value allocates %.1f, want 0", n)
 	}
+}
+
+// Exact is the reference the histogram is checked against: an
+// exact-percentile recorder that stores every observation.
+type Exact struct {
+	vals   []sim.Duration
+	sorted bool
+}
+
+// Record adds one observation.
+func (e *Exact) Record(d sim.Duration) {
+	e.vals = append(e.vals, d)
+	e.sorted = false
+}
+
+// Quantile returns the exact q-quantile by nearest-rank.
+func (e *Exact) Quantile(q float64) sim.Duration {
+	if len(e.vals) == 0 {
+		return 0
+	}
+	if !e.sorted {
+		sort.Slice(e.vals, func(i, j int) bool { return e.vals[i] < e.vals[j] })
+		e.sorted = true
+	}
+	idx := int(q * float64(len(e.vals)))
+	if idx >= len(e.vals) {
+		idx = len(e.vals) - 1
+	}
+	if idx < 0 {
+		idx = 0
+	}
+	return e.vals[idx]
+}
+
+// Mean returns the arithmetic mean.
+func (e *Exact) Mean() sim.Duration {
+	if len(e.vals) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, v := range e.vals {
+		sum += float64(v)
+	}
+	return sim.Duration(sum / float64(len(e.vals)))
 }

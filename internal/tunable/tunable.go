@@ -141,16 +141,6 @@ func (s *Set) Set(name string, v float64) error {
 	return nil
 }
 
-// Defaults returns the name→Default map (iterate via Names for
-// deterministic order).
-func (s *Set) Defaults() map[string]float64 {
-	out := make(map[string]float64, len(s.items))
-	for _, t := range s.items {
-		out[t.Name] = t.Default
-	}
-	return out
-}
-
 // Policy is implemented by policies and scheduling classes that declare
 // tunables. Tunables must return the same Set instance across calls so
 // applied values stick.

@@ -30,9 +30,11 @@ func TestSetOrderAndApply(t *testing.T) {
 	if err := s.Set("gamma", 1); err == nil {
 		t.Error("Set on unknown knob did not error")
 	}
-	d := s.Defaults()
-	if d["alpha"] != 10 || d["beta"] != 4 {
-		t.Errorf("Defaults() = %v", d)
+	// Set moves the value, never the declared default.
+	alpha, _ := s.Get("alpha")
+	beta, _ := s.Get("beta")
+	if alpha.Default != 10 || beta.Default != 4 {
+		t.Errorf("defaults = %g/%g, want 10/4", alpha.Default, beta.Default)
 	}
 }
 

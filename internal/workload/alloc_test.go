@@ -11,26 +11,28 @@ import (
 // A Search arrival allocates only its Request: each query type is a
 // PoissonSource, whose arrival event is a pre-bound AfterCall record.
 // The servers and workers are left unspawned, so arrivals only queue in
-// the server mailboxes, which the test drains.
+// the server mailboxes, which one consumer thread per mailbox drains.
 func TestSearchArrivalAllocFree(t *testing.T) {
-	eng, k, _ := testKernel(t, 4)
+	eng, k, cfs := testKernel(t, 4)
 	s := NewSearch(k, DefaultSearchConfig(),
 		func(string, kernel.Mask, kernel.ThreadFunc) *kernel.Thread { return nil },
 		func(string, kernel.ThreadFunc) *kernel.Thread { return nil })
-	drain := func() (n int) {
-		for _, mb := range s.servers {
-			for _, ok := mb.TryGet(); ok; _, ok = mb.TryGet() {
-				n++
+	got := 0
+	for _, mb := range s.servers {
+		k.Spawn(kernel.SpawnOpts{Name: "drain", Class: cfs}, func(tc *kernel.TaskContext) {
+			for {
+				mb.Get(tc)
+				got++
 			}
-		}
-		return n
+		})
 	}
 	arrivals := 0
 	run := func(n int) {
-		for arrivals = 0; arrivals < n; {
+		start := got
+		for got-start < n {
 			eng.RunFor(sim.Microsecond)
-			arrivals += drain()
 		}
+		arrivals = got - start
 	}
 	run(20000) // warm up
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -83,11 +85,15 @@ func BenchmarkWorkerPoolCycle(b *testing.B) {
 	pool := NewWorkerPool(k, 8, &LatencyRecorder{}, func(name string, body kernel.ThreadFunc) *kernel.Thread {
 		return k.Spawn(kernel.SpawnOpts{Name: name, Class: cfs}, body)
 	})
-	r := &Request{Service: 10 * sim.Microsecond, Done: func(*Request, sim.Time) { eng.Stop() }}
+	done := false
+	r := &Request{Service: 10 * sim.Microsecond, Done: func(*Request, sim.Time) { done = true }}
 	cycle := func() {
 		r.Arrival = eng.Now()
+		done = false
 		pool.Submit(r)
-		eng.Run()
+		for !done {
+			eng.RunFor(sim.Microsecond)
+		}
 	}
 	for i := 0; i < 100; i++ {
 		cycle()

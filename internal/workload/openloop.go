@@ -62,8 +62,5 @@ func (p *PoissonSource) fire() {
 	p.arm()
 }
 
-// Stop halts the generator.
-func (p *PoissonSource) Stop() { p.stopped = true }
-
 // Emitted returns the number of requests generated so far.
 func (p *PoissonSource) Emitted() uint64 { return p.nextID }

@@ -152,9 +152,6 @@ func (p *WorkerPool) Submit(r *Request) {
 	p.k.Wake(w.t)
 }
 
-// Backlog returns the number of requests waiting for a free worker.
-func (p *WorkerPool) Backlog() int { return len(p.backlog) }
-
 // Stop makes workers exit at their next wakeup.
 func (p *WorkerPool) Stop() {
 	p.stopping = true

@@ -34,12 +34,12 @@ func TestPoissonStop(t *testing.T) {
 	eng := sim.NewEngine()
 	n := 0
 	p := NewPoissonSource(eng, sim.NewRand(1), 10000, Fixed(0), func(r *Request) { n++ })
+	p.Until = sim.Time(100 * sim.Millisecond)
 	eng.RunFor(100 * sim.Millisecond)
-	p.Stop()
 	before := n
 	eng.RunFor(100 * sim.Millisecond)
-	if n != before {
-		t.Fatal("arrivals after Stop")
+	if before == 0 || n != before {
+		t.Fatalf("%d arrivals by Until, %d after it", before, n-before)
 	}
 }
 
@@ -117,19 +117,28 @@ func TestWorkerPoolBacklog(t *testing.T) {
 	pool := NewWorkerPool(k, 1, rec, func(name string, body kernel.ThreadFunc) *kernel.Thread {
 		return k.Spawn(kernel.SpawnOpts{Name: name, Class: cfs, Affinity: kernel.MaskOf(0)}, body)
 	})
-	// Burst of 10 requests at once into a single worker.
+	// Burst of 10 requests at once into a single worker: nine wait in
+	// the backlog and are served one after another, in arrival order.
+	var order []uint64
+	var last sim.Time
 	for i := 0; i < 10; i++ {
-		pool.Submit(&Request{ID: uint64(i), Arrival: eng.Now(), Service: 10 * sim.Microsecond})
-	}
-	if pool.Backlog() != 9 {
-		t.Fatalf("backlog = %d, want 9", pool.Backlog())
+		pool.Submit(&Request{ID: uint64(i), Arrival: eng.Now(), Service: 10 * sim.Microsecond,
+			Done: func(r *Request, at sim.Time) {
+				if len(order) > 0 && at-last < 10*sim.Microsecond {
+					t.Errorf("request %d done %v after the previous one, under its service time", r.ID, at-last)
+				}
+				order = append(order, r.ID)
+				last = at
+			}})
 	}
 	eng.RunFor(10 * sim.Millisecond)
 	if rec.Completed != 10 {
 		t.Fatalf("completed = %d, want 10", rec.Completed)
 	}
-	if pool.Backlog() != 0 {
-		t.Fatal("backlog not drained")
+	for i, id := range order {
+		if id != uint64(i) {
+			t.Fatalf("completion order %v, want arrival order", order)
+		}
 	}
 }
 
@@ -162,7 +171,7 @@ func TestSnapEndToEnd(t *testing.T) {
 		t.Fatalf("64K completed = %d", snap.Rec64K.Completed)
 	}
 	// RTT must include the wire RTT and processing.
-	if min := snap.Rec64B.Hist.Min(); min < wireRTT {
+	if min := snap.Rec64B.Hist.Quantile(0); min < wireRTT {
 		t.Fatalf("64B min RTT = %v < wire RTT", min)
 	}
 	// 64K messages do more processing: higher median RTT.

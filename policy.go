@@ -1,7 +1,6 @@
 package ghost
 
 import (
-	"ghost/internal/ghostcore"
 	"ghost/internal/kernel"
 	"ghost/internal/policies"
 )
@@ -106,16 +105,6 @@ func NewShinjukuShenangoPolicy(isBatch ThreadSelector) *ShinjukuPolicy {
 func NewCoreSchedPolicy(vmOf VMFunc) *CoreSchedPolicy {
 	return policies.NewCoreSched(vmOf)
 }
-
-// BPFRing is the shared ring the idle-time BPF fastpath pops from
-// (§3.2/§5); MultiRing fans out per domain.
-type (
-	BPFRing   = ghostcore.BPFRing
-	MultiRing = ghostcore.MultiRing
-)
-
-// NewBPFRing builds a fastpath ring for an enclave.
-var NewBPFRing = ghostcore.NewBPFRing
 
 // Statically assert the facade hook types adapt onto the internal policy
 // hooks (Thread aliases the internal thread type, so these are identity

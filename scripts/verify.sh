@@ -33,8 +33,11 @@ if [ -n "$bad" ]; then
 	exit 1
 fi
 
-echo "== go test ./..."
-go test ./...
+# -shuffle=on runs each package's tests (and benchmarks) in a random
+# order and prints the seed, so a test that leans on another's leftovers
+# fails here; replay an order with -shuffle=<seed>.
+echo "== go test -shuffle=on ./..."
+go test -shuffle=on ./...
 
 # One iteration of every micro-benchmark (~5 s), so a broken benchmark
 # fails here instead of at the next measurement.
