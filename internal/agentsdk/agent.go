@@ -123,15 +123,40 @@ func (c *Context) IdleMask() kernel.Mask {
 // per-CPU mode.
 func (c *Context) GlobalCPU() hw.CPUID { return c.set.globalCPU }
 
-// RepollAfter schedules the agent to run again after d even without new
+// RepollAfter asks for the agent to run again within d even without new
 // messages; preemptive policies (e.g. Shinjuku's 30 µs timeslice) use
-// this as their virtual timer. The poke callback is bound once per agent
-// set so each repoll schedules allocation-free.
+// this as their virtual timer. An agent set keeps at most one repoll
+// pending: a call due no earlier than the pending one arms nothing, and
+// an earlier call moves it. A policy arms a repoll only while an expiry
+// could change its decision (DESIGN.md §3k). The callback is bound once
+// per agent set so each repoll schedules allocation-free.
 func (c *Context) RepollAfter(d sim.Duration) {
+	set := c.set
+	at := c.Kernel.Now() + d
+	if set.repoll.Pending() {
+		if set.repollAt <= at {
+			return
+		}
+		set.repoll.Cancel()
+	}
+	set.repoll = c.Kernel.Engine().AfterCall(d, repollFn, set)
+	set.repollAt = at
+}
+
+// repollFn dispatches the pending repoll to its agent set.
+func repollFn(a any) { a.(*AgentSet).pokeActive() }
+
+// RetryAfter pokes the agent after d, one poke per call and never
+// coalesced with the repoll. Search retries the threads it skipped this
+// way. It joins RepollAfter once the fig8-ablation locality claim is
+// re-based across seeds (ROADMAP.md, "Paper claims that hold across
+// seeds"): coalescing it moves the Search reports, and the seed-1
+// ablation verdict they back is not robust to such a move.
+func (c *Context) RetryAfter(d sim.Duration) {
 	c.Kernel.Engine().AfterCall(d, pokeActiveFn, c.set)
 }
 
-// pokeActiveFn dispatches a repoll timer to its agent set.
+// pokeActiveFn dispatches a RetryAfter poke to its agent set.
 func pokeActiveFn(a any) { a.(*AgentSet).pokeActive() }
 
 // Thread resolves a TID to the kernel thread, nil if gone.
@@ -184,6 +209,10 @@ type AgentSet struct {
 	// successor when a forced-upgrade fault fires.
 	startOpts    []Option
 	repollTicker *sim.Ticker
+	// repoll is the pending RepollAfter timer, due at repollAt while
+	// it is pending.
+	repoll   sim.Event
+	repollAt sim.Time
 
 	stopped bool
 
@@ -476,6 +505,7 @@ func (set *AgentSet) Stop() {
 	if set.repollTicker != nil {
 		set.repollTicker.Stop()
 	}
+	set.repoll.Cancel()
 	set.enc.BeginUpgrade()
 	for _, r := range set.sortedRunners() {
 		set.enc.DetachAgent(r.agent)
@@ -490,6 +520,7 @@ func (set *AgentSet) Crash() {
 	if set.repollTicker != nil {
 		set.repollTicker.Stop()
 	}
+	set.repoll.Cancel()
 	for _, r := range set.sortedRunners() {
 		set.k.Kill(r.thread)
 		set.enc.DetachAgent(r.agent)

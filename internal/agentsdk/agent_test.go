@@ -247,7 +247,7 @@ func TestRepollAfterDrivesTimeslice(t *testing.T) {
 	_ = set
 }
 
-// repollPolicy re-arms a 100us poll timer on every Schedule call.
+// repollPolicy asks for a 100us repoll on every Schedule call.
 type repollPolicy struct {
 	inner *policies.CentralFIFO
 	polls int

@@ -219,20 +219,38 @@ func (set *AgentSet) EachTicker(f func(*sim.Ticker)) {
 	}
 }
 
-// ClassifyEvent recognizes agentsdk-owned pre-bound event callbacks: the
-// RepollAfter poke timer. ref is the enclave id.
+// ClassifyEvent recognizes agentsdk-owned pre-bound event callbacks:
+// the pending RepollAfter timer ("agentsdk.repoll") and RetryAfter pokes
+// ("agentsdk.pokeactive"). ref is the enclave id.
 func ClassifyEvent(afn func(any), arg any) (kind string, ref int64, ok bool) {
 	set, isSet := arg.(*AgentSet)
-	if !isSet || !sim.SameFn(afn, pokeActiveFn) {
+	switch {
+	case !isSet:
 		return "", 0, false
+	case sim.SameFn(afn, repollFn):
+		return "agentsdk.repoll", int64(set.enc.ID()), true
+	case sim.SameFn(afn, pokeActiveFn):
+		return "agentsdk.pokeactive", int64(set.enc.ID()), true
 	}
-	return "agentsdk.pokeactive", int64(set.enc.ID()), true
+	return "", 0, false
 }
 
 // PokeActiveEvent returns the callback pair for a serialized
 // "agentsdk.pokeactive" event targeting this set.
 func (set *AgentSet) PokeActiveEvent() (func(any), any) {
 	return pokeActiveFn, set
+}
+
+// RepollEvent returns the callback pair for a serialized "agentsdk.repoll"
+// event due at at, and the adopt function that makes the restored event
+// the set's pending repoll. It fails when the set already has one: a set
+// keeps at most one repoll pending.
+func (set *AgentSet) RepollEvent(at sim.Time) (func(any), any, func(sim.Event), error) {
+	if set.repoll.Pending() {
+		return nil, nil, nil, fmt.Errorf("agent set on enclave %d has two pending repolls", set.enc.ID())
+	}
+	adopt := func(ev sim.Event) { set.repoll, set.repollAt = ev, at }
+	return repollFn, set, adopt, nil
 }
 
 // EnclaveID returns the id of the enclave this generation serves.

@@ -25,11 +25,9 @@ type CPU struct {
 	speed      float64 // work-units per wall-ns for the current segment
 	completion sim.Event
 
-	// Accounting.
-	accBusy   bool
-	busyNS    sim.Duration
-	busyStart sim.Time
-	switches  uint64
+	// accBusy tracks the busy/idle edges that change the SMT sibling's
+	// speed (smtChanged).
+	accBusy bool
 }
 
 // Curr returns the thread currently on this CPU (nil when idle). During a
@@ -59,7 +57,6 @@ func (c *CPU) FreeForPlacement() bool { return c.Idle() && !c.reschedPending }
 func (c *CPU) accountBusy() {
 	if !c.accBusy {
 		c.accBusy = true
-		c.busyStart = c.k.eng.Now()
 		c.smtChanged()
 	}
 }
@@ -68,7 +65,6 @@ func (c *CPU) accountBusy() {
 func (c *CPU) accountIdle() {
 	if c.accBusy {
 		c.accBusy = false
-		c.busyNS += c.k.eng.Now() - c.busyStart
 		c.smtChanged()
 	}
 }

@@ -30,7 +30,6 @@ type Kernel struct {
 	eng  *sim.Engine
 	topo *hw.Topology
 	cost hw.CostModel
-	rand *sim.Rand
 
 	cpus    []*CPU
 	idle    Mask      // {c : c.Idle()}, kept by CPU.setCurr/setSwitching
@@ -78,7 +77,6 @@ func New(eng *sim.Engine, topo *hw.Topology, cost hw.CostModel) *Kernel {
 		eng:     eng,
 		topo:    topo,
 		cost:    cost,
-		rand:    sim.NewRand(0xC0FFEE),
 		threads: make([]*Thread, 1),
 		nextTID: 1,
 	}
@@ -327,8 +325,7 @@ func (k *Kernel) Wake(t *Thread) {
 // makeRunnable enqueues t with its class and triggers preemption checks.
 func (k *Kernel) makeRunnable(t *Thread, r EnqueueReason) {
 	t.state = StateRunnable
-	t.runnableAt = k.eng.Now()
-	t.wakeTime = t.runnableAt
+	t.wakeTime = k.eng.Now()
 	var cpu hw.CPUID
 	if r == EnqWake || r == EnqClassChange {
 		cpu = t.class.SelectCPU(t)
@@ -463,7 +460,6 @@ func (k *Kernel) doSchedule(c *CPU) {
 		prevSame.lastCPU = c.ID
 		if prevSame.state == StateRunning {
 			prevSame.state = StateRunnable
-			prevSame.runnableAt = k.eng.Now()
 		}
 		c.setCurr(nil)
 	}
@@ -476,7 +472,6 @@ func (k *Kernel) offCPU(c *CPU, t *Thread, r EnqueueReason) {
 	t.lastCPU = c.ID
 	c.setCurr(nil)
 	t.state = StateRunnable
-	t.runnableAt = k.eng.Now()
 	t.targetCPU = c.ID
 	t.class.Enqueue(t, c.ID, r)
 }
@@ -504,7 +499,6 @@ func (k *Kernel) cpuIdle(c *CPU) {
 // switchTo installs next on c, charging context-switch dead time and a
 // cache-warmth migration penalty.
 func (k *Kernel) switchTo(c *CPU, next *Thread) {
-	now := k.eng.Now()
 	if next.state != StateRunnable {
 		panic(fmt.Sprintf("kernel: switching to %v in state %v", next, next.state))
 	}
@@ -513,9 +507,6 @@ func (k *Kernel) switchTo(c *CPU, next *Thread) {
 	}
 	next.state = StateRunning
 	next.cpu = c
-	next.schedDelay += now - next.runnableAt
-	next.switchCount++
-	c.switches++
 	c.setCurr(next)
 	c.accountBusy()
 	k.traceCPU(c)

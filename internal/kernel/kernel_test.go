@@ -9,18 +9,20 @@ import (
 
 // testEnv bundles a small simulated machine for tests.
 type testEnv struct {
-	eng *sim.Engine
-	k   *Kernel
-	cfs *CFS
+	eng  *sim.Engine
+	k    *Kernel
+	cfs  *CFS
+	busy *busyMeter
 }
 
 func newTestEnv(t *testing.T, topo *hw.Topology) *testEnv {
 	t.Helper()
 	eng := sim.NewEngine()
 	k := New(eng, topo, hw.DefaultCostModel())
+	busy := meterBusy(k)
 	cfs := NewCFS(k)
 	t.Cleanup(k.Shutdown)
-	return &testEnv{eng: eng, k: k, cfs: cfs}
+	return &testEnv{eng: eng, k: k, cfs: cfs, busy: busy}
 }
 
 func smallTopo() *hw.Topology {
@@ -247,7 +249,7 @@ func TestIdleStealing(t *testing.T) {
 	}
 	busy := 0
 	for i := 0; i < env.k.NumCPUs(); i++ {
-		if env.k.CPU(hw.CPUID(i)).BusyTime() > 0 {
+		if env.busy.of(hw.CPUID(i)) > 0 {
 			busy++
 		}
 	}
@@ -268,7 +270,7 @@ func TestAffinityRespected(t *testing.T) {
 	if th.LastCPU() != 1 {
 		t.Fatalf("pinned thread ran on cpu %d", th.LastCPU())
 	}
-	if got := env.k.CPU(1).BusyTime(); got == 0 {
+	if got := env.busy.of(1); got == 0 {
 		t.Fatal("cpu 1 never busy")
 	}
 }
@@ -447,7 +449,7 @@ func TestSpinActionOccupiesCPU(t *testing.T) {
 		t.Fatalf("steps = %d, want exactly 1 without pokes", steps)
 	}
 	// CPU is fully busy while spinning.
-	if got := env.k.CPU(0).BusyTime(); got < 900*sim.Microsecond {
+	if got := env.busy.of(0); got < 900*sim.Microsecond {
 		t.Fatalf("cpu busy = %v, want ~1ms", got)
 	}
 	// A poke triggers exactly one more step.
@@ -596,6 +598,8 @@ func TestThreadsListing(t *testing.T) {
 	}
 }
 
+// TestBusyAccountingSums: the switch and idle hooks see every busy/idle
+// edge, so the busy time they add up is the time the CPU ran work.
 func TestBusyAccountingSums(t *testing.T) {
 	env := newTestEnv(t, oneCPUTopo())
 	env.k.Spawn(SpawnOpts{Name: "w", Class: env.cfs}, func(tc *TaskContext) {
@@ -604,7 +608,7 @@ func TestBusyAccountingSums(t *testing.T) {
 		tc.Run(2 * sim.Millisecond)
 	})
 	env.eng.RunFor(10 * sim.Millisecond)
-	busy := env.k.CPU(0).BusyTime()
+	busy := env.busy.of(0)
 	if busy < 4*sim.Millisecond || busy > 4*sim.Millisecond+100*sim.Microsecond {
 		t.Fatalf("busy = %v, want ~4ms", busy)
 	}

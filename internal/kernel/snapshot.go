@@ -28,9 +28,6 @@ type CPURec struct {
 	Burning        bool    `json:"burning,omitempty"`
 	Speed          float64 `json:"speed"`
 	AccBusy        bool    `json:"accBusy,omitempty"`
-	BusyNS         int64   `json:"busyNS"`
-	BusyStart      int64   `json:"busyStart"`
-	Switches       uint64  `json:"switches"`
 }
 
 // BodyRec is the serialized resumable-body descriptor of a thread.
@@ -79,11 +76,8 @@ type ThreadRec struct {
 	WakePending bool  `json:"wakePending,omitempty"`
 	Poked       bool  `json:"poked,omitempty"`
 
-	CPUTime     int64  `json:"cpuTime"`
-	WakeTime    int64  `json:"wakeTime"`
-	RunnableAt  int64  `json:"runnableAt"`
-	SchedDelay  int64  `json:"schedDelay"`
-	SwitchCount uint64 `json:"switchCount"`
+	CPUTime  int64 `json:"cpuTime"`
+	WakeTime int64 `json:"wakeTime"`
 
 	Body *BodyRec      `json:"body,omitempty"`
 	CFS  *CFSThreadRec `json:"cfs,omitempty"`
@@ -124,7 +118,6 @@ type AgentClassRec struct {
 
 // KernelImage is the full serialized kernel state.
 type KernelImage struct {
-	Rand     uint64         `json:"rand"`
 	NextTID  int            `json:"nextTID"`
 	Tickless []bool         `json:"tickless"`
 	CPUs     []CPURec       `json:"cpus"`
@@ -169,7 +162,6 @@ func (k *Kernel) SaveImage() (*KernelImage, error) {
 		return nil, fmt.Errorf("kernel has been shut down")
 	}
 	img := &KernelImage{
-		Rand:     k.rand.State(),
 		NextTID:  int(k.nextTID),
 		Tickless: append([]bool(nil), k.tickless...),
 	}
@@ -183,9 +175,6 @@ func (k *Kernel) SaveImage() (*KernelImage, error) {
 			Burning:        c.burning,
 			Speed:          c.speed,
 			AccBusy:        c.accBusy,
-			BusyNS:         int64(c.busyNS),
-			BusyStart:      int64(c.busyStart),
-			Switches:       c.switches,
 		}
 		if c.curr != nil {
 			rec.Curr = int(c.curr.tid)
@@ -234,9 +223,6 @@ func (t *Thread) saveRec() (ThreadRec, error) {
 		Poked:       t.poked,
 		CPUTime:     int64(t.cpuTime),
 		WakeTime:    int64(t.wakeTime),
-		RunnableAt:  int64(t.runnableAt),
-		SchedDelay:  int64(t.schedDelay),
-		SwitchCount: t.switchCount,
 	}
 	if t.cpu != nil {
 		rec.CPU = int(t.cpu.ID)
@@ -348,7 +334,6 @@ func (k *Kernel) RestoreImage(img *KernelImage) error {
 	if err := k.SetNextTID(TID(img.NextTID)); err != nil {
 		return err
 	}
-	k.rand.SetState(img.Rand)
 	copy(k.tickless, img.Tickless)
 	for i := range img.CPUs {
 		rec := &img.CPUs[i]
@@ -371,9 +356,6 @@ func (k *Kernel) RestoreImage(img *KernelImage) error {
 		c.burning = rec.Burning
 		c.speed = rec.Speed
 		c.accBusy = rec.AccBusy
-		c.busyNS = sim.Duration(rec.BusyNS)
-		c.busyStart = sim.Time(rec.BusyStart)
-		c.switches = rec.Switches
 		c.completion = sim.Event{} // re-linked during event restore
 	}
 	for i := range img.Threads {
@@ -461,9 +443,6 @@ func (t *Thread) restoreRec(rec *ThreadRec) error {
 	t.poked = rec.Poked
 	t.cpuTime = sim.Duration(rec.CPUTime)
 	t.wakeTime = sim.Time(rec.WakeTime)
-	t.runnableAt = sim.Time(rec.RunnableAt)
-	t.schedDelay = sim.Duration(rec.SchedDelay)
-	t.switchCount = rec.SwitchCount
 	if rec.Body != nil && rec.Body.Rand != nil {
 		if t.body == nil || t.body.Rand == nil {
 			return fmt.Errorf("thread %v: snapshot has a body random stream but the re-spawned body has none", t)

@@ -107,8 +107,7 @@ func runStepsScript(t *testing.T, steps bool) stepsOutcome {
 		t.Fatalf("steps=%v: spinner blocked", steps)
 	}
 	for _, th := range threads {
-		out.Threads = append(out.Threads, fmt.Sprintf("%v cpu=%v delay=%v switches=%d",
-			th, th.CPUTime(), th.schedDelay, th.switchCount))
+		out.Threads = append(out.Threads, fmt.Sprintf("%v cpu=%v woke=%v", th, th.CPUTime(), th.WakeTime()))
 	}
 	out.Executed, out.Seq = env.eng.Executed, env.eng.Seq()
 	env.k.Shutdown()

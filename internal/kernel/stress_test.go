@@ -24,6 +24,7 @@ func TestKernelStressInvariants(t *testing.T) {
 	topo := hw.NewTopology(hw.Config{Name: "s", Sockets: 2, CCXsPerSocket: 2, CoresPerCCX: 2, SMTWidth: 2})
 	eng := sim.NewEngine()
 	k := New(eng, topo, hw.DefaultCostModel())
+	busy := meterBusy(k)
 	mq := NewMicroQuanta(k)
 	cfs := NewCFS(k)
 	defer k.Shutdown()
@@ -100,8 +101,8 @@ func TestKernelStressInvariants(t *testing.T) {
 				t.Errorf("t=%v: %v running outside affinity on cpu%d", now, cur, i)
 				violations++
 			}
-			if c.BusyTime() > now+sim.Microsecond {
-				t.Errorf("t=%v: cpu%d busy %v exceeds wall", now, i, c.BusyTime())
+			if b := busy.of(hw.CPUID(i)); b > now+sim.Microsecond {
+				t.Errorf("t=%v: cpu%d busy %v exceeds wall", now, i, b)
 				violations++
 			}
 		}

@@ -119,11 +119,8 @@ type Thread struct {
 	poked       bool // Poke arrived since the thread's last step
 
 	// Accounting.
-	cpuTime     sim.Duration // total on-CPU wall time
-	wakeTime    sim.Time     // when the thread last became runnable
-	runnableAt  sim.Time
-	schedDelay  sim.Duration // cumulative wake-to-run latency
-	switchCount uint64
+	cpuTime  sim.Duration // total on-CPU wall time
+	wakeTime sim.Time     // when the thread last became runnable
 
 	// Per-class state.
 	cfs cfsThread

@@ -192,12 +192,31 @@ func (p *CentralFIFO) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 			p.running.put(cpu, ts)
 			out = append(out, agentsdk.Assignment{Thread: ts.Thread, CPU: cpu})
 		}
-		if next := p.running.nextExpiry(now, p.Quantum); next > 0 {
-			ctx.RepollAfter(next)
-		}
 	}
+	p.repoll(ctx)
 	p.out = out
 	return out
+}
+
+// repoll arms the agent's timer for the next quantum expiry while some
+// band queue holds work, which an expiry preempts for (DESIGN.md §3k).
+func (p *CentralFIFO) repoll(ctx *agentsdk.Context) {
+	if p.Quantum <= 0 || !p.queued() {
+		return
+	}
+	if next := p.running.nextExpiry(ctx.Now(), p.Quantum); next > 0 {
+		ctx.RepollAfter(next)
+	}
+}
+
+// queued reports whether any band queue holds a thread.
+func (p *CentralFIFO) queued() bool {
+	for _, q := range p.queues {
+		if len(q) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // findLowerBandVictim returns the lowest CPU running a placed thread of
@@ -224,6 +243,7 @@ func (p *CentralFIFO) OnTxnFail(ctx *agentsdk.Context, a agentsdk.Assignment, s 
 	p.tr.MarkFailed(ts)
 	if ts.Thread.State() == kernel.StateRunnable {
 		p.enqueue(ts)
+		p.repoll(ctx)
 	} else {
 		ts.Runnable = false
 	}

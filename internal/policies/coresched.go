@@ -283,8 +283,17 @@ func (p *CoreSched) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 			}
 		}
 	}
-	ctx.RepollAfter(p.Quantum / 4)
+	p.repoll(ctx)
 	return out
+}
+
+// repoll arms the agent's timer a quarter quantum ahead while some VM has
+// queued vCPUs, since every decision Schedule makes places one
+// (DESIGN.md §3k).
+func (p *CoreSched) repoll(ctx *agentsdk.Context) {
+	if p.vmRunnable(-1) {
+		ctx.RepollAfter(p.Quantum / 4)
+	}
 }
 
 // OnTxnFail implements agentsdk.GlobalPolicy.
@@ -296,6 +305,7 @@ func (p *CoreSched) OnTxnFail(ctx *agentsdk.Context, a agentsdk.Assignment, s gh
 	p.tr.MarkFailed(ts)
 	if ts.Thread.State() == kernel.StateRunnable {
 		p.enqueue(ts)
+		p.repoll(ctx)
 	} else {
 		ts.Runnable = false
 	}

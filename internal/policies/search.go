@@ -152,7 +152,7 @@ func (p *Search) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 	clear(skipped)
 	p.out, p.skipped = out, skipped
 	if len(skipped) > 0 {
-		ctx.RepollAfter(10 * sim.Microsecond)
+		ctx.RetryAfter(10 * sim.Microsecond)
 	}
 	return out
 }

@@ -203,12 +203,23 @@ func (p *Shinjuku) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 		}
 	}
 
-	// Re-poll in time for the next slice expiry.
-	if next := p.running.nextExpiry(now, p.Slice); next > 0 {
-		ctx.RepollAfter(next)
-	}
+	p.repoll(ctx, full())
 	p.out = out
 	return out
+}
+
+// repoll arms the agent's timer for the next slice expiry while the FIFO
+// holds work, which an expiry preempts for (step 3 of Schedule), or while
+// batch work waits that no round will place unasked: cut is set when
+// MaxCommits ended the round or a failed commit re-queued a thread
+// (DESIGN.md §3k).
+func (p *Shinjuku) repoll(ctx *agentsdk.Context, cut bool) {
+	if len(p.fifo) == 0 && (!cut || len(p.batchq) == 0) {
+		return
+	}
+	if next := p.running.nextExpiry(ctx.Now(), p.Slice); next > 0 {
+		ctx.RepollAfter(next)
+	}
 }
 
 // anyBatchCPU returns the lowest CPU running a batch thread the policy
@@ -234,6 +245,7 @@ func (p *Shinjuku) OnTxnFail(ctx *agentsdk.Context, a agentsdk.Assignment, s gho
 	p.tr.MarkFailed(ts)
 	if ts.Thread.State() == kernel.StateRunnable {
 		p.enqueue(ts)
+		p.repoll(ctx, true)
 	} else {
 		ts.Runnable = false
 	}

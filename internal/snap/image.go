@@ -49,8 +49,9 @@ type TickerRec struct {
 // EventRec is one serialized pending engine event, classified by its
 // owning subsystem. Kind selects the decoder: "sim.ticker" (Key names
 // the ticker), "kernel.*" (Ref is a TID or CPU id), "ghost.install"
-// (Args), "agentsdk.pokeactive" (Ref is an enclave id), or "component"
-// (Key names the component, Sub the event within it).
+// (Args), "agentsdk.repoll" or "agentsdk.pokeactive" (Ref is an enclave
+// id), or "component" (Key names the component, Sub the event within
+// it).
 type EventRec struct {
 	At   int64   `json:"at"`
 	Seq  uint64  `json:"seq"`

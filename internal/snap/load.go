@@ -307,6 +307,17 @@ func eventCallback(t *Target, ctx *RestoreCtx, tickers map[string]*sim.Ticker, s
 			}
 		}
 		return nil, nil, nil, fmt.Errorf("snap: pokeactive event for enclave %d has no agent set", erec.Ref)
+	case "agentsdk.repoll":
+		for _, set := range sets {
+			if int64(set.EnclaveID()) == erec.Ref {
+				afn, arg, adopt, err := set.RepollEvent(sim.Time(erec.At))
+				if err != nil {
+					return nil, nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+				}
+				return afn, arg, adopt, nil
+			}
+		}
+		return nil, nil, nil, fmt.Errorf("snap: repoll event for enclave %d has no agent set", erec.Ref)
 	case "component":
 		c := ctx.Component(erec.Key)
 		if c == nil {

@@ -130,8 +130,8 @@ func collectTickers(t *Target) ([]*sim.Ticker, error) {
 
 // classifyPending routes one pending event through the subsystem
 // classifiers: sim's keyed timers, the kernel's pre-bound callbacks, the
-// ghOSt install IPI, the agentsdk repoll poke, then component-owned
-// events.
+// ghOSt install IPI, the agentsdk repoll and retry pokes, then
+// component-owned events.
 func classifyPending(t *Target, pe sim.PendingEvent) (EventRec, error) {
 	rec := EventRec{At: int64(pe.At), Seq: pe.Seq}
 	if pe.Fn != nil {

@@ -56,7 +56,7 @@ echo "== go test -race -short ./..."
 go test -race -short ./...
 
 echo "== ghost-check smoke (property-based invariant scan)"
-go run ./cmd/ghost-check -quick -seeds 25 -parallel 4
+go run ./cmd/ghost-check -quick -seeds 100 -parallel 4
 
 echo "== examples (build + quick smoke run)"
 for ex in examples/*/; do

@@ -25,6 +25,12 @@ func buildServing(opts ...ghost.MachineOption) *ghost.Machine {
 
 // buildServingWith is buildServing with the given agent policy and mode.
 func buildServingWith(policy any, mode ghost.AgentOption, opts ...ghost.MachineOption) *ghost.Machine {
+	return buildServingAt(40_000, policy, mode, opts...)
+}
+
+// buildServingAt is buildServingWith with the Poisson source at rate
+// requests per second.
+func buildServingAt(rate float64, policy any, mode ghost.AgentOption, opts ...ghost.MachineOption) *ghost.Machine {
 	m := ghost.NewMachine(ghost.XeonE5(), opts...)
 	enc := m.NewEnclave(ghost.MaskOf(0, 1, 2, 3))
 	m.StartAgents(enc, policy, mode)
@@ -32,7 +38,7 @@ func buildServingWith(policy any, mode ghost.AgentOption, opts ...ghost.MachineO
 		return m.Spawn(ghost.ThreadOpts{Name: name, Class: ghost.Ghost(enc)}, body)
 	})
 	m.AddSnapshotComponent("pool", pool)
-	src := m.NewPoissonSource(ghost.NewRand(7), 40_000, ghost.ExponentialService(20*ghost.Microsecond),
+	src := m.NewPoissonSource(ghost.NewRand(7), rate, ghost.ExponentialService(20*ghost.Microsecond),
 		func(r *ghost.Request) { pool.Submit(r) })
 	m.AddSnapshotComponent("src", src)
 	m.SpawnSpinner(ghost.ThreadOpts{Name: "spin", Class: ghost.Ghost(enc)}, 15*ghost.Microsecond)
@@ -171,24 +177,56 @@ func TestSnapshotRestoresBodiesWhereParked(t *testing.T) {
 	}
 }
 
-// servingSnap4ms is testdata/serving-4ms.snap's buildServing machine run
-// on to 5 ms: the digest the tree that wrote the file recorded there.
-const servingSnap4ms = "cacb0864d2e0ae18ccd431f83171c3e8361dfba2558185d35ad0a3bdc1fcf031"
+// servingSnap5ms is the digest of testdata/serving-5ms.snap, the
+// buildServing machine at 5 ms as the tree that wrote both files saved
+// it: the 4 ms file run on 1 ms in that tree.
+const servingSnap5ms = "cacb0864d2e0ae18ccd431f83171c3e8361dfba2558185d35ad0a3bdc1fcf031"
 
-// A Version 3 snapshot file written by an earlier tree (buildServing at
-// 4 ms) still restores, and the restored machine runs 1 ms on to the
-// digest that tree recorded.
-func TestRestoreRecordedSnapshot(t *testing.T) {
-	data, err := os.ReadFile("testdata/serving-4ms.snap")
+// readSnapshotFile reads a snapshot file from testdata and returns its
+// wire bytes and decoded container.
+func readSnapshotFile(t *testing.T, name string) ([]byte, *ghost.Snapshot) {
+	t.Helper()
+	data, err := os.ReadFile("testdata/" + name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s, err := ghost.ReadSnapshot(bytes.NewReader(data))
 	if err != nil {
-		t.Fatalf("ReadSnapshot: %v", err)
+		t.Fatalf("ReadSnapshot(%s): %v", name, err)
 	}
+	return data, s
+}
+
+// dropRetiredKernelFields deletes from an image's core JSON the kernel
+// fields that the encoding no longer carries: the never-drawn kernel
+// random stream and the CPU and thread counters nothing read.
+func dropRetiredKernelFields(core map[string]any) {
+	kern := core["kernel"].(map[string]any)
+	delete(kern, "rand")
+	for _, c := range kern["cpus"].([]any) {
+		for _, k := range []string{"busyNS", "busyStart", "switches"} {
+			delete(c.(map[string]any), k)
+		}
+	}
+	for _, th := range kern["threads"].([]any) {
+		for _, k := range []string{"runnableAt", "schedDelay", "switchCount"} {
+			delete(th.(map[string]any), k)
+		}
+	}
+}
+
+// A Version 3 snapshot file written by an earlier tree (buildServing at
+// 4 ms) still restores, and the restored machine runs 1 ms on to the
+// state that tree reached: the core JSON of the image it saved at 5 ms
+// (testdata/serving-5ms.snap), less only the retired kernel fields.
+func TestRestoreRecordedSnapshot(t *testing.T) {
+	_, s := readSnapshotFile(t, "serving-4ms.snap")
 	if s.Time() != 4*ghost.Millisecond {
 		t.Fatalf("snapshot time = %v, want 4ms", s.Time())
+	}
+	endWire, end := readSnapshotFile(t, "serving-5ms.snap")
+	if end.Digest() != servingSnap5ms || end.Time() != 5*ghost.Millisecond {
+		t.Fatalf("serving-5ms.snap: digest %s at %v, want %s at 5ms", end.Digest(), end.Time(), servingSnap5ms)
 	}
 	restored, err := ghost.Restore(s, servingRestoreOpts()...)
 	if err != nil {
@@ -196,8 +234,32 @@ func TestRestoreRecordedSnapshot(t *testing.T) {
 	}
 	defer restored.Shutdown()
 	restored.RunUntil(5 * ghost.Millisecond)
-	if got := digestAt(t, restored); got != servingSnap4ms {
-		t.Fatalf("restored run digest %s, want %s", got, servingSnap4ms)
+	snap, err := restored.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	var buf bytes.Buffer
+	if _, err := snap.WriteTo(&buf); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	got, want := snapshotCore(t, buf.Bytes()), snapshotCore(t, endWire)
+	dropRetiredKernelFields(want)
+	for k := range want {
+		if _, ok := got[k]; !ok {
+			t.Errorf("restored run's image has no %q", k)
+		}
+	}
+	for k, v := range got {
+		g, _ := json.Marshal(v)
+		w, _ := json.Marshal(want[k])
+		if !bytes.Equal(g, w) {
+			i := 0
+			for i < len(g) && i < len(w) && g[i] == w[i] {
+				i++
+			}
+			from := max(i-120, 0)
+			t.Errorf("restored run's %q differs from serving-5ms.snap's at byte %d:\n…%.240s\nwant\n…%.240s", k, i, g[from:], w[from:])
+		}
 	}
 }
 
@@ -224,6 +286,62 @@ func TestSnapshotResumesAgentMidCost(t *testing.T) {
 		}
 		return false
 	})
+}
+
+// A Shinjuku agent snapshotted while its repoll timer is pending adopts
+// the restored timer as its one pending repoll. A restored set that did
+// not would arm a second timer when it next asked for a repoll before
+// the restored one fired, so its event count would run ahead of the
+// uninterrupted run's. That takes an agent step inside the timer's
+// window, which a loaded pool makes common but not certain, so the
+// machine is snapshotted every 5 µs and every restored timer up to 2 ms
+// is checked: each snapshot holding a new one is restored and run to
+// 2 ms. Both machines run without the tracer's metrics, which a restore
+// starts from zero, so their Metrics strings carry only the engine's
+// restored event count and queue high-water mark.
+func TestSnapshotAdoptsPendingRepoll(t *testing.T) {
+	const horizon = 2 * ghost.Millisecond
+	orig := buildServingAt(100_000, ghost.NewShinjukuPolicy(), ghost.Global(), ghost.WithoutMetrics())
+	defer orig.Shutdown()
+	var wires [][]byte
+	last := -1.0 // seq of the newest repoll event collected
+	for orig.Now() < horizon {
+		orig.Run(5 * ghost.Microsecond)
+		s, err := orig.Snapshot()
+		if err != nil {
+			t.Fatalf("Snapshot at %v: %v", orig.Now(), err)
+		}
+		var buf bytes.Buffer
+		if _, err := s.WriteTo(&buf); err != nil {
+			t.Fatalf("WriteTo: %v", err)
+		}
+		for _, ev := range snapshotCore(t, buf.Bytes())["events"].([]any) {
+			if ev := ev.(map[string]any); ev["kind"] == "agentsdk.repoll" && ev["seq"].(float64) != last {
+				last = ev["seq"].(float64)
+				wires = append(wires, buf.Bytes())
+			}
+		}
+	}
+	if len(wires) < 10 {
+		t.Fatalf("%d snapshots up to %v hold a new pending repoll, want at least 10", len(wires), horizon)
+	}
+	want := orig.Metrics().String() + "digest " + digestAt(t, orig)
+	for _, wire := range wires {
+		s, err := ghost.ReadSnapshot(bytes.NewReader(wire))
+		if err != nil {
+			t.Fatalf("ReadSnapshot: %v", err)
+		}
+		restored, err := ghost.Restore(s, append(servingRestoreOpts(), ghost.WithoutMetrics())...)
+		if err != nil {
+			t.Fatalf("Restore at %v: %v", s.Time(), err)
+		}
+		restored.RunUntil(horizon)
+		got := restored.Metrics().String() + "digest " + digestAt(t, restored)
+		restored.Shutdown()
+		if got != want {
+			t.Fatalf("restore at %v not transparent:\n%s\nwant\n%s", s.Time(), got, want)
+		}
+	}
 }
 
 // requireTransparentAt runs buildServing in windows of step until a
@@ -550,6 +668,14 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 			})
 		}},
 		{"agent-global-cpu-high", func(core map[string]any) { record(core, "sets", 0)["globalCPU"] = 1000 }},
+		{"agent-two-pending-repolls", func(core map[string]any) {
+			first := record(core, "events", 0)
+			for i := 0; i < 2; i++ {
+				core["events"] = append(core["events"].([]any), map[string]any{
+					"at": first["at"], "seq": first["seq"], "kind": "agentsdk.repoll", "ref": record(core, "sets", 0)["encID"],
+				})
+			}
+		}},
 		{"tracker-laststart-future", func(core map[string]any) {
 			editPolicy(t, record(core, "sets", 0), func(st map[string]any) {
 				record(st, "tracker", 0)["lastStart"] = core["now"].(float64) + 1
