@@ -558,20 +558,15 @@ func (set *AgentSet) pokeActive() {
 }
 
 // onPressure implements the hot handoff (§3.3): when a CFS thread needs
-// the global agent's CPU, move the global role to an inactive agent on an
-// idle CPU and release this one.
+// the global agent's CPU, move the global role to the inactive agent on
+// the lowest-numbered idle enclave CPU and release this one.
 func (set *AgentSet) onPressure(c *kernel.CPU) {
 	if set.stopped || set.globalCPU == hw.NoCPU || c.ID != set.globalCPU {
 		return
 	}
-	var target hw.CPUID = hw.NoCPU
-	set.enc.CPUs().ForEach(func(id hw.CPUID) bool {
-		if id != set.globalCPU && set.k.CPU(id).Idle() {
-			target = id
-			return false
-		}
-		return true
-	})
+	idle := set.enc.CPUs().And(set.k.IdleMask())
+	idle.Clear(set.globalCPU)
+	target := idle.First()
 	if target == hw.NoCPU {
 		return // nowhere to go; CFS must wait (machine saturated)
 	}

@@ -20,7 +20,9 @@ import (
 //     same storage carries a new generation, so equality silently
 //     means "same recycled slot", not "same scheduled callback".
 //
-// Handles must be held by value and queried with Pending/Cancel only.
+// Handles must be held by value and used through Pending, Cancel and
+// Move only. Move re-times a live event in place and keeps its
+// generation, so the handle it is called on stays valid.
 var EventHandleAnalyzer = &Analyzer{
 	Name: "eventhandle",
 	Doc:  "flags *sim.Event storage, &handle aliasing, and ==/!= comparison of sim.Event handles",

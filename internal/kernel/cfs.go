@@ -43,10 +43,14 @@ type cfsThread struct {
 	idx      int
 }
 
-// cfsRq is one CPU's CFS runqueue: a min-heap on vruntime.
+// cfsRq is one CPU's CFS runqueue: a min-heap on vruntime. Push and Pop,
+// which every container/heap operation ends in, keep the queue's bit of
+// the class's queued mask in step with whether it is non-empty.
 type cfsRq struct {
 	threads []*Thread
 	minVrun float64
+	cpu     hw.CPUID
+	queued  *Mask
 }
 
 func (q *cfsRq) Len() int { return len(q.threads) }
@@ -66,6 +70,7 @@ func (q *cfsRq) Push(x any) {
 	t := x.(*Thread)
 	t.cfs.idx = len(q.threads)
 	q.threads = append(q.threads, t)
+	q.queued.SetTo(q.cpu, true)
 }
 func (q *cfsRq) Pop() any {
 	n := len(q.threads)
@@ -73,6 +78,7 @@ func (q *cfsRq) Pop() any {
 	q.threads[n-1] = nil
 	t.cfs.idx = -1
 	q.threads = q.threads[:n-1]
+	q.queued.SetTo(q.cpu, n > 1)
 	return t
 }
 
@@ -86,6 +92,17 @@ type CFS struct {
 	k   *Kernel
 	rqs []*cfsRq
 	seq uint64
+
+	// queued is {c : c's runqueue is non-empty}; cfsRq.Push/Pop and
+	// restoreRec are its only writers. Idle stealing and the load
+	// balancer walk it instead of every runqueue.
+	queued Mask
+
+	// steal is the thread Queued found for idle CPU stealCPU, handed to
+	// the PickNext of the same scheduling pass so the runqueues are
+	// searched once per pass; stealCPU is hw.NoCPU when nothing is held.
+	steal    *Thread
+	stealCPU hw.CPUID
 
 	// New-idle balance gating, faithful to Linux: a CPU whose recent
 	// idle periods are shorter than MigrationCost skips idle stealing
@@ -118,9 +135,10 @@ func NewCFS(k *Kernel) *CFS {
 		MigrationCost:  500 * sim.Microsecond,
 		idleStart:      make([]sim.Time, k.NumCPUs()),
 		avgIdle:        make([]sim.Duration, k.NumCPUs()),
+		stealCPU:       hw.NoCPU,
 	}
 	for i := range c.rqs {
-		c.rqs[i] = &cfsRq{}
+		c.rqs[i] = &cfsRq{cpu: hw.CPUID(i), queued: &c.queued}
 	}
 	k.AddIdleHook(func(cpu *CPU) { c.idleStart[cpu.ID] = k.Now() })
 	c.balance = sim.NewTicker(k.Engine(), c.BalancePeriod, func(sim.Time) { c.loadBalance() })
@@ -202,15 +220,18 @@ func (c *CFS) Queued(cpu *CPU) bool {
 	}
 	// Idle stealing: an idle CPU claims queued work from elsewhere.
 	if cpu.Idle() {
-		return c.findSteal(cpu) != nil
+		if st := c.findSteal(cpu); st != nil {
+			c.steal, c.stealCPU = st, cpu.ID
+			return true
+		}
 	}
 	return false
 }
 
 // findSteal locates a stealable thread for idle CPU c: a queued thread on
-// the busiest runqueue whose affinity admits c. Gated like Linux's
-// newidle_balance: CPUs whose average idle period is below
-// MigrationCost don't steal.
+// the busiest runqueue whose affinity admits c, the lowest-numbered
+// runqueue among equally busy ones. Gated like Linux's newidle_balance:
+// CPUs whose average idle period is below MigrationCost don't steal.
 func (c *CFS) findSteal(cpu *CPU) *Thread {
 	avg := c.avgIdle[cpu.ID]
 	// Graded gate, like newidle_balance walking the domain hierarchy:
@@ -219,17 +240,15 @@ func (c *CFS) findSteal(cpu *CPU) *Thread {
 	if avg != 0 && avg < c.MigrationCost/5 {
 		return nil
 	}
-	sameSocketOnly := avg != 0 && avg < c.MigrationCost
-	mySocket := c.k.topo.CPU(cpu.ID).Socket
+	cands := c.queued
+	cands.SetTo(cpu.ID, false)
+	if avg != 0 && avg < c.MigrationCost {
+		cands = cands.And(c.k.sockets[cpu.Info.Socket])
+	}
 	var best *Thread
 	bestLen := 0
-	for i, rq := range c.rqs {
-		if hw.CPUID(i) == cpu.ID || rq.Len() == 0 {
-			continue
-		}
-		if sameSocketOnly && c.k.topo.CPU(hw.CPUID(i)).Socket != mySocket {
-			continue
-		}
+	cands.ForEach(func(id hw.CPUID) bool {
+		rq := c.rqs[id]
 		if rq.Len() > bestLen {
 			for _, t := range rq.threads {
 				if t.affinity.Has(cpu.ID) {
@@ -239,6 +258,10 @@ func (c *CFS) findSteal(cpu *CPU) *Thread {
 				}
 			}
 		}
+		return true
+	})
+	if placementAudit != nil {
+		placementAudit.steal(c, cpu, best)
 	}
 	return best
 }
@@ -248,12 +271,19 @@ func (c *CFS) Eligible(cpu *CPU, running *Thread) bool { return true }
 
 // PickNext implements Class.
 func (c *CFS) PickNext(cpu *CPU, prev *Thread) *Thread {
+	st, held := c.steal, c.stealCPU == cpu.ID
+	c.steal, c.stealCPU = nil, hw.NoCPU
 	rq := c.rqs[cpu.ID]
 	if rq.Len() == 0 {
 		if prev != nil {
 			return prev
 		}
-		if st := c.findSteal(cpu); st != nil {
+		if !held {
+			st = c.findSteal(cpu)
+		} else if placementAudit != nil {
+			placementAudit.steal(c, cpu, st)
+		}
+		if st != nil {
 			heap.Remove(c.rqs[st.cfs.rqCPU], st.cfs.idx)
 			st.cfs.onRq = false
 			st.cfs.rqCPU = hw.NoCPU
@@ -318,63 +348,45 @@ func (c *CFS) updateMin(rq *cfsRq) {
 // cross-LLC moves happen via idle stealing and the periodic load
 // balancer, at their own cadence — the CFS behaviour whose tail-latency
 // cost §4.4 measures. Brand-new threads (no last CPU) are spread
-// machine-wide, like fork balancing.
+// machine-wide, like fork balancing. With no CPU of the domain free, the
+// least-loaded one takes the thread.
 func (c *CFS) SelectCPU(t *Thread) hw.CPUID {
 	k := c.k
 	last := t.lastCPU
 	if last != hw.NoCPU && t.affinity.Has(last) && k.cpus[last].FreeForPlacement() {
 		return last
 	}
-	scan := func(domain Mask) (idle, least hw.CPUID) {
-		idle, least = hw.NoCPU, hw.NoCPU
-		bestDist := hw.DistRemote + 1
-		leastLoad := 1 << 30
-		domain.ForEach(func(id hw.CPUID) bool {
-			cp := k.cpus[id]
-			if cp.FreeForPlacement() {
-				d := hw.DistCCX
-				if last != hw.NoCPU {
-					d = k.topo.Dist(last, id)
-				}
-				if d < bestDist {
-					bestDist = d
-					idle = id
-				}
-			}
-			load := c.rqs[id].Len()
-			if cp.curr != nil && cp.curr.class == c {
-				load++
-			}
-			if load < leastLoad {
-				leastLoad = load
-				least = id
-			}
-			return true
-		})
-		return idle, least
-	}
 	domain := t.affinity
 	if last != hw.NoCPU {
-		if d := t.affinity.And(k.ccx[k.topo.CPU(last).CCX]); !d.Empty() {
+		// Affinity may exclude the LLC domain entirely: then the whole
+		// mask is the domain.
+		if d := t.affinity.And(k.ccx[k.cpus[last].Info.CCX]); !d.Empty() {
 			domain = d
 		}
 	}
-	idle, least := scan(domain)
-	if idle != hw.NoCPU {
-		return idle
+	id := k.nearestFree(domain, last)
+	if id == hw.NoCPU {
+		leastLoad := 1 << 30
+		domain.ForEach(func(cpu hw.CPUID) bool {
+			if l := c.load(cpu); l < leastLoad {
+				leastLoad, id = l, cpu
+			}
+			return leastLoad > 0
+		})
 	}
-	if least != hw.NoCPU {
-		return least
+	if placementAudit != nil {
+		placementAudit.cfsCPU(c, t, id)
 	}
-	// Affinity excludes the LLC domain entirely: fall back to the mask.
-	idle, least = scan(t.affinity)
-	if idle != hw.NoCPU {
-		return idle
+	return id
+}
+
+// load is cpu's CFS load: its queued threads plus a running CFS thread.
+func (c *CFS) load(cpu hw.CPUID) int {
+	n := c.rqs[cpu].Len()
+	if cur := c.k.cpus[cpu].curr; cur != nil && cur.class == c {
+		n++
 	}
-	if least != hw.NoCPU {
-		return least
-	}
-	return t.affinity.First()
+	return n
 }
 
 // WantsPreempt implements Class: wake preemption when the incoming thread
@@ -417,26 +429,18 @@ func (c *CFS) loadBalance() {
 
 // balanceOnce performs at most one migration; reports whether it did.
 func (c *CFS) balanceOnce() bool {
-	load := func(id hw.CPUID) int {
-		n := c.rqs[id].Len()
-		cp := c.k.cpus[id]
-		if cp.curr != nil && cp.curr.class == c {
-			n++
-		}
-		return n
-	}
 	var src hw.CPUID = hw.NoCPU
 	bestLen := 0
-	for i, rq := range c.rqs {
-		if rq.Len() > bestLen {
-			bestLen = rq.Len()
-			src = hw.CPUID(i)
+	c.queued.ForEach(func(id hw.CPUID) bool {
+		if n := c.rqs[id].Len(); n > bestLen {
+			bestLen, src = n, id
 		}
-	}
+		return true
+	})
 	if src == hw.NoCPU {
 		return false
 	}
-	srcLoad := load(src)
+	srcLoad := c.load(src)
 	for _, t := range c.rqs[src].threads {
 		var tgt hw.CPUID = hw.NoCPU
 		tgtLoad := 1 << 30
@@ -444,7 +448,7 @@ func (c *CFS) balanceOnce() bool {
 			if id == src {
 				return true
 			}
-			if l := load(id); l < tgtLoad {
+			if l := c.load(id); l < tgtLoad {
 				tgtLoad = l
 				tgt = id
 			}

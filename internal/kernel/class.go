@@ -100,3 +100,12 @@ const (
 	PrioCFS         = 50
 	PrioGhost       = 10
 )
+
+// placementAudit is nil outside tests. A test installs one to see every
+// mask-based placement decision, with the answer it gave, and recompute
+// it with the per-CPU scan it replaced.
+var placementAudit interface {
+	steal(c *CFS, cpu *CPU, got *Thread)
+	cfsCPU(c *CFS, t *Thread, got hw.CPUID)
+	mqCPU(m *MicroQuanta, t *Thread, got hw.CPUID)
+}

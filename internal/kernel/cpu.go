@@ -48,6 +48,13 @@ func (c *CPU) setSwitching(on bool) { c.switching = on; c.syncIdle() }
 // in range, unlike Mask.Set's arguments).
 func (c *CPU) syncIdle() { c.k.idle.SetTo(c.ID, c.Idle()) }
 
+// setReschedPending is the only writer of reschedPending, snapshot
+// restore included; it keeps the kernel's pending mask in step.
+func (c *CPU) setReschedPending(on bool) {
+	c.reschedPending = on
+	c.k.pending.SetTo(c.ID, on)
+}
+
 // FreeForPlacement reports whether the CPU is idle and has no pending
 // scheduling pass that might already have claimed it. Wake placement uses
 // this to spread simultaneous wakeups instead of piling them on one CPU.
@@ -88,54 +95,78 @@ func (c *CPU) startSegment() {
 	if t == nil {
 		return
 	}
-	now := c.k.eng.Now()
-	c.segStart = now
+	c.segStart = c.k.eng.Now()
 	c.speed = c.effSpeed()
 	if t.pendingWork > 0 {
-		wall := sim.Duration(float64(t.pendingWork)/c.speed + 0.5)
-		if wall < 1 {
-			wall = 1
-		}
 		c.burning = true
-		c.completion = c.k.eng.AfterCall(wall, c.k.workDoneFn, c)
+		c.completion = c.k.eng.AfterCall(c.burnTime(t), c.k.workDoneFn, c)
 	} else {
 		c.burning = false
 		c.completion = sim.Event{}
 	}
 }
 
+// burnTime is the wall time t's pending work takes at the segment's
+// speed, at least 1 ns.
+func (c *CPU) burnTime(t *Thread) sim.Duration {
+	wall := sim.Duration(float64(t.pendingWork)/c.speed + 0.5)
+	if wall < 1 {
+		wall = 1
+	}
+	return wall
+}
+
 // stopSegment ends the current run segment, charging progress and CPU
 // time. Safe to call when no segment is active.
 func (c *CPU) stopSegment() {
-	t := c.curr
-	if t == nil {
-		return
+	if t := c.curr; t != nil && c.charge(t) {
+		c.completion.Cancel()
 	}
+}
+
+// charge credits t, the current thread, with the segment's CPU time and,
+// when it was burning, its progress through the pending work, then
+// restarts the segment clock. It reports whether the segment was burning;
+// the caller owns that segment's completion event.
+func (c *CPU) charge(t *Thread) (burned bool) {
 	now := c.k.eng.Now()
 	elapsed := now - c.segStart
 	if elapsed > 0 {
 		t.cpuTime += elapsed
 	}
-	if c.burning {
+	burned = c.burning
+	if burned {
 		progress := sim.Duration(float64(elapsed)*c.speed + 0.5)
 		if progress >= t.pendingWork {
 			t.pendingWork = 0
 		} else {
 			t.pendingWork -= progress
 		}
-		c.completion.Cancel()
 		c.burning = false
 	}
 	c.segStart = now
+	return burned
 }
 
 // resegment restarts the current segment with a fresh speed, e.g. after
-// the SMT sibling's busy state changed.
+// the SMT sibling's busy state changed. A segment that keeps burning
+// moves its completion event rather than cancelling it and arming a new
+// one; the move takes a fresh sequence number, so the event fires exactly
+// where the new one would have.
 func (c *CPU) resegment() {
-	if c.curr == nil || c.switching {
+	t := c.curr
+	if t == nil || c.switching {
 		return
 	}
-	c.stopSegment()
+	if c.charge(t) {
+		if t.pendingWork > 0 {
+			c.speed = c.effSpeed()
+			c.burning = true
+			c.completion.Move(c.segStart + c.burnTime(t))
+			return
+		}
+		c.completion.Cancel()
+	}
 	c.startSegment()
 }
 

@@ -33,7 +33,9 @@ type Kernel struct {
 
 	cpus    []*CPU
 	idle    Mask      // {c : c.Idle()}, kept by CPU.setCurr/setSwitching
+	pending Mask      // {c : c.reschedPending}, kept by CPU.setReschedPending
 	ccx     []Mask    // CPUs of each CCX (L3 domain), by CCX index
+	sockets []Mask    // CPUs of each socket, by socket index
 	threads []*Thread // indexed by TID; nil for TID 0 and unused TIDs
 	live    []*Thread
 	nextTID TID
@@ -89,10 +91,12 @@ func New(eng *sim.Engine, topo *hw.Topology, cost hw.CostModel) *Kernel {
 	k.cpus = make([]*CPU, n)
 	k.idle = MaskAll(n)
 	k.ccx = make([]Mask, topo.NumCCXs())
+	k.sockets = make([]Mask, topo.NumSockets())
 	k.tickless = make([]bool, n)
 	for i := 0; i < n; i++ {
 		k.cpus[i] = &CPU{ID: hw.CPUID(i), Info: topo.CPU(hw.CPUID(i)), k: k}
 		k.ccx[k.cpus[i].Info.CCX].Set(hw.CPUID(i))
+		k.sockets[k.cpus[i].Info.Socket].Set(hw.CPUID(i))
 	}
 	for _, c := range k.cpus {
 		if sib := c.Info.Sibling(); sib != hw.NoCPU {
@@ -369,15 +373,42 @@ func (k *Kernel) Resched(id hw.CPUID) {
 	if c.reschedPending {
 		return
 	}
-	c.reschedPending = true
+	c.setReschedPending(true)
 	k.eng.AfterCall(0, k.reschedFn, c)
 }
 
 // reschedFire runs the deferred scheduling pass queued by Resched.
 func (k *Kernel) reschedFire(a any) {
 	c := a.(*CPU)
-	c.reschedPending = false
+	c.setReschedPending(false)
 	k.doSchedule(c)
+}
+
+// nearestFree returns the CPU of domain that is free for placement
+// (FreeForPlacement) and nearest to last in the cache hierarchy, the
+// lowest-numbered among equally near ones, or hw.NoCPU when none is
+// free. Without a last CPU every free CPU is equally near. Distance
+// tiers are last itself, its SMT sibling, its CCX, its socket and the
+// rest of the machine (hw.Topology.Dist), so each tier is one mask test.
+func (k *Kernel) nearestFree(domain Mask, last hw.CPUID) hw.CPUID {
+	free := domain.And(k.idle).AndNot(k.pending)
+	switch {
+	case free.Has(last):
+		return last
+	case last == hw.NoCPU || free.Empty():
+		return free.First()
+	}
+	c := k.cpus[last]
+	if c.sib != nil && free.Has(c.sib.ID) {
+		return c.sib.ID
+	}
+	if id := free.And(k.ccx[c.Info.CCX]).First(); id != hw.NoCPU {
+		return id
+	}
+	if id := free.And(k.sockets[c.Info.Socket]).First(); id != hw.NoCPU {
+		return id
+	}
+	return free.First()
 }
 
 // doSchedule is the core scheduling pass for one CPU.

@@ -101,6 +101,15 @@ func (m Mask) And(o Mask) Mask {
 	return r
 }
 
+// AndNot returns the CPUs of m that are not in o.
+func (m Mask) AndNot(o Mask) Mask {
+	var r Mask
+	for i := range r.bits {
+		r.bits[i] = m.bits[i] &^ o.bits[i]
+	}
+	return r
+}
+
 // ForEach calls fn for each CPU in the mask in ascending order; fn
 // returning false stops the iteration. This runs once per scheduling
 // decision over up-to-256-CPU machines, so the bit scan must be

@@ -238,48 +238,32 @@ func (m *MicroQuanta) PickNext(c *CPU, prev *Thread) *Thread {
 	return nil
 }
 
-// SelectCPU implements Class: nearest idle CPU, else least recently used.
+// SelectCPU implements Class: nearest idle CPU, else one running a
+// lower-priority class, else the first CPU the affinity allows.
 func (m *MicroQuanta) SelectCPU(t *Thread) hw.CPUID {
 	k := m.k
 	last := t.lastCPU
 	if last != hw.NoCPU && t.affinity.Has(last) && k.cpus[last].FreeForPlacement() {
 		return last
 	}
-	var bestIdle, firstAllowed hw.CPUID = hw.NoCPU, hw.NoCPU
-	bestDist := hw.DistRemote + 1
-	t.affinity.ForEach(func(id hw.CPUID) bool {
-		if firstAllowed == hw.NoCPU {
-			firstAllowed = id
-		}
-		if k.cpus[id].FreeForPlacement() {
-			d := hw.DistCCX
-			if last != hw.NoCPU {
-				d = k.topo.Dist(last, id)
+	id := k.nearestFree(t.affinity, last)
+	if id == hw.NoCPU {
+		// No idle CPU: pick one running a lower-priority class if possible.
+		t.affinity.ForEach(func(cpu hw.CPUID) bool {
+			if cur := k.cpus[cpu].curr; cur != nil && cur.class.Priority() < m.Priority() {
+				id = cpu
+				return false
 			}
-			if d < bestDist {
-				bestDist = d
-				bestIdle = id
-			}
-		}
-		return true
-	})
-	if bestIdle != hw.NoCPU {
-		return bestIdle
+			return true
+		})
 	}
-	// No idle CPU: pick one running a lower-priority class if possible.
-	var lower hw.CPUID = hw.NoCPU
-	t.affinity.ForEach(func(id hw.CPUID) bool {
-		cp := k.cpus[id]
-		if cp.curr != nil && cp.curr.class.Priority() < m.Priority() {
-			lower = id
-			return false
-		}
-		return true
-	})
-	if lower != hw.NoCPU {
-		return lower
+	if id == hw.NoCPU {
+		id = t.affinity.First()
 	}
-	return firstAllowed
+	if placementAudit != nil {
+		placementAudit.mqCPU(m, t, id)
+	}
+	return id
 }
 
 // WantsPreempt implements Class.

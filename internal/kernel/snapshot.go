@@ -351,7 +351,7 @@ func (k *Kernel) RestoreImage(img *KernelImage) error {
 		c.switching = rec.Switching
 		c.syncIdle()
 		c.needResched = rec.NeedResched
-		c.reschedPending = rec.ReschedPending
+		c.setReschedPending(rec.ReschedPending)
 		c.segStart = sim.Time(rec.SegStart)
 		c.burning = rec.Burning
 		c.speed = rec.Speed
@@ -499,6 +499,7 @@ func (c *CFS) restoreRec(rec *CFSRec) error {
 			t.cfs.idx = pos
 			rq.threads = append(rq.threads, t)
 		}
+		c.queued.SetTo(hw.CPUID(i), rq.Len() > 0)
 	}
 	for i, v := range rec.IdleStart {
 		c.idleStart[i] = sim.Time(v)

@@ -17,8 +17,10 @@ import (
 //   - CPU busy accounting never exceeds wall time
 //   - no runnable thread starves for more than a balance period + slack
 //
-// and, after every event, that IdleMask is exactly the set of CPUs
-// whose Idle() is true; the same must hold after a SaveImage →
+// and, after every event, that the kernel's masks equal the sets they
+// mirror (CheckMasks): IdleMask the CPUs whose Idle() is true, the
+// pending mask the CPUs with a resched pending, and CFS's queued mask the
+// CPUs with a non-empty runqueue; the same must hold after a SaveImage →
 // RestoreImage round trip.
 func TestKernelStressInvariants(t *testing.T) {
 	topo := hw.NewTopology(hw.Config{Name: "s", Sockets: 2, CCXsPerSocket: 2, CoresPerCCX: 2, SMTWidth: 2})
@@ -62,23 +64,20 @@ func TestKernelStressInvariants(t *testing.T) {
 	}
 
 	violations := 0
-	checkIdle := func(when string) {
-		var want Mask
-		for i := 0; i < k.NumCPUs(); i++ {
-			if k.CPU(hw.CPUID(i)).Idle() {
-				want.Set(hw.CPUID(i))
-			}
-		}
-		if got := k.IdleMask(); got != want {
-			t.Errorf("%s: IdleMask = %v, CPUs with Idle() = %v", when, got, want)
+	var queuedSeen, pendingSeen bool
+	checkMasks := func(when string) {
+		if err := CheckMasks(k); err != nil {
+			t.Errorf("%s: %v", when, err)
 			violations++
 		}
 	}
 	eng.OnDispatch = func(now sim.Time, _ int) {
 		// Dispatch of event n+1 observes the state event n left.
 		if violations < 10 {
-			checkIdle(fmt.Sprintf("t=%v", now))
+			checkMasks(fmt.Sprintf("t=%v", now))
 		}
+		queuedSeen = queuedSeen || !cfs.queued.Empty()
+		pendingSeen = pendingSeen || !k.pending.Empty()
 	}
 	check := func(now sim.Time) {
 		onCPU := map[TID]hw.CPUID{}
@@ -128,7 +127,10 @@ func TestKernelStressInvariants(t *testing.T) {
 	if done < 35 {
 		t.Fatalf("only %d/40 threads finished", done)
 	}
-	checkIdle("end of run")
+	if !queuedSeen || !pendingSeen {
+		t.Fatalf("the run never queued a CFS thread (%v) or left a resched pending (%v): the mask checks are vacuous", queuedSeen, pendingSeen)
+	}
+	checkMasks("end of run")
 
 	// Round trip with some CPUs busy and some idle: RestoreImage must
 	// re-derive the mask rather than keep whatever it finds.
@@ -147,17 +149,13 @@ func TestKernelStressInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wrong Mask // the complement: RestoreImage must set and clear bits
-	for i := 0; i < k.NumCPUs(); i++ {
-		if !before.Has(hw.CPUID(i)) {
-			wrong.Set(hw.CPUID(i))
-		}
-	}
-	k.idle = wrong
+	// The complements: RestoreImage must set and clear bits.
+	all := MaskAll(k.NumCPUs())
+	k.idle, k.pending, cfs.queued = all.AndNot(before), all.AndNot(k.pending), all.AndNot(cfs.queued)
 	if err := k.RestoreImage(img); err != nil {
 		t.Fatal(err)
 	}
-	checkIdle("after SaveImage/RestoreImage")
+	checkMasks("after SaveImage/RestoreImage")
 	if got := k.IdleMask(); got != before {
 		t.Errorf("round trip changed IdleMask: %v, was %v", got, before)
 	}

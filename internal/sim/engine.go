@@ -121,8 +121,9 @@ type event struct {
 // Aliasing rule: the engine recycles event storage once an event fires or
 // is cancelled, so a handle goes stale at that moment — the same storage
 // may already describe a different, live event. Handles carry a generation
-// number so stale use is safe: Cancel on a stale handle is a no-op (it
-// will never cancel the recycled successor) and Pending reports false.
+// number so stale use is safe: Cancel and Move on a stale handle are
+// no-ops (they never touch the recycled successor) and Pending reports
+// false. Move keeps the generation, so a moved handle stays valid.
 // The zero Event is a valid stale handle.
 type Event struct {
 	e   *event
@@ -139,6 +140,36 @@ func (h Event) Cancel() {
 	}
 	ev.eng.remove(ev)
 	ev.eng.recycle(ev)
+}
+
+// Move re-files a pending event to fire at at with a fresh sequence
+// number, so it orders exactly as Cancel followed by AtCall with the same
+// callback would. Unlike that pair it keeps the event's storage and
+// generation: the handle stays valid. Moving a stale handle (fired or
+// cancelled) does nothing, never touches the recycled successor, and
+// returns false. Moving into the past panics, as scheduling there does.
+func (h Event) Move(at Time) bool {
+	ev := h.e
+	if ev == nil || ev.gen != h.gen {
+		return false
+	}
+	e := ev.eng
+	if at < e.now {
+		panic(fmt.Sprintf("sim: moving event to %v before now %v", at, e.now))
+	}
+	e.remove(ev)
+	ev.at, ev.seq = at, e.seq
+	e.seq++
+	// Filed as schedule files it. Neither inlines, so a shared helper
+	// would cost every scheduled event a call.
+	if at == e.now {
+		ev.slot = slotLane
+		e.lane.insert(ev)
+		e.nlane++
+	} else {
+		e.push(ev)
+	}
+	return true
 }
 
 // Pending reports whether the event is still queued (in the now-lane, the

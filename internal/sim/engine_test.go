@@ -230,6 +230,9 @@ func TestEventStaleHandleAfterFire(t *testing.T) {
 	// The next schedule reuses h1's storage (single-event free list).
 	e.At(20, func() { ran = append(ran, "second") })
 	h1.Cancel() // stale: must NOT cancel the recycled successor
+	if h1.Move(5) {
+		t.Fatal("Move through a stale handle reported success")
+	}
 	if h1.Pending() {
 		t.Fatal("stale handle reports Pending for recycled successor")
 	}
@@ -249,6 +252,13 @@ func TestEventStaleHandleAfterCancel(t *testing.T) {
 	ran := false
 	e.At(10, func() { ran = true }) // reuses the cancelled event's storage
 	h.Cancel()                      // double-cancel through a stale handle
+	if h.Move(1) {
+		t.Fatal("Move through a cancelled handle reported success")
+	}
+	e.RunUntil(9)
+	if ran {
+		t.Fatal("stale Move pulled the recycled event forward")
+	}
 	e.Run()
 	if !ran {
 		t.Fatal("stale double-Cancel removed the recycled event")

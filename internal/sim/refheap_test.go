@@ -60,6 +60,16 @@ func (r *refHeap) cancel(id int) bool {
 	return true
 }
 
+// move re-files a live id at at with a fresh seq: a cancel plus a
+// schedule under the same id. It reports whether id was live.
+func (r *refHeap) move(id int, at Time) bool {
+	if !r.cancel(id) {
+		return false
+	}
+	r.schedule(at, id)
+	return true
+}
+
 func (r *refHeap) pending(id int) bool {
 	_, ok := r.live[id]
 	return ok
@@ -175,6 +185,7 @@ type diffRun struct {
 
 	// Coverage: the paths the trace must have reached.
 	laneCancels, wheelCancels, laneTrips, restoredAtNow int
+	moves, staleMoves                                   int
 }
 
 func (r *diffRun) fatalf(format string, args ...any) {
@@ -243,6 +254,28 @@ func (r *diffRun) cancel(id int) {
 	}
 }
 
+// move re-times id to now+d on both sides; they must agree on whether
+// it was live. A live handle stays valid across the move, a stale one
+// stays stale, and only the reference's order says where it now fires.
+func (r *diffRun) move(id int, d Time) {
+	h := r.handles[id]
+	wasLive := r.ref.move(id, r.eng.Now()+d)
+	if got := h.Move(r.eng.Now() + d); got != wasLive {
+		r.fatalf("Move(%d) = %v, reference live = %v", id, got, wasLive)
+	}
+	if h.Pending() != wasLive {
+		r.fatalf("event %d Pending = %v after Move, reference live = %v", id, h.Pending(), wasLive)
+	}
+	if wasLive {
+		r.moves++
+	} else {
+		r.staleMoves++
+	}
+	if r.eng.Queued() != len(r.ref.q) {
+		r.fatalf("Queued = %d after move, reference %d", r.eng.Queued(), len(r.ref.q))
+	}
+}
+
 // dispatch is every event's callback: it checks the id against the
 // reference's pop, then acts from inside dispatch.
 func (r *diffRun) dispatch(a any) {
@@ -276,6 +309,8 @@ func (r *diffRun) dispatch(a any) {
 			r.schedule(0)
 		}
 		r.roundTrip()
+	case k < 22: // move a recent event, live or stale, from inside dispatch
+		r.move(r.nextID-1-r.rng.Intn(min(r.nextID, 12)), refDelays[r.rng.Intn(len(refDelays))](r.rng))
 	}
 }
 
@@ -347,14 +382,15 @@ func (r *diffRun) roundTrip() {
 	}
 }
 
-// TestEngineMatchesReferenceHeap drives random schedule/cancel/run traces
-// through the engine and the reference heap in lockstep and asserts
-// identical dispatch order, queue length, MaxQueue and handle (Pending,
-// stale-Cancel) behavior. Callbacks schedule (including nested
-// zero-delay chains), cancel lane and wheel events and make a checkpoint
-// round trip from inside dispatch.
+// TestEngineMatchesReferenceHeap drives random schedule/cancel/move/run
+// traces through the engine and the reference heap in lockstep and
+// asserts identical dispatch order, queue length, MaxQueue and handle
+// (Pending, stale Cancel and Move) behavior; the reference models a move
+// as a cancel plus a schedule. Callbacks schedule (including nested
+// zero-delay chains), cancel and move lane and wheel events and make a
+// checkpoint round trip from inside dispatch.
 func TestEngineMatchesReferenceHeap(t *testing.T) {
-	var laneCancels, wheelCancels, laneTrips, restoredAtNow int
+	var laneCancels, wheelCancels, laneTrips, restoredAtNow, moves, staleMoves int
 	for trace := 0; trace < 60; trace++ {
 		r := newDiffRun(t, trace)
 		eng, rng := r.eng, r.rng
@@ -362,7 +398,7 @@ func TestEngineMatchesReferenceHeap(t *testing.T) {
 			r.schedule(refDelays[rng.Intn(len(refDelays))](rng))
 		}
 		for op := 0; op < 400; op++ {
-			switch rng.Intn(12) {
+			switch rng.Intn(13) {
 			case 0, 1, 2, 3:
 				r.schedule(refDelays[rng.Intn(len(refDelays))](rng))
 			case 4, 5:
@@ -376,6 +412,9 @@ func TestEngineMatchesReferenceHeap(t *testing.T) {
 				}
 			case 7:
 				r.reverseBurst()
+			case 8:
+				// Move a random known id, live or stale.
+				r.move(rng.Intn(r.nextID), refDelays[rng.Intn(len(refDelays))](rng))
 			default:
 				r.run(eng.Now() + Time(rng.Intn(int(wheelSpan/2))))
 			}
@@ -391,11 +430,13 @@ func TestEngineMatchesReferenceHeap(t *testing.T) {
 		wheelCancels += r.wheelCancels
 		laneTrips += r.laneTrips
 		restoredAtNow += r.restoredAtNow
+		moves += r.moves
+		staleMoves += r.staleMoves
 	}
-	if laneCancels == 0 || wheelCancels == 0 || laneTrips == 0 || restoredAtNow == 0 {
-		t.Fatalf("traces missed a path: %d lane cancels, %d wheel cancels, %d round trips with a non-empty lane, %d events restored at now",
-			laneCancels, wheelCancels, laneTrips, restoredAtNow)
+	if laneCancels == 0 || wheelCancels == 0 || laneTrips == 0 || restoredAtNow == 0 || moves == 0 || staleMoves == 0 {
+		t.Fatalf("traces missed a path: %d lane cancels, %d wheel cancels, %d round trips with a non-empty lane, %d events restored at now, %d moves, %d stale moves",
+			laneCancels, wheelCancels, laneTrips, restoredAtNow, moves, staleMoves)
 	}
-	t.Logf("%d lane cancels, %d wheel cancels, %d round trips with a non-empty lane, %d events restored at now",
-		laneCancels, wheelCancels, laneTrips, restoredAtNow)
+	t.Logf("%d lane cancels, %d wheel cancels, %d round trips with a non-empty lane, %d events restored at now, %d moves, %d stale moves",
+		laneCancels, wheelCancels, laneTrips, restoredAtNow, moves, staleMoves)
 }
