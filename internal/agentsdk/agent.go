@@ -23,9 +23,6 @@ import (
 type Assignment struct {
 	Thread *kernel.Thread
 	CPU    hw.CPUID
-	// NoSeqCheck disables the Tseq staleness check for this transaction
-	// (policies normally leave it false, matching §3.3).
-	NoSeqCheck bool
 	// Group, when non-zero, marks assignments that must commit
 	// atomically with every other assignment sharing the same Group id
 	// (the §4.5 synchronized per-core group commit).
@@ -167,8 +164,8 @@ func (c *Context) Thread(tid kernel.TID) *kernel.Thread { return c.Kernel.Thread
 // protocol once and reports success.
 func (c *Context) MoveThread(t *kernel.Thread, cpu hw.CPUID) bool {
 	set := c.set
-	r, ok := set.runners[cpu]
-	if !ok {
+	r := set.runner(cpu)
+	if r == nil {
 		return false
 	}
 	if err := c.Enclave.AssociateQueue(t, r.queue); err != nil {
@@ -197,9 +194,10 @@ type AgentSet struct {
 	ac  *kernel.AgentClass
 	ctx *Context
 
-	global  GlobalPolicy
-	percpu  PerCPUPolicy
-	runners map[hw.CPUID]*runner
+	global GlobalPolicy
+	percpu PerCPUPolicy
+	// runners is indexed by CPU id; CPUs outside the enclave hold nil.
+	runners []*runner
 
 	globalCPU   hw.CPUID // active global agent home, NoCPU in per-CPU mode
 	globalQueue *ghostcore.Queue
@@ -207,8 +205,7 @@ type AgentSet struct {
 
 	// startOpts replays this generation's Start options onto the
 	// successor when a forced-upgrade fault fires.
-	startOpts    []Option
-	repollTicker *sim.Ticker
+	startOpts []Option
 	// repoll is the pending RepollAfter timer, due at repollAt while
 	// it is pending.
 	repoll   sim.Event
@@ -268,23 +265,18 @@ var runnerBody = &kernel.BodyDesc{Kind: RunnerBody}
 type Option func(*startConfig)
 
 type startConfig struct {
-	mode    int // 0 = infer from policy type, 1 = global, 2 = per-CPU
-	repoll  sim.Duration
+	mode    int // asserted model: 0 = none, 1 = Global(), 2 = PerCPU()
 	upgrade func() any
 }
 
-// Global forces the centralized (single global agent) model; normally
-// inferred from the policy implementing GlobalPolicy.
+// Global asserts the centralized (single global agent) model: Start
+// panics unless the policy is a GlobalPolicy. The model is inferred
+// from the policy's type either way.
 func Global() Option { return func(c *startConfig) { c.mode = 1 } }
 
-// PerCPU forces the per-CPU model; normally inferred from the policy
-// implementing PerCPUPolicy.
+// PerCPU asserts the per-CPU model: Start panics unless the policy is a
+// PerCPUPolicy. The model is inferred from the policy's type either way.
 func PerCPU() Option { return func(c *startConfig) { c.mode = 2 } }
-
-// WithRepoll makes the agents re-run their scheduling loop every d even
-// without new messages (a periodic virtual timer, like Shinjuku's
-// timeslice poll).
-func WithRepoll(d sim.Duration) Option { return func(c *startConfig) { c.repoll = d } }
 
 // WithUpgradePolicy supplies the successor-policy factory used when a
 // forced-upgrade fault fires: the running generation stops and a new one
@@ -297,7 +289,7 @@ func WithUpgradePolicy(factory func() any) Option {
 // Start launches an agent set for enc running policy, inferring the
 // scheduling model from the policy's type: a GlobalPolicy gets the
 // centralized model (§3.3) and a PerCPUPolicy the per-CPU model (§3.2).
-// Policies implementing both must pass Global() or PerCPU().
+// No type can be both: their OnMessage signatures differ.
 func Start(k *kernel.Kernel, enc *ghostcore.Enclave, ac *kernel.AgentClass, policy any, opts ...Option) *AgentSet {
 	var cfg startConfig
 	for _, o := range opts {
@@ -310,40 +302,20 @@ func Start(k *kernel.Kernel, enc *ghostcore.Enclave, ac *kernel.AgentClass, poli
 		panic(fmt.Sprintf("agentsdk: Global() requires a GlobalPolicy, got %T", policy))
 	case cfg.mode == 2 && !isPerCPU:
 		panic(fmt.Sprintf("agentsdk: PerCPU() requires a PerCPUPolicy, got %T", policy))
-	case cfg.mode == 0 && isGlobal && isPerCPU:
-		panic(fmt.Sprintf("agentsdk: %T implements both models; pass Global() or PerCPU()", policy))
-	case cfg.mode == 0 && !isGlobal && !isPerCPU:
+	case !isGlobal && !isPerCPU:
 		panic(fmt.Sprintf("agentsdk: %T implements neither GlobalPolicy nor PerCPUPolicy", policy))
 	}
 	var set *AgentSet
-	if cfg.mode == 1 || (cfg.mode == 0 && isGlobal) {
+	if isGlobal {
 		set = startCentralized(k, enc, ac, gp)
 	} else {
 		set = startPerCPU(k, enc, ac, pp)
 	}
 	set.startOpts = opts
-	if cfg.repoll > 0 {
-		set.repollTicker = sim.NewTicker(k.Engine(), cfg.repoll, set.repollFire)
-		set.repollTicker.Key = fmt.Sprintf("agentset.%d.repoll", enc.ID())
-	}
 	if in := k.Faults(); in != nil {
 		set.registerFaultHooks(in, cfg.upgrade)
 	}
 	return set
-}
-
-// repollFire is the periodic virtual-timer tick behind WithRepoll.
-func (set *AgentSet) repollFire(sim.Time) {
-	if set.stopped || set.enc.Destroyed() {
-		return
-	}
-	if set.globalCPU != hw.NoCPU {
-		set.pokeActive()
-		return
-	}
-	for _, r := range set.sortedRunners() {
-		set.nudge(r)
-	}
 }
 
 // registerFaultHooks wires this generation to the fault injector. The
@@ -389,20 +361,22 @@ func (set *AgentSet) registerFaultHooks(in *faults.Injector, upgrade func() any)
 	})
 }
 
-// sortedRunners returns the runners in CPU order (the runners map must
-// never be iterated directly: map order would leak nondeterminism into
-// the event schedule).
-func (set *AgentSet) sortedRunners() []*runner {
-	cpus := make([]int, 0, len(set.runners))
-	for cpu := range set.runners {
-		cpus = append(cpus, int(cpu))
+// runner returns cpu's agent runner, nil when cpu has none (outside the
+// enclave or out of range).
+func (set *AgentSet) runner(cpu hw.CPUID) *runner {
+	if cpu < 0 || int(cpu) >= len(set.runners) {
+		return nil
 	}
-	sort.Ints(cpus)
-	out := make([]*runner, len(cpus))
-	for i, cpu := range cpus {
-		out[i] = set.runners[hw.CPUID(cpu)]
+	return set.runners[cpu]
+}
+
+// eachRunner applies fn to every runner in ascending CPU order.
+func (set *AgentSet) eachRunner(fn func(*runner)) {
+	for _, r := range set.runners {
+		if r != nil {
+			fn(r)
+		}
 	}
-	return out
 }
 
 // eachTargetRunner applies fn to the runner(s) a stall/slow fault
@@ -410,7 +384,7 @@ func (set *AgentSet) sortedRunners() []*runner {
 // centralized), or every agent (AnyCPU, per-CPU).
 func (set *AgentSet) eachTargetRunner(cpu hw.CPUID, fn func(*runner)) {
 	if cpu != faults.AnyCPU {
-		if r, ok := set.runners[cpu]; ok {
+		if r := set.runner(cpu); r != nil {
 			fn(r)
 		}
 		return
@@ -419,9 +393,7 @@ func (set *AgentSet) eachTargetRunner(cpu hw.CPUID, fn func(*runner)) {
 		fn(set.runners[set.globalCPU])
 		return
 	}
-	for _, r := range set.sortedRunners() {
-		fn(r)
-	}
+	set.eachRunner(fn)
 }
 
 // startCentralized launches the centralized model: a global agent on
@@ -462,11 +434,11 @@ func startPerCPU(k *kernel.Kernel, enc *ghostcore.Enclave, ac *kernel.AgentClass
 	set := newSet(k, enc, ac)
 	set.percpu = policy
 	set.globalCPU = hw.NoCPU
-	for _, r := range set.sortedRunners() {
+	set.eachRunner(func(r *runner) {
 		r.localTxns = []*ghostcore.Txn{&r.localTxn}
 		r.queue = enc.CreateQueue("cpu-queue")
 		enc.ConfigQueueWakeup(r.queue, r.agent, true)
-	}
+	})
 	// New-thread routing: the default queue wakes the first CPU's agent,
 	// which assigns threads to CPUs.
 	first := enc.CPUs().First()
@@ -478,7 +450,7 @@ func startPerCPU(k *kernel.Kernel, enc *ghostcore.Enclave, ac *kernel.AgentClass
 func newSet(k *kernel.Kernel, enc *ghostcore.Enclave, ac *kernel.AgentClass) *AgentSet {
 	set := &AgentSet{
 		k: k, enc: enc, ac: ac,
-		runners:   make(map[hw.CPUID]*runner),
+		runners:   make([]*runner, k.Topology().NumCPUs()),
 		threadCPU: make(map[kernel.TID]hw.CPUID),
 	}
 	set.ctx = &Context{set: set, Enclave: enc, Kernel: k}
@@ -502,29 +474,23 @@ func newSet(k *kernel.Kernel, enc *ghostcore.Enclave, ac *kernel.AgentClass) *Ag
 // StartPerCPU on the same enclave.
 func (set *AgentSet) Stop() {
 	set.stopped = true
-	if set.repollTicker != nil {
-		set.repollTicker.Stop()
-	}
 	set.repoll.Cancel()
 	set.enc.BeginUpgrade()
-	for _, r := range set.sortedRunners() {
+	set.eachRunner(func(r *runner) {
 		set.enc.DetachAgent(r.agent)
 		set.k.Kill(r.thread)
-	}
+	})
 }
 
 // Crash kills the agents without announcing an upgrade: the enclave falls
 // back to the default scheduler, as for a real agent crash (§3.4).
 func (set *AgentSet) Crash() {
 	set.stopped = true
-	if set.repollTicker != nil {
-		set.repollTicker.Stop()
-	}
 	set.repoll.Cancel()
-	for _, r := range set.sortedRunners() {
+	set.eachRunner(func(r *runner) {
 		set.k.Kill(r.thread)
 		set.enc.DetachAgent(r.agent)
-	}
+	})
 }
 
 // Kick nudges the agents to re-run their scheduling loop promptly even
@@ -542,9 +508,7 @@ func (set *AgentSet) Kick() {
 		set.pokeActive()
 		return
 	}
-	for _, r := range set.sortedRunners() {
-		set.k.Poke(r.thread)
-	}
+	set.eachRunner(func(r *runner) { set.k.Poke(r.thread) })
 }
 
 // pokeActive nudges the active global agent.
@@ -552,7 +516,7 @@ func (set *AgentSet) pokeActive() {
 	if set.stopped || set.globalCPU == hw.NoCPU {
 		return
 	}
-	if r, ok := set.runners[set.globalCPU]; ok {
+	if r := set.runner(set.globalCPU); r != nil {
 		set.k.Poke(r.thread)
 	}
 }
@@ -659,11 +623,7 @@ func (r *runner) globalStep(now sim.Time) (sim.Duration, kernel.Action) {
 		if a.Thread == nil || a.CPU == set.globalCPU {
 			continue
 		}
-		txn := ghostcore.Txn{TID: a.Thread.TID(), CPU: a.CPU}
-		if !a.NoSeqCheck {
-			txn.ThreadSeq = set.enc.ThreadSeq(a.Thread)
-		}
-		txns = append(txns, txn)
+		txns = append(txns, ghostcore.Txn{TID: a.Thread.TID(), CPU: a.CPU, ThreadSeq: set.enc.ThreadSeq(a.Thread)})
 		kept = append(kept, a)
 		grouped = grouped || a.Group != 0
 	}
@@ -752,7 +712,7 @@ func (r *runner) localStep(now sim.Time) (sim.Duration, kernel.Action) {
 			if m.Type == ghostcore.MsgThreadCreated {
 				if t := set.k.Thread(m.TID); t != nil {
 					cpu := set.percpu.AssignCPU(set.ctx, t)
-					if tr, ok := set.runners[cpu]; ok {
+					if tr := set.runner(cpu); tr != nil {
 						_ = set.enc.AssociateQueue(t, tr.queue)
 						set.threadCPU[m.TID] = cpu
 						set.percpu.OnMessage(set.ctx, cpu, m)

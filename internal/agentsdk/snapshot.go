@@ -48,7 +48,6 @@ type PolicyRec struct {
 type SetRec struct {
 	EncID     int      `json:"encID"`
 	Mode      string   `json:"mode"` // "global" or "percpu"
-	Repoll    int64    `json:"repoll,omitempty"`
 	GlobalCPU int      `json:"globalCPU"`
 	ThreadCPU [][2]int `json:"threadCPU,omitempty"` // (tid, cpu), TID-sorted
 
@@ -103,10 +102,7 @@ func (set *AgentSet) SaveRec() (*SetRec, error) {
 	if set.percpu != nil {
 		rec.Mode = "percpu"
 	}
-	if set.repollTicker != nil {
-		rec.Repoll = int64(set.repollTicker.Period())
-	}
-	for _, r := range set.sortedRunners() {
+	set.eachRunner(func(r *runner) {
 		rec.Runners = append(rec.Runners, RunnerRec{
 			CPU:        int(r.cpu),
 			TID:        int(r.thread.TID()),
@@ -115,7 +111,7 @@ func (set *AgentSet) SaveRec() (*SetRec, error) {
 			SlowUntil:  int64(r.slowUntil),
 			SlowFactor: r.slowFactor,
 		})
-	}
+	})
 	tids := make([]int, 0, len(set.threadCPU))
 	for tid := range set.threadCPU {
 		tids = append(tids, int(tid))
@@ -139,33 +135,27 @@ func (r *SetRec) MinTID() int {
 	return min
 }
 
-// StartOptions reconstructs the Start options encoded in rec.
-func (r *SetRec) StartOptions() ([]Option, error) {
-	var opts []Option
+// StartOption returns the Start option that asserts rec's model.
+func (r *SetRec) StartOption() (Option, error) {
 	switch r.Mode {
 	case "global":
-		opts = append(opts, Global())
+		return Global(), nil
 	case "percpu":
-		opts = append(opts, PerCPU())
-	default:
-		return nil, fmt.Errorf("agent set on enclave %d: unknown mode %q", r.EncID, r.Mode)
+		return PerCPU(), nil
 	}
-	if r.Repoll > 0 {
-		opts = append(opts, WithRepoll(sim.Duration(r.Repoll)))
-	}
-	return opts, nil
+	return nil, fmt.Errorf("agent set on enclave %d: unknown mode %q", r.EncID, r.Mode)
 }
 
 // RestoreImage overlays rec onto a freshly Started generation whose
 // runner TIDs were pinned by the spawn pass. Called after every thread in
 // the machine has been re-spawned, so the policy blob can resolve TIDs.
 func (set *AgentSet) RestoreImage(rec *SetRec) error {
-	if len(rec.Runners) != len(set.runners) {
-		return fmt.Errorf("agent set on enclave %d: %d runners after re-spawn, snapshot has %d", rec.EncID, len(set.runners), len(rec.Runners))
+	if n := set.enc.CPUs().Count(); len(rec.Runners) != n {
+		return fmt.Errorf("agent set on enclave %d: %d runners after re-spawn, snapshot has %d", rec.EncID, n, len(rec.Runners))
 	}
 	for _, rr := range rec.Runners {
-		r, ok := set.runners[hw.CPUID(rr.CPU)]
-		if !ok {
+		r := set.runner(hw.CPUID(rr.CPU))
+		if r == nil {
 			return fmt.Errorf("agent set on enclave %d: no runner on cpu%d after re-spawn", rec.EncID, rr.CPU)
 		}
 		if int(r.thread.TID()) != rr.TID {
@@ -181,7 +171,7 @@ func (set *AgentSet) RestoreImage(rec *SetRec) error {
 	// A global set's agent lives on one of its runners' CPUs; a per-CPU
 	// set has none, and places threads only on its runners' CPUs.
 	switch global := hw.CPUID(rec.GlobalCPU); {
-	case set.global != nil && set.runners[global] == nil:
+	case set.global != nil && set.runner(global) == nil:
 		return fmt.Errorf("agent set on enclave %d: global agent on cpu%d, which has no runner", rec.EncID, global)
 	case set.global == nil && global != hw.NoCPU:
 		return fmt.Errorf("agent set on enclave %d: per-CPU set has a global agent on cpu%d", rec.EncID, global)
@@ -191,7 +181,7 @@ func (set *AgentSet) RestoreImage(rec *SetRec) error {
 	set.threadCPU = make(map[kernel.TID]hw.CPUID, len(rec.ThreadCPU))
 	for _, pair := range rec.ThreadCPU {
 		cpu := hw.CPUID(pair[1])
-		if set.runners[cpu] == nil {
+		if set.runner(cpu) == nil {
 			return fmt.Errorf("agent set on enclave %d: T%d placed on cpu%d, which has no runner", rec.EncID, pair[0], cpu)
 		}
 		set.threadCPU[kernel.TID(pair[0])] = cpu
@@ -209,14 +199,6 @@ func (set *AgentSet) RestoreImage(rec *SetRec) error {
 		return fmt.Errorf("restored policy kind %q does not match snapshot %q", ps.SnapshotKind(), rec.Policy.Kind)
 	}
 	return ps.SnapshotLoad(rec.Policy.Data)
-}
-
-// EachTicker visits the set's keyed tickers (the repoll virtual timer),
-// for the snapshot ticker registry.
-func (set *AgentSet) EachTicker(f func(*sim.Ticker)) {
-	if set.repollTicker != nil {
-		f(set.repollTicker)
-	}
 }
 
 // ClassifyEvent recognizes agentsdk-owned pre-bound event callbacks:

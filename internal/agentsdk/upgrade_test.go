@@ -57,21 +57,26 @@ func TestUpgradeAttachTimeoutFallsBack(t *testing.T) {
 	}
 }
 
-// TestUpgradeTimeoutConfigurable: a custom Enclave.UpgradeTimeout
-// overrides the default grace period.
-func TestUpgradeTimeoutConfigurable(t *testing.T) {
+// TestBeginUpgradeRearmsDeadline: a second BeginUpgrade replaces the
+// pending attach deadline instead of adding one, so the enclave lives
+// until DefaultUpgradeTimeout after the last announcement.
+func TestBeginUpgradeRearmsDeadline(t *testing.T) {
 	e := newEnv(t, 8)
-	e.enc.UpgradeTimeout = 2 * sim.Millisecond
 	set := agentsdk.Start(e.k, e.enc, e.ac, policies.NewCentralFIFO(), agentsdk.Global())
 	e.eng.RunFor(100 * sim.Microsecond)
-	set.Stop()
-	e.eng.RunFor(sim.Millisecond)
+	set.Stop() // BeginUpgrade at t; no successor ever attaches
+	e.eng.RunFor(30 * sim.Millisecond)
+	e.enc.BeginUpgrade() // t+30ms: the deadline moves to t+80ms
+	e.eng.RunFor(30 * sim.Millisecond)
 	if e.enc.Destroyed() {
-		t.Fatal("enclave destroyed before the configured timeout")
+		t.Fatalf("enclave destroyed by t+60ms (%v): the first deadline was not cancelled", e.enc.DestroyCause())
 	}
-	e.eng.RunFor(2 * sim.Millisecond)
+	e.eng.RunFor(25 * sim.Millisecond)
 	if !e.enc.Destroyed() {
-		t.Fatal("configured upgrade timeout never fired")
+		t.Fatal("enclave alive at t+85ms: the re-armed deadline never fired")
+	}
+	if !errors.Is(e.enc.DestroyCause(), ghostcore.ErrUpgradeTimeout) {
+		t.Errorf("destroy cause = %v, want ErrUpgradeTimeout", e.enc.DestroyCause())
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"ghost/internal/kernel"
 	"ghost/internal/policies"
 	"ghost/internal/sim"
-	"ghost/internal/stats"
 )
 
 func init() {
@@ -62,13 +61,7 @@ func runFig5(o Options) *Report {
 		p := pts[i]
 		return fig5Point(p.topo(), p.order[:p.n], o)
 	})
-	var series *stats.TimeSeries
 	for i, p := range pts {
-		if series == nil || series.Name != "fig5-"+p.machine {
-			series = &stats.TimeSeries{Name: "fig5-" + p.machine}
-			rep.Series = append(rep.Series, series)
-		}
-		series.Add(sim.Time(p.n), rates[i])
 		rep.AddRow(p.machine, itoa(p.n), fmt.Sprintf("%.3f", rates[i]/1e6))
 	}
 	rep.Notef("expected shape: ramp while CPUs are added, dip when the agent's SMT " +

@@ -8,7 +8,6 @@ import (
 	"ghost/internal/kernel"
 	"ghost/internal/policies"
 	"ghost/internal/sim"
-	"ghost/internal/stats"
 	"ghost/internal/workload"
 )
 
@@ -154,14 +153,8 @@ func runFig6(o Options, withBatch bool) *Report {
 		Header: []string{"system", "offered(kreq/s)", "achieved(kreq/s)", "p99(us)"},
 	}
 	cases, results := fig6Sweep(o, withBatch)
-	var series *stats.TimeSeries
 	for i, c := range cases {
-		if series == nil || series.Name != id+"-"+c.sys.String() {
-			series = &stats.TimeSeries{Name: id + "-" + c.sys.String()}
-			rep.Series = append(rep.Series, series)
-		}
 		r := results[i]
-		series.Add(sim.Time(c.rate), float64(r.p99)/float64(sim.Microsecond))
 		rep.AddRow(c.sys.String(), fmt.Sprintf("%.0f", c.rate/1000),
 			fmt.Sprintf("%.0f", r.throughput/1000), us(r.p99))
 	}
@@ -197,13 +190,7 @@ func runFig6c(o Options) *Report {
 		Header: []string{"system", "offered(kreq/s)", "batch share"},
 	}
 	cases, results := fig6Sweep(o, true)
-	var series *stats.TimeSeries
 	for i, c := range cases {
-		if series == nil || series.Name != "fig6c-"+c.sys.String() {
-			series = &stats.TimeSeries{Name: "fig6c-" + c.sys.String()}
-			rep.Series = append(rep.Series, series)
-		}
-		series.Add(sim.Time(c.rate), results[i].batchShare)
 		rep.AddRow(c.sys.String(), fmt.Sprintf("%.0f", c.rate/1000), fmt.Sprintf("%.2f", results[i].batchShare))
 	}
 	rep.Notef("expected shape: Shinjuku's dedicated cores give the batch app zero " +

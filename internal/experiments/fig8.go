@@ -27,7 +27,6 @@ func init() {
 // fig8Outcome summarises one scheduler's run.
 type fig8Outcome struct {
 	qps [3]*stats.TimeSeries
-	p99 [3]*stats.TimeSeries
 	tot [3]*workload.LatencyRecorder
 }
 
@@ -81,7 +80,6 @@ func fig8Run(pol *policies.Search, o Options) fig8Outcome {
 	var out fig8Outcome
 	for qt := 0; qt < 3; qt++ {
 		out.qps[qt] = s.QPS[qt]
-		out.p99[qt] = s.P99[qt]
 		out.tot[qt] = s.Totals[qt]
 	}
 	return out
@@ -110,9 +108,6 @@ func runFig8(o Options) *Report {
 		gp := float64(gho.tot[qt].Hist.P99())
 		rep.AddRow(name, "p99(us)", fmt.Sprintf("%.0f", cp/1000), fmt.Sprintf("%.0f", gp/1000),
 			ratio(gp, cp), paperP99[qt])
-		// Normalized time series for figure rendering.
-		rep.Series = append(rep.Series,
-			cfs.qps[qt], gho.qps[qt], cfs.p99[qt], gho.p99[qt])
 	}
 	rep.Notef("expected shape (§4.4): comparable QPS; ghOSt ~40-50%% lower p99 for " +
 		"types A and B (µs-scale rebalancing vs CFS's ms-scale), parity for type C")

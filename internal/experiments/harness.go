@@ -18,7 +18,6 @@ import (
 	"ghost/internal/hw"
 	"ghost/internal/kernel"
 	"ghost/internal/sim"
-	"ghost/internal/stats"
 )
 
 // Options tunes experiment size. Quick shrinks durations and sweeps for
@@ -45,8 +44,6 @@ type Report struct {
 	// Header and Rows form the primary table.
 	Header []string
 	Rows   [][]string
-	// Series carries figure data (one point per row when rendered).
-	Series []*stats.TimeSeries
 	// Notes records paper-vs-measured commentary.
 	Notes []string
 }

@@ -66,12 +66,9 @@ type Enclave struct {
 	// upgradePending suppresses the crash fallback while a new agent
 	// generation is waiting to take over (§3.4 dynamic upgrades).
 	upgradePending bool
-	// UpgradeTimeout bounds how long an upgrade may stay pending before
-	// the enclave gives up on the new generation and falls back to CFS
-	// instead of stranding its threads. Zero selects
-	// DefaultUpgradeTimeout; set it before BeginUpgrade to override.
-	UpgradeTimeout  sim.Duration
-	upgradeDeadline *sim.Deadline
+	// upgradeDeadline is the pending upgrade's attach timeout
+	// (DefaultUpgradeTimeout after BeginUpgrade).
+	upgradeDeadline sim.Event
 	tickless        bool
 
 	destroyed    bool
@@ -247,9 +244,7 @@ func (e *Enclave) AttachAgent(cpu hw.CPUID, t *kernel.Thread) *Agent {
 	e.agents[cpu] = a
 	if e.upgradePending {
 		e.upgradePending = false
-		if e.upgradeDeadline != nil {
-			e.upgradeDeadline.Cancel()
-		}
+		e.upgradeDeadline.Cancel()
 		if tr := e.k.Tracer(); tr != nil {
 			tr.EnclaveEvent(e.k.Now(), e.id, "upgrade-attach", fmt.Sprintf("cpu%d", cpu))
 		}
@@ -273,8 +268,9 @@ func (e *Enclave) DetachAgent(a *Agent) {
 	}
 }
 
-// DefaultUpgradeTimeout is the upgrade-attach timeout used when
-// Enclave.UpgradeTimeout is zero.
+// DefaultUpgradeTimeout bounds how long an upgrade may stay pending
+// before the enclave gives up on the new generation and falls back to
+// CFS instead of stranding its threads.
 const DefaultUpgradeTimeout = 50 * sim.Millisecond
 
 // BeginUpgrade announces that a new agent generation will attach shortly:
@@ -282,9 +278,9 @@ const DefaultUpgradeTimeout = 50 * sim.Millisecond
 // the handover (§3.4 "replacing agents while keeping the enclave").
 //
 // The suppression is bounded: if no successor attaches within
-// UpgradeTimeout the enclave is destroyed and its threads fall back to
-// CFS, so a failed upgrade degrades like a crash instead of stranding
-// runnable threads forever.
+// DefaultUpgradeTimeout of the last BeginUpgrade the enclave is
+// destroyed and its threads fall back to CFS, so a failed upgrade
+// degrades like a crash instead of stranding runnable threads forever.
 func (e *Enclave) BeginUpgrade() {
 	if e.destroyed {
 		return
@@ -293,15 +289,14 @@ func (e *Enclave) BeginUpgrade() {
 	if tr := e.k.Tracer(); tr != nil {
 		tr.EnclaveEvent(e.k.Now(), e.id, "upgrade-begin", "")
 	}
-	timeout := e.UpgradeTimeout
-	if timeout <= 0 {
-		timeout = DefaultUpgradeTimeout
-	}
-	if e.upgradeDeadline == nil {
-		e.upgradeDeadline = sim.NewDeadline(e.k.Engine())
-	}
-	e.upgradeDeadline.Arm(e.k.Now()+timeout, e.upgradeTimedOut)
+	e.upgradeDeadline.Cancel()
+	e.upgradeDeadline = e.k.Engine().AtCall(e.k.Now()+DefaultUpgradeTimeout, upgradeTimedOutFn, e)
 }
+
+// upgradeTimedOutFn dispatches an upgrade-attach timeout to its enclave,
+// passed as the event argument, so arming the deadline allocates no
+// closure.
+func upgradeTimedOutFn(a any) { a.(*Enclave).upgradeTimedOut() }
 
 // upgradeTimedOut fires when a pending upgrade's successor never
 // attached: re-arm the crash fallback and, if the old generation is
@@ -771,9 +766,7 @@ func (e *Enclave) DestroyWith(cause error) {
 		e.watchdog.Stop()
 		e.watchdog = nil
 	}
-	if e.upgradeDeadline != nil {
-		e.upgradeDeadline.Cancel()
-	}
+	e.upgradeDeadline.Cancel()
 	e.k.Tracef("enclave %d destroyed: %s", e.id, cause)
 	if e.tickless {
 		e.SetTickless(false)

@@ -65,7 +65,6 @@ type EnclaveRec struct {
 	Agents          []AgentRec       `json:"agents"`
 	DeliverTicks    bool             `json:"deliverTicks,omitempty"`
 	WatchdogTimeout int64            `json:"watchdogTimeout,omitempty"`
-	UpgradeTimeout  int64            `json:"upgradeTimeout,omitempty"`
 	Tickless        bool             `json:"tickless,omitempty"`
 }
 
@@ -144,7 +143,6 @@ func (e *Enclave) saveRec() (EnclaveRec, error) {
 		ID:              e.id,
 		DeliverTicks:    e.DeliverTicks,
 		WatchdogTimeout: int64(e.WatchdogTimeout),
-		UpgradeTimeout:  int64(e.UpgradeTimeout),
 		Tickless:        e.tickless,
 	}
 	if e.bpf != nil {
@@ -262,7 +260,6 @@ func (g *Class) RestoreEnclaveShells(rec *ClassRec) ([]*Enclave, error) {
 		}
 		e := NewEnclave(g, m)
 		e.DeliverTicks = erec.DeliverTicks
-		e.UpgradeTimeout = sim.Duration(erec.UpgradeTimeout)
 		if erec.WatchdogTimeout > 0 {
 			e.EnableWatchdog(sim.Duration(erec.WatchdogTimeout))
 		}

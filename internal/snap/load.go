@@ -21,8 +21,6 @@ type LoadOpts struct {
 	// is rebuilt (in saved order), before any thread spawns — callers use
 	// it to expose earlier components to later factories.
 	OnComponent func(key string, c Component)
-	// UserData is exposed to factories via RestoreCtx.UserData.
-	UserData any
 }
 
 // Result reports what Load rebuilt, in image order.
@@ -52,7 +50,6 @@ func Load(t *Target, img *Image, opts LoadOpts) (*Result, error) {
 	ctx := &RestoreCtx{
 		Kernel:     t.K,
 		Ghost:      t.Ghost,
-		UserData:   opts.UserData,
 		components: map[string]Component{},
 		enclaves:   nil,
 	}
@@ -213,14 +210,14 @@ func spawnPass(t *Target, core *CoreImage, ctx *RestoreCtx, opts LoadOpts, res *
 			if err != nil {
 				return fmt.Errorf("snap: policy %q: %w", it.set.Policy.Kind, err)
 			}
-			sopts, err := it.set.StartOptions()
+			mode, err := it.set.StartOption()
 			if err != nil {
 				return fmt.Errorf("snap: %w", err)
 			}
 			if err := t.K.SetNextTID(kernel.TID(it.tid)); err != nil {
 				return fmt.Errorf("%w: agent set: %v", ErrCorrupt, err)
 			}
-			res.Sets[it.setIdx] = agentsdk.Start(t.K, enc, ac, policy, sopts...)
+			res.Sets[it.setIdx] = agentsdk.Start(t.K, enc, ac, policy, mode)
 			continue
 		}
 		if err := spawnBody(t, ctx, opts, tidEnc, it.thread); err != nil {

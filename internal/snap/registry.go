@@ -90,10 +90,6 @@ type RestoreCtx struct {
 	Kernel *kernel.Kernel
 	// Ghost is the rebuilt ghOSt class.
 	Ghost *ghostcore.Class
-	// UserData is opaque caller context (the facade passes the Machine
-	// being rebuilt, so its restore-time component factories can reach
-	// it).
-	UserData any
 
 	components map[string]Component
 	enclaves   map[int]*ghostcore.Enclave

@@ -122,9 +122,6 @@ func collectTickers(t *Target) ([]*sim.Ticker, error) {
 	if t.Ghost != nil {
 		t.Ghost.EachTicker(walk)
 	}
-	for _, set := range t.Sets {
-		set.EachTicker(walk)
-	}
 	return out, werr
 }
 

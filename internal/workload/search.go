@@ -33,9 +33,9 @@ type Search struct {
 
 	// Per-type live recorders, reset every sampling period.
 	recs [3]*LatencyRecorder
-	// Series are the Fig 8 outputs: QPS and p99 per type per second.
+	// QPS is the Fig 8 throughput output: QPS per type per sampling
+	// period.
 	QPS [3]*stats.TimeSeries
-	P99 [3]*stats.TimeSeries
 	// Totals aggregate the whole run.
 	Totals [3]*LatencyRecorder
 }
@@ -92,7 +92,6 @@ func NewSearch(k *kernel.Kernel, cfg SearchConfig,
 		s.recs[i] = &LatencyRecorder{}
 		s.Totals[i] = &LatencyRecorder{}
 		s.QPS[i] = &stats.TimeSeries{Name: fmt.Sprintf("qps-%c", 'A'+i)}
-		s.P99[i] = &stats.TimeSeries{Name: fmt.Sprintf("p99-%c", 'A'+i)}
 	}
 	topo := k.Topology()
 
@@ -187,11 +186,6 @@ func (s *Search) sample(now sim.Time, period sim.Duration) {
 		rec := s.recs[qt]
 		qps := float64(rec.Completed) / period.Seconds()
 		s.QPS[qt].Add(now, qps)
-		if rec.Hist.Count() > 0 {
-			s.P99[qt].Add(now, float64(rec.Hist.P99())/float64(sim.Microsecond))
-		} else {
-			s.P99[qt].Add(now, 0)
-		}
 		rec.Completed = 0
 		rec.Hist.Reset()
 	}

@@ -237,18 +237,18 @@ func (m *Machine) NewEnclave(cpus CPUMask, opts ...EnclaveOption) *Enclave {
 	return e
 }
 
-// AgentOption customizes Machine.StartAgents; see Global, PerCPU,
-// WithRepoll, and WithUpgradePolicy.
+// AgentOption customizes Machine.StartAgents; see Global, PerCPU and
+// WithUpgradePolicy.
 type AgentOption = agentsdk.Option
 
 // Agent-start options, re-exported from the agent SDK.
 var (
-	// Global forces the centralized model (one global agent, §3.3).
+	// Global asserts the centralized model (one global agent, §3.3):
+	// StartAgents panics unless the policy is a GlobalPolicy.
 	Global = agentsdk.Global
-	// PerCPU forces the per-CPU model (one agent per CPU, §3.2).
+	// PerCPU asserts the per-CPU model (one agent per CPU, §3.2):
+	// StartAgents panics unless the policy is a PerCPUPolicy.
 	PerCPU = agentsdk.PerCPU
-	// WithRepoll re-nudges agents every period (defensive polling).
-	WithRepoll = agentsdk.WithRepoll
 	// WithUpgradePolicy supplies the successor-policy factory used when
 	// a forced "upgrade" fault fires (§3.4).
 	WithUpgradePolicy = agentsdk.WithUpgradePolicy
@@ -256,8 +256,7 @@ var (
 
 // StartAgents runs a scheduling policy on the enclave. The model is
 // inferred from the policy's interface (GlobalPolicy → centralized,
-// PerCPUPolicy → per-CPU) and may be forced with Global()/PerCPU() for
-// policies implementing both.
+// PerCPUPolicy → per-CPU); Global()/PerCPU() assert it.
 func (m *Machine) StartAgents(enc *Enclave, policy any, opts ...AgentOption) *AgentSet {
 	set := agentsdk.Start(m.k, enc, m.Agents, policy, opts...)
 	m.sets = append(m.sets, set)

@@ -90,11 +90,19 @@ echo "$rewind_out" | grep -q "^rewind: from checkpoint" || {
 echo "$rewind_out" | grep "^rewind:"
 rm -f ./*.snap
 
-echo "== snapshot smoke (ghost-sim global-agent checkpoint: restore at 40ms, same final digest)"
+# The 27 ms checkpoint holds a pending agentsdk.repoll timer whose restore
+# changes the digest unless the agent set adopts it (a restore that drops
+# the adoption prints a different digest here).
+echo "== snapshot smoke (ghost-sim global-agent checkpoint: restore at 27ms, same final digest)"
 ckpt=$(mktemp -d)
 go build -o "$ckpt/ghost-sim" ./cmd/ghost-sim
-full=$(cd "$ckpt" && ./ghost-sim -sched ghost-shinjuku -rocksdb -rate 200000 -dur 100ms -snapshot-every 40ms | grep '^digest:')
-resumed=$(cd "$ckpt" && ./ghost-sim -restore ghost-sim-seed1-t40.000ms.snap -dur 100ms | grep '^digest:')
+full=$(cd "$ckpt" && ./ghost-sim -sched ghost-shinjuku -rocksdb -rate 280000 -dur 100ms -snapshot-every 27ms | grep '^digest:')
+if ! grep -aq 'agentsdk.repoll' "$ckpt/ghost-sim-seed1-t27.000ms.snap"; then
+	rm -rf "$ckpt"
+	echo "ghost-sim checkpoint smoke: the 27ms checkpoint holds no pending repoll; pick a -rate/-snapshot-every that does" >&2
+	exit 1
+fi
+resumed=$(cd "$ckpt" && ./ghost-sim -restore ghost-sim-seed1-t27.000ms.snap -dur 100ms | grep '^digest:')
 rm -rf "$ckpt"
 if [ -z "$full" ] || [ "$full" != "$resumed" ]; then
 	echo "ghost-sim checkpoint smoke: full run '$full', restored run '$resumed'" >&2

@@ -1,7 +1,6 @@
 package ghost
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
@@ -188,7 +187,6 @@ func Restore(s *Snapshot, opts ...MachineOption) (*Machine, error) {
 	}
 	m := NewMachine(topo, all...)
 	lo := snap.LoadOpts{
-		UserData: m,
 		// Mirror each rebuilt component onto the machine immediately, so a
 		// later component's restore factory can reach an earlier one via
 		// m.SnapshotComponent (a source finding its pool).
@@ -206,12 +204,8 @@ func Restore(s *Snapshot, opts ...MachineOption) (*Machine, error) {
 		lo.ComponentOverrides = map[string]snap.ComponentFactory{}
 		for key, f := range cfg.restoreComps {
 			f := f
-			lo.ComponentOverrides[key] = func(ctx *snap.RestoreCtx, key string) (snap.Component, error) {
-				mm, ok := ctx.UserData.(*Machine)
-				if !ok {
-					return nil, errors.New("ghost: restore context lost its machine")
-				}
-				return f(mm)
+			lo.ComponentOverrides[key] = func(*snap.RestoreCtx, string) (snap.Component, error) {
+				return f(m)
 			}
 		}
 	}
