@@ -63,7 +63,7 @@ func realMain() int {
 		dur      = flag.Duration("dur", time.Second, "simulated duration")
 		traceLog = flag.Bool("tracelog", false, "dump the kernel's text scheduling trace to stdout")
 		traceOut = flag.String("trace", "", "write a Chrome trace_event JSON file (load at ui.perfetto.dev)")
-		metrics  = flag.Bool("metrics", false, "print aggregate scheduling metrics after the run")
+		metrics  = flag.Bool("metrics", false, "print aggregate scheduling metrics after the run (with -restore, the engine: line covers the whole run, the per-enclave counters only the resumed span)")
 		invar    = flag.Bool("invariants", true, "check protocol invariants online (see cmd/ghost-check); violations exit non-zero")
 		faultsIn = flag.String("faults", "", `fault plan, e.g. "upgrade@500ms" or "crash@300ms" or `+
 			`"msgdrop@100ms/50ms/0.2,ipidelay@200ms/10ms/30us" (kinds: crash, stall, slow, `+
@@ -407,6 +407,9 @@ func (sc scenario) runRestored() (string, error) {
 			return b.String(), fmt.Errorf("snapshot: final state: %w", err)
 		}
 		fmt.Fprintf(&b, "digest:    %s\n", final.Digest())
+	}
+	if sc.metrics {
+		fmt.Fprint(&b, m.Metrics())
 	}
 	return b.String(), nil
 }

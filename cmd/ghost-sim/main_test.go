@@ -2,9 +2,12 @@ package main
 
 import (
 	"math"
+	"os"
 	"strings"
 	"testing"
 	"time"
+
+	"ghost"
 )
 
 // validScenario is the flag defaults' scenario.
@@ -49,4 +52,47 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 			t.Errorf("%+v: validate() = %v, want an error naming %s", sc, err, tc.flag)
 		}
 	}
+}
+
+// TestRestoreMetrics: -metrics prints the report after a -restore run
+// too, and its engine: line, which the image carries, covers the whole
+// run: it equals the uninterrupted run's, as the digest does.
+func TestRestoreMetrics(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+
+	sc := validScenario()
+	sc.machine, sc.topo, sc.sched, sc.seed = "xeon-e5", ghost.XeonE5(), "ghost-shinjuku", 1
+	sc.dur, sc.snapEvery, sc.metrics, sc.invar = 20*time.Millisecond, 10*time.Millisecond, true, true
+	full, err := sc.run()
+	if err != nil {
+		t.Fatalf("full run: %v\n%s", err, full)
+	}
+	sc.snapEvery, sc.restore = 0, "ghost-sim-seed1-t10.000ms.snap"
+	resumed, err := sc.runRestored()
+	if err != nil {
+		t.Fatalf("restored run: %v\n%s", err, resumed)
+	}
+	for _, prefix := range []string{"digest:", "engine:"} {
+		want, got := lineWith(full, prefix), lineWith(resumed, prefix)
+		if want == "" || got != want {
+			t.Errorf("restored run's %q line is %q, the full run's %q", prefix, got, want)
+		}
+	}
+}
+
+// lineWith returns the first line of out that starts with prefix.
+func lineWith(out, prefix string) string {
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, prefix) {
+			return line
+		}
+	}
+	return ""
 }

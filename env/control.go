@@ -181,10 +181,7 @@ func (p *controlPolicy) OnTxnFail(ctx *ghost.PolicyContext, a ghost.Assignment, 
 	if ts == nil {
 		return
 	}
-	p.tr.MarkFailed(ts)
-	if ts.Thread.State() == ghost.ThreadRunnable {
+	if p.tr.MarkFailed(ts) {
 		p.enqueue(ts, ctx.Now())
-	} else {
-		ts.Runnable = false
 	}
 }

@@ -15,7 +15,7 @@ import (
 // ShinjukuDataplane models the original Shinjuku system (NSDI '19, §4.2
 // of the ghOSt paper): a spinning dispatcher on a dedicated physical
 // core plus spinning worker threads pinned to hyperthreads. Workers
-// process requests in Slice-bounded chunks; preempted requests return to
+// process requests in slice-bounded chunks; preempted requests return to
 // the back of the dispatcher's FIFO. The spinning threads permanently
 // occupy their CPUs (Fig 6c: a co-located batch app gets no cycles),
 // modelled by running them in the machine's top-priority dedicated
@@ -24,18 +24,20 @@ type ShinjukuDataplane struct {
 	k   *kernel.Kernel
 	rec *workload.LatencyRecorder
 
-	// Slice is the preemption timeslice (30 µs in the paper).
-	Slice sim.Duration
-	// PreemptCost is the per-preemption overhead (Shinjuku's
-	// virtualization-assisted posted interrupt plus requeue, ~1-2 µs).
-	PreemptCost sim.Duration
-	// DispatchCost is charged per request handoff from the FIFO.
-	DispatchCost sim.Duration
-
 	fifo       []*workload.Request
 	workers    []*spinWorker
 	dispatcher *kernel.Thread
 }
+
+const (
+	// slice is the preemption timeslice (30 µs in the paper).
+	slice = 30 * sim.Microsecond
+	// preemptCost is the per-preemption overhead (Shinjuku's
+	// virtualization-assisted posted interrupt plus requeue, ~1-2 µs).
+	preemptCost sim.Duration = 1500
+	// dispatchCost is charged per request handoff from the FIFO.
+	dispatchCost sim.Duration = 300
+)
 
 // spinWorker is one dedicated spinning worker.
 type spinWorker struct {
@@ -54,14 +56,9 @@ type spinWorker struct {
 // dedicated (top-priority) class dc.
 func NewShinjukuDataplane(k *kernel.Kernel, dc *kernel.AgentClass,
 	dispatcherCPU hw.CPUID, workerCPUs []hw.CPUID, rec *workload.LatencyRecorder) *ShinjukuDataplane {
-	dp := &ShinjukuDataplane{
-		k: k, rec: rec,
-		Slice:        30 * sim.Microsecond,
-		PreemptCost:  1500,
-		DispatchCost: 300,
-	}
+	dp := &ShinjukuDataplane{k: k, rec: rec}
 	// Dispatcher: pure spinner occupying its core (its work is folded
-	// into DispatchCost on the worker side).
+	// into dispatchCost on the worker side).
 	var spin kernel.Charge
 	dp.dispatcher = k.Spawn(kernel.SpawnOpts{
 		Name: "shinjuku-dispatcher", Class: dc, Affinity: kernel.MaskOf(dispatcherCPU),
@@ -119,19 +116,19 @@ func (w *spinWorker) step(t *kernel.Thread) (kernel.Action, bool) {
 		w.cur = dp.fifo[0]
 		dp.fifo = dp.fifo[1:]
 		dp.kickIdle(w) // more queued work: wake another idle worker
-		return w.charge.Then(dp.DispatchCost, kernel.StepOnCPUAction()), true
+		return w.charge.Then(dispatchCost, kernel.StepOnCPUAction()), true
 	}
 	r := w.cur
 	chunk := r.Remaining
-	if chunk > dp.Slice {
-		chunk = dp.Slice
+	if chunk > slice {
+		chunk = slice
 	}
 	r.Remaining -= chunk
 	if r.Remaining > 0 {
 		// Preemption: requeue at the back of the FIFO (§4.2).
 		w.cur = nil
 		dp.fifo = append(dp.fifo, r)
-		return w.charge.Then(chunk+dp.PreemptCost, kernel.StepOnCPUAction()), true
+		return w.charge.Then(chunk+preemptCost, kernel.StepOnCPUAction()), true
 	}
 	w.cur = nil
 	done := r

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"os"
 	"slices"
 	"strconv"
 	"strings"
@@ -65,6 +66,31 @@ func TestTable2Counts(t *testing.T) {
 		if row[2] == "0" {
 			t.Errorf("component %q counted as 0 LOC (path wrong?)", row[0])
 		}
+	}
+}
+
+// TestTable2OutsideTree: run from a directory with no go.mod above it,
+// table2 prints n/a, not 0, for every count, and says why.
+func TestTable2OutsideTree(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	if moduleRoot() != "" {
+		t.Skip("the temporary directory lies inside a ghost module")
+	}
+	rep := runTable2(quick)
+	for _, row := range rep.Rows {
+		if row[2] != "n/a" {
+			t.Errorf("component %q counted %q outside the source tree, want n/a", row[0], row[2])
+		}
+	}
+	if !strings.Contains(rep.String(), "need the source tree") {
+		t.Errorf("no note explains the n/a counts:\n%s", rep)
 	}
 }
 

@@ -23,44 +23,45 @@ func runTable2(o Options) *Report {
 		Header: []string{"component", "paper(LOC)", "this repo(LOC)", "path"},
 	}
 	root := moduleRoot()
-	count := func(rel string, files ...string) int {
+	count := func(rel string, files ...string) string {
 		if root == "" {
-			return 0
+			return "n/a"
 		}
 		if len(files) == 0 {
-			return countDir(filepath.Join(root, rel))
+			return itoa(countDir(filepath.Join(root, rel)))
 		}
 		n := 0
 		for _, f := range files {
 			n += countFile(filepath.Join(root, rel, f))
 		}
-		return n
+		return itoa(n)
 	}
-	add := func(name, paper string, n int, path string) {
-		rep.AddRow(name, paper, itoa(n), path)
+	rep.AddRow("Linux CFS", "6217", count("internal/kernel", "cfs.go"), "internal/kernel/cfs.go")
+	rep.AddRow("Shinjuku (data plane)", "3900", count("internal/baselines", "shinjuku.go"), "internal/baselines/shinjuku.go")
+	rep.AddRow("ghOSt kernel scheduling class", "3777", count("internal/ghostcore"), "internal/ghostcore/")
+	rep.AddRow("ghOSt userspace support library", "3115", count("internal/agentsdk"), "internal/agentsdk/")
+	rep.AddRow("Shinjuku policy", "710", count("internal/policies", "shinjuku.go"), "internal/policies/shinjuku.go")
+	rep.AddRow("Snap policy (CentralFIFO)", "855", count("internal/policies", "centralfifo.go"), "internal/policies/centralfifo.go")
+	rep.AddRow("Search policy", "929", count("internal/policies", "search.go"), "internal/policies/search.go")
+	rep.AddRow("Secure VM kernel policy", "7164", count("internal/baselines", "coresched.go"), "internal/baselines/coresched.go")
+	rep.AddRow("Secure VM ghOSt policy", "4702", count("internal/policies", "coresched.go"), "internal/policies/coresched.go")
+	if root == "" {
+		rep.Notef("the line counts need the source tree: run ghost-bench from inside the repository")
 	}
-	add("Linux CFS", "6217", count("internal/kernel", "cfs.go"), "internal/kernel/cfs.go")
-	add("Shinjuku (data plane)", "3900", count("internal/baselines", "shinjuku.go"), "internal/baselines/shinjuku.go")
-	add("ghOSt kernel scheduling class", "3777", count("internal/ghostcore"), "internal/ghostcore/")
-	add("ghOSt userspace support library", "3115", count("internal/agentsdk"), "internal/agentsdk/")
-	add("Shinjuku policy", "710", count("internal/policies", "shinjuku.go"), "internal/policies/shinjuku.go")
-	add("Snap policy (CentralFIFO)", "855", count("internal/policies", "centralfifo.go"), "internal/policies/centralfifo.go")
-	add("Search policy", "929", count("internal/policies", "search.go"), "internal/policies/search.go")
-	add("Secure VM kernel policy", "7164", count("internal/baselines", "coresched.go"), "internal/baselines/coresched.go")
-	add("Secure VM ghOSt policy", "4702", count("internal/policies", "coresched.go"), "internal/policies/coresched.go")
 	rep.Notef("policies are 1-2 orders of magnitude smaller than the kernel/dataplane " +
 		"implementations they replace — the paper's central LOC claim")
 	return rep
 }
 
-// moduleRoot walks up from the working directory to the go.mod.
+// moduleRoot walks up from the working directory to this module's
+// go.mod, "" if the directory is outside the source tree.
 func moduleRoot() string {
 	dir, err := os.Getwd()
 	if err != nil {
 		return ""
 	}
 	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+		if mod, err := os.ReadFile(filepath.Join(dir, "go.mod")); err == nil && strings.HasPrefix(string(mod), "module ghost\n") {
 			return dir
 		}
 		parent := filepath.Dir(dir)

@@ -105,7 +105,8 @@ type Fault struct {
 	Dur sim.Duration
 	// Delay is the added latency for MsgDelay / IPIDelay.
 	Delay sim.Duration
-	// Factor is the AgentSlow step-cost multiplier (<=1 defaults to 2).
+	// Factor is the AgentSlow step-cost multiplier (below 1, as when
+	// unset, it defaults to 2).
 	Factor float64
 	// Prob is the per-operation injection probability inside a window;
 	// zero or >=1 means always.
@@ -120,26 +121,44 @@ type Fault struct {
 	CPU hw.CPUID
 }
 
+// String renders the fault in ParsePlan's spec syntax, which parses
+// back to the same fault. The duration field is written whenever a
+// parameter follows it.
 func (f Fault) String() string {
-	s := fmt.Sprintf("%s@%v", f.Kind, f.At)
-	if f.Dur > 0 {
-		s += "/" + f.Dur.String()
-	}
+	param := ""
 	switch f.Kind {
 	case MsgDelay, IPIDelay:
 		if f.Delay > 0 {
-			s += "/" + f.Delay.String()
+			param = specDur(f.Delay)
 		}
 	case AgentSlow:
 		if f.Factor > 0 {
-			s += "/" + strconv.FormatFloat(f.Factor, 'g', -1, 64)
+			param = strconv.FormatFloat(f.Factor, 'g', -1, 64)
 		}
 	default:
-		if f.Prob > 0 && f.Prob < 1 {
-			s += "/" + strconv.FormatFloat(f.Prob, 'g', -1, 64)
+		if f.Prob > 0 {
+			param = strconv.FormatFloat(f.Prob, 'g', -1, 64)
 		}
 	}
+	s := f.Kind.String() + "@" + specDur(f.At)
+	if f.Dur > 0 || param != "" {
+		s += "/" + specDur(f.Dur)
+	}
+	if param != "" {
+		s += "/" + param
+	}
 	return s
+}
+
+// specDur renders d as the simulator prints times when that parses back
+// to d, and in whole nanoseconds when it does not (sim.Time's String
+// rounds to µs above one millisecond).
+func specDur(d sim.Duration) string {
+	s := d.String()
+	if back, err := parseDur(s); err == nil && back == d {
+		return s
+	}
+	return strconv.FormatInt(int64(d), 10) + "ns"
 }
 
 // Plan is a seeded schedule of faults. The seed drives every
@@ -232,6 +251,10 @@ func (p *Plan) String() string {
 //	ipidelay@1s/2ms/5us       IPIs delayed 5us for 2ms
 //	ipiloss@1s/2ms/0.5        IPIs lost with p=0.5 for 2ms
 //	txnfail@1s/1ms            every commit fails for 1ms
+//
+// A slow factor lies in [1, 1e6] and a probability in [0, 1], and an
+// entry's time, duration and delay must sum within the clock's range;
+// anything else is an error, as is any other malformed entry.
 func ParsePlan(spec string, seed uint64) (*Plan, error) {
 	p := NewPlan(seed)
 	for _, entry := range strings.Split(spec, ",") {
@@ -272,9 +295,15 @@ func ParsePlan(spec string, seed uint64) (*Plan, error) {
 				if f.Factor, err = strconv.ParseFloat(param, 64); err != nil {
 					return nil, fmt.Errorf("faults: %q: bad factor: %v", entry, err)
 				}
+				if !(f.Factor >= 1 && f.Factor <= maxSlowFactor) {
+					return nil, fmt.Errorf("faults: %q: slow factor %v outside [1, %g]", entry, f.Factor, maxSlowFactor)
+				}
 			case MsgDrop, MsgDup, IPILoss, TxnFail:
 				if f.Prob, err = strconv.ParseFloat(param, 64); err != nil {
 					return nil, fmt.Errorf("faults: %q: bad probability: %v", entry, err)
+				}
+				if !(f.Prob >= 0 && f.Prob <= 1) {
+					return nil, fmt.Errorf("faults: %q: probability %v outside [0, 1]", entry, f.Prob)
 				}
 			default:
 				return nil, fmt.Errorf("faults: %q: %s takes no parameter", entry, kind)
@@ -283,6 +312,9 @@ func ParsePlan(spec string, seed uint64) (*Plan, error) {
 		if len(fields) > 3 {
 			return nil, fmt.Errorf("faults: %q: too many fields", entry)
 		}
+		if end := f.At + sim.Time(f.Dur); end < f.At || end+sim.Time(f.Delay) < end {
+			return nil, fmt.Errorf("faults: %q: time plus duration and delay overflows the clock", entry)
+		}
 		p.Add(f)
 	}
 	if len(p.Faults) == 0 {
@@ -290,6 +322,11 @@ func ParsePlan(spec string, seed uint64) (*Plan, error) {
 	}
 	return p, nil
 }
+
+// maxSlowFactor bounds a slow fault's step-cost multiplier: an agent
+// step of one simulated second, slowed by it, still fits a sim.Duration
+// with room to spare.
+const maxSlowFactor = 1e6
 
 func parseKind(s string) (Kind, error) {
 	for k := AgentCrash; k <= Upgrade; k++ {
@@ -442,7 +479,7 @@ func (in *Injector) fire(f Fault) {
 		case AgentSlow:
 			if h.Slow != nil {
 				factor := f.Factor
-				if factor <= 1 {
+				if factor < 1 {
 					factor = 2
 				}
 				in.tr().Fault(now, "slow", id, fmt.Sprintf("x%g for %v", factor, f.Dur))

@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"ghost/internal/hw"
@@ -55,19 +57,28 @@ func TestParsePlanRoundTrip(t *testing.T) {
 
 func TestParsePlanErrors(t *testing.T) {
 	for _, spec := range []string{
-		"",                      // empty plan
-		"explode@1s",            // unknown kind
-		"crash",                 // missing @time
-		"crash@nope",            // bad time
-		"crash@1s/5ms",          // crash takes no duration
-		"upgrade@1s/5ms",        // upgrade takes no duration
-		"stall@1s/2ms/0.5",      // stall takes no parameter
-		"slow@1s/5ms/wat",       // bad factor
-		"msgdrop@1s/5ms/0.5/9",  // too many fields
-		"msgdelay@1s/5ms/-50us", // negative delay
+		"",                         // empty plan
+		"explode@1s",               // unknown kind
+		"crash",                    // missing @time
+		"crash@nope",               // bad time
+		"crash@1s/5ms",             // crash takes no duration
+		"upgrade@1s/5ms",           // upgrade takes no duration
+		"stall@1s/2ms/0.5",         // stall takes no parameter
+		"slow@1s/5ms/wat",          // bad factor
+		"msgdrop@1s/5ms/0.5/9",     // too many fields
+		"msgdelay@1s/5ms/-50us",    // negative delay
+		"slow@1ms/3ms/Inf",         // a step's cost overflows
+		"slow@1ms/3ms/1e300",       // a step's cost overflows
+		"slow@1ms/3ms/NaN",         // not a factor
+		"slow@1ms/3ms/0.5",         // factor below 1
+		"msgdrop@1ms/3ms/NaN",      // not a probability
+		"msgdup@1ms/3ms/1.5",       // probability above 1
+		"ipiloss@1ms/3ms/-0.25",    // probability below 0
+		"stall@2562047h/2562047h",  // the window's end overflows the clock
+		"msgdelay@1ms/2562047h/1h", // so does its last delivery
 	} {
-		if _, err := ParsePlan(spec, 1); err == nil {
-			t.Errorf("ParsePlan(%q) succeeded, want error", spec)
+		if _, err := ParsePlan(spec, 1); err == nil || !strings.HasPrefix(err.Error(), "faults: ") {
+			t.Errorf("ParsePlan(%q) = %v, want a faults: error", spec, err)
 		}
 	}
 }
@@ -140,6 +151,10 @@ func TestAgentHooksAndTargets(t *testing.T) {
 	plan.Crash(sim.Time(10 * sim.Microsecond))
 	plan.Stall(sim.Time(20*sim.Microsecond), 5*sim.Microsecond)
 	plan.Upgrade(sim.Time(30 * sim.Microsecond))
+	// A slow fault applies the factor it names, 1 included; unset
+	// defaults to 2.
+	plan.Slow(sim.Time(32*sim.Microsecond), sim.Microsecond, 1)
+	plan.Slow(sim.Time(34*sim.Microsecond), sim.Microsecond, 0)
 	// Enclave-targeted fault: must not reach enclave 0's hooks.
 	plan.Add(Fault{At: sim.Time(40 * sim.Microsecond), Kind: AgentCrash,
 		Enc: 7, CPU: AnyCPU})
@@ -147,9 +162,11 @@ func TestAgentHooksAndTargets(t *testing.T) {
 
 	var crashes, upgrades int
 	var stallDur sim.Duration
+	var factors []float64
 	in.RegisterAgentHooks(0, &AgentHooks{
 		Crash:   func(sim.Time) { crashes++ },
 		Stall:   func(_ sim.Time, _ hw.CPUID, d sim.Duration) { stallDur = d },
+		Slow:    func(_ sim.Time, _ hw.CPUID, _ sim.Time, f float64) { factors = append(factors, f) },
 		Upgrade: func(sim.Time) { upgrades++ },
 	})
 	eng.RunUntil(sim.Time(50 * sim.Microsecond))
@@ -161,6 +178,9 @@ func TestAgentHooksAndTargets(t *testing.T) {
 	}
 	if stallDur != 5*sim.Microsecond {
 		t.Errorf("stall duration = %v, want 5us", stallDur)
+	}
+	if !slices.Equal(factors, []float64{1, 2}) {
+		t.Errorf("slow factors = %v, want [1 2]", factors)
 	}
 }
 

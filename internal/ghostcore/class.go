@@ -69,11 +69,10 @@ type Class struct {
 	Mut Mutations
 
 	// Stats.
-	MsgsPosted  uint64
-	TxnsOK      uint64
-	TxnsFailed  uint64
-	BPFCommits  uint64
-	Preemptions uint64
+	MsgsPosted uint64
+	TxnsOK     uint64
+	TxnsFailed uint64
+	BPFCommits uint64
 }
 
 // NewClass creates and registers the ghOSt scheduling class. fallback is
@@ -224,7 +223,6 @@ func (g *Class) Enqueue(t *kernel.Thread, cpu hw.CPUID, r kernel.EnqueueReason) 
 	case kernel.EnqWake, kernel.EnqClassChange:
 		g.postThreadMsg(t, MsgThreadWakeup)
 	case kernel.EnqPreempt:
-		g.Preemptions++
 		g.postThreadMsg(t, MsgThreadPreempted)
 	case kernel.EnqYield:
 		g.postThreadMsg(t, MsgThreadYield)

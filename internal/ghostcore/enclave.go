@@ -495,14 +495,12 @@ func (e *Enclave) PreemptCPU(cpu hw.CPUID) {
 			g.obsUnlatched(e, cpu, s, "preempt-cpu")
 		}
 		g.setSlot(cpu, nil)
-		g.Preemptions++
 		g.postThreadMsg(s, MsgThreadPreempted)
 	}
 	if s := g.inflight[cpu]; s != nil {
 		if gt := gstate(s); gt != nil && gt.latched {
 			gt.latched = false
 			g.obsUnlatched(e, cpu, s, "preempt-cpu")
-			g.Preemptions++
 			g.postThreadMsg(s, MsgThreadPreempted)
 		}
 		g.setInflight(cpu, nil)
@@ -620,7 +618,6 @@ func (g *Class) doInstall(rec *installRec) {
 		// agent as a preemption rather than parking it forever.
 		gt.latched = false
 		g.obsUnlatched(e, cpu, t, "cpu-taken")
-		g.Preemptions++
 		g.postThreadMsg(t, MsgThreadPreempted)
 		return
 	}

@@ -75,11 +75,10 @@ type ClassRec struct {
 	Inflight  []int     `json:"inflight"` // per-CPU in-flight TID, 0 none
 	Mut       Mutations `json:"mut"`
 
-	MsgsPosted  uint64 `json:"msgsPosted"`
-	TxnsOK      uint64 `json:"txnsOK"`
-	TxnsFailed  uint64 `json:"txnsFailed"`
-	BPFCommits  uint64 `json:"bpfCommits"`
-	Preemptions uint64 `json:"preemptions"`
+	MsgsPosted uint64 `json:"msgsPosted"`
+	TxnsOK     uint64 `json:"txnsOK"`
+	TxnsFailed uint64 `json:"txnsFailed"`
+	BPFCommits uint64 `json:"bpfCommits"`
 
 	Enclaves []EnclaveRec `json:"enclaves"`
 }
@@ -89,13 +88,12 @@ type ClassRec struct {
 // BPF programs, in-flight agent upgrades, non-int/string hints.
 func (g *Class) SaveImage() (*ClassRec, error) {
 	rec := &ClassRec{
-		NextEncID:   g.nextEncID,
-		Mut:         g.Mut,
-		MsgsPosted:  g.MsgsPosted,
-		TxnsOK:      g.TxnsOK,
-		TxnsFailed:  g.TxnsFailed,
-		BPFCommits:  g.BPFCommits,
-		Preemptions: g.Preemptions,
+		NextEncID:  g.nextEncID,
+		Mut:        g.Mut,
+		MsgsPosted: g.MsgsPosted,
+		TxnsOK:     g.TxnsOK,
+		TxnsFailed: g.TxnsFailed,
+		BPFCommits: g.BPFCommits,
 	}
 	rec.Slots = make([]int, len(g.slots))
 	rec.Inflight = make([]int, len(g.inflight))
@@ -279,7 +277,6 @@ func (g *Class) RestoreImage(rec *ClassRec) error {
 	g.TxnsOK = rec.TxnsOK
 	g.TxnsFailed = rec.TxnsFailed
 	g.BPFCommits = rec.BPFCommits
-	g.Preemptions = rec.Preemptions
 	if len(rec.Slots) > len(g.slots) || len(rec.Inflight) > len(g.inflight) {
 		return fmt.Errorf("ghost slots list %d CPUs and in-flight commits %d, machine has %d",
 			len(rec.Slots), len(rec.Inflight), len(g.slots))

@@ -22,6 +22,15 @@ var niceWeights = [40]int{
 
 const nice0Weight = 1024
 
+// CFS's tunables, fixed at Linux's defaults.
+const (
+	targetLatency  = 6 * sim.Millisecond   // sched_latency_ns
+	minGranularity = 750 * sim.Microsecond // sched_min_granularity_ns
+	wakeupGran     = sim.Millisecond       // sched_wakeup_granularity_ns
+	balancePeriod  = 4 * sim.Millisecond   // periodic load-balance cadence
+	migrationCost  = 500 * sim.Microsecond // sched_migration_cost_ns (newidle gate)
+)
+
 func weightOf(nice int) int {
 	if nice < -20 {
 		nice = -20
@@ -105,19 +114,12 @@ type CFS struct {
 	stealCPU hw.CPUID
 
 	// New-idle balance gating, faithful to Linux: a CPU whose recent
-	// idle periods are shorter than MigrationCost skips idle stealing
+	// idle periods are shorter than migrationCost skips idle stealing
 	// (it expects local work soon), leaving imbalances to the periodic
 	// load balancer — the millisecond-scale rebalancing §4.4 contrasts
 	// with ghOSt's µs-scale reaction.
 	idleStart []sim.Time
 	avgIdle   []sim.Duration
-
-	// Tunables, defaulted to Linux's.
-	TargetLatency  sim.Duration // sched_latency_ns
-	MinGranularity sim.Duration // sched_min_granularity_ns
-	WakeupGran     sim.Duration // sched_wakeup_granularity_ns
-	BalancePeriod  sim.Duration
-	MigrationCost  sim.Duration // sched_migration_cost_ns (newidle gate)
 
 	balance *sim.Ticker // periodic load balancer (keyed for snapshots)
 }
@@ -126,22 +128,17 @@ type CFS struct {
 // registers it with the kernel.
 func NewCFS(k *Kernel) *CFS {
 	c := &CFS{
-		k:              k,
-		rqs:            make([]*cfsRq, k.NumCPUs()),
-		TargetLatency:  6 * sim.Millisecond,
-		MinGranularity: 750 * sim.Microsecond,
-		WakeupGran:     sim.Millisecond,
-		BalancePeriod:  4 * sim.Millisecond,
-		MigrationCost:  500 * sim.Microsecond,
-		idleStart:      make([]sim.Time, k.NumCPUs()),
-		avgIdle:        make([]sim.Duration, k.NumCPUs()),
-		stealCPU:       hw.NoCPU,
+		k:         k,
+		rqs:       make([]*cfsRq, k.NumCPUs()),
+		idleStart: make([]sim.Time, k.NumCPUs()),
+		avgIdle:   make([]sim.Duration, k.NumCPUs()),
+		stealCPU:  hw.NoCPU,
 	}
 	for i := range c.rqs {
 		c.rqs[i] = &cfsRq{cpu: hw.CPUID(i), queued: &c.queued}
 	}
 	k.AddIdleHook(func(cpu *CPU) { c.idleStart[cpu.ID] = k.Now() })
-	c.balance = sim.NewTicker(k.Engine(), c.BalancePeriod, func(sim.Time) { c.loadBalance() })
+	c.balance = sim.NewTicker(k.Engine(), balancePeriod, func(sim.Time) { c.loadBalance() })
 	c.balance.Key = "cfs.balance"
 	k.RegisterClass(c)
 	return c
@@ -191,7 +188,7 @@ func (c *CFS) Enqueue(t *Thread, cpu hw.CPUID, r EnqueueReason) {
 		// Sleeper placement: don't let long sleepers hoard credit, and
 		// don't punish them either.
 		min := rq.minVrun
-		credit := min - float64(c.TargetLatency/2)
+		credit := min - float64(targetLatency/2)
 		if t.cfs.vruntime < credit {
 			t.cfs.vruntime = credit
 		}
@@ -231,18 +228,18 @@ func (c *CFS) Queued(cpu *CPU) bool {
 // findSteal locates a stealable thread for idle CPU c: a queued thread on
 // the busiest runqueue whose affinity admits c, the lowest-numbered
 // runqueue among equally busy ones. Gated like Linux's newidle_balance:
-// CPUs whose average idle period is below MigrationCost don't steal.
+// CPUs whose average idle period is below migrationCost don't steal.
 func (c *CFS) findSteal(cpu *CPU) *Thread {
 	avg := c.avgIdle[cpu.ID]
 	// Graded gate, like newidle_balance walking the domain hierarchy:
 	// very short idles skip balancing entirely; moderate idles only
 	// steal within the socket; long idles steal machine-wide.
-	if avg != 0 && avg < c.MigrationCost/5 {
+	if avg != 0 && avg < migrationCost/5 {
 		return nil
 	}
 	cands := c.queued
 	cands.SetTo(cpu.ID, false)
-	if avg != 0 && avg < c.MigrationCost {
+	if avg != 0 && avg < migrationCost {
 		cands = cands.And(c.k.sockets[cpu.Info.Socket])
 	}
 	var best *Thread
@@ -297,7 +294,7 @@ func (c *CFS) PickNext(cpu *CPU, prev *Thread) *Thread {
 		c.account(prev)
 		// Keep prev unless the candidate has meaningfully lower
 		// vruntime (wakeup granularity hysteresis).
-		if prev.cfs.vruntime <= cand.cfs.vruntime+float64(c.WakeupGran) {
+		if prev.cfs.vruntime <= cand.cfs.vruntime+float64(wakeupGran) {
 			return prev
 		}
 		heap.Pop(rq)
@@ -393,7 +390,7 @@ func (c *CFS) load(cpu hw.CPUID) int {
 // is owed meaningfully more CPU than the running one.
 func (c *CFS) WantsPreempt(cpu *CPU, curr, incoming *Thread) bool {
 	c.account(curr)
-	return curr.cfs.vruntime > incoming.cfs.vruntime+float64(c.WakeupGran)
+	return curr.cfs.vruntime > incoming.cfs.vruntime+float64(wakeupGran)
 }
 
 // Tick implements Class: slice-expiry preemption.
@@ -404,9 +401,9 @@ func (c *CFS) Tick(cpu *CPU, t *Thread) {
 		return
 	}
 	nr := rq.Len() + 1
-	slice := c.TargetLatency / sim.Duration(nr)
-	if slice < c.MinGranularity {
-		slice = c.MinGranularity
+	slice := targetLatency / sim.Duration(nr)
+	if slice < minGranularity {
+		slice = minGranularity
 	}
 	if t.cfs.sliceRan >= slice {
 		c.k.Resched(cpu.ID)
@@ -414,7 +411,7 @@ func (c *CFS) Tick(cpu *CPU, t *Thread) {
 }
 
 // loadBalance evens queue lengths across the machine every
-// BalancePeriod: repeated migrations from the busiest runqueue to the
+// balancePeriod: repeated migrations from the busiest runqueue to the
 // least-loaded CPU admitted by each candidate's affinity, including idle
 // pulls of single stranded threads. This is CFS's millisecond-scale
 // rebalancing cadence.

@@ -18,10 +18,10 @@ import (
 // CPU's socket.
 func fullScanSteal(c *CFS, cpu *CPU) *Thread {
 	avg := c.avgIdle[cpu.ID]
-	if avg != 0 && avg < c.MigrationCost/5 {
+	if avg != 0 && avg < migrationCost/5 {
 		return nil
 	}
-	sameSocketOnly := avg != 0 && avg < c.MigrationCost
+	sameSocketOnly := avg != 0 && avg < migrationCost
 	mySocket := c.k.topo.CPU(cpu.ID).Socket
 	var best *Thread
 	bestLen := 0

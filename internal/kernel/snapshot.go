@@ -93,15 +93,10 @@ type CFSRqRec struct {
 
 // CFSRec is the serialized CFS class state.
 type CFSRec struct {
-	RQs            []CFSRqRec `json:"rqs"`
-	Seq            uint64     `json:"seq"`
-	IdleStart      []int64    `json:"idleStart"`
-	AvgIdle        []int64    `json:"avgIdle"`
-	TargetLatency  int64      `json:"targetLatency"`
-	MinGranularity int64      `json:"minGranularity"`
-	WakeupGran     int64      `json:"wakeupGran"`
-	BalancePeriod  int64      `json:"balancePeriod"`
-	MigrationCost  int64      `json:"migrationCost"`
+	RQs       []CFSRqRec `json:"rqs"`
+	Seq       uint64     `json:"seq"`
+	IdleStart []int64    `json:"idleStart"`
+	AvgIdle   []int64    `json:"avgIdle"`
 }
 
 // MQRec is the serialized MicroQuanta class state.
@@ -272,14 +267,7 @@ func (t *Thread) saveRec() (ThreadRec, error) {
 }
 
 func (c *CFS) saveRec() *CFSRec {
-	rec := &CFSRec{
-		Seq:            c.seq,
-		TargetLatency:  int64(c.TargetLatency),
-		MinGranularity: int64(c.MinGranularity),
-		WakeupGran:     int64(c.WakeupGran),
-		BalancePeriod:  int64(c.BalancePeriod),
-		MigrationCost:  int64(c.MigrationCost),
-	}
+	rec := &CFSRec{Seq: c.seq}
 	for _, rq := range c.rqs {
 		rec.RQs = append(rec.RQs, CFSRqRec{Threads: tids(rq.threads), MinVrun: rq.minVrun})
 	}
@@ -475,11 +463,6 @@ func (c *CFS) restoreRec(rec *CFSRec) error {
 			len(rec.RQs), len(rec.IdleStart), len(rec.AvgIdle), n)
 	}
 	c.seq = rec.Seq
-	c.TargetLatency = sim.Duration(rec.TargetLatency)
-	c.MinGranularity = sim.Duration(rec.MinGranularity)
-	c.WakeupGran = sim.Duration(rec.WakeupGran)
-	c.BalancePeriod = sim.Duration(rec.BalancePeriod)
-	c.MigrationCost = sim.Duration(rec.MigrationCost)
 	listed := make(map[*Thread]bool)
 	for i := range rec.RQs {
 		rq := c.rqs[i]

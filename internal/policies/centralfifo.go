@@ -34,7 +34,7 @@ type CentralFIFO struct {
 	Quantum sim.Duration
 
 	tr     *Tracker
-	queues [][]*TState
+	queues []runq // one per band
 	// running mirrors which tracked thread the policy put on each CPU.
 	running placements
 	tun     *tunable.Set
@@ -68,16 +68,16 @@ func (p *CentralFIFO) Attach(ctx *agentsdk.Context) {
 	if p.NumBands <= 0 {
 		p.NumBands = 1
 	}
-	p.queues = make([][]*TState, p.NumBands)
+	p.queues = make([]runq, p.NumBands)
 	p.running = newPlacements(ctx)
 	p.tr = NewTracker()
 	p.tr.OnRunnable = func(ts *TState, m ghostcore.Message) {
 		p.vacate(ts)
-		p.enqueue(ts)
+		p.queues[p.bandOf(ts.Thread)].push(ts)
 	}
 	p.tr.OnRemoved = func(ts *TState, m ghostcore.Message) {
 		p.vacate(ts)
-		p.dequeue(ts)
+		p.queues[p.bandOf(ts.Thread)].remove(ts)
 	}
 	p.tr.Rebuild(ctx)
 }
@@ -94,47 +94,9 @@ func (p *CentralFIFO) vacate(ts *TState) {
 	}
 }
 
-func (p *CentralFIFO) enqueue(ts *TState) {
-	if ts.Enqueued {
-		return
-	}
-	ts.Enqueued = true
-	b := p.bandOf(ts.Thread)
-	p.queues[b] = append(p.queues[b], ts)
-}
-
-func (p *CentralFIFO) dequeue(ts *TState) {
-	if !ts.Enqueued {
-		return
-	}
-	ts.Enqueued = false
-	b := p.bandOf(ts.Thread)
-	q := p.queues[b]
-	for i, e := range q {
-		if e == ts {
-			p.queues[b] = append(q[:i], q[i+1:]...)
-			return
-		}
-	}
-}
-
 // OnMessage implements agentsdk.GlobalPolicy.
 func (p *CentralFIFO) OnMessage(ctx *agentsdk.Context, m ghostcore.Message) {
 	p.tr.HandleMessage(ctx, m)
-}
-
-// popFor removes and returns the first queued thread in band b that may
-// run on cpu.
-func (p *CentralFIFO) popFor(b int, cpu hw.CPUID) *TState {
-	q := p.queues[b]
-	for i, ts := range q {
-		if ts.Thread.State() == kernel.StateRunnable && ts.Thread.Affinity().Has(cpu) {
-			p.queues[b] = append(q[:i], q[i+1:]...)
-			ts.Enqueued = false
-			return ts
-		}
-	}
-	return nil
 }
 
 // Schedule implements agentsdk.GlobalPolicy (the Fig 4 loop).
@@ -144,7 +106,7 @@ func (p *CentralFIFO) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 	for _, cpu := range ctx.IdleCPUs() {
 		assigned := false
 		for b := 0; b < len(p.queues) && !assigned; b++ {
-			if ts := p.popFor(b, cpu); ts != nil {
+			if ts := p.queues[b].popFor(cpu); ts != nil {
 				p.tr.MarkScheduled(ts, int(cpu), now)
 				p.running.put(cpu, ts)
 				out = append(out, agentsdk.Assignment{Thread: ts.Thread, CPU: cpu})
@@ -161,7 +123,7 @@ func (p *CentralFIFO) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 				if victimCPU == hw.NoCPU {
 					break
 				}
-				ts := p.popFor(b, victimCPU)
+				ts := p.queues[b].popFor(victimCPU)
 				if ts == nil {
 					break
 				}
@@ -183,7 +145,7 @@ func (p *CentralFIFO) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 			band := p.bandOf(p.running.at(cpu).Thread)
 			var ts *TState
 			for b := 0; b <= band && ts == nil; b++ {
-				ts = p.popFor(b, cpu)
+				ts = p.queues[b].popFor(cpu)
 			}
 			if ts == nil {
 				continue
@@ -240,12 +202,9 @@ func (p *CentralFIFO) OnTxnFail(ctx *agentsdk.Context, a agentsdk.Assignment, s 
 		return
 	}
 	p.running.clear(a.CPU)
-	p.tr.MarkFailed(ts)
-	if ts.Thread.State() == kernel.StateRunnable {
-		p.enqueue(ts)
+	if p.tr.MarkFailed(ts) {
+		p.queues[p.bandOf(ts.Thread)].push(ts)
 		p.repoll(ctx)
-	} else {
-		ts.Runnable = false
 	}
 }
 

@@ -1,6 +1,7 @@
 package policies
 
 import (
+	"slices"
 	"sort"
 
 	"ghost/internal/agentsdk"
@@ -29,10 +30,9 @@ type CoreSched struct {
 	VMOf func(t *kernel.Thread) int
 
 	tr        *Tracker
-	runq      map[int][]*TState // runnable vCPUs per VM
-	vms       []int             // sorted VM ids seen
-	cores     [][2]hw.CPUID     // physical cores fully inside the enclave
-	coreVM    map[int]int       // core index -> VM it is serving (-1 free)
+	vms       []vmQueue     // every VM that has queued a vCPU, by ascending id
+	cores     [][2]hw.CPUID // physical cores fully inside the enclave
+	coreVM    map[int]int   // core index -> VM it is serving (-1 free)
 	coreSince map[int]sim.Time
 	rr        int
 }
@@ -44,7 +44,6 @@ func NewCoreSched(vmOf func(t *kernel.Thread) int) *CoreSched {
 
 // Attach implements agentsdk.GlobalPolicy.
 func (p *CoreSched) Attach(ctx *agentsdk.Context) {
-	p.runq = make(map[int][]*TState)
 	p.coreVM = make(map[int]int)
 	p.coreSince = make(map[int]sim.Time)
 	topo := ctx.Topology()
@@ -82,8 +81,12 @@ func (p *CoreSched) Attach(ctx *agentsdk.Context) {
 		p.coreVM[i] = -1
 	}
 	p.tr = NewTracker()
-	p.tr.OnRunnable = func(ts *TState, m ghostcore.Message) { p.enqueue(ts) }
-	p.tr.OnRemoved = func(ts *TState, m ghostcore.Message) { p.dequeue(ts) }
+	p.tr.OnRunnable = func(ts *TState, m ghostcore.Message) { p.queueFor(ts).push(ts) }
+	p.tr.OnRemoved = func(ts *TState, m ghostcore.Message) {
+		if q := p.queue(p.vmOf(ts)); q != nil {
+			q.remove(ts)
+		}
+	}
 	p.tr.Rebuild(ctx)
 }
 
@@ -95,32 +98,32 @@ func (p *CoreSched) vmOf(ts *TState) int {
 	return v
 }
 
-func (p *CoreSched) enqueue(ts *TState) {
-	if ts.Enqueued {
-		return
-	}
-	ts.Enqueued = true
-	v := p.vmOf(ts)
-	if _, ok := p.runq[v]; !ok {
-		p.vms = append(p.vms, v)
-		sort.Ints(p.vms)
-	}
-	p.runq[v] = append(p.runq[v], ts)
+// vmQueue is one VM's runnable vCPUs.
+type vmQueue struct {
+	vm int
+	q  runq
 }
 
-func (p *CoreSched) dequeue(ts *TState) {
-	if !ts.Enqueued {
-		return
-	}
-	ts.Enqueued = false
-	v := p.vmOf(ts)
-	q := p.runq[v]
-	for i, e := range q {
-		if e == ts {
-			p.runq[v] = append(q[:i], q[i+1:]...)
-			return
+// queue returns VM v's run queue, nil if v has never queued a vCPU.
+func (p *CoreSched) queue(v int) *runq {
+	for i := range p.vms {
+		if p.vms[i].vm == v {
+			return &p.vms[i].q
 		}
 	}
+	return nil
+}
+
+// queueFor returns the run queue of ts's VM, adding the VM to the
+// rotation when it queues its first vCPU.
+func (p *CoreSched) queueFor(ts *TState) *runq {
+	v := p.vmOf(ts)
+	if q := p.queue(v); q != nil {
+		return q
+	}
+	i := sort.Search(len(p.vms), func(i int) bool { return p.vms[i].vm > v })
+	p.vms = slices.Insert(p.vms, i, vmQueue{vm: v})
+	return &p.vms[i].q
 }
 
 // OnMessage implements agentsdk.GlobalPolicy.
@@ -128,28 +131,15 @@ func (p *CoreSched) OnMessage(ctx *agentsdk.Context, m ghostcore.Message) {
 	p.tr.HandleMessage(ctx, m)
 }
 
-// popVM takes the next runnable vCPU of VM v that may run on cpu.
-func (p *CoreSched) popVM(v int, cpu hw.CPUID) *TState {
-	q := p.runq[v]
-	for i, ts := range q {
-		if ts.Thread.State() == kernel.StateRunnable && ts.Thread.Affinity().Has(cpu) {
-			p.runq[v] = append(q[:i], q[i+1:]...)
-			ts.Enqueued = false
-			return ts
-		}
-	}
-	return nil
-}
-
 // nextVM returns the next VM after the rotation pointer with runnable
 // vCPUs, excluding `not`; -1 if none.
 func (p *CoreSched) nextVM(not int) int {
 	n := len(p.vms)
 	for i := 0; i < n; i++ {
-		v := p.vms[(p.rr+i)%n]
-		if v != not && len(p.runq[v]) > 0 {
+		vq := &p.vms[(p.rr+i)%n]
+		if vq.vm != not && len(vq.q) > 0 {
 			p.rr = (p.rr + i + 1) % n
-			return v
+			return vq.vm
 		}
 	}
 	return -1
@@ -157,8 +147,8 @@ func (p *CoreSched) nextVM(not int) int {
 
 // vmRunnable reports whether any VM other than `not` has queued vCPUs.
 func (p *CoreSched) vmRunnable(not int) bool {
-	for _, v := range p.vms {
-		if v != not && len(p.runq[v]) > 0 {
+	for i := range p.vms {
+		if vq := &p.vms[i]; vq.vm != not && len(vq.q) > 0 {
 			return true
 		}
 	}
@@ -216,7 +206,7 @@ func (p *CoreSched) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 			// Idle core: give it to the next VM in rotation, one vCPU
 			// for now (pass 2 may pack a second).
 			if v := p.nextVM(-1); v >= 0 {
-				if ts := p.popVM(v, core[0]); ts != nil {
+				if ts := p.queue(v).popFor(core[0]); ts != nil {
 					p.tr.MarkScheduled(ts, int(core[0]), now)
 					out = append(out, agentsdk.Assignment{Thread: ts.Thread, CPU: core[0], Group: group})
 					p.coreVM[ci] = v
@@ -234,7 +224,7 @@ func (p *CoreSched) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 				if v := p.nextVM(runningVM); v >= 0 {
 					filled := 0
 					for _, cpu := range core {
-						if ts := p.popVM(v, cpu); ts != nil {
+						if ts := p.queue(v).popFor(cpu); ts != nil {
 							p.tr.MarkScheduled(ts, int(cpu), now)
 							out = append(out, agentsdk.Assignment{Thread: ts.Thread, CPU: cpu, Group: group})
 							filled++
@@ -259,6 +249,12 @@ func (p *CoreSched) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 		if st == nil || st.slots >= 2 {
 			continue
 		}
+		// A VM that never queued a vCPU here (it ran before an upgrade)
+		// has no run queue and nothing to pack.
+		q := p.queue(st.vm)
+		if q == nil {
+			continue
+		}
 		for _, cpu := range core {
 			if st.slots >= 2 {
 				break
@@ -276,7 +272,7 @@ func (p *CoreSched) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 			if already {
 				continue
 			}
-			if ts := p.popVM(st.vm, cpu); ts != nil {
+			if ts := q.popFor(cpu); ts != nil {
 				p.tr.MarkScheduled(ts, int(cpu), now)
 				out = append(out, agentsdk.Assignment{Thread: ts.Thread, CPU: cpu, Group: ci + 1})
 				st.slots++
@@ -302,11 +298,8 @@ func (p *CoreSched) OnTxnFail(ctx *agentsdk.Context, a agentsdk.Assignment, s gh
 	if ts == nil {
 		return
 	}
-	p.tr.MarkFailed(ts)
-	if ts.Thread.State() == kernel.StateRunnable {
-		p.enqueue(ts)
+	if p.tr.MarkFailed(ts) {
+		p.queueFor(ts).push(ts)
 		p.repoll(ctx)
-	} else {
-		ts.Runnable = false
 	}
 }

@@ -12,11 +12,8 @@ import (
 // idle agents steal from the most loaded runqueue when their own is
 // empty (the ASSOCIATE_QUEUE work-stealing flow of §3.1).
 type PerCPUFIFO struct {
-	// Steal enables work stealing between per-CPU runqueues.
-	Steal bool
-
 	tr     *Tracker
-	rqs    map[hw.CPUID][]*TState
+	rqs    map[hw.CPUID]runq
 	home   map[kernel.TID]hw.CPUID
 	cpus   []hw.CPUID
 	nextRR int
@@ -25,12 +22,12 @@ type PerCPUFIFO struct {
 }
 
 // NewPerCPUFIFO builds the policy.
-func NewPerCPUFIFO() *PerCPUFIFO { return &PerCPUFIFO{Steal: true} }
+func NewPerCPUFIFO() *PerCPUFIFO { return &PerCPUFIFO{} }
 
 // Attach implements agentsdk.PerCPUPolicy.
 func (p *PerCPUFIFO) Attach(ctx *agentsdk.Context) {
 	p.ctx = ctx
-	p.rqs = make(map[hw.CPUID][]*TState)
+	p.rqs = make(map[hw.CPUID]runq)
 	p.home = make(map[kernel.TID]hw.CPUID)
 	p.cpus = ctx.Enclave.CPUs().CPUs()
 	p.tr = NewTracker()
@@ -44,30 +41,20 @@ func (p *PerCPUFIFO) Attach(ctx *agentsdk.Context) {
 	p.tr.OnRemoved = func(ts *TState, m ghostcore.Message) {
 		if m.Type == ghostcore.MsgThreadDead {
 			cpu := p.home[ts.Thread.TID()]
-			p.remove(cpu, ts)
+			q := p.rqs[cpu]
+			q.remove(ts)
+			p.rqs[cpu] = q
 			delete(p.home, ts.Thread.TID())
 		}
 	}
 	p.tr.Rebuild(ctx)
 }
 
+// push queues ts on cpu's runqueue.
 func (p *PerCPUFIFO) push(cpu hw.CPUID, ts *TState) {
-	if ts.Enqueued {
-		return
-	}
-	ts.Enqueued = true
-	p.rqs[cpu] = append(p.rqs[cpu], ts)
-}
-
-func (p *PerCPUFIFO) remove(cpu hw.CPUID, ts *TState) {
 	q := p.rqs[cpu]
-	for i, e := range q {
-		if e == ts {
-			p.rqs[cpu] = append(q[:i], q[i+1:]...)
-			ts.Enqueued = false
-			return
-		}
-	}
+	q.push(ts)
+	p.rqs[cpu] = q
 }
 
 // AssignCPU implements agentsdk.PerCPUPolicy: round-robin placement.
@@ -106,14 +93,12 @@ func (p *PerCPUFIFO) PickNext(ctx *agentsdk.Context, cpu hw.CPUID) *kernel.Threa
 			return ts.Thread
 		}
 	}
-	if p.Steal {
-		if ts := p.steal(cpu); ts != nil {
-			p.tr.MarkScheduled(ts, int(cpu), ctx.Now())
-			// Re-home the thread: subsequent messages flow here.
-			p.home[ts.Thread.TID()] = cpu
-			ctx.MoveThread(ts.Thread, cpu)
-			return ts.Thread
-		}
+	if ts := p.steal(cpu); ts != nil {
+		p.tr.MarkScheduled(ts, int(cpu), ctx.Now())
+		// Re-home the thread: subsequent messages flow here.
+		p.home[ts.Thread.TID()] = cpu
+		ctx.MoveThread(ts.Thread, cpu)
+		return ts.Thread
 	}
 	return nil
 }
@@ -135,14 +120,9 @@ func (p *PerCPUFIFO) steal(thief hw.CPUID) *TState {
 		return nil
 	}
 	q := p.rqs[victim]
-	for i, ts := range q {
-		if ts.Thread.State() == kernel.StateRunnable && ts.Thread.Affinity().Has(thief) {
-			p.rqs[victim] = append(q[:i], q[i+1:]...)
-			ts.Enqueued = false
-			return ts
-		}
-	}
-	return nil
+	ts := q.popFor(thief)
+	p.rqs[victim] = q
+	return ts
 }
 
 // OnTxnFail implements agentsdk.PerCPUPolicy.
@@ -151,10 +131,7 @@ func (p *PerCPUFIFO) OnTxnFail(ctx *agentsdk.Context, cpu hw.CPUID, t *kernel.Th
 	if ts == nil {
 		return
 	}
-	p.tr.MarkFailed(ts)
-	if t.State() == kernel.StateRunnable {
+	if p.tr.MarkFailed(ts) {
 		p.push(cpu, ts)
-	} else {
-		ts.Runnable = false
 	}
 }

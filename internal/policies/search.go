@@ -211,10 +211,7 @@ func (p *Search) OnTxnFail(ctx *agentsdk.Context, a agentsdk.Assignment, s ghost
 	if ts == nil {
 		return
 	}
-	p.tr.MarkFailed(ts)
-	if ts.Thread.State() == kernel.StateRunnable && !ts.Enqueued {
+	if p.tr.MarkFailed(ts) && !ts.Enqueued {
 		p.push(ts)
-	} else if ts.Thread.State() != kernel.StateRunnable {
-		ts.Runnable = false
 	}
 }

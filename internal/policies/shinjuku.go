@@ -31,8 +31,8 @@ type Shinjuku struct {
 	MaxCommits int
 
 	tr      *Tracker
-	fifo    []*TState // latency-critical runnable FIFO
-	batchq  []*TState
+	fifo    runq // latency-critical runnable FIFO
+	batchq  runq
 	running placements // latency threads the policy placed
 	batchOn placements // batch threads the policy placed
 	tun     *tunable.Set
@@ -69,11 +69,11 @@ func (p *Shinjuku) Attach(ctx *agentsdk.Context) {
 	p.tr = NewTracker()
 	p.tr.OnRunnable = func(ts *TState, m ghostcore.Message) {
 		p.clearPlacement(ts)
-		p.enqueue(ts)
+		p.queue(ts).push(ts)
 	}
 	p.tr.OnRemoved = func(ts *TState, m ghostcore.Message) {
 		p.clearPlacement(ts)
-		p.dequeue(ts)
+		p.queue(ts).remove(ts)
 	}
 	p.tr.Rebuild(ctx)
 }
@@ -84,49 +84,18 @@ func (p *Shinjuku) clearPlacement(ts *TState) {
 	ts.CPU = -1
 }
 
-func (p *Shinjuku) enqueue(ts *TState) {
-	if ts.Enqueued {
-		return
-	}
-	ts.Enqueued = true
+// queue returns the run queue ts belongs in: batchq for batch threads,
+// the latency FIFO otherwise.
+func (p *Shinjuku) queue(ts *TState) *runq {
 	if p.isBatch(ts.Thread) {
-		p.batchq = append(p.batchq, ts)
-	} else {
-		p.fifo = append(p.fifo, ts)
+		return &p.batchq
 	}
-}
-
-func (p *Shinjuku) dequeue(ts *TState) {
-	if !ts.Enqueued {
-		return
-	}
-	ts.Enqueued = false
-	q := &p.fifo
-	if p.isBatch(ts.Thread) {
-		q = &p.batchq
-	}
-	for i, e := range *q {
-		if e == ts {
-			*q = append((*q)[:i], (*q)[i+1:]...)
-			return
-		}
-	}
+	return &p.fifo
 }
 
 // OnMessage implements agentsdk.GlobalPolicy.
 func (p *Shinjuku) OnMessage(ctx *agentsdk.Context, m ghostcore.Message) {
 	p.tr.HandleMessage(ctx, m)
-}
-
-func (p *Shinjuku) pop(q *[]*TState, cpu hw.CPUID) *TState {
-	for i, ts := range *q {
-		if ts.Thread.State() == kernel.StateRunnable && ts.Thread.Affinity().Has(cpu) {
-			*q = append((*q)[:i], (*q)[i+1:]...)
-			ts.Enqueued = false
-			return ts
-		}
-	}
-	return nil
 }
 
 // Schedule implements agentsdk.GlobalPolicy: fill idle CPUs from the
@@ -153,7 +122,7 @@ func (p *Shinjuku) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 	rest := idle[:0]
 	for _, cpu := range idle {
 		if !full() {
-			if ts := p.pop(&p.fifo, cpu); ts != nil {
+			if ts := p.fifo.popFor(cpu); ts != nil {
 				place(ts, cpu, false)
 				continue
 			}
@@ -168,7 +137,7 @@ func (p *Shinjuku) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 		if victim == hw.NoCPU {
 			break
 		}
-		ts := p.pop(&p.fifo, victim)
+		ts := p.fifo.popFor(victim)
 		if ts == nil {
 			break
 		}
@@ -184,7 +153,7 @@ func (p *Shinjuku) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 	for exp := p.running.expired(now, p.Slice); !exp.Empty() && len(p.fifo) > 0 && !full(); {
 		tgt := exp.First()
 		exp.Clear(tgt)
-		ts := p.pop(&p.fifo, tgt)
+		ts := p.fifo.popFor(tgt)
 		if ts == nil {
 			continue
 		}
@@ -198,7 +167,7 @@ func (p *Shinjuku) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 		if full() {
 			break
 		}
-		if ts := p.pop(&p.batchq, cpu); ts != nil {
+		if ts := p.batchq.popFor(cpu); ts != nil {
 			place(ts, cpu, true)
 		}
 	}
@@ -242,12 +211,9 @@ func (p *Shinjuku) OnTxnFail(ctx *agentsdk.Context, a agentsdk.Assignment, s gho
 		return
 	}
 	p.clearPlacement(ts)
-	p.tr.MarkFailed(ts)
-	if ts.Thread.State() == kernel.StateRunnable {
-		p.enqueue(ts)
+	if p.tr.MarkFailed(ts) {
+		p.queue(ts).push(ts)
 		p.repoll(ctx, true)
-	} else {
-		ts.Runnable = false
 	}
 }
 

@@ -220,7 +220,7 @@ func (p *CentralFIFO) SnapshotLoad(data []byte) error {
 	if err := loadTracker(p.tr, p.ctx, st.Tracker); err != nil {
 		return fmt.Errorf("central-fifo: %w", err)
 	}
-	p.queues = make([][]*TState, len(st.Queues))
+	p.queues = make([]runq, len(st.Queues))
 	seen := make(map[kernel.TID]bool)
 	for b, tids := range st.Queues {
 		q, err := resolveQueue(p.tr, tids, seen)
@@ -298,7 +298,6 @@ func (p *Shinjuku) SnapshotLoad(data []byte) error {
 // --- PerCPUFIFO ---
 
 type perCPUFIFOState struct {
-	Steal   bool        `json:"steal,omitempty"`
 	NextRR  int         `json:"nextRR,omitempty"`
 	Tracker []TStateRec `json:"tracker,omitempty"`
 	// RunQueues is (cpu → TIDs) as pairs in CPU order.
@@ -318,7 +317,6 @@ func (p *PerCPUFIFO) SnapshotKind() string { return "percpu-fifo" }
 // SnapshotSave implements agentsdk.PolicySnapshotter.
 func (p *PerCPUFIFO) SnapshotSave() ([]byte, error) {
 	st := perCPUFIFOState{
-		Steal:   p.Steal,
 		NextRR:  p.nextRR,
 		Tracker: saveTracker(p.tr),
 	}
@@ -354,13 +352,12 @@ func (p *PerCPUFIFO) SnapshotLoad(data []byte) error {
 	if st.NextRR < 0 {
 		return fmt.Errorf("percpu-fifo: negative round-robin cursor %d", st.NextRR)
 	}
-	p.Steal = st.Steal
 	p.nextRR = st.NextRR
 	if err := loadTracker(p.tr, p.ctx, st.Tracker); err != nil {
 		return fmt.Errorf("percpu-fifo: %w", err)
 	}
 	cpus := p.ctx.Enclave.CPUs()
-	p.rqs = make(map[hw.CPUID][]*TState, len(st.RunQueues))
+	p.rqs = make(map[hw.CPUID]runq, len(st.RunQueues))
 	seen := make(map[kernel.TID]bool)
 	for _, qr := range st.RunQueues {
 		cpu := hw.CPUID(qr.CPU)

@@ -171,11 +171,54 @@ func (tr *Tracker) MarkScheduled(ts *TState, cpu int, now sim.Time) {
 	ts.LastStart = now
 }
 
-// MarkFailed reverts MarkScheduled after a failed transaction.
-func (tr *Tracker) MarkFailed(ts *TState) {
+// MarkFailed reverts MarkScheduled after a failed transaction and
+// reports whether the thread is still runnable, so the policy queues it
+// again; when it is not, Runnable is cleared too.
+func (tr *Tracker) MarkFailed(ts *TState) bool {
 	ts.Running = false
-	ts.Runnable = true
 	ts.CPU = -1
+	ts.Runnable = ts.Thread.State() == kernel.StateRunnable
+	return ts.Runnable
+}
+
+// runq is a FIFO of runnable threads, kept in step with their Enqueued
+// flags: push sets the flag, and remove and popFor clear it.
+type runq []*TState
+
+// push appends ts unless it is already queued.
+func (q *runq) push(ts *TState) {
+	if ts.Enqueued {
+		return
+	}
+	ts.Enqueued = true
+	*q = append(*q, ts)
+}
+
+// remove takes ts out of q. A thread that is not queued is left alone.
+func (q *runq) remove(ts *TState) {
+	if !ts.Enqueued {
+		return
+	}
+	ts.Enqueued = false
+	for i, e := range *q {
+		if e == ts {
+			*q = append((*q)[:i], (*q)[i+1:]...)
+			return
+		}
+	}
+}
+
+// popFor removes and returns the first queued thread that is runnable
+// and whose affinity admits cpu, nil if none.
+func (q *runq) popFor(cpu hw.CPUID) *TState {
+	for i, ts := range *q {
+		if ts.Thread.State() == kernel.StateRunnable && ts.Thread.Affinity().Has(cpu) {
+			*q = append((*q)[:i], (*q)[i+1:]...)
+			ts.Enqueued = false
+			return ts
+		}
+	}
+	return nil
 }
 
 // placements records which tracked thread a centralized policy put on

@@ -45,9 +45,12 @@ echo "== go test -bench . -benchtime 1x ./... (every micro-benchmark once)"
 go test -run '^$' -bench . -benchtime 1x ./...
 
 # Tier-1 runs only the fuzz targets' seed corpora; this runs the -repro
-# parser's target as a fuzzer for 10 s (~25 s with its instrumented build).
+# and -faults parsers' targets as fuzzers for 10 s each (~25 s each with
+# the instrumented build).
 echo "== go test -fuzz FuzzParseRepro -fuzztime 10s ./internal/check"
 go test -run '^$' -fuzz '^FuzzParseRepro$' -fuzztime 10s ./internal/check
+echo "== go test -fuzz FuzzParsePlan -fuzztime 10s ./internal/check"
+go test -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime 10s ./internal/check
 
 echo "== cmd/ghost-perf (its own module: vet + test against the current facade)"
 (cd cmd/ghost-perf && go vet ./... && go test ./...)
@@ -92,19 +95,21 @@ rm -f ./*.snap
 
 # The 27 ms checkpoint holds a pending agentsdk.repoll timer whose restore
 # changes the digest unless the agent set adopts it (a restore that drops
-# the adoption prints a different digest here).
-echo "== snapshot smoke (ghost-sim global-agent checkpoint: restore at 27ms, same final digest)"
+# the adoption prints a different digest here). The image carries the
+# engine's counters, so the restored run's engine: line covers the whole
+# run and must match the full run's too.
+echo "== snapshot smoke (ghost-sim global-agent checkpoint: restore at 27ms, same final digest and engine counts)"
 ckpt=$(mktemp -d)
 go build -o "$ckpt/ghost-sim" ./cmd/ghost-sim
-full=$(cd "$ckpt" && ./ghost-sim -sched ghost-shinjuku -rocksdb -rate 280000 -dur 100ms -snapshot-every 27ms | grep '^digest:')
+full=$(cd "$ckpt" && ./ghost-sim -sched ghost-shinjuku -rocksdb -rate 280000 -dur 100ms -snapshot-every 27ms -metrics | grep '^digest:\|^engine:')
 if ! grep -aq 'agentsdk.repoll' "$ckpt/ghost-sim-seed1-t27.000ms.snap"; then
 	rm -rf "$ckpt"
 	echo "ghost-sim checkpoint smoke: the 27ms checkpoint holds no pending repoll; pick a -rate/-snapshot-every that does" >&2
 	exit 1
 fi
-resumed=$(cd "$ckpt" && ./ghost-sim -restore ghost-sim-seed1-t27.000ms.snap -dur 100ms | grep '^digest:')
+resumed=$(cd "$ckpt" && ./ghost-sim -restore ghost-sim-seed1-t27.000ms.snap -dur 100ms -metrics | grep '^digest:\|^engine:')
 rm -rf "$ckpt"
-if [ -z "$full" ] || [ "$full" != "$resumed" ]; then
+if [ "$(echo "$full" | wc -l)" -ne 2 ] || [ "$full" != "$resumed" ]; then
 	echo "ghost-sim checkpoint smoke: full run '$full', restored run '$resumed'" >&2
 	exit 1
 fi

@@ -199,10 +199,16 @@ func readSnapshotFile(t *testing.T, name string) ([]byte, *ghost.Snapshot) {
 
 // dropRetiredKernelFields deletes from an image's core JSON the kernel
 // fields that the encoding no longer carries: the never-drawn kernel
-// random stream and the CPU and thread counters nothing read.
+// random stream, the CPU and thread counters nothing read, CFS's five
+// tunables (now Linux-default constants) and the ghOSt class's
+// never-read preemption counter.
 func dropRetiredKernelFields(core map[string]any) {
 	kern := core["kernel"].(map[string]any)
 	delete(kern, "rand")
+	for _, k := range []string{"targetLatency", "minGranularity", "wakeupGran", "balancePeriod", "migrationCost"} {
+		delete(kern["cfs"].(map[string]any), k)
+	}
+	delete(core["ghost"].(map[string]any), "preemptions")
 	for _, c := range kern["cpus"].([]any) {
 		for _, k := range []string{"busyNS", "busyStart", "switches"} {
 			delete(c.(map[string]any), k)
