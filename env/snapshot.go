@@ -71,12 +71,17 @@ func (p *controlPolicy) SnapshotLoad(data []byte) error {
 	if err := ghost.LoadPolicyTracker(p.tr, p.ctx, cs.Tracker); err != nil {
 		return fmt.Errorf("env.control: %w", err)
 	}
+	// The queue is the one record of which threads are enqueued.
 	p.queue = p.queue[:0]
 	for _, tid := range cs.Queue {
 		ts := p.tr.Get(ghost.TID(tid))
-		if ts == nil {
+		switch {
+		case ts == nil:
 			return fmt.Errorf("env.control: queued T%d is not tracked after restore", tid)
+		case ts.Enqueued:
+			return fmt.Errorf("env.control: T%d is queued twice", tid)
 		}
+		ts.Enqueued = true
 		p.queue = append(p.queue, ts)
 	}
 	p.since = make(map[ghost.TID]ghost.Time, len(cs.Since))

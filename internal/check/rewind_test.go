@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ghost/internal/faults"
 	"ghost/internal/ghostcore"
 	"ghost/internal/kernel"
 	"ghost/internal/sim"
@@ -230,5 +231,73 @@ func TestRestoreRejectsWorkerBurstBelowOne(t *testing.T) {
 	defer rg.k.Shutdown()
 	if _, err := snap.Load(rg.target(nil), img, snap.LoadOpts{}); !errors.Is(err, snap.ErrCorrupt) {
 		t.Fatalf("Load = %v, want ErrCorrupt", err)
+	}
+}
+
+// faultCount counts the messages a fault plan duplicated and dropped.
+type faultCount struct {
+	Base
+	dups, drops int
+}
+
+func (o *faultCount) Name() string { return "fault-count" }
+
+func (o *faultCount) MsgDelivered(_ *ghostcore.Enclave, _ ghostcore.Message, dup, _ bool) {
+	if dup {
+		o.dups++
+	}
+}
+
+func (o *faultCount) MsgFaultDropped(*ghostcore.Enclave, ghostcore.Message) { o.drops++ }
+
+// A run whose messages were duplicated and dropped restores transparently
+// from any barrier once the fault windows have closed: for each ghOSt
+// policy with the snapshot capability, a scenario with msgdup and msgdrop
+// windows over its first 2 ms is snapshotted at every 100 µs barrier from
+// there to the horizon, and each snapshot, through the codec onto a
+// fresh shell, must reach the uninterrupted run's digest at the horizon.
+// The fault injector's windows and random stream are not in the image,
+// so a barrier inside a window is no restore point.
+func TestRestoreAnywhereAfterMsgFaults(t *testing.T) {
+	const step, windowEnd = 100 * sim.Microsecond, 2 * sim.Millisecond
+	plan := faults.NewPlan(0).
+		DupMsgs(100*sim.Microsecond, windowEnd-100*sim.Microsecond, 0.5).
+		DropMsgs(100*sim.Microsecond, windowEnd-100*sim.Microsecond, 0.2)
+	for _, policy := range []string{"central-fifo", "shinjuku", "percpu-fifo"} {
+		t.Run(policy, func(t *testing.T) {
+			s := Scenario{Seed: 5, Policy: policy, CPUs: 4, Threads: 10, Horizon: 5 * sim.Millisecond, FaultSpec: plan.String()}
+			rg := s.buildShell()
+			faulted := &faultCount{}
+			Attach(rg.k, rg.g, faulted)
+			sets := s.populate(rg)
+			defer rg.k.Shutdown()
+			rg.eng.RunFor(windowEnd)
+			if faulted.dups == 0 || faulted.drops == 0 {
+				t.Fatalf("%d messages duplicated and %d dropped: the faults shaped nothing", faulted.dups, faulted.drops)
+			}
+			var wires [][]byte
+			for rg.eng.Now() < sim.Time(s.Horizon) {
+				img, err := snap.Save(rg.target(sets))
+				if err != nil {
+					t.Fatalf("Save at %v: %v", rg.eng.Now(), err)
+				}
+				var buf bytes.Buffer
+				if err := img.Encode(&buf); err != nil {
+					t.Fatalf("Encode: %v", err)
+				}
+				wires = append(wires, buf.Bytes())
+				rg.eng.RunFor(step)
+			}
+			end, err := snap.Save(rg.target(sets))
+			if err != nil {
+				t.Fatalf("Save at the horizon: %v", err)
+			}
+			for i, wire := range wires {
+				at := windowEnd + sim.Duration(i)*step
+				if got := restoreAndRun(t, s, wire, s.Horizon-at); got != end.Digest() {
+					t.Fatalf("restore at %v not transparent: digest %s, want %s", at, got, end.Digest())
+				}
+			}
+		})
 	}
 }

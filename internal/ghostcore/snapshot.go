@@ -33,7 +33,6 @@ type GhostThreadRec struct {
 	Runnable      bool       `json:"runnable,omitempty"`
 	Latched       bool       `json:"latched,omitempty"`
 	RunnableSince int64      `json:"runnableSince"`
-	PendingMsgs   int        `json:"pendingMsgs,omitempty"`
 	Hint          *HintRec   `json:"hint,omitempty"`
 }
 
@@ -180,7 +179,6 @@ func (e *Enclave) saveRec() (EnclaveRec, error) {
 			Runnable:      gt.runnable,
 			Latched:       gt.latched,
 			RunnableSince: int64(gt.runnableSince),
-			PendingMsgs:   gt.pendingMsgs,
 		}
 		qi, ok := qIndex[gt.q]
 		if !ok {
@@ -314,6 +312,15 @@ func (g *Class) RestoreImage(rec *ClassRec) error {
 			return err
 		}
 	}
+	// Count each thread's pending messages as Drain counts them down. (A
+	// delayed delivery is not queued yet, but Save refuses its closure.)
+	for _, e := range g.enclaves {
+		e.EachQueuedMessage(func(m Message) {
+			if gt := e.ghostOf(m.TID); gt != nil {
+				gt.pendingMsgs++
+			}
+		})
+	}
 	return nil
 }
 
@@ -372,7 +379,7 @@ func (e *Enclave) restoreRec(rec *EnclaveRec) error {
 		gt.runnable = tr.Runnable
 		gt.latched = tr.Latched
 		gt.runnableSince = sim.Time(tr.RunnableSince)
-		gt.pendingMsgs = tr.PendingMsgs
+		gt.pendingMsgs = 0
 		gt.hint = nil
 		if tr.Hint != nil {
 			switch tr.Hint.Kind {

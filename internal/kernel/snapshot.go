@@ -43,8 +43,6 @@ type CFSThreadRec struct {
 	Vruntime float64 `json:"vruntime"`
 	AcctMark int64   `json:"acctMark"`
 	SliceRan int64   `json:"sliceRan"`
-	OnRq     bool    `json:"onRq,omitempty"`
-	RqCPU    int     `json:"rqCPU"`
 	Seq      uint64  `json:"seq"`
 }
 
@@ -53,7 +51,6 @@ type MQThreadRec struct {
 	Budget      int64 `json:"budget"`
 	PeriodStart int64 `json:"periodStart"`
 	Throttled   bool  `json:"throttled,omitempty"`
-	OnRq        bool  `json:"onRq,omitempty"`
 	AcctMark    int64 `json:"acctMark"`
 }
 
@@ -250,8 +247,6 @@ func (t *Thread) saveRec() (ThreadRec, error) {
 			Vruntime: t.cfs.vruntime,
 			AcctMark: int64(t.cfs.acctMark),
 			SliceRan: int64(t.cfs.sliceRan),
-			OnRq:     t.cfs.onRq,
-			RqCPU:    int(t.cfs.rqCPU),
 			Seq:      t.cfs.seq,
 		}
 	case "microquanta":
@@ -259,7 +254,6 @@ func (t *Thread) saveRec() (ThreadRec, error) {
 			Budget:      int64(t.mq.budget),
 			PeriodStart: int64(t.mq.periodStart),
 			Throttled:   t.mq.throttled,
-			OnRq:        t.mq.onRq,
 			AcctMark:    int64(t.mq.acctMark),
 		}
 	}
@@ -356,28 +350,36 @@ func (k *Kernel) RestoreImage(img *KernelImage) error {
 			return err
 		}
 	}
-	if img.CFS != nil {
-		if c, ok := k.Class("cfs").(*CFS); ok && c != nil {
-			if err := c.restoreRec(img.CFS); err != nil {
-				return err
-			}
-		} else {
-			return fmt.Errorf("snapshot has CFS state but no cfs class is registered")
+	// A registered class's queues are rebuilt only from its record, so
+	// the record must be there.
+	c, _ := k.Class("cfs").(*CFS)
+	if (c == nil) != (img.CFS == nil) {
+		return fmt.Errorf("snapshot has CFS state: %v; machine has a cfs class: %v", img.CFS != nil, c != nil)
+	}
+	if c != nil {
+		if err := c.restoreRec(img.CFS); err != nil {
+			return err
 		}
 	}
-	if img.MQ != nil {
-		m, ok := k.Class("microquanta").(*MicroQuanta)
-		if !ok || m == nil {
-			return fmt.Errorf("snapshot has MicroQuanta state but no microquanta class is registered")
-		}
+	m, _ := k.Class("microquanta").(*MicroQuanta)
+	if (m == nil) != (img.MQ == nil) {
+		return fmt.Errorf("snapshot has MicroQuanta state: %v; machine has a microquanta class: %v", img.MQ != nil, m != nil)
+	}
+	if m != nil {
 		m.Period = sim.Duration(img.MQ.Period)
 		m.Quanta = sim.Duration(img.MQ.Quanta)
 		m.queue = m.queue[:0]
 		for _, tid := range img.MQ.Queue {
 			t := k.Thread(TID(tid))
-			if t == nil {
+			switch {
+			case t == nil:
 				return fmt.Errorf("microquanta queue: thread T%d missing", tid)
+			case t.class != Class(m) || t.state != StateRunnable || t.mq.throttled:
+				return fmt.Errorf("microquanta queue: %v is not an unthrottled runnable MicroQuanta thread", t)
+			case t.mq.onRq:
+				return fmt.Errorf("microquanta queue: %v listed twice", t)
 			}
+			t.mq.onRq = true
 			m.queue = append(m.queue, t)
 		}
 	}
@@ -431,6 +433,9 @@ func (t *Thread) restoreRec(rec *ThreadRec) error {
 	t.poked = rec.Poked
 	t.cpuTime = sim.Duration(rec.CPUTime)
 	t.wakeTime = sim.Time(rec.WakeTime)
+	// The class queue lists, restored after every thread, set these.
+	t.cfs.onRq, t.cfs.rqCPU, t.cfs.idx = false, hw.NoCPU, -1
+	t.mq.onRq = false
 	if rec.Body != nil && rec.Body.Rand != nil {
 		if t.body == nil || t.body.Rand == nil {
 			return fmt.Errorf("thread %v: snapshot has a body random stream but the re-spawned body has none", t)
@@ -441,15 +446,12 @@ func (t *Thread) restoreRec(rec *ThreadRec) error {
 		t.cfs.vruntime = rec.CFS.Vruntime
 		t.cfs.acctMark = sim.Duration(rec.CFS.AcctMark)
 		t.cfs.sliceRan = sim.Duration(rec.CFS.SliceRan)
-		t.cfs.onRq = rec.CFS.OnRq
-		t.cfs.rqCPU = hw.CPUID(rec.CFS.RqCPU)
 		t.cfs.seq = rec.CFS.Seq
 	}
 	if rec.MQ != nil {
 		t.mq.budget = sim.Duration(rec.MQ.Budget)
 		t.mq.periodStart = sim.Time(rec.MQ.PeriodStart)
 		t.mq.throttled = rec.MQ.Throttled
-		t.mq.onRq = rec.MQ.OnRq
 		t.mq.acctMark = sim.Duration(rec.MQ.AcctMark)
 		t.mq.refill = sim.Event{}
 		t.mq.throttleEv = sim.Event{}
@@ -463,7 +465,6 @@ func (c *CFS) restoreRec(rec *CFSRec) error {
 			len(rec.RQs), len(rec.IdleStart), len(rec.AvgIdle), n)
 	}
 	c.seq = rec.Seq
-	listed := make(map[*Thread]bool)
 	for i := range rec.RQs {
 		rq := c.rqs[i]
 		rq.threads = rq.threads[:0]
@@ -473,13 +474,12 @@ func (c *CFS) restoreRec(rec *CFSRec) error {
 			switch {
 			case t == nil:
 				return fmt.Errorf("cfs rq %d: thread T%d missing", i, tid)
-			case t.class != Class(c) || !t.cfs.onRq || t.cfs.rqCPU != hw.CPUID(i):
-				return fmt.Errorf("cfs rq %d: %v is not a CFS thread queued there", i, t)
-			case listed[t]:
+			case t.class != Class(c) || t.state != StateRunnable:
+				return fmt.Errorf("cfs rq %d: %v is not a runnable CFS thread", i, t)
+			case t.cfs.onRq:
 				return fmt.Errorf("cfs rq %d: %v listed twice", i, t)
 			}
-			listed[t] = true
-			t.cfs.idx = pos
+			t.cfs.onRq, t.cfs.rqCPU, t.cfs.idx = true, hw.CPUID(i), pos
 			rq.threads = append(rq.threads, t)
 		}
 		c.queued.SetTo(hw.CPUID(i), rq.Len() > 0)

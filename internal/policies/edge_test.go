@@ -143,13 +143,12 @@ func TestShinjukuQueueAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	var queues struct {
-		FIFO   []int `json:"fifo"`
-		BatchQ []int `json:"batchq"`
+		FIFO []int `json:"fifo"`
 	}
 	if err := json.Unmarshal(raw, &queues); err != nil {
 		t.Fatal(err)
 	}
-	if len(queues.FIFO) != 0 || len(queues.BatchQ) != 0 {
-		t.Fatalf("queues not drained: fifo %v, batch %v", queues.FIFO, queues.BatchQ)
+	if len(queues.FIFO) != 0 {
+		t.Fatalf("fifo not drained: %v", queues.FIFO)
 	}
 }

@@ -20,7 +20,8 @@ import (
 // envelope: a func cannot ride in a byte stream, so Save reports a
 // descriptive error instead of silently dropping the classifier.
 
-// TStateRec is the serialized form of one tracked thread.
+// TStateRec is the serialized form of one tracked thread. It has no
+// Enqueued flag: the policy's saved queues say which threads are queued.
 type TStateRec struct {
 	TID       int   `json:"tid"`
 	Runnable  bool  `json:"runnable,omitempty"`
@@ -28,11 +29,11 @@ type TStateRec struct {
 	CPU       int   `json:"cpu"`
 	LastStart int64 `json:"lastStart,omitempty"`
 	Runtime   int64 `json:"runtime,omitempty"`
-	Enqueued  bool  `json:"enqueued,omitempty"`
 }
 
-// saveTracker serializes tr's thread map in TID order.
-func saveTracker(tr *Tracker) []TStateRec {
+// SaveTrackerRecs serializes tr's thread map in TID order; the facade
+// exports it (ghost.SavePolicyTracker) for custom policies.
+func SaveTrackerRecs(tr *Tracker) []TStateRec {
 	tids := make([]int, 0, len(tr.Threads))
 	for tid := range tr.Threads {
 		tids = append(tids, int(tid))
@@ -48,18 +49,18 @@ func saveTracker(tr *Tracker) []TStateRec {
 			CPU:       ts.CPU,
 			LastStart: int64(ts.LastStart),
 			Runtime:   int64(ts.Runtime),
-			Enqueued:  ts.Enqueued,
 		})
 	}
 	return recs
 }
 
-// loadTracker rebuilds tr.Threads from recs, resolving TIDs through ctx.
-// A thread cannot have been scheduled after the restored clock: the
+// LoadTrackerRecs rebuilds tr.Threads from recs, resolving TIDs through
+// ctx, with no thread enqueued (resolveQueue marks the queued ones). A
+// thread cannot have been scheduled after the restored clock: the
 // placement ring's order and the next Runtime charge both rely on
 // LastStart <= now. The tracker's lifecycle callbacks (installed by
 // Attach) are preserved.
-func loadTracker(tr *Tracker, ctx *agentsdk.Context, recs []TStateRec) error {
+func LoadTrackerRecs(tr *Tracker, ctx *agentsdk.Context, recs []TStateRec) error {
 	tr.Threads = make(map[kernel.TID]*TState, len(recs))
 	ncpu, now := ctx.Topology().NumCPUs(), ctx.Now()
 	for _, rec := range recs {
@@ -80,21 +81,9 @@ func loadTracker(tr *Tracker, ctx *agentsdk.Context, recs []TStateRec) error {
 			CPU:       rec.CPU,
 			LastStart: sim.Time(rec.LastStart),
 			Runtime:   sim.Duration(rec.Runtime),
-			Enqueued:  rec.Enqueued,
 		}
 	}
 	return nil
-}
-
-// SaveTrackerRecs serializes a tracker's thread map in TID order. It is
-// the facade-level building block (ghost.SavePolicyTracker) for custom
-// policies that implement the PolicySnapshotter capability.
-func SaveTrackerRecs(tr *Tracker) []TStateRec { return saveTracker(tr) }
-
-// LoadTrackerRecs rebuilds a tracker's thread map from records, the
-// facade-level counterpart of SaveTrackerRecs.
-func LoadTrackerRecs(tr *Tracker, ctx *agentsdk.Context, recs []TStateRec) error {
-	return loadTracker(tr, ctx, recs)
 }
 
 // queueTIDs flattens a TState queue to TIDs in order.
@@ -106,9 +95,10 @@ func queueTIDs(q []*TState) []int {
 	return out
 }
 
-// resolveQueue maps TIDs back to tracked states. seen holds the TIDs of
-// every queue the policy has restored so far, so a TID listed twice, in
-// one queue or across two, is an error.
+// resolveQueue maps TIDs back to tracked states and marks each one
+// Enqueued. seen holds the TIDs of every queue the policy has restored
+// so far, so a TID listed twice, in one queue or across two, is an
+// error.
 func resolveQueue(tr *Tracker, tids []int, seen map[kernel.TID]bool) ([]*TState, error) {
 	out := make([]*TState, 0, len(tids))
 	for _, tid := range tids {
@@ -120,6 +110,7 @@ func resolveQueue(tr *Tracker, tids []int, seen map[kernel.TID]bool) ([]*TState,
 			return nil, fmt.Errorf("T%d is queued twice", tid)
 		}
 		seen[kernel.TID(tid)] = true
+		ts.Enqueued = true
 		out = append(out, ts)
 	}
 	return out, nil
@@ -138,7 +129,7 @@ func (pl *placements) pairs() [][2]int {
 
 // load refills the table from (cpu, tid) pairs, rejecting any pair the
 // live table could not hold, and relinks the ring in (LastStart, cpu)
-// order. loadTracker has checked every LastStart against the clock.
+// order. LoadTrackerRecs has checked every LastStart against the clock.
 func (pl *placements) load(tr *Tracker, pairs [][2]int) error {
 	for cpu := range pl.slots {
 		pl.clear(hw.CPUID(cpu))
@@ -194,7 +185,7 @@ func (p *CentralFIFO) SnapshotSave() ([]byte, error) {
 		NumBands:     p.NumBands,
 		PreemptLower: p.PreemptLower,
 		Quantum:      int64(p.Quantum),
-		Tracker:      saveTracker(p.tr),
+		Tracker:      SaveTrackerRecs(p.tr),
 		Queues:       make([][]int, len(p.queues)),
 		Running:      p.running.pairs(),
 	}
@@ -217,7 +208,7 @@ func (p *CentralFIFO) SnapshotLoad(data []byte) error {
 	if st.NumBands <= 0 || len(st.Queues) != st.NumBands {
 		return fmt.Errorf("central-fifo: %d band queues for %d bands", len(st.Queues), st.NumBands)
 	}
-	if err := loadTracker(p.tr, p.ctx, st.Tracker); err != nil {
+	if err := LoadTrackerRecs(p.tr, p.ctx, st.Tracker); err != nil {
 		return fmt.Errorf("central-fifo: %w", err)
 	}
 	p.queues = make([]runq, len(st.Queues))
@@ -237,14 +228,15 @@ func (p *CentralFIFO) SnapshotLoad(data []byte) error {
 
 // --- Shinjuku ---
 
+// shinjukuState has no batch queue or batch placements: Save refuses a
+// policy with a Batch classifier, and without one no thread is ever
+// queued or placed as batch, so both are empty in every image.
 type shinjukuState struct {
 	Slice      int64       `json:"slice"`
 	MaxCommits int         `json:"maxCommits,omitempty"`
 	Tracker    []TStateRec `json:"tracker,omitempty"`
 	FIFO       []int       `json:"fifo,omitempty"`
-	BatchQ     []int       `json:"batchq,omitempty"`
 	Running    [][2]int    `json:"running,omitempty"`
-	BatchOn    [][2]int    `json:"batchOn,omitempty"`
 }
 
 // SnapshotKind implements agentsdk.PolicySnapshotter.
@@ -258,11 +250,9 @@ func (p *Shinjuku) SnapshotSave() ([]byte, error) {
 	st := shinjukuState{
 		Slice:      int64(p.Slice),
 		MaxCommits: p.MaxCommits,
-		Tracker:    saveTracker(p.tr),
+		Tracker:    SaveTrackerRecs(p.tr),
 		FIFO:       queueTIDs(p.fifo),
-		BatchQ:     queueTIDs(p.batchq),
 		Running:    p.running.pairs(),
-		BatchOn:    p.batchOn.pairs(),
 	}
 	return json.Marshal(st)
 }
@@ -275,22 +265,15 @@ func (p *Shinjuku) SnapshotLoad(data []byte) error {
 	}
 	p.Slice = sim.Duration(st.Slice)
 	p.MaxCommits = st.MaxCommits
-	if err := loadTracker(p.tr, p.ctx, st.Tracker); err != nil {
+	if err := LoadTrackerRecs(p.tr, p.ctx, st.Tracker); err != nil {
 		return fmt.Errorf("shinjuku: %w", err)
 	}
 	var err error
-	seen := make(map[kernel.TID]bool)
-	if p.fifo, err = resolveQueue(p.tr, st.FIFO, seen); err != nil {
+	if p.fifo, err = resolveQueue(p.tr, st.FIFO, make(map[kernel.TID]bool)); err != nil {
 		return fmt.Errorf("shinjuku fifo: %w", err)
-	}
-	if p.batchq, err = resolveQueue(p.tr, st.BatchQ, seen); err != nil {
-		return fmt.Errorf("shinjuku batchq: %w", err)
 	}
 	if err := p.running.load(p.tr, st.Running); err != nil {
 		return fmt.Errorf("shinjuku running: %w", err)
-	}
-	if err := p.batchOn.load(p.tr, st.BatchOn); err != nil {
-		return fmt.Errorf("shinjuku batchOn: %w", err)
 	}
 	return nil
 }
@@ -318,7 +301,7 @@ func (p *PerCPUFIFO) SnapshotKind() string { return "percpu-fifo" }
 func (p *PerCPUFIFO) SnapshotSave() ([]byte, error) {
 	st := perCPUFIFOState{
 		NextRR:  p.nextRR,
-		Tracker: saveTracker(p.tr),
+		Tracker: SaveTrackerRecs(p.tr),
 	}
 	cpus := make([]int, 0, len(p.rqs))
 	for cpu := range p.rqs {
@@ -353,7 +336,7 @@ func (p *PerCPUFIFO) SnapshotLoad(data []byte) error {
 		return fmt.Errorf("percpu-fifo: negative round-robin cursor %d", st.NextRR)
 	}
 	p.nextRR = st.NextRR
-	if err := loadTracker(p.tr, p.ctx, st.Tracker); err != nil {
+	if err := LoadTrackerRecs(p.tr, p.ctx, st.Tracker); err != nil {
 		return fmt.Errorf("percpu-fifo: %w", err)
 	}
 	cpus := p.ctx.Enclave.CPUs()

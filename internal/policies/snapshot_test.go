@@ -88,11 +88,9 @@ func TestSnapshotLoadRejectsHostileState(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		mk   func() snapPolicy
-		// tables are the JSON keys of the placement tables.
-		tables []string
 	}{
-		{"shinjuku", func() snapPolicy { return policies.NewShinjuku() }, []string{"running", "batchOn"}},
-		{"central-fifo", func() snapPolicy { return policies.NewCentralFIFO() }, []string{"running"}},
+		{"shinjuku", func() snapPolicy { return policies.NewShinjuku() }},
+		{"central-fifo", func() snapPolicy { return policies.NewCentralFIFO() }},
 	} {
 		pol := tc.mk()
 		valid := midRun(t, pol)
@@ -116,16 +114,12 @@ func TestSnapshotLoadRejectsHostileState(t *testing.T) {
 		muts := []mutation{
 			{"tracker cpu below -1", "tracker", withCPU(tracker, -2)},
 			{"tracker cpu past NumCPUs", "tracker", withCPU(tracker, 8)},
-		}
-		for _, key := range tc.tables {
-			muts = append(muts,
-				mutation{key + " cpu negative", key, [][2]int{{-1, tid}}},
-				mutation{key + " cpu past NumCPUs", key, [][2]int{{8, tid}}},
-				mutation{key + " cpu far out of range", key, [][2]int{{1 << 30, tid}}},
-				mutation{key + " duplicate cpu", key, [][2]int{running[0], running[0]}},
-				mutation{key + " untracked tid", key, [][2]int{{running[0][0], 99999}}},
-				mutation{key + " cpu disagrees with tracker", key, [][2]int{{(running[0][0] + 1) % 8, tid}}},
-			)
+			{"running cpu negative", "running", [][2]int{{-1, tid}}},
+			{"running cpu past NumCPUs", "running", [][2]int{{8, tid}}},
+			{"running cpu far out of range", "running", [][2]int{{1 << 30, tid}}},
+			{"running duplicate cpu", "running", [][2]int{running[0], running[0]}},
+			{"running untracked tid", "running", [][2]int{{running[0][0], 99999}}},
+			{"running cpu disagrees with tracker", "running", [][2]int{{(running[0][0] + 1) % 8, tid}}},
 		}
 		for _, m := range muts {
 			t.Run(tc.name+"/"+m.name, func(t *testing.T) {

@@ -236,7 +236,7 @@ func (q *runq) popFor(cpu hw.CPUID) *TState {
 //     LastStart = now and the clock never goes backwards, so the ring is
 //     sorted by start time: the next slice expiry is the head's, and the
 //     expired slots are a prefix of the ring. Restore relinks it in
-//     (LastStart, cpu) order, and loadTracker rejects a LastStart after
+//     (LastStart, cpu) order, and LoadTrackerRecs rejects a LastStart after
 //     the restored clock.
 type placements struct {
 	slots []slot

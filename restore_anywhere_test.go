@@ -1,0 +1,101 @@
+package ghost_test
+
+import (
+	"bytes"
+	"testing"
+
+	"ghost"
+)
+
+// restoreHorizon is how far FuzzRestoreAnywhere runs each machine.
+const restoreHorizon = 10 * ghost.Millisecond
+
+// restoreMachines are the machines FuzzRestoreAnywhere restores: each
+// ghOSt policy with the snapshot capability, FIFO also round-robin, and
+// the same pool under CFS and under MicroQuanta with no enclave. Each is
+// loaded enough that its queues often hold threads at a barrier.
+var restoreMachines = []struct {
+	name  string
+	build func(opts ...ghost.MachineOption) *ghost.Machine
+}{
+	{"fifo", func(opts ...ghost.MachineOption) *ghost.Machine {
+		return buildServingAt(100_000, ghost.NewFIFOPolicy(), ghost.Global(), opts...)
+	}},
+	{"fifo-rr", func(opts ...ghost.MachineOption) *ghost.Machine {
+		p := ghost.NewFIFOPolicy()
+		p.Quantum = 20 * ghost.Microsecond
+		return buildServingAt(100_000, p, ghost.Global(), opts...)
+	}},
+	{"shinjuku", func(opts ...ghost.MachineOption) *ghost.Machine {
+		return buildServingAt(100_000, ghost.NewShinjukuPolicy(), ghost.Global(), opts...)
+	}},
+	{"percpu-fifo", func(opts ...ghost.MachineOption) *ghost.Machine {
+		return buildServingAt(100_000, ghost.NewPerCPUFIFOPolicy(), ghost.PerCPU(), opts...)
+	}},
+	{"cfs", func(opts ...ghost.MachineOption) *ghost.Machine {
+		return buildClassPool(ghost.CFS, ghost.MaskOf(0, 1, 24, 25), ghost.MaskOf(0), 8, 120_000, opts...)
+	}},
+	{"microquanta", func(opts ...ghost.MachineOption) *ghost.Machine {
+		return buildClassPool(ghost.MicroQuanta, ghost.MaskOf(0, 1), ghost.MaskOf(0, 1), 4, 60_000, opts...)
+	}},
+}
+
+// buildClassPool is buildServing without an enclave: a pool of workers
+// on cpus fed by a Poisson source at rate, and a spinner on spin, all of
+// class.
+func buildClassPool(class ghost.ThreadClass, cpus, spin ghost.CPUMask, workers int, rate float64, opts ...ghost.MachineOption) *ghost.Machine {
+	m := ghost.NewMachine(ghost.XeonE5(), opts...)
+	pool := m.NewWorkerPool(workers, &ghost.LatencyRecorder{}, func(name string, body ghost.ThreadFunc) *ghost.Thread {
+		return m.Spawn(ghost.ThreadOpts{Name: name, Class: class, Affinity: cpus}, body)
+	})
+	m.AddSnapshotComponent("pool", pool)
+	src := m.NewPoissonSource(ghost.NewRand(7), rate, ghost.ExponentialService(20*ghost.Microsecond),
+		func(r *ghost.Request) { pool.Submit(r) })
+	m.AddSnapshotComponent("src", src)
+	m.SpawnSpinner(ghost.ThreadOpts{Name: "spin", Class: class, Affinity: spin}, 15*ghost.Microsecond)
+	return m
+}
+
+// FuzzRestoreAnywhere is the restore-equivalence property: a machine
+// snapshotted at the first quiescent barrier at or after any instant,
+// pushed through the wire codec and restored, runs to the horizon with
+// the Metrics string and digest of the uninterrupted run. Both machines
+// run without the tracer's metrics, which a restore starts from zero, so
+// their Metrics strings carry the engine's event count and queue
+// high-water mark. The input picks the machine (modulo the list) and the
+// instant (nanoseconds, modulo the horizon); the seed corpus tries each
+// machine at eight instants.
+func FuzzRestoreAnywhere(f *testing.F) {
+	for m := range restoreMachines {
+		for _, at := range []ghost.Time{0, 7_000, 151_000, 1_419_000, 2_777_000, 4_234_000, 6_901_000, 8_633_000} {
+			f.Add(uint8(m), uint64(at))
+		}
+	}
+	f.Fuzz(func(t *testing.T, machine uint8, atNS uint64) {
+		mc := restoreMachines[int(machine)%len(restoreMachines)]
+		at := ghost.Time(atNS % uint64(restoreHorizon))
+		orig := mc.build(ghost.WithoutMetrics())
+		defer orig.Shutdown()
+		orig.RunUntil(at)
+		var wire bytes.Buffer
+		for {
+			s, err := orig.Snapshot()
+			if err == nil {
+				if _, err := s.WriteTo(&wire); err != nil {
+					t.Fatalf("WriteTo: %v", err)
+				}
+				break
+			}
+			if orig.Now() >= restoreHorizon {
+				t.Fatalf("%s: no snapshottable barrier from %v to the horizon: %v", mc.name, at, err)
+			}
+			orig.Run(ghost.Microsecond)
+		}
+		from := orig.Now()
+		orig.RunUntil(restoreHorizon)
+		want := orig.Metrics().String() + "digest " + digestAt(t, orig)
+		if got := restoredRun(t, wire.Bytes(), restoreHorizon); got != want {
+			t.Fatalf("%s restored at %v is not transparent:\n%s\nwant\n%s", mc.name, from, got, want)
+		}
+	})
+}

@@ -45,12 +45,14 @@ echo "== go test -bench . -benchtime 1x ./... (every micro-benchmark once)"
 go test -run '^$' -bench . -benchtime 1x ./...
 
 # Tier-1 runs only the fuzz targets' seed corpora; this runs the -repro
-# and -faults parsers' targets as fuzzers for 10 s each (~25 s each with
-# the instrumented build).
+# and -faults parsers' targets and the restore-anywhere property as
+# fuzzers for 10 s each (~25 s each with the instrumented build).
 echo "== go test -fuzz FuzzParseRepro -fuzztime 10s ./internal/check"
 go test -run '^$' -fuzz '^FuzzParseRepro$' -fuzztime 10s ./internal/check
 echo "== go test -fuzz FuzzParsePlan -fuzztime 10s ./internal/check"
 go test -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime 10s ./internal/check
+echo "== go test -fuzz FuzzRestoreAnywhere -fuzztime 10s ."
+go test -run '^$' -fuzz '^FuzzRestoreAnywhere$' -fuzztime 10s .
 
 echo "== cmd/ghost-perf (its own module: vet + test against the current facade)"
 (cd cmd/ghost-perf && go vet ./... && go test ./...)

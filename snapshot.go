@@ -228,6 +228,7 @@ type PolicySnapshotter = agentsdk.PolicySnapshotter
 
 // PolicyTrackerRec is one thread's serialized tracker state — the
 // building block for a custom policy's PolicySnapshotter implementation.
+// It has no Enqueued flag: the policy's own saved queue records that.
 type PolicyTrackerRec = policies.TStateRec
 
 // SavePolicyTracker serializes a policy tracker's thread map in TID
@@ -239,7 +240,8 @@ func SavePolicyTracker(tr *PolicyTracker) []PolicyTrackerRec {
 // LoadPolicyTracker rebuilds a tracker's thread map from records saved
 // by SavePolicyTracker, resolving TIDs against the restored machine via
 // the policy's attach-time context. Existing OnRunnable/OnRemoved
-// callbacks are preserved.
+// callbacks are preserved. Every thread comes back with Enqueued false;
+// a policy sets it on each thread it puts back in its reloaded queue.
 func LoadPolicyTracker(tr *PolicyTracker, ctx *PolicyContext, recs []PolicyTrackerRec) error {
 	return policies.LoadTrackerRecs(tr, ctx, recs)
 }

@@ -197,11 +197,14 @@ func readSnapshotFile(t *testing.T, name string) ([]byte, *ghost.Snapshot) {
 	return data, s
 }
 
-// dropRetiredKernelFields deletes from an image's core JSON the kernel
-// fields that the encoding no longer carries: the never-drawn kernel
-// random stream, the CPU and thread counters nothing read, CFS's five
-// tunables (now Linux-default constants) and the ghOSt class's
-// never-read preemption counter.
+// dropRetiredKernelFields deletes from an image's core JSON the fields
+// that the encoding no longer carries: the never-drawn kernel random
+// stream, the CPU and thread counters nothing read, CFS's five tunables
+// (now Linux-default constants), the ghOSt class's never-read preemption
+// counter, and the flags and counts restore rebuilds from the lists that
+// imply them (CFS and MicroQuanta onRq and CFS rqCPU, ghOSt pendingMsgs,
+// and the policy tracker's enqueued). The policy states must have been
+// inlined (inlinePolicies).
 func dropRetiredKernelFields(core map[string]any) {
 	kern := core["kernel"].(map[string]any)
 	delete(kern, "rand")
@@ -215,9 +218,48 @@ func dropRetiredKernelFields(core map[string]any) {
 		}
 	}
 	for _, th := range kern["threads"].([]any) {
+		th := th.(map[string]any)
 		for _, k := range []string{"runnableAt", "schedDelay", "switchCount"} {
-			delete(th.(map[string]any), k)
+			delete(th, k)
 		}
+		if cfs, ok := th["cfs"].(map[string]any); ok {
+			delete(cfs, "onRq")
+			delete(cfs, "rqCPU")
+		}
+		if mq, ok := th["mq"].(map[string]any); ok {
+			delete(mq, "onRq")
+		}
+	}
+	for _, e := range core["ghost"].(map[string]any)["enclaves"].([]any) {
+		for _, th := range e.(map[string]any)["threads"].([]any) {
+			delete(th.(map[string]any), "pendingMsgs")
+		}
+	}
+	for _, set := range core["sets"].([]any) {
+		st := set.(map[string]any)["policy"].(map[string]any)["data"].(map[string]any)
+		recs, _ := st["tracker"].([]any)
+		for _, rec := range recs {
+			delete(rec.(map[string]any), "enqueued")
+		}
+	}
+}
+
+// inlinePolicies replaces each agent set's encoded policy state in an
+// image's core JSON with the decoded JSON object, so its fields compare
+// one by one.
+func inlinePolicies(t *testing.T, core map[string]any) {
+	t.Helper()
+	for _, set := range core["sets"].([]any) {
+		policy := set.(map[string]any)["policy"].(map[string]any)
+		raw, err := base64.StdEncoding.DecodeString(policy["data"].(string))
+		if err != nil {
+			t.Fatalf("policy data: %v", err)
+		}
+		var st map[string]any
+		if err := json.Unmarshal(raw, &st); err != nil {
+			t.Fatalf("policy JSON: %v", err)
+		}
+		policy["data"] = st
 	}
 }
 
@@ -249,6 +291,8 @@ func TestRestoreRecordedSnapshot(t *testing.T) {
 		t.Fatalf("WriteTo: %v", err)
 	}
 	got, want := snapshotCore(t, buf.Bytes()), snapshotCore(t, endWire)
+	inlinePolicies(t, got)
+	inlinePolicies(t, want)
 	dropRetiredKernelFields(want)
 	for k := range want {
 		if _, ok := got[k]; !ok {
@@ -708,6 +752,8 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 			cfs := kernelRec(core)["cfs"].(map[string]any)
 			cfs["idleStart"] = append(cfs["idleStart"].([]any), 0)
 		}},
+		{"cfs-record-missing", func(core map[string]any) { delete(kernelRec(core), "cfs") }},
+		{"mq-record-missing", func(core map[string]any) { delete(kernelRec(core), "mq") }},
 		{"cfs-rq-foreign-thread", func(core map[string]any) {
 			var worker any
 			editComponent(t, core, "pool", func(pool map[string]any) { worker = freeWorkerTID(pool) })
@@ -718,6 +764,81 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			requireRestoreCorrupt(t, resealSnapshot(t, wire, tc.mutate))
+		})
+	}
+
+	// A run queue lists each thread of its class at most once, and only
+	// one that can wait there: a runnable CFS thread, an unthrottled
+	// runnable MicroQuanta thread.
+	cfsWire := wireAt1ms(t, buildClassPool(ghost.CFS, ghost.MaskOf(0, 1, 24, 25), ghost.MaskOf(0), 8, 120_000))
+	idleCFSWire := wireAt1ms(t, buildClassPool(ghost.CFS, ghost.MaskOf(0, 1, 24, 25), ghost.MaskOf(0), 8, 20_000))
+	// Two CFS spinners share CPU 2 of the MicroQuanta machine, so one of
+	// them is always a runnable thread of the other class.
+	mq := buildClassPool(ghost.MicroQuanta, ghost.MaskOf(0, 1), ghost.MaskOf(0, 1), 4, 60_000)
+	for i := 0; i < 2; i++ {
+		mq.SpawnSpinner(ghost.ThreadOpts{Name: "cfs-spin", Affinity: ghost.MaskOf(2)}, 15*ghost.Microsecond)
+	}
+	mqWire := wireAt1ms(t, mq)
+	runnableCFS := func(core map[string]any) any {
+		for _, th := range kernelRec(core)["threads"].([]any) {
+			if th := th.(map[string]any); th["class"] == "cfs" && th["state"] == float64(ghost.ThreadRunnable) {
+				return th["tid"]
+			}
+		}
+		t.Fatal("snapshot has no runnable CFS thread")
+		return nil
+	}
+	// queuedCFS returns the record of a CFS run queue that lists a thread.
+	queuedCFS := func(core map[string]any) map[string]any {
+		for _, rq := range kernelRec(core)["cfs"].(map[string]any)["rqs"].([]any) {
+			if th, _ := rq.(map[string]any)["threads"].([]any); len(th) > 0 {
+				return rq.(map[string]any)
+			}
+		}
+		t.Fatal("snapshot has no queued CFS thread")
+		return nil
+	}
+	mqQueue := func(core map[string]any) map[string]any { return kernelRec(core)["mq"].(map[string]any) }
+	for _, tc := range []struct {
+		name   string
+		wire   []byte
+		mutate func(core map[string]any)
+	}{
+		{"cfs-rq-blocked-thread", idleCFSWire, func(core map[string]any) {
+			var worker any
+			editComponent(t, core, "pool", func(pool map[string]any) { worker = freeWorkerTID(pool) })
+			rq := record(kernelRec(core)["cfs"].(map[string]any), "rqs", 1)
+			threads, _ := rq["threads"].([]any)
+			rq["threads"] = append(threads, worker)
+		}},
+		{"cfs-rq-tid-twice", cfsWire, func(core map[string]any) {
+			rq := queuedCFS(core)
+			threads := rq["threads"].([]any)
+			rq["threads"] = append(threads, threads[0])
+		}},
+		{"cfs-rq-mq-thread", mqWire, func(core map[string]any) {
+			q, _ := mqQueue(core)["queue"].([]any)
+			if len(q) == 0 {
+				t.Fatal("snapshot has no queued MicroQuanta thread")
+			}
+			rq := record(kernelRec(core)["cfs"].(map[string]any), "rqs", 0)
+			threads, _ := rq["threads"].([]any)
+			rq["threads"] = append(threads, q[0])
+		}},
+		{"mq-queue-foreign-thread", mqWire, func(core map[string]any) {
+			q, _ := mqQueue(core)["queue"].([]any)
+			mqQueue(core)["queue"] = append(q, runnableCFS(core))
+		}},
+		{"mq-queue-tid-twice", mqWire, func(core map[string]any) {
+			q, _ := mqQueue(core)["queue"].([]any)
+			if len(q) == 0 {
+				t.Fatal("snapshot has no queued MicroQuanta thread")
+			}
+			mqQueue(core)["queue"] = append(q, q[0])
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			requireRestoreCorrupt(t, resealSnapshot(t, tc.wire, tc.mutate))
 		})
 	}
 
@@ -766,7 +887,7 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 	}
 
 	// A centralized policy queues each thread at most once, across all of
-	// its queues: CentralFIFO's bands, Shinjuku's fifo and batchq; and
+	// its queues: CentralFIFO's bands and Shinjuku's fifo; and
 	// CentralFIFO has one queue per band, at least one band.
 	shinjuku := wireAt1ms(t, buildServingWith(ghost.NewShinjukuPolicy(), ghost.Global()))
 	for _, tc := range []struct {
@@ -788,10 +909,6 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 		{"shinjuku-fifo-tid-twice", shinjuku, func(st map[string]any) {
 			tid := record(st, "tracker", 0)["tid"]
 			st["fifo"] = []any{tid, tid}
-		}},
-		{"shinjuku-fifo-and-batchq", shinjuku, func(st map[string]any) {
-			tid := record(st, "tracker", 0)["tid"]
-			st["fifo"], st["batchq"] = []any{tid}, []any{tid}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -842,6 +959,114 @@ func editPolicy(t *testing.T, set map[string]any, edit func(st map[string]any)) 
 		t.Fatal(err)
 	}
 	policy["data"] = base64.StdEncoding.EncodeToString(raw)
+}
+
+// Restore reads no flag that a list implies: values under the retired
+// keys (a tracker's enqueued, a CFS or MicroQuanta thread's onRq and
+// CFS rqCPU) are ignored, so an image that sets them on threads no queue
+// lists, as an image from an older tree may, restores to the same run as
+// the image without them.
+func TestRestoreIgnoresRetiredKeys(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() *ghost.Machine
+		// edit sets retired keys on threads no queue lists and returns
+		// how many it set.
+		edit func(core map[string]any) int
+	}{
+		{"shinjuku-enqueued", func() *ghost.Machine {
+			return buildServingAt(100_000, ghost.NewShinjukuPolicy(), ghost.Global())
+		}, func(core map[string]any) int {
+			n := 0
+			editPolicy(t, core["sets"].([]any)[0].(map[string]any), func(st map[string]any) {
+				queued := map[float64]bool{}
+				fifo, _ := st["fifo"].([]any)
+				for _, tid := range fifo {
+					queued[tid.(float64)] = true
+				}
+				for _, rec := range st["tracker"].([]any) {
+					if rec := rec.(map[string]any); !queued[rec["tid"].(float64)] {
+						rec["enqueued"] = true
+						n++
+					}
+				}
+			})
+			return n
+		}},
+		{"cfs-onRq", func() *ghost.Machine {
+			return buildClassPool(ghost.CFS, ghost.MaskOf(0, 1, 24, 25), ghost.MaskOf(0), 8, 120_000)
+		}, func(core map[string]any) int {
+			kern := core["kernel"].(map[string]any)
+			queued := map[float64]bool{}
+			for _, rq := range kern["cfs"].(map[string]any)["rqs"].([]any) {
+				threads, _ := rq.(map[string]any)["threads"].([]any)
+				for _, tid := range threads {
+					queued[tid.(float64)] = true
+				}
+			}
+			return setUnlisted(kern, "cfs", queued, map[string]any{"onRq": true, "rqCPU": 1})
+		}},
+		{"mq-onRq", func() *ghost.Machine {
+			return buildClassPool(ghost.MicroQuanta, ghost.MaskOf(0, 1), ghost.MaskOf(0, 1), 4, 60_000)
+		}, func(core map[string]any) int {
+			kern := core["kernel"].(map[string]any)
+			queued := map[float64]bool{}
+			q, _ := kern["mq"].(map[string]any)["queue"].([]any)
+			for _, tid := range q {
+				queued[tid.(float64)] = true
+			}
+			return setUnlisted(kern, "mq", queued, map[string]any{"onRq": true})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wire := wireAt1ms(t, tc.build())
+			n := 0
+			stale := resealSnapshot(t, wire, func(core map[string]any) { n = tc.edit(core) })
+			if n == 0 {
+				t.Fatal("the image has no unqueued thread to mark")
+			}
+			want := restoredRun(t, wire, 5*ghost.Millisecond)
+			if got := restoredRun(t, stale, 5*ghost.Millisecond); got != want {
+				t.Fatalf("retired keys on %d threads changed the restored run:\n%s\nwant\n%s", n, got, want)
+			}
+		})
+	}
+}
+
+// setUnlisted sets keys in the class record (key cls) of every thread
+// that has one and whose TID is not in listed, and returns how many
+// records it set.
+func setUnlisted(kern map[string]any, cls string, listed map[float64]bool, keys map[string]any) int {
+	n := 0
+	for _, th := range kern["threads"].([]any) {
+		th := th.(map[string]any)
+		rec, ok := th[cls].(map[string]any)
+		if !ok || listed[th["tid"].(float64)] {
+			continue
+		}
+		for k, v := range keys {
+			rec[k] = v
+		}
+		n++
+	}
+	return n
+}
+
+// restoredRun restores the snapshot in wire without the tracer's
+// metrics, runs it to horizon and returns its Metrics string and digest.
+func restoredRun(t *testing.T, wire []byte, horizon ghost.Time) string {
+	t.Helper()
+	s, err := ghost.ReadSnapshot(bytes.NewReader(wire))
+	if err != nil {
+		t.Fatalf("ReadSnapshot: %v", err)
+	}
+	m, err := ghost.Restore(s, append(servingRestoreOpts(), ghost.WithoutMetrics())...)
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	defer m.Shutdown()
+	m.RunUntil(horizon)
+	return m.Metrics().String() + "digest " + digestAt(t, m)
 }
 
 // TestSnapshotDecodeBounded: a header claiming a 1 GiB section, followed
