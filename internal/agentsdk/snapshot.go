@@ -1,9 +1,8 @@
 package agentsdk
 
 import (
-	"sort"
-
 	"fmt"
+	"sort"
 
 	"ghost/internal/hw"
 	"ghost/internal/kernel"
@@ -69,13 +68,13 @@ func (set *AgentSet) policy() any {
 	return set.percpu
 }
 
+// Policy returns the set's current-generation scheduling policy.
+func (set *AgentSet) Policy() any { return set.policy() }
+
 // SaveRec serializes the agent set. It fails with a descriptive error
 // when the generation is outside the snapshot envelope: a stopped set
 // (its runner threads are dead) or a policy without the snapshot
 // capability.
-// Policy returns the set's current-generation scheduling policy.
-func (set *AgentSet) Policy() any { return set.policy() }
-
 func (set *AgentSet) SaveRec() (*SetRec, error) {
 	if set.stopped {
 		return nil, fmt.Errorf("agent set on enclave %d has been stopped; stopped generations are not snapshottable", set.enc.ID())

@@ -3,7 +3,9 @@ package check
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ghost/internal/faults"
@@ -299,5 +301,24 @@ func TestRestoreAnywhereAfterMsgFaults(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A barrier inside an open fault window is no checkpoint: the image
+// holds neither the injector's windows nor its random stream, so a
+// restore from there would run on without the faults. A msgdup window
+// from 100 µs for 3 ms makes RunWithCheckpoints skip the 1, 2 and 3 ms
+// boundaries, naming the window, and take the 4 ms one.
+func TestCheckpointsSkipOpenFaultWindow(t *testing.T) {
+	plan := faults.NewPlan(0).DupMsgs(100*sim.Microsecond, 3*sim.Millisecond, 0.5)
+	s := Scenario{Seed: 5, Policy: "central-fifo", CPUs: 4, Threads: 10, Horizon: 5 * sim.Millisecond, FaultSpec: plan.String()}
+	cr := s.RunWithCheckpoints(sim.Millisecond)
+	if cr.Skips != 3 || len(cr.Checkpoints) != 1 || cr.Checkpoints[0].At != sim.Time(4*sim.Millisecond) {
+		t.Fatalf("%d skips (%v) and %d checkpoints, want the 1-3 ms boundaries skipped and one checkpoint at 4ms",
+			cr.Skips, cr.SkipReasons, len(cr.Checkpoints))
+	}
+	want := fmt.Sprintf("fault window %s is open at %v", plan.Faults[0], sim.Time(sim.Millisecond))
+	if !strings.Contains(cr.SkipReasons[0], want) {
+		t.Fatalf("1 ms skip reason %q does not say %q", cr.SkipReasons[0], want)
 	}
 }

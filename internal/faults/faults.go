@@ -493,6 +493,22 @@ func (in *Injector) fire(f Fault) {
 	}
 }
 
+// OpenWindow returns the first injection window still open at now: one
+// with injections left that has not yet expired. A snapshot cannot hold
+// it, since the image carries neither the windows nor the injector's
+// random stream.
+func (in *Injector) OpenWindow(now sim.Time) (Fault, bool) {
+	if in == nil {
+		return Fault{}, false
+	}
+	for _, w := range in.windows {
+		if w.left != 0 && (w.until == 0 || now < w.until) {
+			return w.f, true
+		}
+	}
+	return Fault{}, false
+}
+
 // match scans the active windows for one matching kind/time/enclave and,
 // if its probability draw passes, consumes one injection from it.
 func (in *Injector) match(kind Kind, now sim.Time, enc int) *Fault {

@@ -61,7 +61,7 @@ type Enclave struct {
 	// WatchdogTimeout, when non-zero, destroys the enclave if a runnable
 	// thread goes unscheduled longer than this (§3.4).
 	WatchdogTimeout sim.Duration
-	watchdog        *sim.Ticker
+	watchdog        sim.Event // the pending starvation scan
 
 	// upgradePending suppresses the crash fallback while a new agent
 	// generation is waiting to take over (§3.4 dynamic upgrades).
@@ -128,11 +128,15 @@ func (e *Enclave) CreateQueue(name string) *Queue {
 }
 
 // DestroyQueue removes a queue (DESTROY_QUEUE). Threads associated with
-// it fall back to the default queue.
+// it fall back to the default queue. Its undrained messages go with it,
+// so they no longer count against their threads in AssociateQueue.
 //
 //ghostlint:root DESTROY_QUEUE is an agent API call of the paper's Table 1; no bundled policy destroys a queue
 func (e *Enclave) DestroyQueue(q *Queue) {
 	q.dead = true
+	for ; q.head != q.tail; q.head++ {
+		q.uncount(q.buf[q.head&uint64(len(q.buf)-1)])
+	}
 	for _, t := range e.threads {
 		if gt := gstate(t); gt != nil && gt.q == q {
 			gt.q = e.defaultQueue
@@ -759,10 +763,7 @@ func (e *Enclave) DestroyWith(cause error) {
 	if tr := e.k.Tracer(); tr != nil {
 		tr.EnclaveEvent(e.k.Now(), e.id, "destroy", cause.Error())
 	}
-	if e.watchdog != nil {
-		e.watchdog.Stop()
-		e.watchdog = nil
-	}
+	e.watchdog.Cancel()
 	e.upgradeDeadline.Cancel()
 	e.k.Tracef("enclave %d destroyed: %s", e.id, cause)
 	if e.tickless {
@@ -813,7 +814,7 @@ func (e *Enclave) DestroyWith(cause error) {
 // EnableWatchdog starts the enclave watchdog (§3.4): if any runnable
 // thread waits longer than timeout for a scheduling decision, the
 // enclave is destroyed and its threads fall back to the default
-// scheduler.
+// scheduler. Enabling it again replaces the timeout.
 func (e *Enclave) EnableWatchdog(timeout sim.Duration) {
 	if timeout <= 0 {
 		panic("ghostcore: watchdog timeout must be positive")
@@ -822,19 +823,29 @@ func (e *Enclave) EnableWatchdog(timeout sim.Duration) {
 	if tr := e.k.Tracer(); tr != nil {
 		tr.EnclaveEvent(e.k.Now(), e.id, "watchdog-armed", timeout.String())
 	}
-	period := timeout / 4
+	e.watchdog.Cancel()
+	e.armWatchdog()
+}
+
+// armWatchdog schedules the next starvation scan a quarter of the
+// timeout from now, but no sooner than 1 ms.
+func (e *Enclave) armWatchdog() {
+	period := e.WatchdogTimeout / 4
 	if period < sim.Millisecond {
 		period = sim.Millisecond
 	}
-	e.watchdog = sim.NewTicker(e.k.Engine(), period, e.watchdogCheck)
-	e.watchdog.Key = fmt.Sprintf("enclave.%d.watchdog", e.id)
+	e.watchdog = e.k.Engine().AfterCall(period, watchdogFire, e)
 }
 
-// watchdogCheck is the periodic starvation scan behind EnableWatchdog.
-func (e *Enclave) watchdogCheck(now sim.Time) {
+// watchdogFire is the periodic starvation scan behind EnableWatchdog
+// (snapshot kind "ghost.watchdog"). It destroys the enclave over the
+// first starved thread, and otherwise arms the next scan.
+func watchdogFire(a any) {
+	e := a.(*Enclave)
 	if e.destroyed {
 		return
 	}
+	now := e.k.Now()
 	// Sorted iteration (Threads): the destroy reason names the first
 	// starved thread, and that choice must not follow map order into the
 	// trace.
@@ -848,4 +859,5 @@ func (e *Enclave) watchdogCheck(now sim.Time) {
 			return
 		}
 	}
+	e.armWatchdog()
 }

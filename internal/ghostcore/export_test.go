@@ -14,9 +14,7 @@ func (q *Queue) Pop() (Message, bool) {
 	}
 	m := q.buf[q.head&uint64(len(q.buf)-1)]
 	q.head++
-	if gt := q.enc.ghostOf(m.TID); gt != nil {
-		gt.pendingMsgs--
-	}
+	q.uncount(m)
 	if g := q.enc.g; len(g.observers) > 0 {
 		g.obsMsgDrained(q.enc, m)
 	}

@@ -155,6 +155,7 @@ func (q *Queue) copyPending(dst []Message) int {
 // message is delivered twice (agents must tolerate stale sequences).
 func (q *Queue) post(m Message) {
 	if q.dead {
+		q.uncount(m)
 		q.enc.g.obsMsgDiscarded(q.enc, m)
 		return
 	}
@@ -164,9 +165,7 @@ func (q *Queue) post(m Message) {
 		drop, dup, delay := in.OnMessagePost(m.Posted, q.enc.id)
 		switch {
 		case drop:
-			if gt := q.enc.ghostOf(m.TID); gt != nil {
-				gt.pendingMsgs--
-			}
+			q.uncount(m)
 			q.enc.g.obsMsgFaultDropped(q.enc, m)
 			return
 		case delay > 0:
@@ -185,11 +184,20 @@ func (q *Queue) post(m Message) {
 	q.deliver(m, false, false)
 }
 
+// uncount takes a message that leaves the queue, or never reaches it,
+// off its thread's pending count (the count AssociateQueue checks).
+func (q *Queue) uncount(m Message) {
+	if gt := q.enc.ghostOf(m.TID); gt != nil {
+		gt.pendingMsgs--
+	}
+}
+
 // deliver appends a message, bumps Aseq, and wakes/pokes the consumer.
 // dup marks the second copy of a fault-duplicated message; delayed marks
 // a delivery previously deferred by a fault window.
 func (q *Queue) deliver(m Message, dup, delayed bool) {
 	if q.dead {
+		q.uncount(m)
 		return
 	}
 	q.enqueue(m)
@@ -233,9 +241,7 @@ func (q *Queue) Drain() []Message {
 	q.head = q.tail
 	g := q.enc.g
 	for _, m := range out {
-		if gt := q.enc.ghostOf(m.TID); gt != nil {
-			gt.pendingMsgs--
-		}
+		q.uncount(m)
 		if len(g.observers) > 0 {
 			g.obsMsgDrained(q.enc, m)
 		}

@@ -1,9 +1,8 @@
 package ghostcore
 
 import (
-	"sort"
-
 	"fmt"
+	"sort"
 
 	"ghost/internal/hw"
 	"ghost/internal/kernel"
@@ -398,19 +397,13 @@ func (e *Enclave) restoreRec(rec *EnclaveRec) error {
 	return nil
 }
 
-// EachTicker visits the class's keyed tickers (enclave watchdogs), for
-// the snapshot ticker registry.
-func (g *Class) EachTicker(f func(*sim.Ticker)) {
-	for _, e := range g.enclaves {
-		if !e.destroyed && e.watchdog != nil {
-			f(e.watchdog)
-		}
-	}
-}
-
 // ClassifyEvent recognizes ghOSt-owned pre-bound event callbacks: the
-// transaction install IPI. args is [encID, tid, cpu, local, agentCPU].
+// transaction install IPI, with args [encID, tid, cpu, local, agentCPU],
+// and an enclave's watchdog scan, with args [encID].
 func (g *Class) ClassifyEvent(afn func(any), arg any) (kind string, args []int64, ok bool) {
+	if e, isEnc := arg.(*Enclave); isEnc && sim.SameFn(afn, watchdogFire) {
+		return "ghost.watchdog", []int64{int64(e.id)}, true
+	}
 	rec, isRec := arg.(*installRec)
 	if !isRec || !sim.SameFn(afn, g.installFn) {
 		return "", nil, false
@@ -426,35 +419,47 @@ func (g *Class) ClassifyEvent(afn func(any), arg any) (kind string, args []int64
 	return "ghost.install", []int64{int64(rec.e.id), int64(rec.t.TID()), int64(rec.cpu), local, agentCPU}, true
 }
 
-// EventForKind rebuilds a serialized ghOSt-owned event callback.
-func (g *Class) EventForKind(kind string, args []int64) (afn func(any), arg any, ok bool) {
-	if kind != "ghost.install" || len(args) != 5 {
-		return nil, nil, false
+// EventForKind rebuilds a serialized ghOSt-owned event callback, plus
+// an adopt function that makes a restored watchdog scan its enclave's
+// pending one. A watchdog event is refused for an enclave without a
+// watchdog or whose scan is already adopted: an enclave keeps at most
+// one pending.
+func (g *Class) EventForKind(kind string, args []int64) (afn func(any), arg any, adopt func(sim.Event), ok bool) {
+	var e *Enclave
+	if len(args) > 0 {
+		e = g.enclaveByID(int(args[0]))
 	}
-	e := g.enclaveByID(int(args[0]))
-	if e == nil {
-		return nil, nil, false
+	switch {
+	case e == nil:
+		return nil, nil, nil, false
+	case kind == "ghost.watchdog" && len(args) == 1:
+		if e.WatchdogTimeout <= 0 || e.watchdog.Pending() {
+			return nil, nil, nil, false
+		}
+		return watchdogFire, e, func(ev sim.Event) { e.watchdog = ev }, true
+	case kind != "ghost.install" || len(args) != 5:
+		return nil, nil, nil, false
 	}
 	t := g.k.Thread(kernel.TID(args[1]))
 	if t == nil {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	gt := gstate(t)
 	if gt == nil {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	var a *Agent
 	if args[4] >= 0 {
 		a = e.agents[hw.CPUID(args[4])]
 		if a == nil {
-			return nil, nil, false
+			return nil, nil, nil, false
 		}
 	}
 	cpu := hw.CPUID(args[2])
 	if !e.cpus.Has(cpu) {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	rec := g.getInstallRec()
 	*rec = installRec{e: e, t: t, gt: gt, cpu: cpu, local: args[3] != 0, a: a}
-	return g.installFn, rec, true
+	return g.installFn, rec, nil, true
 }

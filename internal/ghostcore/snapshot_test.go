@@ -53,3 +53,35 @@ func TestRestoreImageCountsPendingMsgs(t *testing.T) {
 		}
 	}
 }
+
+// DestroyQueue drops a queue's undrained messages from their threads'
+// pending counts: a thread whose one message sat in the destroyed queue
+// can then be associated with another queue, and an in-place restore,
+// which counts the queued messages, leaves its count where it was.
+func TestDestroyQueueUncountsItsMessages(t *testing.T) {
+	env := newGhostEnv(t)
+	th := env.spawnGhost("th", 10*sim.Microsecond, 1)
+	env.enc.DefaultQueue().Drain()
+	side := env.enc.CreateQueue("side")
+	if err := env.enc.AssociateQueue(th, side); err != nil {
+		t.Fatal(err)
+	}
+	env.g.postThreadMsg(th, MsgThreadWakeup)
+	if side.Len() != 1 || gstate(th).pendingMsgs != 1 {
+		t.Fatalf("side queue holds %d messages, thread counts %d; want 1 and 1", side.Len(), gstate(th).pendingMsgs)
+	}
+	env.enc.DestroyQueue(side)
+	if err := env.enc.AssociateQueue(th, env.enc.DefaultQueue()); err != nil {
+		t.Fatalf("after DestroyQueue: %v", err)
+	}
+	rec, err := env.g.SaveImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.g.RestoreImage(rec); err != nil {
+		t.Fatal(err)
+	}
+	if got := gstate(th).pendingMsgs; got != 0 {
+		t.Fatalf("%d pending messages after restore, want 0", got)
+	}
+}

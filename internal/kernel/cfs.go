@@ -120,8 +120,6 @@ type CFS struct {
 	// with ghOSt's µs-scale reaction.
 	idleStart []sim.Time
 	avgIdle   []sim.Duration
-
-	balance *sim.Ticker // periodic load balancer (keyed for snapshots)
 }
 
 // NewCFS creates the CFS class and its periodic load balancer, and
@@ -138,15 +136,18 @@ func NewCFS(k *Kernel) *CFS {
 		c.rqs[i] = &cfsRq{cpu: hw.CPUID(i), queued: &c.queued}
 	}
 	k.AddIdleHook(func(cpu *CPU) { c.idleStart[cpu.ID] = k.Now() })
-	c.balance = sim.NewTicker(k.Engine(), balancePeriod, func(sim.Time) { c.loadBalance() })
-	c.balance.Key = "cfs.balance"
+	k.Engine().AfterCall(balancePeriod, balanceFire, c)
 	k.RegisterClass(c)
 	return c
 }
 
-// BalanceTicker returns the periodic load-balance ticker (snapshot
-// plumbing).
-func (c *CFS) BalanceTicker() *sim.Ticker { return c.balance }
+// balanceFire runs the periodic load balancer and arms its next pass
+// (snapshot kind "kernel.cfs.balance").
+func balanceFire(a any) {
+	c := a.(*CFS)
+	c.loadBalance()
+	c.k.eng.AfterCall(balancePeriod, balanceFire, c)
+}
 
 // Name implements Class.
 func (c *CFS) Name() string { return "cfs" }

@@ -39,7 +39,6 @@ type Kernel struct {
 	threads []*Thread // indexed by TID; nil for TID 0 and unused TIDs
 	live    []*Thread
 	nextTID TID
-	tickers []*sim.Ticker // per-CPU timer-tick tickers (keyed for snapshots)
 
 	classes []Class // sorted by descending priority
 
@@ -103,26 +102,29 @@ func New(eng *sim.Engine, topo *hw.Topology, cost hw.CostModel) *Kernel {
 			c.sib = k.cpus[sib]
 		}
 	}
-	// Staggered per-CPU timer ticks. The ticker objects are built eagerly
-	// (so snapshots have a stable, keyed object to link pending firings
-	// to) and armed by a keyed start event, preserving the exact event
-	// count and order of the start stagger.
-	k.tickers = make([]*sim.Ticker, n)
-	for i := 0; i < n; i++ {
-		c := k.cpus[i]
-		tk := sim.NewStoppedTicker(eng, cost.TickPeriod, func(sim.Time) { k.tick(c) })
-		tk.Key = fmt.Sprintf("kernel.tick.%d", i)
-		k.tickers[i] = tk
+	// Staggered per-CPU timer ticks: each CPU's start event arms its
+	// first tick one period later.
+	for i, c := range k.cpus {
 		offset := cost.TickPeriod * sim.Duration(i) / sim.Duration(n)
-		eng.AtCall(eng.Now()+offset, startTickFn, tk)
+		eng.AtCall(eng.Now()+offset, startTickFn, c)
 	}
 	return k
 }
 
-// startTickFn arms a per-CPU tick ticker at its staggered start offset;
-// package-level so the start event is serializable (snapshot kind
-// "kernel.starttick", keyed by the ticker).
-func startTickFn(a any) { a.(*sim.Ticker).Start() }
+// startTickFn arms a CPU's first timer tick one period after its
+// staggered start offset (snapshot kind "kernel.starttick").
+func startTickFn(a any) {
+	c := a.(*CPU)
+	c.k.eng.AfterCall(c.k.cost.TickPeriod, tickFire, c)
+}
+
+// tickFire delivers a CPU's timer tick and arms the next one a period
+// later (snapshot kind "kernel.tick").
+func tickFire(a any) {
+	c := a.(*CPU)
+	c.k.tick(c)
+	c.k.eng.AfterCall(c.k.cost.TickPeriod, tickFire, c)
+}
 
 // Engine returns the machine's event engine.
 func (k *Kernel) Engine() *sim.Engine { return k.eng }

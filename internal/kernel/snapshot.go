@@ -298,14 +298,6 @@ func (k *Kernel) SetNextTID(tid TID) error {
 	return nil
 }
 
-// EachTicker visits the kernel's own keyed tickers (the per-CPU timer
-// ticks), for the snapshot ticker registry.
-func (k *Kernel) EachTicker(f func(*sim.Ticker)) {
-	for _, tk := range k.tickers {
-		f(tk)
-	}
-}
-
 // RestoreImage overlays the serialized kernel state onto a freshly built
 // kernel whose threads have already been re-spawned (TIDs pinned) and
 // whose engine has been Reset. Every semantic field the re-spawn touched
@@ -496,7 +488,8 @@ func (c *CFS) restoreRec(rec *CFSRec) error {
 // --- pending-event classification -------------------------------------
 
 // ClassifyEvent recognizes kernel-owned pre-bound event callbacks for
-// serialization. ref is a TID or CPU id depending on kind.
+// serialization. ref is a TID or CPU id depending on kind; the CFS
+// balancer has none.
 func (k *Kernel) ClassifyEvent(afn func(any), arg any) (kind string, ref int64, ok bool) {
 	switch v := arg.(type) {
 	case *CPU:
@@ -507,6 +500,10 @@ func (k *Kernel) ClassifyEvent(afn func(any), arg any) (kind string, ref int64, 
 			return "kernel.workdone", int64(v.ID), true
 		case sim.SameFn(afn, k.switchDoneFn):
 			return "kernel.switchdone", int64(v.ID), true
+		case sim.SameFn(afn, tickFire):
+			return "kernel.tick", int64(v.ID), true
+		case sim.SameFn(afn, startTickFn):
+			return "kernel.starttick", int64(v.ID), true
 		}
 	case *Thread:
 		switch {
@@ -523,13 +520,9 @@ func (k *Kernel) ClassifyEvent(afn func(any), arg any) (kind string, ref int64, 
 				return "kernel.mq.refill", int64(v.tid), true
 			}
 		}
-	case *sim.Ticker:
-		if sim.SameFn(afn, startTickFn) {
-			for i, tk := range k.tickers {
-				if tk == v {
-					return "kernel.starttick", int64(i), true
-				}
-			}
+	case *CFS:
+		if sim.SameFn(afn, balanceFire) {
+			return "kernel.cfs.balance", 0, true
 		}
 	}
 	return "", 0, false
@@ -577,10 +570,14 @@ func (k *Kernel) EventForKind(kind string, ref int64) (afn func(any), arg any, a
 		}
 		return m.refillFn, t, func(ev sim.Event) { t.mq.refill = ev }, true
 	case "kernel.starttick":
-		if ref < 0 || int(ref) >= len(k.tickers) {
-			return nil, nil, nil, false
-		}
-		return startTickFn, k.tickers[ref], nil, true
+		c := cpu()
+		return startTickFn, c, nil, c != nil
+	case "kernel.tick":
+		c := cpu()
+		return tickFire, c, nil, c != nil
+	case "kernel.cfs.balance":
+		c, cok := k.Class("cfs").(*CFS)
+		return balanceFire, c, nil, cok && c != nil
 	}
 	return nil, nil, nil, false
 }

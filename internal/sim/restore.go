@@ -120,17 +120,3 @@ func (e *Engine) RestoreEvent(at Time, seq uint64, fn func(), afn func(any), arg
 func SameFn(a, b func(any)) bool {
 	return a != nil && b != nil && reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
 }
-
-// ClassifyEvent recognizes the sim package's own pre-bound callbacks.
-// Tickers are serialized by their stable Key, assigned at construction
-// by the owning subsystem; an unkeyed ticker is not snapshottable and
-// makes ok false.
-func ClassifyEvent(afn func(any), arg any) (kind, key string, ok bool) {
-	if tk, isTicker := arg.(*Ticker); isTicker && SameFn(afn, tickerFire) {
-		return "sim.ticker", tk.Key, tk.Key != ""
-	}
-	return "", "", false
-}
-
-// TickerFireFn exposes the ticker dispatch callback for event restore.
-func TickerFireFn() func(any) { return tickerFire }

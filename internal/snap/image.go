@@ -38,20 +38,11 @@ type ComponentRec struct {
 	Data []byte `json:"data,omitempty"`
 }
 
-// TickerRec is one serialized keyed virtual timer. Its pending firing,
-// if armed, rides separately in the event list.
-type TickerRec struct {
-	Key     string `json:"key"`
-	Period  int64  `json:"period"`
-	Stopped bool   `json:"stopped,omitempty"`
-}
-
 // EventRec is one serialized pending engine event, classified by its
-// owning subsystem. Kind selects the decoder: "sim.ticker" (Key names
-// the ticker), "kernel.*" (Ref is a TID or CPU id), "ghost.install"
-// (Args), "agentsdk.repoll" or "agentsdk.pokeactive" (Ref is an enclave
-// id), or "component" (Key names the component, Sub the event within
-// it).
+// owning subsystem. Kind selects the decoder: "kernel.*" (Ref is a TID
+// or CPU id), "ghost.install" or "ghost.watchdog" (Args),
+// "agentsdk.repoll" or "agentsdk.pokeactive" (Ref is an enclave id), or
+// "component" (Key names the component, Sub the event within it).
 type EventRec struct {
 	At   int64   `json:"at"`
 	Seq  uint64  `json:"seq"`
@@ -77,7 +68,6 @@ type CoreImage struct {
 	Ghost      *ghostcore.ClassRec `json:"ghost,omitempty"`
 	Sets       []*agentsdk.SetRec  `json:"sets,omitempty"`
 	Components []ComponentRec      `json:"components,omitempty"`
-	Tickers    []TickerRec         `json:"tickers,omitempty"`
 	Events     []EventRec          `json:"events,omitempty"`
 }
 
@@ -179,5 +169,37 @@ func Decode(r io.Reader) (*Image, error) {
 	if err := json.Unmarshal(cj, core); err != nil {
 		return nil, fmt.Errorf("%w: core section: %v", ErrCorrupt, err)
 	}
+	for i := range core.Events {
+		if err := renameTickerEvent(&core.Events[i]); err != nil {
+			return nil, fmt.Errorf("%w: event %d: %v", ErrCorrupt, i, err)
+		}
+	}
 	return &Image{Core: core, coreJSON: cj}, nil
+}
+
+// renameTickerEvent rewrites a pending timer that older images stored
+// as a "sim.ticker" event, named by its ticker's key (their "tickers"
+// table, which held only construction constants, is ignored), into the
+// pre-bound event kind that replaced it.
+func renameTickerEvent(ev *EventRec) error {
+	if ev.Kind != "sim.ticker" {
+		return nil
+	}
+	var n int64
+	scan := func(format string) bool {
+		_, err := fmt.Sscanf(ev.Key, format, &n)
+		return err == nil
+	}
+	switch {
+	case ev.Key == "cfs.balance":
+		ev.Kind = "kernel.cfs.balance"
+	case scan("kernel.tick.%d"):
+		ev.Kind, ev.Ref = "kernel.tick", n
+	case scan("enclave.%d.watchdog"):
+		ev.Kind, ev.Args = "ghost.watchdog", []int64{n}
+	default:
+		return fmt.Errorf("unknown ticker %q", ev.Key)
+	}
+	ev.Key = ""
+	return nil
 }

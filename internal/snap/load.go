@@ -39,8 +39,8 @@ type Result struct {
 // The restore runs in phases: component shells, enclave shells, a global
 // TID-ordered spawn pass (body threads interleaved with agent sets, TIDs
 // pinned), an engine reset that erases every construction side effect,
-// then a verbatim overlay of all serialized state, the keyed tickers,
-// and finally the pending events with their original (at, seq) pairs.
+// then a verbatim overlay of all serialized state, and finally the
+// pending events with their original (at, seq) pairs.
 func Load(t *Target, img *Image, opts LoadOpts) (*Result, error) {
 	core := img.Core
 	if got, want := t.Topo.NumCPUs(), len(core.Kernel.CPUs); got != want {
@@ -123,28 +123,10 @@ func Load(t *Target, img *Image, opts LoadOpts) (*Result, error) {
 		}
 	}
 
-	// Phase 6: keyed tickers.
-	t.Sets = res.Sets
-	tickers, err := collectTickers(t)
-	if err != nil {
-		return nil, err
-	}
-	byKey := make(map[string]*sim.Ticker, len(tickers))
-	for _, tk := range tickers {
-		byKey[tk.Key] = tk
-	}
-	for _, trec := range core.Tickers {
-		tk := byKey[trec.Key]
-		if tk == nil {
-			return nil, fmt.Errorf("snap: ticker %q missing after rebuild", trec.Key)
-		}
-		tk.RestoreState(sim.Duration(trec.Period), trec.Stopped)
-	}
-
-	// Phase 7: pending events with their original (at, seq) pairs.
+	// Phase 6: pending events with their original (at, seq) pairs.
 	for i := range core.Events {
 		erec := &core.Events[i]
-		afn, arg, adopt, err := eventCallback(t, ctx, byKey, res.Sets, erec)
+		afn, arg, adopt, err := eventCallback(t, ctx, res.Sets, erec)
 		if err != nil {
 			return nil, err
 		}
@@ -279,23 +261,17 @@ func spawnBody(t *Target, ctx *RestoreCtx, opts LoadOpts, tidEnc map[int]int, re
 // eventCallback resolves a serialized event record back to its callback,
 // argument and (optionally) an adopt function that re-links the Event
 // handle into the owning struct.
-func eventCallback(t *Target, ctx *RestoreCtx, tickers map[string]*sim.Ticker, sets []*agentsdk.AgentSet, erec *EventRec) (func(any), any, func(sim.Event), error) {
+func eventCallback(t *Target, ctx *RestoreCtx, sets []*agentsdk.AgentSet, erec *EventRec) (func(any), any, func(sim.Event), error) {
 	switch erec.Kind {
-	case "sim.ticker":
-		tk := tickers[erec.Key]
-		if tk == nil {
-			return nil, nil, nil, fmt.Errorf("snap: event references missing ticker %q", erec.Key)
-		}
-		return sim.TickerFireFn(), tk, tk.RestoreEvent, nil
-	case "ghost.install":
+	case "ghost.install", "ghost.watchdog":
 		if t.Ghost == nil {
-			return nil, nil, nil, fmt.Errorf("snap: ghost.install event without a ghost class")
+			return nil, nil, nil, fmt.Errorf("snap: %s event without a ghost class", erec.Kind)
 		}
-		afn, arg, ok := t.Ghost.EventForKind(erec.Kind, erec.Args)
+		afn, arg, adopt, ok := t.Ghost.EventForKind(erec.Kind, erec.Args)
 		if !ok {
-			return nil, nil, nil, fmt.Errorf("%w: ghost.install event %v did not resolve", ErrCorrupt, erec.Args)
+			return nil, nil, nil, fmt.Errorf("%w: %s event %v did not resolve", ErrCorrupt, erec.Kind, erec.Args)
 		}
-		return afn, arg, nil, nil
+		return afn, arg, adopt, nil
 	case "agentsdk.pokeactive":
 		for _, set := range sets {
 			if int64(set.EnclaveID()) == erec.Ref {

@@ -36,8 +36,11 @@ type Target struct {
 // Save serializes the machine at a quiescent barrier. It returns a
 // descriptive error naming the culprit when any live state falls outside
 // the snapshot envelope (an unregistered thread body, a closure event,
-// an armed deadline, a policy without the snapshot capability).
+// an open fault window, a policy without the snapshot capability).
 func Save(t *Target) (*Image, error) {
+	if f, ok := t.K.Faults().OpenWindow(t.Eng.Now()); ok {
+		return nil, fmt.Errorf("snap: fault window %s is open at %v; the image holds neither fault windows nor the injector's random stream", f, t.Eng.Now())
+	}
 	core := &CoreImage{
 		Topology: t.Topo.Config(),
 		Cost:     *t.Cost,
@@ -74,14 +77,6 @@ func Save(t *Target) (*Image, error) {
 		core.Components = append(core.Components, ComponentRec{Key: ce.Key, Kind: ce.C.SnapshotKind(), Data: data})
 	}
 
-	tickers, err := collectTickers(t)
-	if err != nil {
-		return nil, err
-	}
-	for _, tk := range tickers {
-		core.Tickers = append(core.Tickers, TickerRec{Key: tk.Key, Period: int64(tk.Period()), Stopped: tk.Stopped()})
-	}
-
 	for _, pe := range t.Eng.Pending() {
 		rec, err := classifyPending(t, pe)
 		if err != nil {
@@ -92,51 +87,14 @@ func Save(t *Target) (*Image, error) {
 	return NewImage(core)
 }
 
-// collectTickers walks every keyed virtual timer in the machine,
-// erroring on a duplicate or empty key (an unkeyed ticker cannot be
-// re-linked at restore).
-func collectTickers(t *Target) ([]*sim.Ticker, error) {
-	var out []*sim.Ticker
-	seen := map[string]bool{}
-	add := func(tk *sim.Ticker) error {
-		if tk.Key == "" {
-			return fmt.Errorf("snap: ticker without a key is not snapshottable")
-		}
-		if seen[tk.Key] {
-			return fmt.Errorf("snap: duplicate ticker key %q", tk.Key)
-		}
-		seen[tk.Key] = true
-		out = append(out, tk)
-		return nil
-	}
-	var werr error
-	walk := func(tk *sim.Ticker) {
-		if werr == nil {
-			werr = add(tk)
-		}
-	}
-	t.K.EachTicker(walk)
-	if c, ok := t.K.Class("cfs").(*kernel.CFS); ok && c != nil && c.BalanceTicker() != nil {
-		walk(c.BalanceTicker())
-	}
-	if t.Ghost != nil {
-		t.Ghost.EachTicker(walk)
-	}
-	return out, werr
-}
-
 // classifyPending routes one pending event through the subsystem
-// classifiers: sim's keyed timers, the kernel's pre-bound callbacks, the
-// ghOSt install IPI, the agentsdk repoll and retry pokes, then
-// component-owned events.
+// classifiers: the kernel's pre-bound callbacks (timer ticks and the CFS
+// balancer among them), the ghOSt install IPI and watchdog scans, the
+// agentsdk repoll and retry pokes, then component-owned events.
 func classifyPending(t *Target, pe sim.PendingEvent) (EventRec, error) {
 	rec := EventRec{At: int64(pe.At), Seq: pe.Seq}
 	if pe.Fn != nil {
 		return rec, fmt.Errorf("snap: pending event at %v is a plain closure (Machine.After, fault plans); not snapshottable", pe.At)
-	}
-	if kind, key, ok := sim.ClassifyEvent(pe.AFn, pe.Arg); ok {
-		rec.Kind, rec.Key = kind, key
-		return rec, nil
 	}
 	if kind, ref, ok := t.K.ClassifyEvent(pe.AFn, pe.Arg); ok {
 		rec.Kind, rec.Ref = kind, ref
@@ -161,6 +119,9 @@ func classifyPending(t *Target, pe sim.PendingEvent) (EventRec, error) {
 			rec.Kind, rec.Key, rec.Sub = "component", ce.Key, sub
 			return rec, nil
 		}
+	}
+	if _, ok := pe.Arg.(*sim.Ticker); ok {
+		return rec, fmt.Errorf("snap: pending event at %v is a sim.Ticker firing (Machine.Every, samplers); not snapshottable", pe.At)
 	}
 	return rec, fmt.Errorf("snap: unclassifiable pending event at %v (arg %T); register its owner as a snapshot component", pe.At, pe.Arg)
 }

@@ -320,7 +320,8 @@ func (m *Machine) Spawn(o ThreadOpts, body ThreadFunc) *Thread {
 func (m *Machine) Wake(t *Thread) { m.k.Wake(t) }
 
 // Every invokes fn every period of simulated time (for drivers and
-// samplers).
+// samplers). Its timer is a closure no snapshot can carry, so from the
+// call on the machine cannot be snapshotted.
 func (m *Machine) Every(period Duration, fn func(now Time)) {
 	sim.NewTicker(m.eng, period, fn)
 }

@@ -13,7 +13,10 @@ const restoreHorizon = 10 * ghost.Millisecond
 // restoreMachines are the machines FuzzRestoreAnywhere restores: each
 // ghOSt policy with the snapshot capability, FIFO also round-robin, and
 // the same pool under CFS and under MicroQuanta with no enclave. Each is
-// loaded enough that its queues often hold threads at a barrier.
+// loaded enough that its queues often hold threads at a barrier. The
+// Shinjuku enclave has a 20 ms watchdog, which scans every 5 ms and
+// cannot fire within the horizon, so its pending scan rides in every
+// image.
 var restoreMachines = []struct {
 	name  string
 	build func(opts ...ghost.MachineOption) *ghost.Machine
@@ -27,7 +30,7 @@ var restoreMachines = []struct {
 		return buildServingAt(100_000, p, ghost.Global(), opts...)
 	}},
 	{"shinjuku", func(opts ...ghost.MachineOption) *ghost.Machine {
-		return buildServingAt(100_000, ghost.NewShinjukuPolicy(), ghost.Global(), opts...)
+		return buildServingEnc(100_000, ghost.NewShinjukuPolicy(), ghost.Global(), []ghost.EnclaveOption{ghost.WithWatchdog(20 * ghost.Millisecond)}, opts...)
 	}},
 	{"percpu-fifo", func(opts ...ghost.MachineOption) *ghost.Machine {
 		return buildServingAt(100_000, ghost.NewPerCPUFIFOPolicy(), ghost.PerCPU(), opts...)

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"runtime"
 	"strings"
@@ -31,8 +32,13 @@ func buildServingWith(policy any, mode ghost.AgentOption, opts ...ghost.MachineO
 // buildServingAt is buildServingWith with the Poisson source at rate
 // requests per second.
 func buildServingAt(rate float64, policy any, mode ghost.AgentOption, opts ...ghost.MachineOption) *ghost.Machine {
+	return buildServingEnc(rate, policy, mode, nil, opts...)
+}
+
+// buildServingEnc is buildServingAt with the given enclave options.
+func buildServingEnc(rate float64, policy any, mode ghost.AgentOption, encOpts []ghost.EnclaveOption, opts ...ghost.MachineOption) *ghost.Machine {
 	m := ghost.NewMachine(ghost.XeonE5(), opts...)
-	enc := m.NewEnclave(ghost.MaskOf(0, 1, 2, 3))
+	enc := m.NewEnclave(ghost.MaskOf(0, 1, 2, 3), encOpts...)
 	m.StartAgents(enc, policy, mode)
 	pool := m.NewWorkerPool(3, &ghost.LatencyRecorder{}, func(name string, body ghost.ThreadFunc) *ghost.Thread {
 		return m.Spawn(ghost.ThreadOpts{Name: name, Class: ghost.Ghost(enc)}, body)
@@ -263,10 +269,43 @@ func inlinePolicies(t *testing.T, core map[string]any) {
 	}
 }
 
+// dropTickerTable rewrites an image's core JSON from the form that kept
+// periodic timers as keyed tickers to the form that keeps them as
+// pre-bound events: the "tickers" table goes, and each "sim.ticker"
+// event takes the kind its key names, at the same at and seq.
+func dropTickerTable(t *testing.T, core map[string]any) {
+	t.Helper()
+	delete(core, "tickers")
+	for _, ev := range core["events"].([]any) {
+		ev := ev.(map[string]any)
+		if ev["kind"] != "sim.ticker" {
+			continue
+		}
+		key := ev["key"].(string)
+		delete(ev, "key")
+		var n int
+		switch {
+		case key == "cfs.balance":
+			ev["kind"] = "kernel.cfs.balance"
+		case strings.HasPrefix(key, "kernel.tick."):
+			if _, err := fmt.Sscanf(key, "kernel.tick.%d", &n); err != nil {
+				t.Fatalf("ticker key %q: %v", key, err)
+			}
+			ev["kind"] = "kernel.tick"
+			if n != 0 {
+				ev["ref"] = float64(n)
+			}
+		default:
+			t.Fatalf("recorded image has unexpected ticker %q", key)
+		}
+	}
+}
+
 // A Version 3 snapshot file written by an earlier tree (buildServing at
 // 4 ms) still restores, and the restored machine runs 1 ms on to the
 // state that tree reached: the core JSON of the image it saved at 5 ms
-// (testdata/serving-5ms.snap), less only the retired kernel fields.
+// (testdata/serving-5ms.snap), less only the retired kernel fields and
+// with its periodic timers in their pre-bound event form.
 func TestRestoreRecordedSnapshot(t *testing.T) {
 	_, s := readSnapshotFile(t, "serving-4ms.snap")
 	if s.Time() != 4*ghost.Millisecond {
@@ -294,6 +333,7 @@ func TestRestoreRecordedSnapshot(t *testing.T) {
 	inlinePolicies(t, got)
 	inlinePolicies(t, want)
 	dropRetiredKernelFields(want)
+	dropTickerTable(t, want)
 	for k := range want {
 		if _, ok := got[k]; !ok {
 			t.Errorf("restored run's image has no %q", k)
@@ -391,6 +431,103 @@ func TestSnapshotAdoptsPendingRepoll(t *testing.T) {
 		if got != want {
 			t.Fatalf("restore at %v not transparent:\n%s\nwant\n%s", s.Time(), got, want)
 		}
+	}
+}
+
+// buildWatched is the buildServing machine with a 20 ms enclave
+// watchdog, which scans every 5 ms and never fires on it.
+func buildWatched(opts ...ghost.MachineOption) *ghost.Machine {
+	return buildServingEnc(40_000, ghost.NewFIFOPolicy(), ghost.Global(), []ghost.EnclaveOption{ghost.WithWatchdog(20 * ghost.Millisecond)}, opts...)
+}
+
+// A restored enclave adopts the watchdog scan its image holds as its
+// one pending scan, so destroying the enclave cancels the scan as it
+// does in the uninterrupted run. The machine is snapshotted at 2 ms,
+// with the scan due at 5 ms, and both runs destroy the enclave at 3 ms
+// and run on to 12 ms. A restored enclave that did not adopt the scan
+// would leave it pending past the destroy, and its dispatch would put
+// the restored run's event count ahead. A destroyed enclave is not
+// snapshottable, so the digests are compared just before the destroy
+// and the Metrics strings, which carry the event count, at the end.
+func TestRestoreAdoptsWatchdog(t *testing.T) {
+	orig := buildWatched(ghost.WithoutMetrics())
+	defer orig.Shutdown()
+	orig.Run(2 * ghost.Millisecond)
+	s, err := orig.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	var wire bytes.Buffer
+	if _, err := s.WriteTo(&wire); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	watchdogEvent(t, snapshotCore(t, wire.Bytes()))
+	s2, err := ghost.ReadSnapshot(&wire)
+	if err != nil {
+		t.Fatalf("ReadSnapshot: %v", err)
+	}
+	restored, err := ghost.Restore(s2, append(servingRestoreOpts(), ghost.WithoutMetrics())...)
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	defer restored.Shutdown()
+	var got, want string
+	for _, run := range []struct {
+		m   *ghost.Machine
+		out *string
+	}{{orig, &want}, {restored, &got}} {
+		run.m.RunUntil(3 * ghost.Millisecond)
+		*run.out = "digest " + digestAt(t, run.m) + "\n"
+		run.m.Ghost.Enclaves()[0].Destroy()
+		run.m.RunUntil(12 * ghost.Millisecond)
+		*run.out += run.m.Metrics().String()
+	}
+	if got != want {
+		t.Fatalf("restored run with its enclave destroyed:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// An image that keeps its periodic timers in the form older trees wrote,
+// as "sim.ticker" events named by ticker key beside a "tickers" table,
+// restores to the same run as the image it was rewritten from; the
+// table's periods, here all wrong, are ignored. The image
+// is taken at 1 ms from a machine with CFS threads and an enclave
+// watchdog, so ticks, the CFS balancer and a watchdog scan are pending.
+func TestRestoreLegacyTickerEvents(t *testing.T) {
+	m := buildWatched()
+	m.SpawnSpinner(ghost.ThreadOpts{Name: "cfs-spin", Affinity: ghost.MaskOf(8)}, 15*ghost.Microsecond)
+	wire := wireAt1ms(t, m)
+	renamed := map[string]int{}
+	legacy := resealSnapshot(t, wire, func(core map[string]any) {
+		var tickers []any
+		for _, ev := range core["events"].([]any) {
+			ev := ev.(map[string]any)
+			var key string
+			switch ev["kind"] {
+			case "kernel.tick":
+				ref, _ := ev["ref"].(float64)
+				key = fmt.Sprintf("kernel.tick.%d", int(ref))
+				delete(ev, "ref")
+			case "kernel.cfs.balance":
+				key = "cfs.balance"
+			case "ghost.watchdog":
+				key = fmt.Sprintf("enclave.%d.watchdog", int(ev["args"].([]any)[0].(float64)))
+				delete(ev, "args")
+			default:
+				continue
+			}
+			renamed[ev["kind"].(string)]++
+			ev["kind"], ev["key"] = "sim.ticker", key
+			tickers = append(tickers, map[string]any{"key": key, "period": 1})
+		}
+		core["tickers"] = tickers
+	})
+	if renamed["kernel.tick"] == 0 || renamed["kernel.cfs.balance"] != 1 || renamed["ghost.watchdog"] != 1 {
+		t.Fatalf("rewrote %v; want ticks, the balancer and a watchdog scan", renamed)
+	}
+	want := restoredRun(t, wire, 12*ghost.Millisecond)
+	if got := restoredRun(t, legacy, 12*ghost.Millisecond); got != want {
+		t.Fatalf("legacy ticker events restored to a different run:\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -676,6 +813,15 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 			e := record(ghostRec(core), "enclaves", 0)
 			e["cpus"] = append(e["cpus"].([]any), 1_000_000)
 		}},
+		{"tick-cpu-high", func(core map[string]any) {
+			for _, ev := range core["events"].([]any) {
+				if ev := ev.(map[string]any); ev["kind"] == "kernel.tick" {
+					ev["ref"] = 1_000_000
+					return
+				}
+			}
+			t.Fatal("snapshot has no pending kernel.tick event")
+		}},
 		{"event-before-now", func(core map[string]any) { record(core, "events", 0)["at"] = 0 }},
 		{"event-seq-above-counter", func(core map[string]any) { record(core, "events", 0)["seq"] = core["seq"] }},
 		{"spinner-chunk-negative", func(core map[string]any) {
@@ -842,6 +988,26 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 		})
 	}
 
+	// An enclave keeps at most one watchdog scan pending, and only when
+	// it has a watchdog.
+	watched := wireAt1ms(t, buildServingEnc(40_000, ghost.NewFIFOPolicy(), ghost.Global(), []ghost.EnclaveOption{ghost.WithWatchdog(20 * ghost.Millisecond)}))
+	for _, tc := range []struct {
+		name   string
+		mutate func(core map[string]any)
+	}{
+		{"watchdog-twice", func(core map[string]any) {
+			core["events"] = append(core["events"].([]any), watchdogEvent(t, core))
+		}},
+		{"watchdog-without-timeout", func(core map[string]any) {
+			watchdogEvent(t, core)
+			delete(record(ghostRec(core), "enclaves", 0), "watchdogTimeout")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			requireRestoreCorrupt(t, resealSnapshot(t, watched, tc.mutate))
+		})
+	}
+
 	// A per-CPU agent set places threads only on its runners' CPUs; the
 	// enclave is CPUs 0-3 of a 48-CPU machine.
 	perCPU := wireAt1ms(t, buildServingWith(ghost.NewPerCPUFIFOPolicy(), ghost.PerCPU()))
@@ -917,6 +1083,23 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 			}))
 		})
 	}
+}
+
+// watchdogEvent returns a copy of the pending ghost.watchdog event in an
+// image's core JSON.
+func watchdogEvent(t *testing.T, core map[string]any) map[string]any {
+	t.Helper()
+	for _, ev := range core["events"].([]any) {
+		if ev := ev.(map[string]any); ev["kind"] == "ghost.watchdog" {
+			dup := map[string]any{}
+			for k, v := range ev {
+				dup[k] = v
+			}
+			return dup
+		}
+	}
+	t.Fatal("snapshot has no pending ghost.watchdog event")
+	return nil
 }
 
 // addRunQueues appends one run-queue record per TID list to a per-CPU
@@ -1137,6 +1320,17 @@ func TestSnapshotRefusesPendingUpgradeDeadline(t *testing.T) {
 	enc.BeginUpgrade()
 	if _, err := m.Snapshot(); err == nil || !strings.Contains(err.Error(), "upgrade in flight") {
 		t.Fatalf("Snapshot with an armed upgrade deadline: err = %v, want an upgrade-in-flight refusal", err)
+	}
+}
+
+// A Machine.Every timer has no owner to name its pending firing, so a
+// machine with one is refused, and the refusal names the ticker.
+func TestSnapshotRefusesEveryTimer(t *testing.T) {
+	m := ghost.NewMachine(ghost.XeonE5())
+	defer m.Shutdown()
+	m.Every(ghost.Millisecond, func(ghost.Time) {})
+	if _, err := m.Snapshot(); err == nil || !strings.Contains(err.Error(), "sim.Ticker") {
+		t.Fatalf("Snapshot with a Machine.Every timer: err = %v, want a refusal naming the ticker", err)
 	}
 }
 
