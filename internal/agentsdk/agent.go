@@ -103,8 +103,8 @@ func (c *Context) IdleCPUs() []hw.CPUID {
 
 // IdleMask is IdleCPUs as a mask: the enclave's idle CPUs (from the
 // kernel's idle mask) minus those with a commit in flight. Only idle
-// CPUs the enclave holds (Enclave.Held) can have one, so LatchedFor —
-// which also clears stale in-flight entries — runs on just those.
+// CPUs the enclave holds (Enclave.Held) can have one, so LatchedFor runs
+// on just those.
 func (c *Context) IdleMask() kernel.Mask {
 	idle := c.Enclave.CPUs().And(c.Kernel.IdleMask())
 	idle.And(c.Enclave.Held()).ForEach(func(id hw.CPUID) bool {

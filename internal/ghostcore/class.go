@@ -24,8 +24,8 @@ type ghostThread struct {
 	q             *Queue
 	tseq          uint64
 	sw            StatusWord
-	runnable      bool // runnable and waiting for an agent decision
-	latched       bool // committed by a transaction, switch-in pending
+	runnable      bool     // runnable and waiting for an agent decision
+	latch         hw.CPUID // CPU whose latch holds the thread, NoCPU if none
 	runnableSince sim.Time
 	pendingMsgs   int
 	hint          any // application scheduling hint (Fig 1)
@@ -40,13 +40,11 @@ type Class struct {
 	k        *kernel.Kernel
 	fallback kernel.Class // where threads go when an enclave dies
 
-	cpuOwner []*Enclave       // enclave owning each CPU, nil if none
-	slots    []*kernel.Thread // per-CPU latched thread (install done)
-	inflight []*kernel.Thread // per-CPU committed thread, IPI in flight
-	// held is {cpu : slots[cpu] != nil || inflight[cpu] != nil}. Only
-	// setSlot and setInflight write slots and inflight, and both keep
-	// held in step, so agents test 256 CPUs for pending commits with a
-	// few word operations (Enclave.Held).
+	cpuOwner []*Enclave // enclave owning each CPU, nil if none
+	latches  []latch    // per-CPU committed thread awaiting switch-in
+	// held is {cpu : latches[cpu].t != nil}. Only setLatch and unlatch
+	// write latches and held, so agents test 256 CPUs for pending
+	// commits with a few word operations (Enclave.Held).
 	held kernel.Mask
 
 	enclaves  []*Enclave
@@ -56,10 +54,9 @@ type Class struct {
 	pendingEnclave *Enclave
 
 	// Txn installs are the hottest remote-schedule path: installFn is
-	// bound once and installPool recycles the per-commit records it
-	// receives, so committing a transaction allocates nothing.
-	installFn   func(any)
-	installPool []*installRec
+	// bound once and receives the target CPU's latch record, so
+	// committing a transaction allocates nothing.
+	installFn func(any)
 
 	// observers receive protocol events (invariant checking); empty in
 	// normal operation so every emission is a nil-slice loop.
@@ -82,8 +79,10 @@ func NewClass(k *kernel.Kernel, fallback kernel.Class) *Class {
 		k:        k,
 		fallback: fallback,
 		cpuOwner: make([]*Enclave, k.NumCPUs()),
-		slots:    make([]*kernel.Thread, k.NumCPUs()),
-		inflight: make([]*kernel.Thread, k.NumCPUs()),
+		latches:  make([]latch, k.NumCPUs()),
+	}
+	for i := range g.latches {
+		g.latches[i].cpu = hw.CPUID(i)
 	}
 	g.installFn = g.installFire
 	k.RegisterClass(g)
@@ -95,16 +94,43 @@ func NewClass(k *kernel.Kernel, fallback kernel.Class) *Class {
 // Kernel returns the owning kernel.
 func (g *Class) Kernel() *kernel.Kernel { return g.k }
 
-// setSlot and setInflight are the only writers of slots and inflight;
-// both re-derive cpu's bit of held.
-func (g *Class) setSlot(cpu hw.CPUID, t *kernel.Thread) {
-	g.slots[cpu] = t
-	g.held.SetTo(cpu, t != nil || g.inflight[cpu] != nil)
+// latch is one CPU's committed thread, from commit (or BPF pick) to
+// switch-in (§3.2). A CPU holds at most one latch and a thread at most
+// one: the thread's ghostThread.latch names the CPU. While inflight, the
+// install IPI ipi is pending and carries the record itself as its
+// argument; e, local and a are the committing enclave and agent that
+// install needs.
+type latch struct {
+	cpu      hw.CPUID
+	t        *kernel.Thread // nil when the CPU holds no latch
+	inflight bool
+	ipi      sim.Event
+	e        *Enclave
+	local    bool
+	a        *Agent
 }
 
-func (g *Class) setInflight(cpu hw.CPUID, t *kernel.Thread) {
-	g.inflight[cpu] = t
-	g.held.SetTo(cpu, t != nil || g.slots[cpu] != nil)
+// setLatch fills l.cpu's latch, which must be free, with l; l.t must
+// hold no latch. setLatch and unlatch are the only writers of a latch's
+// thread, of held and of ghostThread.latch, so the three always agree
+// (the seeded DoubleLatch mutation in apply aside).
+func (g *Class) setLatch(l latch) {
+	g.latches[l.cpu] = l
+	gstate(l.t).latch = l.cpu
+	g.held.SetTo(l.cpu, true)
+}
+
+// unlatch frees cpu's latch, cancelling its install if one is pending,
+// and tells observers why. It returns the thread the latch held.
+func (g *Class) unlatch(cpu hw.CPUID, why string) *kernel.Thread {
+	l := &g.latches[cpu]
+	t, e := l.t, l.e
+	l.ipi.Cancel()
+	*l = latch{cpu: cpu}
+	g.held.SetTo(cpu, false)
+	gstate(t).latch = hw.NoCPU
+	g.obsUnlatched(e, cpu, t, why)
+	return t
 }
 
 func gstate(t *kernel.Thread) *ghostThread {
@@ -137,7 +163,7 @@ func (g *Class) ThreadAttached(t *kernel.Thread) {
 	if enc == nil {
 		panic("ghostcore: thread attached outside Enclave.AddThread")
 	}
-	gt := &ghostThread{enc: enc, q: enc.defaultQueue}
+	gt := &ghostThread{enc: enc, q: enc.defaultQueue, latch: hw.NoCPU}
 	t.Ghost = gt
 	enc.threads[t.TID()] = t
 	g.postThreadMsg(t, MsgThreadCreated)
@@ -242,39 +268,26 @@ func (g *Class) Dequeue(t *kernel.Thread, r kernel.DequeueReason) {
 	}
 }
 
-// clearSlot removes t from any latch slot it occupies.
+// clearSlot frees the latch t holds, if any.
 func (g *Class) clearSlot(t *kernel.Thread) {
-	gt := gstate(t)
-	if gt == nil || !gt.latched {
-		return
-	}
-	gt.latched = false
-	found := false
-	for i, s := range g.slots {
-		if s == t {
-			g.setSlot(hw.CPUID(i), nil)
-			found = true
-			g.obsUnlatched(gt.enc, hw.CPUID(i), t, "clear")
-		}
-	}
-	for i, s := range g.inflight {
-		if s == t {
-			g.setInflight(hw.CPUID(i), nil)
-			found = true
-			g.obsUnlatched(gt.enc, hw.CPUID(i), t, "clear")
-		}
-	}
-	if !found {
-		// Latched flag without a slot (e.g. inflight entry already taken
-		// over): still announce the release so checkers stay consistent.
-		g.obsUnlatched(gt.enc, hw.NoCPU, t, "clear")
+	if gt := gstate(t); gt != nil && gt.latch != hw.NoCPU {
+		g.unlatch(gt.latch, "clear")
 	}
 }
 
-// Queued implements kernel.Class: only a latched transaction gives ghOSt
-// a claim on a CPU.
+// installed returns the thread latched on cpu whose install is done, nil
+// if none.
+func (g *Class) installed(cpu hw.CPUID) *kernel.Thread {
+	if l := &g.latches[cpu]; !l.inflight {
+		return l.t
+	}
+	return nil
+}
+
+// Queued implements kernel.Class: only an installed latch gives ghOSt a
+// claim on a CPU.
 func (g *Class) Queued(c *kernel.CPU) bool {
-	return g.slots[c.ID] != nil
+	return g.installed(c.ID) != nil
 }
 
 // Eligible implements kernel.Class: ghOSt threads run to completion until
@@ -284,34 +297,25 @@ func (g *Class) Eligible(c *kernel.CPU, running *kernel.Thread) bool { return tr
 // PickNext implements kernel.Class: install the latched thread, demoting
 // (and notifying) a running ghOSt thread if the transaction preempts it.
 func (g *Class) PickNext(c *kernel.CPU, prev *kernel.Thread) *kernel.Thread {
-	s := g.slots[c.ID]
+	s := g.installed(c.ID)
 	if s == nil {
 		return prev
 	}
+	gt := gstate(s)
 	if s == prev {
-		g.setSlot(c.ID, nil)
-		sgt := gstate(s)
-		sgt.latched = false
-		g.obsUnlatched(sgt.enc, c.ID, s, "switch-in")
-		g.obsInstalled(sgt.enc, c.ID, s)
+		g.unlatch(c.ID, "switch-in")
+		g.obsInstalled(gt.enc, c.ID, s)
 		return prev
 	}
 	if s.State() != kernel.StateRunnable || !s.Affinity().Has(c.ID) {
 		// The latched thread changed state between commit and install.
-		g.setSlot(c.ID, nil)
-		if gt := gstate(s); gt != nil {
-			gt.latched = false
-			g.obsUnlatched(gt.enc, c.ID, s, "stale")
-		}
+		g.unlatch(c.ID, "stale")
 		return prev
 	}
-	g.setSlot(c.ID, nil)
-	gt := gstate(s)
-	gt.latched = false
 	gt.runnable = false
 	gt.sw.OnCPU = true
 	gt.sw.CPU = c.ID
-	g.obsUnlatched(gt.enc, c.ID, s, "switch-in")
+	g.unlatch(c.ID, "switch-in")
 	g.obsInstalled(gt.enc, c.ID, s)
 	if prev != nil {
 		// Transactional preemption of the running ghOSt thread (§3.3).
@@ -357,11 +361,12 @@ func (g *Class) onTick(c *kernel.CPU) {
 }
 
 // onIdle is the BPF fastpath (§3.2): when a CPU in an enclave goes idle
-// with no latched transaction, the enclave's BPF program may commit a
-// thread immediately, closing the agent's scheduling gap.
+// with no committed transaction, installed or in flight, the enclave's
+// BPF program may commit a thread immediately, closing the agent's
+// scheduling gap.
 func (g *Class) onIdle(c *kernel.CPU) {
 	enc := g.cpuOwner[c.ID]
-	if enc == nil || enc.destroyed || enc.bpf == nil || g.slots[c.ID] != nil {
+	if enc == nil || enc.destroyed || enc.bpf == nil || g.held.Has(c.ID) {
 		return
 	}
 	t := enc.bpf.PickNextOnIdle(c.ID)
@@ -369,13 +374,12 @@ func (g *Class) onIdle(c *kernel.CPU) {
 		return
 	}
 	gt := gstate(t)
-	if gt == nil || gt.enc != enc || gt.latched || !gt.runnable ||
+	if gt == nil || gt.enc != enc || gt.latch != hw.NoCPU || !gt.runnable ||
 		t.State() != kernel.StateRunnable || !t.Affinity().Has(c.ID) {
 		return
 	}
-	gt.latched = true
 	gt.runnable = false
-	g.setSlot(c.ID, t)
+	g.setLatch(latch{cpu: c.ID, t: t, e: enc})
 	g.obsLatched(enc, c.ID, t)
 	g.BPFCommits++
 	if tr := g.k.Tracer(); tr != nil {

@@ -210,7 +210,7 @@ func (e *Enclave) Threads() []*kernel.Thread {
 func (e *Enclave) RunnableThreads() []*kernel.Thread {
 	var out []*kernel.Thread
 	for _, t := range e.threads {
-		if gt := gstate(t); gt != nil && gt.runnable && !gt.latched {
+		if gt := gstate(t); gt != nil && gt.runnable && gt.latch == hw.NoCPU {
 			out = append(out, t)
 		}
 	}
@@ -362,32 +362,20 @@ func (e *Enclave) SetTickless(on bool) {
 // cpu, nil if none: either an installed latch awaiting pick, or a commit
 // whose IPI is still in flight. Agents and policies use this to avoid
 // double-committing a CPU. It is non-nil only on Held CPUs, so callers
-// scanning many CPUs test Held first. An in-flight entry whose thread is
-// no longer latched is stale: LatchedFor clears it (and its held bit).
+// scanning many CPUs test Held first.
 func (e *Enclave) LatchedFor(cpu hw.CPUID) *kernel.Thread {
-	if e.g.Mut.DoubleLatch {
-		// Seeded double-latch bug: claim no commit is pending, so agents
-		// and policies happily commit a second thread to the CPU.
+	if e.g.Mut.DoubleLatch || !e.cpus.Has(cpu) {
+		// Under the seeded double-latch bug LatchedFor claims no commit
+		// is pending, so agents and policies commit a second thread to
+		// the CPU.
 		return nil
 	}
-	if !e.cpus.Has(cpu) {
-		return nil
-	}
-	if s := e.g.slots[cpu]; s != nil {
-		return s
-	}
-	if s := e.g.inflight[cpu]; s != nil {
-		if gt := gstate(s); gt != nil && gt.latched {
-			return s
-		}
-		e.g.setInflight(cpu, nil)
-	}
-	return nil
+	return e.g.latches[cpu].t
 }
 
-// Held returns the enclave CPUs with a latched slot or an in-flight
-// commit: the only CPUs where LatchedFor can return non-nil. The mask
-// may include stale in-flight entries that LatchedFor will clear.
+// Held returns the enclave CPUs holding a latch, installed or in flight:
+// exactly the CPUs where LatchedFor returns non-nil (unless the seeded
+// DoubleLatch mutation makes it lie).
 func (e *Enclave) Held() kernel.Mask { return e.g.held.And(e.cpus) }
 
 // DebugThreadState reports the ghOSt-side view of a thread (runnable,
@@ -397,7 +385,7 @@ func (e *Enclave) DebugThreadState(t *kernel.Thread) (runnable, latched bool) {
 	if gt == nil {
 		return false, false
 	}
-	return gt.runnable, gt.latched
+	return gt.runnable, gt.latch != hw.NoCPU
 }
 
 // DebugRunnableSince returns when the thread last entered the
@@ -493,21 +481,8 @@ func (e *Enclave) PreemptCPU(cpu hw.CPUID) {
 		return
 	}
 	g := e.g
-	if s := g.slots[cpu]; s != nil {
-		if gt := gstate(s); gt != nil {
-			gt.latched = false
-			g.obsUnlatched(e, cpu, s, "preempt-cpu")
-		}
-		g.setSlot(cpu, nil)
-		g.postThreadMsg(s, MsgThreadPreempted)
-	}
-	if s := g.inflight[cpu]; s != nil {
-		if gt := gstate(s); gt != nil && gt.latched {
-			gt.latched = false
-			g.obsUnlatched(e, cpu, s, "preempt-cpu")
-			g.postThreadMsg(s, MsgThreadPreempted)
-		}
-		g.setInflight(cpu, nil)
+	if g.held.Has(cpu) {
+		g.postThreadMsg(g.unlatch(cpu, "preempt-cpu"), MsgThreadPreempted)
 	}
 	curr := e.k.CPU(cpu).Curr()
 	if curr != nil && curr.Class() == kernel.Class(g) {
@@ -541,7 +516,7 @@ func (e *Enclave) validate(a *Agent, txn *Txn) (TxnStatus, string) {
 	if txn.ThreadSeq != 0 && gt.tseq > txn.ThreadSeq {
 		return TxnESTALE, "tseq"
 	}
-	if t.State() != kernel.StateRunnable || !gt.runnable || gt.latched {
+	if t.State() != kernel.StateRunnable || !gt.runnable || gt.latch != hw.NoCPU {
 		return TxnThreadNotRunnable, ""
 	}
 	if !t.Affinity().Has(txn.CPU) {
@@ -573,86 +548,53 @@ func (e *Enclave) commitOne(a *Agent, txn *Txn, groupSize int) {
 	e.apply(a, txn, groupSize)
 }
 
-// installRec carries one committed transaction's install parameters from
-// commit time to IPI arrival. Records are pooled on the Class and
-// dispatched through its pre-bound installFn, so the remote-commit hot
-// path schedules without allocating.
-type installRec struct {
-	e     *Enclave
-	t     *kernel.Thread
-	gt    *ghostThread
-	cpu   hw.CPUID
-	local bool
-	a     *Agent
-}
-
-func (g *Class) getInstallRec() *installRec {
-	if n := len(g.installPool); n > 0 {
-		rec := g.installPool[n-1]
-		g.installPool[n-1] = nil
-		g.installPool = g.installPool[:n-1]
-		return rec
-	}
-	return &installRec{}
-}
-
 // installFire adapts doInstall to the engine's pre-bound callback shape.
-func (g *Class) installFire(a any) { g.doInstall(a.(*installRec)) }
+func (g *Class) installFire(a any) { g.doInstall(a.(*latch)) }
 
-// doInstall performs the target-CPU side of a committed transaction:
-// clear the in-flight marker, re-check the thread is still installable,
-// then latch it into the CPU slot and trigger a scheduling pass.
-func (g *Class) doInstall(rec *installRec) {
-	e, t, gt, a := rec.e, rec.t, rec.gt, rec.a
-	cpu, local := rec.cpu, rec.local
-	*rec = installRec{}
-	g.installPool = append(g.installPool, rec)
-
-	if g.inflight[cpu] == t {
-		g.setInflight(cpu, nil)
-	}
-	if e.destroyed || !gt.latched || t.State() != kernel.StateRunnable {
-		return
-	}
-	if curr := e.k.CPU(cpu).Curr(); curr != nil && curr.Class() != kernel.Class(g) &&
-		!(local && a != nil && curr == a.thread) {
+// doInstall performs the target-CPU side of a committed transaction: the
+// latch stops being in flight and the CPU runs a scheduling pass. Every
+// path that frees a latch cancels its install, so l still holds the
+// committed thread.
+func (g *Class) doInstall(l *latch) {
+	l.inflight = false
+	e := l.e
+	if curr := e.k.CPU(l.cpu).Curr(); curr != nil && curr.Class() != kernel.Class(g) &&
+		!(l.local && l.a != nil && curr == l.a.thread) {
 		// The CPU was taken by a higher class while the IPI was in
 		// flight (a local commit's own agent is expected and about
 		// to yield); drop the latch and hand the thread back to the
 		// agent as a preemption rather than parking it forever.
-		gt.latched = false
-		g.obsUnlatched(e, cpu, t, "cpu-taken")
-		g.postThreadMsg(t, MsgThreadPreempted)
+		g.postThreadMsg(g.unlatch(l.cpu, "cpu-taken"), MsgThreadPreempted)
 		return
 	}
-	if old := g.slots[cpu]; old != nil && old != t && !g.Mut.DoubleLatch {
-		// Displaced latch: hand the old thread back to the agent. (Under
-		// the seeded DoubleLatch mutation the handback is skipped, so the
-		// displaced thread is silently lost — the bug the status-word
-		// oracle must catch.)
-		ogt := gstate(old)
-		ogt.latched = false
-		g.obsUnlatched(e, cpu, old, "displaced")
-		g.Enqueue(old, cpu, kernel.EnqPreempt)
-	}
-	g.setSlot(cpu, t)
-	e.k.Resched(cpu)
+	e.k.Resched(l.cpu)
 }
 
-// apply latches a validated transaction and schedules its install.
+// apply latches a validated transaction and schedules its install. A
+// commit to a CPU that already holds a latch displaces it: the old
+// thread goes back to the agent as THREAD_PREEMPTED, as the kernel
+// hands back a displaced latched task.
 func (e *Enclave) apply(a *Agent, txn *Txn, groupSize int) {
 	g := e.g
 	t := e.k.Thread(txn.TID)
-	gt := gstate(t)
 	local := a != nil && a.cpu == txn.CPU
 	txn.Status = TxnCommitted
 	g.TxnsOK++
-	gt.latched = true
-	g.setInflight(txn.CPU, t)
+	l := &g.latches[txn.CPU]
+	if l.t != nil {
+		if g.Mut.DoubleLatch {
+			// Seeded double-latch bug: the old latch is overwritten with
+			// no handback and no observer event, so its thread is lost,
+			// which the status-word oracle must catch.
+			l.ipi.Cancel()
+			gstate(l.t).latch = hw.NoCPU
+		} else {
+			g.Enqueue(g.unlatch(txn.CPU, "displaced"), txn.CPU, kernel.EnqPreempt)
+		}
+	}
+	g.setLatch(latch{cpu: txn.CPU, t: t, inflight: true, e: e, local: local, a: a})
 	g.obsLatched(e, txn.CPU, t)
 
-	rec := g.getInstallRec()
-	*rec = installRec{e: e, t: t, gt: gt, cpu: txn.CPU, local: local, a: a}
 	tr := e.k.Tracer()
 	if local {
 		if tr != nil {
@@ -661,7 +603,7 @@ func (e *Enclave) apply(a *Agent, txn *Txn, groupSize int) {
 			tr.TxnCommitted(e.k.Now(), e.id, uint64(txn.TID), txn.CPU, groupSize,
 				true, e.k.Cost().LocalSchedule)
 		}
-		g.doInstall(rec)
+		g.doInstall(l)
 		return
 	}
 	cross := a != nil && e.k.Topology().Dist(a.cpu, txn.CPU) == hw.DistRemote
@@ -683,7 +625,7 @@ func (e *Enclave) apply(a *Agent, txn *Txn, groupSize int) {
 		tr.TxnCommitted(e.k.Now(), e.id, uint64(txn.TID), txn.CPU, groupSize, false, lat)
 		tr.IPI(e.k.Now(), txn.CPU, delay, groupSize)
 	}
-	e.k.Engine().AfterCall(delay, g.installFn, rec)
+	l.ipi = e.k.Engine().AfterCall(delay, g.installFn, l)
 }
 
 // TxnsRecall revokes committed transactions whose target threads have
@@ -703,18 +645,10 @@ func (e *Enclave) TxnsRecall(txns []*Txn) int {
 		if t == nil {
 			continue
 		}
-		gt := gstate(t)
-		if gt == nil || gt.enc != e || !gt.latched {
+		if gt := gstate(t); gt == nil || gt.enc != e || gt.latch != txn.CPU {
 			continue
 		}
-		gt.latched = false
-		e.g.obsUnlatched(e, txn.CPU, t, "recall")
-		if e.g.slots[txn.CPU] == t {
-			e.g.setSlot(txn.CPU, nil)
-		}
-		if e.g.inflight[txn.CPU] == t {
-			e.g.setInflight(txn.CPU, nil)
-		}
+		e.g.unlatch(txn.CPU, "recall")
 		txn.Status = TxnRecalled
 		if tr := e.k.Tracer(); tr != nil {
 			tr.TxnRecalled(e.k.Now(), e.id, uint64(txn.TID), txn.CPU)
@@ -772,16 +706,11 @@ func (e *Enclave) DestroyWith(cause error) {
 	// Capture the managed set before the fallback empties it, so
 	// observers can audit that every thread left the ghOSt class.
 	managed := e.Threads()
-	// Clear latched slots.
+	// Free the latches, cancelling their pending installs.
 	e.cpus.ForEach(func(c hw.CPUID) bool {
-		if s := e.g.slots[c]; s != nil {
-			if gt := gstate(s); gt != nil {
-				gt.latched = false
-				e.g.obsUnlatched(e, c, s, "destroy")
-			}
-			e.g.setSlot(c, nil)
+		if e.g.held.Has(c) {
+			e.g.unlatch(c, "destroy")
 		}
-		e.g.setInflight(c, nil)
 		e.g.cpuOwner[c] = nil
 		return true
 	})
@@ -851,7 +780,7 @@ func watchdogFire(a any) {
 	// trace.
 	for _, t := range e.Threads() {
 		gt := gstate(t)
-		if gt != nil && gt.runnable && !gt.latched && now-gt.runnableSince > e.WatchdogTimeout {
+		if gt != nil && gt.runnable && gt.latch == hw.NoCPU && now-gt.runnableSince > e.WatchdogTimeout {
 			if tr := e.k.Tracer(); tr != nil {
 				tr.EnclaveEvent(now, e.id, "watchdog-fired", t.Name())
 			}

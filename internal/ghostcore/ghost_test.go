@@ -520,6 +520,29 @@ func TestBPFFastpath(t *testing.T) {
 		}
 	})
 
+	// A CPU whose commit is still in flight is not idle for BPF: the
+	// program is not consulted, and the commit stays latched.
+	t.Run("in-flight", func(t *testing.T) {
+		env := newGhostEnv(t)
+		committed := env.spawnGhost("committed", 10*sim.Microsecond, 1)
+		other := env.spawnGhost("other", 10*sim.Microsecond, 1)
+		env.enc.TxnsCommit(nil, []*Txn{env.enc.TxnCreate(committed.TID(), 3)})
+		picks := 0
+		env.enc.SetBPF(bpfFunc(func(cpu hw.CPUID) *kernel.Thread {
+			picks++
+			return other
+		}))
+		cpu := env.k.CPU(3)
+		if !cpu.Idle() {
+			t.Fatalf("cpu 3 not idle: running %v", cpu.Curr())
+		}
+		env.g.onIdle(cpu)
+		if picks != 0 || env.g.BPFCommits != 0 || env.enc.LatchedFor(3) != committed {
+			t.Fatalf("program consulted %d times, BPFCommits = %d, cpu 3 latched %v; want 0, 0, %v",
+				picks, env.g.BPFCommits, env.enc.LatchedFor(3), committed)
+		}
+	})
+
 	// Each case returns the thread the program will pick when env.enc's
 	// CPU 3 is idle.
 	stale := []struct {

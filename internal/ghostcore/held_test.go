@@ -8,9 +8,10 @@ import (
 )
 
 // heldChecker asserts, before every engine event, that the enclave's
-// Held mask equals the mask recomputed from its latched slots and
-// in-flight commits, destroyed or not. It chains any OnDispatch hook
-// already installed (the metrics tracer's) and only reads state.
+// Held mask equals the mask recomputed from LatchedFor, destroyed or
+// not, and that a thread reports itself latched exactly when one CPU's
+// latch holds it. It chains any OnDispatch hook already installed
+// (the metrics tracer's) and only reads state.
 type heldChecker struct {
 	t        *testing.T
 	enc      *ghost.Enclave
@@ -33,25 +34,43 @@ func (h *heldChecker) attach(m *ghost.Machine) {
 func (h *heldChecker) check(now ghost.Time) {
 	h.checks++
 	var want ghost.CPUMask
+	latchedOn := map[*ghost.Thread]ghost.CPUID{}
 	h.enc.CPUs().ForEach(func(cpu ghost.CPUID) bool {
-		if slot, inflight := h.enc.DebugSlots(cpu); slot != nil || inflight != nil {
+		if t := h.enc.LatchedFor(cpu); t != nil {
 			want.Set(cpu)
+			if prev, twice := latchedOn[t]; twice {
+				h.failf("t=%v enclave %d: thread %d latched on cpu%d and cpu%d", now, h.enc.ID(), t.TID(), prev, cpu)
+			}
+			latchedOn[t] = cpu
 		}
 		return true
 	})
 	got := h.enc.Held()
-	if got != want && h.failures < 5 {
-		h.t.Errorf("t=%v enclave %d: Held = %v, slots and in-flight commits hold %v", now, h.enc.ID(), got, want)
-		h.failures++
+	if got != want {
+		h.failf("t=%v enclave %d: Held = %v, LatchedFor holds %v", now, h.enc.ID(), got, want)
+	}
+	for _, t := range h.enc.Threads() {
+		_, latched := h.enc.DebugThreadState(t)
+		if _, held := latchedOn[t]; latched != held {
+			h.failf("t=%v enclave %d: thread %d reports latched=%v, a latch record holds it: %v", now, h.enc.ID(), t.TID(), latched, held)
+		}
 	}
 	if !got.Empty() {
 		h.nonEmpty++
 	}
 }
 
+// failf reports the first five failures.
+func (h *heldChecker) failf(format string, args ...any) {
+	if h.failures < 5 {
+		h.t.Errorf(format, args...)
+		h.failures++
+	}
+}
+
 // TestHeldMaskExact drives the held-CPU mask through lost IPIs, failed
 // commits, an agent crash with CFS fallback and a snapshot/restore round
-// trip, checking it against the slots before every event.
+// trip, checking it against the latch records before every event.
 func TestHeldMaskExact(t *testing.T) {
 	t.Run("faults", func(t *testing.T) {
 		// IPIs are still being lost when the agent crashes, so the

@@ -39,7 +39,7 @@ type Observer interface {
 	// Unlatched fires whenever a latch is released; why names the path
 	// (switch-in, displaced, recall, clear, destroy, ...).
 	Unlatched(e *Enclave, cpu hw.CPUID, t *kernel.Thread, why string)
-	// Installed fires when the scheduler switch-in consumes a latch slot.
+	// Installed fires when the scheduler switch-in consumes a latch.
 	Installed(e *Enclave, cpu hw.CPUID, t *kernel.Thread)
 	// TxnGroup fires once per TXNS_COMMIT(_ATOMIC) with final statuses.
 	TxnGroup(e *Enclave, txns []*Txn, atomic bool)
@@ -61,8 +61,9 @@ type Mutations struct {
 	// fault window (a classic lost-wakeup bug).
 	DropWakeup bool
 	// DoubleLatch makes LatchedFor lie (report no pending latch) and
-	// suppresses the displaced-latch handback in doInstall, so a second
-	// commit can silently overwrite a latched thread.
+	// makes a commit to a held CPU overwrite its latch without handing
+	// the old thread back (its install is cancelled), so the old thread
+	// is silently lost.
 	DoubleLatch bool
 }
 

@@ -30,7 +30,6 @@ type GhostThreadRec struct {
 	Tseq          uint64     `json:"tseq"`
 	SW            StatusWord `json:"sw"`
 	Runnable      bool       `json:"runnable,omitempty"`
-	Latched       bool       `json:"latched,omitempty"`
 	RunnableSince int64      `json:"runnableSince"`
 	Hint          *HintRec   `json:"hint,omitempty"`
 }
@@ -66,11 +65,13 @@ type EnclaveRec struct {
 	Tickless        bool             `json:"tickless,omitempty"`
 }
 
-// ClassRec is the full serialized ghOSt class state.
+// ClassRec is the full serialized ghOSt class state. Each CPU's latch
+// is in at most one of Slots and Inflight; a thread's latch is derived
+// from them.
 type ClassRec struct {
 	NextEncID int       `json:"nextEncID"`
-	Slots     []int     `json:"slots"`    // per-CPU latched TID, 0 none
-	Inflight  []int     `json:"inflight"` // per-CPU in-flight TID, 0 none
+	Slots     []int     `json:"slots"`    // per-CPU installed latch's TID, 0 none
+	Inflight  []int     `json:"inflight"` // per-CPU in-flight latch's TID, 0 none
 	Mut       Mutations `json:"mut"`
 
 	MsgsPosted uint64 `json:"msgsPosted"`
@@ -93,14 +94,15 @@ func (g *Class) SaveImage() (*ClassRec, error) {
 		TxnsFailed: g.TxnsFailed,
 		BPFCommits: g.BPFCommits,
 	}
-	rec.Slots = make([]int, len(g.slots))
-	rec.Inflight = make([]int, len(g.inflight))
-	for i := range g.slots {
-		if t := g.slots[i]; t != nil {
-			rec.Slots[i] = int(t.TID())
-		}
-		if t := g.inflight[i]; t != nil {
-			rec.Inflight[i] = int(t.TID())
+	rec.Slots = make([]int, len(g.latches))
+	rec.Inflight = make([]int, len(g.latches))
+	for i, l := range g.latches {
+		switch {
+		case l.t == nil:
+		case l.inflight:
+			rec.Inflight[i] = int(l.t.TID())
+		default:
+			rec.Slots[i] = int(l.t.TID())
 		}
 	}
 	for _, e := range g.enclaves {
@@ -176,7 +178,6 @@ func (e *Enclave) saveRec() (EnclaveRec, error) {
 			Tseq:          gt.tseq,
 			SW:            gt.sw,
 			Runnable:      gt.runnable,
-			Latched:       gt.latched,
 			RunnableSince: int64(gt.runnableSince),
 		}
 		qi, ok := qIndex[gt.q]
@@ -274,31 +275,43 @@ func (g *Class) RestoreImage(rec *ClassRec) error {
 	g.TxnsOK = rec.TxnsOK
 	g.TxnsFailed = rec.TxnsFailed
 	g.BPFCommits = rec.BPFCommits
-	if len(rec.Slots) > len(g.slots) || len(rec.Inflight) > len(g.inflight) {
+	if len(rec.Slots) > len(g.latches) || len(rec.Inflight) > len(g.latches) {
 		return fmt.Errorf("ghost slots list %d CPUs and in-flight commits %d, machine has %d",
-			len(rec.Slots), len(rec.Inflight), len(g.slots))
+			len(rec.Slots), len(rec.Inflight), len(g.latches))
 	}
-	for i := range g.slots {
-		cpu := hw.CPUID(i)
-		g.setSlot(cpu, nil)
-		g.setInflight(cpu, nil)
-	}
-	for i, tid := range rec.Slots {
-		if tid != 0 {
-			t := g.k.Thread(kernel.TID(tid))
-			if t == nil {
-				return fmt.Errorf("ghost slot cpu%d: thread T%d missing", i, tid)
-			}
-			g.setSlot(hw.CPUID(i), t)
+	// Free any latch the machine holds (none after an engine reset), then
+	// write the image's with no observer event. An in-flight latch's
+	// committing agent comes with its ghost.install event (EventForKind).
+	for cpu := range g.latches {
+		if g.held.Has(hw.CPUID(cpu)) {
+			g.unlatch(hw.CPUID(cpu), "restore")
 		}
 	}
-	for i, tid := range rec.Inflight {
-		if tid != 0 {
-			t := g.k.Thread(kernel.TID(tid))
-			if t == nil {
-				return fmt.Errorf("ghost inflight cpu%d: thread T%d missing", i, tid)
+	for _, list := range []struct {
+		tids     []int
+		inflight bool
+	}{{rec.Slots, false}, {rec.Inflight, true}} {
+		for i, tid := range list.tids {
+			if tid == 0 {
+				continue
 			}
-			g.setInflight(hw.CPUID(i), t)
+			cpu := hw.CPUID(i)
+			t := g.k.Thread(kernel.TID(tid))
+			var gt *ghostThread
+			if t != nil {
+				gt = gstate(t)
+			}
+			switch {
+			case gt == nil:
+				return fmt.Errorf("ghost latch cpu%d: ghOSt thread T%d missing", i, tid)
+			case !gt.enc.cpus.Has(cpu):
+				return fmt.Errorf("ghost latch cpu%d: outside thread T%d's enclave %d", i, tid, gt.enc.id)
+			case gt.latch != hw.NoCPU:
+				return fmt.Errorf("ghost latch cpu%d: thread T%d already latched on cpu%d", i, tid, gt.latch)
+			case g.held.Has(cpu):
+				return fmt.Errorf("ghost latch cpu%d: listed as both installed and in flight", i)
+			}
+			g.setLatch(latch{cpu: cpu, t: t, inflight: list.inflight, e: gt.enc})
 		}
 	}
 	for i := range rec.Enclaves {
@@ -376,7 +389,6 @@ func (e *Enclave) restoreRec(rec *EnclaveRec) error {
 		gt.tseq = tr.Tseq
 		gt.sw = tr.SW
 		gt.runnable = tr.Runnable
-		gt.latched = tr.Latched
 		gt.runnableSince = sim.Time(tr.RunnableSince)
 		gt.pendingMsgs = 0
 		gt.hint = nil
@@ -404,26 +416,28 @@ func (g *Class) ClassifyEvent(afn func(any), arg any) (kind string, args []int64
 	if e, isEnc := arg.(*Enclave); isEnc && sim.SameFn(afn, watchdogFire) {
 		return "ghost.watchdog", []int64{int64(e.id)}, true
 	}
-	rec, isRec := arg.(*installRec)
-	if !isRec || !sim.SameFn(afn, g.installFn) {
+	l, isLatch := arg.(*latch)
+	if !isLatch || !sim.SameFn(afn, g.installFn) {
 		return "", nil, false
 	}
 	local := int64(0)
-	if rec.local {
+	if l.local {
 		local = 1
 	}
 	agentCPU := int64(-1)
-	if rec.a != nil {
-		agentCPU = int64(rec.a.cpu)
+	if l.a != nil {
+		agentCPU = int64(l.a.cpu)
 	}
-	return "ghost.install", []int64{int64(rec.e.id), int64(rec.t.TID()), int64(rec.cpu), local, agentCPU}, true
+	return "ghost.install", []int64{int64(l.e.id), int64(l.t.TID()), int64(l.cpu), local, agentCPU}, true
 }
 
 // EventForKind rebuilds a serialized ghOSt-owned event callback, plus
 // an adopt function that makes a restored watchdog scan its enclave's
-// pending one. A watchdog event is refused for an enclave without a
-// watchdog or whose scan is already adopted: an enclave keeps at most
-// one pending.
+// pending one, or a restored install its latch's IPI. A watchdog event
+// is refused for an enclave without a watchdog or whose scan is already
+// adopted: an enclave keeps at most one pending. An install is refused
+// unless its CPU's latch is in flight for its thread with no install
+// adopted yet.
 func (g *Class) EventForKind(kind string, args []int64) (afn func(any), arg any, adopt func(sim.Event), ok bool) {
 	var e *Enclave
 	if len(args) > 0 {
@@ -440,14 +454,6 @@ func (g *Class) EventForKind(kind string, args []int64) (afn func(any), arg any,
 	case kind != "ghost.install" || len(args) != 5:
 		return nil, nil, nil, false
 	}
-	t := g.k.Thread(kernel.TID(args[1]))
-	if t == nil {
-		return nil, nil, nil, false
-	}
-	gt := gstate(t)
-	if gt == nil {
-		return nil, nil, nil, false
-	}
 	var a *Agent
 	if args[4] >= 0 {
 		a = e.agents[hw.CPUID(args[4])]
@@ -459,7 +465,10 @@ func (g *Class) EventForKind(kind string, args []int64) (afn func(any), arg any,
 	if !e.cpus.Has(cpu) {
 		return nil, nil, nil, false
 	}
-	rec := g.getInstallRec()
-	*rec = installRec{e: e, t: t, gt: gt, cpu: cpu, local: args[3] != 0, a: a}
-	return g.installFn, rec, nil, true
+	l := &g.latches[cpu]
+	if l.t == nil || int64(l.t.TID()) != args[1] || !l.inflight || l.e != e || l.ipi.Pending() {
+		return nil, nil, nil, false
+	}
+	l.local, l.a = args[3] != 0, a
+	return g.installFn, l, func(ev sim.Event) { l.ipi = ev }, true
 }

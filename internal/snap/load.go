@@ -123,9 +123,24 @@ func Load(t *Target, img *Image, opts LoadOpts) (*Result, error) {
 		}
 	}
 
-	// Phase 6: pending events with their original (at, seq) pairs.
+	// Phase 6: pending events with their original (at, seq) pairs. Each
+	// CPU has one tick (or its start stagger) pending and the balancer is
+	// one event: a second copy would fire twice per period.
+	ticks, balance := map[int64]bool{}, false
 	for i := range core.Events {
 		erec := &core.Events[i]
+		switch erec.Kind {
+		case "kernel.tick", "kernel.starttick":
+			if ticks[erec.Ref] {
+				return nil, fmt.Errorf("%w: event %d: a second tick for CPU %d", ErrCorrupt, i, erec.Ref)
+			}
+			ticks[erec.Ref] = true
+		case "kernel.cfs.balance":
+			if balance {
+				return nil, fmt.Errorf("%w: event %d: a second CFS balancer", ErrCorrupt, i)
+			}
+			balance = true
+		}
 		afn, arg, adopt, err := eventCallback(t, ctx, res.Sets, erec)
 		if err != nil {
 			return nil, err

@@ -822,6 +822,17 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 			}
 			t.Fatal("snapshot has no pending kernel.tick event")
 		}},
+		{"tick-twice", func(core map[string]any) {
+			core["events"] = append(core["events"].([]any), pendingEvent(t, core, "kernel.tick"))
+		}},
+		{"tick-and-starttick", func(core map[string]any) {
+			start := pendingEvent(t, core, "kernel.tick")
+			start["kind"] = "kernel.starttick"
+			core["events"] = append(core["events"].([]any), start)
+		}},
+		{"balance-twice", func(core map[string]any) {
+			core["events"] = append(core["events"].([]any), pendingEvent(t, core, "kernel.cfs.balance"))
+		}},
 		{"event-before-now", func(core map[string]any) { record(core, "events", 0)["at"] = 0 }},
 		{"event-seq-above-counter", func(core map[string]any) { record(core, "events", 0)["seq"] = core["seq"] }},
 		{"spinner-chunk-negative", func(core map[string]any) {
@@ -988,6 +999,37 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 		})
 	}
 
+	// A CPU holds at most one latch, in one of the two lists, on a CPU of
+	// its thread's enclave, and a thread at most one; an install is
+	// pending only for an in-flight latch, and only once.
+	inflight := wireWithInstall(t)
+	for _, tc := range []struct {
+		name   string
+		mutate func(core map[string]any, l installImage)
+	}{
+		{"latch-outside-enclave", func(core map[string]any, l installImage) {
+			ghostRec(core)["slots"].([]any)[10] = l.unlatched
+		}},
+		{"latch-thread-twice", func(core map[string]any, l installImage) {
+			ghostRec(core)["slots"].([]any)[l.freeCPU] = l.tid
+		}},
+		{"latch-cpu-in-both-lists", func(core map[string]any, l installImage) {
+			ghostRec(core)["slots"].([]any)[l.cpu] = l.unlatched
+		}},
+		{"install-not-in-flight", func(core map[string]any, l installImage) {
+			l.event["args"].([]any)[1] = l.unlatched
+		}},
+		{"install-twice", func(core map[string]any, l installImage) {
+			core["events"] = append(core["events"].([]any), copyEvent(l.event))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			requireRestoreCorrupt(t, resealSnapshot(t, inflight, func(core map[string]any) {
+				tc.mutate(core, findInstall(t, core))
+			}))
+		})
+	}
+
 	// An enclave keeps at most one watchdog scan pending, and only when
 	// it has a watchdog.
 	watched := wireAt1ms(t, buildServingEnc(40_000, ghost.NewFIFOPolicy(), ghost.Global(), []ghost.EnclaveOption{ghost.WithWatchdog(20 * ghost.Millisecond)}))
@@ -1089,17 +1131,112 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 // image's core JSON.
 func watchdogEvent(t *testing.T, core map[string]any) map[string]any {
 	t.Helper()
+	return pendingEvent(t, core, "ghost.watchdog")
+}
+
+// pendingEvent returns a copy of the first pending event of the given
+// kind in an image's core JSON.
+func pendingEvent(t *testing.T, core map[string]any, kind string) map[string]any {
+	t.Helper()
 	for _, ev := range core["events"].([]any) {
-		if ev := ev.(map[string]any); ev["kind"] == "ghost.watchdog" {
-			dup := map[string]any{}
-			for k, v := range ev {
-				dup[k] = v
-			}
-			return dup
+		if ev := ev.(map[string]any); ev["kind"] == kind {
+			return copyEvent(ev)
 		}
 	}
-	t.Fatal("snapshot has no pending ghost.watchdog event")
+	t.Fatalf("snapshot has no pending %s event", kind)
 	return nil
+}
+
+// copyEvent returns a copy of an event record, its args included.
+func copyEvent(ev map[string]any) map[string]any {
+	dup := map[string]any{}
+	for k, v := range ev {
+		dup[k] = v
+	}
+	if args, ok := ev["args"].([]any); ok {
+		dup["args"] = append([]any(nil), args...)
+	}
+	return dup
+}
+
+// wireWithInstall returns the wire bytes of a buildServing snapshot
+// taken at the first microsecond boundary after 1 ms with a
+// ghost.install event pending.
+func wireWithInstall(t *testing.T) []byte {
+	t.Helper()
+	m := buildServing()
+	defer m.Shutdown()
+	m.Run(ghost.Millisecond)
+	for i := 0; i < 1000; i++ {
+		if !m.Ghost.Enclaves()[0].Held().Empty() {
+			s, err := m.Snapshot()
+			if err != nil {
+				t.Fatalf("Snapshot: %v", err)
+			}
+			var buf bytes.Buffer
+			if _, err := s.WriteTo(&buf); err != nil {
+				t.Fatalf("WriteTo: %v", err)
+			}
+			for _, ev := range snapshotCore(t, buf.Bytes())["events"].([]any) {
+				if ev.(map[string]any)["kind"] == "ghost.install" {
+					return buf.Bytes()
+				}
+			}
+		}
+		m.Run(ghost.Microsecond)
+	}
+	t.Fatal("no install pending at any snapshot point")
+	return nil
+}
+
+// installImage locates a pending install in an image's core JSON.
+type installImage struct {
+	event     map[string]any // the ghost.install event record
+	tid       any            // its thread, latched in flight on cpu
+	cpu       int
+	freeCPU   int // an enclave CPU that holds no latch
+	unlatched any // a ghOSt thread that holds no latch
+}
+
+// findInstall returns the first pending install of an image whose
+// enclave is CPUs 0-3.
+func findInstall(t *testing.T, core map[string]any) installImage {
+	t.Helper()
+	var l installImage
+	for _, ev := range core["events"].([]any) {
+		if ev := ev.(map[string]any); ev["kind"] == "ghost.install" {
+			args := ev["args"].([]any)
+			l.event, l.tid, l.cpu = ev, args[1], int(args[2].(float64))
+			break
+		}
+	}
+	if l.event == nil {
+		t.Fatal("snapshot has no pending ghost.install event")
+	}
+	g := core["ghost"].(map[string]any)
+	slots, inflight := g["slots"].([]any), g["inflight"].([]any)
+	latched := map[float64]bool{}
+	for _, list := range [][]any{slots, inflight} {
+		for _, tid := range list {
+			latched[tid.(float64)] = true
+		}
+	}
+	l.freeCPU = -1
+	for cpu := 0; cpu < 4 && l.freeCPU < 0; cpu++ {
+		if slots[cpu].(float64) == 0 && inflight[cpu].(float64) == 0 {
+			l.freeCPU = cpu
+		}
+	}
+	for _, tr := range g["enclaves"].([]any)[0].(map[string]any)["threads"].([]any) {
+		if tid := tr.(map[string]any)["tid"].(float64); !latched[tid] {
+			l.unlatched = tid
+			break
+		}
+	}
+	if l.freeCPU < 0 || l.unlatched == nil {
+		t.Fatalf("snapshot has no free enclave CPU (%d) or no unlatched thread (%v)", l.freeCPU, l.unlatched)
+	}
+	return l
 }
 
 // addRunQueues appends one run-queue record per TID list to a per-CPU
@@ -1146,7 +1283,7 @@ func editPolicy(t *testing.T, set map[string]any, edit func(st map[string]any)) 
 
 // Restore reads no flag that a list implies: values under the retired
 // keys (a tracker's enqueued, a CFS or MicroQuanta thread's onRq and
-// CFS rqCPU) are ignored, so an image that sets them on threads no queue
+// CFS rqCPU, a ghOSt thread's latched) are ignored, so an image that sets them on threads no queue
 // lists, as an image from an older tree may, restores to the same run as
 // the image without them.
 func TestRestoreIgnoresRetiredKeys(t *testing.T) {
@@ -1199,6 +1336,23 @@ func TestRestoreIgnoresRetiredKeys(t *testing.T) {
 				queued[tid.(float64)] = true
 			}
 			return setUnlisted(kern, "mq", queued, map[string]any{"onRq": true})
+		}},
+		{"ghost-latched", func() *ghost.Machine { return buildServing() }, func(core map[string]any) int {
+			g := core["ghost"].(map[string]any)
+			latched := map[float64]bool{}
+			for _, list := range []string{"slots", "inflight"} {
+				for _, tid := range g[list].([]any) {
+					latched[tid.(float64)] = true
+				}
+			}
+			n := 0
+			for _, tr := range g["enclaves"].([]any)[0].(map[string]any)["threads"].([]any) {
+				if tr := tr.(map[string]any); !latched[tr["tid"].(float64)] {
+					tr["latched"] = true
+					n++
+				}
+			}
+			return n
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
