@@ -179,10 +179,10 @@ var (
 // Invariant checking (attach with WithInvariants; see cmd/ghost-check
 // for the standalone property-based scanner).
 type (
-	// InvariantOracle checks one protocol invariant online. It is a
-	// ghOSt protocol observer of its own, plus a name, a switch-in hook
-	// and an end-of-run check; custom oracles implement
-	// internal/check.Oracle by embedding check.Base.
+	// InvariantOracle checks one protocol invariant online. It has a
+	// name and embeds check.Base for the checker it reports through;
+	// it is called only for the events it has methods for: ghOSt
+	// protocol events, the switch-in hook and the end-of-run check.
 	InvariantOracle = check.Oracle
 	// InvariantChecker collects violations from the attached oracles.
 	InvariantChecker = check.Checker

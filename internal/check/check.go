@@ -19,7 +19,6 @@ import (
 	"fmt"
 
 	"ghost/internal/ghostcore"
-	"ghost/internal/hw"
 	"ghost/internal/kernel"
 	"ghost/internal/sim"
 )
@@ -39,40 +38,29 @@ func (v Violation) String() string {
 const maxViolations = 64
 
 // Oracle checks one protocol invariant. Each oracle is a ghostcore
-// observer of its own: Attach registers it on the class, which calls it
-// for every protocol event. The checker adds the kernel's switch-in and
-// the end-of-run check. Implementations embed Base for no-op defaults
-// and the Checker they report through, and override the events they
-// watch.
+// observer of its own: Attach files it under every protocol event it has
+// a method for (the ghostcore *Observer interfaces), under the kernel's
+// switch-in if it has SwitchIn(cpu *kernel.CPU, t *kernel.Thread), and
+// under the end-of-run check if it has Finish(now sim.Time). An oracle
+// is called for the events it watches and no others. Implementations
+// embed Base for the Checker they report through.
 type Oracle interface {
-	ghostcore.Observer
 	Name() string
-	SwitchIn(cpu *kernel.CPU, t *kernel.Thread)
-	Finish(now sim.Time)
 	attach(c *Checker)
 }
 
-// Base provides no-op Oracle methods and holds the Checker the oracle
-// reports through, set once by Attach.
+// Base holds the Checker an oracle reports through, set once by Attach.
 type Base struct{ c *Checker }
 
 func (b *Base) attach(c *Checker) { b.c = c }
 
-func (Base) Tseq(*ghostcore.Enclave, *kernel.Thread, uint64, uint64, ghostcore.MsgType) {}
-func (Base) Aseq(*ghostcore.Enclave, *ghostcore.Agent, uint64, uint64)                  {}
-func (Base) MsgIntent(*ghostcore.Enclave, kernel.TID, ghostcore.MsgType)                {}
-func (Base) MsgDelivered(*ghostcore.Enclave, ghostcore.Message, bool, bool)             {}
-func (Base) MsgFaultDropped(*ghostcore.Enclave, ghostcore.Message)                      {}
-func (Base) MsgDelayed(*ghostcore.Enclave, ghostcore.Message)                           {}
-func (Base) MsgDiscarded(*ghostcore.Enclave, ghostcore.Message)                         {}
-func (Base) MsgDrained(*ghostcore.Enclave, ghostcore.Message)                           {}
-func (Base) Latched(*ghostcore.Enclave, hw.CPUID, *kernel.Thread)                       {}
-func (Base) Unlatched(*ghostcore.Enclave, hw.CPUID, *kernel.Thread, string)             {}
-func (Base) Installed(*ghostcore.Enclave, hw.CPUID, *kernel.Thread)                     {}
-func (Base) TxnGroup(*ghostcore.Enclave, []*ghostcore.Txn, bool)                        {}
-func (Base) SwitchIn(*kernel.CPU, *kernel.Thread)                                       {}
-func (Base) Destroyed(*ghostcore.Enclave, error, []*kernel.Thread)                      {}
-func (Base) Finish(sim.Time)                                                            {}
+// The checker's own events: the kernel's switch-in and the end of run.
+type (
+	switcher interface {
+		SwitchIn(cpu *kernel.CPU, t *kernel.Thread)
+	}
+	finisher interface{ Finish(now sim.Time) }
+)
 
 // Checker collects the violations of a set of oracles. Attach wires the
 // oracles to a class and kernel; Finish runs the end-of-run checks. One
@@ -86,20 +74,26 @@ type Checker struct {
 	LostThreshold sim.Duration
 
 	oracles    []Oracle
+	finishers  []finisher
 	violations []Violation
 	finished   bool
 }
 
-// Attach registers each oracle on the class as a protocol observer, in
-// order, and the checker on the kernel's switch hook, and returns the
-// checker.
+// Attach registers each oracle, in order, on the class as a protocol
+// observer and on the kernel's switch hook if it has SwitchIn, and
+// returns the checker.
 func Attach(k *kernel.Kernel, g *ghostcore.Class, oracles ...Oracle) *Checker {
 	c := &Checker{k: k, g: g, oracles: oracles, LostThreshold: 10 * sim.Millisecond}
 	for _, o := range oracles {
 		o.attach(c)
 		g.AddObserver(o)
+		if s, ok := o.(switcher); ok {
+			k.AddSwitchHook(s.SwitchIn)
+		}
+		if f, ok := o.(finisher); ok {
+			c.finishers = append(c.finishers, f)
+		}
 	}
-	k.AddSwitchHook(c.onSwitch)
 	return c
 }
 
@@ -150,13 +144,7 @@ func (c *Checker) Finish(now sim.Time) {
 		return
 	}
 	c.finished = true
-	for _, o := range c.oracles {
+	for _, o := range c.finishers {
 		o.Finish(now)
-	}
-}
-
-func (c *Checker) onSwitch(cpu *kernel.CPU, t *kernel.Thread) {
-	for _, o := range c.oracles {
-		o.SwitchIn(cpu, t)
 	}
 }

@@ -2,6 +2,8 @@ package check
 
 import (
 	"testing"
+
+	"ghost/internal/sim"
 )
 
 // findCaught scans generated ghost-policy scenarios with the given
@@ -115,4 +117,36 @@ func TestMutationDropWakeup(t *testing.T) {
 // they own one CPU; the status-word oracle must catch the double latch.
 func TestMutationDoubleLatch(t *testing.T) {
 	checkMutation(t, "double-latch", []string{"status-word"}, nil)
+}
+
+// TestMutationScanCounts pins how many of seeds 1-40 each seeded bug
+// makes fail, as `ghost-check -seeds 40 -mutate <name>` scans them: a
+// faster oracle must not catch fewer.
+func TestMutationScanCounts(t *testing.T) {
+	want := map[string]int{"skip-tseq": 34, "drop-wakeup": 10, "double-latch": 29}
+	for _, mutation := range MutationNames() {
+		failed := 0
+		for seed := uint64(1); seed <= 40; seed++ {
+			s := Generate(seed)
+			s.Mutation = mutation
+			if s.Run().Failed() {
+				failed++
+			}
+		}
+		if failed != want[mutation] {
+			t.Errorf("mutation %q: %d of seeds 1-40 failed, want %d", mutation, failed, want[mutation])
+		}
+	}
+}
+
+// TestSeqAcrossUpgrade: an in-place upgrade attaches a new agent
+// generation on each CPU, whose Aseq starts over. The sequence oracle
+// tracks each generation on its own and must stay silent; one that
+// merged the generations of a CPU would report a regression.
+func TestSeqAcrossUpgrade(t *testing.T) {
+	s := Scenario{Seed: 1, Policy: "central-fifo", CPUs: 4, Threads: 6,
+		Horizon: 20 * sim.Millisecond, FaultSpec: "upgrade@5.000ms"}
+	if res := s.Run(); res.Failed() {
+		t.Fatalf("%s: unexpected violations: %v", s.Repro(), res.Violations)
+	}
 }

@@ -1,7 +1,9 @@
 package check
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sort"
 
 	"ghost/internal/ghostcore"
@@ -15,16 +17,17 @@ import (
 // depends on this).
 type seqOracle struct {
 	Base
-	tseq map[*kernel.Thread]uint64
-	aseq map[*ghostcore.Agent]uint64
+	tseq []seqMark // by thread TID
+	aseq []seqMark // by agent thread TID: each agent generation has its own
 }
 
-func newSeqOracle() *seqOracle {
-	return &seqOracle{
-		tseq: make(map[*kernel.Thread]uint64),
-		aseq: make(map[*ghostcore.Agent]uint64),
-	}
+// seqMark is the sequence number the latest event advanced to.
+type seqMark struct {
+	last uint64
+	seen bool
 }
+
+func newSeqOracle() *seqOracle { return &seqOracle{} }
 
 func (o *seqOracle) Name() string { return "seq-monotonic" }
 
@@ -33,11 +36,11 @@ func (o *seqOracle) Tseq(e *ghostcore.Enclave, t *kernel.Thread, old, new uint64
 		o.c.Reportf(o, "enc%d thread %d tseq did not advance on %v: %d -> %d",
 			e.ID(), t.TID(), mt, old, new)
 	}
-	if last, ok := o.tseq[t]; ok && old != last {
+	if m := at(&o.tseq, int(t.TID())); m.seen && old != m.last {
 		o.c.Reportf(o, "enc%d thread %d tseq regressed or skipped: last seen %d, event from %d",
-			e.ID(), t.TID(), last, old)
+			e.ID(), t.TID(), m.last, old)
 	}
-	o.tseq[t] = new
+	o.tseq[t.TID()] = seqMark{new, true}
 }
 
 func (o *seqOracle) Aseq(e *ghostcore.Enclave, a *ghostcore.Agent, old, new uint64) {
@@ -45,11 +48,12 @@ func (o *seqOracle) Aseq(e *ghostcore.Enclave, a *ghostcore.Agent, old, new uint
 		o.c.Reportf(o, "enc%d agent cpu%d aseq did not advance: %d -> %d",
 			e.ID(), a.CPU(), old, new)
 	}
-	if last, ok := o.aseq[a]; ok && old != last {
+	tid := a.Thread().TID()
+	if m := at(&o.aseq, int(tid)); m.seen && old != m.last {
 		o.c.Reportf(o, "enc%d agent cpu%d aseq regressed or skipped: last seen %d, event from %d",
-			e.ID(), a.CPU(), last, old)
+			e.ID(), a.CPU(), m.last, old)
 	}
-	o.aseq[a] = new
+	o.aseq[tid] = seqMark{new, true}
 }
 
 // statusWordOracle checks status-word/state-machine consistency: a
@@ -66,7 +70,8 @@ func (o *seqOracle) Aseq(e *ghostcore.Enclave, a *ghostcore.Agent, old, new uint
 // switch-in seeds the index with every thread of every live enclave.
 type statusWordOracle struct {
 	Base
-	latched map[*kernel.Thread]hw.CPUID
+	latchedOn []hw.CPUID // by TID: 1 + the CPU the thread believes it is latched on, 0 if none
+	believers []int      // by CPU: threads that believe they are latched there
 
 	seeded bool
 	dirty  []swClaim // threads whose status word may have changed since the last switch-in
@@ -80,9 +85,7 @@ type swClaim struct {
 	t *kernel.Thread
 }
 
-func newStatusWordOracle() *statusWordOracle {
-	return &statusWordOracle{latched: make(map[*kernel.Thread]hw.CPUID)}
-}
+func newStatusWordOracle() *statusWordOracle { return &statusWordOracle{} }
 
 func (o *statusWordOracle) Name() string { return "status-word" }
 
@@ -137,15 +140,14 @@ func (o *statusWordOracle) fold(d swClaim) {
 	if sw := d.e.StatusWord(d.t); sw == nil || !sw.OnCPU {
 		return
 	}
-	tid := d.t.TID()
-	i := sort.Search(len(o.claims), func(i int) bool { return o.claims[i].t.TID() >= tid })
-	if i < len(o.claims) && o.claims[i].t == d.t {
+	i, found := slices.BinarySearchFunc(o.claims, d.t.TID(), func(cl swClaim, tid kernel.TID) int {
+		return cmp.Compare(cl.t.TID(), tid)
+	})
+	if found {
 		o.claims[i].e = d.e
 		return
 	}
-	o.claims = append(o.claims, swClaim{})
-	copy(o.claims[i+1:], o.claims[i:])
-	o.claims[i] = d
+	o.claims = slices.Insert(o.claims, i, d)
 }
 
 // checkEnclave checks e's OnCpu claims: each claimed thread must be
@@ -207,15 +209,23 @@ func (o *statusWordOracle) reportDoubleClaims(e *ghostcore.Enclave) {
 }
 
 func (o *statusWordOracle) Latched(e *ghostcore.Enclave, cpu hw.CPUID, t *kernel.Thread) {
-	if prev, ok := o.latched[t]; ok && prev != cpu {
-		o.c.Reportf(o, "enc%d thread %d latched on cpu%d while still latched on cpu%d",
-			e.ID(), t.TID(), cpu, prev)
+	on := at(&o.latchedOn, int(t.TID()))
+	if *on != 0 {
+		if prev := *on - 1; prev != cpu {
+			o.c.Reportf(o, "enc%d thread %d latched on cpu%d while still latched on cpu%d",
+				e.ID(), t.TID(), cpu, prev)
+		}
+		o.believers[*on-1]--
 	}
-	o.latched[t] = cpu
+	*on = cpu + 1
+	*at(&o.believers, int(cpu))++
 }
 
 func (o *statusWordOracle) Unlatched(e *ghostcore.Enclave, cpu hw.CPUID, t *kernel.Thread, why string) {
-	delete(o.latched, t)
+	if on := at(&o.latchedOn, int(t.TID())); *on != 0 {
+		o.believers[*on-1]--
+		*on = 0
+	}
 }
 
 func (o *statusWordOracle) Installed(e *ghostcore.Enclave, cpu hw.CPUID, t *kernel.Thread) {
@@ -223,17 +233,17 @@ func (o *statusWordOracle) Installed(e *ghostcore.Enclave, cpu hw.CPUID, t *kern
 	// A switch-in consumed cpu's latch slot; no other thread may still
 	// believe it is latched there — that would mean a commit overwrote
 	// the slot without handing the displaced thread back (double latch).
+	if n := *at(&o.believers, int(cpu)); n == 0 || n == 1 && *at(&o.latchedOn, int(t.TID())) == cpu+1 {
+		return
+	}
 	var stuck []kernel.TID
-	for th, lcpu := range o.latched {
-		if lcpu == cpu && th != t {
-			stuck = append(stuck, th.TID())
+	for tid, on := range o.latchedOn {
+		if on == cpu+1 && kernel.TID(tid) != t.TID() {
+			stuck = append(stuck, kernel.TID(tid))
 		}
 	}
-	if len(stuck) > 0 {
-		sort.Slice(stuck, func(i, j int) bool { return stuck[i] < stuck[j] })
-		o.c.Reportf(o, "enc%d: cpu%d installed thread %d while threads %v are still latched there (double latch)",
-			e.ID(), cpu, t.TID(), stuck)
-	}
+	o.c.Reportf(o, "enc%d: cpu%d installed thread %d while threads %v are still latched there (double latch)",
+		e.ID(), cpu, t.TID(), stuck)
 }
 
 // atomicityOracle checks group-commit atomicity (§4.5): an atomic
@@ -302,25 +312,12 @@ func newConservationOracle() *conservationOracle { return &conservationOracle{} 
 
 func (o *conservationOracle) Name() string { return "msg-conservation" }
 
-// enclave returns the ledger of enclave id, growing the table to hold it.
-func (o *conservationOracle) enclave(id int) *encLedger {
-	for len(o.encs) <= id {
-		o.encs = append(o.encs, encLedger{})
-	}
-	return &o.encs[id]
-}
-
 func (o *conservationOracle) line(e *ghostcore.Enclave, tid kernel.TID, mt ghostcore.MsgType) *msgCount {
-	el := o.enclave(e.ID())
-	for len(el.rows) <= int(tid) {
-		el.rows = append(el.rows, nil)
+	row := at(&at(&o.encs, e.ID()).rows, int(tid))
+	if *row == nil {
+		*row = new(msgRow)
 	}
-	row := el.rows[tid]
-	if row == nil {
-		row = new(msgRow)
-		el.rows[tid] = row
-	}
-	return &row[mt]
+	return &(*row)[mt]
 }
 
 func (o *conservationOracle) MsgIntent(e *ghostcore.Enclave, tid kernel.TID, mt ghostcore.MsgType) {
@@ -382,7 +379,7 @@ func (o *conservationOracle) MsgDrained(e *ghostcore.Enclave, m ghostcore.Messag
 }
 
 func (o *conservationOracle) Destroyed(e *ghostcore.Enclave, cause error, threads []*kernel.Thread) {
-	o.enclave(e.ID()).excused = true
+	at(&o.encs, e.ID()).excused = true
 }
 
 func (o *conservationOracle) Finish(now sim.Time) {
@@ -416,18 +413,18 @@ func (o *conservationOracle) Finish(now sim.Time) {
 // nobody knows about is lost.
 type lostThreadOracle struct {
 	Base
-	excusedTID map[kernel.TID]bool     // messages fault-dropped: agent is blind
-	informed   map[kernel.TID]sim.Time // last drain of a runnable-indicating message
-	queued     map[kernel.TID]int      // undrained runnable-indicating messages
+	threads []lostMark // by TID
 }
 
-func newLostThreadOracle() *lostThreadOracle {
-	return &lostThreadOracle{
-		excusedTID: make(map[kernel.TID]bool),
-		informed:   make(map[kernel.TID]sim.Time),
-		queued:     make(map[kernel.TID]int),
-	}
+// lostMark is what the agent has been told about one thread.
+type lostMark struct {
+	excused  bool     // a message was fault-dropped: the agent is blind
+	drained  bool     // informed is set
+	queued   int      // undrained runnable-indicating messages
+	informed sim.Time // last drain of a runnable-indicating message
 }
+
+func newLostThreadOracle() *lostThreadOracle { return &lostThreadOracle{} }
 
 func (o *lostThreadOracle) Name() string { return "no-lost-thread" }
 
@@ -435,7 +432,7 @@ func (o *lostThreadOracle) MsgFaultDropped(e *ghostcore.Enclave, m ghostcore.Mes
 	if m.TID != 0 {
 		// A legitimately dropped message means only the watchdog can
 		// recover this thread; don't second-guess the fault window.
-		o.excusedTID[m.TID] = true
+		at(&o.threads, int(m.TID)).excused = true
 	}
 }
 
@@ -444,23 +441,24 @@ func (o *lostThreadOracle) MsgDelivered(e *ghostcore.Enclave, m ghostcore.Messag
 		// Delayed messages were already counted at MsgDelayed.
 		return
 	}
-	o.queued[m.TID]++
+	at(&o.threads, int(m.TID)).queued++
 }
 
 func (o *lostThreadOracle) MsgDelayed(e *ghostcore.Enclave, m ghostcore.Message) {
 	if m.TID == 0 || !m.Runnable {
 		return
 	}
-	o.queued[m.TID]++
+	at(&o.threads, int(m.TID)).queued++
 }
 
 func (o *lostThreadOracle) MsgDrained(e *ghostcore.Enclave, m ghostcore.Message) {
 	if m.TID == 0 || !m.Runnable {
 		return
 	}
-	o.informed[m.TID] = o.c.k.Now()
-	if o.queued[m.TID] > 0 {
-		o.queued[m.TID]--
+	lm := at(&o.threads, int(m.TID))
+	lm.informed, lm.drained = o.c.k.Now(), true
+	if lm.queued > 0 {
+		lm.queued--
 	}
 }
 
@@ -479,11 +477,12 @@ func (o *lostThreadOracle) Finish(now sim.Time) {
 				continue
 			}
 			tid := t.TID()
-			if o.excusedTID[tid] || o.queued[tid] > 0 {
+			lm := *at(&o.threads, int(tid))
+			if lm.excused || lm.queued > 0 {
 				continue
 			}
 			since := e.DebugRunnableSince(t)
-			if ts, ok := o.informed[tid]; ok && ts >= since {
+			if lm.drained && lm.informed >= since {
 				// The agent drained a runnable message after the thread
 				// last became runnable: it knows, and scheduling order is
 				// its prerogative.
@@ -546,3 +545,17 @@ func (o *fallbackOracle) Finish(now sim.Time) {
 		o.checkFallback(r.enc, r.threads)
 	}
 }
+
+// at returns &(*s)[i], growing *s with zero values to hold index i.
+func at[T any](s *[]T, i int) *T {
+	if i >= len(*s) {
+		grow(s, i)
+	}
+	return &(*s)[i]
+}
+
+// grow is at's cold path. Tables grow to the largest index seen, never
+// to kernel.MaxTID.
+//
+//go:noinline
+func grow[T any](s *[]T, i int) { *s = append(*s, make([]T, i+1-len(*s))...) }

@@ -203,8 +203,12 @@ func (c *Checker) PrimeResumed() {
 	for _, e := range c.g.Enclaves() {
 		e.EachQueuedMessage(func(m ghostcore.Message) {
 			for _, o := range c.oracles {
-				o.MsgIntent(e, m.TID, m.Type)
-				o.MsgDelivered(e, m, false, false)
+				if x, ok := o.(ghostcore.MsgIntentObserver); ok {
+					x.MsgIntent(e, m.TID, m.Type)
+				}
+				if x, ok := o.(ghostcore.MsgDeliveredObserver); ok {
+					x.MsgDelivered(e, m, false, false)
+				}
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package check
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -364,7 +365,7 @@ func ParseRepro(spec string) (Scenario, error) {
 		case "seed":
 			s.Seed, err = strconv.ParseUint(val, 10, 64)
 		case "policy":
-			if !validPolicy(val) {
+			if !slices.Contains(policyNames, val) {
 				err = fmt.Errorf("unknown policy %q (have %s)", val, strings.Join(policyNames, ", "))
 			}
 			s.Policy = val
@@ -394,7 +395,7 @@ func ParseRepro(spec string) (Scenario, error) {
 			_, err = faults.ParsePlan(val, 0)
 			s.FaultSpec = val
 		case "mutate":
-			if val != "" && !contains(MutationNames(), val) {
+			if val != "" && !slices.Contains(MutationNames(), val) {
 				err = fmt.Errorf("unknown mutation %q", val)
 			}
 			s.Mutation = val
@@ -409,17 +410,6 @@ func ParseRepro(spec string) (Scenario, error) {
 		return s, fmt.Errorf("check: repro %q missing policy=", spec)
 	}
 	return s, nil
-}
-
-func validPolicy(name string) bool { return contains(policyNames, name) }
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // parseDur parses Go duration syntax (including the "us" spelling the

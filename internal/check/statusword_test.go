@@ -278,3 +278,22 @@ func BenchmarkCheckScenario(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCheckScenarioNoOracles runs BenchmarkCheckScenario's
+// scenarios as Run does but with no checker attached; the difference
+// between the two is what checking costs.
+func BenchmarkCheckScenarioNoOracles(b *testing.B) {
+	var scenarios []Scenario
+	for seed := uint64(1); seed <= 16; seed++ {
+		scenarios = append(scenarios, Generate(seed))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range scenarios {
+			rg := s.buildShell()
+			s.populate(rg)
+			rg.eng.RunFor(s.Horizon)
+			rg.k.Shutdown()
+		}
+	}
+}

@@ -58,9 +58,9 @@ type Class struct {
 	// committing a transaction allocates nothing.
 	installFn func(any)
 
-	// observers receive protocol events (invariant checking); empty in
-	// normal operation so every emission is a nil-slice loop.
-	observers []Observer
+	// obs lists the protocol observers of each event (invariant
+	// checking); empty in normal operation.
+	obs observers
 	// Mut holds intentionally seeded protocol bugs for the checker's
 	// mutation tests; the zero value is correct behavior.
 	Mut Mutations
@@ -189,16 +189,12 @@ func (g *Class) postThreadMsg(t *kernel.Thread, mt MsgType) {
 	if gt == nil || gt.enc.destroyed {
 		return
 	}
-	if len(g.observers) > 0 {
-		g.obsMsgIntent(gt.enc, t.TID(), mt)
-	}
+	g.obsMsgIntent(gt.enc, t.TID(), mt)
 	old := gt.tseq
 	if !(g.Mut.SkipTseqBump && mt == MsgThreadWakeup) {
 		gt.tseq++
 	}
-	if len(g.observers) > 0 {
-		g.obsTseq(gt.enc, t, old, gt.tseq, mt)
-	}
+	g.obsTseq(gt.enc, t, old, gt.tseq, mt)
 	gt.sw.Seq = gt.tseq
 	gt.sw.Runnable = gt.runnable
 	switch mt {

@@ -10,8 +10,6 @@ func (q *Queue) Pop() (Message, bool) {
 	m := q.buf[q.head&uint64(len(q.buf)-1)]
 	q.head++
 	q.uncount(m)
-	if g := q.enc.g; len(g.observers) > 0 {
-		g.obsMsgDrained(q.enc, m)
-	}
+	q.enc.g.obsMsgDrained(q.enc, m)
 	return m, true
 }

@@ -205,16 +205,12 @@ func (q *Queue) deliver(m Message, dup, delayed bool) {
 		tr.MsgPosted(q.enc.k.Now(), q.enc.id, q.name, m.Type.String(), uint64(m.TID), q.Len())
 	}
 	g := q.enc.g
-	if len(g.observers) > 0 {
-		g.obsMsgDelivered(q.enc, m, dup, delayed)
-	}
+	g.obsMsgDelivered(q.enc, m, dup, delayed)
 	if q.seqAgent != nil {
 		old := q.seqAgent.aseq
 		q.seqAgent.aseq++
 		q.seqAgent.sw.Seq = q.seqAgent.aseq
-		if len(g.observers) > 0 {
-			g.obsAseq(q.enc, q.seqAgent, old, q.seqAgent.aseq)
-		}
+		g.obsAseq(q.enc, q.seqAgent, old, q.seqAgent.aseq)
 	}
 	if q.wakeAgent != nil && q.wakeAgent.thread != nil {
 		k := q.enc.k
@@ -242,9 +238,7 @@ func (q *Queue) Drain() []Message {
 	g := q.enc.g
 	for _, m := range out {
 		q.uncount(m)
-		if len(g.observers) > 0 {
-			g.obsMsgDrained(q.enc, m)
-		}
+		g.obsMsgDrained(q.enc, m)
 	}
 	return out
 }

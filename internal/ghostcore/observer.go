@@ -5,51 +5,107 @@ import (
 	"ghost/internal/kernel"
 )
 
-// Observer receives fine-grained protocol events from the ghOSt class:
-// sequence-number advances, message lifecycle, latch/install transitions,
-// transaction groups, and enclave destruction. Each invariant oracle
-// (internal/check) registers as an observer of its own; with none
-// registered every emission short-circuits on a nil-slice length test.
-//
-// All callbacks run synchronously inside the simulator event that caused
-// them, so an observer sees a globally consistent snapshot.
-type Observer interface {
-	// Tseq fires when a thread message bumps (or, under a seeded
-	// mutation, fails to bump) the thread's Tseq.
-	Tseq(e *Enclave, t *kernel.Thread, old, new uint64, mt MsgType)
-	// Aseq fires when a queue delivery advances an agent's Aseq.
-	Aseq(e *Enclave, a *Agent, old, new uint64)
-	// MsgIntent fires when the kernel decides to post a thread message,
+// The protocol events of the ghOSt class, one interface each; an
+// observer implements those it watches. Every invariant oracle
+// (internal/check) is an observer of its own. All callbacks run
+// synchronously inside the simulator event that caused them, so an
+// observer sees a globally consistent snapshot.
+type (
+	// TseqObserver: a thread message bumped (or, under a seeded mutation,
+	// failed to bump) the thread's Tseq.
+	TseqObserver interface {
+		Tseq(e *Enclave, t *kernel.Thread, old, new uint64, mt MsgType)
+	}
+	// AseqObserver: a queue delivery advanced an agent's Aseq.
+	AseqObserver interface {
+		Aseq(e *Enclave, a *Agent, old, new uint64)
+	}
+	// MsgIntentObserver: the kernel decided to post a thread message,
 	// before fault injection can drop, delay, or duplicate it.
-	MsgIntent(e *Enclave, tid kernel.TID, mt MsgType)
-	// MsgDelivered fires when a message lands in its queue. dup marks the
+	MsgIntentObserver interface {
+		MsgIntent(e *Enclave, tid kernel.TID, mt MsgType)
+	}
+	// MsgDeliveredObserver: a message landed in its queue. dup marks the
 	// extra copy of a fault-duplicated message; delayed marks a delivery
 	// that was previously announced via MsgDelayed.
-	MsgDelivered(e *Enclave, m Message, dup, delayed bool)
-	// MsgFaultDropped fires when a fault window swallows a message.
-	MsgFaultDropped(e *Enclave, m Message)
-	// MsgDelayed fires when a fault window defers a message's delivery.
-	MsgDelayed(e *Enclave, m Message)
-	// MsgDiscarded fires when a message is posted to a dead queue.
-	MsgDiscarded(e *Enclave, m Message)
-	// MsgDrained fires for every message an agent consumes.
-	MsgDrained(e *Enclave, m Message)
-	// Latched fires when a committed transaction latches t for cpu.
-	Latched(e *Enclave, cpu hw.CPUID, t *kernel.Thread)
-	// Unlatched fires whenever a latch is released; why names the path
+	MsgDeliveredObserver interface {
+		MsgDelivered(e *Enclave, m Message, dup, delayed bool)
+	}
+	// MsgFaultDroppedObserver: a fault window swallowed a message.
+	MsgFaultDroppedObserver interface{ MsgFaultDropped(e *Enclave, m Message) }
+	// MsgDelayedObserver: a fault window deferred a message's delivery.
+	MsgDelayedObserver interface{ MsgDelayed(e *Enclave, m Message) }
+	// MsgDiscardedObserver: a message was posted to a dead queue.
+	MsgDiscardedObserver interface{ MsgDiscarded(e *Enclave, m Message) }
+	// MsgDrainedObserver: an agent consumed a message.
+	MsgDrainedObserver interface{ MsgDrained(e *Enclave, m Message) }
+	// LatchedObserver: a committed transaction latched t for cpu.
+	LatchedObserver interface {
+		Latched(e *Enclave, cpu hw.CPUID, t *kernel.Thread)
+	}
+	// UnlatchedObserver: a latch was released; why names the path
 	// (switch-in, displaced, recall, clear, destroy, ...).
-	Unlatched(e *Enclave, cpu hw.CPUID, t *kernel.Thread, why string)
-	// Installed fires when the scheduler switch-in consumes a latch.
-	Installed(e *Enclave, cpu hw.CPUID, t *kernel.Thread)
-	// TxnGroup fires once per TXNS_COMMIT(_ATOMIC) with final statuses.
-	TxnGroup(e *Enclave, txns []*Txn, atomic bool)
-	// Destroyed fires at the end of enclave teardown; threads is the
-	// managed set captured before the CFS fallback ran.
-	Destroyed(e *Enclave, cause error, threads []*kernel.Thread)
+	UnlatchedObserver interface {
+		Unlatched(e *Enclave, cpu hw.CPUID, t *kernel.Thread, why string)
+	}
+	// InstalledObserver: the scheduler switch-in consumed a latch.
+	InstalledObserver interface {
+		Installed(e *Enclave, cpu hw.CPUID, t *kernel.Thread)
+	}
+	// TxnGroupObserver: a TXNS_COMMIT(_ATOMIC) finished with final statuses.
+	TxnGroupObserver interface {
+		TxnGroup(e *Enclave, txns []*Txn, atomic bool)
+	}
+	// DestroyedObserver: enclave teardown ended; threads is the managed
+	// set captured before the CFS fallback ran.
+	DestroyedObserver interface {
+		Destroyed(e *Enclave, cause error, threads []*kernel.Thread)
+	}
+)
+
+// observers holds one list per protocol event, each in registration
+// order. With no observer of an event, its emission is a loop over an
+// empty list.
+type observers struct {
+	tseq            []TseqObserver
+	aseq            []AseqObserver
+	msgIntent       []MsgIntentObserver
+	msgDelivered    []MsgDeliveredObserver
+	msgFaultDropped []MsgFaultDroppedObserver
+	msgDelayed      []MsgDelayedObserver
+	msgDiscarded    []MsgDiscardedObserver
+	msgDrained      []MsgDrainedObserver
+	latched         []LatchedObserver
+	unlatched       []UnlatchedObserver
+	installed       []InstalledObserver
+	txnGroup        []TxnGroupObserver
+	destroyed       []DestroyedObserver
 }
 
-// AddObserver registers a protocol observer on the class.
-func (g *Class) AddObserver(o Observer) { g.observers = append(g.observers, o) }
+// AddObserver files o, once, under every protocol event whose interface
+// it implements. An observer that implements none is never called.
+func (g *Class) AddObserver(o any) {
+	l := &g.obs
+	addTo(&l.tseq, o)
+	addTo(&l.aseq, o)
+	addTo(&l.msgIntent, o)
+	addTo(&l.msgDelivered, o)
+	addTo(&l.msgFaultDropped, o)
+	addTo(&l.msgDelayed, o)
+	addTo(&l.msgDiscarded, o)
+	addTo(&l.msgDrained, o)
+	addTo(&l.latched, o)
+	addTo(&l.unlatched, o)
+	addTo(&l.installed, o)
+	addTo(&l.txnGroup, o)
+	addTo(&l.destroyed, o)
+}
+
+func addTo[T any](list *[]T, o any) {
+	if x, ok := o.(T); ok {
+		*list = append(*list, x)
+	}
+}
 
 // Mutations are intentionally seeded protocol bugs, used only by the
 // invariant checker's mutation tests to prove the oracles catch real
@@ -68,79 +124,79 @@ type Mutations struct {
 }
 
 func (g *Class) obsTseq(e *Enclave, t *kernel.Thread, old, new uint64, mt MsgType) {
-	for _, o := range g.observers {
+	for _, o := range g.obs.tseq {
 		o.Tseq(e, t, old, new, mt)
 	}
 }
 
 func (g *Class) obsAseq(e *Enclave, a *Agent, old, new uint64) {
-	for _, o := range g.observers {
+	for _, o := range g.obs.aseq {
 		o.Aseq(e, a, old, new)
 	}
 }
 
 func (g *Class) obsMsgIntent(e *Enclave, tid kernel.TID, mt MsgType) {
-	for _, o := range g.observers {
+	for _, o := range g.obs.msgIntent {
 		o.MsgIntent(e, tid, mt)
 	}
 }
 
 func (g *Class) obsMsgDelivered(e *Enclave, m Message, dup, delayed bool) {
-	for _, o := range g.observers {
+	for _, o := range g.obs.msgDelivered {
 		o.MsgDelivered(e, m, dup, delayed)
 	}
 }
 
 func (g *Class) obsMsgFaultDropped(e *Enclave, m Message) {
-	for _, o := range g.observers {
+	for _, o := range g.obs.msgFaultDropped {
 		o.MsgFaultDropped(e, m)
 	}
 }
 
 func (g *Class) obsMsgDelayed(e *Enclave, m Message) {
-	for _, o := range g.observers {
+	for _, o := range g.obs.msgDelayed {
 		o.MsgDelayed(e, m)
 	}
 }
 
 func (g *Class) obsMsgDiscarded(e *Enclave, m Message) {
-	for _, o := range g.observers {
+	for _, o := range g.obs.msgDiscarded {
 		o.MsgDiscarded(e, m)
 	}
 }
 
 func (g *Class) obsMsgDrained(e *Enclave, m Message) {
-	for _, o := range g.observers {
+	for _, o := range g.obs.msgDrained {
 		o.MsgDrained(e, m)
 	}
 }
 
 func (g *Class) obsLatched(e *Enclave, cpu hw.CPUID, t *kernel.Thread) {
-	for _, o := range g.observers {
+	for _, o := range g.obs.latched {
 		o.Latched(e, cpu, t)
 	}
 }
 
 func (g *Class) obsUnlatched(e *Enclave, cpu hw.CPUID, t *kernel.Thread, why string) {
-	for _, o := range g.observers {
+	for _, o := range g.obs.unlatched {
 		o.Unlatched(e, cpu, t, why)
 	}
 }
 
 func (g *Class) obsInstalled(e *Enclave, cpu hw.CPUID, t *kernel.Thread) {
-	for _, o := range g.observers {
+	for _, o := range g.obs.installed {
 		o.Installed(e, cpu, t)
 	}
 }
 
 func (g *Class) obsTxnGroup(e *Enclave, txns []*Txn, atomic bool) {
-	for _, o := range g.observers {
+	for _, o := range g.obs.txnGroup {
 		o.TxnGroup(e, txns, atomic)
 	}
 }
 
 func (g *Class) obsDestroyed(e *Enclave, cause error, threads []*kernel.Thread) {
-	for _, o := range g.observers {
+	for _, o := range g.obs.destroyed {
 		o.Destroyed(e, cause, threads)
 	}
 }

@@ -409,6 +409,19 @@ func (e *Enclave) restoreRec(rec *EnclaveRec) error {
 	return nil
 }
 
+// CheckInstalls refuses an in-flight latch with no install adopted. A
+// commit leaves a latch in flight only while its install IPI is pending,
+// so once a restore has filed every pending event, an in-flight latch
+// without one is a corrupt image: its thread would stay latched forever.
+func (g *Class) CheckInstalls() error {
+	for i := range g.latches {
+		if l := &g.latches[i]; l.inflight && !l.ipi.Pending() {
+			return fmt.Errorf("ghost latch cpu%d: T%d in flight with no ghost.install event", i, l.t.TID())
+		}
+	}
+	return nil
+}
+
 // ClassifyEvent recognizes ghOSt-owned pre-bound event callbacks: the
 // transaction install IPI, with args [encID, tid, cpu, local, agentCPU],
 // and an enclave's watchdog scan, with args [encID].

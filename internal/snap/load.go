@@ -153,6 +153,11 @@ func Load(t *Target, img *Image, opts LoadOpts) (*Result, error) {
 			adopt(ev)
 		}
 	}
+	if core.Ghost != nil {
+		if err := t.Ghost.CheckInstalls(); err != nil {
+			return nil, fmt.Errorf("%w: ghost: %w", ErrCorrupt, err)
+		}
+	}
 	return res, nil
 }
 

@@ -1022,6 +1022,16 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 		{"install-twice", func(core map[string]any, l installImage) {
 			core["events"] = append(core["events"].([]any), copyEvent(l.event))
 		}},
+		{"inflight-latch-no-install", func(core map[string]any, l installImage) {
+			// l.event is the first ghost.install; delete it.
+			events := core["events"].([]any)
+			for i, ev := range events {
+				if ev.(map[string]any)["kind"] == "ghost.install" {
+					core["events"] = append(events[:i:i], events[i+1:]...)
+					return
+				}
+			}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			requireRestoreCorrupt(t, resealSnapshot(t, inflight, func(core map[string]any) {
