@@ -200,39 +200,26 @@ func (set *AgentSet) RestoreImage(rec *SetRec) error {
 	return ps.SnapshotLoad(rec.Policy.Data)
 }
 
-// ClassifyEvent recognizes agentsdk-owned pre-bound event callbacks:
-// the pending RepollAfter timer ("agentsdk.repoll") and RetryAfter pokes
-// ("agentsdk.pokeactive"). ref is the enclave id.
-func ClassifyEvent(afn func(any), arg any) (kind string, ref int64, ok bool) {
-	set, isSet := arg.(*AgentSet)
-	switch {
-	case !isSet:
-		return "", 0, false
-	case sim.SameFn(afn, repollFn):
-		return "agentsdk.repoll", int64(set.enc.ID()), true
-	case sim.SameFn(afn, pokeActiveFn):
-		return "agentsdk.pokeactive", int64(set.enc.ID()), true
+// SnapshotEvents declares the agent sets' pre-bound events, each named
+// by its set's enclave id: a set's RepollAfter timer, at most one and
+// held by the set, and its RetryAfter pokes.
+func SnapshotEvents(sets []*AgentSet) sim.EventTable {
+	setRef := func(a any) (sim.EventFields, bool) { return sim.EventFields{Ref: int64(a.(*AgentSet).enc.ID())}, true }
+	set := func(f sim.EventFields) (any, error) {
+		for _, set := range sets {
+			if int64(set.enc.ID()) == f.Ref {
+				return set, nil
+			}
+		}
+		return nil, fmt.Errorf("enclave %d has no agent set", f.Ref)
 	}
-	return "", 0, false
+	return sim.EventTable{Kinds: []sim.EventKind{
+		{Name: "agentsdk.repoll", Fn: repollFn, Save: setRef, Load: set,
+			Pending: func(a any) bool { return a.(*AgentSet).repoll.Pending() },
+			Adopt: func(a any, at sim.Time, ev sim.Event) {
+				set := a.(*AgentSet)
+				set.repoll, set.repollAt = ev, at
+			}},
+		{Name: "agentsdk.pokeactive", Fn: pokeActiveFn, Save: setRef, Load: set},
+	}}
 }
-
-// PokeActiveEvent returns the callback pair for a serialized
-// "agentsdk.pokeactive" event targeting this set.
-func (set *AgentSet) PokeActiveEvent() (func(any), any) {
-	return pokeActiveFn, set
-}
-
-// RepollEvent returns the callback pair for a serialized "agentsdk.repoll"
-// event due at at, and the adopt function that makes the restored event
-// the set's pending repoll. It fails when the set already has one: a set
-// keeps at most one repoll pending.
-func (set *AgentSet) RepollEvent(at sim.Time) (func(any), any, func(sim.Event), error) {
-	if set.repoll.Pending() {
-		return nil, nil, nil, fmt.Errorf("agent set on enclave %d has two pending repolls", set.enc.ID())
-	}
-	adopt := func(ev sim.Event) { set.repoll, set.repollAt = ev, at }
-	return repollFn, set, adopt, nil
-}
-
-// EnclaveID returns the id of the enclave this generation serves.
-func (set *AgentSet) EnclaveID() int { return set.enc.ID() }

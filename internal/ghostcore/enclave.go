@@ -767,7 +767,7 @@ func (e *Enclave) armWatchdog() {
 }
 
 // watchdogFire is the periodic starvation scan behind EnableWatchdog
-// (snapshot kind "ghost.watchdog"). It destroys the enclave over the
+// (a snapshot event kind of Class.SnapshotEvents). It destroys the enclave over the
 // first starved thread, and otherwise arms the next scan.
 func watchdogFire(a any) {
 	e := a.(*Enclave)

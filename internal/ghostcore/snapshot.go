@@ -281,7 +281,7 @@ func (g *Class) RestoreImage(rec *ClassRec) error {
 	}
 	// Free any latch the machine holds (none after an engine reset), then
 	// write the image's with no observer event. An in-flight latch's
-	// committing agent comes with its ghost.install event (EventForKind).
+	// committing agent comes with its install event (SnapshotEvents).
 	for cpu := range g.latches {
 		if g.held.Has(hw.CPUID(cpu)) {
 			g.unlatch(hw.CPUID(cpu), "restore")
@@ -409,79 +409,81 @@ func (e *Enclave) restoreRec(rec *EnclaveRec) error {
 	return nil
 }
 
-// CheckInstalls refuses an in-flight latch with no install adopted. A
-// commit leaves a latch in flight only while its install IPI is pending,
-// so once a restore has filed every pending event, an in-flight latch
-// without one is a corrupt image: its thread would stay latched forever.
-func (g *Class) CheckInstalls() error {
-	for i := range g.latches {
-		if l := &g.latches[i]; l.inflight && !l.ipi.Pending() {
-			return fmt.Errorf("ghost latch cpu%d: T%d in flight with no ghost.install event", i, l.t.TID())
+// SnapshotEvents declares the ghOSt class's pre-bound events: a
+// commit's install IPI, named [encID, tid, cpu, local, agentCPU] and
+// held by its CPU's latch, and an enclave's watchdog scan, named
+// [encID] and held by the enclave. An install is refused unless its
+// CPU's latch is in flight for its thread, a watchdog scan for an
+// enclave without a watchdog. A commit leaves a latch in flight only
+// while its install is pending, so Check refuses an in-flight latch
+// with no install adopted: its thread would stay latched forever.
+func (g *Class) SnapshotEvents() sim.EventTable {
+	enclave := func(args []int64, n int) (*Enclave, error) {
+		if len(args) != n {
+			return nil, fmt.Errorf("%d args, want %d", len(args), n)
 		}
-	}
-	return nil
-}
-
-// ClassifyEvent recognizes ghOSt-owned pre-bound event callbacks: the
-// transaction install IPI, with args [encID, tid, cpu, local, agentCPU],
-// and an enclave's watchdog scan, with args [encID].
-func (g *Class) ClassifyEvent(afn func(any), arg any) (kind string, args []int64, ok bool) {
-	if e, isEnc := arg.(*Enclave); isEnc && sim.SameFn(afn, watchdogFire) {
-		return "ghost.watchdog", []int64{int64(e.id)}, true
-	}
-	l, isLatch := arg.(*latch)
-	if !isLatch || !sim.SameFn(afn, g.installFn) {
-		return "", nil, false
-	}
-	local := int64(0)
-	if l.local {
-		local = 1
-	}
-	agentCPU := int64(-1)
-	if l.a != nil {
-		agentCPU = int64(l.a.cpu)
-	}
-	return "ghost.install", []int64{int64(l.e.id), int64(l.t.TID()), int64(l.cpu), local, agentCPU}, true
-}
-
-// EventForKind rebuilds a serialized ghOSt-owned event callback, plus
-// an adopt function that makes a restored watchdog scan its enclave's
-// pending one, or a restored install its latch's IPI. A watchdog event
-// is refused for an enclave without a watchdog or whose scan is already
-// adopted: an enclave keeps at most one pending. An install is refused
-// unless its CPU's latch is in flight for its thread with no install
-// adopted yet.
-func (g *Class) EventForKind(kind string, args []int64) (afn func(any), arg any, adopt func(sim.Event), ok bool) {
-	var e *Enclave
-	if len(args) > 0 {
-		e = g.enclaveByID(int(args[0]))
-	}
-	switch {
-	case e == nil:
-		return nil, nil, nil, false
-	case kind == "ghost.watchdog" && len(args) == 1:
-		if e.WatchdogTimeout <= 0 || e.watchdog.Pending() {
-			return nil, nil, nil, false
+		if e := g.enclaveByID(int(args[0])); e != nil {
+			return e, nil
 		}
-		return watchdogFire, e, func(ev sim.Event) { e.watchdog = ev }, true
-	case kind != "ghost.install" || len(args) != 5:
-		return nil, nil, nil, false
+		return nil, fmt.Errorf("no enclave %d", args[0])
 	}
-	var a *Agent
-	if args[4] >= 0 {
-		a = e.agents[hw.CPUID(args[4])]
-		if a == nil {
-			return nil, nil, nil, false
+	install := sim.EventKind{Name: "ghost.install", Fn: g.installFn,
+		Save: func(a any) (sim.EventFields, bool) {
+			l, local, agentCPU := a.(*latch), int64(0), int64(-1)
+			if l.local {
+				local = 1
+			}
+			if l.a != nil {
+				agentCPU = int64(l.a.cpu)
+			}
+			return sim.EventFields{Args: []int64{int64(l.e.id), int64(l.t.TID()), int64(l.cpu), local, agentCPU}}, true
+		},
+		Load: func(f sim.EventFields) (any, error) {
+			e, err := enclave(f.Args, 5)
+			if err != nil {
+				return nil, err
+			}
+			var a *Agent
+			if f.Args[4] >= 0 {
+				if a = e.agents[hw.CPUID(f.Args[4])]; a == nil {
+					return nil, fmt.Errorf("enclave %d has no agent on cpu%d", e.id, f.Args[4])
+				}
+			}
+			cpu := hw.CPUID(f.Args[2])
+			if !e.cpus.Has(cpu) {
+				return nil, fmt.Errorf("cpu%d is not in enclave %d", cpu, e.id)
+			}
+			l := &g.latches[cpu]
+			if l.t == nil || int64(l.t.TID()) != f.Args[1] || !l.inflight || l.e != e {
+				return nil, fmt.Errorf("cpu%d has no latch in flight for T%d", cpu, f.Args[1])
+			}
+			l.local, l.a = f.Args[3] != 0, a
+			return l, nil
+		},
+		Pending: func(a any) bool { return a.(*latch).ipi.Pending() },
+		Adopt:   func(a any, _ sim.Time, ev sim.Event) { a.(*latch).ipi = ev },
+	}
+	watchdog := sim.EventKind{Name: "ghost.watchdog", Fn: watchdogFire,
+		Save: func(a any) (sim.EventFields, bool) {
+			return sim.EventFields{Args: []int64{int64(a.(*Enclave).id)}}, true
+		},
+		Load: func(f sim.EventFields) (any, error) {
+			e, err := enclave(f.Args, 1)
+			if err == nil && e.WatchdogTimeout <= 0 {
+				err = fmt.Errorf("enclave %d has no watchdog", e.id)
+			}
+			return e, err
+		},
+		Pending: func(a any) bool { return a.(*Enclave).watchdog.Pending() },
+		Adopt:   func(a any, _ sim.Time, ev sim.Event) { a.(*Enclave).watchdog = ev },
+	}
+	check := func() error {
+		for i := range g.latches {
+			if l := &g.latches[i]; l.inflight && !l.ipi.Pending() {
+				return fmt.Errorf("ghost latch cpu%d: T%d in flight with no install pending", i, l.t.TID())
+			}
 		}
+		return nil
 	}
-	cpu := hw.CPUID(args[2])
-	if !e.cpus.Has(cpu) {
-		return nil, nil, nil, false
-	}
-	l := &g.latches[cpu]
-	if l.t == nil || int64(l.t.TID()) != args[1] || !l.inflight || l.e != e || l.ipi.Pending() {
-		return nil, nil, nil, false
-	}
-	l.local, l.a = args[3] != 0, a
-	return g.installFn, l, func(ev sim.Event) { l.ipi = ev }, true
+	return sim.EventTable{Kinds: []sim.EventKind{install, watchdog}, Check: check}
 }

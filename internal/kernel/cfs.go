@@ -142,7 +142,7 @@ func NewCFS(k *Kernel) *CFS {
 }
 
 // balanceFire runs the periodic load balancer and arms its next pass
-// (snapshot kind "kernel.cfs.balance").
+// (a snapshot event kind of Kernel.SnapshotEvents).
 func balanceFire(a any) {
 	c := a.(*CFS)
 	c.loadBalance()

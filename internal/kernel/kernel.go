@@ -112,14 +112,14 @@ func New(eng *sim.Engine, topo *hw.Topology, cost hw.CostModel) *Kernel {
 }
 
 // startTickFn arms a CPU's first timer tick one period after its
-// staggered start offset (snapshot kind "kernel.starttick").
+// staggered start offset (a snapshot event kind of SnapshotEvents).
 func startTickFn(a any) {
 	c := a.(*CPU)
 	c.k.eng.AfterCall(c.k.cost.TickPeriod, tickFire, c)
 }
 
 // tickFire delivers a CPU's timer tick and arms the next one a period
-// later (snapshot kind "kernel.tick").
+// later (a snapshot event kind of SnapshotEvents).
 func tickFire(a any) {
 	c := a.(*CPU)
 	c.k.tick(c)

@@ -14,8 +14,8 @@ import (
 // engine has been Reset, erasing all spawn side effects — RestoreImage
 // overlays every semantic field verbatim, including the request each
 // thread is parked in, which its Steps machine reads through Thread.Ran.
-// Pending kernel-owned events are classified by ClassifyEvent at save
-// and rebuilt by EventForKind at restore.
+// Each pending kernel-owned event is one row of SnapshotEvents, which
+// names it at save and rebuilds it at restore.
 
 // CPURec is the serialized per-CPU state.
 type CPURec struct {
@@ -485,99 +485,88 @@ func (c *CFS) restoreRec(rec *CFSRec) error {
 	return nil
 }
 
-// --- pending-event classification -------------------------------------
+// --- pending events ---------------------------------------------------
 
-// ClassifyEvent recognizes kernel-owned pre-bound event callbacks for
-// serialization. ref is a TID or CPU id depending on kind; the CFS
-// balancer has none.
-func (k *Kernel) ClassifyEvent(afn func(any), arg any) (kind string, ref int64, ok bool) {
-	switch v := arg.(type) {
-	case *CPU:
-		switch {
-		case sim.SameFn(afn, k.reschedFn):
-			return "kernel.resched", int64(v.ID), true
-		case sim.SameFn(afn, k.workDoneFn):
-			return "kernel.workdone", int64(v.ID), true
-		case sim.SameFn(afn, k.switchDoneFn):
-			return "kernel.switchdone", int64(v.ID), true
-		case sim.SameFn(afn, tickFire):
-			return "kernel.tick", int64(v.ID), true
-		case sim.SameFn(afn, startTickFn):
-			return "kernel.starttick", int64(v.ID), true
+// SnapshotEvents declares the kernel's pre-bound events, each named by
+// its CPU or TID (the CFS balancer by nothing). A CPU holds one tick or
+// start stagger, a completion exactly while it burns, a switch end
+// exactly while it switches and a scheduling pass exactly while one is
+// due; a MicroQuanta thread holds at most one throttle and one refill;
+// the balancer is one event. Restore refuses an image that breaks any
+// of these.
+func (k *Kernel) SnapshotEvents() sim.EventTable {
+	n := len(k.cpus)
+	ticked, switchEnds, passes := make([]bool, n), make([]bool, n), make([]bool, n)
+	// Each callback is armed with one argument type only.
+	cpuRef := func(a any) (sim.EventFields, bool) { return sim.EventFields{Ref: int64(a.(*CPU).ID)}, true }
+	threadRef := func(a any) (sim.EventFields, bool) { return sim.EventFields{Ref: int64(a.(*Thread).tid)}, true }
+	// onCPU loads a CPU event, refused unless the CPU is in state.
+	onCPU := func(state string, in func(*CPU) bool) func(sim.EventFields) (any, error) {
+		return func(f sim.EventFields) (any, error) {
+			if f.Ref < 0 || f.Ref >= int64(n) {
+				return nil, fmt.Errorf("CPU %d out of range [0, %d)", f.Ref, n)
+			}
+			if c := k.cpus[f.Ref]; in == nil || in(c) {
+				return c, nil
+			}
+			return nil, fmt.Errorf("cpu%d is not %s", f.Ref, state)
 		}
-	case *Thread:
-		switch {
-		case sim.SameFn(afn, k.wakeFn):
-			return "kernel.wake", int64(v.tid), true
-		case sim.SameFn(afn, k.pokeFn):
-			return "kernel.poke", int64(v.tid), true
+	}
+	// once holds at most one event of kind per CPU, marked in seen.
+	once := func(kind sim.EventKind, seen []bool) sim.EventKind {
+		kind.Pending = func(a any) bool { return seen[a.(*CPU).ID] }
+		kind.Adopt = func(a any, _ sim.Time, _ sim.Event) { seen[a.(*CPU).ID] = true }
+		return kind
+	}
+	thread := func(f sim.EventFields) (any, error) {
+		if t := k.Thread(TID(f.Ref)); t != nil {
+			return t, nil
 		}
-		if m, mok := k.Class("microquanta").(*MicroQuanta); mok && m != nil {
+		return nil, fmt.Errorf("no thread T%d", f.Ref)
+	}
+	kinds := []sim.EventKind{
+		once(sim.EventKind{Name: "kernel.resched", Fn: k.reschedFn, Save: cpuRef,
+			Load: onCPU("due a scheduling pass", func(c *CPU) bool { return c.reschedPending })}, passes),
+		{Name: "kernel.workdone", Fn: k.workDoneFn, Save: cpuRef,
+			Load:    onCPU("burning", func(c *CPU) bool { return c.burning }),
+			Pending: func(a any) bool { return a.(*CPU).completion.Pending() },
+			Adopt:   func(a any, _ sim.Time, ev sim.Event) { a.(*CPU).completion = ev }},
+		once(sim.EventKind{Name: "kernel.switchdone", Fn: k.switchDoneFn, Save: cpuRef,
+			Load: onCPU("switching", func(c *CPU) bool { return c.switching })}, switchEnds),
+		{Name: "kernel.wake", Fn: k.wakeFn, Save: threadRef, Load: thread},
+		{Name: "kernel.poke", Fn: k.pokeFn, Save: threadRef, Load: thread},
+		once(sim.EventKind{Name: "kernel.tick", Fn: tickFire, Save: cpuRef, Load: onCPU("", nil)}, ticked),
+		once(sim.EventKind{Name: "kernel.starttick", Fn: startTickFn, Save: cpuRef, Load: onCPU("", nil)}, ticked),
+	}
+	if m, ok := k.Class("microquanta").(*MicroQuanta); ok {
+		kinds = append(kinds,
+			sim.EventKind{Name: "kernel.mq.throttle", Fn: m.throttleFn, Save: threadRef, Load: thread,
+				Pending: func(a any) bool { return a.(*Thread).mq.throttleEv.Pending() },
+				Adopt:   func(a any, _ sim.Time, ev sim.Event) { a.(*Thread).mq.throttleEv = ev }},
+			sim.EventKind{Name: "kernel.mq.refill", Fn: m.refillFn, Save: threadRef, Load: thread,
+				Pending: func(a any) bool { return a.(*Thread).mq.refill.Pending() },
+				Adopt:   func(a any, _ sim.Time, ev sim.Event) { a.(*Thread).mq.refill = ev }})
+	}
+	if c, ok := k.Class("cfs").(*CFS); ok {
+		balancing := false
+		kinds = append(kinds, sim.EventKind{Name: "kernel.cfs.balance", Fn: balanceFire,
+			Save:    func(a any) (sim.EventFields, bool) { return sim.EventFields{}, a == any(c) },
+			Load:    func(sim.EventFields) (any, error) { return c, nil },
+			Pending: func(any) bool { return balancing },
+			Adopt:   func(any, sim.Time, sim.Event) { balancing = true }})
+	}
+	check := func() error {
+		for _, c := range k.cpus {
 			switch {
-			case sim.SameFn(afn, m.throttleFn):
-				return "kernel.mq.throttle", int64(v.tid), true
-			case sim.SameFn(afn, m.refillFn):
-				return "kernel.mq.refill", int64(v.tid), true
+			case c.burning && !c.completion.Pending():
+				return fmt.Errorf("cpu%d is burning with no completion pending", c.ID)
+			case c.switching && !switchEnds[c.ID]:
+				return fmt.Errorf("cpu%d is switching with no switch end pending", c.ID)
+			case c.reschedPending && !passes[c.ID]:
+				return fmt.Errorf("cpu%d is due a scheduling pass with none pending", c.ID)
 			}
 		}
-	case *CFS:
-		if sim.SameFn(afn, balanceFire) {
-			return "kernel.cfs.balance", 0, true
-		}
+		return nil
 	}
-	return "", 0, false
-}
-
-// EventForKind rebuilds the callback+argument pair for a serialized
-// kernel-owned event, plus an adopt function to re-link the Event handle
-// where one is held in a struct (CPU completions, MicroQuanta timers).
-func (k *Kernel) EventForKind(kind string, ref int64) (afn func(any), arg any, adopt func(sim.Event), ok bool) {
-	thread := func() *Thread { return k.Thread(TID(ref)) }
-	cpu := func() *CPU {
-		if ref < 0 || ref >= int64(len(k.cpus)) {
-			return nil
-		}
-		return k.cpus[ref]
-	}
-	switch kind {
-	case "kernel.resched":
-		c := cpu()
-		return k.reschedFn, c, nil, c != nil
-	case "kernel.workdone":
-		c := cpu()
-		return k.workDoneFn, c, func(ev sim.Event) { c.completion = ev }, c != nil
-	case "kernel.switchdone":
-		c := cpu()
-		return k.switchDoneFn, c, nil, c != nil
-	case "kernel.wake":
-		t := thread()
-		return k.wakeFn, t, nil, t != nil
-	case "kernel.poke":
-		t := thread()
-		return k.pokeFn, t, nil, t != nil
-	case "kernel.mq.throttle":
-		t := thread()
-		m, mok := k.Class("microquanta").(*MicroQuanta)
-		if t == nil || !mok || m == nil {
-			return nil, nil, nil, false
-		}
-		return m.throttleFn, t, func(ev sim.Event) { t.mq.throttleEv = ev }, true
-	case "kernel.mq.refill":
-		t := thread()
-		m, mok := k.Class("microquanta").(*MicroQuanta)
-		if t == nil || !mok || m == nil {
-			return nil, nil, nil, false
-		}
-		return m.refillFn, t, func(ev sim.Event) { t.mq.refill = ev }, true
-	case "kernel.starttick":
-		c := cpu()
-		return startTickFn, c, nil, c != nil
-	case "kernel.tick":
-		c := cpu()
-		return tickFire, c, nil, c != nil
-	case "kernel.cfs.balance":
-		c, cok := k.Class("cfs").(*CFS)
-		return balanceFire, c, nil, cok && c != nil
-	}
-	return nil, nil, nil, false
+	return sim.EventTable{Kinds: kinds, Check: check}
 }

@@ -1,6 +1,7 @@
 package policies_test
 
 import (
+	"reflect"
 	"testing"
 
 	"ghost/internal/agentsdk"
@@ -157,11 +158,17 @@ func TestOnePendingRepollPerSet(t *testing.T) {
 					}
 				})
 			}
+			var repollCode uintptr
+			for _, kind := range agentsdk.SnapshotEvents(nil).Kinds {
+				if kind.Name == "agentsdk.repoll" {
+					repollCode = reflect.ValueOf(kind.Fn).Pointer()
+				}
+			}
 			most, samples := 0, 0
 			e.eng.OnDispatch = func(now sim.Time, _ int) {
 				pending := map[any]int{}
 				for _, pe := range e.eng.Pending() {
-					if kind, _, ok := agentsdk.ClassifyEvent(pe.AFn, pe.Arg); ok && kind == "agentsdk.repoll" {
+					if pe.AFn != nil && reflect.ValueOf(pe.AFn).Pointer() == repollCode {
 						pending[pe.Arg]++
 					}
 				}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 )
 
@@ -14,15 +13,46 @@ import (
 // barriers are snapshot points: RunUntil has returned and no event is
 // mid-dispatch.
 
-// PendingEvent is one serializable pending event: its firing time, its
-// schedule-time sequence number (the FIFO tie-break) and its callback in
-// either form.
+// PendingEvent is one serializable pending event as the engine stores
+// it: its firing time, its schedule-time sequence number (the FIFO
+// tie-break) and its callback. A closure event has a nil AFn and its
+// func() in Arg.
 type PendingEvent struct {
 	At  Time
 	Seq uint64
-	Fn  func()
 	AFn func(any)
 	Arg any
+}
+
+// EventKind is one pre-bound callback a snapshot can carry, declared by
+// the code that arms it. Save names a pending event's argument by record
+// fields (false when arg is another instance's: instances share Fn's
+// code); Load resolves them back, or says why they name nothing Fn can
+// fire on. Where arg holds such an event, Pending reports that it holds
+// one and Adopt makes a restored event, due at at, the one it holds;
+// restore refuses a second. Both are nil when any number may be pending.
+type EventKind struct {
+	Name    string
+	Fn      func(any)
+	Save    func(arg any) (EventFields, bool)
+	Load    func(EventFields) (any, error)
+	Pending func(arg any) bool
+	Adopt   func(arg any, at Time, ev Event)
+}
+
+// EventFields are the record fields that name a pending event's
+// argument: a CPU, TID or enclave id in Ref, or a tuple in Args.
+type EventFields struct {
+	Ref  int64
+	Args []int64
+}
+
+// EventTable is one owner's event kinds. Check, when set, runs once
+// restore has filed every pending event and refuses owner state that
+// promises an event the snapshot did not hold.
+type EventTable struct {
+	Kinds []EventKind
+	Check func() error
 }
 
 // Pending returns every live pending event (lane, wheel and spill) in
@@ -30,11 +60,7 @@ type PendingEvent struct {
 func (e *Engine) Pending() []PendingEvent {
 	var evs []PendingEvent
 	add := func(ev *event) {
-		pe := PendingEvent{At: ev.at, Seq: ev.seq, AFn: ev.afn, Arg: ev.arg}
-		if ev.afn == nil {
-			pe.Fn, pe.Arg = ev.arg.(func()), nil
-		}
-		evs = append(evs, pe)
+		evs = append(evs, PendingEvent{At: ev.at, Seq: ev.seq, AFn: ev.afn, Arg: ev.arg})
 	}
 	e.lane.each(add)
 	for i := range e.buckets {
@@ -97,26 +123,18 @@ func (e *Engine) Seq() uint64 { return e.seq }
 // So is a seq at or above the restored counter: a later schedule could
 // draw the same seq. A restored event due at the clock goes to the
 // wheel, never the now-lane: its seq is below every later lane event's,
-// which is the order the wheel-before-lane rule in step realizes.
-func (e *Engine) RestoreEvent(at Time, seq uint64, fn func(), afn func(any), arg any) (Event, error) {
+// which is the order the wheel-before-lane rule in step realizes. A
+// closure event is restored as Pending returns it: a nil afn and the
+// func() as arg.
+func (e *Engine) RestoreEvent(at Time, seq uint64, afn func(any), arg any) (Event, error) {
 	if at < e.now {
 		return Event{}, fmt.Errorf("sim: restoring event at %v before now %v", at, e.now)
 	}
 	if seq >= e.seq {
 		return Event{}, fmt.Errorf("sim: restoring event seq %d at or above the counter %d", seq, e.seq)
 	}
-	if afn == nil {
-		arg = fn
-	}
 	ev := e.alloc()
 	ev.at, ev.afn, ev.arg, ev.seq = at, afn, arg, seq
 	e.push(ev)
 	return Event{e: ev, gen: ev.gen}, nil
-}
-
-// SameFn reports whether two callback values point at the same function
-// code. Method values made from the same method compare equal regardless
-// of receiver — snapshot classifiers disambiguate via the event argument.
-func SameFn(a, b func(any)) bool {
-	return a != nil && b != nil && reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
 }

@@ -38,11 +38,10 @@ type ComponentRec struct {
 	Data []byte `json:"data,omitempty"`
 }
 
-// EventRec is one serialized pending engine event, classified by its
-// owning subsystem. Kind selects the decoder: "kernel.*" (Ref is a TID
-// or CPU id), "ghost.install" or "ghost.watchdog" (Args),
-// "agentsdk.repoll" or "agentsdk.pokeactive" (Ref is an enclave id), or
-// "component" (Key names the component, Sub the event within it).
+// EventRec is one serialized pending engine event, named by the
+// sim.EventKind its owner declares for it: Kind is that kind's name and
+// Ref or Args the fields its Save wrote, or, for a component's event,
+// Kind is "component", Key the component's key and Sub the kind's name.
 type EventRec struct {
 	At   int64   `json:"at"`
 	Seq  uint64  `json:"seq"`

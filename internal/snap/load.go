@@ -123,39 +123,20 @@ func Load(t *Target, img *Image, opts LoadOpts) (*Result, error) {
 		}
 	}
 
-	// Phase 6: pending events with their original (at, seq) pairs. Each
-	// CPU has one tick (or its start stagger) pending and the balancer is
-	// one event: a second copy would fire twice per period.
-	ticks, balance := map[int64]bool{}, false
+	// Phase 6: pending events with their original (at, seq) pairs, then
+	// each owner's check that no event its state promises is missing.
+	ix, err := newEventIndex(t, res.Sets, res.Components)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
 	for i := range core.Events {
-		erec := &core.Events[i]
-		switch erec.Kind {
-		case "kernel.tick", "kernel.starttick":
-			if ticks[erec.Ref] {
-				return nil, fmt.Errorf("%w: event %d: a second tick for CPU %d", ErrCorrupt, i, erec.Ref)
-			}
-			ticks[erec.Ref] = true
-		case "kernel.cfs.balance":
-			if balance {
-				return nil, fmt.Errorf("%w: event %d: a second CFS balancer", ErrCorrupt, i)
-			}
-			balance = true
-		}
-		afn, arg, adopt, err := eventCallback(t, ctx, res.Sets, erec)
-		if err != nil {
-			return nil, err
-		}
-		ev, err := t.Eng.RestoreEvent(sim.Time(erec.At), erec.Seq, nil, afn, arg)
-		if err != nil {
+		if err := ix.restore(t.Eng, &core.Events[i]); err != nil {
 			return nil, fmt.Errorf("%w: event %d: %v", ErrCorrupt, i, err)
 		}
-		if adopt != nil {
-			adopt(ev)
-		}
 	}
-	if core.Ghost != nil {
-		if err := t.Ghost.CheckInstalls(); err != nil {
-			return nil, fmt.Errorf("%w: ghost: %w", ErrCorrupt, err)
+	for _, check := range ix.checks {
+		if err := check(); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 	}
 	return res, nil
@@ -276,60 +257,4 @@ func spawnBody(t *Target, ctx *RestoreCtx, opts LoadOpts, tidEnc map[int]int, re
 	}
 	th.SetBodyDesc(&kernel.BodyDesc{Kind: rec.Body.Kind, Key: rec.Body.Key, Args: append([]int64(nil), rec.Body.Args...), Rand: r})
 	return nil
-}
-
-// eventCallback resolves a serialized event record back to its callback,
-// argument and (optionally) an adopt function that re-links the Event
-// handle into the owning struct.
-func eventCallback(t *Target, ctx *RestoreCtx, sets []*agentsdk.AgentSet, erec *EventRec) (func(any), any, func(sim.Event), error) {
-	switch erec.Kind {
-	case "ghost.install", "ghost.watchdog":
-		if t.Ghost == nil {
-			return nil, nil, nil, fmt.Errorf("snap: %s event without a ghost class", erec.Kind)
-		}
-		afn, arg, adopt, ok := t.Ghost.EventForKind(erec.Kind, erec.Args)
-		if !ok {
-			return nil, nil, nil, fmt.Errorf("%w: %s event %v did not resolve", ErrCorrupt, erec.Kind, erec.Args)
-		}
-		return afn, arg, adopt, nil
-	case "agentsdk.pokeactive":
-		for _, set := range sets {
-			if int64(set.EnclaveID()) == erec.Ref {
-				afn, arg := set.PokeActiveEvent()
-				return afn, arg, nil, nil
-			}
-		}
-		return nil, nil, nil, fmt.Errorf("snap: pokeactive event for enclave %d has no agent set", erec.Ref)
-	case "agentsdk.repoll":
-		for _, set := range sets {
-			if int64(set.EnclaveID()) == erec.Ref {
-				afn, arg, adopt, err := set.RepollEvent(sim.Time(erec.At))
-				if err != nil {
-					return nil, nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-				}
-				return afn, arg, adopt, nil
-			}
-		}
-		return nil, nil, nil, fmt.Errorf("snap: repoll event for enclave %d has no agent set", erec.Ref)
-	case "component":
-		c := ctx.Component(erec.Key)
-		if c == nil {
-			return nil, nil, nil, fmt.Errorf("snap: event references missing component %q", erec.Key)
-		}
-		evs, ok := c.(ComponentEvents)
-		if !ok {
-			return nil, nil, nil, fmt.Errorf("snap: component %q owns events but does not implement ComponentEvents", erec.Key)
-		}
-		afn, arg, ok := evs.EventForSub(erec.Sub)
-		if !ok {
-			return nil, nil, nil, fmt.Errorf("snap: component %q does not recognize event %q", erec.Key, erec.Sub)
-		}
-		return afn, arg, nil, nil
-	default:
-		afn, arg, adopt, ok := t.K.EventForKind(erec.Kind, erec.Ref)
-		if !ok {
-			return nil, nil, nil, fmt.Errorf("%w: event kind %q (ref %d) did not resolve", ErrCorrupt, erec.Kind, erec.Ref)
-		}
-		return afn, arg, adopt, nil
-	}
 }

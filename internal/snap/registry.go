@@ -19,6 +19,13 @@
 // (agentsdk.RunnerRec.Pending); they re-spawn via agentsdk.Start.
 // Construction side effects of the re-spawn pass (its first step, its
 // random draws) are erased by an engine Reset and the overlay.
+//
+// Pending events are pre-bound callbacks whose owners (the kernel, the
+// ghOSt class, the agent sets, components) each declare them as a
+// sim.EventTable of kinds. Save and Load look events up in those tables
+// and hold no kind names of their own; Load then runs each table's
+// Check, so an image missing an event its owner's state promises is
+// refused as corrupt.
 package snap
 
 import (
@@ -49,10 +56,10 @@ type Component interface {
 }
 
 // ComponentEvents is optionally implemented by components that own
-// pending engine events; sub names the event within the component.
+// pending engine events. A snapshot stores such an event as kind
+// "component" with the component's key, and its kind's name as Sub.
 type ComponentEvents interface {
-	ClassifyEvent(afn func(any), arg any) (sub string, ok bool)
-	EventForSub(sub string) (afn func(any), arg any, ok bool)
+	SnapshotEvents() sim.EventTable
 }
 
 // KeyBinder is optionally implemented by components that stamp their

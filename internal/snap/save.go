@@ -77,51 +77,16 @@ func Save(t *Target) (*Image, error) {
 		core.Components = append(core.Components, ComponentRec{Key: ce.Key, Kind: ce.C.SnapshotKind(), Data: data})
 	}
 
+	ix, err := newEventIndex(t, t.Sets, t.Components)
+	if err != nil {
+		return nil, err
+	}
 	for _, pe := range t.Eng.Pending() {
-		rec, err := classifyPending(t, pe)
+		rec, err := ix.record(pe)
 		if err != nil {
 			return nil, err
 		}
 		core.Events = append(core.Events, rec)
 	}
 	return NewImage(core)
-}
-
-// classifyPending routes one pending event through the subsystem
-// classifiers: the kernel's pre-bound callbacks (timer ticks and the CFS
-// balancer among them), the ghOSt install IPI and watchdog scans, the
-// agentsdk repoll and retry pokes, then component-owned events.
-func classifyPending(t *Target, pe sim.PendingEvent) (EventRec, error) {
-	rec := EventRec{At: int64(pe.At), Seq: pe.Seq}
-	if pe.Fn != nil {
-		return rec, fmt.Errorf("snap: pending event at %v is a plain closure (Machine.After, fault plans); not snapshottable", pe.At)
-	}
-	if kind, ref, ok := t.K.ClassifyEvent(pe.AFn, pe.Arg); ok {
-		rec.Kind, rec.Ref = kind, ref
-		return rec, nil
-	}
-	if t.Ghost != nil {
-		if kind, args, ok := t.Ghost.ClassifyEvent(pe.AFn, pe.Arg); ok {
-			rec.Kind, rec.Args = kind, args
-			return rec, nil
-		}
-	}
-	if kind, ref, ok := agentsdk.ClassifyEvent(pe.AFn, pe.Arg); ok {
-		rec.Kind, rec.Ref = kind, ref
-		return rec, nil
-	}
-	for _, ce := range t.Components {
-		evs, ok := ce.C.(ComponentEvents)
-		if !ok {
-			continue
-		}
-		if sub, ok := evs.ClassifyEvent(pe.AFn, pe.Arg); ok {
-			rec.Kind, rec.Key, rec.Sub = "component", ce.Key, sub
-			return rec, nil
-		}
-	}
-	if _, ok := pe.Arg.(*sim.Ticker); ok {
-		return rec, fmt.Errorf("snap: pending event at %v is a sim.Ticker firing (Machine.Every, samplers); not snapshottable", pe.At)
-	}
-	return rec, fmt.Errorf("snap: unclassifiable pending event at %v (arg %T); register its owner as a snapshot component", pe.At, pe.Arg)
 }

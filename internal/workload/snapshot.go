@@ -314,21 +314,12 @@ func (p *PoissonSource) SnapshotLoad(data []byte) error {
 	return nil
 }
 
-// ClassifyEvent implements snap.ComponentEvents: the source's only
+// SnapshotEvents implements snap.ComponentEvents: the source's only
 // pending event is its armed next-arrival timer.
-func (p *PoissonSource) ClassifyEvent(afn func(any), arg any) (string, bool) {
-	if arg == any(p) && sim.SameFn(afn, poissonFire) {
-		return "arm", true
-	}
-	return "", false
-}
-
-// EventForSub implements snap.ComponentEvents.
-func (p *PoissonSource) EventForSub(sub string) (func(any), any, bool) {
-	if sub == "arm" {
-		return poissonFire, p, true
-	}
-	return nil, nil, false
+func (p *PoissonSource) SnapshotEvents() sim.EventTable {
+	return sim.EventTable{Kinds: []sim.EventKind{{Name: "arm", Fn: poissonFire,
+		Save: func(a any) (sim.EventFields, bool) { return sim.EventFields{}, a == any(p) },
+		Load: func(sim.EventFields) (any, error) { return p, nil }}}}
 }
 
 // NewPoissonShell builds an unarmed PoissonSource for snapshot restore:

@@ -89,6 +89,11 @@ func (m *Machine) AddSnapshotComponent(key string, c SnapshotComponent) {
 	if kb, ok := c.(interface{ BindSnapshotKey(string) }); ok {
 		kb.BindSnapshotKey(key)
 	}
+	m.setComponent(key, c)
+}
+
+// setComponent replaces the component under key, or appends it.
+func (m *Machine) setComponent(key string, c SnapshotComponent) {
 	for i := range m.comps {
 		if m.comps[i].Key == key {
 			m.comps[i].C = c
@@ -190,15 +195,7 @@ func Restore(s *Snapshot, opts ...MachineOption) (*Machine, error) {
 		// Mirror each rebuilt component onto the machine immediately, so a
 		// later component's restore factory can reach an earlier one via
 		// m.SnapshotComponent (a source finding its pool).
-		OnComponent: func(key string, c snap.Component) {
-			for i := range m.comps {
-				if m.comps[i].Key == key {
-					m.comps[i].C = c
-					return
-				}
-			}
-			m.comps = append(m.comps, snap.ComponentEntry{Key: key, C: c})
-		},
+		OnComponent: func(key string, c snap.Component) { m.setComponent(key, c) },
 	}
 	if len(cfg.restoreComps) > 0 {
 		lo.ComponentOverrides = map[string]snap.ComponentFactory{}

@@ -833,6 +833,30 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 		{"balance-twice", func(core map[string]any) {
 			core["events"] = append(core["events"].([]any), pendingEvent(t, core, "kernel.cfs.balance"))
 		}},
+		{"workdone-twice", func(core map[string]any) {
+			core["events"] = append(core["events"].([]any), pendingEvent(t, core, "kernel.workdone"))
+		}},
+		{"workdone-not-burning", func(core map[string]any) {
+			for _, c := range kernelRec(core)["cpus"].([]any) {
+				if c := c.(map[string]any); c["burning"] != true {
+					done := pendingEvent(t, core, "kernel.workdone")
+					done["ref"] = c["id"]
+					core["events"] = append(core["events"].([]any), done)
+					return
+				}
+			}
+			t.Fatal("snapshot has no CPU that is not burning")
+		}},
+		{"burning-no-workdone", func(core map[string]any) {
+			events := core["events"].([]any)
+			for i, ev := range events {
+				if ev.(map[string]any)["kind"] == "kernel.workdone" {
+					core["events"] = append(events[:i:i], events[i+1:]...)
+					return
+				}
+			}
+			t.Fatal("snapshot has no pending kernel.workdone event")
+		}},
 		{"event-before-now", func(core map[string]any) { record(core, "events", 0)["at"] = 0 }},
 		{"event-seq-above-counter", func(core map[string]any) { record(core, "events", 0)["seq"] = core["seq"] }},
 		{"spinner-chunk-negative", func(core map[string]any) {
@@ -985,6 +1009,9 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 		{"mq-queue-foreign-thread", mqWire, func(core map[string]any) {
 			q, _ := mqQueue(core)["queue"].([]any)
 			mqQueue(core)["queue"] = append(q, runnableCFS(core))
+		}},
+		{"mq-throttle-twice", mqWire, func(core map[string]any) {
+			core["events"] = append(core["events"].([]any), pendingEvent(t, core, "kernel.mq.throttle"))
 		}},
 		{"mq-queue-tid-twice", mqWire, func(core map[string]any) {
 			q, _ := mqQueue(core)["queue"].([]any)
