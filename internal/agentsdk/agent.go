@@ -92,28 +92,15 @@ func (c *Context) Topology() *hw.Topology { return c.Kernel.Topology() }
 // call on this Context; callers may filter it in place but must not
 // retain it across scheduling steps.
 func (c *Context) IdleCPUs() []hw.CPUID {
-	out := c.idleScratch[:0]
-	c.IdleMask().ForEach(func(id hw.CPUID) bool {
-		out = append(out, id)
-		return true
-	})
-	c.idleScratch = out
-	return out
+	c.idleScratch = c.IdleMask().AppendCPUs(c.idleScratch[:0])
+	return c.idleScratch
 }
 
 // IdleMask is IdleCPUs as a mask: the enclave's idle CPUs (from the
-// kernel's idle mask) minus those with a commit in flight. Only idle
-// CPUs the enclave holds (Enclave.Held) can have one, so LatchedFor runs
-// on just those.
+// kernel's idle mask) minus those with a commit in flight, which are the
+// ones the enclave holds (Enclave.Held).
 func (c *Context) IdleMask() kernel.Mask {
-	idle := c.Enclave.CPUs().And(c.Kernel.IdleMask())
-	idle.And(c.Enclave.Held()).ForEach(func(id hw.CPUID) bool {
-		if c.Enclave.LatchedFor(id) != nil {
-			idle.Clear(id)
-		}
-		return true
-	})
-	return idle
+	return c.Enclave.CPUs().And(c.Kernel.IdleMask()).AndNot(c.Enclave.Held())
 }
 
 // GlobalCPU returns the CPU the active global agent runs on, hw.NoCPU in

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"slices"
-	"sort"
 
 	"ghost/internal/ghostcore"
 	"ghost/internal/hw"
@@ -61,28 +60,44 @@ func (o *seqOracle) Aseq(e *ghostcore.Enclave, a *ghostcore.Agent, old, new uint
 // one CPU, and a latch-slot install never silently overwrites another
 // thread's latch (the displaced thread must be handed back first).
 //
-// The OnCpu check reads an index instead of every thread of every
-// enclave. Outside restore, only two kernel paths set a status word's
-// OnCPU claim: postThreadMsg, which fires Tseq first, and PickNext, which
-// fires Installed. Those events mark the thread dirty; a switch-in folds
-// the dirty threads into claims, drops the claims that lapsed and checks
-// the rest. Restore writes status words with no event, so the first
-// switch-in seeds the index with every thread of every live enclave.
+// The OnCpu check keeps an index of the claims instead of reading every
+// thread of every enclave, so each status-word event costs O(1) and a
+// switch-in with no broken claim costs O(1). Outside restore, only two
+// kernel paths set a status word's OnCpu claim, and each fires an event
+// once the word is written: postThreadMsg fires Tseq and PickNext fires
+// Installed. Both fold the thread's claim into the index and into a
+// count per (enclave, CPU). A thread leaves its enclave with a
+// THREAD_DEAD Tseq, or with no event when the enclave is destroyed,
+// which fires Destroyed.
+//
+// Whether a claimed thread is Running is indexed the same way. The
+// kernel takes a thread off its CPU only through its class (Enqueue,
+// Dequeue or ThreadDetached), and for a ghOSt thread each of those posts
+// a message, which fires Tseq; a thread becomes Running only at a
+// switch-in, whose hook names it.
+//
+// Restore writes status words and thread states with no event, so the
+// index starts at the first switch-in, from every thread of every live
+// enclave.
 type statusWordOracle struct {
 	Base
 	latchedOn []hw.CPUID // by TID: 1 + the CPU the thread believes it is latched on, 0 if none
 	believers []int      // by CPU: threads that believe they are latched there
 
-	seeded bool
-	dirty  []swClaim // threads whose status word may have changed since the last switch-in
-	claims []swClaim // threads whose status word claimed OnCpu, in TID order
-	perCPU []int     // OnCpu claims per CPU within one enclave, zero between checks
+	seeded  bool
+	ncpu    int
+	word    []swClaim    // by TID
+	perCPU  []int        // by enclave id × ncpu + CPU: the OnCpu claims on that CPU
+	doubles int          // perCPU entries above one, plus claims on a CPU perCPU has no entry for
+	stopped int          // claims whose thread is not Running
+	sorted  []kernel.TID // report's scratch
 }
 
-// swClaim names a thread and the enclave of its latest status-word event.
+// swClaim is one thread's OnCpu claim as last folded.
 type swClaim struct {
-	e *ghostcore.Enclave
-	t *kernel.Thread
+	enc     int32    // 1 + the id of the claiming enclave, 0 if the word claims no CPU
+	cpu     hw.CPUID // the claimed CPU, 0 without a claim
+	stopped bool     // the thread is not Running
 }
 
 func newStatusWordOracle() *statusWordOracle { return &statusWordOracle{} }
@@ -90,120 +105,147 @@ func newStatusWordOracle() *statusWordOracle { return &statusWordOracle{} }
 func (o *statusWordOracle) Name() string { return "status-word" }
 
 func (o *statusWordOracle) Tseq(e *ghostcore.Enclave, t *kernel.Thread, old, new uint64, mt ghostcore.MsgType) {
-	o.dirty = append(o.dirty, swClaim{e, t})
+	if o.seeded {
+		o.fold(e, t)
+	}
+}
+
+// Destroyed drops e's claims: its threads fall back to CFS with no
+// status-word event.
+func (o *statusWordOracle) Destroyed(e *ghostcore.Enclave, cause error, threads []*kernel.Thread) {
+	for tid := range o.word {
+		if w := &o.word[tid]; w.enc == int32(e.ID())+1 {
+			o.reclaim(w, 0, 0)
+		}
+	}
 }
 
 // SwitchIn checks that OnCpu threads are Running and that no CPU carries
 // two OnCpu claims. The switch hook runs between events, so the status
-// words it reads are consistent.
+// words it reads are consistent. A claim stays in the index until its
+// word lapses, so a broken one is reported again at every switch-in.
 func (o *statusWordOracle) SwitchIn(cpu *kernel.CPU, t *kernel.Thread) {
 	if !o.seeded {
-		o.seeded = true
-		o.perCPU = make([]int, o.c.Kernel().NumCPUs())
-		for _, e := range o.c.Ghost().Enclaves() {
-			for _, th := range e.Threads() {
-				o.dirty = append(o.dirty, swClaim{e, th})
-			}
-		}
+		o.seed()
 	}
-	for _, d := range o.dirty {
-		o.fold(d)
+	if tid := int(t.TID()); tid < len(o.word) {
+		o.setStopped(&o.word[tid], false) // t is Running now
 	}
-	o.dirty = o.dirty[:0]
-	live := o.claims[:0]
-	for _, cl := range o.claims {
-		if sw := cl.e.StatusWord(cl.t); sw != nil && sw.OnCPU && !cl.e.Destroyed() {
-			live = append(live, cl)
-		}
-	}
-	o.claims = live
-	// Check per enclave in Enclaves() order. That is creation order, and
-	// enclave ids only grow, so it is ascending id order.
-	for last := -1; ; {
-		var e *ghostcore.Enclave
-		for _, cl := range o.claims {
-			if id := cl.e.ID(); id > last && (e == nil || id < e.ID()) {
-				e = cl.e
-			}
-		}
-		if e == nil {
-			return
-		}
-		o.checkEnclave(e)
-		last = e.ID()
+	if o.stopped > 0 || o.doubles > 0 {
+		o.report()
 	}
 }
 
-// fold records d's thread in claims, in TID order, if its status word
-// claims OnCpu.
-func (o *statusWordOracle) fold(d swClaim) {
-	if sw := d.e.StatusWord(d.t); sw == nil || !sw.OnCPU {
-		return
+// seed starts the index from every thread of every live enclave.
+func (o *statusWordOracle) seed() {
+	o.seeded = true
+	o.ncpu = o.c.Kernel().NumCPUs()
+	for _, e := range o.c.Ghost().Enclaves() {
+		for _, th := range e.Threads() {
+			o.fold(e, th)
+		}
 	}
-	i, found := slices.BinarySearchFunc(o.claims, d.t.TID(), func(cl swClaim, tid kernel.TID) int {
-		return cmp.Compare(cl.t.TID(), tid)
-	})
-	if found {
-		o.claims[i].e = d.e
-		return
-	}
-	o.claims = slices.Insert(o.claims, i, d)
 }
 
-// checkEnclave checks e's OnCpu claims: each claimed thread must be
-// Running, and no CPU may carry two claims.
-func (o *statusWordOracle) checkEnclave(e *ghostcore.Enclave) {
-	dup := false
-	for _, cl := range o.claims {
-		if cl.e != e {
-			continue
-		}
-		sw := e.StatusWord(cl.t)
-		if cl.t.State() != kernel.StateRunning {
-			o.c.Reportf(o, "enc%d thread %d status word claims OnCpu (cpu%d) but state is %v",
-				e.ID(), cl.t.TID(), sw.CPU, cl.t.State())
-		}
-		if c := int(sw.CPU); c >= 0 && c < len(o.perCPU) {
-			o.perCPU[c]++
-			dup = dup || o.perCPU[c] > 1
+// fold brings t's claim in line with its status word and state.
+func (o *statusWordOracle) fold(e *ghostcore.Enclave, t *kernel.Thread) {
+	w := at(&o.word, int(t.TID()))
+	var enc int32
+	var cpu hw.CPUID
+	if sw := e.StatusWord(t); sw != nil && sw.OnCPU {
+		enc, cpu = int32(e.ID())+1, sw.CPU
+	}
+	if w.enc != enc || w.cpu != cpu {
+		o.reclaim(w, enc, cpu)
+	}
+	if enc != 0 {
+		o.setStopped(w, t.State() != kernel.StateRunning)
+	}
+}
+
+// reclaim moves w's claim to CPU cpu of enclave enc-1, or clears it
+// when enc is 0, keeping the counts in step.
+func (o *statusWordOracle) reclaim(w *swClaim, enc int32, cpu hw.CPUID) {
+	if w.enc != 0 {
+		o.count(w, -1)
+		o.setStopped(w, false)
+	}
+	w.enc, w.cpu = enc, cpu
+	if enc != 0 {
+		o.count(w, 1)
+	}
+}
+
+// setStopped records whether w's thread has stopped Running; only fold
+// marks one stopped, and only a claim.
+func (o *statusWordOracle) setStopped(w *swClaim, stopped bool) {
+	if w.stopped != stopped {
+		w.stopped = stopped
+		if stopped {
+			o.stopped++
 		} else {
-			dup = true // no counter for this CPU: let the full grouping judge it
+			o.stopped--
 		}
-	}
-	for _, cl := range o.claims {
-		if cl.e != e {
-			continue
-		}
-		if c := int(e.StatusWord(cl.t).CPU); c >= 0 && c < len(o.perCPU) {
-			o.perCPU[c] = 0
-		}
-	}
-	if dup {
-		o.reportDoubleClaims(e)
 	}
 }
 
-// reportDoubleClaims reports every CPU of e that two or more OnCpu claims
-// name, in CPU order. It runs only when checkEnclave found a duplicate,
-// so its allocations stay off the clean path.
-func (o *statusWordOracle) reportDoubleClaims(e *ghostcore.Enclave) {
-	byCPU := make(map[hw.CPUID][]kernel.TID)
-	for _, cl := range o.claims {
-		if cl.e == e {
-			c := e.StatusWord(cl.t).CPU
-			byCPU[c] = append(byCPU[c], cl.t.TID())
+// count adds delta (±1) to w's (enclave, CPU) claim count and keeps
+// doubles in step with it.
+func (o *statusWordOracle) count(w *swClaim, delta int) {
+	if c := int(w.cpu); c < 0 || c >= o.ncpu {
+		o.doubles += delta // no entry for this CPU: let report group it
+		return
+	}
+	n := at(&o.perCPU, int(w.enc-1)*o.ncpu+int(w.cpu))
+	switch {
+	case delta > 0 && *n == 1:
+		o.doubles++
+	case delta < 0 && *n == 2:
+		o.doubles--
+	}
+	*n += delta
+}
+
+// report reports the broken claims as a rescan of every thread would:
+// enclaves in ascending id order, which is Enclaves() order (creation
+// order, and ids only grow); in each, the claims whose thread is not
+// Running in TID order, then every CPU two or more claims name, in CPU
+// order. It runs only while a claim is broken, so it may walk and sort
+// the index.
+func (o *statusWordOracle) report() {
+	s := o.sorted[:0]
+	for tid, w := range o.word {
+		if w.enc != 0 {
+			s = append(s, kernel.TID(tid))
 		}
 	}
-	cpus := make([]int, 0, len(byCPU))
-	for c := range byCPU {
-		cpus = append(cpus, int(c))
-	}
-	sort.Ints(cpus)
-	for _, c := range cpus {
-		// claims is TID-ordered, so each list is too.
-		if tids := byCPU[hw.CPUID(c)]; len(tids) > 1 {
-			o.c.Reportf(o, "enc%d: %d threads claim OnCpu for cpu%d: %v",
-				e.ID(), len(tids), c, tids)
+	o.sorted = s
+	// Stable sorts keep TID order within an enclave, then within a CPU.
+	slices.SortStableFunc(s, func(a, b kernel.TID) int { return cmp.Compare(o.word[a].enc, o.word[b].enc) })
+	for len(s) > 0 {
+		enc, n := o.word[s[0]].enc, 1
+		for n < len(s) && o.word[s[n]].enc == enc {
+			n++
+		}
+		claims := s[:n]
+		s = s[n:]
+		for _, tid := range claims {
+			if st := o.c.k.Thread(tid).State(); st != kernel.StateRunning {
+				o.c.Reportf(o, "enc%d thread %d status word claims OnCpu (cpu%d) but state is %v",
+					enc-1, tid, o.word[tid].cpu, st)
+			}
+		}
+		slices.SortStableFunc(claims, func(a, b kernel.TID) int { return cmp.Compare(o.word[a].cpu, o.word[b].cpu) })
+		for len(claims) > 0 {
+			cpu, n := o.word[claims[0]].cpu, 1
+			for n < len(claims) && o.word[claims[n]].cpu == cpu {
+				n++
+			}
+			if n > 1 {
+				o.c.Reportf(o, "enc%d: %d threads claim OnCpu for cpu%d: %v",
+					enc-1, n, cpu, slices.Clone(claims[:n]))
+			}
+			claims = claims[n:]
 		}
 	}
 }
@@ -229,7 +271,9 @@ func (o *statusWordOracle) Unlatched(e *ghostcore.Enclave, cpu hw.CPUID, t *kern
 }
 
 func (o *statusWordOracle) Installed(e *ghostcore.Enclave, cpu hw.CPUID, t *kernel.Thread) {
-	o.dirty = append(o.dirty, swClaim{e, t})
+	if o.seeded {
+		o.fold(e, t)
+	}
 	// A switch-in consumed cpu's latch slot; no other thread may still
 	// believe it is latched there — that would mean a commit overwrote
 	// the slot without handing the displaced thread back (double latch).

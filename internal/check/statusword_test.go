@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"ghost/internal/ghostcore"
 	"ghost/internal/hw"
@@ -18,8 +19,8 @@ import (
 type fullScanStatusWord struct{ *statusWordOracle }
 
 func (o fullScanStatusWord) SwitchIn(cpu *kernel.CPU, t *kernel.Thread) {
-	// Tseq and Installed still mark threads dirty; nothing folds them.
-	o.dirty = o.dirty[:0]
+	// The embedded oracle is never seeded, so its Tseq and Installed
+	// fold nothing.
 	for _, e := range o.c.Ghost().Enclaves() {
 		var byCPU map[hw.CPUID][]kernel.TID
 		for _, th := range e.Threads() {
@@ -227,8 +228,8 @@ func forgeOnCPUClaim(img *snap.Image) {
 	}
 }
 
-// TestStatusWordSwitchInAllocFree: once warm, a switch-in check folds
-// status-word events and checks the OnCpu claims without allocating.
+// TestStatusWordSwitchInAllocFree: once warm, folding status-word events
+// and checking the OnCpu claims at a switch-in allocate nothing.
 func TestStatusWordSwitchInAllocFree(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		s := Generate(seed)
@@ -240,12 +241,23 @@ func TestStatusWordSwitchInAllocFree(t *testing.T) {
 		Attach(rg.k, rg.g, o)
 		s.populate(rg)
 		rg.eng.RunFor(s.Horizon / 2)
-		if len(o.claims) == 0 {
+		type claim struct {
+			e *ghostcore.Enclave
+			t *kernel.Thread
+		}
+		var claims []claim
+		for _, e := range rg.g.Enclaves() {
+			for _, th := range e.Threads() {
+				if tid := int(th.TID()); tid < len(o.word) && o.word[tid].enc != 0 {
+					claims = append(claims, claim{e, th})
+				}
+			}
+		}
+		if len(claims) == 0 {
 			rg.k.Shutdown()
 			continue
 		}
 		cpu := rg.k.CPU(0)
-		claims := append([]swClaim(nil), o.claims...)
 		allocs := testing.AllocsPerRun(100, func() {
 			for _, cl := range claims {
 				o.Tseq(cl.e, cl.t, 0, 1, 0)
@@ -296,4 +308,54 @@ func BenchmarkCheckScenarioNoOracles(b *testing.B) {
 			rg.k.Shutdown()
 		}
 	}
+}
+
+// BenchmarkCheckOverhead runs each of BenchmarkCheckScenario's scenarios
+// three ways back to back: under every default oracle, under every one
+// but status-word, and with no checker, rotating which goes first. Host
+// drift between separate benchmark runs then cancels out of what it
+// reports: the time every oracle adds to an unchecked run (oracles-%),
+// and the part of it status-word adds (status-word-%). Both are
+// differences of a few percent, so read them from a run of seconds
+// (-benchtime 3s); one iteration shows only noise.
+func BenchmarkCheckOverhead(b *testing.B) {
+	var scenarios []Scenario
+	for seed := uint64(1); seed <= 16; seed++ {
+		scenarios = append(scenarios, Generate(seed))
+	}
+	run := func(s Scenario, oracles []Oracle) time.Duration {
+		start := time.Now()
+		rg := s.buildShell()
+		var ck *Checker
+		if oracles != nil {
+			ck = Attach(rg.k, rg.g, oracles...)
+		}
+		s.populate(rg)
+		rg.eng.RunFor(s.Horizon)
+		if ck != nil {
+			ck.Finish(rg.eng.Now())
+		}
+		rg.k.Shutdown()
+		return time.Since(start)
+	}
+	var wall [3]time.Duration // every oracle, all but status-word, none
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, s := range scenarios {
+			for k := range wall {
+				way := (i + j + k) % len(wall)
+				var oracles []Oracle
+				switch way {
+				case 0:
+					oracles = Default()
+				case 1:
+					oracles = slices.DeleteFunc(Default(), func(o Oracle) bool { return o.Name() == "status-word" })
+				}
+				wall[way] += run(s, oracles)
+			}
+		}
+	}
+	none := float64(wall[2])
+	b.ReportMetric(100*float64(wall[0]-wall[2])/none, "oracles-%")
+	b.ReportMetric(100*float64(wall[0]-wall[1])/none, "status-word-%")
 }

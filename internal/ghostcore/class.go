@@ -194,7 +194,6 @@ func (g *Class) postThreadMsg(t *kernel.Thread, mt MsgType) {
 	if !(g.Mut.SkipTseqBump && mt == MsgThreadWakeup) {
 		gt.tseq++
 	}
-	g.obsTseq(gt.enc, t, old, gt.tseq, mt)
 	gt.sw.Seq = gt.tseq
 	gt.sw.Runnable = gt.runnable
 	switch mt {
@@ -208,6 +207,7 @@ func (g *Class) postThreadMsg(t *kernel.Thread, mt MsgType) {
 		gt.sw.OnCPU = t.State() == kernel.StateRunning
 		gt.sw.CPU = t.OnCPU()
 	}
+	g.obsTseq(gt.enc, t, old, gt.tseq, mt)
 	if g.Mut.DropWakeup && mt == MsgThreadWakeup {
 		// Seeded lost-wakeup bug: the message never reaches the queue.
 		return

@@ -374,9 +374,14 @@ func (e *Enclave) LatchedFor(cpu hw.CPUID) *kernel.Thread {
 }
 
 // Held returns the enclave CPUs holding a latch, installed or in flight:
-// exactly the CPUs where LatchedFor returns non-nil (unless the seeded
-// DoubleLatch mutation makes it lie).
-func (e *Enclave) Held() kernel.Mask { return e.g.held.And(e.cpus) }
+// exactly the CPUs where LatchedFor returns non-nil. Under the seeded
+// DoubleLatch mutation LatchedFor claims no latch, and so does Held.
+func (e *Enclave) Held() kernel.Mask {
+	if e.g.Mut.DoubleLatch {
+		return kernel.Mask{}
+	}
+	return e.g.held.And(e.cpus)
+}
 
 // DebugThreadState reports the ghOSt-side view of a thread (runnable,
 // latched) for diagnostics and tests.

@@ -12,7 +12,8 @@ import (
 // observer sees a globally consistent snapshot.
 type (
 	// TseqObserver: a thread message bumped (or, under a seeded mutation,
-	// failed to bump) the thread's Tseq.
+	// failed to bump) the thread's Tseq. It fires once the status word
+	// shows the message, before the message is queued.
 	TseqObserver interface {
 		Tseq(e *Enclave, t *kernel.Thread, old, new uint64, mt MsgType)
 	}

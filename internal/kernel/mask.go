@@ -92,22 +92,16 @@ func (m Mask) Count() int {
 	return n
 }
 
-// And returns the intersection of two masks.
+// And returns the intersection of two masks. It and AndNot spell out the
+// four words so the result is built in registers, not stored word by
+// word and copied.
 func (m Mask) And(o Mask) Mask {
-	var r Mask
-	for i := range r.bits {
-		r.bits[i] = m.bits[i] & o.bits[i]
-	}
-	return r
+	return Mask{[4]uint64{m.bits[0] & o.bits[0], m.bits[1] & o.bits[1], m.bits[2] & o.bits[2], m.bits[3] & o.bits[3]}}
 }
 
 // AndNot returns the CPUs of m that are not in o.
 func (m Mask) AndNot(o Mask) Mask {
-	var r Mask
-	for i := range r.bits {
-		r.bits[i] = m.bits[i] &^ o.bits[i]
-	}
-	return r
+	return Mask{[4]uint64{m.bits[0] &^ o.bits[0], m.bits[1] &^ o.bits[1], m.bits[2] &^ o.bits[2], m.bits[3] &^ o.bits[3]}}
 }
 
 // ForEach calls fn for each CPU in the mask in ascending order; fn
@@ -128,13 +122,17 @@ func (m Mask) ForEach(fn func(hw.CPUID) bool) {
 }
 
 // CPUs returns the set CPUs in ascending order.
-func (m Mask) CPUs() []hw.CPUID {
-	out := make([]hw.CPUID, 0, m.Count())
-	m.ForEach(func(c hw.CPUID) bool {
-		out = append(out, c)
-		return true
-	})
-	return out
+func (m Mask) CPUs() []hw.CPUID { return m.AppendCPUs(make([]hw.CPUID, 0, m.Count())) }
+
+// AppendCPUs appends the set CPUs to dst in ascending order and returns
+// the extended slice.
+func (m Mask) AppendCPUs(dst []hw.CPUID) []hw.CPUID {
+	for w, word := range m.bits {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, hw.CPUID(w*64+bits.TrailingZeros64(word)))
+		}
+	}
+	return dst
 }
 
 // String renders the mask as a compact CPU list.

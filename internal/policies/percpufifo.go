@@ -13,13 +13,16 @@ import (
 // empty (the ASSOCIATE_QUEUE work-stealing flow of §3.1).
 type PerCPUFIFO struct {
 	tr     *Tracker
-	rqs    map[hw.CPUID]runq
-	home   map[kernel.TID]hw.CPUID
+	rqs    []runq     // by CPU
+	home   []hw.CPUID // by TID: the CPU whose agent hears the thread, noHome if none
 	cpus   []hw.CPUID
 	nextRR int
 	// ctx is retained from Attach for snapshot TID resolution.
 	ctx *agentsdk.Context
 }
+
+// noHome marks a TID the policy has placed on no CPU.
+const noHome = hw.NoCPU
 
 // NewPerCPUFIFO builds the policy.
 func NewPerCPUFIFO() *PerCPUFIFO { return &PerCPUFIFO{} }
@@ -27,34 +30,42 @@ func NewPerCPUFIFO() *PerCPUFIFO { return &PerCPUFIFO{} }
 // Attach implements agentsdk.PerCPUPolicy.
 func (p *PerCPUFIFO) Attach(ctx *agentsdk.Context) {
 	p.ctx = ctx
-	p.rqs = make(map[hw.CPUID]runq)
-	p.home = make(map[kernel.TID]hw.CPUID)
+	p.rqs = make([]runq, ctx.Topology().NumCPUs())
+	p.home = nil
 	p.cpus = ctx.Enclave.CPUs().CPUs()
 	p.tr = NewTracker()
 	p.tr.OnRunnable = func(ts *TState, m ghostcore.Message) {
-		cpu, ok := p.home[ts.Thread.TID()]
-		if !ok {
+		cpu := p.homeOf(ts.Thread.TID())
+		if cpu == noHome {
 			cpu = p.cpus[0]
 		}
-		p.push(cpu, ts)
+		p.rqs[cpu].push(ts)
 	}
 	p.tr.OnRemoved = func(ts *TState, m ghostcore.Message) {
 		if m.Type == ghostcore.MsgThreadDead {
-			cpu := p.home[ts.Thread.TID()]
-			q := p.rqs[cpu]
-			q.remove(ts)
-			p.rqs[cpu] = q
-			delete(p.home, ts.Thread.TID())
+			// OnMessage homed the thread on the CPU that heard this.
+			tid := ts.Thread.TID()
+			p.rqs[p.home[tid]].remove(ts)
+			p.home[tid] = noHome
 		}
 	}
 	p.tr.Rebuild(ctx)
 }
 
-// push queues ts on cpu's runqueue.
-func (p *PerCPUFIFO) push(cpu hw.CPUID, ts *TState) {
-	q := p.rqs[cpu]
-	q.push(ts)
-	p.rqs[cpu] = q
+// homeOf returns tid's home CPU, noHome if it has none.
+func (p *PerCPUFIFO) homeOf(tid kernel.TID) hw.CPUID {
+	if int(tid) < len(p.home) {
+		return p.home[tid]
+	}
+	return noHome
+}
+
+// setHome homes tid on cpu, growing the table with noHome to hold it.
+func (p *PerCPUFIFO) setHome(tid kernel.TID, cpu hw.CPUID) {
+	for len(p.home) <= int(tid) {
+		p.home = append(p.home, noHome)
+	}
+	p.home[tid] = cpu
 }
 
 // AssignCPU implements agentsdk.PerCPUPolicy: round-robin placement.
@@ -63,19 +74,19 @@ func (p *PerCPUFIFO) AssignCPU(ctx *agentsdk.Context, t *kernel.Thread) hw.CPUID
 		cpu := p.cpus[p.nextRR%len(p.cpus)]
 		p.nextRR++
 		if t.Affinity().Has(cpu) {
-			p.home[t.TID()] = cpu
+			p.setHome(t.TID(), cpu)
 			return cpu
 		}
 	}
 	cpu := p.cpus[0]
-	p.home[t.TID()] = cpu
+	p.setHome(t.TID(), cpu)
 	return cpu
 }
 
 // OnMessage implements agentsdk.PerCPUPolicy.
 func (p *PerCPUFIFO) OnMessage(ctx *agentsdk.Context, cpu hw.CPUID, m ghostcore.Message) {
 	if m.TID != 0 {
-		p.home[m.TID] = cpu
+		p.setHome(m.TID, cpu)
 	}
 	p.tr.HandleMessage(ctx, m)
 }
@@ -96,7 +107,7 @@ func (p *PerCPUFIFO) PickNext(ctx *agentsdk.Context, cpu hw.CPUID) *kernel.Threa
 	if ts := p.steal(cpu); ts != nil {
 		p.tr.MarkScheduled(ts, int(cpu), ctx.Now())
 		// Re-home the thread: subsequent messages flow here.
-		p.home[ts.Thread.TID()] = cpu
+		p.setHome(ts.Thread.TID(), cpu)
 		ctx.MoveThread(ts.Thread, cpu)
 		return ts.Thread
 	}
@@ -119,10 +130,7 @@ func (p *PerCPUFIFO) steal(thief hw.CPUID) *TState {
 	if best == 0 {
 		return nil
 	}
-	q := p.rqs[victim]
-	ts := q.popFor(thief)
-	p.rqs[victim] = q
-	return ts
+	return p.rqs[victim].popFor(thief)
 }
 
 // OnTxnFail implements agentsdk.PerCPUPolicy.
@@ -132,6 +140,6 @@ func (p *PerCPUFIFO) OnTxnFail(ctx *agentsdk.Context, cpu hw.CPUID, t *kernel.Th
 		return
 	}
 	if p.tr.MarkFailed(ts) {
-		p.push(cpu, ts)
+		p.rqs[cpu].push(ts)
 	}
 }

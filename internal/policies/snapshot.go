@@ -303,25 +303,15 @@ func (p *PerCPUFIFO) SnapshotSave() ([]byte, error) {
 		NextRR:  p.nextRR,
 		Tracker: SaveTrackerRecs(p.tr),
 	}
-	cpus := make([]int, 0, len(p.rqs))
-	for cpu := range p.rqs {
-		cpus = append(cpus, int(cpu))
-	}
-	sort.Ints(cpus)
-	for _, cpu := range cpus {
-		q := p.rqs[hw.CPUID(cpu)]
-		if len(q) == 0 {
-			continue
+	for cpu, q := range p.rqs {
+		if len(q) != 0 {
+			st.RunQueues = append(st.RunQueues, perCPUQueueRec{CPU: cpu, TIDs: queueTIDs(q)})
 		}
-		st.RunQueues = append(st.RunQueues, perCPUQueueRec{CPU: cpu, TIDs: queueTIDs(q)})
 	}
-	tids := make([]int, 0, len(p.home))
-	for tid := range p.home {
-		tids = append(tids, int(tid))
-	}
-	sort.Ints(tids)
-	for _, tid := range tids {
-		st.Home = append(st.Home, [2]int{tid, int(p.home[kernel.TID(tid)])})
+	for tid, cpu := range p.home {
+		if cpu != noHome {
+			st.Home = append(st.Home, [2]int{tid, int(cpu)})
+		}
 	}
 	return json.Marshal(st)
 }
@@ -340,29 +330,36 @@ func (p *PerCPUFIFO) SnapshotLoad(data []byte) error {
 		return fmt.Errorf("percpu-fifo: %w", err)
 	}
 	cpus := p.ctx.Enclave.CPUs()
-	p.rqs = make(map[hw.CPUID]runq, len(st.RunQueues))
+	p.rqs = make([]runq, p.ctx.Topology().NumCPUs())
+	loaded := kernel.Mask{}
 	seen := make(map[kernel.TID]bool)
 	for _, qr := range st.RunQueues {
 		cpu := hw.CPUID(qr.CPU)
 		if !cpus.Has(cpu) {
 			return fmt.Errorf("percpu-fifo: run queue on cpu%d, outside the enclave", qr.CPU)
 		}
-		if _, dup := p.rqs[cpu]; dup {
+		if loaded.Has(cpu) {
 			return fmt.Errorf("percpu-fifo: two run queues for cpu%d", qr.CPU)
 		}
+		loaded.Set(cpu)
 		q, err := resolveQueue(p.tr, qr.TIDs, seen)
 		if err != nil {
 			return fmt.Errorf("percpu-fifo cpu%d: %w", qr.CPU, err)
 		}
 		p.rqs[cpu] = q
 	}
-	p.home = make(map[kernel.TID]hw.CPUID, len(st.Home))
+	p.home = nil
 	for _, pair := range st.Home {
-		cpu := hw.CPUID(pair[1])
+		tid, cpu := kernel.TID(pair[0]), hw.CPUID(pair[1])
 		if !cpus.Has(cpu) {
 			return fmt.Errorf("percpu-fifo: T%d homed on cpu%d, outside the enclave", pair[0], pair[1])
 		}
-		p.home[kernel.TID(pair[0])] = cpu
+		// The TID indexes the home table: it must name a thread that
+		// exists after restore, as the tracker's must.
+		if p.ctx.Thread(tid) == nil {
+			return fmt.Errorf("percpu-fifo: home refers to T%d, which does not exist after restore", pair[0])
+		}
+		p.setHome(tid, cpu)
 	}
 	return nil
 }

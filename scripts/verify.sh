@@ -63,7 +63,7 @@ go test -race -short ./...
 echo "== ghost-check smoke (property-based invariant scan)"
 go run ./cmd/ghost-check -quick -seeds 100 -parallel 4
 
-# Every one of seeds 1-4000 runs clean (about 9-10 s on 2 vCPUs); a
+# Every one of seeds 1-4000 runs clean (about 5-6 s on 2 vCPUs); a
 # violation exits 1 with a shrunk repro line.
 echo "== ghost-check -seeds 4000 (full-length scenarios)"
 go run ./cmd/ghost-check -seeds 4000 -parallel 2

@@ -1123,6 +1123,16 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 			tid := record(st, "tracker", 0)["tid"]
 			addRunQueues(t, st, []any{tid, tid})
 		}},
+		// Homes and run queues index tables by TID, so a TID that names
+		// no thread must be refused before it can size one.
+		{"percpu-home-tid-foreign", func(st map[string]any) {
+			home, _ := st["home"].([]any)
+			if len(home) == 0 {
+				t.Fatal("per-CPU snapshot homes no threads")
+			}
+			home[0].([]any)[0] = 1 << 40
+		}},
+		{"percpu-rq-tid-foreign", func(st map[string]any) { addRunQueues(t, st, []any{1 << 40}) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			requireRestoreCorrupt(t, resealSnapshot(t, perCPU, func(core map[string]any) {
