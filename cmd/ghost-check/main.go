@@ -94,7 +94,6 @@ func realMain() int {
 		s.Mutation = *mutate
 		jobs[i] = experiments.Job{
 			Name: s.Repro(),
-			Seed: s.Seed,
 			Run:  func() any { return s.Run() },
 		}
 	}

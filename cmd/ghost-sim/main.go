@@ -159,7 +159,6 @@ func realMain() int {
 		s.seed = *seed + uint64(i)
 		jobs[i] = experiments.Job{
 			Name: fmt.Sprintf("seed-%d", s.seed),
-			Seed: s.seed,
 			Run: func() any {
 				out, err := s.run()
 				if err != nil {

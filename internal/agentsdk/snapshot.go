@@ -43,10 +43,10 @@ type PolicyRec struct {
 	Data []byte `json:"data,omitempty"`
 }
 
-// SetRec is one serialized agent generation.
+// SetRec is one serialized agent generation. Its model is the policy's:
+// Start infers it from the restored policy's type.
 type SetRec struct {
 	EncID     int      `json:"encID"`
-	Mode      string   `json:"mode"` // "global" or "percpu"
 	GlobalCPU int      `json:"globalCPU"`
 	ThreadCPU [][2]int `json:"threadCPU,omitempty"` // (tid, cpu), TID-sorted
 
@@ -89,7 +89,6 @@ func (set *AgentSet) SaveRec() (*SetRec, error) {
 	}
 	rec := &SetRec{
 		EncID:         set.enc.ID(),
-		Mode:          "global",
 		GlobalCPU:     int(set.globalCPU),
 		Policy:        PolicyRec{Kind: ps.SnapshotKind(), Data: blob},
 		Handoffs:      set.Handoffs,
@@ -97,9 +96,6 @@ func (set *AgentSet) SaveRec() (*SetRec, error) {
 		TxnsCommitted: set.TxnsCommitted,
 		TxnsFailed:    set.TxnsFailed,
 		MsgDelivery:   set.MsgDelivery.State(),
-	}
-	if set.percpu != nil {
-		rec.Mode = "percpu"
 	}
 	set.eachRunner(func(r *runner) {
 		rec.Runners = append(rec.Runners, RunnerRec{
@@ -132,17 +128,6 @@ func (r *SetRec) MinTID() int {
 		}
 	}
 	return min
-}
-
-// StartOption returns the Start option that asserts rec's model.
-func (r *SetRec) StartOption() (Option, error) {
-	switch r.Mode {
-	case "global":
-		return Global(), nil
-	case "percpu":
-		return PerCPU(), nil
-	}
-	return nil, fmt.Errorf("agent set on enclave %d: unknown mode %q", r.EncID, r.Mode)
 }
 
 // RestoreImage overlays rec onto a freshly Started generation whose
@@ -203,7 +188,7 @@ func (set *AgentSet) RestoreImage(rec *SetRec) error {
 // SnapshotEvents declares the agent sets' pre-bound events, each named
 // by its set's enclave id: a set's RepollAfter timer, at most one and
 // held by the set, and its RetryAfter pokes.
-func SnapshotEvents(sets []*AgentSet) sim.EventTable {
+func SnapshotEvents(sets []*AgentSet) []sim.EventKind {
 	setRef := func(a any) (sim.EventFields, bool) { return sim.EventFields{Ref: int64(a.(*AgentSet).enc.ID())}, true }
 	set := func(f sim.EventFields) (any, error) {
 		for _, set := range sets {
@@ -213,7 +198,7 @@ func SnapshotEvents(sets []*AgentSet) sim.EventTable {
 		}
 		return nil, fmt.Errorf("enclave %d has no agent set", f.Ref)
 	}
-	return sim.EventTable{Kinds: []sim.EventKind{
+	return []sim.EventKind{
 		{Name: "agentsdk.repoll", Fn: repollFn, Save: setRef, Load: set,
 			Pending: func(a any) bool { return a.(*AgentSet).repoll.Pending() },
 			Adopt: func(a any, at sim.Time, ev sim.Event) {
@@ -221,5 +206,5 @@ func SnapshotEvents(sets []*AgentSet) sim.EventTable {
 				set.repoll, set.repollAt = ev, at
 			}},
 		{Name: "agentsdk.pokeactive", Fn: pokeActiveFn, Save: setRef, Load: set},
-	}}
+	}
 }

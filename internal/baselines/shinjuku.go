@@ -42,7 +42,6 @@ const (
 // spinWorker is one dedicated spinning worker.
 type spinWorker struct {
 	dp     *ShinjukuDataplane
-	cpu    hw.CPUID
 	thread *kernel.Thread
 	cur    *workload.Request
 	charge kernel.Charge
@@ -70,7 +69,7 @@ func NewShinjukuDataplane(k *kernel.Kernel, dc *kernel.AgentClass,
 	}))
 	k.Wake(dp.dispatcher)
 	for _, cpu := range workerCPUs {
-		w := &spinWorker{dp: dp, cpu: cpu}
+		w := &spinWorker{dp: dp}
 		w.thread = k.Spawn(kernel.SpawnOpts{
 			Name: fmt.Sprintf("shinjuku-worker-%d", cpu), Class: dc, Affinity: kernel.MaskOf(cpu),
 		}, kernel.Steps(w.step))

@@ -69,12 +69,11 @@ func (s Scenario) SnapshotCapable() (bool, string) {
 }
 
 // Checkpoint is one snapshot of a checked run, taken at a quiescent
-// barrier. Executed counts engine events up to the barrier — the events
-// a rewind from this checkpoint skips.
+// barrier. Its image counts the engine events up to the barrier — the
+// events a rewind from this checkpoint skips.
 type Checkpoint struct {
-	At       sim.Time
-	Executed uint64
-	Img      *snap.Image
+	At  sim.Time
+	Img *snap.Image
 }
 
 // CheckpointedResult is a scenario run that carried periodic snapshots.
@@ -120,7 +119,7 @@ func (s Scenario) RunWithCheckpoints(every sim.Duration) *CheckpointedResult {
 			cr.SkipReasons = append(cr.SkipReasons, err.Error())
 			continue
 		}
-		cr.Checkpoints = append(cr.Checkpoints, &Checkpoint{At: rg.eng.Now(), Executed: rg.eng.Executed, Img: img})
+		cr.Checkpoints = append(cr.Checkpoints, &Checkpoint{At: rg.eng.Now(), Img: img})
 	}
 	ck.Finish(rg.eng.Now())
 	cr.FinalExecuted = rg.eng.Executed

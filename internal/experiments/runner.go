@@ -9,12 +9,11 @@ import (
 
 // Job is one independent simulation configuration in a sweep. Run builds
 // its own machine (engines are single-threaded and share nothing), so
-// jobs from the same sweep can execute concurrently. Name and Seed are
-// carried for diagnostics; determinism comes from Run seeding its own
+// jobs from the same sweep can execute concurrently. Name labels the
+// job in CPU profiles; determinism comes from Run seeding its own
 // generators.
 type Job struct {
 	Name string
-	Seed uint64
 	Run  func() any
 }
 

@@ -376,7 +376,6 @@ type window struct {
 type Injector struct {
 	eng    *sim.Engine
 	rnd    *sim.Rand
-	plan   *Plan
 	tracer func() *trace.Tracer
 
 	windows []*window
@@ -389,7 +388,6 @@ func NewInjector(eng *sim.Engine, plan *Plan) *Injector {
 	in := &Injector{
 		eng:   eng,
 		rnd:   sim.NewRand(plan.Seed ^ 0xFA017FA017),
-		plan:  plan,
 		hooks: make(map[int]*AgentHooks),
 	}
 	for _, f := range plan.Faults {

@@ -22,10 +22,9 @@ type StatusWord struct {
 type ghostThread struct {
 	enc           *Enclave
 	q             *Queue
-	tseq          uint64
-	sw            StatusWord
-	runnable      bool     // runnable and waiting for an agent decision
-	latch         hw.CPUID // CPU whose latch holds the thread, NoCPU if none
+	sw            StatusWord // sw.Seq is the thread's Tseq
+	runnable      bool       // runnable and waiting for an agent decision
+	latch         hw.CPUID   // CPU whose latch holds the thread, NoCPU if none
 	runnableSince sim.Time
 	pendingMsgs   int
 	hint          any // application scheduling hint (Fig 1)
@@ -190,11 +189,10 @@ func (g *Class) postThreadMsg(t *kernel.Thread, mt MsgType) {
 		return
 	}
 	g.obsMsgIntent(gt.enc, t.TID(), mt)
-	old := gt.tseq
+	old := gt.sw.Seq
 	if !(g.Mut.SkipTseqBump && mt == MsgThreadWakeup) {
-		gt.tseq++
+		gt.sw.Seq++
 	}
-	gt.sw.Seq = gt.tseq
 	gt.sw.Runnable = gt.runnable
 	switch mt {
 	case MsgThreadPreempted, MsgThreadBlocked, MsgThreadYield, MsgThreadDead:
@@ -207,7 +205,7 @@ func (g *Class) postThreadMsg(t *kernel.Thread, mt MsgType) {
 		gt.sw.OnCPU = t.State() == kernel.StateRunning
 		gt.sw.CPU = t.OnCPU()
 	}
-	g.obsTseq(gt.enc, t, old, gt.tseq, mt)
+	g.obsTseq(gt.enc, t, old, gt.sw.Seq, mt)
 	if g.Mut.DropWakeup && mt == MsgThreadWakeup {
 		// Seeded lost-wakeup bug: the message never reaches the queue.
 		return
@@ -222,7 +220,7 @@ func (g *Class) postThreadMsg(t *kernel.Thread, mt MsgType) {
 	gt.q.post(Message{
 		Type:     mt,
 		TID:      t.TID(),
-		Seq:      gt.tseq,
+		Seq:      gt.sw.Seq,
 		CPU:      t.LastCPU(),
 		Runnable: gt.runnable,
 	})

@@ -20,12 +20,10 @@ type BPFProgram interface {
 // Agent is the kernel-side handle of an attached userspace agent thread:
 // its CPU, its Aseq status word, and its queue association.
 type Agent struct {
-	enc    *Enclave
 	cpu    hw.CPUID
 	thread *kernel.Thread
-	queue  *Queue // queue this agent consumes (for TIMER_TICK routing)
-	aseq   uint64
-	sw     StatusWord
+	queue  *Queue     // queue this agent consumes (for TIMER_TICK routing)
+	sw     StatusWord // sw.Seq is the agent's Aseq
 
 	attached bool
 }
@@ -233,7 +231,7 @@ func (e *Enclave) ThreadSeq(t *kernel.Thread) uint64 {
 	if gt == nil {
 		return 0
 	}
-	return gt.tseq
+	return gt.sw.Seq
 }
 
 // AttachAgent registers an agent thread for cpu (AGENT_INIT). The agent
@@ -243,8 +241,7 @@ func (e *Enclave) AttachAgent(cpu hw.CPUID, t *kernel.Thread) *Agent {
 		panic(fmt.Sprintf("ghostcore: agent cpu %d outside enclave", cpu))
 	}
 	// Aseq starts at 1 so that 0 always means "no sequence check".
-	a := &Agent{enc: e, cpu: cpu, thread: t, attached: true, aseq: 1}
-	a.sw.Seq = 1
+	a := &Agent{cpu: cpu, thread: t, attached: true, sw: StatusWord{Seq: 1}}
 	e.agents[cpu] = a
 	if e.upgradePending {
 		e.upgradePending = false
@@ -515,10 +512,10 @@ func (e *Enclave) validate(a *Agent, txn *Txn) (TxnStatus, string) {
 	if !e.cpus.Has(txn.CPU) {
 		return TxnCPUNotAvail, ""
 	}
-	if txn.AgentSeq != 0 && a != nil && a.aseq > txn.AgentSeq {
+	if txn.AgentSeq != 0 && a != nil && a.sw.Seq > txn.AgentSeq {
 		return TxnESTALE, "aseq"
 	}
-	if txn.ThreadSeq != 0 && gt.tseq > txn.ThreadSeq {
+	if txn.ThreadSeq != 0 && gt.sw.Seq > txn.ThreadSeq {
 		return TxnESTALE, "tseq"
 	}
 	if t.State() != kernel.StateRunnable || !gt.runnable || gt.latch != hw.NoCPU {

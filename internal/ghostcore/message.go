@@ -207,10 +207,8 @@ func (q *Queue) deliver(m Message, dup, delayed bool) {
 	g := q.enc.g
 	g.obsMsgDelivered(q.enc, m, dup, delayed)
 	if q.seqAgent != nil {
-		old := q.seqAgent.aseq
-		q.seqAgent.aseq++
-		q.seqAgent.sw.Seq = q.seqAgent.aseq
-		g.obsAseq(q.enc, q.seqAgent, old, q.seqAgent.aseq)
+		q.seqAgent.sw.Seq++
+		g.obsAseq(q.enc, q.seqAgent, q.seqAgent.sw.Seq-1, q.seqAgent.sw.Seq)
 	}
 	if q.wakeAgent != nil && q.wakeAgent.thread != nil {
 		k := q.enc.k

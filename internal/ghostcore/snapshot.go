@@ -27,8 +27,7 @@ type HintRec struct {
 type GhostThreadRec struct {
 	TID           int        `json:"tid"`
 	Queue         int        `json:"queue"` // index into the enclave's queues
-	Tseq          uint64     `json:"tseq"`
-	SW            StatusWord `json:"sw"`
+	SW            StatusWord `json:"sw"`    // SW.Seq is the thread's Tseq
 	Runnable      bool       `json:"runnable,omitempty"`
 	RunnableSince int64      `json:"runnableSince"`
 	Hint          *HintRec   `json:"hint,omitempty"`
@@ -38,8 +37,7 @@ type GhostThreadRec struct {
 type AgentRec struct {
 	CPU      int        `json:"cpu"`
 	TID      int        `json:"tid"`
-	Aseq     uint64     `json:"aseq"`
-	SW       StatusWord `json:"sw"`
+	SW       StatusWord `json:"sw"` // SW.Seq is the agent's Aseq
 	Attached bool       `json:"attached"`
 	Queue    int        `json:"queue"` // index into the enclave's queues, -1 none
 }
@@ -65,13 +63,13 @@ type EnclaveRec struct {
 	Tickless        bool             `json:"tickless,omitempty"`
 }
 
-// ClassRec is the full serialized ghOSt class state. Each CPU's latch
-// is in at most one of Slots and Inflight; a thread's latch is derived
-// from them.
+// ClassRec is the full serialized ghOSt class state. Slots lists the
+// installed latches; a latch in flight is named by its pending
+// ghost.install event alone (SnapshotEvents). A thread's latch is
+// derived from both.
 type ClassRec struct {
 	NextEncID int       `json:"nextEncID"`
-	Slots     []int     `json:"slots"`    // per-CPU installed latch's TID, 0 none
-	Inflight  []int     `json:"inflight"` // per-CPU in-flight latch's TID, 0 none
+	Slots     []int     `json:"slots"` // per-CPU installed latch's TID, 0 none
 	Mut       Mutations `json:"mut"`
 
 	MsgsPosted uint64 `json:"msgsPosted"`
@@ -95,13 +93,8 @@ func (g *Class) SaveImage() (*ClassRec, error) {
 		BPFCommits: g.BPFCommits,
 	}
 	rec.Slots = make([]int, len(g.latches))
-	rec.Inflight = make([]int, len(g.latches))
 	for i, l := range g.latches {
-		switch {
-		case l.t == nil:
-		case l.inflight:
-			rec.Inflight[i] = int(l.t.TID())
-		default:
+		if l.t != nil && !l.inflight {
 			rec.Slots[i] = int(l.t.TID())
 		}
 	}
@@ -175,7 +168,6 @@ func (e *Enclave) saveRec() (EnclaveRec, error) {
 		}
 		tr := GhostThreadRec{
 			TID:           int(t.TID()),
-			Tseq:          gt.tseq,
 			SW:            gt.sw,
 			Runnable:      gt.runnable,
 			RunnableSince: int64(gt.runnableSince),
@@ -198,7 +190,7 @@ func (e *Enclave) saveRec() (EnclaveRec, error) {
 	}
 	for _, cpu := range agentCPUs(e.agents) {
 		a := e.agents[cpu]
-		ar := AgentRec{CPU: int(cpu), Aseq: a.aseq, SW: a.sw, Attached: a.attached, Queue: -1}
+		ar := AgentRec{CPU: int(cpu), SW: a.sw, Attached: a.attached, Queue: -1}
 		if a.thread != nil {
 			ar.TID = int(a.thread.TID())
 		}
@@ -275,44 +267,26 @@ func (g *Class) RestoreImage(rec *ClassRec) error {
 	g.TxnsOK = rec.TxnsOK
 	g.TxnsFailed = rec.TxnsFailed
 	g.BPFCommits = rec.BPFCommits
-	if len(rec.Slots) > len(g.latches) || len(rec.Inflight) > len(g.latches) {
-		return fmt.Errorf("ghost slots list %d CPUs and in-flight commits %d, machine has %d",
-			len(rec.Slots), len(rec.Inflight), len(g.latches))
+	if len(rec.Slots) > len(g.latches) {
+		return fmt.Errorf("ghost slots list %d CPUs, machine has %d", len(rec.Slots), len(g.latches))
 	}
 	// Free any latch the machine holds (none after an engine reset), then
-	// write the image's with no observer event. An in-flight latch's
-	// committing agent comes with its install event (SnapshotEvents).
+	// write the image's with no observer event. A latch in flight comes
+	// with its install event (SnapshotEvents).
 	for cpu := range g.latches {
 		if g.held.Has(hw.CPUID(cpu)) {
 			g.unlatch(hw.CPUID(cpu), "restore")
 		}
 	}
-	for _, list := range []struct {
-		tids     []int
-		inflight bool
-	}{{rec.Slots, false}, {rec.Inflight, true}} {
-		for i, tid := range list.tids {
-			if tid == 0 {
-				continue
-			}
-			cpu := hw.CPUID(i)
-			t := g.k.Thread(kernel.TID(tid))
-			var gt *ghostThread
-			if t != nil {
-				gt = gstate(t)
-			}
-			switch {
-			case gt == nil:
-				return fmt.Errorf("ghost latch cpu%d: ghOSt thread T%d missing", i, tid)
-			case !gt.enc.cpus.Has(cpu):
-				return fmt.Errorf("ghost latch cpu%d: outside thread T%d's enclave %d", i, tid, gt.enc.id)
-			case gt.latch != hw.NoCPU:
-				return fmt.Errorf("ghost latch cpu%d: thread T%d already latched on cpu%d", i, tid, gt.latch)
-			case g.held.Has(cpu):
-				return fmt.Errorf("ghost latch cpu%d: listed as both installed and in flight", i)
-			}
-			g.setLatch(latch{cpu: cpu, t: t, inflight: list.inflight, e: gt.enc})
+	for i, tid := range rec.Slots {
+		if tid == 0 {
+			continue
 		}
+		t, err := g.latchable(hw.CPUID(i), int64(tid))
+		if err != nil {
+			return err
+		}
+		g.setLatch(latch{cpu: hw.CPUID(i), t: t, e: gstate(t).enc})
 	}
 	for i := range rec.Enclaves {
 		erec := &rec.Enclaves[i]
@@ -368,7 +342,6 @@ func (e *Enclave) restoreRec(rec *EnclaveRec) error {
 		if a == nil {
 			return fmt.Errorf("enclave %d: agent on cpu%d missing after re-spawn", e.id, ar.CPU)
 		}
-		a.aseq = ar.Aseq
 		a.sw = ar.SW
 		a.attached = ar.Attached
 		a.queue = nil
@@ -386,7 +359,6 @@ func (e *Enclave) restoreRec(rec *EnclaveRec) error {
 			return fmt.Errorf("enclave %d: thread T%d lost its ghOSt state", e.id, tr.TID)
 		}
 		gt.q = e.queues[tr.Queue]
-		gt.tseq = tr.Tseq
 		gt.sw = tr.SW
 		gt.runnable = tr.Runnable
 		gt.runnableSince = sim.Time(tr.RunnableSince)
@@ -409,15 +381,37 @@ func (e *Enclave) restoreRec(rec *EnclaveRec) error {
 	return nil
 }
 
+// latchable resolves the thread a restored latch on cpu holds, or says
+// why tid cannot hold it: it must be a ghOSt thread of an enclave that
+// owns cpu, and neither it nor cpu may hold a latch already.
+func (g *Class) latchable(cpu hw.CPUID, tid int64) (*kernel.Thread, error) {
+	var gt *ghostThread
+	t := g.k.Thread(kernel.TID(tid))
+	if t != nil {
+		gt = gstate(t)
+	}
+	switch {
+	case gt == nil:
+		return nil, fmt.Errorf("ghost latch cpu%d: ghOSt thread T%d missing", cpu, tid)
+	case !gt.enc.cpus.Has(cpu):
+		return nil, fmt.Errorf("ghost latch cpu%d: outside thread T%d's enclave %d", cpu, tid, gt.enc.id)
+	case gt.latch != hw.NoCPU:
+		return nil, fmt.Errorf("ghost latch cpu%d: thread T%d already latched on cpu%d", cpu, tid, gt.latch)
+	case g.held.Has(cpu):
+		return nil, fmt.Errorf("ghost latch cpu%d: already holds T%d", cpu, g.latches[cpu].t.TID())
+	}
+	return t, nil
+}
+
 // SnapshotEvents declares the ghOSt class's pre-bound events: a
-// commit's install IPI, named [encID, tid, cpu, local, agentCPU] and
-// held by its CPU's latch, and an enclave's watchdog scan, named
-// [encID] and held by the enclave. An install is refused unless its
-// CPU's latch is in flight for its thread, a watchdog scan for an
-// enclave without a watchdog. A commit leaves a latch in flight only
-// while its install is pending, so Check refuses an in-flight latch
-// with no install adopted: its thread would stay latched forever.
-func (g *Class) SnapshotEvents() sim.EventTable {
+// commit's install IPI, named [encID, tid, cpu, local, agentCPU], and
+// an enclave's watchdog scan, named [encID] and held by the enclave. A
+// commit leaves a latch in flight exactly while its install is
+// pending, and the install's arguments name the whole latch, so
+// loading one latches its thread in flight: it is refused as a slot is
+// (latchable), and unless the thread is runnable, as a commit requires.
+// A watchdog scan is refused for an enclave without a watchdog.
+func (g *Class) SnapshotEvents() []sim.EventKind {
 	enclave := func(args []int64, n int) (*Enclave, error) {
 		if len(args) != n {
 			return nil, fmt.Errorf("%d args, want %d", len(args), n)
@@ -450,15 +444,17 @@ func (g *Class) SnapshotEvents() sim.EventTable {
 				}
 			}
 			cpu := hw.CPUID(f.Args[2])
-			if !e.cpus.Has(cpu) {
-				return nil, fmt.Errorf("cpu%d is not in enclave %d", cpu, e.id)
+			t, err := g.latchable(cpu, f.Args[1])
+			switch {
+			case err != nil:
+				return nil, err
+			case gstate(t).enc != e:
+				return nil, fmt.Errorf("T%d is not in enclave %d", f.Args[1], e.id)
+			case t.State() != kernel.StateRunnable:
+				return nil, fmt.Errorf("latched thread %v is not runnable", t)
 			}
-			l := &g.latches[cpu]
-			if l.t == nil || int64(l.t.TID()) != f.Args[1] || !l.inflight || l.e != e {
-				return nil, fmt.Errorf("cpu%d has no latch in flight for T%d", cpu, f.Args[1])
-			}
-			l.local, l.a = f.Args[3] != 0, a
-			return l, nil
+			g.setLatch(latch{cpu: cpu, t: t, inflight: true, e: e, local: f.Args[3] != 0, a: a})
+			return &g.latches[cpu], nil
 		},
 		Pending: func(a any) bool { return a.(*latch).ipi.Pending() },
 		Adopt:   func(a any, _ sim.Time, ev sim.Event) { a.(*latch).ipi = ev },
@@ -477,13 +473,5 @@ func (g *Class) SnapshotEvents() sim.EventTable {
 		Pending: func(a any) bool { return a.(*Enclave).watchdog.Pending() },
 		Adopt:   func(a any, _ sim.Time, ev sim.Event) { a.(*Enclave).watchdog = ev },
 	}
-	check := func() error {
-		for i := range g.latches {
-			if l := &g.latches[i]; l.inflight && !l.ipi.Pending() {
-				return fmt.Errorf("ghost latch cpu%d: T%d in flight with no install pending", i, l.t.TID())
-			}
-		}
-		return nil
-	}
-	return sim.EventTable{Kinds: []sim.EventKind{install, watchdog}, Check: check}
+	return []sim.EventKind{install, watchdog}
 }

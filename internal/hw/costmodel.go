@@ -11,6 +11,8 @@ import (
 // The default values are taken from Table 3 of the ghOSt paper (measured
 // on the Skylake 8173M machine) so the simulator's absolute latencies are
 // anchored to real measurements. All fields are simulated durations.
+// Table 3's message-delivery lines (1-2) are not inputs: the table3
+// experiment measures them through the queues, wakeups and switches.
 type CostModel struct {
 	// Syscall is the bare syscall entry/exit overhead (Table 3 line 10).
 	Syscall sim.Duration
@@ -23,13 +25,6 @@ type CostModel struct {
 	// LocalSchedule is a ghOSt local transaction commit plus context
 	// switch until the target thread runs (Table 3 line 3).
 	LocalSchedule sim.Duration
-
-	// MsgDeliveryLocal is enqueue + agent wakeup + dequeue for a blocked
-	// per-CPU agent (Table 3 line 1).
-	MsgDeliveryLocal sim.Duration
-	// MsgDeliveryGlobal is enqueue + dequeue for a spinning global agent
-	// (Table 3 line 2).
-	MsgDeliveryGlobal sim.Duration
 
 	// RemoteTxnAgentBase and RemoteTxnAgentPer model the agent-side cost
 	// of committing a group of n remote transactions as base + n*per.
@@ -93,9 +88,6 @@ func DefaultCostModel() CostModel {
 		ContextSwitchMinimal: 410,
 		ContextSwitchCFS:     599,
 		LocalSchedule:        888,
-
-		MsgDeliveryLocal:  725,
-		MsgDeliveryGlobal: 265,
 
 		RemoteTxnAgentBase:  302, // 668 = base + 1*per
 		RemoteTxnAgentPer:   366, // 3964 = base + 10*per

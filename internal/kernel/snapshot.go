@@ -17,17 +17,16 @@ import (
 // Each pending kernel-owned event is one row of SnapshotEvents, which
 // names it at save and rebuilds it at restore.
 
-// CPURec is the serialized per-CPU state.
+// CPURec is the serialized per-CPU state. Whether the CPU is switching,
+// burning or due a scheduling pass is not stored: its pending switch
+// end, completion or pass says so.
 type CPURec struct {
-	ID             int     `json:"id"`
-	Curr           int     `json:"curr"` // running thread TID, 0 idle
-	Switching      bool    `json:"switching,omitempty"`
-	NeedResched    bool    `json:"needResched,omitempty"`
-	ReschedPending bool    `json:"reschedPending,omitempty"`
-	SegStart       int64   `json:"segStart"`
-	Burning        bool    `json:"burning,omitempty"`
-	Speed          float64 `json:"speed"`
-	AccBusy        bool    `json:"accBusy,omitempty"`
+	ID          int     `json:"id"`
+	Curr        int     `json:"curr"` // running thread TID, 0 idle
+	NeedResched bool    `json:"needResched,omitempty"`
+	SegStart    int64   `json:"segStart"`
+	Speed       float64 `json:"speed"`
+	AccBusy     bool    `json:"accBusy,omitempty"`
 }
 
 // BodyRec is the serialized resumable-body descriptor of a thread.
@@ -54,7 +53,8 @@ type MQThreadRec struct {
 	AcctMark    int64 `json:"acctMark"`
 }
 
-// ThreadRec is the serialized state of one live thread.
+// ThreadRec is the serialized state of one live thread. A running
+// thread's CPU is the one whose record names it current.
 type ThreadRec struct {
 	TID      int    `json:"tid"`
 	Name     string `json:"name"`
@@ -64,7 +64,6 @@ type ThreadRec struct {
 	Tag      *int64 `json:"tag,omitempty"`
 
 	State     int `json:"state"`
-	CPU       int `json:"cpu"` // on-CPU id, -1 none
 	TargetCPU int `json:"targetCPU"`
 	LastCPU   int `json:"lastCPU"`
 
@@ -159,14 +158,11 @@ func (k *Kernel) SaveImage() (*KernelImage, error) {
 	}
 	for _, c := range k.cpus {
 		rec := CPURec{
-			ID:             int(c.ID),
-			Switching:      c.switching,
-			NeedResched:    c.needResched,
-			ReschedPending: c.reschedPending,
-			SegStart:       int64(c.segStart),
-			Burning:        c.burning,
-			Speed:          c.speed,
-			AccBusy:        c.accBusy,
+			ID:          int(c.ID),
+			NeedResched: c.needResched,
+			SegStart:    int64(c.segStart),
+			Speed:       c.speed,
+			AccBusy:     c.accBusy,
 		}
 		if c.curr != nil {
 			rec.Curr = int(c.curr.tid)
@@ -206,7 +202,6 @@ func (t *Thread) saveRec() (ThreadRec, error) {
 		Nice:        t.nice,
 		Affinity:    maskCPUs(t.affinity),
 		State:       int(t.state),
-		CPU:         -1,
 		TargetCPU:   int(t.targetCPU),
 		LastCPU:     int(t.lastCPU),
 		CurKind:     int(t.curKind),
@@ -215,9 +210,6 @@ func (t *Thread) saveRec() (ThreadRec, error) {
 		Poked:       t.poked,
 		CPUTime:     int64(t.cpuTime),
 		WakeTime:    int64(t.wakeTime),
-	}
-	if t.cpu != nil {
-		rec.CPU = int(t.cpu.ID)
 	}
 	switch tag := t.Tag.(type) {
 	case nil:
@@ -309,29 +301,6 @@ func (k *Kernel) RestoreImage(img *KernelImage) error {
 		return err
 	}
 	copy(k.tickless, img.Tickless)
-	for i := range img.CPUs {
-		rec := &img.CPUs[i]
-		if rec.ID < 0 || rec.ID >= len(k.cpus) {
-			return fmt.Errorf("cpu record %d: CPU id %d out of range [0, %d)", i, rec.ID, len(k.cpus))
-		}
-		c := k.cpus[rec.ID]
-		c.curr = nil
-		if rec.Curr != 0 {
-			c.curr = k.Thread(TID(rec.Curr))
-			if c.curr == nil {
-				return fmt.Errorf("cpu%d: running thread T%d missing", rec.ID, rec.Curr)
-			}
-		}
-		c.switching = rec.Switching
-		c.syncIdle()
-		c.needResched = rec.NeedResched
-		c.setReschedPending(rec.ReschedPending)
-		c.segStart = sim.Time(rec.SegStart)
-		c.burning = rec.Burning
-		c.speed = rec.Speed
-		c.accBusy = rec.AccBusy
-		c.completion = sim.Event{} // re-linked during event restore
-	}
 	for i := range img.Threads {
 		rec := &img.Threads[i]
 		t := k.Thread(TID(rec.TID))
@@ -340,6 +309,43 @@ func (k *Kernel) RestoreImage(img *KernelImage) error {
 		}
 		if err := t.restoreRec(rec); err != nil {
 			return err
+		}
+	}
+	// Each CPU's current thread is running and current there only. The
+	// switch end, completion and scheduling pass pending on a CPU set its
+	// flags when the events are restored (SnapshotEvents).
+	for i := range img.CPUs {
+		rec := &img.CPUs[i]
+		if rec.ID < 0 || rec.ID >= len(k.cpus) {
+			return fmt.Errorf("cpu record %d: CPU id %d out of range [0, %d)", i, rec.ID, len(k.cpus))
+		}
+		c := k.cpus[rec.ID]
+		c.curr = nil
+		if rec.Curr != 0 {
+			t := k.Thread(TID(rec.Curr))
+			switch {
+			case t == nil:
+				return fmt.Errorf("cpu%d: running thread T%d missing", rec.ID, rec.Curr)
+			case t.state != StateRunning:
+				return fmt.Errorf("cpu%d: current thread %v is not running", rec.ID, t)
+			case t.cpu != nil:
+				return fmt.Errorf("cpu%d: %v is already current on cpu%d", rec.ID, t, t.cpu.ID)
+			}
+			c.curr, t.cpu = t, c
+		}
+		c.switching = false
+		c.syncIdle()
+		c.needResched = rec.NeedResched
+		c.setReschedPending(false)
+		c.segStart = sim.Time(rec.SegStart)
+		c.burning = false
+		c.speed = rec.Speed
+		c.accBusy = rec.AccBusy
+		c.completion = sim.Event{}
+	}
+	for i := range img.Threads {
+		if t := k.Thread(TID(img.Threads[i].TID)); t.state == StateRunning && (t.cpu == nil || t.cpu.curr != t) {
+			return fmt.Errorf("%v is running but current on no CPU", t)
 		}
 	}
 	// A registered class's queues are rebuilt only from its record, so
@@ -397,20 +403,13 @@ func (k *Kernel) RestoreImage(img *KernelImage) error {
 }
 
 func (t *Thread) restoreRec(rec *ThreadRec) error {
-	k := t.k
 	t.nice = rec.Nice
 	t.affinity = maskFromCPUs(rec.Affinity)
 	if rec.Tag != nil {
 		t.Tag = int(*rec.Tag)
 	}
 	t.state = State(rec.State)
-	t.cpu = nil
-	if rec.CPU >= len(k.cpus) {
-		return fmt.Errorf("thread %v: CPU %d out of range [0, %d)", t, rec.CPU, len(k.cpus))
-	}
-	if rec.CPU >= 0 {
-		t.cpu = k.cpus[rec.CPU]
-	}
+	t.cpu = nil // set from the CPU records
 	t.targetCPU = hw.CPUID(rec.TargetCPU)
 	t.lastCPU = hw.CPUID(rec.LastCPU)
 	t.curKind = actionKind(rec.CurKind)
@@ -489,14 +488,17 @@ func (c *CFS) restoreRec(rec *CFSRec) error {
 
 // SnapshotEvents declares the kernel's pre-bound events, each named by
 // its CPU or TID (the CFS balancer by nothing). A CPU holds one tick or
-// start stagger, a completion exactly while it burns, a switch end
-// exactly while it switches and a scheduling pass exactly while one is
-// due; a MicroQuanta thread holds at most one throttle and one refill;
-// the balancer is one event. Restore refuses an image that breaks any
-// of these.
-func (k *Kernel) SnapshotEvents() sim.EventTable {
+// start stagger. Its completion, switch end and scheduling pass are the
+// only record that it burns, switches or is due a pass: restoring one
+// sets the flag, so a CPU holds at most one of each. A completion is
+// refused unless the CPU's current thread has work left. A switch end
+// needs no current thread: one that is killed, moved to another class
+// or forced off in the dead time leaves the CPU switching with none. A
+// MicroQuanta thread holds at most one throttle and one refill; the
+// balancer is one event.
+func (k *Kernel) SnapshotEvents() []sim.EventKind {
 	n := len(k.cpus)
-	ticked, switchEnds, passes := make([]bool, n), make([]bool, n), make([]bool, n)
+	ticked := make([]bool, n)
 	// Each callback is armed with one argument type only.
 	cpuRef := func(a any) (sim.EventFields, bool) { return sim.EventFields{Ref: int64(a.(*CPU).ID)}, true }
 	threadRef := func(a any) (sim.EventFields, bool) { return sim.EventFields{Ref: int64(a.(*Thread).tid)}, true }
@@ -512,31 +514,36 @@ func (k *Kernel) SnapshotEvents() sim.EventTable {
 			return nil, fmt.Errorf("cpu%d is not %s", f.Ref, state)
 		}
 	}
-	// once holds at most one event of kind per CPU, marked in seen.
-	once := func(kind sim.EventKind, seen []bool) sim.EventKind {
-		kind.Pending = func(a any) bool { return seen[a.(*CPU).ID] }
-		kind.Adopt = func(a any, _ sim.Time, _ sim.Event) { seen[a.(*CPU).ID] = true }
-		return kind
-	}
 	thread := func(f sim.EventFields) (any, error) {
 		if t := k.Thread(TID(f.Ref)); t != nil {
 			return t, nil
 		}
 		return nil, fmt.Errorf("no thread T%d", f.Ref)
 	}
+	// ticks holds at most one tick or start stagger per CPU.
+	ticks := func(kind sim.EventKind) sim.EventKind {
+		kind.Pending = func(a any) bool { return ticked[a.(*CPU).ID] }
+		kind.Adopt = func(a any, _ sim.Time, _ sim.Event) { ticked[a.(*CPU).ID] = true }
+		return kind
+	}
 	kinds := []sim.EventKind{
-		once(sim.EventKind{Name: "kernel.resched", Fn: k.reschedFn, Save: cpuRef,
-			Load: onCPU("due a scheduling pass", func(c *CPU) bool { return c.reschedPending })}, passes),
+		{Name: "kernel.resched", Fn: k.reschedFn, Save: cpuRef, Load: onCPU("", nil),
+			Pending: func(a any) bool { return a.(*CPU).reschedPending },
+			Adopt:   func(a any, _ sim.Time, _ sim.Event) { a.(*CPU).setReschedPending(true) }},
 		{Name: "kernel.workdone", Fn: k.workDoneFn, Save: cpuRef,
-			Load:    onCPU("burning", func(c *CPU) bool { return c.burning }),
-			Pending: func(a any) bool { return a.(*CPU).completion.Pending() },
-			Adopt:   func(a any, _ sim.Time, ev sim.Event) { a.(*CPU).completion = ev }},
-		once(sim.EventKind{Name: "kernel.switchdone", Fn: k.switchDoneFn, Save: cpuRef,
-			Load: onCPU("switching", func(c *CPU) bool { return c.switching })}, switchEnds),
+			Load:    onCPU("running a thread with work left", func(c *CPU) bool { return c.curr != nil && c.curr.pendingWork > 0 }),
+			Pending: func(a any) bool { return a.(*CPU).burning },
+			Adopt: func(a any, _ sim.Time, ev sim.Event) {
+				c := a.(*CPU)
+				c.burning, c.completion = true, ev
+			}},
+		{Name: "kernel.switchdone", Fn: k.switchDoneFn, Save: cpuRef, Load: onCPU("", nil),
+			Pending: func(a any) bool { return a.(*CPU).switching },
+			Adopt:   func(a any, _ sim.Time, _ sim.Event) { a.(*CPU).setSwitching(true) }},
 		{Name: "kernel.wake", Fn: k.wakeFn, Save: threadRef, Load: thread},
 		{Name: "kernel.poke", Fn: k.pokeFn, Save: threadRef, Load: thread},
-		once(sim.EventKind{Name: "kernel.tick", Fn: tickFire, Save: cpuRef, Load: onCPU("", nil)}, ticked),
-		once(sim.EventKind{Name: "kernel.starttick", Fn: startTickFn, Save: cpuRef, Load: onCPU("", nil)}, ticked),
+		ticks(sim.EventKind{Name: "kernel.tick", Fn: tickFire, Save: cpuRef, Load: onCPU("", nil)}),
+		ticks(sim.EventKind{Name: "kernel.starttick", Fn: startTickFn, Save: cpuRef, Load: onCPU("", nil)}),
 	}
 	if m, ok := k.Class("microquanta").(*MicroQuanta); ok {
 		kinds = append(kinds,
@@ -555,18 +562,5 @@ func (k *Kernel) SnapshotEvents() sim.EventTable {
 			Pending: func(any) bool { return balancing },
 			Adopt:   func(any, sim.Time, sim.Event) { balancing = true }})
 	}
-	check := func() error {
-		for _, c := range k.cpus {
-			switch {
-			case c.burning && !c.completion.Pending():
-				return fmt.Errorf("cpu%d is burning with no completion pending", c.ID)
-			case c.switching && !switchEnds[c.ID]:
-				return fmt.Errorf("cpu%d is switching with no switch end pending", c.ID)
-			case c.reschedPending && !passes[c.ID]:
-				return fmt.Errorf("cpu%d is due a scheduling pass with none pending", c.ID)
-			}
-		}
-		return nil
-	}
-	return sim.EventTable{Kinds: kinds, Check: check}
+	return kinds
 }

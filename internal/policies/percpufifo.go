@@ -12,17 +12,16 @@ import (
 // idle agents steal from the most loaded runqueue when their own is
 // empty (the ASSOCIATE_QUEUE work-stealing flow of §3.1).
 type PerCPUFIFO struct {
-	tr     *Tracker
-	rqs    []runq     // by CPU
-	home   []hw.CPUID // by TID: the CPU whose agent hears the thread, noHome if none
-	cpus   []hw.CPUID
+	tr   *Tracker
+	rqs  []runq // by CPU
+	cpus []hw.CPUID
+	// heard is the CPU whose agent heard the message being handled: the
+	// tracker's callbacks queue and dequeue the thread on its run queue.
+	heard  hw.CPUID
 	nextRR int
 	// ctx is retained from Attach for snapshot TID resolution.
 	ctx *agentsdk.Context
 }
-
-// noHome marks a TID the policy has placed on no CPU.
-const noHome = hw.NoCPU
 
 // NewPerCPUFIFO builds the policy.
 func NewPerCPUFIFO() *PerCPUFIFO { return &PerCPUFIFO{} }
@@ -31,41 +30,18 @@ func NewPerCPUFIFO() *PerCPUFIFO { return &PerCPUFIFO{} }
 func (p *PerCPUFIFO) Attach(ctx *agentsdk.Context) {
 	p.ctx = ctx
 	p.rqs = make([]runq, ctx.Topology().NumCPUs())
-	p.home = nil
 	p.cpus = ctx.Enclave.CPUs().CPUs()
 	p.tr = NewTracker()
-	p.tr.OnRunnable = func(ts *TState, m ghostcore.Message) {
-		cpu := p.homeOf(ts.Thread.TID())
-		if cpu == noHome {
-			cpu = p.cpus[0]
-		}
-		p.rqs[cpu].push(ts)
-	}
+	p.tr.OnRunnable = func(ts *TState, m ghostcore.Message) { p.rqs[p.heard].push(ts) }
 	p.tr.OnRemoved = func(ts *TState, m ghostcore.Message) {
 		if m.Type == ghostcore.MsgThreadDead {
-			// OnMessage homed the thread on the CPU that heard this.
-			tid := ts.Thread.TID()
-			p.rqs[p.home[tid]].remove(ts)
-			p.home[tid] = noHome
+			p.rqs[p.heard].remove(ts)
 		}
 	}
+	// Rebuild hears nothing: the runnable threads it finds queue on the
+	// first CPU.
+	p.heard = p.cpus[0]
 	p.tr.Rebuild(ctx)
-}
-
-// homeOf returns tid's home CPU, noHome if it has none.
-func (p *PerCPUFIFO) homeOf(tid kernel.TID) hw.CPUID {
-	if int(tid) < len(p.home) {
-		return p.home[tid]
-	}
-	return noHome
-}
-
-// setHome homes tid on cpu, growing the table with noHome to hold it.
-func (p *PerCPUFIFO) setHome(tid kernel.TID, cpu hw.CPUID) {
-	for len(p.home) <= int(tid) {
-		p.home = append(p.home, noHome)
-	}
-	p.home[tid] = cpu
 }
 
 // AssignCPU implements agentsdk.PerCPUPolicy: round-robin placement.
@@ -74,20 +50,15 @@ func (p *PerCPUFIFO) AssignCPU(ctx *agentsdk.Context, t *kernel.Thread) hw.CPUID
 		cpu := p.cpus[p.nextRR%len(p.cpus)]
 		p.nextRR++
 		if t.Affinity().Has(cpu) {
-			p.setHome(t.TID(), cpu)
 			return cpu
 		}
 	}
-	cpu := p.cpus[0]
-	p.setHome(t.TID(), cpu)
-	return cpu
+	return p.cpus[0]
 }
 
 // OnMessage implements agentsdk.PerCPUPolicy.
 func (p *PerCPUFIFO) OnMessage(ctx *agentsdk.Context, cpu hw.CPUID, m ghostcore.Message) {
-	if m.TID != 0 {
-		p.setHome(m.TID, cpu)
-	}
+	p.heard = cpu
 	p.tr.HandleMessage(ctx, m)
 }
 
@@ -106,8 +77,7 @@ func (p *PerCPUFIFO) PickNext(ctx *agentsdk.Context, cpu hw.CPUID) *kernel.Threa
 	}
 	if ts := p.steal(cpu); ts != nil {
 		p.tr.MarkScheduled(ts, int(cpu), ctx.Now())
-		// Re-home the thread: subsequent messages flow here.
-		p.setHome(ts.Thread.TID(), cpu)
+		// Subsequent messages flow here.
 		ctx.MoveThread(ts.Thread, cpu)
 		return ts.Thread
 	}

@@ -159,7 +159,7 @@ func TestOnePendingRepollPerSet(t *testing.T) {
 				})
 			}
 			var repollCode uintptr
-			for _, kind := range agentsdk.SnapshotEvents(nil).Kinds {
+			for _, kind := range agentsdk.SnapshotEvents(nil) {
 				if kind.Name == "agentsdk.repoll" {
 					repollCode = reflect.ValueOf(kind.Fn).Pointer()
 				}

@@ -285,8 +285,6 @@ type perCPUFIFOState struct {
 	Tracker []TStateRec `json:"tracker,omitempty"`
 	// RunQueues is (cpu → TIDs) as pairs in CPU order.
 	RunQueues []perCPUQueueRec `json:"runQueues,omitempty"`
-	// Home is (tid, cpu) pairs in TID order.
-	Home [][2]int `json:"home,omitempty"`
 }
 
 type perCPUQueueRec struct {
@@ -306,11 +304,6 @@ func (p *PerCPUFIFO) SnapshotSave() ([]byte, error) {
 	for cpu, q := range p.rqs {
 		if len(q) != 0 {
 			st.RunQueues = append(st.RunQueues, perCPUQueueRec{CPU: cpu, TIDs: queueTIDs(q)})
-		}
-	}
-	for tid, cpu := range p.home {
-		if cpu != noHome {
-			st.Home = append(st.Home, [2]int{tid, int(cpu)})
 		}
 	}
 	return json.Marshal(st)
@@ -347,19 +340,6 @@ func (p *PerCPUFIFO) SnapshotLoad(data []byte) error {
 			return fmt.Errorf("percpu-fifo cpu%d: %w", qr.CPU, err)
 		}
 		p.rqs[cpu] = q
-	}
-	p.home = nil
-	for _, pair := range st.Home {
-		tid, cpu := kernel.TID(pair[0]), hw.CPUID(pair[1])
-		if !cpus.Has(cpu) {
-			return fmt.Errorf("percpu-fifo: T%d homed on cpu%d, outside the enclave", pair[0], pair[1])
-		}
-		// The TID indexes the home table: it must name a thread that
-		// exists after restore, as the tracker's must.
-		if p.ctx.Thread(tid) == nil {
-			return fmt.Errorf("percpu-fifo: home refers to T%d, which does not exist after restore", pair[0])
-		}
-		p.setHome(tid, cpu)
 	}
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -171,60 +170,4 @@ func withCPU(recs []map[string]any, cpu int) []map[string]any {
 	first["cpu"] = cpu
 	out[0] = first
 	return out
-}
-
-// TestPerCPUFIFOHomesOnlyLiveThreads: the per-CPU FIFO homes every
-// thread it places, and THREAD_DEAD unhomes it, so a saved state names
-// the threads still alive and no dead one.
-func TestPerCPUFIFOHomesOnlyLiveThreads(t *testing.T) {
-	e := newEnv(t, topo8(), kernel.MaskOf(0, 1, 2, 3))
-	pol := policies.NewPerCPUFIFO()
-	agentsdk.Start(e.k, e.enc, e.ac, pol, agentsdk.PerCPU())
-	var live, dead []int
-	for i := 0; i < 6; i++ {
-		var th *kernel.Thread
-		if i%2 == 0 {
-			th = e.enc.SpawnThread(kernel.SpawnOpts{Name: "short"}, func(tc *kernel.TaskContext) {
-				tc.Run(50 * sim.Microsecond)
-			})
-			dead = append(dead, int(th.TID()))
-		} else {
-			th = e.enc.SpawnThread(kernel.SpawnOpts{Name: "long"}, func(tc *kernel.TaskContext) {
-				for {
-					tc.Run(20 * sim.Microsecond)
-					tc.Sleep(50 * sim.Microsecond)
-				}
-			})
-			live = append(live, int(th.TID()))
-		}
-	}
-	homed := func() []int {
-		t.Helper()
-		data, err := pol.SnapshotSave()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st struct{ Home [][2]int }
-		if err := json.Unmarshal(data, &st); err != nil {
-			t.Fatal(err)
-		}
-		var tids []int
-		for _, pair := range st.Home {
-			tids = append(tids, pair[0])
-		}
-		return tids
-	}
-	e.eng.RunFor(20 * sim.Microsecond)
-	if got, want := homed(), append(append([]int(nil), live...), dead...); len(got) != len(want) {
-		t.Fatalf("at 20us the policy homes %v, want all of %v", got, want)
-	}
-	e.eng.RunFor(2 * sim.Millisecond)
-	for _, tid := range dead {
-		if th := e.k.Thread(kernel.TID(tid)); th.State() != kernel.StateDead {
-			t.Fatalf("T%d is %v at 2 ms, want dead", tid, th.State())
-		}
-	}
-	if got := homed(); !slices.Equal(got, live) {
-		t.Fatalf("at 2 ms the policy homes %v, want the live threads %v", got, live)
-	}
 }

@@ -47,14 +47,6 @@ type EventFields struct {
 	Args []int64
 }
 
-// EventTable is one owner's event kinds. Check, when set, runs once
-// restore has filed every pending event and refuses owner state that
-// promises an event the snapshot did not hold.
-type EventTable struct {
-	Kinds []EventKind
-	Check func() error
-}
-
 // Pending returns every live pending event (lane, wheel and spill) in
 // (at, seq) dispatch order.
 func (e *Engine) Pending() []PendingEvent {

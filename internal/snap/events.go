@@ -23,13 +23,12 @@ type eventRow struct {
 type eventIndex struct {
 	byCode map[uintptr][]eventRow
 	byKey  map[eventKey]eventRow
-	checks []func() error
 }
 
 func newEventIndex(t *Target, sets []*agentsdk.AgentSet, comps []ComponentEntry) (*eventIndex, error) {
 	type owner struct {
-		key string
-		tab sim.EventTable
+		key   string
+		kinds []sim.EventKind
 	}
 	owners := []owner{{"", t.K.SnapshotEvents()}, {"", agentsdk.SnapshotEvents(sets)}}
 	if t.Ghost != nil {
@@ -42,8 +41,8 @@ func newEventIndex(t *Target, sets []*agentsdk.AgentSet, comps []ComponentEntry)
 	}
 	ix := &eventIndex{byCode: map[uintptr][]eventRow{}, byKey: map[eventKey]eventRow{}}
 	for _, o := range owners {
-		for i := range o.tab.Kinds {
-			row := eventRow{&o.tab.Kinds[i], eventKey{kind: o.tab.Kinds[i].Name}}
+		for i := range o.kinds {
+			row := eventRow{&o.kinds[i], eventKey{kind: o.kinds[i].Name}}
 			if o.key != "" {
 				row.rec = eventKey{"component", o.key, row.Name}
 			}
@@ -53,9 +52,6 @@ func newEventIndex(t *Target, sets []*agentsdk.AgentSet, comps []ComponentEntry)
 			ix.byKey[row.rec] = row
 			code := reflect.ValueOf(row.Fn).Pointer()
 			ix.byCode[code] = append(ix.byCode[code], row)
-		}
-		if o.tab.Check != nil {
-			ix.checks = append(ix.checks, o.tab.Check)
 		}
 	}
 	return ix, nil

@@ -123,8 +123,8 @@ func Load(t *Target, img *Image, opts LoadOpts) (*Result, error) {
 		}
 	}
 
-	// Phase 6: pending events with their original (at, seq) pairs, then
-	// each owner's check that no event its state promises is missing.
+	// Phase 6: pending events with their original (at, seq) pairs; each
+	// sets the owner state it implies (a CPU's burning, a latch in flight).
 	ix, err := newEventIndex(t, res.Sets, res.Components)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
@@ -132,11 +132,6 @@ func Load(t *Target, img *Image, opts LoadOpts) (*Result, error) {
 	for i := range core.Events {
 		if err := ix.restore(t.Eng, &core.Events[i]); err != nil {
 			return nil, fmt.Errorf("%w: event %d: %v", ErrCorrupt, i, err)
-		}
-	}
-	for _, check := range ix.checks {
-		if err := check(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 	}
 	return res, nil
@@ -193,14 +188,10 @@ func spawnPass(t *Target, core *CoreImage, ctx *RestoreCtx, opts LoadOpts, res *
 			if err != nil {
 				return fmt.Errorf("snap: policy %q: %w", it.set.Policy.Kind, err)
 			}
-			mode, err := it.set.StartOption()
-			if err != nil {
-				return fmt.Errorf("snap: %w", err)
-			}
 			if err := t.K.SetNextTID(kernel.TID(it.tid)); err != nil {
 				return fmt.Errorf("%w: agent set: %v", ErrCorrupt, err)
 			}
-			res.Sets[it.setIdx] = agentsdk.Start(t.K, enc, ac, policy, mode)
+			res.Sets[it.setIdx] = agentsdk.Start(t.K, enc, ac, policy)
 			continue
 		}
 		if err := spawnBody(t, ctx, opts, tidEnc, it.thread); err != nil {

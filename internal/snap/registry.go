@@ -21,11 +21,10 @@
 // random draws) are erased by an engine Reset and the overlay.
 //
 // Pending events are pre-bound callbacks whose owners (the kernel, the
-// ghOSt class, the agent sets, components) each declare them as a
-// sim.EventTable of kinds. Save and Load look events up in those tables
-// and hold no kind names of their own; Load then runs each table's
-// Check, so an image missing an event its owner's state promises is
-// refused as corrupt.
+// ghOSt class, the agent sets, components) each declare them as a list
+// of sim.EventKind. Save and Load look events up in those lists and
+// hold no kind names of their own. A flag an event implies is stored
+// only as the event: its kind's Adopt sets the flag as Load files it.
 package snap
 
 import (
@@ -59,7 +58,7 @@ type Component interface {
 // pending engine events. A snapshot stores such an event as kind
 // "component" with the component's key, and its kind's name as Sub.
 type ComponentEvents interface {
-	SnapshotEvents() sim.EventTable
+	SnapshotEvents() []sim.EventKind
 }
 
 // KeyBinder is optionally implemented by components that stamp their

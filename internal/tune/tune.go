@@ -121,7 +121,6 @@ func evalAll(s Scenario, cfg Config, trials []*Trial, horizon sim.Duration, rung
 		seed := cfg.Seed + uint64(tr.ID)*101 + uint64(rung)*1_000_003
 		jobs[i] = experiments.Job{
 			Name: fmt.Sprintf("%s/t%d/r%d", s.Name, tr.ID, rung),
-			Seed: seed,
 			Run:  func() any { return s.Run(tr.Params, seed, horizon) },
 		}
 	}

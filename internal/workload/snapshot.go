@@ -316,10 +316,10 @@ func (p *PoissonSource) SnapshotLoad(data []byte) error {
 
 // SnapshotEvents implements snap.ComponentEvents: the source's only
 // pending event is its armed next-arrival timer.
-func (p *PoissonSource) SnapshotEvents() sim.EventTable {
-	return sim.EventTable{Kinds: []sim.EventKind{{Name: "arm", Fn: poissonFire,
+func (p *PoissonSource) SnapshotEvents() []sim.EventKind {
+	return []sim.EventKind{{Name: "arm", Fn: poissonFire,
 		Save: func(a any) (sim.EventFields, bool) { return sim.EventFields{}, a == any(p) },
-		Load: func(sim.EventFields) (any, error) { return p, nil }}}}
+		Load: func(sim.EventFields) (any, error) { return p, nil }}}
 }
 
 // NewPoissonShell builds an unarmed PoissonSource for snapshot restore:

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ghost"
+	"ghost/internal/kernel"
 )
 
 // restoreHorizon is how far FuzzRestoreAnywhere runs each machine.
@@ -101,4 +102,61 @@ func FuzzRestoreAnywhere(f *testing.F) {
 			t.Fatalf("%s restored at %v is not transparent:\n%s\nwant\n%s", mc.name, from, got, want)
 		}
 	})
+}
+
+// TestRestoreSwitchEndWithNoCurrent: a thread that leaves its CPU in the
+// context-switch dead time (killed, moved to another class or forced
+// off) leaves the CPU switching with no current thread and its switch
+// end pending. A snapshot taken there restores, and the restored
+// machine runs to the horizon as the uninterrupted one does.
+func TestRestoreSwitchEndWithNoCurrent(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		leave func(m *ghost.Machine, th *ghost.Thread)
+	}{
+		{"kill", func(m *ghost.Machine, th *ghost.Thread) { m.Kernel().Kill(th) }},
+		{"set-class", func(m *ghost.Machine, th *ghost.Thread) { m.Kernel().SetClass(th, m.MicroQuanta) }},
+		{"force-off", func(m *ghost.Machine, th *ghost.Thread) { m.Kernel().ForceOffCPU(th) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			orig := buildClassPool(ghost.CFS, ghost.MaskOf(0, 1, 24, 25), ghost.MaskOf(0), 8, 120_000, ghost.WithoutMetrics())
+			defer orig.Shutdown()
+			var cpu *kernel.CPU
+			var spin *ghost.Thread
+			orig.Kernel().AddSwitchHook(func(c *kernel.CPU, next *ghost.Thread) {
+				if next.Name() == "spin" {
+					cpu, spin = c, next
+				}
+			})
+			// Each step is shorter than a CFS switch-in (599 ns), so a
+			// switch-in seen in the last step is still in its dead time.
+			for {
+				cpu, spin = nil, nil
+				orig.Run(100 * ghost.Nanosecond)
+				if spin != nil && cpu.Curr() == spin {
+					break
+				}
+				if orig.Now() >= restoreHorizon/2 {
+					t.Fatal("the spinner never switched in")
+				}
+			}
+			tc.leave(orig, spin)
+			if cpu.Curr() != nil || cpu.Idle() {
+				t.Fatalf("cpu%d is not switching with no current thread", cpu.ID)
+			}
+			s, err := orig.Snapshot()
+			if err != nil {
+				t.Fatalf("Snapshot: %v", err)
+			}
+			var wire bytes.Buffer
+			if _, err := s.WriteTo(&wire); err != nil {
+				t.Fatalf("WriteTo: %v", err)
+			}
+			orig.RunUntil(restoreHorizon)
+			want := orig.Metrics().String() + "digest " + digestAt(t, orig)
+			if got := restoredRun(t, wire.Bytes(), restoreHorizon); got != want {
+				t.Fatalf("restored at %v is not transparent:\n%s\nwant\n%s", s.Time(), got, want)
+			}
+		})
+	}
 }

@@ -203,29 +203,38 @@ func readSnapshotFile(t *testing.T, name string) ([]byte, *ghost.Snapshot) {
 	return data, s
 }
 
-// dropRetiredKernelFields deletes from an image's core JSON the fields
-// that the encoding no longer carries: the never-drawn kernel random
-// stream, the CPU and thread counters nothing read, CFS's five tunables
-// (now Linux-default constants), the ghOSt class's never-read preemption
-// counter, and the flags and counts restore rebuilds from the lists that
-// imply them (CFS and MicroQuanta onRq and CFS rqCPU, ghOSt pendingMsgs,
-// and the policy tracker's enqueued). The policy states must have been
-// inlined (inlinePolicies).
-func dropRetiredKernelFields(core map[string]any) {
+// dropRetiredFields deletes from an image's core JSON the fields that
+// the encoding no longer carries: the never-drawn kernel random stream,
+// the CPU and thread counters nothing read, CFS's five tunables (now
+// Linux-default constants), the ghOSt class's never-read preemption
+// counter, the never-charged message-delivery costs, the flags and
+// counts restore rebuilds from the lists that imply them (CFS and
+// MicroQuanta onRq and CFS rqCPU, ghOSt pendingMsgs, and the policy
+// tracker's enqueued), the flags and latches a pending event implies (a
+// CPU's burning, switching and reschedPending, the ghOSt class's
+// inflight), and the second copies of a thread's CPU, the ghOSt
+// sequence numbers (tseq, aseq), an agent set's mode and the per-CPU
+// FIFO's home. The policy states must have been inlined
+// (inlinePolicies).
+func dropRetiredFields(core map[string]any) {
 	kern := core["kernel"].(map[string]any)
 	delete(kern, "rand")
 	for _, k := range []string{"targetLatency", "minGranularity", "wakeupGran", "balancePeriod", "migrationCost"} {
 		delete(kern["cfs"].(map[string]any), k)
 	}
+	for _, k := range []string{"MsgDeliveryLocal", "MsgDeliveryGlobal"} {
+		delete(core["cost"].(map[string]any), k)
+	}
 	delete(core["ghost"].(map[string]any), "preemptions")
+	delete(core["ghost"].(map[string]any), "inflight")
 	for _, c := range kern["cpus"].([]any) {
-		for _, k := range []string{"busyNS", "busyStart", "switches"} {
+		for _, k := range []string{"busyNS", "busyStart", "switches", "burning", "switching", "reschedPending"} {
 			delete(c.(map[string]any), k)
 		}
 	}
 	for _, th := range kern["threads"].([]any) {
 		th := th.(map[string]any)
-		for _, k := range []string{"runnableAt", "schedDelay", "switchCount"} {
+		for _, k := range []string{"runnableAt", "schedDelay", "switchCount", "cpu"} {
 			delete(th, k)
 		}
 		if cfs, ok := th["cfs"].(map[string]any); ok {
@@ -239,10 +248,16 @@ func dropRetiredKernelFields(core map[string]any) {
 	for _, e := range core["ghost"].(map[string]any)["enclaves"].([]any) {
 		for _, th := range e.(map[string]any)["threads"].([]any) {
 			delete(th.(map[string]any), "pendingMsgs")
+			delete(th.(map[string]any), "tseq")
+		}
+		for _, a := range e.(map[string]any)["agents"].([]any) {
+			delete(a.(map[string]any), "aseq")
 		}
 	}
 	for _, set := range core["sets"].([]any) {
+		delete(set.(map[string]any), "mode")
 		st := set.(map[string]any)["policy"].(map[string]any)["data"].(map[string]any)
+		delete(st, "home")
 		recs, _ := st["tracker"].([]any)
 		for _, rec := range recs {
 			delete(rec.(map[string]any), "enqueued")
@@ -304,7 +319,7 @@ func dropTickerTable(t *testing.T, core map[string]any) {
 // A Version 3 snapshot file written by an earlier tree (buildServing at
 // 4 ms) still restores, and the restored machine runs 1 ms on to the
 // state that tree reached: the core JSON of the image it saved at 5 ms
-// (testdata/serving-5ms.snap), less only the retired kernel fields and
+// (testdata/serving-5ms.snap), less only the retired fields and
 // with its periodic timers in their pre-bound event form.
 func TestRestoreRecordedSnapshot(t *testing.T) {
 	_, s := readSnapshotFile(t, "serving-4ms.snap")
@@ -332,7 +347,7 @@ func TestRestoreRecordedSnapshot(t *testing.T) {
 	got, want := snapshotCore(t, buf.Bytes()), snapshotCore(t, endWire)
 	inlinePolicies(t, got)
 	inlinePolicies(t, want)
-	dropRetiredKernelFields(want)
+	dropRetiredFields(want)
 	dropTickerTable(t, want)
 	for k := range want {
 		if _, ok := got[k]; !ok {
@@ -779,13 +794,43 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 		}
 		return free[0]
 	}
+	// cpuWhere returns the first CPU record that satisfies ok.
+	cpuWhere := func(core map[string]any, what string, ok func(c map[string]any) bool) map[string]any {
+		for _, c := range kernelRec(core)["cpus"].([]any) {
+			if c := c.(map[string]any); ok(c) {
+				return c
+			}
+		}
+		t.Fatalf("snapshot has no CPU that %s", what)
+		return nil
+	}
+	idleCPU := func(c map[string]any) bool { return c["curr"] == 0.0 }
+	busyCPU := func(c map[string]any) bool { return c["curr"] != 0.0 }
+	threadRec := func(core map[string]any, tid any) map[string]any {
+		for _, th := range kernelRec(core)["threads"].([]any) {
+			if th := th.(map[string]any); th["tid"] == tid {
+				return th
+			}
+		}
+		t.Fatalf("snapshot has no thread T%v", tid)
+		return nil
+	}
+	// eventOn reports whether an event of the given kind is pending on
+	// CPU c.
+	eventOn := func(core map[string]any, kind string, c map[string]any) bool {
+		for _, ev := range core["events"].([]any) {
+			if ev := ev.(map[string]any); ev["kind"] == kind && (ev["ref"] == c["id"] || ev["ref"] == nil && c["id"] == 0.0) {
+				return true
+			}
+		}
+		return false
+	}
 	for _, tc := range []struct {
 		name   string
 		mutate func(core map[string]any)
 	}{
 		{"cpu-id-high", func(core map[string]any) { record(kernelRec(core), "cpus", 1)["id"] = 1_000_000 }},
 		{"cpu-id-negative", func(core map[string]any) { record(kernelRec(core), "cpus", 1)["id"] = -1 }},
-		{"thread-cpu-high", func(core map[string]any) { record(kernelRec(core), "threads", 0)["cpu"] = 1_000_000 }},
 		{"next-tid-huge", func(core map[string]any) { kernelRec(core)["nextTID"] = 1 << 40 }},
 		{"next-tid-reused", func(core map[string]any) { kernelRec(core)["nextTID"] = 1 }},
 		{"thread-tid-huge", func(core map[string]any) {
@@ -795,10 +840,6 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 		{"ghost-slot-cpu-high", func(core map[string]any) {
 			g := ghostRec(core)
 			g["slots"] = append(g["slots"].([]any), firstTID(core))
-		}},
-		{"ghost-inflight-cpu-high", func(core map[string]any) {
-			g := ghostRec(core)
-			g["inflight"] = append(g["inflight"].([]any), firstTID(core))
 		}},
 		{"event-cpu-high", func(core map[string]any) {
 			for _, ev := range core["events"].([]any) {
@@ -836,26 +877,26 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 		{"workdone-twice", func(core map[string]any) {
 			core["events"] = append(core["events"].([]any), pendingEvent(t, core, "kernel.workdone"))
 		}},
+		// A completion is what says a CPU burns: its current thread must
+		// have work left to burn.
 		{"workdone-not-burning", func(core map[string]any) {
-			for _, c := range kernelRec(core)["cpus"].([]any) {
-				if c := c.(map[string]any); c["burning"] != true {
-					done := pendingEvent(t, core, "kernel.workdone")
-					done["ref"] = c["id"]
-					core["events"] = append(core["events"].([]any), done)
-					return
-				}
-			}
-			t.Fatal("snapshot has no CPU that is not burning")
+			c := cpuWhere(core, "has a completion pending", func(c map[string]any) bool { return eventOn(core, "kernel.workdone", c) })
+			threadRec(core, c["curr"])["pendingWork"] = 0
 		}},
-		{"burning-no-workdone", func(core map[string]any) {
-			events := core["events"].([]any)
-			for i, ev := range events {
-				if ev.(map[string]any)["kind"] == "kernel.workdone" {
-					core["events"] = append(events[:i:i], events[i+1:]...)
-					return
-				}
-			}
-			t.Fatal("snapshot has no pending kernel.workdone event")
+		// A CPU's current thread is running, current there only, and
+		// every running thread is current somewhere.
+		{"curr-not-running", func(core map[string]any) {
+			var worker any
+			editComponent(t, core, "pool", func(pool map[string]any) { worker = freeWorkerTID(pool) })
+			cpuWhere(core, "is idle", idleCPU)["curr"] = worker
+		}},
+		{"curr-twice", func(core map[string]any) {
+			cpuWhere(core, "is idle", idleCPU)["curr"] = cpuWhere(core, "is busy", busyCPU)["curr"]
+		}},
+		{"running-on-no-cpu", func(core map[string]any) {
+			cpuWhere(core, "runs a thread with no completion or switch end pending", func(c map[string]any) bool {
+				return busyCPU(c) && !eventOn(core, "kernel.workdone", c) && !eventOn(core, "kernel.switchdone", c)
+			})["curr"] = 0
 		}},
 		{"event-before-now", func(core map[string]any) { record(core, "events", 0)["at"] = 0 }},
 		{"event-seq-above-counter", func(core map[string]any) { record(core, "events", 0)["seq"] = core["seq"] }},
@@ -1026,10 +1067,11 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 		})
 	}
 
-	// A CPU holds at most one latch, in one of the two lists, on a CPU of
-	// its thread's enclave, and a thread at most one; an install is
-	// pending only for an in-flight latch, and only once.
-	inflight := wireWithInstall(t)
+	// A latch is installed (the slots list) or in flight (named by its
+	// pending install alone). A CPU holds at most one, on a CPU of its
+	// thread's enclave, and a thread at most one; an install latches only
+	// a runnable thread of the enclave it names.
+	inflight := wireWithInstall(t, buildServing())
 	for _, tc := range []struct {
 		name   string
 		mutate func(core map[string]any, l installImage)
@@ -1040,24 +1082,26 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 		{"latch-thread-twice", func(core map[string]any, l installImage) {
 			ghostRec(core)["slots"].([]any)[l.freeCPU] = l.tid
 		}},
+		// The CPU of a pending install also holds an installed latch.
 		{"latch-cpu-in-both-lists", func(core map[string]any, l installImage) {
 			ghostRec(core)["slots"].([]any)[l.cpu] = l.unlatched
 		}},
+		// The install names a thread that is running or blocked, so no
+		// commit of it can be in flight.
 		{"install-not-in-flight", func(core map[string]any, l installImage) {
-			l.event["args"].([]any)[1] = l.unlatched
+			for _, th := range kernelRec(core)["threads"].([]any) {
+				if th := th.(map[string]any); th["class"] == "ghost" && th["state"] != float64(ghost.ThreadRunnable) {
+					l.event["args"].([]any)[1] = th["tid"]
+					return
+				}
+			}
+			t.Fatal("snapshot has no ghOSt thread that is not runnable")
 		}},
 		{"install-twice", func(core map[string]any, l installImage) {
 			core["events"] = append(core["events"].([]any), copyEvent(l.event))
 		}},
-		{"inflight-latch-no-install", func(core map[string]any, l installImage) {
-			// l.event is the first ghost.install; delete it.
-			events := core["events"].([]any)
-			for i, ev := range events {
-				if ev.(map[string]any)["kind"] == "ghost.install" {
-					core["events"] = append(events[:i:i], events[i+1:]...)
-					return
-				}
-			}
+		{"ghost-inflight-cpu-high", func(core map[string]any, l installImage) {
+			l.event["args"].([]any)[2] = 1_000_000
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -1066,6 +1110,15 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 			}))
 		})
 	}
+	// The install names the second enclave, not its thread's.
+	twoEnclaves := buildServing()
+	twoEnclaves.StartAgents(twoEnclaves.NewEnclave(ghost.MaskOf(4, 5, 6, 7)), ghost.NewFIFOPolicy(), ghost.Global())
+	t.Run("install-foreign-enclave", func(t *testing.T) {
+		requireRestoreCorrupt(t, resealSnapshot(t, wireWithInstall(t, twoEnclaves), func(core map[string]any) {
+			args := findInstall(t, core).event["args"].([]any)
+			args[0], args[4] = 1, -1
+		}))
+	})
 
 	// An enclave keeps at most one watchdog scan pending, and only when
 	// it has a watchdog.
@@ -1100,20 +1153,13 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 			pairs[0].([]any)[1] = 40
 		}))
 	})
-	// The per-CPU FIFO's round-robin cursor, homes and run queues must
-	// stay on the enclave's CPUs.
+	// The per-CPU FIFO's round-robin cursor and run queues must stay on
+	// the enclave's CPUs.
 	for _, tc := range []struct {
 		name string
 		edit func(st map[string]any)
 	}{
 		{"percpu-nextrr-negative", func(st map[string]any) { st["nextRR"] = -1 }},
-		{"percpu-home-cpu-foreign", func(st map[string]any) {
-			home, _ := st["home"].([]any)
-			if len(home) == 0 {
-				t.Fatal("per-CPU snapshot homes no threads")
-			}
-			home[0].([]any)[1] = 40
-		}},
 		{"percpu-rq-cpu-foreign", func(st map[string]any) {
 			rqs, _ := st["runQueues"].([]any)
 			st["runQueues"] = append(rqs, map[string]any{"cpu": 40, "tids": []any{}})
@@ -1123,15 +1169,7 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 			tid := record(st, "tracker", 0)["tid"]
 			addRunQueues(t, st, []any{tid, tid})
 		}},
-		// Homes and run queues index tables by TID, so a TID that names
-		// no thread must be refused before it can size one.
-		{"percpu-home-tid-foreign", func(st map[string]any) {
-			home, _ := st["home"].([]any)
-			if len(home) == 0 {
-				t.Fatal("per-CPU snapshot homes no threads")
-			}
-			home[0].([]any)[0] = 1 << 40
-		}},
+		// A run queue's TIDs must name threads.
 		{"percpu-rq-tid-foreign", func(st map[string]any) { addRunQueues(t, st, []any{1 << 40}) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -1206,12 +1244,11 @@ func copyEvent(ev map[string]any) map[string]any {
 	return dup
 }
 
-// wireWithInstall returns the wire bytes of a buildServing snapshot
-// taken at the first microsecond boundary after 1 ms with a
-// ghost.install event pending.
-func wireWithInstall(t *testing.T) []byte {
+// wireWithInstall returns the wire bytes of a snapshot of m taken at
+// the first microsecond boundary after 1 ms with a ghost.install event
+// pending on its first enclave.
+func wireWithInstall(t *testing.T, m *ghost.Machine) []byte {
 	t.Helper()
-	m := buildServing()
 	defer m.Shutdown()
 	m.Run(ghost.Millisecond)
 	for i := 0; i < 1000; i++ {
@@ -1234,6 +1271,27 @@ func wireWithInstall(t *testing.T) []byte {
 	}
 	t.Fatal("no install pending at any snapshot point")
 	return nil
+}
+
+// latchedCPUs returns the TID each CPU's latch holds, installed or in
+// flight, 0 for none, and the set of latched TIDs, in an image's core
+// JSON.
+func latchedCPUs(core map[string]any) ([]float64, map[float64]bool) {
+	var slots []float64
+	for _, tid := range core["ghost"].(map[string]any)["slots"].([]any) {
+		slots = append(slots, tid.(float64))
+	}
+	for _, ev := range core["events"].([]any) {
+		if ev := ev.(map[string]any); ev["kind"] == "ghost.install" {
+			args := ev["args"].([]any)
+			slots[int(args[2].(float64))] = args[1].(float64)
+		}
+	}
+	latched := map[float64]bool{}
+	for _, tid := range slots {
+		latched[tid] = true
+	}
+	return slots, latched
 }
 
 // installImage locates a pending install in an image's core JSON.
@@ -1261,16 +1319,10 @@ func findInstall(t *testing.T, core map[string]any) installImage {
 		t.Fatal("snapshot has no pending ghost.install event")
 	}
 	g := core["ghost"].(map[string]any)
-	slots, inflight := g["slots"].([]any), g["inflight"].([]any)
-	latched := map[float64]bool{}
-	for _, list := range [][]any{slots, inflight} {
-		for _, tid := range list {
-			latched[tid.(float64)] = true
-		}
-	}
+	slots, latched := latchedCPUs(core)
 	l.freeCPU = -1
 	for cpu := 0; cpu < 4 && l.freeCPU < 0; cpu++ {
-		if slots[cpu].(float64) == 0 && inflight[cpu].(float64) == 0 {
+		if slots[cpu] == 0 {
 			l.freeCPU = cpu
 		}
 	}
@@ -1328,17 +1380,58 @@ func editPolicy(t *testing.T, set map[string]any, edit func(st map[string]any)) 
 	policy["data"] = base64.StdEncoding.EncodeToString(raw)
 }
 
-// Restore reads no flag that a list implies: values under the retired
-// keys (a tracker's enqueued, a CFS or MicroQuanta thread's onRq and
-// CFS rqCPU, a ghOSt thread's latched) are ignored, so an image that sets them on threads no queue
-// lists, as an image from an older tree may, restores to the same run as
-// the image without them.
+// Restore reads no second copy of a fact: values under the retired keys
+// are ignored, so an image that sets them against the list, event or
+// record that now holds the fact, as an image from an older tree may,
+// restores to the same run as the image without them. The keys are
+// flags a list implies (a tracker's enqueued, a CFS or MicroQuanta
+// thread's onRq and CFS rqCPU, a ghOSt thread's latched), flags a
+// pending event implies (a CPU's burning, switching and reschedPending,
+// the class's inflight latches), a thread's cpu (its CPU record's
+// curr), a ghOSt thread's tseq and an agent's aseq (their status words'
+// seq), an agent set's mode (its policy's type) and the per-CPU FIFO's
+// home (the CPU that hears each message).
 func TestRestoreIgnoresRetiredKeys(t *testing.T) {
+	kernelRec := func(core map[string]any) map[string]any { return core["kernel"].(map[string]any) }
+	enclaveRec := func(core map[string]any) map[string]any {
+		return core["ghost"].(map[string]any)["enclaves"].([]any)[0].(map[string]any)
+	}
+	// staleCPUFlag sets key on every CPU that holds no pending event of
+	// kind, the event that now says the flag is set.
+	staleCPUFlag := func(key, kind string) func(core map[string]any) int {
+		return func(core map[string]any) int {
+			held := map[float64]bool{}
+			for _, ev := range core["events"].([]any) {
+				if ev := ev.(map[string]any); ev["kind"] == kind {
+					ref, _ := ev["ref"].(float64)
+					held[ref] = true
+				}
+			}
+			n := 0
+			for _, c := range kernelRec(core)["cpus"].([]any) {
+				if c := c.(map[string]any); !held[c["id"].(float64)] {
+					c[key] = true
+					n++
+				}
+			}
+			return n
+		}
+	}
+	// staleSeq sets key to its status word's seq plus 7 on each record.
+	staleSeq := func(key string, recs []any) int {
+		for _, rec := range recs {
+			rec := rec.(map[string]any)
+			rec[key] = rec["sw"].(map[string]any)["Seq"].(float64) + 7
+		}
+		return len(recs)
+	}
+	serving := func() *ghost.Machine { return buildServing() }
+	perCPU := func() *ghost.Machine { return buildServingWith(ghost.NewPerCPUFIFOPolicy(), ghost.PerCPU()) }
 	for _, tc := range []struct {
 		name  string
 		build func() *ghost.Machine
-		// edit sets retired keys on threads no queue lists and returns
-		// how many it set.
+		// edit sets stale values under retired keys and returns how many
+		// records it set.
 		edit func(core map[string]any) int
 	}{
 		{"shinjuku-enqueued", func() *ghost.Machine {
@@ -1384,14 +1477,9 @@ func TestRestoreIgnoresRetiredKeys(t *testing.T) {
 			}
 			return setUnlisted(kern, "mq", queued, map[string]any{"onRq": true})
 		}},
-		{"ghost-latched", func() *ghost.Machine { return buildServing() }, func(core map[string]any) int {
+		{"ghost-latched", serving, func(core map[string]any) int {
 			g := core["ghost"].(map[string]any)
-			latched := map[float64]bool{}
-			for _, list := range []string{"slots", "inflight"} {
-				for _, tid := range g[list].([]any) {
-					latched[tid.(float64)] = true
-				}
-			}
+			_, latched := latchedCPUs(core)
 			n := 0
 			for _, tr := range g["enclaves"].([]any)[0].(map[string]any)["threads"].([]any) {
 				if tr := tr.(map[string]any); !latched[tr["tid"].(float64)] {
@@ -1401,17 +1489,80 @@ func TestRestoreIgnoresRetiredKeys(t *testing.T) {
 			}
 			return n
 		}},
+		{"cpu-burning", serving, staleCPUFlag("burning", "kernel.workdone")},
+		{"cpu-switching", serving, staleCPUFlag("switching", "kernel.switchdone")},
+		{"cpu-reschedPending", serving, staleCPUFlag("reschedPending", "kernel.resched")},
+		{"thread-cpu", serving, func(core map[string]any) int {
+			// Every thread claims the last CPU, which runs none of them.
+			cpus := kernelRec(core)["cpus"].([]any)
+			last := cpus[len(cpus)-1].(map[string]any)
+			if last["curr"] != 0.0 {
+				t.Fatalf("cpu%v is not idle", last["id"])
+			}
+			threads := kernelRec(core)["threads"].([]any)
+			for _, th := range threads {
+				th.(map[string]any)["cpu"] = last["id"]
+			}
+			return len(threads)
+		}},
+		{"ghost-inflight", serving, func(core map[string]any) int {
+			// Each enclave CPU claims an in-flight latch of a thread that
+			// holds none.
+			g := core["ghost"].(map[string]any)
+			_, latched := latchedCPUs(core)
+			inflight := make([]any, len(g["slots"].([]any)))
+			for i := range inflight {
+				inflight[i] = 0
+			}
+			for _, tr := range enclaveRec(core)["threads"].([]any) {
+				if tid := tr.(map[string]any)["tid"]; !latched[tid.(float64)] {
+					for cpu := 0; cpu < 4; cpu++ {
+						inflight[cpu] = tid
+					}
+					g["inflight"] = inflight
+					return 4
+				}
+			}
+			return 0
+		}},
+		{"ghost-tseq", serving, func(core map[string]any) int {
+			return staleSeq("tseq", enclaveRec(core)["threads"].([]any))
+		}},
+		{"ghost-aseq", serving, func(core map[string]any) int {
+			return staleSeq("aseq", enclaveRec(core)["agents"].([]any))
+		}},
+		{"set-mode", serving, func(core map[string]any) int {
+			// The global FIFO set claims the per-CPU model.
+			sets := core["sets"].([]any)
+			for _, set := range sets {
+				set.(map[string]any)["mode"] = "percpu"
+			}
+			return len(sets)
+		}},
+		{"percpu-home", perCPU, func(core map[string]any) int {
+			// Every tracked thread is homed on CPU 3, and a TID that names
+			// no thread on a CPU outside the enclave.
+			n := 0
+			editPolicy(t, core["sets"].([]any)[0].(map[string]any), func(st map[string]any) {
+				home := []any{[]any{1 << 40, 40}}
+				for _, rec := range st["tracker"].([]any) {
+					home = append(home, []any{rec.(map[string]any)["tid"], 3})
+				}
+				st["home"], n = home, len(home)
+			})
+			return n
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			wire := wireAt1ms(t, tc.build())
 			n := 0
 			stale := resealSnapshot(t, wire, func(core map[string]any) { n = tc.edit(core) })
 			if n == 0 {
-				t.Fatal("the image has no unqueued thread to mark")
+				t.Fatal("the image has no record to mark")
 			}
 			want := restoredRun(t, wire, 5*ghost.Millisecond)
 			if got := restoredRun(t, stale, 5*ghost.Millisecond); got != want {
-				t.Fatalf("retired keys on %d threads changed the restored run:\n%s\nwant\n%s", n, got, want)
+				t.Fatalf("retired keys on %d records changed the restored run:\n%s\nwant\n%s", n, got, want)
 			}
 		})
 	}
