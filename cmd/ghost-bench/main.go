@@ -7,7 +7,6 @@
 //	ghost-bench -exp fig6a
 //	ghost-bench -exp all -quick
 //	ghost-bench -exp fig8-ablation -parallel 4
-//	ghost-bench -exp fig5 -quick -snapshot-every 5ms  # restore-transparency smoke
 //
 // Each experiment prints an aligned text table with the paper's numbers
 // alongside the measured ones, plus notes on the expected shape. The
@@ -22,7 +21,6 @@ import (
 
 	"ghost/internal/cli"
 	"ghost/internal/experiments"
-	"ghost/internal/sim"
 )
 
 func main() { os.Exit(realMain()) }
@@ -39,14 +37,8 @@ func realMain() int {
 	c.SeedFlag(flag.CommandLine, 1)
 	c.ParallelFlag(flag.CommandLine)
 	c.QuickFlag(flag.CommandLine, "shrink durations/sweeps for a fast pass")
-	c.SnapshotFlags(flag.CommandLine)
 	c.ProfileFlags(flag.CommandLine)
 	flag.Parse()
-
-	if c.Restore != "" {
-		fmt.Fprintln(os.Stderr, "ghost-bench: experiments are generated, not restored; -restore belongs to ghost-sim/ghost-check")
-		return 2
-	}
 
 	if *list {
 		for _, e := range experiments.All() {
@@ -73,10 +65,7 @@ func realMain() int {
 	}
 	defer stop()
 
-	opts := experiments.Options{
-		Quick: c.Quick, Seed: c.Seed, Parallel: c.Parallel,
-		SnapshotEvery: sim.Duration(c.SnapshotEvery),
-	}
+	opts := experiments.Options{Quick: c.Quick, Seed: c.Seed, Parallel: c.Parallel}
 	for _, e := range todo {
 		e := e
 		// Label each experiment's samples so one -cpuprofile over -exp all

@@ -33,8 +33,9 @@ func main() {
 	}
 
 	m.Run(2 * ghost.Millisecond)
+	delivery := m.Metrics().Enclaves[enc.ID()].MsgDelivery
 	fmt.Printf("after 2ms: %d transactions committed, %d messages delivered (p50 %v)\n",
-		agents.TxnsCommitted, agents.MsgDelivery.Count(), agents.MsgDelivery.P50())
+		agents.TxnsCommitted, delivery.Count(), delivery.P50())
 
 	// Non-disruptive policy upgrade (§3.4): stop generation 1, start
 	// generation 2 on the live enclave. Threads keep running.

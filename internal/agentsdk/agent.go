@@ -15,7 +15,6 @@ import (
 	"ghost/internal/hw"
 	"ghost/internal/kernel"
 	"ghost/internal/sim"
-	"ghost/internal/stats"
 )
 
 // Assignment is one scheduling decision of a centralized policy: run
@@ -200,8 +199,8 @@ type AgentSet struct {
 
 	stopped bool
 
-	// Stats.
-	MsgDelivery   stats.Histogram // enqueue-to-drain latency
+	// Stats of this generation; the enclave-wide counts and the
+	// delivery latency are the tracer's (trace.EnclaveMetrics).
 	Handoffs      uint64
 	StepsExecuted uint64
 	TxnsCommitted uint64
@@ -399,19 +398,7 @@ func startCentralized(k *kernel.Kernel, enc *ghostcore.Enclave, ac *kernel.Agent
 	// Wake the global agent to start spinning.
 	k.Wake(set.runners[first].thread)
 	// Poke the agent whenever enclave CPUs go idle or feel CFS pressure.
-	k.AddIdleHook(func(c *kernel.CPU) {
-		if !set.stopped && enc.CPUs().Has(c.ID) && !enc.Destroyed() {
-			set.pokeActive()
-		}
-	})
-	k.AddPressureHook(func(c *kernel.CPU, incoming *kernel.Thread) {
-		// Only non-ghOSt work (CFS, MicroQuanta daemons, ...) justifies
-		// vacating the agent's CPU; ghOSt threads run wherever the
-		// policy puts them.
-		if incoming.Class().Priority() > kernel.PrioGhost {
-			set.onPressure(c)
-		}
-	})
+	enc.SetAgentHooks(set.pokeActive, set.onPressure)
 	return set
 }
 
@@ -460,8 +447,7 @@ func newSet(k *kernel.Kernel, enc *ghostcore.Enclave, ac *kernel.AgentClass) *Ag
 // the enclave survives (§3.4). A successor can then StartCentralized /
 // StartPerCPU on the same enclave.
 func (set *AgentSet) Stop() {
-	set.stopped = true
-	set.repoll.Cancel()
+	set.halt()
 	set.enc.BeginUpgrade()
 	set.eachRunner(func(r *runner) {
 		set.enc.DetachAgent(r.agent)
@@ -469,11 +455,21 @@ func (set *AgentSet) Stop() {
 	})
 }
 
+// halt marks the generation stopped and cancels its repoll. A running
+// centralized generation also takes its idle and pressure callbacks off
+// the enclave.
+func (set *AgentSet) halt() {
+	if !set.stopped && set.global != nil {
+		set.enc.SetAgentHooks(nil, nil)
+	}
+	set.stopped = true
+	set.repoll.Cancel()
+}
+
 // Crash kills the agents without announcing an upgrade: the enclave falls
 // back to the default scheduler, as for a real agent crash (§3.4).
 func (set *AgentSet) Crash() {
-	set.stopped = true
-	set.repoll.Cancel()
+	set.halt()
 	set.eachRunner(func(r *runner) {
 		set.k.Kill(r.thread)
 		set.enc.DetachAgent(r.agent)
@@ -578,9 +574,8 @@ func (r *runner) drain(q *ghostcore.Queue, now sim.Time) ([]ghostcore.Message, s
 	for _, m := range msgs {
 		// Delivery latency in the Table 3 sense: producing the message,
 		// any wakeup/propagation delay, and consuming it.
-		lat := now - m.Posted + cm.MsgEnqueue + cm.MsgDequeue
-		r.set.MsgDelivery.Record(lat)
 		if tr != nil {
+			lat := now - m.Posted + cm.MsgEnqueue + cm.MsgDequeue
 			tr.MsgDelivered(now, r.set.enc.ID(), r.cpu, m.Type.String(), uint64(m.TID), lat)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"ghost/internal/kernel"
 	"ghost/internal/policies"
 	"ghost/internal/sim"
+	"ghost/internal/trace"
 )
 
 type env struct {
@@ -51,6 +52,8 @@ func spawnWorkers(e *env, n, iters int, work sim.Duration) []*kernel.Thread {
 
 func TestCentralizedSchedulesWorkers(t *testing.T) {
 	e := newEnv(t, 8)
+	tr := trace.NewMetricsOnly()
+	e.k.SetTracer(tr)
 	set := agentsdk.Start(e.k, e.enc, e.ac, policies.NewCentralFIFO(), agentsdk.Global())
 	workers := spawnWorkers(e, 4, 10, 20*sim.Microsecond)
 	// Drive: wake each worker every 100us.
@@ -73,11 +76,12 @@ func TestCentralizedSchedulesWorkers(t *testing.T) {
 	if set.TxnsCommitted < 40 {
 		t.Fatalf("txns committed = %d, want >= 40", set.TxnsCommitted)
 	}
-	if set.MsgDelivery.Count() == 0 {
+	delivery := tr.Metrics().Enclaves[e.enc.ID()].MsgDelivery
+	if delivery.Count() == 0 {
 		t.Fatal("no message delivery samples")
 	}
 	// Spinning-agent delivery should be well under a microsecond at p50.
-	if p50 := set.MsgDelivery.P50(); p50 > 2*sim.Microsecond {
+	if p50 := delivery.P50(); p50 > 2*sim.Microsecond {
 		t.Fatalf("global delivery p50 = %v", p50)
 	}
 }

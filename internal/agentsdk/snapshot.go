@@ -7,7 +7,6 @@ import (
 	"ghost/internal/hw"
 	"ghost/internal/kernel"
 	"ghost/internal/sim"
-	"ghost/internal/stats"
 )
 
 // Snapshot/restore support (DESIGN.md §3j). An agent set serializes to a
@@ -53,11 +52,10 @@ type SetRec struct {
 	Runners []RunnerRec `json:"runners"`
 	Policy  PolicyRec   `json:"policy"`
 
-	Handoffs      uint64               `json:"handoffs"`
-	StepsExecuted uint64               `json:"stepsExecuted"`
-	TxnsCommitted uint64               `json:"txnsCommitted"`
-	TxnsFailed    uint64               `json:"txnsFailed"`
-	MsgDelivery   stats.HistogramState `json:"msgDelivery"`
+	Handoffs      uint64 `json:"handoffs"`
+	StepsExecuted uint64 `json:"stepsExecuted"`
+	TxnsCommitted uint64 `json:"txnsCommitted"`
+	TxnsFailed    uint64 `json:"txnsFailed"`
 }
 
 // policy returns the set's policy regardless of model.
@@ -95,7 +93,6 @@ func (set *AgentSet) SaveRec() (*SetRec, error) {
 		StepsExecuted: set.StepsExecuted,
 		TxnsCommitted: set.TxnsCommitted,
 		TxnsFailed:    set.TxnsFailed,
-		MsgDelivery:   set.MsgDelivery.State(),
 	}
 	set.eachRunner(func(r *runner) {
 		rec.Runners = append(rec.Runners, RunnerRec{
@@ -174,7 +171,6 @@ func (set *AgentSet) RestoreImage(rec *SetRec) error {
 	set.StepsExecuted = rec.StepsExecuted
 	set.TxnsCommitted = rec.TxnsCommitted
 	set.TxnsFailed = rec.TxnsFailed
-	set.MsgDelivery.SetState(rec.MsgDelivery)
 	ps, ok := set.policy().(PolicySnapshotter)
 	if !ok {
 		return fmt.Errorf("restored policy %T does not implement the snapshot capability", set.policy())

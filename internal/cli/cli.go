@@ -57,8 +57,8 @@ func (c *Common) QuickFlag(fs *flag.FlagSet, effect string) {
 // SnapshotFlags registers -snapshot-every and -restore: the shared
 // checkpoint/restore vocabulary. What a snapshot boundary produces is
 // per command (ghost-sim writes .snap files, ghost-check rewinds a
-// failing repro, ghost-bench digest-checks restore transparency), but
-// the spelling, units, and help text are identical everywhere.
+// failing repro), but the spelling, units, and help text are identical
+// everywhere.
 func (c *Common) SnapshotFlags(fs *flag.FlagSet) {
 	fs.DurationVar(&c.SnapshotEvery, "snapshot-every", 0,
 		"snapshot the simulated machine every D of simulated time (0 = never); see the command's docs for what each checkpoint is used for")

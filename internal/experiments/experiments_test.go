@@ -1,17 +1,11 @@
 package experiments
 
 import (
-	"errors"
 	"os"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
-
-	"ghost"
-	"ghost/internal/hw"
-	"ghost/internal/kernel"
-	"ghost/internal/sim"
 )
 
 var quick = Options{Quick: true, Seed: 1}
@@ -411,57 +405,5 @@ func TestFig5CrossRunIdentical(t *testing.T) {
 			t.Errorf("fig5: report at parallel=%d differs from the serial run:\n--- parallel=1 ---\n%s\n--- parallel=%d ---\n%s",
 				par, baseline, par, first)
 		}
-	}
-}
-
-// A fig5 looper never blocks, so at any barrier every one is parked in
-// Run. The snapshot smoke restores them through the codec and requires
-// the original machine's digest 1 ms later; it panics on a mismatch.
-func TestFig5LooperRestoresInRun(t *testing.T) {
-	topo := hw.SkylakeDefault()
-	m, _ := fig5Machine(topo, fig5CPUOrder(topo)[:4])
-	defer m.k.Shutdown()
-	m.m.Run(sim.Millisecond)
-	parked := 0
-	for _, th := range spawned(m.k) {
-		if d := th.BodyDesc(); d != nil && d.Kind == "experiments.fig5-looper" && th.Ran() {
-			parked++
-		}
-	}
-	if parked != 8 {
-		t.Fatalf("%d of 8 loopers parked in Run", parked)
-	}
-	fig5SnapshotSmoke(m, m.m.Now()+sim.Time(sim.Millisecond))
-}
-
-// spawned returns every thread k has spawned, in TID order; a machine
-// that was built, not restored, numbers its threads densely from 1.
-func spawned(k *kernel.Kernel) []*kernel.Thread {
-	var out []*kernel.Thread
-	for tid := kernel.TID(1); k.Thread(tid) != nil; tid++ {
-		out = append(out, k.Thread(tid))
-	}
-	return out
-}
-
-// A fig5-looper record with non-positive work is corrupt: the rebuilt
-// looper would step forever at its first zero-length Run.
-func TestRestoreRejectsLooperWithoutWork(t *testing.T) {
-	topo := hw.SkylakeDefault()
-	m, _ := fig5Machine(topo, fig5CPUOrder(topo)[:1])
-	defer m.k.Shutdown()
-	var looper *kernel.Thread
-	for _, th := range spawned(m.k) {
-		if d := th.BodyDesc(); d != nil && d.Kind == "experiments.fig5-looper" {
-			looper = th
-		}
-	}
-	looper.BodyDesc().Args[0] = 0
-	s, err := m.m.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ghost.Restore(s); !errors.Is(err, ghost.ErrSnapshotCorrupt) {
-		t.Fatalf("Restore = %v, want ErrSnapshotCorrupt", err)
 	}
 }

@@ -66,9 +66,6 @@ func runFig5(o Options) *Report {
 	}
 	rep.Notef("expected shape: ramp while CPUs are added, dip when the agent's SMT " +
 		"sibling gets workers, degradation on the remote socket (paper Fig 5)")
-	if o.SnapshotEvery > 0 {
-		rep.Notef("snapshot smoke: every point snapshot->restore digest-verified (restore transparent)")
-	}
 	return rep
 }
 
@@ -129,13 +126,7 @@ func fig5Point(topo *hw.Topology, cpus []hw.CPUID, o Options) float64 {
 	}
 	m.m.Run(warm)
 	base := set.TxnsCommitted
-	if o.SnapshotEvery > 0 {
-		// Restore-transparency smoke: snapshot here, run the window on
-		// both the original and the restored machine, compare digests.
-		fig5SnapshotSmoke(m, sim.Time(warm+window))
-	} else {
-		m.m.Run(window)
-	}
+	m.m.Run(window)
 	return float64(set.TxnsCommitted-base) / window.Seconds()
 }
 
@@ -149,8 +140,18 @@ func fig5Machine(topo *hw.Topology, cpus []hw.CPUID) (*machine, *agentsdk.AgentS
 	set := m.startCentral(enc, policies.NewCentralFIFO())
 	const work = 15 * sim.Microsecond
 	for i := 0; i < 2*len(cpus); i++ {
-		th := enc.SpawnThread(kernel.SpawnOpts{Name: "looper"}, fig5Looper(work))
-		th.SetBodyDesc(&kernel.BodyDesc{Kind: "experiments.fig5-looper", Args: []int64{int64(work)}})
+		enc.SpawnThread(kernel.SpawnOpts{Name: "looper"}, fig5Looper(work))
 	}
 	return m, set
+}
+
+// fig5Looper is the fig5 workload body: one transaction is work worth of
+// CPU followed by a yield.
+func fig5Looper(work sim.Duration) kernel.ThreadFunc {
+	return kernel.Steps(func(t *kernel.Thread) (kernel.Action, bool) {
+		if t.Ran() {
+			return kernel.YieldAction(), true
+		}
+		return kernel.RunAction(work), true
+	})
 }

@@ -30,11 +30,6 @@ type Options struct {
 	// are collected in submission order, so reports are byte-identical
 	// at any setting.
 	Parallel int
-	// SnapshotEvery, when positive, turns on the snapshot smoke in the
-	// experiments that support it (fig5): each point snapshots its
-	// warmed machine, restores the snapshot, and requires the restored
-	// run's forward digest to match the original byte-for-byte.
-	SnapshotEvery sim.Duration
 }
 
 // Report is the rendered outcome of one experiment.

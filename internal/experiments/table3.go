@@ -7,6 +7,7 @@ import (
 	"ghost/internal/kernel"
 	"ghost/internal/policies"
 	"ghost/internal/sim"
+	"ghost/internal/trace"
 )
 
 func init() {
@@ -78,10 +79,10 @@ func runTable3(o Options) *Report {
 // returns (median message delivery latency, local schedule latency).
 func measurePerCPUPath(o Options) (sim.Duration, sim.Duration) {
 	topo := hw.NewTopology(hw.Config{Name: "t3", Sockets: 1, CCXsPerSocket: 1, CoresPerCCX: 2, SMTWidth: 1})
-	m := newMachine(machineOpts{topo: topo})
+	m := newMetricsMachine(topo)
 	defer m.k.Shutdown()
 	enc := m.enclaveOn(0, 1)
-	set := m.m.StartAgents(enc, policies.NewPerCPUFIFO(), ghost.PerCPU())
+	m.m.StartAgents(enc, policies.NewPerCPUFIFO(), ghost.PerCPU())
 	th := enc.SpawnThread(kernel.SpawnOpts{Name: "t"}, func(tc *kernel.TaskContext) {
 		for i := 0; i < 400; i++ {
 			tc.Run(2 * sim.Microsecond)
@@ -99,17 +100,23 @@ func measurePerCPUPath(o Options) (sim.Duration, sim.Duration) {
 	// thread minus delivery. Report the direct commit+switch figure.
 	cm := m.k.Cost()
 	localSched := (cm.LocalSchedule - cm.ContextSwitchMinimal) + cm.ContextSwitchMinimal
-	return set.MsgDelivery.P50(), localSched
+	return m.m.Metrics().Enclaves[enc.ID()].MsgDelivery.P50(), localSched
+}
+
+// newMetricsMachine is a table3 machine that keeps the tracer's
+// aggregate metrics, where the delivery latency is recorded.
+func newMetricsMachine(topo *hw.Topology) *machine {
+	return newMachine(machineOpts{topo: topo, extra: []ghost.MachineOption{ghost.WithTrace(trace.NewMetricsOnly())}})
 }
 
 // measureGlobalDelivery measures message delivery into a spinning global
 // agent.
 func measureGlobalDelivery(o Options) sim.Duration {
 	topo := hw.NewTopology(hw.Config{Name: "t3g", Sockets: 1, CCXsPerSocket: 1, CoresPerCCX: 4, SMTWidth: 1})
-	m := newMachine(machineOpts{topo: topo})
+	m := newMetricsMachine(topo)
 	defer m.k.Shutdown()
 	enc := m.enclaveOn(0, 1, 2, 3)
-	set := m.startCentral(enc, policies.NewCentralFIFO())
+	m.startCentral(enc, policies.NewCentralFIFO())
 	th := enc.SpawnThread(kernel.SpawnOpts{Name: "t"}, func(tc *kernel.TaskContext) {
 		for i := 0; i < 400; i++ {
 			tc.Run(2 * sim.Microsecond)
@@ -122,7 +129,7 @@ func measureGlobalDelivery(o Options) sim.Duration {
 		}
 	})
 	m.m.Run(25 * sim.Millisecond)
-	return set.MsgDelivery.P50()
+	return m.m.Metrics().Enclaves[enc.ID()].MsgDelivery.P50()
 }
 
 // measureRemoteE2E commits a group of n transactions from an event

@@ -1,8 +1,6 @@
 package ghostcore
 
 import (
-	"fmt"
-
 	"ghost/internal/hw"
 	"ghost/internal/kernel"
 	"ghost/internal/sim"
@@ -64,10 +62,12 @@ type Class struct {
 	// mutation tests; the zero value is correct behavior.
 	Mut Mutations
 
-	// Stats.
-	MsgsPosted uint64
+	// TxnsOK and BPFCommits count committed transactions and fastpath
+	// commits. They count with metrics off too: fig9's handoff poll and
+	// bpf-fastpath read them on machines built without a tracer. The
+	// other per-message and per-transaction counts live in the tracer
+	// (trace.EnclaveMetrics) alone.
 	TxnsOK     uint64
-	TxnsFailed uint64
 	BPFCommits uint64
 }
 
@@ -87,6 +87,7 @@ func NewClass(k *kernel.Kernel, fallback kernel.Class) *Class {
 	k.RegisterClass(g)
 	k.AddTickHook(g.onTick)
 	k.AddIdleHook(g.onIdle)
+	k.AddPressureHook(g.onPressure)
 	return g
 }
 
@@ -211,7 +212,6 @@ func (g *Class) postThreadMsg(t *kernel.Thread, mt MsgType) {
 		return
 	}
 	gt.pendingMsgs++
-	g.MsgsPosted++
 	if mt == MsgThreadPreempted {
 		if tr := g.k.Tracer(); tr != nil {
 			tr.Preemption(g.k.Now(), gt.enc.id, uint64(t.TID()), t.LastCPU())
@@ -349,20 +349,45 @@ func (g *Class) onTick(c *kernel.CPU) {
 	}
 	q := enc.tickQueue(c.ID)
 	if q != nil {
-		g.MsgsPosted++
 		q.post(Message{Type: MsgTimerTick, CPU: c.ID})
 	}
 }
 
-// onIdle is the BPF fastpath (§3.2): when a CPU in an enclave goes idle
-// with no committed transaction, installed or in flight, the enclave's
-// BPF program may commit a thread immediately, closing the agent's
-// scheduling gap.
+// onIdle runs when a CPU goes idle: the owning enclave's BPF fastpath,
+// then its centralized agent's idle callback (SetAgentHooks). The
+// fastpath's commit reschedules the CPU later (Resched), so the agent
+// is poked either way.
 func (g *Class) onIdle(c *kernel.CPU) {
 	enc := g.cpuOwner[c.ID]
-	if enc == nil || enc.destroyed || enc.bpf == nil || g.held.Has(c.ID) {
+	if enc == nil || enc.destroyed {
 		return
 	}
+	if enc.bpf != nil && !g.held.Has(c.ID) {
+		g.bpfCommit(enc, c)
+	}
+	if enc.agentIdle != nil {
+		enc.agentIdle()
+	}
+}
+
+// onPressure passes non-ghOSt work (CFS, MicroQuanta daemons, ...)
+// queued behind a CPU's current thread to the owning enclave's
+// centralized agent (SetAgentHooks), which may hand the global role off
+// that CPU (§3.3). ghOSt threads run wherever the policy puts them, so
+// they exert no pressure.
+func (g *Class) onPressure(c *kernel.CPU, incoming *kernel.Thread) {
+	enc := g.cpuOwner[c.ID]
+	if enc == nil || enc.agentPressure == nil || incoming.Class().Priority() <= kernel.PrioGhost {
+		return
+	}
+	enc.agentPressure(c)
+}
+
+// bpfCommit is the BPF fastpath (§3.2): when a CPU in an enclave goes
+// idle with no committed transaction, installed or in flight, the
+// enclave's BPF program may commit a thread immediately, closing the
+// agent's scheduling gap.
+func (g *Class) bpfCommit(enc *Enclave, c *kernel.CPU) {
 	t := enc.bpf.PickNextOnIdle(c.ID)
 	if t == nil {
 		return
@@ -401,9 +426,4 @@ func (g *Class) Enclaves() []*Enclave {
 		}
 	}
 	return out
-}
-
-func (g *Class) String() string {
-	return fmt.Sprintf("ghost{enclaves=%d msgs=%d txns=%d/%d}",
-		len(g.Enclaves()), g.MsgsPosted, g.TxnsOK, g.TxnsOK+g.TxnsFailed)
 }

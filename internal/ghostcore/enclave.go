@@ -53,6 +53,11 @@ type Enclave struct {
 
 	bpf BPFProgram
 
+	// agentIdle and agentPressure are the running centralized agent
+	// generation's callbacks (SetAgentHooks), nil while none runs.
+	agentIdle     func()
+	agentPressure func(*kernel.CPU)
+
 	// DeliverTicks enables TIMER_TICK message delivery (§3.1).
 	DeliverTicks bool
 
@@ -343,6 +348,16 @@ func (e *Enclave) tickQueue(cpu hw.CPUID) *Queue {
 // SetBPF attaches the enclave's BPF pick_next_task program (§3.2).
 func (e *Enclave) SetBPF(p BPFProgram) { e.bpf = p }
 
+// SetAgentHooks installs a centralized agent generation's callbacks:
+// idle runs when an enclave CPU goes idle (after the BPF fastpath), and
+// pressure when non-ghOSt work queues behind an enclave CPU's current
+// thread. The class calls them from its one idle and one pressure hook,
+// so agent generations add no kernel hooks. Pass nil, nil when the
+// generation stops.
+func (e *Enclave) SetAgentHooks(idle func(), pressure func(*kernel.CPU)) {
+	e.agentIdle, e.agentPressure = idle, pressure
+}
+
 // SetTickless disables (or re-enables) timer ticks on every enclave CPU
 // (§5): with a spinning global agent making all decisions, per-CPU ticks
 // only cause VM-exit jitter for guest workloads. Re-enabled
@@ -446,14 +461,12 @@ func (e *Enclave) TxnsCommitAtomic(a *Agent, txns []*Txn) bool {
 	for _, txn := range txns {
 		if s, cause := e.validate(a, txn); s != TxnCommitted {
 			txn.Status = s
-			e.g.TxnsFailed++
 			if tr != nil {
 				tr.TxnFailed(e.k.Now(), e.id, uint64(txn.TID), txn.CPU, s.String(), cause)
 			}
 			for _, other := range txns {
 				if other != txn && other.Status == TxnPending {
 					other.Status = TxnInvalid
-					e.g.TxnsFailed++
 					if tr != nil {
 						tr.TxnFailed(e.k.Now(), e.id, uint64(other.TID), other.CPU,
 							TxnInvalid.String(), "group-abort")
@@ -541,7 +554,6 @@ func (e *Enclave) validate(a *Agent, txn *Txn) (TxnStatus, string) {
 func (e *Enclave) commitOne(a *Agent, txn *Txn, groupSize int) {
 	if s, cause := e.validate(a, txn); s != TxnCommitted {
 		txn.Status = s
-		e.g.TxnsFailed++
 		if tr := e.k.Tracer(); tr != nil {
 			tr.TxnFailed(e.k.Now(), e.id, uint64(txn.TID), txn.CPU, s.String(), cause)
 		}

@@ -72,9 +72,7 @@ type ClassRec struct {
 	Slots     []int     `json:"slots"` // per-CPU installed latch's TID, 0 none
 	Mut       Mutations `json:"mut"`
 
-	MsgsPosted uint64 `json:"msgsPosted"`
 	TxnsOK     uint64 `json:"txnsOK"`
-	TxnsFailed uint64 `json:"txnsFailed"`
 	BPFCommits uint64 `json:"bpfCommits"`
 
 	Enclaves []EnclaveRec `json:"enclaves"`
@@ -87,9 +85,7 @@ func (g *Class) SaveImage() (*ClassRec, error) {
 	rec := &ClassRec{
 		NextEncID:  g.nextEncID,
 		Mut:        g.Mut,
-		MsgsPosted: g.MsgsPosted,
 		TxnsOK:     g.TxnsOK,
-		TxnsFailed: g.TxnsFailed,
 		BPFCommits: g.BPFCommits,
 	}
 	rec.Slots = make([]int, len(g.latches))
@@ -263,9 +259,7 @@ func (g *Class) RestoreEnclaveShells(rec *ClassRec) ([]*Enclave, error) {
 func (g *Class) RestoreImage(rec *ClassRec) error {
 	g.nextEncID = rec.NextEncID
 	g.Mut = rec.Mut
-	g.MsgsPosted = rec.MsgsPosted
 	g.TxnsOK = rec.TxnsOK
-	g.TxnsFailed = rec.TxnsFailed
 	g.BPFCommits = rec.BPFCommits
 	if len(rec.Slots) > len(g.latches) {
 		return fmt.Errorf("ghost slots list %d CPUs, machine has %d", len(rec.Slots), len(g.latches))

@@ -43,3 +43,6 @@ func (m *busyMeter) of(cpu hw.CPUID) sim.Duration {
 	}
 	return t
 }
+
+// HookCounts returns how many idle and pressure hooks k has registered.
+func HookCounts(k *Kernel) (idle, pressure int) { return len(k.idleHooks), len(k.pressureHooks) }

@@ -134,13 +134,6 @@ func (k *Kernel) Engine() *sim.Engine { return k.eng }
 // whole stack.
 func (k *Kernel) SetTracer(tr *trace.Tracer) {
 	k.tr = tr
-	// The engine meters its own dispatch counts (Engine.Executed,
-	// Engine.MaxQueue); the per-dispatch callback is only worth its cost
-	// when a full event timeline is being recorded.
-	k.eng.OnDispatch = nil
-	if tr.Enabled() {
-		k.eng.OnDispatch = tr.EngineDispatch
-	}
 }
 
 // Tracer returns the attached tracer; nil when tracing is off. All
@@ -208,9 +201,9 @@ func (k *Kernel) Class(name string) Class {
 	return nil
 }
 
-// AddIdleHook registers fn to run whenever a CPU becomes idle. Used by
-// the ghOSt BPF-style fastpath and by spinning scheduler threads that
-// want an immediate poke on capacity changes.
+// AddIdleHook registers fn to run whenever a CPU becomes idle. The ghOSt
+// class's hook runs the BPF-style fastpath and pokes a spinning global
+// agent on capacity changes.
 func (k *Kernel) AddIdleHook(fn func(*CPU)) { k.idleHooks = append(k.idleHooks, fn) }
 
 // AddTickHook registers fn to run on every per-CPU timer tick (after the
@@ -226,8 +219,8 @@ func (k *Kernel) AddSwitchHook(fn func(*CPU, *Thread)) {
 
 // AddPressureHook registers fn to run when a lower-priority thread is
 // queued on a CPU held by a higher-priority one (e.g. a CFS thread
-// waiting behind a spinning global agent). The ghOSt agent SDK uses this
-// to trigger the global agent's "hot handoff" (§3.3).
+// waiting behind a spinning global agent). The ghOSt class uses this to
+// trigger the global agent's "hot handoff" (§3.3).
 func (k *Kernel) AddPressureHook(fn func(*CPU, *Thread)) {
 	k.pressureHooks = append(k.pressureHooks, fn)
 }

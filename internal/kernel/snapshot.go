@@ -490,8 +490,10 @@ func (c *CFS) restoreRec(rec *CFSRec) error {
 // its CPU or TID (the CFS balancer by nothing). A CPU holds one tick or
 // start stagger. Its completion, switch end and scheduling pass are the
 // only record that it burns, switches or is due a pass: restoring one
-// sets the flag, so a CPU holds at most one of each. A completion is
-// refused unless the CPU's current thread has work left. A switch end
+// sets the flag, so a CPU holds at most one of each. A CPU burns or
+// switches, never both, so its completion and switch end exclude each
+// other. A completion is refused unless the CPU's current thread has
+// work left. A switch end
 // needs no current thread: one that is killed, moved to another class
 // or forced off in the dead time leaves the CPU switching with none. A
 // MicroQuanta thread holds at most one throttle and one refill; the
@@ -531,13 +533,16 @@ func (k *Kernel) SnapshotEvents() []sim.EventKind {
 			Pending: func(a any) bool { return a.(*CPU).reschedPending },
 			Adopt:   func(a any, _ sim.Time, _ sim.Event) { a.(*CPU).setReschedPending(true) }},
 		{Name: "kernel.workdone", Fn: k.workDoneFn, Save: cpuRef,
-			Load:    onCPU("running a thread with work left", func(c *CPU) bool { return c.curr != nil && c.curr.pendingWork > 0 }),
+			Load: onCPU("running a thread with work left outside a switch", func(c *CPU) bool {
+				return c.curr != nil && c.curr.pendingWork > 0 && !c.switching
+			}),
 			Pending: func(a any) bool { return a.(*CPU).burning },
 			Adopt: func(a any, _ sim.Time, ev sim.Event) {
 				c := a.(*CPU)
 				c.burning, c.completion = true, ev
 			}},
-		{Name: "kernel.switchdone", Fn: k.switchDoneFn, Save: cpuRef, Load: onCPU("", nil),
+		{Name: "kernel.switchdone", Fn: k.switchDoneFn, Save: cpuRef,
+			Load:    onCPU("free of a pending completion", func(c *CPU) bool { return !c.burning }),
 			Pending: func(a any) bool { return a.(*CPU).switching },
 			Adopt:   func(a any, _ sim.Time, _ sim.Event) { a.(*CPU).setSwitching(true) }},
 		{Name: "kernel.wake", Fn: k.wakeFn, Save: threadRef, Load: thread},

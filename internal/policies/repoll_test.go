@@ -9,6 +9,7 @@ import (
 	"ghost/internal/kernel"
 	"ghost/internal/policies"
 	"ghost/internal/sim"
+	"ghost/internal/trace"
 	"ghost/internal/workload"
 )
 
@@ -38,6 +39,8 @@ func TestRepollOnlyWhileWorkWaits(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newEnv(t, topo8(), tc.enc)
+			tr := trace.NewMetricsOnly()
+			e.k.SetTracer(tr)
 			set := agentsdk.Start(e.k, e.enc, e.ac, tc.pol(), agentsdk.Global())
 			spin := e.enc.SpawnThread(kernel.SpawnOpts{Name: "spin"}, func(tc *kernel.TaskContext) {
 				tc.Run(50 * sim.Millisecond)
@@ -46,7 +49,7 @@ func TestRepollOnlyWhileWorkWaits(t *testing.T) {
 			if spin.State() != kernel.StateRunning {
 				t.Fatalf("spinner is %v, want running", spin.State())
 			}
-			if steps, msgs := set.StepsExecuted, e.g.MsgsPosted; steps > msgs+2 {
+			if steps, msgs := set.StepsExecuted, tr.Metrics().Enclaves[e.enc.ID()].MsgsPosted; steps > msgs+2 {
 				t.Fatalf("%d agent steps for %d kernel messages: the agent repolls with nothing queued", steps, msgs)
 			}
 		})
@@ -80,7 +83,7 @@ func TestFailedCommitRepolls(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newEnv(t, topo8(), tc.enc)
 			e.k.SetFaults(faults.NewInjector(e.eng, faults.NewPlan(1).FailTxns(100*sim.Microsecond, 20*sim.Microsecond, 1)))
-			agentsdk.Start(e.k, e.enc, e.ac, tc.pol(), agentsdk.Global())
+			set := agentsdk.Start(e.k, e.enc, e.ac, tc.pol(), agentsdk.Global())
 			e.enc.SpawnThread(kernel.SpawnOpts{Name: "spin"}, func(tc *kernel.TaskContext) {
 				tc.Run(50 * sim.Millisecond)
 			})
@@ -92,7 +95,7 @@ func TestFailedCommitRepolls(t *testing.T) {
 			if short.State() != kernel.StateDead {
 				t.Fatalf("short thread is %v after 1 ms, want done", short.State())
 			}
-			if e.g.TxnsFailed == 0 {
+			if set.TxnsFailed == 0 {
 				t.Fatal("no commit failed: the run does not exercise OnTxnFail")
 			}
 		})

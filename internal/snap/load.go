@@ -125,11 +125,18 @@ func Load(t *Target, img *Image, opts LoadOpts) (*Result, error) {
 
 	// Phase 6: pending events with their original (at, seq) pairs; each
 	// sets the owner state it implies (a CPU's burning, a latch in flight).
+	// The engine draws each seq once, so no two events share one.
 	ix, err := newEventIndex(t, res.Sets, res.Components)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
+	seqs := make(map[uint64]bool, len(core.Events))
 	for i := range core.Events {
+		seq := core.Events[i].Seq
+		if seqs[seq] {
+			return nil, fmt.Errorf("%w: event %d: seq %d is another pending event's", ErrCorrupt, i, seq)
+		}
+		seqs[seq] = true
 		if err := ix.restore(t.Eng, &core.Events[i]); err != nil {
 			return nil, fmt.Errorf("%w: event %d: %v", ErrCorrupt, i, err)
 		}

@@ -15,7 +15,8 @@ import (
 type Metrics struct {
 	// EngineEvents is the number of discrete events the simulation
 	// engine dispatched; EngineMaxQueue is the event queue's high-water
-	// mark.
+	// mark. The engine counts both itself (Engine.Executed, MaxQueue);
+	// the tracer leaves them zero and Machine.Metrics fills them in.
 	EngineEvents   uint64
 	EngineMaxQueue int
 
@@ -86,12 +87,10 @@ func (t *Tracer) Metrics() *Metrics {
 		return &Metrics{Enclaves: map[int]*EnclaveMetrics{}}
 	}
 	out := &Metrics{
-		EngineEvents:   t.m.EngineEvents,
-		EngineMaxQueue: t.m.EngineMaxQueue,
-		CtxSwitches:    t.m.CtxSwitches,
-		Wakeups:        t.m.Wakeups,
-		IPIs:           t.m.IPIs,
-		Enclaves:       make(map[int]*EnclaveMetrics, len(t.m.Enclaves)),
+		CtxSwitches: t.m.CtxSwitches,
+		Wakeups:     t.m.Wakeups,
+		IPIs:        t.m.IPIs,
+		Enclaves:    make(map[int]*EnclaveMetrics, len(t.m.Enclaves)),
 	}
 	if len(t.m.Faults) > 0 {
 		out.Faults = make(map[string]uint64, len(t.m.Faults))

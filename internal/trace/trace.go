@@ -70,9 +70,6 @@ func NewMetricsOnly() *Tracer {
 	return &Tracer{m: Metrics{Enclaves: make(map[int]*EnclaveMetrics)}}
 }
 
-// Enabled reports whether the tracer records timeline events.
-func (t *Tracer) Enabled() bool { return t != nil && t.events }
-
 // enc returns (allocating if needed) the metrics bucket for enclave id.
 func (t *Tracer) enc(id int) *EnclaveMetrics {
 	if id >= 0 && id < len(t.encs) && t.encs[id] != nil {
@@ -97,21 +94,6 @@ func (t *Tracer) push(e event) {
 		t.lastTs = e.ts
 	}
 	t.evs = append(t.evs, e)
-}
-
-// --- sim layer -------------------------------------------------------
-
-// EngineDispatch observes one engine event dispatch (installed as
-// sim.Engine.OnDispatch). It only feeds metrics; per-event timeline
-// records would dwarf the schedule itself.
-func (t *Tracer) EngineDispatch(now sim.Time, queued int) {
-	if t == nil {
-		return
-	}
-	t.m.EngineEvents++
-	if queued > t.m.EngineMaxQueue {
-		t.m.EngineMaxQueue = queued
-	}
 }
 
 // --- kernel layer ----------------------------------------------------

@@ -148,8 +148,7 @@ func (m *Machine) Tracer() *Tracer { return m.tr }
 // snapshot when metrics are disabled.
 func (m *Machine) Metrics() *Metrics {
 	ms := m.tr.Metrics()
-	// The engine meters itself; its counts are authoritative regardless
-	// of tracer mode.
+	// The engine counts its own dispatches; the tracer does not.
 	ms.EngineEvents = m.eng.Executed
 	ms.EngineMaxQueue = m.eng.MaxQueue
 	return ms

@@ -2,10 +2,13 @@ package ghost_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"ghost"
 	"ghost/internal/kernel"
+	"ghost/internal/sim"
+	"ghost/internal/snap"
 )
 
 // restoreHorizon is how far FuzzRestoreAnywhere runs each machine.
@@ -17,7 +20,8 @@ const restoreHorizon = 10 * ghost.Millisecond
 // loaded enough that its queues often hold threads at a barrier. The
 // Shinjuku enclave has a 20 ms watchdog, which scans every 5 ms and
 // cannot fire within the horizon, so its pending scan rides in every
-// image.
+// image. The last two are experiment machines: a fig5 point and the
+// -quick shinjuku-rocksdb benchmark workload.
 var restoreMachines = []struct {
 	name  string
 	build func(opts ...ghost.MachineOption) *ghost.Machine
@@ -42,6 +46,66 @@ var restoreMachines = []struct {
 	{"microquanta", func(opts ...ghost.MachineOption) *ghost.Machine {
 		return buildClassPool(ghost.MicroQuanta, ghost.MaskOf(0, 1), ghost.MaskOf(0, 1), 4, 60_000, opts...)
 	}},
+	{"fig5", buildFig5},
+	{"shinjuku-rocksdb", buildShinjukuRocksDB},
+}
+
+// fig5Work is the CPU time of one fig5 looper transaction.
+const fig5Work = 15 * ghost.Microsecond
+
+// fig5Looper is fig5's body: run fig5Work, then yield, forever. It is
+// registered here so that fig5's machine restores without the
+// experiments package keeping snapshot support of its own.
+func fig5Looper() ghost.ThreadFunc {
+	return kernel.Steps(func(t *kernel.Thread) (kernel.Action, bool) {
+		if t.Ran() {
+			return kernel.YieldAction(), true
+		}
+		return kernel.RunAction(fig5Work), true
+	})
+}
+
+func init() {
+	snap.RegisterBody("ghost_test.fig5-looper", func(_ *snap.RestoreCtx, rec kernel.BodyRec, _ *sim.Rand) (kernel.ThreadFunc, error) {
+		if len(rec.Args) != 0 {
+			return nil, fmt.Errorf("%w: fig5-looper wants no args, got %d", snap.ErrCorrupt, len(rec.Args))
+		}
+		return fig5Looper(), nil
+	})
+}
+
+// buildFig5 is one fig5 point on Skylake: a central-FIFO global agent on
+// CPU 0 and two run-then-yield loopers per worker CPU. The workers sit
+// on a socket-0 core (1), a socket-0 hyperthread (57), the agent's own
+// sibling (56, the figure's dip) and a socket-1 core (28, its droop).
+func buildFig5(opts ...ghost.MachineOption) *ghost.Machine {
+	m := ghost.NewMachine(ghost.Skylake(), opts...)
+	enc := m.NewEnclave(ghost.MaskOf(0, 1, 57, 56, 28))
+	m.StartAgents(enc, ghost.NewFIFOPolicy(), ghost.Global())
+	for i := 0; i < 2*4; i++ {
+		th := m.Spawn(ghost.ThreadOpts{Name: "looper", Class: ghost.Ghost(enc)}, fig5Looper())
+		th.SetBodyDesc(&kernel.BodyDesc{Kind: "ghost_test.fig5-looper"})
+	}
+	return m
+}
+
+// buildShinjukuRocksDB is ghost-perf's shinjuku-rocksdb workload at
+// -quick and seed 1, built from the same facade calls: XeonE5, a
+// 21-CPU enclave under a global Shinjuku agent, 200 workers and the
+// RocksDB mix at 280k req/s, with its pool and source registered for
+// snapshots.
+func buildShinjukuRocksDB(opts ...ghost.MachineOption) *ghost.Machine {
+	m := ghost.NewMachine(ghost.XeonE5(), opts...)
+	enc := m.NewEnclave(ghost.MaskAll(21))
+	m.StartAgents(enc, ghost.NewShinjukuPolicy(), ghost.Global())
+	rec := &ghost.LatencyRecorder{WarmupUntil: ghost.Time(10 * ghost.Millisecond)}
+	pool := m.NewWorkerPool(200, rec, func(name string, body ghost.ThreadFunc) *ghost.Thread {
+		return m.Spawn(ghost.ThreadOpts{Name: name, Class: ghost.Ghost(enc)}, body)
+	})
+	m.AddSnapshotComponent("pool", pool)
+	src := m.NewPoissonSource(ghost.NewRand(1), 280_000, ghost.RocksDBService(), func(r *ghost.Request) { pool.Submit(r) })
+	m.AddSnapshotComponent("src", src)
+	return m
 }
 
 // buildClassPool is buildServing without an enclave: a pool of workers

@@ -85,9 +85,6 @@ go run ./cmd/ghost-tune -scenario shinjuku-rocksdb -quick -parallel 4
 echo "== fig9 smoke (upgrade/crash robustness)"
 go run ./cmd/ghost-bench -exp fig9 -quick
 
-echo "== snapshot smoke (fig5 restore-transparency digest compare)"
-go run ./cmd/ghost-bench -exp fig5 -quick -snapshot-every 5ms >/dev/null
-
 echo "== snapshot smoke (ghost-check checkpoint rewind on a directed regression)"
 rewind_out=$(go run ./cmd/ghost-check \
 	-repro "seed=3 policy=central-fifo cpus=4 threads=9 horizon=25.000ms" \

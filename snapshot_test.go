@@ -207,7 +207,9 @@ func readSnapshotFile(t *testing.T, name string) ([]byte, *ghost.Snapshot) {
 // the encoding no longer carries: the never-drawn kernel random stream,
 // the CPU and thread counters nothing read, CFS's five tunables (now
 // Linux-default constants), the ghOSt class's never-read preemption
-// counter, the never-charged message-delivery costs, the flags and
+// counter, the never-charged message-delivery costs, the second copies
+// of the tracer's counts (the ghOSt class's msgsPosted and txnsFailed,
+// an agent set's msgDelivery histogram), the flags and
 // counts restore rebuilds from the lists that imply them (CFS and
 // MicroQuanta onRq and CFS rqCPU, ghOSt pendingMsgs, and the policy
 // tracker's enqueued), the flags and latches a pending event implies (a
@@ -225,8 +227,9 @@ func dropRetiredFields(core map[string]any) {
 	for _, k := range []string{"MsgDeliveryLocal", "MsgDeliveryGlobal"} {
 		delete(core["cost"].(map[string]any), k)
 	}
-	delete(core["ghost"].(map[string]any), "preemptions")
-	delete(core["ghost"].(map[string]any), "inflight")
+	for _, k := range []string{"preemptions", "inflight", "msgsPosted", "txnsFailed"} {
+		delete(core["ghost"].(map[string]any), k)
+	}
 	for _, c := range kern["cpus"].([]any) {
 		for _, k := range []string{"busyNS", "busyStart", "switches", "burning", "switching", "reschedPending"} {
 			delete(c.(map[string]any), k)
@@ -256,6 +259,7 @@ func dropRetiredFields(core map[string]any) {
 	}
 	for _, set := range core["sets"].([]any) {
 		delete(set.(map[string]any), "mode")
+		delete(set.(map[string]any), "msgDelivery")
 		st := set.(map[string]any)["policy"].(map[string]any)["data"].(map[string]any)
 		delete(st, "home")
 		recs, _ := st["tracker"].([]any)
@@ -877,6 +881,22 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 		{"workdone-twice", func(core map[string]any) {
 			core["events"] = append(core["events"].([]any), pendingEvent(t, core, "kernel.workdone"))
 		}},
+		// A CPU burns or switches, never both: a completion restored after
+		// a switch end on its CPU is refused, and so is the reverse.
+		{"workdone-while-switching", func(core map[string]any) {
+			end := pendingEvent(t, core, "kernel.workdone")
+			end["kind"] = "kernel.switchdone"
+			core["events"] = append([]any{end}, core["events"].([]any)...)
+		}},
+		{"switchdone-while-burning", func(core map[string]any) {
+			end := pendingEvent(t, core, "kernel.workdone")
+			end["kind"] = "kernel.switchdone"
+			core["events"] = append(core["events"].([]any), end)
+		}},
+		// The engine draws each seq once.
+		{"event-seq-twice", func(core map[string]any) {
+			record(core, "events", 1)["seq"] = record(core, "events", 0)["seq"]
+		}},
 		// A completion is what says a CPU burns: its current thread must
 		// have work left to burn.
 		{"workdone-not-burning", func(core map[string]any) {
@@ -944,7 +964,7 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 			first := record(core, "events", 0)
 			for i := 0; i < 2; i++ {
 				core["events"] = append(core["events"].([]any), map[string]any{
-					"at": first["at"], "seq": first["seq"], "kind": "agentsdk.repoll", "ref": record(core, "sets", 0)["encID"],
+					"at": first["at"], "seq": freshSeq(t, core), "kind": "agentsdk.repoll", "ref": record(core, "sets", 0)["encID"],
 				})
 			}
 		}},
@@ -1098,7 +1118,9 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 			t.Fatal("snapshot has no ghOSt thread that is not runnable")
 		}},
 		{"install-twice", func(core map[string]any, l installImage) {
-			core["events"] = append(core["events"].([]any), copyEvent(l.event))
+			dup := copyEvent(l.event)
+			dup["seq"] = freshSeq(t, core)
+			core["events"] = append(core["events"].([]any), dup)
 		}},
 		{"ghost-inflight-cpu-high", func(core map[string]any, l installImage) {
 			l.event["args"].([]any)[2] = 1_000_000
@@ -1220,16 +1242,36 @@ func watchdogEvent(t *testing.T, core map[string]any) map[string]any {
 }
 
 // pendingEvent returns a copy of the first pending event of the given
-// kind in an image's core JSON.
+// kind in an image's core JSON, under a seq no pending event holds.
 func pendingEvent(t *testing.T, core map[string]any, kind string) map[string]any {
 	t.Helper()
 	for _, ev := range core["events"].([]any) {
 		if ev := ev.(map[string]any); ev["kind"] == kind {
-			return copyEvent(ev)
+			dup := copyEvent(ev)
+			dup["seq"] = freshSeq(t, core)
+			return dup
 		}
 	}
 	t.Fatalf("snapshot has no pending %s event", kind)
 	return nil
+}
+
+// freshSeq returns the highest seq below an image's counter that no
+// pending event holds, so an event added under it breaks no rule but
+// the one its case tests (two events never share a seq).
+func freshSeq(t *testing.T, core map[string]any) float64 {
+	t.Helper()
+	held := map[float64]bool{}
+	for _, ev := range core["events"].([]any) {
+		held[ev.(map[string]any)["seq"].(float64)] = true
+	}
+	for seq := core["seq"].(float64) - 1; seq >= 0; seq-- {
+		if !held[seq] {
+			return seq
+		}
+	}
+	t.Fatal("every seq below the counter is pending")
+	return 0
 }
 
 // copyEvent returns a copy of an event record, its args included.
@@ -1530,6 +1572,23 @@ func TestRestoreIgnoresRetiredKeys(t *testing.T) {
 		}},
 		{"ghost-aseq", serving, func(core map[string]any) int {
 			return staleSeq("aseq", enclaveRec(core)["agents"].([]any))
+		}},
+		{"set-msgDelivery", serving, func(core map[string]any) int {
+			sets := core["sets"].([]any)
+			for _, set := range sets {
+				set.(map[string]any)["msgDelivery"] = map[string]any{
+					"idx": []any{40}, "n": []any{3}, "total": 3, "sum": 3e6, "min": 1e6, "max": 1e6,
+				}
+			}
+			return len(sets)
+		}},
+		{"ghost-msgsPosted", serving, func(core map[string]any) int {
+			core["ghost"].(map[string]any)["msgsPosted"] = 1e6
+			return 1
+		}},
+		{"ghost-txnsFailed", serving, func(core map[string]any) int {
+			core["ghost"].(map[string]any)["txnsFailed"] = 1e6
+			return 1
 		}},
 		{"set-mode", serving, func(core map[string]any) int {
 			// The global FIFO set claims the per-CPU model.
