@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"ghost/internal/check"
@@ -52,7 +53,7 @@ func realMain() int {
 		return 2
 	}
 
-	if *mutate != "" && !contains(check.MutationNames(), *mutate) {
+	if *mutate != "" && !slices.Contains(check.MutationNames(), *mutate) {
 		fmt.Fprintf(os.Stderr, "ghost-check: unknown mutation %q (want one of %s)\n",
 			*mutate, strings.Join(check.MutationNames(), ", "))
 		return 2
@@ -204,15 +205,6 @@ func writeImage(file string, img *snap.Image) error {
 		return err
 	}
 	return f.Close()
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // reportScenario prints one result and returns the exit status.

@@ -40,7 +40,6 @@ type scenario struct {
 	seed      uint64
 	snapEvery time.Duration
 	restore   string
-	traceLog  bool
 	traceOut  string
 	metrics   bool
 	faultsIn  string
@@ -61,7 +60,6 @@ func realMain() int {
 		workers  = flag.Int("workers", 32, "worker pool size")
 		cpus     = flag.Int("cpus", 20, "CPUs for the workers (plus one for the agent)")
 		dur      = flag.Duration("dur", time.Second, "simulated duration")
-		traceLog = flag.Bool("tracelog", false, "dump the kernel's text scheduling trace to stdout")
 		traceOut = flag.String("trace", "", "write a Chrome trace_event JSON file (load at ui.perfetto.dev)")
 		metrics  = flag.Bool("metrics", false, "print aggregate scheduling metrics after the run (with -restore, the engine: line covers the whole run, the per-enclave counters only the resumed span)")
 		invar    = flag.Bool("invariants", true, "check protocol invariants online (see cmd/ghost-check); violations exit non-zero")
@@ -100,8 +98,8 @@ func realMain() int {
 		fmt.Fprintf(os.Stderr, "machine has only %d CPUs\n", topo.NumCPUs())
 		return 1
 	}
-	if *seeds > 1 && (*traceLog || *traceOut != "") {
-		fmt.Fprintf(os.Stderr, "-tracelog/-trace need a single run; drop -seeds\n")
+	if *seeds > 1 && *traceOut != "" {
+		fmt.Fprintf(os.Stderr, "-trace needs a single run; drop -seeds\n")
 		return 1
 	}
 	if (c.SnapshotEvery > 0 || c.Restore != "") && *seeds > 1 {
@@ -117,7 +115,7 @@ func realMain() int {
 		machine: *machine, topo: topo, sched: *sched, rate: *rate,
 		service: *service, bimodal: *bimodal, workers: *workers, cpus: *cpus,
 		dur: *dur, seed: *seed, snapEvery: c.SnapshotEvery,
-		restore: c.Restore, traceLog: *traceLog, traceOut: *traceOut,
+		restore: c.Restore, traceOut: *traceOut,
 		metrics: *metrics, faultsIn: *faultsIn, invar: *invar,
 	}
 	if err := sc.validate(); err != nil {
@@ -221,14 +219,8 @@ func (sc scenario) run() (string, error) {
 		}
 		opts = append(opts, ghost.WithFaults(plan))
 	}
-	if sc.snapEvery > 0 {
-		opts = append(opts, ghost.WithSnapshotEvery(sim.Duration(sc.snapEvery)))
-	}
 	m := ghost.NewMachine(sc.topo, opts...)
 	defer m.Shutdown()
-	if sc.traceLog {
-		m.Kernel().TraceFn = func(s string) { fmt.Println(s) }
-	}
 
 	var mask ghost.CPUMask
 	for i := 0; i <= sc.cpus; i++ {
@@ -276,13 +268,13 @@ func (sc scenario) run() (string, error) {
 	m.AddSnapshotComponent("src", src)
 
 	start := time.Now()
-	m.Run(sim.Duration(sc.dur))
+	cks, skips := sc.runCheckpointed(m)
 	fmt.Fprintf(&b, "machine=%s sched=%s rate=%.0f/s service=%v workers=%d cpus=%d seed=%d simulated=%v (wall %v)\n",
 		sc.machine, sc.sched, sc.rate, sc.service, sc.workers, sc.cpus, sc.seed, sc.dur, time.Since(start).Round(time.Millisecond))
 	fmt.Fprintf(&b, "completed: %d (%.0f req/s)\n", rec.Completed, rec.Throughput(m.Now()))
 	fmt.Fprintf(&b, "latency:   %s\n", rec.Hist.Percentiles())
 	if sc.snapEvery > 0 {
-		if err := sc.reportSnapshots(&b, m); err != nil {
+		if err := sc.reportSnapshots(&b, m, cks, skips); err != nil {
 			return b.String(), err
 		}
 	}
@@ -319,14 +311,36 @@ func (sc scenario) run() (string, error) {
 	return b.String(), nil
 }
 
+// runCheckpointed runs m to -dur of total simulated time. With
+// -snapshot-every it stops at each multiple of the period after m's
+// start instant, up to and including -dur, and snapshots there, so a
+// restored run checkpoints at the same instants as the run it came from.
+// It returns the checkpoints, oldest first, and the number of boundaries
+// skipped because the machine was outside the snapshot envelope there.
+func (sc scenario) runCheckpointed(m *ghost.Machine) (cks []*ghost.Snapshot, skips int) {
+	end := sim.Time(sc.dur)
+	if every := sim.Time(sc.snapEvery); every > 0 {
+		for at := (m.Now()/every + 1) * every; at <= end; at += every {
+			m.RunUntil(at)
+			if s, err := m.Snapshot(); err == nil {
+				cks = append(cks, s)
+			} else {
+				skips++
+			}
+		}
+	}
+	m.RunUntil(end)
+	return cks, skips
+}
+
 // reportSnapshots writes the run's periodic checkpoints to .snap files
 // and prints the machine's final-state digest, so two runs (or a run and
 // its restore) can be compared byte-for-byte.
-func (sc scenario) reportSnapshots(b *strings.Builder, m *ghost.Machine) error {
-	if skips := m.SnapshotSkips(); skips > 0 {
+func (sc scenario) reportSnapshots(b *strings.Builder, m *ghost.Machine, cks []*ghost.Snapshot, skips int) error {
+	if skips > 0 {
 		fmt.Fprintf(b, "snapshots: %d boundaries skipped (machine outside the snapshot envelope)\n", skips)
 	}
-	for _, s := range m.Checkpoints() {
+	for _, s := range cks {
 		file := fmt.Sprintf("ghost-sim-seed%d-t%v.snap", sc.seed, s.Time())
 		f, err := os.Create(file)
 		if err != nil {
@@ -378,9 +392,6 @@ func (sc scenario) runRestored() (string, error) {
 			return m.NewPoissonShell(func(r *ghost.Request) { pool.Submit(r) }), nil
 		}),
 	}
-	if sc.snapEvery > 0 {
-		opts = append(opts, ghost.WithSnapshotEvery(sim.Duration(sc.snapEvery)))
-	}
 	m, err := ghost.Restore(snapshot, opts...)
 	if err != nil {
 		return "", fmt.Errorf("%s: %w", sc.restore, err)
@@ -388,7 +399,7 @@ func (sc scenario) runRestored() (string, error) {
 	defer m.Shutdown()
 
 	start := time.Now()
-	m.RunUntil(sim.Time(sc.dur))
+	cks, skips := sc.runCheckpointed(m)
 	fmt.Fprintf(&b, "restored=%s t0=%v seed=%d simulated to %v (wall %v)\n",
 		sc.restore, snapshot.Time(), sc.seed, sc.dur, time.Since(start).Round(time.Millisecond))
 	if pool, ok := m.SnapshotComponent("pool").(*ghost.WorkerPool); ok {
@@ -396,16 +407,8 @@ func (sc scenario) runRestored() (string, error) {
 		fmt.Fprintf(&b, "completed: %d (%.0f req/s)\n", rec.Completed, rec.Throughput(m.Now()))
 		fmt.Fprintf(&b, "latency:   %s\n", rec.Hist.Percentiles())
 	}
-	if sc.snapEvery > 0 {
-		if err := sc.reportSnapshots(&b, m); err != nil {
-			return b.String(), err
-		}
-	} else {
-		final, err := m.Snapshot()
-		if err != nil {
-			return b.String(), fmt.Errorf("snapshot: final state: %w", err)
-		}
-		fmt.Fprintf(&b, "digest:    %s\n", final.Digest())
+	if err := sc.reportSnapshots(&b, m, cks, skips); err != nil {
+		return b.String(), err
 	}
 	if sc.metrics {
 		fmt.Fprint(&b, m.Metrics())

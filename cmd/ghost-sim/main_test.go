@@ -1,8 +1,10 @@
 package main
 
 import (
+	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -87,12 +89,76 @@ func TestRestoreMetrics(t *testing.T) {
 	}
 }
 
-// lineWith returns the first line of out that starts with prefix.
-func lineWith(out, prefix string) string {
+// TestSnapshotEvery: a fresh -snapshot-every run checkpoints at every
+// multiple of the period up to and including -dur and skips none, and a
+// run restored from one of them checkpoints only at the later multiples,
+// with the fresh run's digests.
+func TestSnapshotEvery(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+
+	sc := validScenario()
+	sc.machine, sc.topo, sc.sched, sc.seed = "xeon-e5", ghost.XeonE5(), "ghost-shinjuku", 1
+	sc.dur, sc.snapEvery = 25*time.Millisecond, 5*time.Millisecond
+	full, err := sc.run()
+	if err != nil {
+		t.Fatalf("full run: %v\n%s", err, full)
+	}
+	fullCks := linesWith(full, "snapshot")
+	var want []string
+	for _, ms := range []int{5, 10, 15, 20, 25} {
+		want = append(want, fmt.Sprintf("ghost-sim-seed1-t%d.000ms.snap", ms))
+	}
+	if got := snapFiles(fullCks); !slices.Equal(got, want) {
+		t.Fatalf("fresh run checkpoints %v, want %v:\n%s", got, want, full)
+	}
+
+	sc.restore = "ghost-sim-seed1-t15.000ms.snap"
+	resumed, err := sc.runRestored()
+	if err != nil {
+		t.Fatalf("restored run: %v\n%s", err, resumed)
+	}
+	if got := linesWith(resumed, "snapshot"); !slices.Equal(got, fullCks[3:]) {
+		t.Fatalf("run restored at 15ms lists checkpoints\n%s\nwant the fresh run's t20 and t25:\n%s",
+			strings.Join(got, "\n"), strings.Join(fullCks[3:], "\n"))
+	}
+	if got, want := lineWith(resumed, "digest:"), lineWith(full, "digest:"); got != want {
+		t.Errorf("restored run's final %q, the fresh run's %q", got, want)
+	}
+}
+
+// snapFiles returns the file each "snapshot:" line names.
+func snapFiles(lines []string) []string {
+	var files []string
+	for _, l := range lines {
+		if f := strings.Fields(l); len(f) > 1 {
+			files = append(files, f[1])
+		}
+	}
+	return files
+}
+
+// linesWith returns the lines of out that start with prefix.
+func linesWith(out, prefix string) []string {
+	var lines []string
 	for _, line := range strings.Split(out, "\n") {
 		if strings.HasPrefix(line, prefix) {
-			return line
+			lines = append(lines, line)
 		}
+	}
+	return lines
+}
+
+// lineWith returns the first line of out that starts with prefix.
+func lineWith(out, prefix string) string {
+	if lines := linesWith(out, prefix); len(lines) > 0 {
+		return lines[0]
 	}
 	return ""
 }

@@ -115,10 +115,9 @@ func (p *controlPolicy) Schedule(ctx *ghost.PolicyContext) []ghost.Assignment {
 
 	// The idle set is computed after preempts (PreemptCPU frees a CPU
 	// synchronously, so preempt-then-redispatch within one Step works)
-	// and excludes CPUs with a latched install in flight: committing a
-	// second transaction there would silently overwrite the latch
-	// (double latch). Dispatches to non-idle CPUs are dropped; the
-	// thread stays queued.
+	// and excludes CPUs the enclave holds for an install in flight: a
+	// commit there would displace that install and hand its thread back.
+	// Dispatches to non-idle CPUs are dropped; the thread stays queued.
 	idle := ctx.IdleCPUs()
 	idleSet := make(map[ghost.CPUID]bool, len(idle))
 	for _, c := range idle {

@@ -83,11 +83,9 @@ func TestMachineHelpers(t *testing.T) {
 	}
 	fired := false
 	m.After(ghost.Millisecond, func() { fired = true })
-	ticks := 0
-	m.Every(ghost.Millisecond, func(ghost.Time) { ticks++ })
 	m.Run(5 * ghost.Millisecond)
-	if !fired || ticks != 5 {
-		t.Fatalf("timer helpers broken: fired=%v ticks=%d", fired, ticks)
+	if !fired {
+		t.Fatal("timer helper broken: After never fired")
 	}
 	if len(m.IdleCPUs()) != 72 {
 		t.Fatal("idle CPUs mismatch on empty machine")

@@ -32,31 +32,25 @@ func runTable3(o Options) *Report {
 	cm := hw.DefaultCostModel()
 
 	// The five measurements build independent machines; run them as jobs.
-	// Each returns up to two durations (row 1/3 share one run).
-	res := sweep(o, 5, func(i int) [2]sim.Duration {
+	res := sweep(o, 5, func(i int) sim.Duration {
 		switch i {
 		case 0:
-			d, s := measurePerCPUPath(o)
-			return [2]sim.Duration{d, s}
+			return measurePerCPUPath(o)
 		case 1:
-			return [2]sim.Duration{measureGlobalDelivery(o)}
+			return measureGlobalDelivery(o)
 		case 2:
-			return [2]sim.Duration{measureRemoteE2E(o, 1)}
+			return measureRemoteE2E(o, 1)
 		case 3:
-			return [2]sim.Duration{measureRemoteE2E(o, 10)}
+			return measureRemoteE2E(o, 10)
 		default:
-			return [2]sim.Duration{measureCFSSwitch(o)}
+			return measureCFSSwitch(o)
 		}
 	})
-	localDelivery, localSched := res[0][0], res[0][1]
-	globalDelivery := res[1][0]
-	remote1 := res[2][0]
-	remote10 := res[3][0]
-	cfsSwitch := res[4][0]
+	localDelivery, globalDelivery, remote1, remote10, cfsSwitch := res[0], res[1], res[2], res[3], res[4]
 
 	rep.AddRow("1", "message delivery, local agent", "725", ns(localDelivery), "measured (queue+wakeup+switch)")
 	rep.AddRow("2", "message delivery, global agent", "265", ns(globalDelivery), "measured (queue, spinning agent)")
-	rep.AddRow("3", "local schedule (1 txn)", "888", ns(localSched), "cost model (commit+switch)")
+	rep.AddRow("3", "local schedule (1 txn)", "888", ns(cm.LocalSchedule), "cost model (commit+switch)")
 	rep.AddRow("4", "remote schedule: agent overhead", "668", ns(cm.RemoteCommitAgentCost(1)), "cost model (fit)")
 	rep.AddRow("5", "remote schedule: target overhead", "1064", ns(cm.RemoteCommitTargetCost(1, false)), "cost model (fit)")
 	rep.AddRow("6", "remote schedule: end-to-end", "1772", ns(remote1), "measured (commit->running)")
@@ -76,8 +70,8 @@ func runTable3(o Options) *Report {
 }
 
 // measurePerCPUPath runs block/wake cycles under a per-CPU agent and
-// returns (median message delivery latency, local schedule latency).
-func measurePerCPUPath(o Options) (sim.Duration, sim.Duration) {
+// returns the median message delivery latency.
+func measurePerCPUPath(o Options) sim.Duration {
 	topo := hw.NewTopology(hw.Config{Name: "t3", Sockets: 1, CCXsPerSocket: 1, CoresPerCCX: 2, SMTWidth: 1})
 	m := newMetricsMachine(topo)
 	defer m.k.Shutdown()
@@ -95,12 +89,7 @@ func measurePerCPUPath(o Options) (sim.Duration, sim.Duration) {
 		}
 	})
 	m.m.Run(25 * sim.Millisecond)
-	// Local schedule = wake-to-run minus the agent-side message path:
-	// use the commit+switch component, i.e. mean sched delay of the
-	// thread minus delivery. Report the direct commit+switch figure.
-	cm := m.k.Cost()
-	localSched := (cm.LocalSchedule - cm.ContextSwitchMinimal) + cm.ContextSwitchMinimal
-	return m.m.Metrics().Enclaves[enc.ID()].MsgDelivery.P50(), localSched
+	return m.m.Metrics().Enclaves[enc.ID()].MsgDelivery.P50()
 }
 
 // newMetricsMachine is a table3 machine that keeps the tracer's

@@ -713,7 +713,6 @@ func (e *Enclave) DestroyWith(cause error) {
 	}
 	e.watchdog.Cancel()
 	e.upgradeDeadline.Cancel()
-	e.k.Tracef("enclave %d destroyed: %s", e.id, cause)
 	if e.tickless {
 		e.SetTickless(false)
 	}

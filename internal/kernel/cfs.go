@@ -285,7 +285,6 @@ func (c *CFS) PickNext(cpu *CPU, prev *Thread) *Thread {
 			heap.Remove(c.rqs[st.cfs.rqCPU], st.cfs.idx)
 			st.cfs.onRq = false
 			st.cfs.rqCPU = hw.NoCPU
-			c.k.Tracef("cfs: cpu%d steals %v", cpu.ID, st)
 			return st
 		}
 		return nil
@@ -462,7 +461,6 @@ func (c *CFS) balanceOnce() bool {
 			t.cfs.seq = c.seq
 			c.seq++
 			c.Enqueue(t, tgt, EnqPreempt)
-			c.k.Tracef("cfs: balance %v cpu%d -> cpu%d", t, src, tgt)
 			c.k.Resched(tgt)
 			return true
 		}

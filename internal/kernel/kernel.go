@@ -48,9 +48,6 @@ type Kernel struct {
 	switchHooks   []func(*CPU, *Thread)
 	tickless      []bool // per-CPU: skip timer ticks (§5 tickless mode)
 
-	// TraceFn, when set, receives a line per scheduling event.
-	TraceFn func(string)
-
 	// tr is the structured tracer; nil disables all instrumentation.
 	tr *trace.Tracer
 
@@ -225,15 +222,6 @@ func (k *Kernel) AddPressureHook(fn func(*CPU, *Thread)) {
 	k.pressureHooks = append(k.pressureHooks, fn)
 }
 
-// Tracef emits a trace line when tracing is enabled. Hot call sites
-// test TraceFn first: boxing the arguments costs an allocation each
-// even when tracing is off.
-func (k *Kernel) Tracef(format string, args ...any) {
-	if k.TraceFn != nil {
-		k.TraceFn(fmt.Sprintf("[%v] ", k.eng.Now()) + fmt.Sprintf(format, args...))
-	}
-}
-
 // SpawnOpts configures thread creation.
 type SpawnOpts struct {
 	Name     string
@@ -283,7 +271,6 @@ func (k *Kernel) newThread(opts SpawnOpts) *Thread {
 	k.threads[t.tid] = t
 	k.live = append(k.live, t)
 	t.class.ThreadAttached(t)
-	k.Tracef("spawn %v class=%s", t, t.class.Name())
 	return t
 }
 
@@ -511,9 +498,6 @@ func (k *Kernel) cpuIdle(c *CPU) {
 	}
 	c.accountIdle()
 	k.traceCPU(c)
-	if k.TraceFn != nil {
-		k.Tracef("cpu%d idle", c.ID)
-	}
 	for _, h := range k.idleHooks {
 		h(c)
 		if c.curr != nil || c.switching {
@@ -544,9 +528,6 @@ func (k *Kernel) switchTo(c *CPU, next *Thread) {
 		next.pendingWork += k.cost.MigrationPenalty(k.topo.Dist(next.lastCPU, c.ID))
 	}
 	cost := next.class.SwitchInCost()
-	if k.TraceFn != nil {
-		k.Tracef("cpu%d switch -> %v (cost %v)", c.ID, next, cost)
-	}
 	if cost <= 0 {
 		k.resumeOnCPU(c)
 		return
@@ -765,7 +746,6 @@ func (k *Kernel) reap(t *Thread) {
 	if t.stop != nil {
 		t.stop()
 	}
-	k.Tracef("exit %v", t)
 }
 
 // SetClass migrates a thread to a different scheduling class. Running or

@@ -142,7 +142,6 @@ func (m *MicroQuanta) throttle(t *Thread) {
 	if refillAt <= now {
 		refillAt = now + 1
 	}
-	m.k.Tracef("mq: throttle %v until %v", t, refillAt)
 	t.mq.refill = m.k.eng.AtCall(refillAt, m.refillFn, t)
 	if t.state == StateRunning && t.cpu != nil {
 		m.k.Resched(t.cpu.ID)

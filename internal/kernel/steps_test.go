@@ -1,15 +1,18 @@
 package kernel
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"ghost/internal/sim"
+	"ghost/internal/trace"
 )
 
-// stepsOutcome is what runStepsScript observed.
+// stepsOutcome is what runStepsScript observed: Trace is the run's full
+// structured trace, one trace_event record per line.
 type stepsOutcome struct {
 	Trace         []string
 	Executed, Seq uint64
@@ -33,7 +36,8 @@ func scriptItem(i int) sim.Duration { return sim.Duration(i%4) * sim.Microsecond
 func runStepsScript(t *testing.T, steps bool) stepsOutcome {
 	env := newTestEnv(t, smallTopo())
 	var out stepsOutcome
-	env.k.TraceFn = func(s string) { out.Trace = append(out.Trace, s) }
+	tr := trace.New()
+	env.k.SetTracer(tr)
 	mb := NewMailbox[sim.Duration](env.k)
 	spawn := func(name string, body ThreadFunc) *Thread {
 		return env.k.Spawn(SpawnOpts{Name: name, Class: env.cfs}, body)
@@ -111,6 +115,11 @@ func runStepsScript(t *testing.T, steps bool) stepsOutcome {
 	}
 	out.Executed, out.Seq = env.eng.Executed, env.eng.Seq()
 	env.k.Shutdown()
+	var js bytes.Buffer
+	if err := tr.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	out.Trace = strings.Split(js.String(), "\n")
 	return out
 }
 
@@ -183,7 +192,7 @@ func TestStepsMatchesCoroutine(t *testing.T) {
 	if !reflect.DeepEqual(coro, steps) {
 		for i := range coro.Trace {
 			if i >= len(steps.Trace) || coro.Trace[i] != steps.Trace[i] {
-				t.Errorf("first trace difference at line %d", i)
+				t.Errorf("first trace difference at line %d: coroutine %s", i, coro.Trace[i])
 				break
 			}
 		}

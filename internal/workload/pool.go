@@ -15,7 +15,6 @@ import (
 type WorkerPool struct {
 	k        *kernel.Kernel
 	rec      *LatencyRecorder
-	total    *LatencyRecorder // optional second recorder (Search's run totals)
 	serve    serveFunc
 	workers  []*poolWorker
 	free     []*poolWorker
@@ -48,14 +47,14 @@ func runService(_ *kernel.Thread, r *Request, stage int) (kernel.Action, bool) {
 // create a thread running the provided body.
 func NewWorkerPool(k *kernel.Kernel, n int, rec *LatencyRecorder,
 	spawn func(name string, body kernel.ThreadFunc) *kernel.Thread) *WorkerPool {
-	return newPool(k, n, "worker-%d", rec, nil, runService, spawn)
+	return newPool(k, n, "worker-%d", rec, runService, spawn)
 }
 
 // newPool builds a pool whose workers serve requests with serve and
-// record each completion in rec and, when set, total.
-func newPool(k *kernel.Kernel, n int, nameFmt string, rec, total *LatencyRecorder, serve serveFunc,
+// record each completion in rec.
+func newPool(k *kernel.Kernel, n int, nameFmt string, rec *LatencyRecorder, serve serveFunc,
 	spawn func(name string, body kernel.ThreadFunc) *kernel.Thread) *WorkerPool {
-	p := &WorkerPool{k: k, rec: rec, total: total, serve: serve}
+	p := &WorkerPool{k: k, rec: rec, serve: serve}
 	for i := 0; i < n; i++ {
 		spawn(fmt.Sprintf(nameFmt, i), p.workerBody())
 	}
@@ -123,9 +122,6 @@ func (p *WorkerPool) finishRequest(w *poolWorker) {
 	w.r = nil
 	done := p.k.Now()
 	p.rec.Record(r, done)
-	if p.total != nil {
-		p.total.Record(r, done)
-	}
 	if r.Done != nil {
 		r.Done(r, done)
 	}

@@ -31,13 +31,13 @@ type Search struct {
 	poolC   *WorkerPool
 	servers []*kernel.Mailbox[*Request]
 
-	// Per-type live recorders, reset every sampling period.
-	recs [3]*LatencyRecorder
 	// QPS is the Fig 8 throughput output: QPS per type per sampling
 	// period.
 	QPS [3]*stats.TimeSeries
 	// Totals aggregate the whole run.
 	Totals [3]*LatencyRecorder
+	// sampled is each type's Totals count at the last sample.
+	sampled [3]uint64
 }
 
 // Query types.
@@ -88,8 +88,7 @@ func NewSearch(k *kernel.Kernel, cfg SearchConfig,
 	spawnWorker func(name string, affinity kernel.Mask, body kernel.ThreadFunc) *kernel.Thread,
 	spawnServer func(name string, body kernel.ThreadFunc) *kernel.Thread) *Search {
 	s := &Search{k: k, eng: k.Engine(), rand: sim.NewRand(cfg.Seed)}
-	for i := range s.recs {
-		s.recs[i] = &LatencyRecorder{}
+	for i := range s.Totals {
 		s.Totals[i] = &LatencyRecorder{}
 		s.QPS[i] = &stats.TimeSeries{Name: fmt.Sprintf("qps-%c", 'A'+i)}
 	}
@@ -116,7 +115,7 @@ func NewSearch(k *kernel.Kernel, cfg SearchConfig,
 	}
 	for sock := 0; sock < 2 && sock < topo.NumSockets(); sock++ {
 		mask := kernel.MaskOf(topo.CPUsOfSocket(sock)...)
-		s.poolA[sock] = newPool(k, cfg.WorkersA/2, "w%d-A", s.recs[QueryA], s.Totals[QueryA], serveA,
+		s.poolA[sock] = newPool(k, cfg.WorkersA/2, "w%d-A", s.Totals[QueryA], serveA,
 			func(name string, body kernel.ThreadFunc) *kernel.Thread {
 				return spawnWorker(name, mask, body)
 			})
@@ -125,7 +124,7 @@ func NewSearch(k *kernel.Kernel, cfg SearchConfig,
 		return spawnWorker(name, kernel.Mask{}, body)
 	}
 	// Type B: SSD-bound short workers, any CPU.
-	s.poolB = newPool(k, cfg.WorkersB, "w%d-B", s.recs[QueryB], s.Totals[QueryB],
+	s.poolB = newPool(k, cfg.WorkersB, "w%d-B", s.Totals[QueryB],
 		func(t *kernel.Thread, r *Request, stage int) (kernel.Action, bool) {
 			switch stage {
 			case 0, 2:
@@ -136,7 +135,7 @@ func NewSearch(k *kernel.Kernel, cfg SearchConfig,
 			return kernel.Action{}, false
 		}, anyCPU)
 	// Type C: long-living CPU-bound workers, any CPU.
-	s.poolC = newPool(k, cfg.WorkersC, "w%d-C", s.recs[QueryC], s.Totals[QueryC], runService, anyCPU)
+	s.poolC = newPool(k, cfg.WorkersC, "w%d-C", s.Totals[QueryC], runService, anyCPU)
 
 	// Server threads: receive queries, preprocess, dispatch.
 	for i := 0; i < cfg.Servers; i++ {
@@ -183,11 +182,9 @@ func (s *Search) dispatch(q *Request) {
 
 func (s *Search) sample(now sim.Time, period sim.Duration) {
 	for qt := 0; qt < 3; qt++ {
-		rec := s.recs[qt]
-		qps := float64(rec.Completed) / period.Seconds()
-		s.QPS[qt].Add(now, qps)
-		rec.Completed = 0
-		rec.Hist.Reset()
+		done := s.Totals[qt].Completed
+		s.QPS[qt].Add(now, float64(done-s.sampled[qt])/period.Seconds())
+		s.sampled[qt] = done
 	}
 }
 

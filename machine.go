@@ -25,13 +25,9 @@ type Machine struct {
 	inv *check.Checker
 
 	// Snapshot bookkeeping: live agent generations and registered
-	// components, in creation order; periodic-checkpoint state.
-	sets        []*agentsdk.AgentSet
-	comps       []snap.ComponentEntry
-	snapEvery   sim.Duration
-	nextCk      sim.Time
-	checkpoints []*Snapshot
-	snapSkips   int
+	// components, in creation order.
+	sets  []*agentsdk.AgentSet
+	comps []snap.ComponentEntry
 
 	// CFS is the default scheduler; threads spawned with the zero
 	// ThreadOpts.Class run under it.
@@ -50,7 +46,6 @@ type machineConfig struct {
 	tracer       *trace.Tracer
 	plan         *faults.Plan
 	oracles      []check.Oracle
-	snapEvery    sim.Duration
 	restoreComps map[string]func(*Machine) (SnapshotComponent, error)
 }
 
@@ -126,10 +121,6 @@ func NewMachine(topo *Topology, opts ...MachineOption) *Machine {
 	if cfg.plan != nil {
 		k.SetFaults(faults.NewInjector(m.eng, cfg.plan))
 	}
-	if cfg.snapEvery > 0 {
-		m.snapEvery = cfg.snapEvery
-		m.nextCk = sim.Time(cfg.snapEvery)
-	}
 	return m
 }
 
@@ -138,9 +129,6 @@ func (m *Machine) Kernel() *Kernel { return m.k }
 
 // Topology returns the machine topology.
 func (m *Machine) Topology() *Topology { return m.k.Topology() }
-
-// Tracer returns the machine's tracer (nil with WithoutMetrics).
-func (m *Machine) Tracer() *Tracer { return m.tr }
 
 // Metrics returns a snapshot of the aggregate scheduling metrics
 // collected so far: context switches, wakeups, IPIs, and per-enclave
@@ -166,29 +154,8 @@ func (m *Machine) Now() Time { return m.eng.Now() }
 // Run advances simulated time by d.
 func (m *Machine) Run(d Duration) { m.RunUntil(m.Now() + d) }
 
-// RunUntil advances simulated time to the absolute instant t. With
-// WithSnapshotEvery, the run is chunked at checkpoint boundaries and a
-// snapshot is taken at each (retrievable via Checkpoints).
-func (m *Machine) RunUntil(t Time) {
-	for {
-		stop := t
-		if m.snapEvery > 0 && m.nextCk < stop {
-			stop = m.nextCk
-		}
-		m.eng.RunUntil(stop)
-		if m.snapEvery > 0 && m.Now() >= m.nextCk {
-			if s, err := m.Snapshot(); err == nil {
-				m.checkpoints = append(m.checkpoints, s)
-			} else {
-				m.snapSkips++
-			}
-			m.nextCk += sim.Time(m.snapEvery)
-		}
-		if m.Now() >= t {
-			return
-		}
-	}
-}
+// RunUntil advances simulated time to the absolute instant t.
+func (m *Machine) RunUntil(t Time) { m.eng.RunUntil(t) }
 
 // Shutdown finalizes the invariant checker (if attached) and unwinds
 // all simulated threads; call when done (defer it).
@@ -317,13 +284,6 @@ func (m *Machine) Spawn(o ThreadOpts, body ThreadFunc) *Thread {
 
 // Wake makes a blocked thread runnable.
 func (m *Machine) Wake(t *Thread) { m.k.Wake(t) }
-
-// Every invokes fn every period of simulated time (for drivers and
-// samplers). Its timer is a closure no snapshot can carry, so from the
-// call on the machine cannot be snapshotted.
-func (m *Machine) Every(period Duration, fn func(now Time)) {
-	sim.NewTicker(m.eng, period, fn)
-}
 
 // After invokes fn once, d from now.
 func (m *Machine) After(d Duration, fn func()) { m.eng.After(d, fn) }

@@ -101,7 +101,8 @@ rm -f ./*.snap
 # changes the digest unless the agent set adopts it (a restore that drops
 # the adoption prints a different digest here). The image carries the
 # engine's counters, so the restored run's engine: line covers the whole
-# run and must match the full run's too.
+# run and must match the full run's too. The restored run checkpoints
+# with the same period, so it must list only checkpoints after 27 ms.
 echo "== snapshot smoke (ghost-sim global-agent checkpoint: restore at 27ms, same final digest and engine counts)"
 ckpt=$(mktemp -d)
 go build -o "$ckpt/ghost-sim" ./cmd/ghost-sim
@@ -111,8 +112,15 @@ if ! grep -aq 'agentsdk.repoll' "$ckpt/ghost-sim-seed1-t27.000ms.snap"; then
 	echo "ghost-sim checkpoint smoke: the 27ms checkpoint holds no pending repoll; pick a -rate/-snapshot-every that does" >&2
 	exit 1
 fi
-resumed=$(cd "$ckpt" && ./ghost-sim -restore ghost-sim-seed1-t27.000ms.snap -dur 100ms -metrics | grep '^digest:\|^engine:')
+resumed_out=$(cd "$ckpt" && ./ghost-sim -restore ghost-sim-seed1-t27.000ms.snap -dur 100ms -snapshot-every 27ms -metrics)
 rm -rf "$ckpt"
+resumed=$(echo "$resumed_out" | grep '^digest:\|^engine:')
+resumed_cks=$(echo "$resumed_out" | sed -n 's/^snapshot: *ghost-sim-seed1-t\([0-9.]*\)ms\.snap.*/\1/p')
+if [ -z "$resumed_cks" ] || [ -n "$(echo "$resumed_cks" | awk '$1 <= 27')" ]; then
+	echo "ghost-sim checkpoint smoke: the run resumed at 27ms lists checkpoints at [$resumed_cks] ms, want only later ones:" >&2
+	echo "$resumed_out" >&2
+	exit 1
+fi
 if [ "$(echo "$full" | wc -l)" -ne 2 ] || [ "$full" != "$resumed" ]; then
 	echo "ghost-sim checkpoint smoke: full run '$full', restored run '$resumed'" >&2
 	exit 1

@@ -114,22 +114,6 @@ func (m *Machine) SnapshotComponent(key string) SnapshotComponent {
 	return nil
 }
 
-// WithSnapshotEvery makes Machine.Run/RunUntil take a snapshot at every
-// multiple of d of simulated time (retrievable via Checkpoints). A
-// boundary where the machine is momentarily outside the snapshot
-// envelope is skipped, not fatal (see SnapshotSkips).
-func WithSnapshotEvery(d Duration) MachineOption {
-	return func(c *machineConfig) { c.snapEvery = d }
-}
-
-// Checkpoints returns the snapshots taken by WithSnapshotEvery, oldest
-// first.
-func (m *Machine) Checkpoints() []*Snapshot { return m.checkpoints }
-
-// SnapshotSkips reports how many periodic checkpoint boundaries were
-// skipped because the machine state was not snapshottable there.
-func (m *Machine) SnapshotSkips() int { return m.snapSkips }
-
 // snapTarget assembles the internal snapshot walk for this machine.
 func (m *Machine) snapTarget() *snap.Target {
 	return &snap.Target{

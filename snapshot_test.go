@@ -1684,38 +1684,6 @@ func TestSnapshotDecodeBounded(t *testing.T) {
 	}
 }
 
-// TestWithSnapshotEvery: periodic checkpoints land exactly on the
-// requested boundaries and none are skipped in a snapshot-capable
-// scenario.
-func TestWithSnapshotEvery(t *testing.T) {
-	m := buildServing(ghost.WithSnapshotEvery(ghost.Millisecond))
-	defer m.Shutdown()
-	m.Run(3500 * ghost.Microsecond)
-	cks := m.Checkpoints()
-	if len(cks) != 3 {
-		t.Fatalf("checkpoints = %d, want 3", len(cks))
-	}
-	for i, s := range cks {
-		want := ghost.Time(i+1) * ghost.Millisecond
-		if s.Time() != want {
-			t.Fatalf("checkpoint %d at %v, want %v", i, s.Time(), want)
-		}
-	}
-	if m.SnapshotSkips() != 0 {
-		t.Fatalf("skips = %d, want 0", m.SnapshotSkips())
-	}
-
-	// A checkpoint restores just like an explicit snapshot.
-	restored, err := ghost.Restore(cks[1], servingRestoreOpts()...)
-	if err != nil {
-		t.Fatalf("Restore(checkpoint): %v", err)
-	}
-	defer restored.Shutdown()
-	if restored.Now() != 2*ghost.Millisecond {
-		t.Fatalf("restored Now = %v", restored.Now())
-	}
-}
-
 // A snapshot taken while an enclave's upgrade-attach deadline is armed
 // fails: an upgrade in flight, deadline included, is outside the
 // snapshot envelope.
@@ -1734,14 +1702,15 @@ func TestSnapshotRefusesPendingUpgradeDeadline(t *testing.T) {
 	}
 }
 
-// A Machine.Every timer has no owner to name its pending firing, so a
-// machine with one is refused, and the refusal names the ticker.
-func TestSnapshotRefusesEveryTimer(t *testing.T) {
+// A Machine.After closure has no owner to name its pending firing, so
+// a machine with one is refused, and the refusal names it a plain
+// closure.
+func TestSnapshotRefusesAfterClosure(t *testing.T) {
 	m := ghost.NewMachine(ghost.XeonE5())
 	defer m.Shutdown()
-	m.Every(ghost.Millisecond, func(ghost.Time) {})
-	if _, err := m.Snapshot(); err == nil || !strings.Contains(err.Error(), "sim.Ticker") {
-		t.Fatalf("Snapshot with a Machine.Every timer: err = %v, want a refusal naming the ticker", err)
+	m.After(ghost.Millisecond, func() {})
+	if _, err := m.Snapshot(); err == nil || !strings.Contains(err.Error(), "plain closure") {
+		t.Fatalf("Snapshot with a pending Machine.After closure: err = %v, want a refusal naming a plain closure", err)
 	}
 }
 
