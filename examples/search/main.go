@@ -21,10 +21,8 @@ func run(useGhost bool) [3]sim.Duration {
 	defer m.Shutdown()
 
 	cfg := workload.DefaultSearchConfig()
-	cfg.SamplePeriod = 200 * sim.Millisecond
 	dur := 2 * ghost.Second
 	if *quick {
-		cfg.SamplePeriod = 20 * sim.Millisecond
 		dur = 100 * ghost.Millisecond
 	}
 

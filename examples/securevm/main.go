@@ -35,20 +35,20 @@ func run(scheduler string) (sim.Time, uint64) {
 	var set *workload.VMSet
 	switch scheduler {
 	case "cfs":
-		set = workload.NewVMSet(m.Kernel(), 4, 8, work, 500*ghost.Microsecond,
+		set = workload.NewVMSet(4, 8, work, 500*ghost.Microsecond,
 			func(name string, tag any, body ghost.ThreadFunc) *ghost.Thread {
 				return m.Spawn(ghost.ThreadOpts{Name: name, Affinity: mask, Tag: tag}, body)
 			})
 	case "kernel-coresched":
 		cs := baselines.NewKernelCoreSched(m.Kernel(), workload.VMOf)
-		set = workload.NewVMSet(m.Kernel(), 4, 8, work, 500*ghost.Microsecond,
+		set = workload.NewVMSet(4, 8, work, 500*ghost.Microsecond,
 			func(name string, tag any, body ghost.ThreadFunc) *ghost.Thread {
 				return m.Kernel().Spawn(kernelOpts(name, mask, tag, cs), body)
 			})
 	default: // ghost-coresched
 		enc := m.NewEnclave(mask)
 		m.StartAgents(enc, ghost.NewCoreSchedPolicy(workload.VMOf), ghost.Global())
-		set = workload.NewVMSet(m.Kernel(), 4, 8, work, 500*ghost.Microsecond,
+		set = workload.NewVMSet(4, 8, work, 500*ghost.Microsecond,
 			func(name string, tag any, body ghost.ThreadFunc) *ghost.Thread {
 				return m.Spawn(ghost.ThreadOpts{Name: name, Affinity: mask, Tag: tag, Class: ghost.Ghost(enc)}, body)
 			})

@@ -328,8 +328,8 @@ func (set *AgentSet) registerFaultHooks(in *faults.Injector, upgrade func() any)
 			set.Stop()
 			Start(set.k, set.enc, set.ac, upgrade(), set.startOpts...)
 		},
-		Stall: func(now sim.Time, cpu hw.CPUID, d sim.Duration) {
-			set.eachTargetRunner(cpu, func(r *runner) {
+		Stall: func(now sim.Time, d sim.Duration) {
+			set.eachTargetRunner(func(r *runner) {
 				if now+d > r.stallUntil {
 					r.stallUntil = now + d
 				}
@@ -338,8 +338,8 @@ func (set *AgentSet) registerFaultHooks(in *faults.Injector, upgrade func() any)
 				set.nudge(r)
 			})
 		},
-		Slow: func(now sim.Time, cpu hw.CPUID, until sim.Time, factor float64) {
-			set.eachTargetRunner(cpu, func(r *runner) {
+		Slow: func(now sim.Time, until sim.Time, factor float64) {
+			set.eachTargetRunner(func(r *runner) {
 				r.slowUntil = until
 				r.slowFactor = factor
 			})
@@ -366,15 +366,9 @@ func (set *AgentSet) eachRunner(fn func(*runner)) {
 }
 
 // eachTargetRunner applies fn to the runner(s) a stall/slow fault
-// targets: a specific CPU's agent, the active global agent (AnyCPU,
-// centralized), or every agent (AnyCPU, per-CPU).
-func (set *AgentSet) eachTargetRunner(cpu hw.CPUID, fn func(*runner)) {
-	if cpu != faults.AnyCPU {
-		if r := set.runner(cpu); r != nil {
-			fn(r)
-		}
-		return
-	}
+// reaches: the active global agent (centralized) or every agent
+// (per-CPU).
+func (set *AgentSet) eachTargetRunner(fn func(*runner)) {
 	if set.globalCPU != hw.NoCPU {
 		fn(set.runners[set.globalCPU])
 		return
@@ -654,6 +648,14 @@ func (r *runner) globalStep(now sim.Time) (sim.Duration, kernel.Action) {
 	return cost, kernel.SpinAction()
 }
 
+// forgetDead drops a dead thread's placement once its THREAD_DEAD has
+// been routed: no message follows it, and TIDs are never reused.
+func (set *AgentSet) forgetDead(m ghostcore.Message) {
+	if m.Type == ghostcore.MsgThreadDead {
+		delete(set.threadCPU, m.TID)
+	}
+}
+
 // reportTxns tallies commit outcomes and routes failures to the policy.
 func (set *AgentSet) reportTxns(txns []*ghostcore.Txn, asgs []Assignment) {
 	for i, txn := range txns {
@@ -712,6 +714,7 @@ func (r *runner) localStep(now sim.Time) (sim.Duration, kernel.Action) {
 				cpu = c
 			}
 			set.percpu.OnMessage(set.ctx, cpu, m)
+			set.forgetDead(m)
 			if cpu != r.cpu {
 				set.nudge(set.runners[cpu])
 			}
@@ -723,6 +726,7 @@ func (r *runner) localStep(now sim.Time) (sim.Duration, kernel.Action) {
 	drained += len(msgs)
 	for _, m := range msgs {
 		set.percpu.OnMessage(set.ctx, r.cpu, m)
+		set.forgetDead(m)
 	}
 
 	if set.enc.LatchedFor(r.cpu) != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ghost/internal/agentsdk"
+	"ghost/internal/faults"
 	"ghost/internal/ghostcore"
 	"ghost/internal/hw"
 	"ghost/internal/kernel"
@@ -327,4 +328,97 @@ func globalAgentCPU(e *env) hw.CPUID {
 		}
 	}
 	return hw.NoCPU
+}
+
+// TestPerCPUForgetsDeadThreads: a per-CPU set drops a thread's placement
+// once its THREAD_DEAD is routed, so a snapshot carries only the live
+// threads' placements.
+func TestPerCPUForgetsDeadThreads(t *testing.T) {
+	e := newEnv(t, 4)
+	set := agentsdk.Start(e.k, e.enc, e.ac, policies.NewPerCPUFIFO(), agentsdk.PerCPU())
+	var dead []*kernel.Thread
+	for i := 0; i < 6; i++ {
+		dead = append(dead, e.enc.SpawnThread(kernel.SpawnOpts{Name: "short"}, func(tc *kernel.TaskContext) {
+			tc.Run(100 * sim.Microsecond)
+		}))
+	}
+	live := e.enc.SpawnThread(kernel.SpawnOpts{Name: "live"}, func(tc *kernel.TaskContext) {
+		tc.Run(10 * sim.Microsecond)
+		tc.Block()
+	})
+	e.eng.RunFor(5 * sim.Millisecond)
+	for i, th := range dead {
+		if th.State() != kernel.StateDead {
+			t.Fatalf("short thread %d: %v at 5ms", i, th.State())
+		}
+	}
+	rec, err := set.SaveRec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	placed := map[kernel.TID]bool{}
+	for _, pair := range rec.ThreadCPU {
+		placed[kernel.TID(pair[0])] = true
+	}
+	for _, th := range dead {
+		if placed[th.TID()] {
+			t.Errorf("dead T%d still placed: %v", th.TID(), rec.ThreadCPU)
+		}
+	}
+	if !placed[live.TID()] {
+		t.Errorf("live T%d not placed: %v", live.TID(), rec.ThreadCPU)
+	}
+}
+
+// commitTimes records the instant of every committed transaction.
+type commitTimes struct {
+	eng *sim.Engine
+	at  []sim.Time
+}
+
+func (c *commitTimes) TxnGroup(_ *ghostcore.Enclave, txns []*ghostcore.Txn, _ bool) {
+	for _, txn := range txns {
+		if txn.Status == ghostcore.TxnCommitted {
+			c.at = append(c.at, c.eng.Now())
+		}
+	}
+}
+
+// TestPerCPUStallStopsEveryAgent: a stall fault reaches every agent of a
+// per-CPU set, so no CPU commits a transaction while it lasts.
+func TestPerCPUStallStopsEveryAgent(t *testing.T) {
+	e := newEnv(t, 4)
+	plan, err := faults.ParsePlan("stall@5ms/1ms", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.k.SetFaults(faults.NewInjector(e.eng, plan))
+	commits := &commitTimes{eng: e.eng}
+	e.g.AddObserver(commits)
+	agentsdk.Start(e.k, e.enc, e.ac, policies.NewPerCPUFIFO(), agentsdk.PerCPU())
+	workers := spawnWorkers(e, 8, 1000, 20*sim.Microsecond)
+	sim.NewTicker(e.eng, 50*sim.Microsecond, func(sim.Time) {
+		for _, w := range workers {
+			if w.State() == kernel.StateBlocked {
+				e.k.Wake(w)
+			}
+		}
+	})
+	stallAt, stallEnd := sim.Time(5*sim.Millisecond), sim.Time(6*sim.Millisecond)
+	e.eng.RunUntil(stallEnd)
+	var before, during int
+	for _, at := range commits.at {
+		switch {
+		case at < stallAt:
+			before++
+		case at < stallEnd:
+			during++
+		}
+	}
+	if before == 0 {
+		t.Fatal("no commit before the stall")
+	}
+	if during != 0 {
+		t.Errorf("%d commits inside the stall [5ms, 6ms), want 0", during)
+	}
 }

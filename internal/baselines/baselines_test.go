@@ -84,13 +84,13 @@ func TestKernelCoreSchedIsolation(t *testing.T) {
 	eng, k, _, _ := topo8(t)
 	cs := baselines.NewKernelCoreSched(k, workload.VMOf)
 	ic := workload.NewIsolationChecker(k, 50*sim.Microsecond)
-	set := workload.NewVMSet(k, 2, 6, 5*sim.Millisecond, 100*sim.Microsecond,
+	set := workload.NewVMSet(2, 6, 5*sim.Millisecond, 100*sim.Microsecond,
 		func(name string, tag any, body kernel.ThreadFunc) *kernel.Thread {
 			return k.Spawn(kernel.SpawnOpts{Name: name, Class: cs, Tag: tag}, body)
 		})
 	eng.RunFor(50 * sim.Millisecond)
 	if ic.Violations != 0 {
-		t.Fatalf("violations = %d / %d", ic.Violations, ic.Checks)
+		t.Fatalf("violations = %d", ic.Violations)
 	}
 	if set.Finished != 12 {
 		t.Fatalf("finished = %d of 12", set.Finished)
@@ -100,15 +100,15 @@ func TestKernelCoreSchedIsolation(t *testing.T) {
 func TestKernelCoreSchedFairness(t *testing.T) {
 	eng, k, _, _ := topo8(t)
 	cs := baselines.NewKernelCoreSched(k, workload.VMOf)
-	set := workload.NewVMSet(k, 2, 8, 100*sim.Millisecond, 200*sim.Microsecond,
+	set := workload.NewVMSet(2, 8, 100*sim.Millisecond, 200*sim.Microsecond,
 		func(name string, tag any, body kernel.ThreadFunc) *kernel.Thread {
 			return k.Spawn(kernel.SpawnOpts{Name: name, Class: cs, Tag: tag}, body)
 		})
 	eng.RunFor(20 * sim.Millisecond)
 	var vt [2]sim.Duration
-	for _, vm := range set.VMs {
+	for i, vm := range set.VMs {
 		for _, v := range vm.VCPUs {
-			vt[vm.ID] += v.CPUTime()
+			vt[i] += v.CPUTime()
 		}
 	}
 	if vt[0] == 0 || vt[1] == 0 {
@@ -125,7 +125,7 @@ func TestCFSViolatesIsolation(t *testing.T) {
 	// vCPUs of different VMs on siblings.
 	eng, k, cfs, _ := topo8(t)
 	ic := workload.NewIsolationChecker(k, 50*sim.Microsecond)
-	workload.NewVMSet(k, 2, 8, 50*sim.Millisecond, 200*sim.Microsecond,
+	workload.NewVMSet(2, 8, 50*sim.Millisecond, 200*sim.Microsecond,
 		func(name string, tag any, body kernel.ThreadFunc) *kernel.Thread {
 			return k.Spawn(kernel.SpawnOpts{Name: name, Class: cfs, Tag: tag}, body)
 		})

@@ -172,7 +172,6 @@ func ticklessRun(tickless bool, work sim.Duration, o Options) (sim.Duration, sim
 	cost := hw.DefaultCostModel()
 	cost.TickOverhead = 2 * sim.Microsecond
 	m := ghost.NewMachine(topo, ghost.WithCostModel(cost), ghost.WithoutMetrics())
-	k := m.Kernel()
 	defer m.Shutdown()
 
 	var cpus []hw.CPUID
@@ -184,7 +183,7 @@ func ticklessRun(tickless bool, work sim.Duration, o Options) (sim.Duration, sim
 		enc.SetTickless(true)
 	}
 	m.StartAgents(enc, policies.NewCoreSched(workload.VMOf), ghost.Global())
-	set := workload.NewVMSet(k, 4, 8, work, 500*sim.Microsecond,
+	set := workload.NewVMSet(4, 8, work, 500*sim.Microsecond,
 		func(name string, tag any, body kernel.ThreadFunc) *kernel.Thread {
 			return enc.SpawnThread(kernel.SpawnOpts{Name: name, Tag: tag}, body)
 		})

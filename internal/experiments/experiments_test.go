@@ -6,6 +6,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"ghost/internal/ghostcore"
+	"ghost/internal/sim"
 )
 
 var quick = Options{Quick: true, Seed: 1}
@@ -315,6 +318,41 @@ func TestFig8AblationRuns(t *testing.T) {
 	}
 	if a, b := cell(t, rep, ccx, p99B), cell(t, rep, numa, p99B); a >= b {
 		t.Fatalf("numa+ccx B p99 %.0fµs, want below numa-only's %.0fµs", a, b)
+	}
+}
+
+// TestFig9Shape: §3.4's robustness claims at quick scale. Upgrades hand
+// off within 50 µs and miss no SLO; a crash falls back to CFS at once,
+// and an upgrade whose successor never attaches falls back exactly one
+// upgrade timeout later.
+func TestFig9Shape(t *testing.T) {
+	rep := runFig9(quick)
+	// Rows: upgrades, crash, failed-upgrade. Columns: events, handoff
+	// p50 and p99 (µs), missed/completed short requests, CFS fallback
+	// (ms before the end of the run).
+	const upgrades, crash, failed = 0, 1, 2
+	const events, handoff99, missed, fallback = 1, 3, 4, 5
+	if n := cell(t, rep, upgrades, events); n != 10 {
+		t.Errorf("upgrades = %v, want 10", n)
+	}
+	if p99 := cell(t, rep, upgrades, handoff99); p99 > 50 {
+		t.Errorf("handoff p99 = %vµs, want <= 50", p99)
+	}
+	if m := rep.Rows[upgrades][missed]; !strings.HasPrefix(m, "0/") {
+		t.Errorf("upgrades missed SLO %s, want 0", m)
+	}
+	timeout := float64(ghostcore.DefaultUpgradeTimeout) / float64(sim.Millisecond)
+	if d := cell(t, rep, crash, fallback) - cell(t, rep, failed, fallback); d != timeout {
+		t.Errorf("crash fallback - failed-upgrade fallback = %vms, want %vms", d, timeout)
+	}
+	causes := []error{ghostcore.ErrAgentCrash, ghostcore.ErrUpgradeTimeout}
+	if len(rep.Notes) < len(causes) {
+		t.Fatalf("%d notes, want a destroy note per fallback: %q", len(rep.Notes), rep.Notes)
+	}
+	for i, cause := range causes {
+		if !strings.Contains(rep.Notes[i], cause.Error()) {
+			t.Errorf("note %d = %q, want it to name %q", i, rep.Notes[i], cause)
+		}
 	}
 }
 

@@ -82,7 +82,6 @@ func fig7Run(scheduler string, loaded bool, o Options) (*workload.LatencyRecorde
 
 	cfg := workload.DefaultSnapConfig()
 	cfg.Seed = o.Seed + 7
-	cfg.ServerMask = mask
 
 	var antagonists []*kernel.Thread
 	spawnServer := func(name string, body kernel.ThreadFunc) *kernel.Thread {

@@ -7,7 +7,6 @@ import (
 	"ghost/internal/kernel"
 	"ghost/internal/policies"
 	"ghost/internal/sim"
-	"ghost/internal/stats"
 	"ghost/internal/workload"
 )
 
@@ -24,9 +23,10 @@ func init() {
 	})
 }
 
-// fig8Outcome summarises one scheduler's run.
+// fig8Outcome summarises one scheduler's run: each query type's QPS
+// (completions over the observation window) and its latency record.
 type fig8Outcome struct {
-	qps [3]*stats.TimeSeries
+	qps [3]float64
 	tot [3]*workload.LatencyRecorder
 }
 
@@ -49,11 +49,6 @@ func fig8Run(pol *policies.Search, o Options) fig8Outcome {
 
 	cfg := workload.DefaultSearchConfig()
 	cfg.Seed = o.Seed + 13
-	if o.Quick {
-		// Keep the full load (the contention is the experiment); only
-		// shorten the observation window.
-		cfg.SamplePeriod = 200 * sim.Millisecond
-	}
 
 	spawnServer := func(name string, body kernel.ThreadFunc) *kernel.Thread {
 		return m.k.Spawn(kernel.SpawnOpts{Name: name, Class: m.cfs}, body)
@@ -79,7 +74,7 @@ func fig8Run(pol *policies.Search, o Options) fig8Outcome {
 	m.m.Run(fig8Dur(o))
 	var out fig8Outcome
 	for qt := 0; qt < 3; qt++ {
-		out.qps[qt] = s.QPS[qt]
+		out.qps[qt] = float64(s.Totals[qt].Completed) / fig8Dur(o).Seconds()
 		out.tot[qt] = s.Totals[qt]
 	}
 	return out
@@ -101,7 +96,7 @@ func runFig8(o Options) *Report {
 	paperP99 := [3]string{"0.55-0.6x", "0.55-0.6x", "~1.0x"}
 	for qt := 0; qt < 3; qt++ {
 		name := string(rune('A' + qt))
-		cq, gq := cfs.qps[qt].Mean(), gho.qps[qt].Mean()
+		cq, gq := cfs.qps[qt], gho.qps[qt]
 		rep.AddRow(name, "QPS", fmt.Sprintf("%.0f", cq), fmt.Sprintf("%.0f", gq),
 			ratio(gq, cq), paperQPS[qt])
 		cp := float64(cfs.tot[qt].Hist.P99())
@@ -162,7 +157,7 @@ func runFig8Ablation(o Options) *Report {
 			fmt.Sprintf("%.0f", float64(out.tot[0].Hist.P99())/1000),
 			fmt.Sprintf("%.0f", float64(out.tot[1].Hist.P99())/1000),
 			fmt.Sprintf("%.0f", float64(out.tot[2].Hist.P99())/1000),
-			fmt.Sprintf("%.0f", out.qps[0].Mean()))
+			fmt.Sprintf("%.0f", out.qps[0]))
 	}
 	rep.Notef("expected: each locality feature improves type A (memory-bound) the most")
 	return rep

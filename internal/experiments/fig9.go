@@ -5,6 +5,7 @@ import (
 
 	"ghost"
 	"ghost/internal/agentsdk"
+	"ghost/internal/ghostcore"
 	"ghost/internal/hw"
 	"ghost/internal/kernel"
 	"ghost/internal/policies"
@@ -187,21 +188,21 @@ func fig9Run(mode fig9Mode, o Options) *fig9Result {
 	}
 
 	// Record when (if ever) the enclave fell back to CFS.
-	fallbackWatch := sim.NewTicker(m.eng, 100*sim.Microsecond, func(now sim.Time) {
-		if enc.Destroyed() && res.fallbackAt == 0 {
-			res.fallbackAt = now
-			res.destroyedFor = enc.DestroyCause().Error()
-		}
-	})
+	m.g.AddObserver(fig9Fallback{m.eng, res})
 
 	m.m.Run(dur)
-	fallbackWatch.Stop()
 	res.end = m.eng.Now()
-	if enc.Destroyed() && res.fallbackAt == 0 {
-		res.fallbackAt = res.end
-		res.destroyedFor = enc.DestroyCause().Error()
-	}
 	return res
+}
+
+// fig9Fallback records the instant the enclave fell back to CFS, and why.
+type fig9Fallback struct {
+	eng *sim.Engine
+	res *fig9Result
+}
+
+func (f fig9Fallback) Destroyed(_ *ghostcore.Enclave, cause error, _ []*kernel.Thread) {
+	f.res.fallbackAt, f.res.destroyedFor = f.eng.Now(), cause.Error()
 }
 
 func runFig9(o Options) *Report {

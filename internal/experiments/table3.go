@@ -35,9 +35,15 @@ func runTable3(o Options) *Report {
 	res := sweep(o, 5, func(i int) sim.Duration {
 		switch i {
 		case 0:
-			return measurePerCPUPath(o)
+			// Row 1: a per-CPU agent, woken by each message.
+			return measureDelivery("t3", 2, func(m *machine, enc *ghostcore.Enclave) {
+				m.m.StartAgents(enc, policies.NewPerCPUFIFO(), ghost.PerCPU())
+			})
 		case 1:
-			return measureGlobalDelivery(o)
+			// Row 2: a spinning global agent.
+			return measureDelivery("t3g", 4, func(m *machine, enc *ghostcore.Enclave) {
+				m.startCentral(enc, policies.NewCentralFIFO())
+			})
 		case 2:
 			return measureRemoteE2E(o, 1)
 		case 3:
@@ -69,43 +75,15 @@ func runTable3(o Options) *Report {
 	return rep
 }
 
-// measurePerCPUPath runs block/wake cycles under a per-CPU agent and
-// returns the median message delivery latency.
-func measurePerCPUPath(o Options) sim.Duration {
-	topo := hw.NewTopology(hw.Config{Name: "t3", Sockets: 1, CCXsPerSocket: 1, CoresPerCCX: 2, SMTWidth: 1})
-	m := newMetricsMachine(topo)
+// measureDelivery starts agents with start on an enclave of cores
+// CPUs, runs block/wake cycles of one thread there, and returns the
+// median message delivery latency.
+func measureDelivery(name string, cores int, start func(*machine, *ghostcore.Enclave)) sim.Duration {
+	topo := hw.NewTopology(hw.Config{Name: name, Sockets: 1, CCXsPerSocket: 1, CoresPerCCX: cores, SMTWidth: 1})
+	m := newMachine(machineOpts{topo: topo, extra: []ghost.MachineOption{ghost.WithTrace(trace.NewMetricsOnly())}})
 	defer m.k.Shutdown()
-	enc := m.enclaveOn(0, 1)
-	m.m.StartAgents(enc, policies.NewPerCPUFIFO(), ghost.PerCPU())
-	th := enc.SpawnThread(kernel.SpawnOpts{Name: "t"}, func(tc *kernel.TaskContext) {
-		for i := 0; i < 400; i++ {
-			tc.Run(2 * sim.Microsecond)
-			tc.Block()
-		}
-	})
-	sim.NewTicker(m.eng, 50*sim.Microsecond, func(sim.Time) {
-		if th.State() == kernel.StateBlocked {
-			m.k.Wake(th)
-		}
-	})
-	m.m.Run(25 * sim.Millisecond)
-	return m.m.Metrics().Enclaves[enc.ID()].MsgDelivery.P50()
-}
-
-// newMetricsMachine is a table3 machine that keeps the tracer's
-// aggregate metrics, where the delivery latency is recorded.
-func newMetricsMachine(topo *hw.Topology) *machine {
-	return newMachine(machineOpts{topo: topo, extra: []ghost.MachineOption{ghost.WithTrace(trace.NewMetricsOnly())}})
-}
-
-// measureGlobalDelivery measures message delivery into a spinning global
-// agent.
-func measureGlobalDelivery(o Options) sim.Duration {
-	topo := hw.NewTopology(hw.Config{Name: "t3g", Sockets: 1, CCXsPerSocket: 1, CoresPerCCX: 4, SMTWidth: 1})
-	m := newMetricsMachine(topo)
-	defer m.k.Shutdown()
-	enc := m.enclaveOn(0, 1, 2, 3)
-	m.startCentral(enc, policies.NewCentralFIFO())
+	enc := m.m.NewEnclave(kernel.MaskAll(cores))
+	start(m, enc)
 	th := enc.SpawnThread(kernel.SpawnOpts{Name: "t"}, func(tc *kernel.TaskContext) {
 		for i := 0; i < 400; i++ {
 			tc.Run(2 * sim.Microsecond)

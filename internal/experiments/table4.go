@@ -86,13 +86,13 @@ func table4Run(scheduler string, work sim.Duration, o Options) (sim.Duration, si
 	var set *workload.VMSet
 	switch scheduler {
 	case "cfs":
-		set = workload.NewVMSet(m.k, 4, 8, work, chunk,
+		set = workload.NewVMSet(4, 8, work, chunk,
 			func(name string, tag any, body kernel.ThreadFunc) *kernel.Thread {
 				return m.k.Spawn(kernel.SpawnOpts{Name: name, Class: m.cfs, Affinity: mask, Tag: tag}, body)
 			})
 	case "kernel-coresched":
 		cs := baselines.NewKernelCoreSched(m.k, workload.VMOf)
-		set = workload.NewVMSet(m.k, 4, 8, work, chunk,
+		set = workload.NewVMSet(4, 8, work, chunk,
 			func(name string, tag any, body kernel.ThreadFunc) *kernel.Thread {
 				return m.k.Spawn(kernel.SpawnOpts{Name: name, Class: cs, Affinity: mask, Tag: tag}, body)
 			})
@@ -100,7 +100,7 @@ func table4Run(scheduler string, work sim.Duration, o Options) (sim.Duration, si
 		enc := m.enclaveOn(cpus...)
 		pol := policies.NewCoreSched(workload.VMOf)
 		m.startCentral(enc, pol)
-		set = workload.NewVMSet(m.k, 4, 8, work, chunk,
+		set = workload.NewVMSet(4, 8, work, chunk,
 			func(name string, tag any, body kernel.ThreadFunc) *kernel.Thread {
 				return enc.SpawnThread(kernel.SpawnOpts{Name: name, Tag: tag}, body)
 			})

@@ -22,7 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"ghost/internal/hw"
 	"ghost/internal/sim"
 	"ghost/internal/trace"
 )
@@ -33,7 +32,7 @@ type Kind int
 // Fault kinds. Agent-level kinds (AgentCrash, AgentStall, AgentSlow,
 // Upgrade) fire through the AgentHooks registered by the agent SDK;
 // window kinds (the rest) open an injection window that intercepts
-// matching operations until the window expires or its Count is spent.
+// matching operations until the window expires.
 const (
 	AgentCrash Kind = iota // kill the agent generation without an upgrade
 	AgentStall             // agent burns CPU making no decisions for Dur
@@ -83,19 +82,14 @@ func (k Kind) windowed() bool {
 	return false
 }
 
-// Targets for Fault.Enc and Fault.CPU.
-const (
-	// AnyEnclave matches every enclave.
-	AnyEnclave = -1
-	// AnyCPU targets the active global agent (centralized model) or all
-	// agents (per-CPU model) for stall/slow faults.
-	AnyCPU = hw.NoCPU
-)
+// AnyEnclave is the enclave id a trace event carries for a fault that
+// reaches every enclave (a window, or an agent fault no hooks took).
+const AnyEnclave = -1
 
 // Fault is one scheduled fault. At is the (virtual) injection time; the
-// remaining fields qualify the kind as documented on the constants.
-// Prefer the Plan builder methods (or ParsePlan), which fill the Enc/CPU
-// targets with the Any* defaults.
+// remaining fields qualify the kind as documented on the constants. A
+// fault reaches every enclave; a stall or slow fault reaches the active
+// global agent (centralized model) or every agent (per-CPU model).
 type Fault struct {
 	At   sim.Time
 	Kind Kind
@@ -111,14 +105,6 @@ type Fault struct {
 	// Prob is the per-operation injection probability inside a window;
 	// zero or >=1 means always.
 	Prob float64
-	// Count bounds how many operations a window affects; zero means
-	// unlimited.
-	Count int
-
-	// Enc targets one enclave id, or AnyEnclave.
-	Enc int
-	// CPU targets one agent's home CPU for stall/slow, or AnyCPU.
-	CPU hw.CPUID
 }
 
 // String renders the fault in ParsePlan's spec syntax, which parses
@@ -180,53 +166,53 @@ func (p *Plan) Add(f Fault) *Plan {
 
 // Crash schedules an agent crash (no upgrade: CFS fallback).
 func (p *Plan) Crash(at sim.Time) *Plan {
-	return p.Add(Fault{At: at, Kind: AgentCrash, Enc: AnyEnclave, CPU: AnyCPU})
+	return p.Add(Fault{At: at, Kind: AgentCrash})
 }
 
 // Upgrade schedules a forced in-place agent upgrade.
 func (p *Plan) Upgrade(at sim.Time) *Plan {
-	return p.Add(Fault{At: at, Kind: Upgrade, Enc: AnyEnclave, CPU: AnyCPU})
+	return p.Add(Fault{At: at, Kind: Upgrade})
 }
 
 // Stall schedules an agent stall of length d.
 func (p *Plan) Stall(at sim.Time, d sim.Duration) *Plan {
-	return p.Add(Fault{At: at, Kind: AgentStall, Dur: d, Enc: AnyEnclave, CPU: AnyCPU})
+	return p.Add(Fault{At: at, Kind: AgentStall, Dur: d})
 }
 
 // Slow multiplies agent step costs by factor for a window of length d.
 func (p *Plan) Slow(at sim.Time, d sim.Duration, factor float64) *Plan {
-	return p.Add(Fault{At: at, Kind: AgentSlow, Dur: d, Factor: factor, Enc: AnyEnclave, CPU: AnyCPU})
+	return p.Add(Fault{At: at, Kind: AgentSlow, Dur: d, Factor: factor})
 }
 
 // DropMsgs drops kernel→agent messages with probability prob for d.
 func (p *Plan) DropMsgs(at sim.Time, d sim.Duration, prob float64) *Plan {
-	return p.Add(Fault{At: at, Kind: MsgDrop, Dur: d, Prob: prob, Enc: AnyEnclave, CPU: AnyCPU})
+	return p.Add(Fault{At: at, Kind: MsgDrop, Dur: d, Prob: prob})
 }
 
 // DelayMsgs delays kernel→agent messages by delay for a window of d.
 func (p *Plan) DelayMsgs(at sim.Time, d, delay sim.Duration) *Plan {
-	return p.Add(Fault{At: at, Kind: MsgDelay, Dur: d, Delay: delay, Enc: AnyEnclave, CPU: AnyCPU})
+	return p.Add(Fault{At: at, Kind: MsgDelay, Dur: d, Delay: delay})
 }
 
 // DupMsgs duplicates kernel→agent messages with probability prob for d.
 func (p *Plan) DupMsgs(at sim.Time, d sim.Duration, prob float64) *Plan {
-	return p.Add(Fault{At: at, Kind: MsgDup, Dur: d, Prob: prob, Enc: AnyEnclave, CPU: AnyCPU})
+	return p.Add(Fault{At: at, Kind: MsgDup, Dur: d, Prob: prob})
 }
 
 // DelayIPIs adds delay to remote-commit IPIs for a window of d.
 func (p *Plan) DelayIPIs(at sim.Time, d, delay sim.Duration) *Plan {
-	return p.Add(Fault{At: at, Kind: IPIDelay, Dur: d, Delay: delay, Enc: AnyEnclave, CPU: AnyCPU})
+	return p.Add(Fault{At: at, Kind: IPIDelay, Dur: d, Delay: delay})
 }
 
 // LoseIPIs drops remote-commit IPIs with probability prob for d; the
 // install is recovered by the next timer tick on the target CPU.
 func (p *Plan) LoseIPIs(at sim.Time, d sim.Duration, prob float64) *Plan {
-	return p.Add(Fault{At: at, Kind: IPILoss, Dur: d, Prob: prob, Enc: AnyEnclave, CPU: AnyCPU})
+	return p.Add(Fault{At: at, Kind: IPILoss, Dur: d, Prob: prob})
 }
 
 // FailTxns makes transaction validation fail with probability prob for d.
 func (p *Plan) FailTxns(at sim.Time, d sim.Duration, prob float64) *Plan {
-	return p.Add(Fault{At: at, Kind: TxnFail, Dur: d, Prob: prob, Enc: AnyEnclave, CPU: AnyCPU})
+	return p.Add(Fault{At: at, Kind: TxnFail, Dur: d, Prob: prob})
 }
 
 // String renders the plan in ParsePlan's spec syntax.
@@ -275,7 +261,7 @@ func ParsePlan(spec string, seed uint64) (*Plan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("faults: %q: bad time: %v", entry, err)
 		}
-		f := Fault{At: sim.Time(at), Kind: kind, Enc: AnyEnclave, CPU: AnyCPU}
+		f := Fault{At: sim.Time(at), Kind: kind}
 		if len(fields) > 1 {
 			if kind == AgentCrash || kind == Upgrade {
 				return nil, fmt.Errorf("faults: %q: %s takes no duration", entry, kind)
@@ -354,10 +340,10 @@ func parseDur(s string) (sim.Duration, error) {
 type AgentHooks struct {
 	// Crash kills the agent generation without announcing an upgrade.
 	Crash func(now sim.Time)
-	// Stall makes the targeted agent(s) burn CPU for d.
-	Stall func(now sim.Time, cpu hw.CPUID, d sim.Duration)
-	// Slow multiplies the targeted agent(s)' step costs until until.
-	Slow func(now sim.Time, cpu hw.CPUID, until sim.Time, factor float64)
+	// Stall makes the agent(s) burn CPU for d.
+	Stall func(now sim.Time, d sim.Duration)
+	// Slow multiplies the agent(s)' step costs until until.
+	Slow func(now sim.Time, until sim.Time, factor float64)
 	// Upgrade stops this generation and starts a successor in place.
 	Upgrade func(now sim.Time)
 }
@@ -366,7 +352,6 @@ type AgentHooks struct {
 type window struct {
 	f     Fault
 	until sim.Time // 0 = open-ended
-	left  int      // remaining injections, -1 = unlimited
 }
 
 // Injector replays a Plan against one simulation. The kernel owns it
@@ -422,14 +407,12 @@ func (in *Injector) RegisterAgentHooks(enc int, h *AgentHooks) {
 	in.hooks[enc] = h
 }
 
-// targets returns the enclave ids with registered hooks matched by enc,
-// in deterministic (sorted) order.
-func (in *Injector) targets(enc int) []int {
-	var ids []int
+// targets returns the enclave ids with registered hooks, in
+// deterministic (sorted) order.
+func (in *Injector) targets() []int {
+	ids := make([]int, 0, len(in.hooks))
 	for id := range in.hooks {
-		if enc == AnyEnclave || enc == id {
-			ids = append(ids, id)
-		}
+		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 	return ids
@@ -444,16 +427,12 @@ func (in *Injector) fire(f Fault) {
 		if f.Dur > 0 {
 			until = now + f.Dur
 		}
-		left := f.Count
-		if left == 0 {
-			left = -1
-		}
-		in.windows = append(in.windows, &window{f: f, until: until, left: left})
-		in.tr().Fault(now, f.Kind.String()+"-window", f.Enc, f.String())
+		in.windows = append(in.windows, &window{f: f, until: until})
+		in.tr().Fault(now, f.Kind.String()+"-window", AnyEnclave, f.String())
 		return
 	}
 	fired := false
-	for _, id := range in.targets(f.Enc) {
+	for _, id := range in.targets() {
 		h := in.hooks[id]
 		switch f.Kind {
 		case AgentCrash:
@@ -471,7 +450,7 @@ func (in *Injector) fire(f Fault) {
 		case AgentStall:
 			if h.Stall != nil {
 				in.tr().Fault(now, "stall", id, f.Dur.String())
-				h.Stall(now, f.CPU, f.Dur)
+				h.Stall(now, f.Dur)
 				fired = true
 			}
 		case AgentSlow:
@@ -481,51 +460,44 @@ func (in *Injector) fire(f Fault) {
 					factor = 2
 				}
 				in.tr().Fault(now, "slow", id, fmt.Sprintf("x%g for %v", factor, f.Dur))
-				h.Slow(now, f.CPU, now+f.Dur, factor)
+				h.Slow(now, now+f.Dur, factor)
 				fired = true
 			}
 		}
 	}
 	if !fired {
-		in.tr().Fault(now, f.Kind.String()+"-skipped", f.Enc, "no agent hooks")
+		in.tr().Fault(now, f.Kind.String()+"-skipped", AnyEnclave, "no agent hooks")
 	}
 }
 
 // OpenWindow returns the first injection window still open at now: one
-// with injections left that has not yet expired. A snapshot cannot hold
-// it, since the image carries neither the windows nor the injector's
-// random stream.
+// that has not yet expired. A snapshot cannot hold it, since the image
+// carries neither the windows nor the injector's random stream.
 func (in *Injector) OpenWindow(now sim.Time) (Fault, bool) {
 	if in == nil {
 		return Fault{}, false
 	}
 	for _, w := range in.windows {
-		if w.left != 0 && (w.until == 0 || now < w.until) {
+		if w.until == 0 || now < w.until {
 			return w.f, true
 		}
 	}
 	return Fault{}, false
 }
 
-// match scans the active windows for one matching kind/time/enclave and,
-// if its probability draw passes, consumes one injection from it.
-func (in *Injector) match(kind Kind, now sim.Time, enc int) *Fault {
+// match scans the active windows for one matching kind and time whose
+// probability draw passes.
+func (in *Injector) match(kind Kind, now sim.Time) *Fault {
 	for _, w := range in.windows {
 		f := &w.f
-		if f.Kind != kind || w.left == 0 {
+		if f.Kind != kind {
 			continue
 		}
 		if w.until != 0 && now >= w.until {
 			continue
 		}
-		if f.Enc != AnyEnclave && f.Enc != enc {
-			continue
-		}
 		if p := f.Prob; p > 0 && p < 1 && in.rnd.Float64() >= p {
 			continue
-		}
-		if w.left > 0 {
-			w.left--
 		}
 		return f
 	}
@@ -539,11 +511,11 @@ func (in *Injector) OnMessagePost(now sim.Time, enc int) (drop, dup bool, delay 
 	if in == nil {
 		return
 	}
-	if f := in.match(MsgDrop, now, enc); f != nil {
+	if f := in.match(MsgDrop, now); f != nil {
 		in.tr().Fault(now, "msgdrop", enc, "")
 		return true, false, 0
 	}
-	if f := in.match(MsgDelay, now, enc); f != nil {
+	if f := in.match(MsgDelay, now); f != nil {
 		d := f.Delay
 		if d <= 0 {
 			d = 10 * sim.Microsecond
@@ -551,7 +523,7 @@ func (in *Injector) OnMessagePost(now sim.Time, enc int) (drop, dup bool, delay 
 		in.tr().Fault(now, "msgdelay", enc, d.String())
 		return false, false, d
 	}
-	if f := in.match(MsgDup, now, enc); f != nil {
+	if f := in.match(MsgDup, now); f != nil {
 		in.tr().Fault(now, "msgdup", enc, "")
 		return false, true, 0
 	}
@@ -565,11 +537,11 @@ func (in *Injector) OnIPI(now sim.Time, enc int) (lost bool, extra sim.Duration)
 	if in == nil {
 		return
 	}
-	if f := in.match(IPILoss, now, enc); f != nil {
+	if f := in.match(IPILoss, now); f != nil {
 		in.tr().Fault(now, "ipiloss", enc, "")
 		return true, 0
 	}
-	if f := in.match(IPIDelay, now, enc); f != nil {
+	if f := in.match(IPIDelay, now); f != nil {
 		d := f.Delay
 		if d <= 0 {
 			d = 5 * sim.Microsecond
@@ -586,7 +558,7 @@ func (in *Injector) OnTxnValidate(now sim.Time, enc int) bool {
 	if in == nil {
 		return false
 	}
-	if f := in.match(TxnFail, now, enc); f != nil {
+	if f := in.match(TxnFail, now); f != nil {
 		in.tr().Fault(now, "txnfail", enc, "")
 		return true
 	}

@@ -73,14 +73,13 @@ func (w *WaitQueue) WakeOne() bool {
 // Mailbox is an unbounded FIFO of items with blocking receive, used to
 // hand requests to simulated worker threads.
 type Mailbox[T any] struct {
-	k     *Kernel
 	items fifo[T]
 	wq    *WaitQueue
 }
 
 // NewMailbox creates a mailbox on k.
 func NewMailbox[T any](k *Kernel) *Mailbox[T] {
-	return &Mailbox[T]{k: k, wq: NewWaitQueue(k)}
+	return &Mailbox[T]{wq: NewWaitQueue(k)}
 }
 
 // Put appends an item and wakes one waiting receiver. Callable from any

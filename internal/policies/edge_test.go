@@ -97,7 +97,7 @@ func TestCoreSchedWithCFSInterference(t *testing.T) {
 	pol.Quantum = 300 * sim.Microsecond
 	agentsdk.Start(e.k, e.enc, e.ac, pol, agentsdk.Global())
 	ic := workload.NewIsolationChecker(e.k, 50*sim.Microsecond)
-	set := workload.NewVMSet(e.k, 2, 4, 3*sim.Millisecond, 100*sim.Microsecond,
+	set := workload.NewVMSet(2, 4, 3*sim.Millisecond, 100*sim.Microsecond,
 		func(name string, tag any, body kernel.ThreadFunc) *kernel.Thread {
 			return e.enc.SpawnThread(kernel.SpawnOpts{Name: name, Tag: tag}, body)
 		})

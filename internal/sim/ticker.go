@@ -6,11 +6,9 @@ package sim
 // from being snapshotted. The kernel's periodic timers are pre-bound
 // events their owners classify instead.
 type Ticker struct {
-	engine  *Engine
-	period  Duration
-	fn      func(Time)
-	ev      Event
-	stopped bool
+	engine *Engine
+	period Duration
+	fn     func(Time)
 }
 
 // tickerFire dispatches a ticker firing; package-level so re-arming goes
@@ -18,28 +16,19 @@ type Ticker struct {
 func tickerFire(a any) {
 	t := a.(*Ticker)
 	t.fn(t.engine.Now())
-	if !t.stopped {
-		t.arm()
-	}
+	t.arm()
 }
 
-// NewTicker starts a ticker whose first fire is one period from now.
-// The callback receives the fire time.
-func NewTicker(e *Engine, period Duration, fn func(Time)) *Ticker {
+// NewTicker starts a ticker whose first fire is one period from now;
+// it fires for as long as the engine runs. The callback receives the
+// fire time.
+func NewTicker(e *Engine, period Duration, fn func(Time)) {
 	if period <= 0 {
 		panic("sim: ticker period must be positive")
 	}
-	t := &Ticker{engine: e, period: period, fn: fn}
-	t.arm()
-	return t
+	(&Ticker{engine: e, period: period, fn: fn}).arm()
 }
 
 func (t *Ticker) arm() {
-	t.ev = t.engine.AfterCall(t.period, tickerFire, t)
-}
-
-// Stop halts the ticker; the callback will not fire again.
-func (t *Ticker) Stop() {
-	t.stopped = true
-	t.ev.Cancel()
+	t.engine.AfterCall(t.period, tickerFire, t)
 }

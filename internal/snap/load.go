@@ -27,7 +27,6 @@ type LoadOpts struct {
 type Result struct {
 	Sets       []*agentsdk.AgentSet
 	Components []ComponentEntry
-	Ctx        *RestoreCtx
 }
 
 // Load restores img onto a freshly built machine skeleton: the target
@@ -49,13 +48,12 @@ func Load(t *Target, img *Image, opts LoadOpts) (*Result, error) {
 
 	ctx := &RestoreCtx{
 		Kernel:     t.K,
-		Ghost:      t.Ghost,
 		components: map[string]Component{},
 		enclaves:   nil,
 	}
 
 	// Phase 1: component shells, in saved order.
-	res := &Result{Ctx: ctx}
+	res := &Result{}
 	for _, crec := range core.Components {
 		f, err := componentFactory(crec.Key, crec.Kind, opts.ComponentOverrides)
 		if err != nil {

@@ -94,8 +94,6 @@ type RestoreCtx struct {
 	// Kernel is the rebuilt kernel (threads appear as the spawn pass
 	// progresses).
 	Kernel *kernel.Kernel
-	// Ghost is the rebuilt ghOSt class.
-	Ghost *ghostcore.Class
 
 	components map[string]Component
 	enclaves   map[int]*ghostcore.Enclave

@@ -191,20 +191,6 @@ func TestExact(t *testing.T) {
 	}
 }
 
-func TestTimeSeries(t *testing.T) {
-	var ts TimeSeries
-	ts.Add(0, 2)
-	ts.Add(sim.Second, 4)
-	ts.Add(2*sim.Second, 6)
-	if ts.Len() != 3 || ts.Mean() != 4 || ts.Max() != 6 {
-		t.Fatalf("series stats wrong: %v", ts.String())
-	}
-	var empty TimeSeries
-	if empty.Mean() != 0 || empty.Max() != 0 {
-		t.Fatal("empty series stats should be zero")
-	}
-}
-
 func TestHistogramString(t *testing.T) {
 	var h Histogram
 	if h.String() != "histogram{empty}" {

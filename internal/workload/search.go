@@ -5,7 +5,6 @@ import (
 
 	"ghost/internal/kernel"
 	"ghost/internal/sim"
-	"ghost/internal/stats"
 )
 
 // Search models the §4.4 Google Search serving benchmark with its three
@@ -19,10 +18,9 @@ import (
 //   - Type C: CPU-intensive, serviced by long-living workers.
 //
 // Query latency is preprocessing + subquery service including scheduling
-// delay; per-type QPS and p99 latency are sampled once per second,
-// matching Fig 8's time axes.
+// delay; Totals records each query type's completions and latency over
+// the whole run.
 type Search struct {
-	k    *kernel.Kernel
 	eng  *sim.Engine
 	rand *sim.Rand
 
@@ -31,13 +29,8 @@ type Search struct {
 	poolC   *WorkerPool
 	servers []*kernel.Mailbox[*Request]
 
-	// QPS is the Fig 8 throughput output: QPS per type per sampling
-	// period.
-	QPS [3]*stats.TimeSeries
 	// Totals aggregate the whole run.
 	Totals [3]*LatencyRecorder
-	// sampled is each type's Totals count at the last sample.
-	sampled [3]uint64
 }
 
 // Query types.
@@ -54,7 +47,6 @@ type SearchConfig struct {
 	// Workers per pool.
 	WorkersA, WorkersB, WorkersC int
 	Servers                      int
-	SamplePeriod                 sim.Duration
 	Seed                         uint64
 }
 
@@ -65,7 +57,7 @@ func DefaultSearchConfig() SearchConfig {
 	return SearchConfig{
 		RateA: 450000, RateB: 120000, RateC: 90000,
 		WorkersA: 200, WorkersB: 64, WorkersC: 110,
-		Servers: 16, SamplePeriod: sim.Second, Seed: 42,
+		Servers: 16, Seed: 42,
 	}
 }
 
@@ -87,10 +79,9 @@ const (
 func NewSearch(k *kernel.Kernel, cfg SearchConfig,
 	spawnWorker func(name string, affinity kernel.Mask, body kernel.ThreadFunc) *kernel.Thread,
 	spawnServer func(name string, body kernel.ThreadFunc) *kernel.Thread) *Search {
-	s := &Search{k: k, eng: k.Engine(), rand: sim.NewRand(cfg.Seed)}
+	s := &Search{eng: k.Engine(), rand: sim.NewRand(cfg.Seed)}
 	for i := range s.Totals {
 		s.Totals[i] = &LatencyRecorder{}
-		s.QPS[i] = &stats.TimeSeries{Name: fmt.Sprintf("qps-%c", 'A'+i)}
 	}
 	topo := k.Topology()
 
@@ -148,9 +139,6 @@ func NewSearch(k *kernel.Kernel, cfg SearchConfig,
 	s.startArrivals(QueryA, cfg.RateA, Fixed(serviceA))
 	s.startArrivals(QueryB, cfg.RateB, Fixed(serviceB))
 	s.startArrivals(QueryC, cfg.RateC, Exponential(serviceC))
-
-	// Per-second sampling (Fig 8 time series).
-	sim.NewTicker(s.eng, cfg.SamplePeriod, func(now sim.Time) { s.sample(now, cfg.SamplePeriod) })
 	return s
 }
 
@@ -177,14 +165,6 @@ func (s *Search) dispatch(q *Request) {
 		s.poolB.Submit(q)
 	default:
 		s.poolC.Submit(q)
-	}
-}
-
-func (s *Search) sample(now sim.Time, period sim.Duration) {
-	for qt := 0; qt < 3; qt++ {
-		done := s.Totals[qt].Completed
-		s.QPS[qt].Add(now, float64(done-s.sampled[qt])/period.Seconds())
-		s.sampled[qt] = done
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 // messages (scheduling-dominated), five carry 64 kB messages
 // (copy-dominated), matching the paper's test.
 type Snap struct {
-	k   *kernel.Kernel
 	eng *sim.Engine
 
 	pkts     []*snapPkt // shared packet ring (ingress + egress events)
@@ -58,13 +57,12 @@ const wireRTT = 10 * sim.Microsecond
 
 // SnapConfig sizes the Snap system.
 type SnapConfig struct {
-	Workers    int     // Snap polling worker threads
-	Servers    int     // application server threads (CFS)
-	FlowRate   float64 // messages/second per flow
-	Flows64B   int
-	Flows64K   int
-	ServerMask kernel.Mask // affinity for server threads (zero = all)
-	Seed       uint64
+	Workers  int     // Snap polling worker threads
+	Servers  int     // application server threads (CFS)
+	FlowRate float64 // messages/second per flow
+	Flows64B int
+	Flows64K int
+	Seed     uint64
 }
 
 // DefaultSnapConfig mirrors the paper: 6 flows at 10k msg/s, one 64 B
@@ -80,7 +78,7 @@ func NewSnap(k *kernel.Kernel, cfg SnapConfig,
 	spawnWorker func(name string, body kernel.ThreadFunc) *kernel.Thread,
 	spawnServer func(name string, body kernel.ThreadFunc) *kernel.Thread) *Snap {
 	s := &Snap{
-		k: k, eng: k.Engine(),
+		eng:      k.Engine(),
 		sleepers: kernel.NewWaitQueue(k),
 		rand:     sim.NewRand(cfg.Seed),
 	}

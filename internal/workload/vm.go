@@ -14,7 +14,6 @@ import (
 // policies must never co-schedule vCPUs of different VMs on SMT siblings
 // of one physical core.
 type VMSet struct {
-	k   *kernel.Kernel
 	VMs []*VM
 
 	// Finished counts completed vCPUs; Done is when the last finished;
@@ -33,9 +32,9 @@ func (s *VMSet) MeanCompletion() sim.Time {
 	return s.CompletionSum / sim.Time(s.Finished)
 }
 
-// VM is one virtual machine: an ID and its vCPU threads.
+// VM is one virtual machine: its vCPU threads. Each vCPU's VMTag holds
+// the VM's index in VMSet.VMs.
 type VM struct {
-	ID    int
 	VCPUs []*kernel.Thread
 }
 
@@ -48,12 +47,12 @@ type VMTag struct {
 // NewVMSet spawns numVMs VMs with vcpusPerVM vCPUs each, every vCPU
 // executing `work` of CPU time in `chunk` increments. spawn creates the
 // thread in the scheduler under test.
-func NewVMSet(k *kernel.Kernel, numVMs, vcpusPerVM int, work, chunk sim.Duration,
+func NewVMSet(numVMs, vcpusPerVM int, work, chunk sim.Duration,
 	spawn func(name string, tag any, body kernel.ThreadFunc) *kernel.Thread) *VMSet {
-	set := &VMSet{k: k}
+	set := &VMSet{}
 	total := numVMs * vcpusPerVM
 	for v := 0; v < numVMs; v++ {
-		vm := &VM{ID: v}
+		vm := &VM{}
 		for c := 0; c < vcpusPerVM; c++ {
 			name := fmt.Sprintf("vm%d-vcpu%d", v, c)
 			th := spawn(name, &VMTag{VM: v}, FiniteSpinner(work, chunk, func(at sim.Time) {
@@ -78,13 +77,12 @@ func VMOf(t *kernel.Thread) int {
 	return -1
 }
 
-// IsolationViolations counts instants where two sibling hyperthreads run
-// vCPUs of different VMs. Call it periodically during a run; any nonzero
-// total is a security violation of the §4.5 policy.
+// IsolationChecker counts instants where two sibling hyperthreads run
+// vCPUs of different VMs, sampled every period; any nonzero total is a
+// security violation of the §4.5 policy.
 type IsolationChecker struct {
 	k          *kernel.Kernel
 	Violations uint64
-	Checks     uint64
 }
 
 // NewIsolationChecker samples sibling pairs every period.
@@ -94,17 +92,13 @@ func NewIsolationChecker(k *kernel.Kernel, period sim.Duration) *IsolationChecke
 	return ic
 }
 
+// check visits each SMT core once, from its lower-numbered CPU.
 func (ic *IsolationChecker) check() {
 	topo := ic.k.Topology()
-	seen := make(map[int]bool)
 	for i := 0; i < topo.NumCPUs(); i++ {
 		cpu := topo.CPU(hw.CPUID(i))
-		if seen[cpu.Core] {
-			continue
-		}
-		seen[cpu.Core] = true
 		sib := cpu.Sibling()
-		if sib < 0 {
+		if cpu.ID > sib { // no sibling (NoCPU), or seen from the sibling
 			continue
 		}
 		a := ic.k.CPU(cpu.ID).Curr()
@@ -112,9 +106,7 @@ func (ic *IsolationChecker) check() {
 		if a == nil || b == nil {
 			continue
 		}
-		va, vb := VMOf(a), VMOf(b)
-		ic.Checks++
-		if va >= 0 && vb >= 0 && va != vb {
+		if va, vb := VMOf(a), VMOf(b); va >= 0 && vb >= 0 && va != vb {
 			ic.Violations++
 		}
 	}

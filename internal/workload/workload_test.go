@@ -185,7 +185,7 @@ func TestSearchEndToEnd(t *testing.T) {
 	cfg := SearchConfig{
 		RateA: 5000, RateB: 3000, RateC: 1000,
 		WorkersA: 8, WorkersB: 6, WorkersC: 6,
-		Servers: 2, SamplePeriod: 10 * sim.Millisecond, Seed: 7,
+		Servers: 2, Seed: 7,
 	}
 	s := NewSearch(k, cfg,
 		func(name string, aff kernel.Mask, body kernel.ThreadFunc) *kernel.Thread {
@@ -199,9 +199,6 @@ func TestSearchEndToEnd(t *testing.T) {
 		if s.Totals[qt].Completed == 0 {
 			t.Fatalf("query type %c: no completions", 'A'+qt)
 		}
-		if s.QPS[qt].Len() < 9 {
-			t.Fatalf("query type %c: %d samples", 'A'+qt, s.QPS[qt].Len())
-		}
 	}
 	// Type B includes an SSD wait, so its latency exceeds its CPU time.
 	if p50 := s.Totals[QueryB].Hist.P50(); p50 < ssdWait {
@@ -211,7 +208,7 @@ func TestSearchEndToEnd(t *testing.T) {
 
 func TestVMSetCompletes(t *testing.T) {
 	eng, k, cfs := testKernel(t, 8)
-	set := NewVMSet(k, 2, 4, 5*sim.Millisecond, 500*sim.Microsecond,
+	set := NewVMSet(2, 4, 5*sim.Millisecond, 500*sim.Microsecond,
 		func(name string, tag any, body kernel.ThreadFunc) *kernel.Thread {
 			return k.Spawn(kernel.SpawnOpts{Name: name, Class: cfs, Tag: tag}, body)
 		})
@@ -222,9 +219,9 @@ func TestVMSetCompletes(t *testing.T) {
 	if set.Done == 0 {
 		t.Fatal("done time unset")
 	}
-	for _, vm := range set.VMs {
+	for i, vm := range set.VMs {
 		for _, v := range vm.VCPUs {
-			if VMOf(v) != vm.ID {
+			if VMOf(v) != i {
 				t.Fatal("VM tag mismatch")
 			}
 		}
@@ -245,9 +242,6 @@ func TestIsolationCheckerDetectsViolations(t *testing.T) {
 	eng.RunFor(10 * sim.Millisecond)
 	if ic.Violations == 0 {
 		t.Fatal("checker missed cross-VM sibling co-scheduling")
-	}
-	if ic.Checks == 0 {
-		t.Fatal("checker never ran")
 	}
 }
 
