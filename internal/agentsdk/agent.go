@@ -694,7 +694,10 @@ func (r *runner) localStep(now sim.Time) (sim.Duration, kernel.Action) {
 		drained += len(dmsgs)
 		for _, m := range dmsgs {
 			if m.Type == ghostcore.MsgThreadCreated {
-				if t := set.k.Thread(m.TID); t != nil {
+				// A thread that died before this drain is not placed:
+				// its THREAD_DEAD follows, and placing it would only
+				// advance the policy's placement state.
+				if t := set.k.Thread(m.TID); t != nil && t.State() != kernel.StateDead {
 					cpu := set.percpu.AssignCPU(set.ctx, t)
 					if tr := set.runner(cpu); tr != nil {
 						_ = set.enc.AssociateQueue(t, tr.queue)

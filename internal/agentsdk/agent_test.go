@@ -370,6 +370,49 @@ func TestPerCPUForgetsDeadThreads(t *testing.T) {
 	}
 }
 
+// assignLog is a per-CPU FIFO that records every thread it places.
+type assignLog struct {
+	*policies.PerCPUFIFO
+	assigned []kernel.TID
+}
+
+func (p *assignLog) AssignCPU(ctx *agentsdk.Context, t *kernel.Thread) hw.CPUID {
+	p.assigned = append(p.assigned, t.TID())
+	return p.PerCPUFIFO.AssignCPU(ctx, t)
+}
+
+// TestPerCPUSkipsThreadsDeadAtCreation: a thread killed before its
+// THREAD_CREATED is drained is never placed, so it neither moves the
+// round-robin cursor nor routes its messages to another CPU's agent.
+func TestPerCPUSkipsThreadsDeadAtCreation(t *testing.T) {
+	e := newEnv(t, 4)
+	pol := &assignLog{PerCPUFIFO: policies.NewPerCPUFIFO()}
+	set := agentsdk.Start(e.k, e.enc, e.ac, pol, agentsdk.PerCPU())
+	doomed := e.enc.SpawnThread(kernel.SpawnOpts{Name: "doomed"}, func(tc *kernel.TaskContext) {
+		tc.Run(10 * sim.Microsecond)
+	})
+	e.k.Kill(doomed)
+	live := e.enc.SpawnThread(kernel.SpawnOpts{Name: "live"}, func(tc *kernel.TaskContext) {
+		tc.Run(10 * sim.Microsecond)
+		tc.Block()
+	})
+	e.eng.RunFor(sim.Millisecond)
+	if len(pol.assigned) != 1 || pol.assigned[0] != live.TID() {
+		t.Fatalf("placed %v, want only the live T%d", pol.assigned, live.TID())
+	}
+	rec, err := set.SaveRec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := e.enc.CPUs().First()
+	if len(rec.ThreadCPU) != 1 || rec.ThreadCPU[0] != [2]int{int(live.TID()), int(first)} {
+		t.Fatalf("placements %v, want T%d on the first CPU %d", rec.ThreadCPU, live.TID(), first)
+	}
+	if live.State() != kernel.StateBlocked {
+		t.Fatalf("live thread %v at 1ms, want blocked after its run", live.State())
+	}
+}
+
 // commitTimes records the instant of every committed transaction.
 type commitTimes struct {
 	eng *sim.Engine

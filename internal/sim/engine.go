@@ -68,21 +68,29 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // Timing-wheel geometry. Buckets are 2^bucketShift ns wide and the wheel
 // holds numBuckets of them, so the near horizon spans wheelSpan ns
-// (1024 × 1.024 µs ≈ 1.05 ms) ahead of the wheel base. The figures are
+// (4096 × 256 ns ≈ 1.05 ms) ahead of the wheel base. The span is
 // calibrated to the simulator's event mix: context-switch and message
-// costs (0.1–5 µs), scheduling quanta (5–250 µs), agent wakeups and most
-// of Search's 0.1–2 ms request completions land inside the wheel, so the
-// cancels that preemption makes against those completions are list
-// unlinks. Only millisecond-scale timers (ticks, watchdogs, deadlines)
-// and the longest completions take the spill path, and each migrates
-// into the wheel at most once. A bucket is one pointer, so the wheel
-// costs 8 KB per engine; a wider wheel measured no faster. Geometry
-// affects performance only — dispatch order is the (at, seq) total order
-// regardless.
+// costs (0.1–5 µs), scheduling quanta (5–250 µs), agent wakeups, the
+// kernel's 1 ms tick and most of Search's 0.1–2 ms request completions
+// land inside the wheel, so the cancels that preemption makes against
+// those completions are list unlinks. Only the longer timers (watchdogs,
+// deadlines) and completions take the spill path, and each migrates into
+// the wheel at most once. A 524 µs span spills every tick and many of
+// Search's completions, and measured slower.
+//
+// The width is calibrated to a 256-CPU machine: its context-switch ends
+// and transaction installs land 0.1–2 µs ahead, and with 1 µs buckets
+// 37% of search-ghost's wheel inserts found a later event already in
+// their bucket and walked back past it. 256 ns buckets keep those
+// near-term events apart (search-cfs ran 2-4% faster). A bucket is one
+// pointer, so the wheel costs 32 KB per engine; narrower buckets ran
+// faster still but pushed shinjuku-rocksdb's peak heap past its bound
+// (DESIGN.md §3i). Geometry affects performance only — dispatch order is
+// the (at, seq) total order regardless.
 const (
-	bucketShift = 10
+	bucketShift = 8
 	bucketWidth = Time(1) << bucketShift
-	numBuckets  = 1024
+	numBuckets  = 4096
 	bucketMask  = numBuckets - 1
 	wheelSpan   = bucketWidth * numBuckets
 )
@@ -391,9 +399,10 @@ func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now + d) }
 // head (the tail is head.prev), so a bucket costs one pointer.
 type evList struct{ head *event }
 
-// insert links ev in (at, seq) order, walking back from the tail: events
-// mostly arrive in time order, so the walk usually stops at once (and
-// always does for the lane, whose events arrive in seq order).
+// insert links ev in (at, seq) order, walking back from the tail past
+// every later event. The walk always stops at once for the lane, whose
+// events arrive in seq order; in a bucket it is as long as the bucket is
+// crowded, which the wheel's narrow buckets keep short.
 func (l *evList) insert(ev *event) {
 	h := l.head
 	if h == nil {

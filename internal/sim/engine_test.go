@@ -326,6 +326,21 @@ func TestEngineCancelEagerRemoval(t *testing.T) {
 	}
 }
 
+// TestWheelSpanHoldsTick pins the wheel's span: a timer 1 ms ahead (the
+// kernel's tick period, re-armed on every CPU) files into the wheel from
+// every clock phase within a bucket, never into the spill heap.
+func TestWheelSpanHoldsTick(t *testing.T) {
+	fn := func(any) {}
+	for phase := Time(0); phase < bucketWidth; phase++ {
+		e := NewEngine()
+		e.RunUntil(5*Millisecond + phase)
+		h := e.AfterCall(Millisecond, fn, nil)
+		if h.e.slot == slotSpill {
+			t.Fatalf("at %v a 1ms timer spilled: the wheel spans %v from its base %v", e.Now(), wheelSpan, e.base)
+		}
+	}
+}
+
 func TestEngineAtCallOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
@@ -429,75 +444,111 @@ func BenchmarkEngineScheduleCancel(b *testing.B) {
 	}
 }
 
-// mixLoad replays search-ghost's measured event mix on a bare engine:
-// 30% of scheduled events are due at now, 21% are cancelled 200 µs
-// before they are due, and about 340 events stay live, with 44% of
-// events scheduled more than 262 µs ahead. Every fired event schedules
-// one successor drawn from a fixed plan, so the population holds steady.
+// mixLoad replays search-cfs's event mix on a bare engine, for a 256-CPU
+// machine of 128 SMT pairs. Each CPU cycles through a reschedule pass
+// (due at now), a context-switch end 0.1-2 µs ahead and a run
+// completion, mostly 250-400 µs ahead and 4% past the wheel's span. A
+// completion speeds up its sibling's run and a switch end slows it down,
+// each by re-timing the sibling's completion (a Move); one switch end in
+// twenty preempts the sibling instead (a cancel). Requests arrive about
+// every 2.4 µs and each triggers two reschedule passes, and every CPU
+// ticks once a millisecond. Per dispatch that is 43% reschedule passes,
+// 20% switch ends, 19% completions, 12% arrivals and 7% ticks; of all
+// schedules 31% are due at now, 27% are Moves, 0.7% cancels and 1.6%
+// spill pushes. With the switch ends of 256 CPUs in flight, 1 µs
+// buckets hold several of them in no particular order: a third of wheel
+// inserts walk back past a later event, as on search-ghost.
 type mixLoad struct {
-	e       *Engine
-	plan    []mixDraw
-	next    int
-	victims [1024]Event // doomed events, each awaiting its canceller
-	nv      int
-	fire    func(any)
-	cancel  func(any)
+	e    *Engine
+	plan []Time // pre-drawn uniform variates in [0, 1e6)
+	next int
+	done [256]Event // each CPU's pending run completion
+
+	resched, switched, completed, arrived, ticked, idle func(any)
 }
 
-// mixDraw is one successor: a delay, or (doomed) an event that a
-// canceller scheduled 200 µs before its due time takes out.
-type mixDraw struct {
-	d      Time
-	doomed bool
+const mixCPUs = len(mixLoad{}.done)
+
+// draw returns the next pre-drawn variate, in [0, 1e6).
+func (m *mixLoad) draw() Time {
+	v := m.plan[m.next]
+	m.next = (m.next + 1) & (len(m.plan) - 1)
+	return v
 }
 
-func newMixLoad(live int) *mixLoad {
+func newMixLoad() *mixLoad {
 	m := &mixLoad{e: NewEngine()}
-	m.fire, m.cancel = m.onFire, m.onCancel
+	m.resched, m.switched, m.completed = m.onResched, m.onSwitch, m.onComplete
+	m.arrived, m.ticked, m.idle = m.onArrival, m.onTick, func(any) {}
 	rng := NewRand(1)
-	uniform := func(lo, hi Time) Time { return lo + Time(rng.Intn(int(hi-lo))) }
-	m.plan = make([]mixDraw, 1<<12)
+	m.plan = make([]Time, 1<<16)
 	for i := range m.plan {
-		switch u := rng.Intn(100); {
-		case u < 38: // Resched, Poke and the other zero-delay events
-		case u < 65: // a completion that preemption cancels
-			m.plan[i] = mixDraw{d: uniform(200*Microsecond, 2*Millisecond), doomed: true}
-		case u < 80: // context-switch and message costs
-			m.plan[i].d = uniform(100, 5*Microsecond)
-		case u < 92: // scheduling quanta
-			m.plan[i].d = uniform(5*Microsecond, 250*Microsecond)
-		default: // completions that fire
-			m.plan[i].d = uniform(100*Microsecond, 2*Millisecond)
-		}
+		m.plan[i] = Time(rng.Intn(1e6))
 	}
-	for i := 0; i < live; i++ {
-		m.e.AfterCall(uniform(0, 2*Millisecond), m.fire, nil)
+	// A CPU number boxes into an any without allocating (Go keeps static
+	// boxes for values below 256).
+	for cpu := 0; cpu < mixCPUs; cpu++ {
+		m.e.AfterCall(m.draw()*Millisecond/1e6, m.ticked, cpu)
+		m.e.AfterCall(m.draw()*400*Microsecond/1e6, m.completed, cpu)
 	}
+	m.e.AfterCall(0, m.arrived, nil)
 	return m
 }
 
-func (m *mixLoad) onFire(any) {
-	p := m.plan[m.next]
-	m.next = (m.next + 1) & (len(m.plan) - 1)
-	if !p.doomed {
-		m.e.AfterCall(p.d, m.fire, nil)
-		return
+// retime re-files cpu's pending completion at num/den of its remaining
+// time, as an SMT sibling's change of state does.
+func (m *mixLoad) retime(cpu int, num, den Time) {
+	if h := m.done[cpu]; h.Pending() {
+		now := m.e.Now()
+		h.Move(now + (h.e.at-now)*num/den)
 	}
-	v := &m.victims[m.nv]
-	m.nv = (m.nv + 1) & (len(m.victims) - 1)
-	*v = m.e.AfterCall(p.d, m.fire, nil)
-	m.e.AfterCall(p.d-200*Microsecond, m.cancel, v)
 }
 
-func (m *mixLoad) onCancel(arg any) {
-	arg.(*Event).Cancel()
-	m.onFire(nil)
+// onComplete ends a run: the CPU's agent pass is due at once, and the
+// sibling runs faster.
+func (m *mixLoad) onComplete(arg any) {
+	cpu := arg.(int)
+	m.e.AfterCall(0, m.resched, cpu)
+	m.retime(cpu^1, 4, 5)
 }
+
+// onResched switches the next thread in, which takes 0.1-2 µs.
+func (m *mixLoad) onResched(cpu any) {
+	m.e.AfterCall(100+m.draw()*1900/1e6, m.switched, cpu)
+}
+
+// onSwitch starts the CPU's next run, and slows or preempts its
+// sibling's.
+func (m *mixLoad) onSwitch(arg any) {
+	cpu := arg.(int)
+	d := 250*Microsecond + m.draw()*150*Microsecond/1e6
+	if u := m.draw(); u < 40000 { // past the wheel's span
+		d = 1100*Microsecond + u*20
+	}
+	m.done[cpu] = m.e.AfterCall(d, m.completed, cpu)
+	if sib := m.done[cpu^1]; sib.Pending() && m.draw() < 50000 {
+		sib.Cancel()
+		m.e.AfterCall(0, m.resched, cpu^1)
+		return
+	}
+	m.retime(cpu^1, 5, 4)
+}
+
+// onArrival wakes a worker and an idle CPU, and schedules the next
+// request.
+func (m *mixLoad) onArrival(any) {
+	m.e.AfterCall(0, m.idle, nil)
+	m.e.AfterCall(0, m.idle, nil)
+	m.e.AfterCall(m.draw()*4800/1e6, m.arrived, nil)
+}
+
+// onTick re-arms the CPU's 1 ms timer tick.
+func (m *mixLoad) onTick(cpu any) { m.e.AfterCall(Millisecond, m.ticked, cpu) }
 
 // BenchmarkEngineMix measures one dispatch of the mixed load, with the
 // schedules and cancels it triggers.
 func BenchmarkEngineMix(b *testing.B) {
-	m := newMixLoad(200)
+	m := newMixLoad()
 	for i := 0; i < 100000; i++ { // reach the steady state
 		m.e.step(MaxTime)
 	}

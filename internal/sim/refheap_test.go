@@ -153,16 +153,33 @@ func (r *refHeap) down(i int) {
 }
 
 // refDelays draws delays across the engine's interesting ranges: zero
-// (the now-lane), sub-bucket, bucket-straddling, bucket-aligned, across
-// the wheel span's edge, and far past it (spill migration).
-var refDelays = []func(rng *Rand) Time{
-	func(rng *Rand) Time { return 0 },
-	func(rng *Rand) Time { return Time(rng.Intn(int(bucketWidth))) },
-	func(rng *Rand) Time { return Time(rng.Intn(int(8 * bucketWidth))) },
-	func(rng *Rand) Time { return Time(rng.Intn(64)) * bucketWidth },
-	func(rng *Rand) Time { return Time(rng.Intn(int(2 * wheelSpan))) },
-	func(rng *Rand) Time { return wheelSpan - 2*bucketWidth + Time(rng.Intn(int(4*bucketWidth))) },
-	func(rng *Rand) Time { return Time(2+rng.Intn(8))*wheelSpan + Time(rng.Intn(int(wheelSpan))) },
+// (the now-lane), sub-bucket, bucket-straddling, bucket-aligned, packed
+// into one bucket, across the wheel span's edge, and far past it (spill
+// migration). Each takes the clock, so a generator can aim at a bucket.
+var refDelays = []func(rng *Rand, now Time) Time{
+	func(rng *Rand, now Time) Time { return 0 },
+	func(rng *Rand, now Time) Time { return Time(rng.Intn(int(bucketWidth))) },
+	func(rng *Rand, now Time) Time { return Time(rng.Intn(int(8 * bucketWidth))) },
+	func(rng *Rand, now Time) Time { return Time(rng.Intn(64)) * bucketWidth },
+	// Two buckets past the clock's, at a random offset: every event
+	// scheduled while the clock stays in one bucket crowds into the same
+	// later bucket in random order, as a 256-CPU machine's switch ends
+	// and installs do, so inserts walk back past later events.
+	func(rng *Rand, now Time) Time {
+		return (now>>bucketShift+2)<<bucketShift - now + Time(rng.Intn(int(bucketWidth)))
+	},
+	func(rng *Rand, now Time) Time { return Time(rng.Intn(int(2 * wheelSpan))) },
+	func(rng *Rand, now Time) Time {
+		return wheelSpan - 2*bucketWidth + Time(rng.Intn(int(4*bucketWidth)))
+	},
+	func(rng *Rand, now Time) Time {
+		return Time(2+rng.Intn(8))*wheelSpan + Time(rng.Intn(int(wheelSpan)))
+	},
+}
+
+// randDelay draws a delay from a random generator of refDelays.
+func (r *diffRun) randDelay() Time {
+	return refDelays[r.rng.Intn(len(refDelays))](r.rng, r.eng.Now())
 }
 
 // diffRun is one differential trace: the engine and the reference in
@@ -185,7 +202,7 @@ type diffRun struct {
 
 	// Coverage: the paths the trace must have reached.
 	laneCancels, wheelCancels, laneTrips, restoredAtNow int
-	moves, staleMoves                                   int
+	moves, staleMoves, walkedInserts                    int
 }
 
 func (r *diffRun) fatalf(format string, args ...any) {
@@ -223,6 +240,9 @@ func (r *diffRun) schedule(d Time) int {
 }
 
 func (r *diffRun) scheduleAt(at Time) int {
+	if r.walks(at) {
+		r.walkedInserts++
+	}
 	id := r.nextID
 	r.nextID++
 	if id%3 == 0 {
@@ -234,6 +254,17 @@ func (r *diffRun) scheduleAt(at Time) int {
 	}
 	r.ref.schedule(at, id)
 	return id
+}
+
+// walks reports whether an event scheduled at at will be filed into a
+// wheel bucket whose tail is later, so that its insert walks back.
+func (r *diffRun) walks(at Time) bool {
+	e := r.eng
+	if at == e.now || at-e.base >= wheelSpan {
+		return false
+	}
+	h := e.buckets[int(at>>bucketShift)&bucketMask].head
+	return h != nil && at < h.prev.at
 }
 
 // cancel cancels id on both sides; they must agree on whether it was
@@ -302,7 +333,7 @@ func (r *diffRun) dispatch(a any) {
 	}
 	switch k := r.rng.Intn(40); {
 	case k < 6: // schedule from inside dispatch
-		r.schedule(refDelays[r.rng.Intn(len(refDelays))](r.rng))
+		r.schedule(r.randDelay())
 	case k < 10: // a nested zero-delay chain
 		r.chain[r.schedule(0)] = r.rng.Intn(4)
 	case k < 13: // cancel a fresh lane event
@@ -316,7 +347,7 @@ func (r *diffRun) dispatch(a any) {
 		}
 		r.roundTrip()
 	case k < 22: // move a recent event, live or stale, from inside dispatch
-		r.move(r.nextID-1-r.rng.Intn(min(r.nextID, 12)), refDelays[r.rng.Intn(len(refDelays))](r.rng))
+		r.move(r.nextID-1-r.rng.Intn(min(r.nextID, 12)), r.randDelay())
 	}
 }
 
@@ -402,17 +433,17 @@ func (r *diffRun) roundTrip() {
 // zero-delay chains), cancel and move lane and wheel events and make a
 // checkpoint round trip from inside dispatch.
 func TestEngineMatchesReferenceHeap(t *testing.T) {
-	var laneCancels, wheelCancels, laneTrips, restoredAtNow, moves, staleMoves int
+	var laneCancels, wheelCancels, laneTrips, restoredAtNow, moves, staleMoves, walkedInserts int
 	for trace := 0; trace < 60; trace++ {
 		r := newDiffRun(t, trace)
 		eng, rng := r.eng, r.rng
 		for i := 0; i < 20; i++ {
-			r.schedule(refDelays[rng.Intn(len(refDelays))](rng))
+			r.schedule(r.randDelay())
 		}
 		for op := 0; op < 400; op++ {
 			switch rng.Intn(13) {
 			case 0, 1, 2, 3:
-				r.schedule(refDelays[rng.Intn(len(refDelays))](rng))
+				r.schedule(r.randDelay())
 			case 4, 5:
 				// Cancel a random known id, live or stale.
 				r.cancel(rng.Intn(r.nextID))
@@ -426,7 +457,7 @@ func TestEngineMatchesReferenceHeap(t *testing.T) {
 				r.reverseBurst()
 			case 8:
 				// Move a random known id, live or stale.
-				r.move(rng.Intn(r.nextID), refDelays[rng.Intn(len(refDelays))](rng))
+				r.move(rng.Intn(r.nextID), r.randDelay())
 			default:
 				r.run(eng.Now() + Time(rng.Intn(int(wheelSpan/2))))
 			}
@@ -444,11 +475,12 @@ func TestEngineMatchesReferenceHeap(t *testing.T) {
 		restoredAtNow += r.restoredAtNow
 		moves += r.moves
 		staleMoves += r.staleMoves
+		walkedInserts += r.walkedInserts
 	}
-	if laneCancels == 0 || wheelCancels == 0 || laneTrips == 0 || restoredAtNow == 0 || moves == 0 || staleMoves == 0 {
-		t.Fatalf("traces missed a path: %d lane cancels, %d wheel cancels, %d round trips with a non-empty lane, %d events restored at now, %d moves, %d stale moves",
-			laneCancels, wheelCancels, laneTrips, restoredAtNow, moves, staleMoves)
+	if laneCancels == 0 || wheelCancels == 0 || laneTrips == 0 || restoredAtNow == 0 || moves == 0 || staleMoves == 0 || walkedInserts == 0 {
+		t.Fatalf("traces missed a path: %d lane cancels, %d wheel cancels, %d round trips with a non-empty lane, %d events restored at now, %d moves, %d stale moves, %d walked inserts",
+			laneCancels, wheelCancels, laneTrips, restoredAtNow, moves, staleMoves, walkedInserts)
 	}
-	t.Logf("%d lane cancels, %d wheel cancels, %d round trips with a non-empty lane, %d events restored at now, %d moves, %d stale moves",
-		laneCancels, wheelCancels, laneTrips, restoredAtNow, moves, staleMoves)
+	t.Logf("%d lane cancels, %d wheel cancels, %d round trips with a non-empty lane, %d events restored at now, %d moves, %d stale moves, %d walked inserts",
+		laneCancels, wheelCancels, laneTrips, restoredAtNow, moves, staleMoves, walkedInserts)
 }
