@@ -106,11 +106,6 @@ func realMain() int {
 		fmt.Fprintf(os.Stderr, "-snapshot-every/-restore need a single run; drop -seeds\n")
 		return 1
 	}
-	if c.SnapshotEvery > 0 && *faultsIn != "" {
-		fmt.Fprintf(os.Stderr, "-snapshot-every is incompatible with -faults: pending fault closures fall outside the snapshot envelope\n")
-		return 1
-	}
-
 	sc := scenario{
 		machine: *machine, topo: topo, sched: *sched, rate: *rate,
 		service: *service, bimodal: *bimodal, workers: *workers, cpus: *cpus,
@@ -183,9 +178,14 @@ func realMain() int {
 }
 
 // validate rejects workload flags that would panic or simulate nothing,
-// before any machine is built.
+// and a fault plan that a snapshot cannot carry, before any machine is
+// built.
 func (sc scenario) validate() error {
 	switch {
+	case sc.snapEvery > 0 && sc.faultsIn != "":
+		return fmt.Errorf("-snapshot-every is incompatible with -faults: pending fault closures fall outside the snapshot envelope")
+	case sc.restore != "" && sc.faultsIn != "":
+		return fmt.Errorf("-restore is incompatible with -faults: a snapshot carries no fault plan, so the resumed run could not inject one")
 	case !(sc.rate > 0) || math.IsInf(sc.rate, 1):
 		return fmt.Errorf("-rate %v: want a finite arrival rate above 0", sc.rate)
 	case sc.service < 0:
@@ -293,22 +293,30 @@ func (sc scenario) run() (string, error) {
 				len(vs), sc.seed)
 		}
 	}
-	if sc.traceOut != "" {
-		f, err := os.Create(sc.traceOut)
-		if err != nil {
-			return b.String(), fmt.Errorf("trace: %w", err)
-		}
-		if err := m.TraceTo(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			return b.String(), fmt.Errorf("trace: %w", err)
-		}
-		fmt.Fprintf(&b, "trace:     %s (load at ui.perfetto.dev)\n", sc.traceOut)
+	err := sc.writeTrace(&b, m)
+	return b.String(), err
+}
+
+// writeTrace writes m's trace to the -trace file, if one was asked for,
+// and names it in the report.
+func (sc scenario) writeTrace(b *strings.Builder, m *ghost.Machine) error {
+	if sc.traceOut == "" {
+		return nil
 	}
-	return b.String(), nil
+	f, err := os.Create(sc.traceOut)
+	if err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	if err := m.TraceTo(f); err == nil {
+		err = f.Close()
+	} else {
+		f.Close()
+	}
+	if err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	fmt.Fprintf(b, "trace:     %s (load at ui.perfetto.dev)\n", sc.traceOut)
+	return nil
 }
 
 // runCheckpointed runs m to -dur of total simulated time. With
@@ -392,6 +400,9 @@ func (sc scenario) runRestored() (string, error) {
 			return m.NewPoissonShell(func(r *ghost.Request) { pool.Submit(r) }), nil
 		}),
 	}
+	if sc.traceOut != "" {
+		opts = append(opts, ghost.WithTrace(ghost.NewTracer()))
+	}
 	m, err := ghost.Restore(snapshot, opts...)
 	if err != nil {
 		return "", fmt.Errorf("%s: %w", sc.restore, err)
@@ -413,5 +424,6 @@ func (sc scenario) runRestored() (string, error) {
 	if sc.metrics {
 		fmt.Fprint(&b, m.Metrics())
 	}
-	return b.String(), nil
+	err = sc.writeTrace(&b, m)
+	return b.String(), err
 }

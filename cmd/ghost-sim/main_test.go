@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -29,7 +30,8 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 }
 
 // Each of these values used to panic (rate, service, -cpus -1 under a
-// ghOSt scheduler) or run and print an empty result with exit 0.
+// ghOSt scheduler) or run and print an empty result with exit 0, and a
+// -restore run ignored its -faults plan.
 func TestValidateRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		flag string
@@ -46,6 +48,8 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		{"-workers", func(sc *scenario) { sc.workers = -1 }},
 		{"-dur", func(sc *scenario) { sc.dur = -time.Millisecond }},
 		{"-dur", func(sc *scenario) { sc.dur = 0 }},
+		{"-snapshot-every", func(sc *scenario) { sc.snapEvery, sc.faultsIn = time.Millisecond, "msgdrop@6ms/1ms" }},
+		{"-restore", func(sc *scenario) { sc.restore, sc.faultsIn = "x.snap", "msgdrop@6ms/1ms" }},
 	} {
 		sc := validScenario()
 		tc.set(&sc)
@@ -86,6 +90,56 @@ func TestRestoreMetrics(t *testing.T) {
 		if want == "" || got != want {
 			t.Errorf("restored run's %q line is %q, the full run's %q", prefix, got, want)
 		}
+	}
+}
+
+// TestRestoreTrace: -trace after -restore writes the resumed span's
+// trace as a valid trace_event file.
+func TestRestoreTrace(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+
+	sc := validScenario()
+	sc.machine, sc.topo, sc.sched, sc.seed = "xeon-e5", ghost.XeonE5(), "ghost-fifo", 1
+	sc.dur, sc.snapEvery = 10*time.Millisecond, 5*time.Millisecond
+	if out, err := sc.run(); err != nil {
+		t.Fatalf("full run: %v\n%s", err, out)
+	}
+	sc.snapEvery, sc.restore, sc.traceOut = 0, "ghost-sim-seed1-t5.000ms.snap", "out.json"
+	resumed, err := sc.runRestored()
+	if err != nil {
+		t.Fatalf("restored run: %v\n%s", err, resumed)
+	}
+	if lineWith(resumed, "trace:") == "" {
+		t.Errorf("restored run names no trace file:\n%s", resumed)
+	}
+	raw, err := os.ReadFile("out.json")
+	if err != nil {
+		t.Fatalf("restored run wrote no trace: %v", err)
+	}
+	var tf struct {
+		TraceEvents []struct {
+			Ph string  `json:"ph"`
+			Ts float64 `json:"ts"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &tf); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	resumedEvents := 0
+	for _, e := range tf.TraceEvents {
+		if e.Ph != "M" && e.Ts >= 5000 {
+			resumedEvents++
+		}
+	}
+	if resumedEvents == 0 {
+		t.Error("restored run's trace holds no event of the resumed span")
 	}
 }
 

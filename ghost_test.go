@@ -117,3 +117,26 @@ func TestMicroQuantaFacade(t *testing.T) {
 		t.Fatalf("MicroQuanta share = %.2f, want ~0.9", share)
 	}
 }
+
+// TestWithoutMetricsAttachesNoTracer: WithoutMetrics leaves no tracer on
+// any kernel hook, ghOSt observer list or fault observer list, so
+// BenchmarkTraceOverheadOff measures a machine with nothing attached.
+// The default tracer is one switch, idle and wake hook, is filed once
+// under each of the nine ghOSt events it records, and observes the
+// injector.
+func TestWithoutMetricsAttachesNoTracer(t *testing.T) {
+	count := func(opts ...ghost.MachineOption) [5]int {
+		m := ghost.NewMachine(ghost.XeonE5(), append(opts, ghost.WithFaults(ghost.NewFaultPlan(1)))...)
+		defer m.Shutdown()
+		s, i, w, o, f := ghost.ObserverCounts(m)
+		return [5]int{s, i, w, o, f}
+	}
+	off, on := count(ghost.WithoutMetrics()), count()
+	if off[0] != 0 || off[2] != 0 || off[3] != 0 || off[4] != 0 {
+		t.Errorf("WithoutMetrics: %d switch hooks, %d wake hooks, %d ghOSt observers, %d fault observers; want none",
+			off[0], off[2], off[3], off[4])
+	}
+	if want := [5]int{off[0] + 1, off[1] + 1, off[2] + 1, 9, 1}; on != want {
+		t.Errorf("default tracer: switch, idle, wake hooks, ghOSt observers, fault observers = %v, want %v", on, want)
+	}
+}

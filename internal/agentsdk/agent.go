@@ -320,9 +320,7 @@ func (set *AgentSet) registerFaultHooks(in *faults.Injector, upgrade func() any)
 				return
 			}
 			if upgrade == nil {
-				if tr := set.k.Tracer(); tr != nil {
-					tr.EnclaveEvent(now, encID, "upgrade-skipped", "no upgrade policy")
-				}
+				set.enc.SkipUpgrade("no upgrade policy")
 				return
 			}
 			set.Stop()
@@ -548,9 +546,9 @@ func (r *runner) step(t *kernel.Thread) (kernel.Action, bool) {
 			// Inactive agent: vacate the CPU immediately (§3.3).
 			return r.charge.Then(0, kernel.BlockAction()), true
 		}
-		cost, after = r.globalStep(now)
+		cost, after = r.globalStep()
 	} else {
-		cost, after = r.localStep(now)
+		cost, after = r.localStep()
 	}
 	if now < r.slowUntil && r.slowFactor > 1 && cost > 0 {
 		cost = sim.Duration(float64(cost) * r.slowFactor)
@@ -558,33 +556,21 @@ func (r *runner) step(t *kernel.Thread) (kernel.Action, bool) {
 	return r.charge.Then(cost, after), true
 }
 
-// drain consumes a queue, charging per-message cost and recording
-// delivery latency.
-func (r *runner) drain(q *ghostcore.Queue, now sim.Time) ([]ghostcore.Message, sim.Duration) {
-	cm := r.set.k.Cost()
-	tr := r.set.k.Tracer()
-	msgs := q.Drain()
-	cost := sim.Duration(len(msgs)) * cm.MsgDequeue
-	for _, m := range msgs {
-		// Delivery latency in the Table 3 sense: producing the message,
-		// any wakeup/propagation delay, and consuming it.
-		if tr != nil {
-			lat := now - m.Posted + cm.MsgEnqueue + cm.MsgDequeue
-			tr.MsgDelivered(now, r.set.enc.ID(), r.cpu, m.Type.String(), uint64(m.TID), lat)
-		}
-	}
-	return msgs, cost
+// drain consumes a queue, charging per-message cost.
+func (r *runner) drain(q *ghostcore.Queue) ([]ghostcore.Message, sim.Duration) {
+	msgs := q.Drain(r.cpu)
+	return msgs, sim.Duration(len(msgs)) * r.set.k.Cost().MsgDequeue
 }
 
 // globalStep is the centralized scheduling loop (Fig 4). It returns the
 // step's cost and the action that follows it, as localStep does.
-func (r *runner) globalStep(now sim.Time) (sim.Duration, kernel.Action) {
+func (r *runner) globalStep() (sim.Duration, kernel.Action) {
 	set := r.set
 	cm := set.k.Cost()
 	cost := cm.AgentLoopOverhead
 	committed := 0
 
-	msgs, c1 := r.drain(set.globalQueue, now)
+	msgs, c1 := r.drain(set.globalQueue)
 	cost += c1
 	for _, m := range msgs {
 		set.global.OnMessage(set.ctx, m)
@@ -642,9 +628,7 @@ func (r *runner) globalStep(now sim.Time) (sim.Duration, kernel.Action) {
 			}
 		}
 	}
-	if tr := set.k.Tracer(); tr != nil {
-		tr.AgentStep(now, set.enc.ID(), r.cpu, cost, len(msgs), committed, "global")
-	}
+	set.enc.ReportAgentStep(r.cpu, cost, len(msgs), committed, "global")
 	return cost, kernel.SpinAction()
 }
 
@@ -672,24 +656,19 @@ func (set *AgentSet) reportTxns(txns []*ghostcore.Txn, asgs []Assignment) {
 func (c *Context) PreemptCPU(cpu hw.CPUID) { c.Enclave.PreemptCPU(cpu) }
 
 // localStep is the per-CPU scheduling loop (Fig 3).
-func (r *runner) localStep(now sim.Time) (sim.Duration, kernel.Action) {
+func (r *runner) localStep() (sim.Duration, kernel.Action) {
 	set := r.set
 	cm := set.k.Cost()
 	cost := cm.AgentLoopOverhead
 	aseq := r.agent.Seq()
 	drained := 0
-	// span emits the wake→decision→commit span for this step on the
-	// agent's trace track.
-	span := func(txns int) {
-		if tr := set.k.Tracer(); tr != nil {
-			tr.AgentStep(now, set.enc.ID(), r.cpu, cost, drained, txns, "local")
-		}
-	}
+	// span reports the wake→decision→commit span of this step.
+	span := func(txns int) { set.enc.ReportAgentStep(r.cpu, cost, drained, txns, "local") }
 
 	// The first CPU's agent also drains the default queue, assigning
 	// new threads to CPUs.
 	if r.cpu == set.enc.CPUs().First() {
-		dmsgs, dc := r.drain(set.enc.DefaultQueue(), now)
+		dmsgs, dc := r.drain(set.enc.DefaultQueue())
 		cost += dc
 		drained += len(dmsgs)
 		for _, m := range dmsgs {
@@ -724,7 +703,7 @@ func (r *runner) localStep(now sim.Time) (sim.Duration, kernel.Action) {
 		}
 	}
 
-	msgs, mc := r.drain(r.queue, now)
+	msgs, mc := r.drain(r.queue)
 	cost += mc
 	drained += len(msgs)
 	for _, m := range msgs {

@@ -54,7 +54,8 @@ func spawnWorkers(e *env, n, iters int, work sim.Duration) []*kernel.Thread {
 func TestCentralizedSchedulesWorkers(t *testing.T) {
 	e := newEnv(t, 8)
 	tr := trace.NewMetricsOnly()
-	e.k.SetTracer(tr)
+	trace.Attach(tr, e.k)
+	e.g.AddObserver(tr)
 	set := agentsdk.Start(e.k, e.enc, e.ac, policies.NewCentralFIFO(), agentsdk.Global())
 	workers := spawnWorkers(e, 4, 10, 20*sim.Microsecond)
 	// Drive: wake each worker every 100us.

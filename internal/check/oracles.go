@@ -250,7 +250,7 @@ func (o *statusWordOracle) report() {
 	}
 }
 
-func (o *statusWordOracle) Latched(e *ghostcore.Enclave, cpu hw.CPUID, t *kernel.Thread) {
+func (o *statusWordOracle) Latched(e *ghostcore.Enclave, cpu hw.CPUID, t *kernel.Thread, _ ghostcore.Commit) {
 	on := at(&o.latchedOn, int(t.TID()))
 	if *on != 0 {
 		if prev := *on - 1; prev != cpu {
@@ -371,7 +371,7 @@ func (o *conservationOracle) MsgIntent(e *ghostcore.Enclave, tid kernel.TID, mt 
 	o.line(e, tid, mt).intents++
 }
 
-func (o *conservationOracle) MsgDelivered(e *ghostcore.Enclave, m ghostcore.Message, dup, delayed bool) {
+func (o *conservationOracle) MsgDelivered(e *ghostcore.Enclave, _ *ghostcore.Queue, m ghostcore.Message, dup, delayed bool) {
 	if m.Type == ghostcore.MsgTimerTick || m.TID == 0 {
 		return
 	}
@@ -410,7 +410,7 @@ func (o *conservationOracle) MsgDiscarded(e *ghostcore.Enclave, m ghostcore.Mess
 	o.line(e, m.TID, m.Type).discarded++
 }
 
-func (o *conservationOracle) MsgDrained(e *ghostcore.Enclave, m ghostcore.Message) {
+func (o *conservationOracle) MsgDrained(e *ghostcore.Enclave, m ghostcore.Message, _ hw.CPUID) {
 	if m.Type == ghostcore.MsgTimerTick || m.TID == 0 {
 		return
 	}
@@ -480,7 +480,7 @@ func (o *lostThreadOracle) MsgFaultDropped(e *ghostcore.Enclave, m ghostcore.Mes
 	}
 }
 
-func (o *lostThreadOracle) MsgDelivered(e *ghostcore.Enclave, m ghostcore.Message, dup, delayed bool) {
+func (o *lostThreadOracle) MsgDelivered(e *ghostcore.Enclave, _ *ghostcore.Queue, m ghostcore.Message, dup, delayed bool) {
 	if m.TID == 0 || !m.Runnable || delayed {
 		// Delayed messages were already counted at MsgDelayed.
 		return
@@ -495,7 +495,7 @@ func (o *lostThreadOracle) MsgDelayed(e *ghostcore.Enclave, m ghostcore.Message)
 	at(&o.threads, int(m.TID)).queued++
 }
 
-func (o *lostThreadOracle) MsgDrained(e *ghostcore.Enclave, m ghostcore.Message) {
+func (o *lostThreadOracle) MsgDrained(e *ghostcore.Enclave, m ghostcore.Message, _ hw.CPUID) {
 	if m.TID == 0 || !m.Runnable {
 		return
 	}

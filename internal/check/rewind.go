@@ -200,13 +200,13 @@ func RewindFrom(s Scenario, img *snap.Image) (*RewindReport, error) {
 // picture instead of flagging drains of messages they never saw posted.
 func (c *Checker) PrimeResumed() {
 	for _, e := range c.g.Enclaves() {
-		e.EachQueuedMessage(func(m ghostcore.Message) {
+		e.EachQueuedMessage(func(q *ghostcore.Queue, m ghostcore.Message) {
 			for _, o := range c.oracles {
 				if x, ok := o.(ghostcore.MsgIntentObserver); ok {
 					x.MsgIntent(e, m.TID, m.Type)
 				}
 				if x, ok := o.(ghostcore.MsgDeliveredObserver); ok {
-					x.MsgDelivered(e, m, false, false)
+					x.MsgDelivered(e, q, m, false, false)
 				}
 			}
 		})

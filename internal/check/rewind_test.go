@@ -244,7 +244,7 @@ type faultCount struct {
 
 func (o *faultCount) Name() string { return "fault-count" }
 
-func (o *faultCount) MsgDelivered(_ *ghostcore.Enclave, _ ghostcore.Message, dup, _ bool) {
+func (o *faultCount) MsgDelivered(_ *ghostcore.Enclave, _ *ghostcore.Queue, _ ghostcore.Message, dup, _ bool) {
 	if dup {
 		o.dups++
 	}

@@ -86,9 +86,9 @@ func (o *twinStatusWord) SwitchIn(cpu *kernel.CPU, t *kernel.Thread) {
 	o.ref.SwitchIn(cpu, t)
 }
 
-func (o *twinStatusWord) Latched(e *ghostcore.Enclave, cpu hw.CPUID, t *kernel.Thread) {
-	o.statusWordOracle.Latched(e, cpu, t)
-	o.ref.Latched(e, cpu, t)
+func (o *twinStatusWord) Latched(e *ghostcore.Enclave, cpu hw.CPUID, t *kernel.Thread, c ghostcore.Commit) {
+	o.statusWordOracle.Latched(e, cpu, t, c)
+	o.ref.Latched(e, cpu, t, c)
 }
 
 func (o *twinStatusWord) Unlatched(e *ghostcore.Enclave, cpu hw.CPUID, t *kernel.Thread, why string) {

@@ -6,12 +6,12 @@
 // replayed identically on every run with the same seed.
 //
 // The subsystem is wired through hook points in the kernel (which holds
-// the Injector, mirroring its tracer), the ghOSt core (message posts,
-// remote-commit IPIs, transaction validation) and the agent SDK (which
-// registers AgentHooks per enclave so crash/stall/slow/upgrade faults
-// reach the live agent generation). Every injected fault is emitted
-// through internal/trace, so fault schedules show up on the timeline and
-// in the metrics report alongside the recovery actions they provoke
+// the Injector), the ghOSt core (message posts, remote-commit IPIs,
+// transaction validation) and the agent SDK (which registers AgentHooks
+// per enclave so crash/stall/slow/upgrade faults reach the live agent
+// generation). Every injected fault goes to the injector's observers;
+// the tracer is one, so fault schedules show up on the timeline and in
+// the metrics report alongside the recovery actions they provoke
 // (watchdog fires, CFS fallback, upgrade handoffs).
 package faults
 
@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"ghost/internal/sim"
-	"ghost/internal/trace"
 )
 
 // Kind enumerates the fault types a Plan can schedule.
@@ -359,9 +358,9 @@ type window struct {
 // interception methods — all of which are safe on a nil *Injector — and
 // the agent SDK registers AgentHooks per enclave.
 type Injector struct {
-	eng    *sim.Engine
-	rnd    *sim.Rand
-	tracer func() *trace.Tracer
+	eng *sim.Engine
+	rnd *sim.Rand
+	obs []Observer
 
 	windows []*window
 	hooks   map[int]*AgentHooks
@@ -386,16 +385,22 @@ func NewInjector(eng *sim.Engine, plan *Plan) *Injector {
 	return in
 }
 
-// BindTracer supplies the tracer lookup used to emit fault events; the
-// kernel calls this from SetFaults so the injector always sees the
-// tracer currently attached.
-func (in *Injector) BindTracer(fn func() *trace.Tracer) { in.tracer = fn }
+// Observer hears every fault-injection decision: a window opening, an
+// agent fault reaching an enclave (or finding none: kind ends in
+// "-skipped"), or one injected fault inside a window, keyed by its kind
+// string, with the enclave id (AnyEnclave for none) and a detail.
+type Observer interface {
+	Fault(now sim.Time, kind string, enc int, detail string)
+}
 
-func (in *Injector) tr() *trace.Tracer {
-	if in.tracer == nil {
-		return nil
+// AddObserver makes o hear every later fault, after the observers added
+// before it.
+func (in *Injector) AddObserver(o Observer) { in.obs = append(in.obs, o) }
+
+func (in *Injector) emit(now sim.Time, kind string, enc int, detail string) {
+	for _, o := range in.obs {
+		o.Fault(now, kind, enc, detail)
 	}
-	return in.tracer()
 }
 
 // RegisterAgentHooks installs (or replaces) the agent-level fault
@@ -428,7 +433,7 @@ func (in *Injector) fire(f Fault) {
 			until = now + f.Dur
 		}
 		in.windows = append(in.windows, &window{f: f, until: until})
-		in.tr().Fault(now, f.Kind.String()+"-window", AnyEnclave, f.String())
+		in.emit(now, f.Kind.String()+"-window", AnyEnclave, f.String())
 		return
 	}
 	fired := false
@@ -437,19 +442,19 @@ func (in *Injector) fire(f Fault) {
 		switch f.Kind {
 		case AgentCrash:
 			if h.Crash != nil {
-				in.tr().Fault(now, "crash", id, "")
+				in.emit(now, "crash", id, "")
 				h.Crash(now)
 				fired = true
 			}
 		case Upgrade:
 			if h.Upgrade != nil {
-				in.tr().Fault(now, "upgrade", id, "")
+				in.emit(now, "upgrade", id, "")
 				h.Upgrade(now)
 				fired = true
 			}
 		case AgentStall:
 			if h.Stall != nil {
-				in.tr().Fault(now, "stall", id, f.Dur.String())
+				in.emit(now, "stall", id, f.Dur.String())
 				h.Stall(now, f.Dur)
 				fired = true
 			}
@@ -459,14 +464,14 @@ func (in *Injector) fire(f Fault) {
 				if factor < 1 {
 					factor = 2
 				}
-				in.tr().Fault(now, "slow", id, fmt.Sprintf("x%g for %v", factor, f.Dur))
+				in.emit(now, "slow", id, fmt.Sprintf("x%g for %v", factor, f.Dur))
 				h.Slow(now, now+f.Dur, factor)
 				fired = true
 			}
 		}
 	}
 	if !fired {
-		in.tr().Fault(now, f.Kind.String()+"-skipped", AnyEnclave, "no agent hooks")
+		in.emit(now, f.Kind.String()+"-skipped", AnyEnclave, "no agent hooks")
 	}
 }
 
@@ -512,7 +517,7 @@ func (in *Injector) OnMessagePost(now sim.Time, enc int) (drop, dup bool, delay 
 		return
 	}
 	if f := in.match(MsgDrop, now); f != nil {
-		in.tr().Fault(now, "msgdrop", enc, "")
+		in.emit(now, "msgdrop", enc, "")
 		return true, false, 0
 	}
 	if f := in.match(MsgDelay, now); f != nil {
@@ -520,11 +525,11 @@ func (in *Injector) OnMessagePost(now sim.Time, enc int) (drop, dup bool, delay 
 		if d <= 0 {
 			d = 10 * sim.Microsecond
 		}
-		in.tr().Fault(now, "msgdelay", enc, d.String())
+		in.emit(now, "msgdelay", enc, d.String())
 		return false, false, d
 	}
 	if f := in.match(MsgDup, now); f != nil {
-		in.tr().Fault(now, "msgdup", enc, "")
+		in.emit(now, "msgdup", enc, "")
 		return false, true, 0
 	}
 	return
@@ -538,7 +543,7 @@ func (in *Injector) OnIPI(now sim.Time, enc int) (lost bool, extra sim.Duration)
 		return
 	}
 	if f := in.match(IPILoss, now); f != nil {
-		in.tr().Fault(now, "ipiloss", enc, "")
+		in.emit(now, "ipiloss", enc, "")
 		return true, 0
 	}
 	if f := in.match(IPIDelay, now); f != nil {
@@ -546,7 +551,7 @@ func (in *Injector) OnIPI(now sim.Time, enc int) (lost bool, extra sim.Duration)
 		if d <= 0 {
 			d = 5 * sim.Microsecond
 		}
-		in.tr().Fault(now, "ipidelay", enc, d.String())
+		in.emit(now, "ipidelay", enc, d.String())
 		return false, d
 	}
 	return
@@ -559,7 +564,7 @@ func (in *Injector) OnTxnValidate(now sim.Time, enc int) bool {
 		return false
 	}
 	if f := in.match(TxnFail, now); f != nil {
-		in.tr().Fault(now, "txnfail", enc, "")
+		in.emit(now, "txnfail", enc, "")
 		return true
 	}
 	return false

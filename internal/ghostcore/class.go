@@ -212,11 +212,6 @@ func (g *Class) postThreadMsg(t *kernel.Thread, mt MsgType) {
 		return
 	}
 	gt.pendingMsgs++
-	if mt == MsgThreadPreempted {
-		if tr := g.k.Tracer(); tr != nil {
-			tr.Preemption(g.k.Now(), gt.enc.id, uint64(t.TID()), t.LastCPU())
-		}
-	}
 	gt.q.post(Message{
 		Type:     mt,
 		TID:      t.TID(),
@@ -399,11 +394,8 @@ func (g *Class) bpfCommit(enc *Enclave, c *kernel.CPU) {
 	}
 	gt.runnable = false
 	g.setLatch(latch{cpu: c.ID, t: t, e: enc})
-	g.obsLatched(enc, c.ID, t)
+	g.obsLatched(enc, c.ID, t, Commit{})
 	g.BPFCommits++
-	if tr := g.k.Tracer(); tr != nil {
-		tr.BPFCommit(g.k.Now(), enc.id, uint64(t.TID()), c.ID)
-	}
 	g.k.Resched(c.ID)
 }
 

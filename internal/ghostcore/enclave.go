@@ -251,9 +251,7 @@ func (e *Enclave) AttachAgent(cpu hw.CPUID, t *kernel.Thread) *Agent {
 	if e.upgradePending {
 		e.upgradePending = false
 		e.upgradeDeadline.Cancel()
-		if tr := e.k.Tracer(); tr != nil {
-			tr.EnclaveEvent(e.k.Now(), e.id, "upgrade-attach", fmt.Sprintf("cpu%d", cpu))
-		}
+		e.g.obsLifecycle(e, "upgrade-attach", fmt.Sprintf("cpu%d", cpu))
 	}
 	return a
 }
@@ -292,12 +290,14 @@ func (e *Enclave) BeginUpgrade() {
 		return
 	}
 	e.upgradePending = true
-	if tr := e.k.Tracer(); tr != nil {
-		tr.EnclaveEvent(e.k.Now(), e.id, "upgrade-begin", "")
-	}
+	e.g.obsLifecycle(e, "upgrade-begin", "")
 	e.upgradeDeadline.Cancel()
 	e.upgradeDeadline = e.k.Engine().AtCall(e.k.Now()+DefaultUpgradeTimeout, upgradeTimedOutFn, e)
 }
+
+// SkipUpgrade tells the enclave's observers that a forced upgrade left
+// the running generation in place, for the given reason.
+func (e *Enclave) SkipUpgrade(reason string) { e.g.obsLifecycle(e, "upgrade-skipped", reason) }
 
 // upgradeTimedOutFn dispatches an upgrade-attach timeout to its enclave,
 // passed as the event argument, so arming the deadline allocates no
@@ -312,9 +312,7 @@ func (e *Enclave) upgradeTimedOut() {
 		return
 	}
 	e.upgradePending = false
-	if tr := e.k.Tracer(); tr != nil {
-		tr.EnclaveEvent(e.k.Now(), e.id, "upgrade-timeout", "")
-	}
+	e.g.obsLifecycle(e, "upgrade-timeout", "")
 	if len(e.agents) == 0 {
 		e.DestroyWith(ErrUpgradeTimeout)
 	}
@@ -436,9 +434,7 @@ func (e *Enclave) TxnsCommit(a *Agent, txns []*Txn) {
 	}
 	n := len(txns)
 	if n > 1 {
-		if tr := e.k.Tracer(); tr != nil {
-			tr.GroupCommit(e.k.Now(), e.id, n, false)
-		}
+		e.g.obsGroupCommit(e, n, false)
 	}
 	for _, txn := range txns {
 		e.commitOne(a, txn, n)
@@ -457,34 +453,27 @@ func (e *Enclave) TxnsCommitAtomic(a *Agent, txns []*Txn) bool {
 		}
 		return false
 	}
-	tr := e.k.Tracer()
+	g := e.g
 	for _, txn := range txns {
 		if s, cause := e.validate(a, txn); s != TxnCommitted {
 			txn.Status = s
-			if tr != nil {
-				tr.TxnFailed(e.k.Now(), e.id, uint64(txn.TID), txn.CPU, s.String(), cause)
-			}
+			g.obsTxnFailed(e, txn, cause)
 			for _, other := range txns {
 				if other != txn && other.Status == TxnPending {
 					other.Status = TxnInvalid
-					if tr != nil {
-						tr.TxnFailed(e.k.Now(), e.id, uint64(other.TID), other.CPU,
-							TxnInvalid.String(), "group-abort")
-					}
+					g.obsTxnFailed(e, other, "group-abort")
 				}
 			}
-			e.g.obsTxnGroup(e, txns, true)
+			g.obsTxnGroup(e, txns, true)
 			return false
 		}
 	}
 	n := len(txns)
-	if tr != nil {
-		tr.GroupCommit(e.k.Now(), e.id, n, true)
-	}
+	g.obsGroupCommit(e, n, true)
 	for _, txn := range txns {
 		e.apply(a, txn, n)
 	}
-	e.g.obsTxnGroup(e, txns, true)
+	g.obsTxnGroup(e, txns, true)
 	return true
 }
 
@@ -554,9 +543,7 @@ func (e *Enclave) validate(a *Agent, txn *Txn) (TxnStatus, string) {
 func (e *Enclave) commitOne(a *Agent, txn *Txn, groupSize int) {
 	if s, cause := e.validate(a, txn); s != TxnCommitted {
 		txn.Status = s
-		if tr := e.k.Tracer(); tr != nil {
-			tr.TxnFailed(e.k.Now(), e.id, uint64(txn.TID), txn.CPU, s.String(), cause)
-		}
+		e.g.obsTxnFailed(e, txn, cause)
 		return
 	}
 	e.apply(a, txn, groupSize)
@@ -607,16 +594,8 @@ func (e *Enclave) apply(a *Agent, txn *Txn, groupSize int) {
 		}
 	}
 	g.setLatch(latch{cpu: txn.CPU, t: t, inflight: true, e: e, local: local, a: a})
-	g.obsLatched(e, txn.CPU, t)
-
-	tr := e.k.Tracer()
 	if local {
-		if tr != nil {
-			// Local commit-to-run latency is the Table 3 local-schedule
-			// path (validation + dispatch + context switch).
-			tr.TxnCommitted(e.k.Now(), e.id, uint64(txn.TID), txn.CPU, groupSize,
-				true, e.k.Cost().LocalSchedule)
-		}
+		g.obsLatched(e, txn.CPU, t, Commit{Group: groupSize, Local: true})
 		g.doInstall(l)
 		return
 	}
@@ -632,13 +611,7 @@ func (e *Enclave) apply(a *Agent, txn *Txn, groupSize int) {
 		}
 		delay += extra
 	}
-	if tr != nil {
-		// Remote commit-to-run latency: this transaction's share of the
-		// agent-side group commit plus the IPI/target install cost.
-		lat := e.k.Cost().RemoteCommitAgentCost(groupSize)/sim.Duration(groupSize) + delay
-		tr.TxnCommitted(e.k.Now(), e.id, uint64(txn.TID), txn.CPU, groupSize, false, lat)
-		tr.IPI(e.k.Now(), txn.CPU, delay, groupSize)
-	}
+	g.obsLatched(e, txn.CPU, t, Commit{Group: groupSize, IPI: delay})
 	l.ipi = e.k.Engine().AfterCall(delay, g.installFn, l)
 }
 
@@ -664,9 +637,7 @@ func (e *Enclave) TxnsRecall(txns []*Txn) int {
 		}
 		e.g.unlatch(txn.CPU, "recall")
 		txn.Status = TxnRecalled
-		if tr := e.k.Tracer(); tr != nil {
-			tr.TxnRecalled(e.k.Now(), e.id, uint64(txn.TID), txn.CPU)
-		}
+		e.g.obsTxnRecalled(e, txn)
 		n++
 	}
 	return n
@@ -708,9 +679,7 @@ func (e *Enclave) DestroyWith(cause error) {
 	}
 	e.destroyed = true
 	e.destroyCause = cause
-	if tr := e.k.Tracer(); tr != nil {
-		tr.EnclaveEvent(e.k.Now(), e.id, "destroy", cause.Error())
-	}
+	e.g.obsLifecycle(e, "destroy", cause.Error())
 	e.watchdog.Cancel()
 	e.upgradeDeadline.Cancel()
 	if e.tickless {
@@ -762,9 +731,7 @@ func (e *Enclave) EnableWatchdog(timeout sim.Duration) {
 		panic("ghostcore: watchdog timeout must be positive")
 	}
 	e.WatchdogTimeout = timeout
-	if tr := e.k.Tracer(); tr != nil {
-		tr.EnclaveEvent(e.k.Now(), e.id, "watchdog-armed", timeout.String())
-	}
+	e.g.obsLifecycle(e, "watchdog-armed", timeout.String())
 	e.watchdog.Cancel()
 	e.armWatchdog()
 }
@@ -794,9 +761,7 @@ func watchdogFire(a any) {
 	for _, t := range e.Threads() {
 		gt := gstate(t)
 		if gt != nil && gt.runnable && gt.latch == hw.NoCPU && now-gt.runnableSince > e.WatchdogTimeout {
-			if tr := e.k.Tracer(); tr != nil {
-				tr.EnclaveEvent(now, e.id, "watchdog-fired", t.Name())
-			}
+			e.g.obsLifecycle(e, "watchdog-fired", t.Name())
 			e.DestroyWith(fmt.Errorf("%w: %v runnable for %v", ErrWatchdog, t, now-gt.runnableSince))
 			return
 		}

@@ -51,7 +51,7 @@ func (e *ghostEnv) spawnGhostOn(opts kernel.SpawnOpts, work sim.Duration, iters 
 
 func drainTypes(q *Queue) []MsgType {
 	var out []MsgType
-	for _, m := range q.Drain() {
+	for _, m := range q.Drain(hw.NoCPU) {
 		out = append(out, m.Type)
 	}
 	return out
@@ -81,7 +81,7 @@ func TestThreadCreatedAndWakeupMessages(t *testing.T) {
 func TestTxnCommitRunsThread(t *testing.T) {
 	env := newGhostEnv(t)
 	th := env.spawnGhost("w", 10*sim.Microsecond, 1)
-	env.enc.DefaultQueue().Drain()
+	env.enc.DefaultQueue().Drain(hw.NoCPU)
 	txn := env.enc.TxnCreate(th.TID(), 2)
 	env.enc.TxnsCommit(nil, []*Txn{txn})
 	if txn.Status != TxnCommitted {
@@ -198,7 +198,7 @@ func TestTxnCPUBusyWithCFS(t *testing.T) {
 func TestCFSPreemptsGhostThread(t *testing.T) {
 	env := newGhostEnv(t)
 	th := env.spawnGhost("w", 5*sim.Millisecond, 1)
-	env.enc.DefaultQueue().Drain()
+	env.enc.DefaultQueue().Drain(hw.NoCPU)
 	txn := env.enc.TxnCreate(th.TID(), 1)
 	env.enc.TxnsCommit(nil, []*Txn{txn})
 	env.eng.RunFor(100 * sim.Microsecond)
@@ -217,7 +217,7 @@ func TestCFSPreemptsGhostThread(t *testing.T) {
 	}
 	// And the agent queue carries THREAD_PREEMPTED.
 	found := false
-	for _, m := range env.enc.DefaultQueue().Drain() {
+	for _, m := range env.enc.DefaultQueue().Drain(hw.NoCPU) {
 		if m.Type == MsgThreadPreempted && m.TID == th.TID() {
 			found = true
 		}
@@ -231,7 +231,7 @@ func TestTransactionalPreemption(t *testing.T) {
 	env := newGhostEnv(t)
 	t1 := env.spawnGhost("t1", 10*sim.Millisecond, 1)
 	t2 := env.spawnGhost("t2", 10*sim.Microsecond, 1)
-	env.enc.DefaultQueue().Drain()
+	env.enc.DefaultQueue().Drain(hw.NoCPU)
 	a := env.enc.TxnCreate(t1.TID(), 2)
 	env.enc.TxnsCommit(nil, []*Txn{a})
 	env.eng.RunFor(100 * sim.Microsecond)
@@ -252,7 +252,7 @@ func TestTransactionalPreemption(t *testing.T) {
 		t.Fatalf("t1 = %v, want runnable", t1.State())
 	}
 	var sawPreempt bool
-	for _, m := range env.enc.DefaultQueue().Drain() {
+	for _, m := range env.enc.DefaultQueue().Drain(hw.NoCPU) {
 		if m.Type == MsgThreadPreempted && m.TID == t1.TID() {
 			sawPreempt = true
 		}
@@ -291,7 +291,7 @@ func TestGroupCommitParallel(t *testing.T) {
 func TestBlockedWakeupMessageFlow(t *testing.T) {
 	env := newGhostEnv(t)
 	th := env.spawnGhost("w", 10*sim.Microsecond, 2)
-	env.enc.DefaultQueue().Drain()
+	env.enc.DefaultQueue().Drain(hw.NoCPU)
 	txn := env.enc.TxnCreate(th.TID(), 1)
 	env.enc.TxnsCommit(nil, []*Txn{txn})
 	env.eng.RunFor(sim.Millisecond)
@@ -324,7 +324,7 @@ func TestAssociateQueuePendingMessages(t *testing.T) {
 	if err := env.enc.AssociateQueue(th, q2); err == nil {
 		t.Fatal("AssociateQueue succeeded with pending messages")
 	}
-	env.enc.DefaultQueue().Drain()
+	env.enc.DefaultQueue().Drain(hw.NoCPU)
 	if err := env.enc.AssociateQueue(th, q2); err != nil {
 		t.Fatalf("AssociateQueue after drain: %v", err)
 	}
@@ -614,7 +614,7 @@ func TestAgentSeqAndESTALE(t *testing.T) {
 	env.enc.ConfigQueueWakeup(q, a, false)
 
 	th := env.spawnGhost("w", 10*sim.Microsecond, 2)
-	env.enc.DefaultQueue().Drain()
+	env.enc.DefaultQueue().Drain(hw.NoCPU)
 	if err := env.enc.AssociateQueue(th, q); err != nil {
 		t.Fatal(err)
 	}
@@ -651,7 +651,7 @@ func TestQueueWakeupWakesAgent(t *testing.T) {
 	q := env.enc.CreateQueue("agentq")
 	env.enc.ConfigQueueWakeup(q, a, true)
 	th := env.spawnGhost("w", 10*sim.Microsecond, 2)
-	env.enc.DefaultQueue().Drain()
+	env.enc.DefaultQueue().Drain(hw.NoCPU)
 	if err := env.enc.AssociateQueue(th, q); err != nil {
 		t.Fatal(err)
 	}
@@ -671,7 +671,7 @@ func TestTimerTickDelivery(t *testing.T) {
 	env.enc.DeliverTicks = true
 	env.eng.RunFor(3 * sim.Millisecond)
 	ticks := 0
-	for _, m := range env.enc.DefaultQueue().Drain() {
+	for _, m := range env.enc.DefaultQueue().Drain(hw.NoCPU) {
 		if m.Type == MsgTimerTick {
 			ticks++
 		}

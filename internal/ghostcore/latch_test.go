@@ -3,6 +3,7 @@ package ghostcore
 import (
 	"testing"
 
+	"ghost/internal/hw"
 	"ghost/internal/kernel"
 	"ghost/internal/sim"
 )
@@ -26,7 +27,7 @@ func TestCommitDisplacesInflightLatch(t *testing.T) {
 	env := newGhostEnv(t)
 	first := env.spawnGhost("first", 10*sim.Microsecond, 1)
 	second := env.spawnGhost("second", 10*sim.Microsecond, 1)
-	env.enc.DefaultQueue().Drain()
+	env.enc.DefaultQueue().Drain(hw.NoCPU)
 	installs := countInstalls(env)
 
 	t1 := env.enc.TxnCreate(first.TID(), 1)
@@ -36,7 +37,7 @@ func TestCommitDisplacesInflightLatch(t *testing.T) {
 	if t1.Status != TxnCommitted || t2.Status != TxnCommitted {
 		t.Fatalf("statuses = %v, %v, want both committed", t1.Status, t2.Status)
 	}
-	msgs := env.enc.DefaultQueue().Drain()
+	msgs := env.enc.DefaultQueue().Drain(hw.NoCPU)
 	if len(msgs) != 1 || msgs[0].Type != MsgThreadPreempted || msgs[0].TID != first.TID() {
 		t.Fatalf("messages at commit time = %v, want THREAD_PREEMPTED for T%d", msgs, first.TID())
 	}

@@ -201,11 +201,8 @@ func (q *Queue) deliver(m Message, dup, delayed bool) {
 		return
 	}
 	q.enqueue(m)
-	if tr := q.enc.k.Tracer(); tr != nil {
-		tr.MsgPosted(q.enc.k.Now(), q.enc.id, q.name, m.Type.String(), uint64(m.TID), q.Len())
-	}
 	g := q.enc.g
-	g.obsMsgDelivered(q.enc, m, dup, delayed)
+	g.obsMsgDelivered(q.enc, q, m, dup, delayed)
 	if q.seqAgent != nil {
 		q.seqAgent.sw.Seq++
 		g.obsAseq(q.enc, q.seqAgent, q.seqAgent.sw.Seq-1, q.seqAgent.sw.Seq)
@@ -220,12 +217,13 @@ func (q *Queue) deliver(m Message, dup, delayed bool) {
 	}
 }
 
-// Drain removes and returns all pending messages. The returned slice is
+// Drain removes and returns all pending messages for the agent on cpu,
+// which observers see consume them. The returned slice is
 // the queue's reusable scratch buffer: it is valid until the next Drain
 // of the same queue, and callers must not retain or append to it —
 // exactly the read-then-release discipline the real shared-memory ring
 // imposes on agents.
-func (q *Queue) Drain() []Message {
+func (q *Queue) Drain(cpu hw.CPUID) []Message {
 	n := int(q.tail - q.head)
 	if cap(q.scratch) < n {
 		q.growScratch(n)
@@ -236,7 +234,7 @@ func (q *Queue) Drain() []Message {
 	g := q.enc.g
 	for _, m := range out {
 		q.uncount(m)
-		g.obsMsgDrained(q.enc, m)
+		g.obsMsgDrained(q.enc, m, cpu)
 	}
 	return out
 }

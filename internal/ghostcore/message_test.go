@@ -54,7 +54,7 @@ func TestQueueRingFIFO(t *testing.T) {
 		if got := q.Len(); got != int(next-want) {
 			t.Fatalf("Len = %d, want %d", got, int(next-want))
 		}
-		for _, m := range q.Drain() {
+		for _, m := range q.Drain(hw.NoCPU) {
 			expect(m)
 		}
 		if q.Len() != 0 {
@@ -79,14 +79,14 @@ func TestQueueDrainScratchReuse(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		q.post(Message{Type: MsgThreadWakeup, TID: 999, Seq: uint64(i)})
 	}
-	first := q.Drain()
+	first := q.Drain(hw.NoCPU)
 	if len(first) != 10 {
 		t.Fatalf("first Drain returned %d messages, want 10", len(first))
 	}
 	for i := 0; i < 10; i++ {
 		q.post(Message{Type: MsgThreadWakeup, TID: 999, Seq: uint64(100 + i)})
 	}
-	second := q.Drain()
+	second := q.Drain(hw.NoCPU)
 	if len(second) != 10 {
 		t.Fatalf("second Drain returned %d messages, want 10", len(second))
 	}
@@ -112,7 +112,7 @@ func BenchmarkQueuePostDrain(b *testing.B) {
 	for i := 0; i < 32; i++ {
 		q.post(Message{Type: MsgThreadWakeup, TID: 999})
 	}
-	q.Drain()
+	q.Drain(hw.NoCPU)
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -120,6 +120,6 @@ func BenchmarkQueuePostDrain(b *testing.B) {
 		for j := 0; j < 8; j++ {
 			q.post(Message{Type: MsgThreadPreempted, TID: 999, Seq: uint64(j)})
 		}
-		q.Drain()
+		q.Drain(hw.NoCPU)
 	}
 }

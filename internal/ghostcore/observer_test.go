@@ -3,6 +3,10 @@ package ghostcore
 import (
 	"reflect"
 	"testing"
+
+	"ghost/internal/hw"
+	"ghost/internal/kernel"
+	"ghost/internal/sim"
 )
 
 // drainLog records, in call order, the name of each observer that heard
@@ -12,7 +16,28 @@ type drainLog struct {
 	log  *[]string
 }
 
-func (d drainLog) MsgDrained(*Enclave, Message) { *d.log = append(*d.log, d.name) }
+func (d drainLog) MsgDrained(*Enclave, Message, hw.CPUID) { *d.log = append(*d.log, d.name) }
+
+// traceLog implements every event the tracer (internal/trace) observes,
+// recording "name:event" in call order.
+type traceLog struct {
+	name string
+	log  *[]string
+}
+
+func (d traceLog) note(ev string) { *d.log = append(*d.log, d.name+":"+ev) }
+
+func (d traceLog) Tseq(*Enclave, *kernel.Thread, uint64, uint64, MsgType) { d.note("tseq") }
+func (d traceLog) MsgDelivered(*Enclave, *Queue, Message, bool, bool)     { d.note("delivered") }
+func (d traceLog) MsgDrained(*Enclave, Message, hw.CPUID)                 { d.note("drained") }
+func (d traceLog) Latched(*Enclave, hw.CPUID, *kernel.Thread, Commit)     { d.note("latched") }
+func (d traceLog) TxnFailed(*Enclave, *Txn, string)                       { d.note("failed") }
+func (d traceLog) TxnRecalled(*Enclave, *Txn)                             { d.note("recalled") }
+func (d traceLog) GroupCommit(*Enclave, int, bool)                        { d.note("group") }
+func (d traceLog) Lifecycle(*Enclave, string, string)                     { d.note("lifecycle") }
+func (d traceLog) AgentStep(*Enclave, hw.CPUID, sim.Duration, int, int, string) {
+	d.note("step")
+}
 
 // filed counts the event lists an observer was filed under.
 func filed(g *Class) int {
@@ -26,8 +51,9 @@ func filed(g *Class) int {
 
 // AddObserver files an observer under exactly the events it implements:
 // one with only MsgDrained hears only drains, two observers of one event
-// hear it in registration order, and one with no event method is
-// accepted and never called.
+// hear it in registration order, one with no event method is accepted
+// and never called, and one of every event the tracer observes is
+// filed once under each.
 func TestObserverRouting(t *testing.T) {
 	k, enc := newQueueEnv()
 	defer k.Shutdown()
@@ -52,8 +78,39 @@ func TestObserverRouting(t *testing.T) {
 	if len(log) != 0 {
 		t.Fatalf("posting reached drain observers: %v", log)
 	}
-	q.Drain()
+	q.Drain(hw.NoCPU)
 	if want := []string{"a", "b", "a", "b"}; !reflect.DeepEqual(log, want) {
 		t.Fatalf("drain calls %v, want %v", log, want)
+	}
+
+	// An observer of every event the tracer hears is filed once under
+	// each, and two of them hear each event in registration order.
+	k, enc = newQueueEnv()
+	defer k.Shutdown()
+	g = enc.g
+	log = nil
+	g.AddObserver(traceLog{"a", &log})
+	const events = 9
+	if n := filed(g); n != events {
+		t.Fatalf("an observer of %d events was filed %d times", events, n)
+	}
+	g.AddObserver(traceLog{"b", &log})
+
+	var txn Txn
+	g.obsTseq(enc, nil, 0, 1, MsgThreadPreempted)
+	g.obsMsgDelivered(enc, enc.DefaultQueue(), Message{}, false, false)
+	g.obsMsgDrained(enc, Message{}, 0)
+	g.obsLatched(enc, 0, nil, Commit{})
+	g.obsTxnFailed(enc, &txn, "")
+	g.obsTxnRecalled(enc, &txn)
+	g.obsGroupCommit(enc, 2, false)
+	g.obsLifecycle(enc, "destroy", "")
+	enc.ReportAgentStep(0, 0, 0, 0, "local")
+	var want []string
+	for _, ev := range []string{"tseq", "delivered", "drained", "latched", "failed", "recalled", "group", "lifecycle", "step"} {
+		want = append(want, "a:"+ev, "b:"+ev)
+	}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("calls %v, want %v", log, want)
 	}
 }

@@ -108,10 +108,10 @@ func (g *Class) SaveImage() (*ClassRec, error) {
 }
 
 // EachQueuedMessage calls fn for every undrained message sitting in the
-// enclave's queues, in queue order. Observers attached after a snapshot
+// enclave's queues, with its queue, in queue order. Observers attached after a snapshot
 // restore use it to seed history-dependent state (message-conservation
 // ledgers) with the in-flight messages they never saw delivered.
-func (e *Enclave) EachQueuedMessage(fn func(Message)) {
+func (e *Enclave) EachQueuedMessage(fn func(*Queue, Message)) {
 	for _, q := range e.queues {
 		n := q.Len()
 		if n == 0 {
@@ -120,7 +120,7 @@ func (e *Enclave) EachQueuedMessage(fn func(Message)) {
 		buf := make([]Message, n)
 		q.copyPending(buf)
 		for _, m := range buf {
-			fn(m)
+			fn(q, m)
 		}
 	}
 }
@@ -295,7 +295,7 @@ func (g *Class) RestoreImage(rec *ClassRec) error {
 	// Count each thread's pending messages as Drain counts them down. (A
 	// delayed delivery is not queued yet, but Save refuses its closure.)
 	for _, e := range g.enclaves {
-		e.EachQueuedMessage(func(m Message) {
+		e.EachQueuedMessage(func(_ *Queue, m Message) {
 			if gt := e.ghostOf(m.TID); gt != nil {
 				gt.pendingMsgs++
 			}

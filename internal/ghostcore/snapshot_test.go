@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ghost/internal/faults"
+	"ghost/internal/hw"
 	"ghost/internal/kernel"
 	"ghost/internal/sim"
 )
@@ -61,7 +62,7 @@ func TestRestoreImageCountsPendingMsgs(t *testing.T) {
 func TestDestroyQueueUncountsItsMessages(t *testing.T) {
 	env := newGhostEnv(t)
 	th := env.spawnGhost("th", 10*sim.Microsecond, 1)
-	env.enc.DefaultQueue().Drain()
+	env.enc.DefaultQueue().Drain(hw.NoCPU)
 	side := env.enc.CreateQueue("side")
 	if err := env.enc.AssociateQueue(th, side); err != nil {
 		t.Fatal(err)

@@ -22,7 +22,6 @@ import (
 	"ghost/internal/faults"
 	"ghost/internal/hw"
 	"ghost/internal/sim"
-	"ghost/internal/trace"
 )
 
 // Kernel is a simulated kernel instance for one machine.
@@ -46,10 +45,8 @@ type Kernel struct {
 	tickHooks     []func(*CPU)
 	pressureHooks []func(*CPU, *Thread)
 	switchHooks   []func(*CPU, *Thread)
+	wakeHooks     []func(*CPU, *Thread)
 	tickless      []bool // per-CPU: skip timer ticks (§5 tickless mode)
-
-	// tr is the structured tracer; nil disables all instrumentation.
-	tr *trace.Tracer
 
 	// faults is the fault-injection plan replayer; nil when no plan is
 	// installed.
@@ -126,43 +123,14 @@ func tickFire(a any) {
 // Engine returns the machine's event engine.
 func (k *Kernel) Engine() *sim.Engine { return k.eng }
 
-// SetTracer attaches a structured tracer (nil detaches). The ghOSt core
-// and agent SDK read it back with Tracer, so one tracer observes the
-// whole stack.
-func (k *Kernel) SetTracer(tr *trace.Tracer) {
-	k.tr = tr
-}
-
-// Tracer returns the attached tracer; nil when tracing is off. All
-// trace.Tracer emit methods are nil-safe.
-func (k *Kernel) Tracer() *trace.Tracer { return k.tr }
-
 // SetFaults installs a fault-injection plan replayer (nil removes it).
-// The ghOSt core and agent SDK read it back with Faults, mirroring the
-// tracer, so one injector perturbs the whole stack.
-func (k *Kernel) SetFaults(in *faults.Injector) {
-	k.faults = in
-	if in != nil {
-		in.BindTracer(k.Tracer)
-	}
-}
+// The ghOSt core and agent SDK read it back with Faults, so one injector
+// perturbs the whole stack.
+func (k *Kernel) SetFaults(in *faults.Injector) { k.faults = in }
 
 // Faults returns the installed fault injector; nil when fault injection
 // is off. All faults.Injector interception methods are nil-safe.
 func (k *Kernel) Faults() *faults.Injector { return k.faults }
-
-// traceCPU records c's current-thread transition with the tracer: a new
-// run slice when a thread is installed, a slice close when it idles.
-func (k *Kernel) traceCPU(c *CPU) {
-	if k.tr == nil {
-		return
-	}
-	if t := c.curr; t != nil {
-		k.tr.CPURun(k.eng.Now(), c.ID, uint64(t.tid), t.name, t.class.Name())
-	} else {
-		k.tr.CPUIdle(k.eng.Now(), c.ID)
-	}
-}
 
 // Topology returns the machine topology.
 func (k *Kernel) Topology() *hw.Topology { return k.topo }
@@ -213,6 +181,10 @@ func (k *Kernel) AddTickHook(fn func(*CPU)) { k.tickHooks = append(k.tickHooks, 
 func (k *Kernel) AddSwitchHook(fn func(*CPU, *Thread)) {
 	k.switchHooks = append(k.switchHooks, fn)
 }
+
+// AddWakeHook registers fn to run when a wakeup has placed a thread on a
+// CPU, before its class enqueues it there.
+func (k *Kernel) AddWakeHook(fn func(*CPU, *Thread)) { k.wakeHooks = append(k.wakeHooks, fn) }
 
 // AddPressureHook registers fn to run when a lower-priority thread is
 // queued on a CPU held by a higher-priority one (e.g. a CFS thread
@@ -323,8 +295,10 @@ func (k *Kernel) makeRunnable(t *Thread, r EnqueueReason) {
 		cpu = t.lastCPU
 	}
 	t.targetCPU = cpu
-	if r == EnqWake && k.tr != nil {
-		k.tr.Wakeup(k.eng.Now(), cpu, uint64(t.tid), t.name)
+	if r == EnqWake {
+		for _, h := range k.wakeHooks {
+			h(k.cpus[cpu], t)
+		}
 	}
 	t.class.Enqueue(t, cpu, r)
 	k.maybePreempt(k.cpus[cpu], t)
@@ -497,7 +471,6 @@ func (k *Kernel) cpuIdle(c *CPU) {
 		return
 	}
 	c.accountIdle()
-	k.traceCPU(c)
 	for _, h := range k.idleHooks {
 		h(c)
 		if c.curr != nil || c.switching {
@@ -519,7 +492,6 @@ func (k *Kernel) switchTo(c *CPU, next *Thread) {
 	next.cpu = c
 	c.setCurr(next)
 	c.accountBusy()
-	k.traceCPU(c)
 	for _, fn := range k.switchHooks {
 		fn(c, next)
 	}

@@ -1,18 +1,16 @@
 package kernel
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"ghost/internal/sim"
-	"ghost/internal/trace"
 )
 
-// stepsOutcome is what runStepsScript observed: Trace is the run's full
-// structured trace, one trace_event record per line.
+// stepsOutcome is what runStepsScript observed: Trace is the run's
+// switch, idle and wake hook calls, one per line.
 type stepsOutcome struct {
 	Trace         []string
 	Executed, Seq uint64
@@ -36,8 +34,12 @@ func scriptItem(i int) sim.Duration { return sim.Duration(i%4) * sim.Microsecond
 func runStepsScript(t *testing.T, steps bool) stepsOutcome {
 	env := newTestEnv(t, smallTopo())
 	var out stepsOutcome
-	tr := trace.New()
-	env.k.SetTracer(tr)
+	log := func(format string, a ...any) {
+		out.Trace = append(out.Trace, fmt.Sprintf("%v ", env.k.Now())+fmt.Sprintf(format, a...))
+	}
+	env.k.AddSwitchHook(func(c *CPU, th *Thread) { log("cpu%d runs %v", c.ID, th) })
+	env.k.AddIdleHook(func(c *CPU) { log("cpu%d idles", c.ID) })
+	env.k.AddWakeHook(func(c *CPU, th *Thread) { log("%v wakes on cpu%d", th, c.ID) })
 	mb := NewMailbox[sim.Duration](env.k)
 	spawn := func(name string, body ThreadFunc) *Thread {
 		return env.k.Spawn(SpawnOpts{Name: name, Class: env.cfs}, body)
@@ -115,11 +117,6 @@ func runStepsScript(t *testing.T, steps bool) stepsOutcome {
 	}
 	out.Executed, out.Seq = env.eng.Executed, env.eng.Seq()
 	env.k.Shutdown()
-	var js bytes.Buffer
-	if err := tr.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	out.Trace = strings.Split(js.String(), "\n")
 	return out
 }
 

@@ -40,7 +40,8 @@ func TestRepollOnlyWhileWorkWaits(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newEnv(t, topo8(), tc.enc)
 			tr := trace.NewMetricsOnly()
-			e.k.SetTracer(tr)
+			trace.Attach(tr, e.k)
+			e.g.AddObserver(tr)
 			set := agentsdk.Start(e.k, e.enc, e.ac, tc.pol(), agentsdk.Global())
 			spin := e.enc.SpawnThread(kernel.SpawnOpts{Name: "spin"}, func(tc *kernel.TaskContext) {
 				tc.Run(50 * sim.Millisecond)

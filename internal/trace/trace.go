@@ -1,23 +1,26 @@
-// Package trace is the observability layer of the simulator: a
-// zero-overhead-when-disabled event tracer plus an always-cheap metrics
-// aggregator, wired through the simulation engine (event dispatch), the
-// kernel (context switches, wakeups, IPIs), the ghOSt core (message
-// enqueue/delivery, transaction lifecycle, enclave watchdog/fallback)
-// and the agent SDK (wake→decision→commit spans).
+// Package trace is the observability layer of the simulator: an event
+// tracer plus an always-cheap metrics aggregator. The tracer is one more
+// observer of the run, attached the way the invariant oracles are: it
+// hears the kernel's switch, idle and wake hooks (context switches,
+// wakeups), the ghOSt class's observer events (message enqueue and
+// delivery, the transaction lifecycle and its IPIs, preemptions, enclave
+// watchdog, fallback and upgrades, and the agent SDK's
+// wake→decision→commit steps) and the fault injector's decisions.
+// Nothing in those layers knows the tracer exists, and a machine without
+// one pays an empty hook or observer list at each event.
 //
 // The timeline is emitted as Chrome trace_event JSON (the format read by
 // Perfetto and chrome://tracing): one track per CPU, one per agent, one
 // per enclave. Because the simulator is deterministic, two runs with the
-// same seed produce byte-identical trace files.
-//
-// Every emit method is safe on a nil *Tracer and compiles to a single
-// nil check in that case, so instrumented code paths pay nothing when
-// tracing is off. A metrics-only tracer (NewMetricsOnly) skips the
-// timeline but still aggregates counters and latency histograms.
+// same seed produce byte-identical trace files. A metrics-only tracer
+// (NewMetricsOnly) skips the timeline but still aggregates counters and
+// latency histograms.
 package trace
 
 import (
+	"ghost/internal/ghostcore"
 	"ghost/internal/hw"
+	"ghost/internal/kernel"
 	"ghost/internal/sim"
 )
 
@@ -31,9 +34,10 @@ const (
 )
 
 // Tracer records scheduling events and aggregates metrics. Construct
-// with New (full timeline) or NewMetricsOnly (counters/histograms only).
-// All methods are nil-safe.
+// with New (full timeline) or NewMetricsOnly (counters/histograms only),
+// then Attach it. Only Metrics and WriteJSON are safe on a nil *Tracer.
 type Tracer struct {
+	k      *kernel.Kernel // the observed machine's clock and cost model
 	events bool
 	evs    []event
 	m      Metrics
@@ -96,149 +100,142 @@ func (t *Tracer) push(e event) {
 	t.evs = append(t.evs, e)
 }
 
+// instant records an instant event on track (pid, tid) at the current
+// time.
+func (t *Tracer) instant(pid, tid int, name, cat string, a args) {
+	t.push(event{ph: "i", pid: pid, tid: tid, ts: t.k.Now(), name: name, cat: cat, scope: "t", args: a})
+}
+
+// Attach makes t observe k through its switch, idle and wake hooks.
+// Call it before the scheduling classes are built, so its hooks run
+// before theirs: an idle hook that puts work straight back on the CPU
+// then cannot hide the idle edge from the trace. t observes the ghOSt
+// class and the fault injector as any observer does, through their
+// AddObserver.
+func Attach(t *Tracer, k *kernel.Kernel) {
+	t.k = k
+	k.AddSwitchHook(t.cpuRun)
+	k.AddIdleHook(t.cpuIdle)
+	k.AddWakeHook(t.wakeup)
+}
+
 // --- kernel layer ----------------------------------------------------
 
-// CPURun notes that thread tid (name, under scheduling class) became
-// current on cpu: the previous slice on that track closes and a new
-// "ctxswitch" slice opens.
-func (t *Tracer) CPURun(now sim.Time, cpu hw.CPUID, tid uint64, name, class string) {
-	if t == nil {
-		return
-	}
-	c := int(cpu)
-	t.prevCPU = grow(t.prevCPU, c)
-	if t.prevCPU[c] != tid {
-		t.prevCPU[c] = tid
+// cpuRun notes that th became current on c: the previous slice on that
+// track closes and a new "ctxswitch" slice opens.
+func (t *Tracer) cpuRun(c *kernel.CPU, th *kernel.Thread) {
+	cpu, tid := int(c.ID), uint64(th.TID())
+	t.prevCPU = grow(t.prevCPU, cpu)
+	if t.prevCPU[cpu] != tid {
+		t.prevCPU[cpu] = tid
 		t.m.CtxSwitches++
 	}
 	if !t.events {
 		return
 	}
-	t.open = grow(t.open, c)
-	if t.open[c] == tid {
+	t.open = grow(t.open, cpu)
+	if t.open[cpu] == tid {
 		return // same thread re-confirmed; keep the open slice
 	}
-	if t.open[c] != 0 {
-		t.push(event{ph: "E", pid: pidCPUs, tid: c, ts: now})
+	now := t.k.Now()
+	if t.open[cpu] != 0 {
+		t.push(event{ph: "E", pid: pidCPUs, tid: cpu, ts: now})
 	}
-	t.open[c] = tid
-	t.push(event{ph: "B", pid: pidCPUs, tid: c, ts: now, name: name, cat: "ctxswitch",
-		args: args{"tid": int64(tid), "class": class}})
+	t.open[cpu] = tid
+	t.push(event{ph: "B", pid: pidCPUs, tid: cpu, ts: now, name: th.Name(), cat: "ctxswitch",
+		args: args{"tid": int64(tid), "class": th.Class().Name()}})
 }
 
-// CPUIdle notes that cpu lost its current thread; the open slice closes.
-func (t *Tracer) CPUIdle(now sim.Time, cpu hw.CPUID) {
-	if t == nil {
-		return
-	}
-	c := int(cpu)
-	t.prevCPU = grow(t.prevCPU, c)
-	t.prevCPU[c] = 0
+// cpuIdle notes that c lost its current thread; the open slice closes.
+func (t *Tracer) cpuIdle(c *kernel.CPU) {
+	cpu := int(c.ID)
+	t.prevCPU = grow(t.prevCPU, cpu)
+	t.prevCPU[cpu] = 0
 	if !t.events {
 		return
 	}
-	t.open = grow(t.open, c)
-	if t.open[c] == 0 {
+	t.open = grow(t.open, cpu)
+	if t.open[cpu] == 0 {
 		return
 	}
-	t.open[c] = 0
-	t.push(event{ph: "E", pid: pidCPUs, tid: c, ts: now})
+	t.open[cpu] = 0
+	t.push(event{ph: "E", pid: pidCPUs, tid: cpu, ts: t.k.Now()})
 }
 
-// Wakeup records a thread wakeup placed on cpu.
-func (t *Tracer) Wakeup(now sim.Time, cpu hw.CPUID, tid uint64, name string) {
-	if t == nil {
-		return
-	}
+// wakeup records a thread wakeup placed on c.
+func (t *Tracer) wakeup(c *kernel.CPU, th *kernel.Thread) {
 	t.m.Wakeups++
-	if !t.events {
-		return
+	if t.events {
+		t.instant(pidCPUs, int(c.ID), th.Name(), "sched", args{"tid": int64(th.TID()), "event": "wakeup"})
 	}
-	t.push(event{ph: "i", pid: pidCPUs, tid: int(cpu), ts: now, name: name, cat: "sched",
-		scope: "t", args: args{"tid": int64(tid), "event": "wakeup"}})
-}
-
-// IPI records a rescheduling interrupt sent to cpu (a remote transaction
-// install), with the modeled propagation delay.
-func (t *Tracer) IPI(now sim.Time, cpu hw.CPUID, delay sim.Duration, group int) {
-	if t == nil {
-		return
-	}
-	t.m.IPIs++
-	if !t.events {
-		return
-	}
-	t.push(event{ph: "i", pid: pidCPUs, tid: int(cpu), ts: now, name: "IPI", cat: "ipi",
-		scope: "t", args: args{"delay_ns": int64(delay), "group": int64(group)}})
 }
 
 // --- ghostcore layer -------------------------------------------------
 
-// MsgPosted records a kernel→agent message enqueue with the queue depth
-// after the post.
-func (t *Tracer) MsgPosted(now sim.Time, enc int, queue, typ string, tid uint64, qlen int) {
-	if t == nil {
-		return
-	}
-	em := t.enc(enc)
+// MsgDelivered records a kernel→agent message enqueue with the queue
+// depth after the post.
+func (t *Tracer) MsgDelivered(e *ghostcore.Enclave, q *ghostcore.Queue, m ghostcore.Message, _, _ bool) {
+	id, qlen := e.ID(), q.Len()
+	em := t.enc(id)
 	em.MsgsPosted++
-	if qlen > em.QueueDepthMax {
-		em.QueueDepthMax = qlen
+	em.QueueDepthMax = max(em.QueueDepthMax, qlen)
+	if t.events {
+		t.instant(pidEnclaves, id, m.Type.String(), "message",
+			args{"tid": int64(m.TID), "queue": q.Name(), "qlen": int64(qlen)})
 	}
-	if !t.events {
-		return
-	}
-	t.push(event{ph: "i", pid: pidEnclaves, tid: enc, ts: now, name: typ, cat: "message",
-		scope: "t", args: args{"tid": int64(tid), "queue": queue, "qlen": int64(qlen)}})
 }
 
-// MsgDelivered records a message being drained by the agent on cpu, lat
-// after the Table 3 delivery clock started (produce + propagate +
-// consume).
-func (t *Tracer) MsgDelivered(now sim.Time, enc int, cpu hw.CPUID, typ string, tid uint64, lat sim.Duration) {
-	if t == nil {
-		return
-	}
-	em := t.enc(enc)
+// MsgDrained records a message being drained by the agent on cpu, with
+// its Table 3 delivery latency: producing the message, any wakeup or
+// propagation delay, and consuming it.
+func (t *Tracer) MsgDrained(e *ghostcore.Enclave, m ghostcore.Message, cpu hw.CPUID) {
+	cm := t.k.Cost()
+	lat := t.k.Now() - m.Posted + cm.MsgEnqueue + cm.MsgDequeue
+	em := t.enc(e.ID())
 	em.MsgsDelivered++
 	em.MsgDelivery.Record(lat)
-	if !t.events {
-		return
+	if t.events {
+		t.instant(pidAgents, int(cpu), m.Type.String(), "message", args{"tid": int64(m.TID), "lat_ns": int64(lat)})
 	}
-	t.push(event{ph: "i", pid: pidAgents, tid: int(cpu), ts: now, name: typ, cat: "message",
-		scope: "t", args: args{"tid": int64(tid), "lat_ns": int64(lat)}})
 }
 
-// TxnCommitted records an accepted scheduling transaction. lat is the
-// modeled commit-to-run latency (Table 3: LocalSchedule for local
-// commits, agent share + IPI/target cost for remote group commits).
-func (t *Tracer) TxnCommitted(now sim.Time, enc int, tid uint64, cpu hw.CPUID, group int, local bool, lat sim.Duration) {
-	if t == nil {
+// Latched records an accepted commit: a BPF fastpath latch, or a
+// transaction with its modeled commit-to-run latency (Table 3: the
+// local-schedule path for a local commit; for a remote one, its share of
+// the agent-side group commit plus the IPI and install cost) and, for a
+// remote commit, the IPI that installs it.
+func (t *Tracer) Latched(e *ghostcore.Enclave, cpu hw.CPUID, th *kernel.Thread, c ghostcore.Commit) {
+	em, tid := t.enc(e.ID()), int64(th.TID())
+	if c.Group == 0 {
+		em.BPFCommits++
+		if t.events {
+			t.instant(pidCPUs, int(cpu), "bpf-commit", "txn", args{"tid": tid})
+		}
 		return
 	}
-	em := t.enc(enc)
+	cm := t.k.Cost()
+	lat, mode := cm.LocalSchedule, "local"
+	if !c.Local {
+		lat, mode = cm.RemoteCommitAgentCost(c.Group)/sim.Duration(c.Group)+c.IPI, "remote"
+		t.m.IPIs++
+	}
 	em.TxnsCommitted++
 	em.TxnCommit.Record(lat)
 	if !t.events {
 		return
 	}
-	mode := "remote"
-	if local {
-		mode = "local"
+	t.instant(pidCPUs, int(cpu), "txn-commit", "txn",
+		args{"tid": tid, "group": int64(c.Group), "mode": mode, "lat_ns": int64(lat)})
+	if !c.Local {
+		t.instant(pidCPUs, int(cpu), "IPI", "ipi", args{"delay_ns": int64(c.IPI), "group": int64(c.Group)})
 	}
-	t.push(event{ph: "i", pid: pidCPUs, tid: int(cpu), ts: now, name: "txn-commit", cat: "txn",
-		scope: "t", args: args{"tid": int64(tid), "group": int64(group), "mode": mode, "lat_ns": int64(lat)}})
 }
 
-// TxnFailed records a rejected transaction with its status and, for
-// ESTALE, the stale sequence that caused it ("aseq" or "tseq").
-func (t *Tracer) TxnFailed(now sim.Time, enc int, tid uint64, cpu hw.CPUID, status, cause string) {
-	if t == nil {
-		return
-	}
-	em := t.enc(enc)
+// TxnFailed records a rejected transaction with its status and cause.
+func (t *Tracer) TxnFailed(e *ghostcore.Enclave, txn *ghostcore.Txn, cause string) {
+	em := t.enc(e.ID())
 	em.TxnsFailed++
-	if status == "ESTALE" {
+	if txn.Status == ghostcore.TxnESTALE {
 		em.TxnESTALE++
 		switch cause {
 		case "aseq":
@@ -250,34 +247,26 @@ func (t *Tracer) TxnFailed(now sim.Time, enc int, tid uint64, cpu hw.CPUID, stat
 	if !t.events {
 		return
 	}
-	a := args{"tid": int64(tid), "status": status}
+	a := args{"tid": int64(txn.TID), "status": txn.Status.String()}
 	if cause != "" {
 		a["cause"] = cause
 	}
-	t.push(event{ph: "i", pid: pidCPUs, tid: int(cpu), ts: now, name: "txn-fail", cat: "txn",
-		scope: "t", args: a})
+	t.instant(pidCPUs, int(txn.CPU), "txn-fail", "txn", a)
 }
 
 // TxnRecalled records a committed transaction revoked before install.
-func (t *Tracer) TxnRecalled(now sim.Time, enc int, tid uint64, cpu hw.CPUID) {
-	if t == nil {
-		return
+func (t *Tracer) TxnRecalled(e *ghostcore.Enclave, txn *ghostcore.Txn) {
+	t.enc(e.ID()).TxnsRecalled++
+	if t.events {
+		t.instant(pidCPUs, int(txn.CPU), "txn-recall", "txn", args{"tid": int64(txn.TID)})
 	}
-	t.enc(enc).TxnsRecalled++
-	if !t.events {
-		return
-	}
-	t.push(event{ph: "i", pid: pidCPUs, tid: int(cpu), ts: now, name: "txn-recall", cat: "txn",
-		scope: "t", args: args{"tid": int64(tid)}})
 }
 
 // GroupCommit records a multi-transaction commit batch (atomic marks the
 // §4.5 all-or-nothing variant).
-func (t *Tracer) GroupCommit(now sim.Time, enc, n int, atomic bool) {
-	if t == nil {
-		return
-	}
-	em := t.enc(enc)
+func (t *Tracer) GroupCommit(e *ghostcore.Enclave, n int, atomic bool) {
+	id := e.ID()
+	em := t.enc(id)
 	em.GroupCommits++
 	em.GroupedTxns += uint64(n)
 	if !t.events {
@@ -287,44 +276,26 @@ func (t *Tracer) GroupCommit(now sim.Time, enc, n int, atomic bool) {
 	if atomic {
 		name = "atomic-commit"
 	}
-	t.push(event{ph: "i", pid: pidEnclaves, tid: enc, ts: now, name: name, cat: "txn",
-		scope: "t", args: args{"txns": int64(n)}})
+	t.instant(pidEnclaves, id, name, "txn", args{"txns": int64(n)})
 }
 
-// BPFCommit records the idle-time BPF fastpath committing a thread.
-func (t *Tracer) BPFCommit(now sim.Time, enc int, tid uint64, cpu hw.CPUID) {
-	if t == nil {
+// Tseq records a ghOSt thread kicked off its CPU back to the agent: the
+// THREAD_PREEMPTED message's sequence bump.
+func (t *Tracer) Tseq(e *ghostcore.Enclave, th *kernel.Thread, _, _ uint64, mt ghostcore.MsgType) {
+	if mt != ghostcore.MsgThreadPreempted {
 		return
 	}
-	t.enc(enc).BPFCommits++
-	if !t.events {
-		return
+	t.enc(e.ID()).Preemptions++
+	if t.events {
+		t.instant(pidCPUs, int(th.LastCPU()), "preempt", "sched", args{"tid": int64(th.TID())})
 	}
-	t.push(event{ph: "i", pid: pidCPUs, tid: int(cpu), ts: now, name: "bpf-commit", cat: "txn",
-		scope: "t", args: args{"tid": int64(tid)}})
 }
 
-// Preemption records a ghOSt thread being kicked off cpu back to the
-// agent.
-func (t *Tracer) Preemption(now sim.Time, enc int, tid uint64, cpu hw.CPUID) {
-	if t == nil {
-		return
-	}
-	t.enc(enc).Preemptions++
-	if !t.events {
-		return
-	}
-	t.push(event{ph: "i", pid: pidCPUs, tid: int(cpu), ts: now, name: "preempt", cat: "sched",
-		scope: "t", args: args{"tid": int64(tid)}})
-}
-
-// EnclaveEvent records an enclave lifecycle transition (watchdog armed,
+// Lifecycle records an enclave lifecycle transition (watchdog armed,
 // watchdog fired, destroy with CFS fallback, agent generation change).
-func (t *Tracer) EnclaveEvent(now sim.Time, enc int, name, detail string) {
-	if t == nil {
-		return
-	}
-	em := t.enc(enc)
+func (t *Tracer) Lifecycle(e *ghostcore.Enclave, name, detail string) {
+	id := e.ID()
+	em := t.enc(id)
 	switch name {
 	case "watchdog-fired":
 		em.WatchdogFires++
@@ -339,8 +310,20 @@ func (t *Tracer) EnclaveEvent(now sim.Time, enc int, name, detail string) {
 	if detail != "" {
 		a["detail"] = detail
 	}
-	t.push(event{ph: "i", pid: pidEnclaves, tid: enc, ts: now, name: name, cat: "enclave",
-		scope: "t", args: a})
+	t.instant(pidEnclaves, id, name, "enclave", a)
+}
+
+// AgentStep records one wake→decision→commit span of the agent pinned to
+// cpu: a complete slice of duration dur on the agent's track, annotated
+// with how many messages it drained and transactions it committed.
+func (t *Tracer) AgentStep(e *ghostcore.Enclave, cpu hw.CPUID, dur sim.Duration, msgs, txns int, mode string) {
+	em := t.enc(e.ID())
+	em.AgentSteps++
+	em.AgentStep.Record(dur)
+	if t.events {
+		t.push(event{ph: "X", pid: pidAgents, tid: int(cpu), ts: t.k.Now(), dur: dur, name: "schedule",
+			cat: "agent", args: args{"msgs": int64(msgs), "txns": int64(txns), "mode": mode}})
+	}
 }
 
 // --- faults layer ----------------------------------------------------
@@ -348,11 +331,8 @@ func (t *Tracer) EnclaveEvent(now sim.Time, enc int, name, detail string) {
 // Fault records one fault-injection decision (a window opening, or one
 // injected fault inside a window) keyed by its kind string. Recovery
 // actions the fault provokes — watchdog fires, CFS fallback, upgrade
-// handoffs — appear as EnclaveEvents on the affected enclave's track.
+// handoffs — appear as Lifecycle events on the affected enclave's track.
 func (t *Tracer) Fault(now sim.Time, kind string, enc int, detail string) {
-	if t == nil {
-		return
-	}
 	if t.m.Faults == nil {
 		t.m.Faults = make(map[string]uint64)
 	}
@@ -364,25 +344,5 @@ func (t *Tracer) Fault(now sim.Time, kind string, enc int, detail string) {
 	if detail != "" {
 		a["detail"] = detail
 	}
-	t.push(event{ph: "i", pid: pidFaults, tid: 1, ts: now, name: kind, cat: "fault",
-		scope: "t", args: a})
-}
-
-// --- agentsdk layer --------------------------------------------------
-
-// AgentStep records one wake→decision→commit span of the agent pinned to
-// cpu: a complete slice of duration dur on the agent's track, annotated
-// with how many messages it drained and transactions it committed.
-func (t *Tracer) AgentStep(now sim.Time, enc int, cpu hw.CPUID, dur sim.Duration, msgs, txns int, mode string) {
-	if t == nil {
-		return
-	}
-	em := t.enc(enc)
-	em.AgentSteps++
-	em.AgentStep.Record(dur)
-	if !t.events {
-		return
-	}
-	t.push(event{ph: "X", pid: pidAgents, tid: int(cpu), ts: now, dur: dur, name: "schedule",
-		cat: "agent", args: args{"msgs": int64(msgs), "txns": int64(txns), "mode": mode}})
+	t.push(event{ph: "i", pid: pidFaults, tid: 1, ts: now, name: kind, cat: "fault", scope: "t", args: a})
 }

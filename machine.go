@@ -58,16 +58,18 @@ func WithCostModel(cm CostModel) MachineOption {
 	return func(c *machineConfig) { c.cost = cm }
 }
 
-// WithTrace attaches a full event tracer (see NewTracer): every context
-// switch, message, transaction and agent span is recorded, for export
-// with Machine.TraceTo. Without this option the machine still keeps
-// aggregate Metrics, but records no events.
+// WithTrace attaches tr in place of the default metrics-only tracer. It
+// observes the machine as the invariant oracles do, and a full tracer
+// (NewTracer) records every context switch, message, transaction, agent
+// span and fault, for export with Machine.TraceTo. Without this option
+// the machine still keeps aggregate Metrics, but records no events.
 func WithTrace(tr *Tracer) MachineOption {
 	return func(c *machineConfig) { c.tracer = tr }
 }
 
-// WithoutMetrics disables even aggregate metrics collection, detaching
-// the tracer entirely. This is the true zero-instrumentation baseline
+// WithoutMetrics attaches no tracer at all, so no kernel hook, ghOSt
+// observer list or fault observer list holds one, and Metrics reports
+// only the engine counts. This is the true zero-instrumentation baseline
 // used by the overhead benchmarks.
 func WithoutMetrics() MachineOption {
 	return func(c *machineConfig) { c.tracer = nil }
@@ -96,9 +98,9 @@ func WithInvariants(oracles ...InvariantOracle) MachineOption {
 }
 
 // NewMachine builds a machine with the full class stack on the given
-// topology. By default the machine collects aggregate scheduling
-// metrics (Machine.Metrics); add WithTrace to also record a
-// Perfetto-loadable event trace.
+// topology. By default it attaches a metrics-only tracer, which collects
+// aggregate scheduling metrics (Machine.Metrics); add WithTrace to also
+// record a Perfetto-loadable event trace, or WithoutMetrics for none.
 func NewMachine(topo *Topology, opts ...MachineOption) *Machine {
 	cfg := machineConfig{
 		cost:   hw.DefaultCostModel(),
@@ -110,16 +112,26 @@ func NewMachine(topo *Topology, opts ...MachineOption) *Machine {
 	m := &Machine{eng: sim.NewEngine(), tr: cfg.tracer}
 	k := kernel.New(m.eng, topo, cfg.cost)
 	m.k = k
-	k.SetTracer(cfg.tracer)
+	if m.tr != nil {
+		// Before the classes, so its hooks run before theirs.
+		trace.Attach(m.tr, k)
+	}
 	m.Agents = kernel.NewAgentClass(k)
 	m.MicroQuanta = kernel.NewMicroQuanta(k)
 	m.CFS = kernel.NewCFS(k)
 	m.Ghost = ghostcore.NewClass(k, m.CFS)
+	if m.tr != nil {
+		m.Ghost.AddObserver(m.tr)
+	}
 	if len(cfg.oracles) > 0 {
 		m.inv = check.Attach(k, m.Ghost, cfg.oracles...)
 	}
 	if cfg.plan != nil {
-		k.SetFaults(faults.NewInjector(m.eng, cfg.plan))
+		in := faults.NewInjector(m.eng, cfg.plan)
+		if m.tr != nil {
+			in.AddObserver(m.tr)
+		}
+		k.SetFaults(in)
 	}
 	return m
 }

@@ -102,8 +102,9 @@ rm -f ./*.snap
 # the adoption prints a different digest here). The image carries the
 # engine's counters, so the restored run's engine: line covers the whole
 # run and must match the full run's too. The restored run checkpoints
-# with the same period, so it must list only checkpoints after 27 ms.
-echo "== snapshot smoke (ghost-sim global-agent checkpoint: restore at 27ms, same final digest and engine counts)"
+# with the same period, so it must list only checkpoints after 27 ms. It
+# also writes its -trace, which must be a trace_event JSON file.
+echo "== snapshot smoke (ghost-sim global-agent checkpoint: restore at 27ms, same final digest and engine counts, trace written)"
 ckpt=$(mktemp -d)
 go build -o "$ckpt/ghost-sim" ./cmd/ghost-sim
 full=$(cd "$ckpt" && ./ghost-sim -sched ghost-shinjuku -rocksdb -rate 280000 -dur 100ms -snapshot-every 27ms -metrics | grep '^digest:\|^engine:')
@@ -112,7 +113,12 @@ if ! grep -aq 'agentsdk.repoll' "$ckpt/ghost-sim-seed1-t27.000ms.snap"; then
 	echo "ghost-sim checkpoint smoke: the 27ms checkpoint holds no pending repoll; pick a -rate/-snapshot-every that does" >&2
 	exit 1
 fi
-resumed_out=$(cd "$ckpt" && ./ghost-sim -restore ghost-sim-seed1-t27.000ms.snap -dur 100ms -snapshot-every 27ms -metrics)
+resumed_out=$(cd "$ckpt" && ./ghost-sim -restore ghost-sim-seed1-t27.000ms.snap -dur 100ms -snapshot-every 27ms -metrics -trace resumed.json)
+if ! jq -e '.traceEvents | length > 0' "$ckpt/resumed.json" >/dev/null; then
+	rm -rf "$ckpt"
+	echo "ghost-sim checkpoint smoke: the run resumed at 27ms wrote no trace_event JSON to its -trace file" >&2
+	exit 1
+fi
 rm -rf "$ckpt"
 resumed=$(echo "$resumed_out" | grep '^digest:\|^engine:')
 resumed_cks=$(echo "$resumed_out" | sed -n 's/^snapshot: *ghost-sim-seed1-t\([0-9.]*\)ms\.snap.*/\1/p')
