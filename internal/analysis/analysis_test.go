@@ -198,11 +198,12 @@ func TestSelfClean(t *testing.T) {
 	}
 }
 
-// TestTreeClean asserts the whole module is at zero findings — the
-// in-test twin of the `ghost-lint ./...` step in scripts/verify.sh.
+// TestTreeClean asserts the whole module is at zero findings, as
+// `ghost-lint ./...` would; with TestRealTreeEscapeBaseline it is the
+// lint step of scripts/verify.sh.
 func TestTreeClean(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-tree type-check; verify.sh runs ghost-lint ./... directly")
+		t.Skip("full-tree type-check; the full test run checks it")
 	}
 	root := moduleRoot(t)
 	pkgs, err := NewLoader(root).Load("./...")

@@ -103,8 +103,8 @@ func TestHotPathEscapeFixture(t *testing.T) {
 }
 
 // TestRealTreeEscapeBaseline compiles the module and checks the
-// committed baseline covers every current hot-path escape — the in-test
-// twin of `ghost-lint -escape ./...`.
+// committed baseline covers every current hot-path escape, as
+// `ghost-lint -escape ./...` would.
 func TestRealTreeEscapeBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles the whole module")

@@ -11,8 +11,9 @@
 // group-commit atomicity, message-queue conservation (every message is
 // produced exactly once and consumed or discarded, never duplicated
 // outside a fault window), no-lost-thread (every runnable ghOSt thread
-// is eventually scheduled or the watchdog fires), and CFS-fallback
-// liveness after enclave destruction.
+// is eventually scheduled or the watchdog fires), CFS-fallback liveness
+// after enclave destruction, and the kernel's completion rule (a thread
+// running a Run request always has its completion pending).
 package check
 
 import (
@@ -40,10 +41,11 @@ const maxViolations = 64
 // Oracle checks one protocol invariant. Each oracle is a ghostcore
 // observer of its own: Attach files it under every protocol event it has
 // a method for (the ghostcore *Observer interfaces), under the kernel's
-// switch-in if it has SwitchIn(cpu *kernel.CPU, t *kernel.Thread), and
-// under the end-of-run check if it has Finish(now sim.Time). An oracle
-// is called for the events it watches and no others. Implementations
-// embed Base for the Checker they report through.
+// switch-in if it has SwitchIn(cpu *kernel.CPU, t *kernel.Thread), under
+// its idle edge if it has Idle(cpu *kernel.CPU), and under the end-of-run
+// check if it has Finish(now sim.Time). An oracle is called for the
+// events it watches and no others. Implementations embed Base for the
+// Checker they report through.
 type Oracle interface {
 	Name() string
 	attach(c *Checker)
@@ -54,11 +56,13 @@ type Base struct{ c *Checker }
 
 func (b *Base) attach(c *Checker) { b.c = c }
 
-// The checker's own events: the kernel's switch-in and the end of run.
+// The checker's own events: the kernel's switch-in and idle edge, and
+// the end of run.
 type (
 	switcher interface {
 		SwitchIn(cpu *kernel.CPU, t *kernel.Thread)
 	}
+	idler    interface{ Idle(cpu *kernel.CPU) }
 	finisher interface{ Finish(now sim.Time) }
 )
 
@@ -80,8 +84,8 @@ type Checker struct {
 }
 
 // Attach registers each oracle, in order, on the class as a protocol
-// observer and on the kernel's switch hook if it has SwitchIn, and
-// returns the checker.
+// observer and on the kernel's switch and idle hooks if it has SwitchIn
+// or Idle, and returns the checker.
 func Attach(k *kernel.Kernel, g *ghostcore.Class, oracles ...Oracle) *Checker {
 	c := &Checker{k: k, g: g, oracles: oracles, LostThreshold: 10 * sim.Millisecond}
 	for _, o := range oracles {
@@ -89,6 +93,9 @@ func Attach(k *kernel.Kernel, g *ghostcore.Class, oracles ...Oracle) *Checker {
 		g.AddObserver(o)
 		if s, ok := o.(switcher); ok {
 			k.AddSwitchHook(s.SwitchIn)
+		}
+		if i, ok := o.(idler); ok {
+			k.AddIdleHook(i.Idle)
 		}
 		if f, ok := o.(finisher); ok {
 			c.finishers = append(c.finishers, f)
@@ -106,6 +113,7 @@ func Default() []Oracle {
 		newConservationOracle(),
 		newLostThreadOracle(),
 		newFallbackOracle(),
+		newStuckRunOracle(),
 	}
 }
 

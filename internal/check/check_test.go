@@ -2,6 +2,7 @@ package check
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -140,5 +141,30 @@ func TestParseReproErrors(t *testing.T) {
 		if _, err := ParseRepro(bad); err == nil {
 			t.Errorf("ParseRepro(%q): expected error, got nil", bad)
 		}
+	}
+}
+
+// stuckRunRepro is one of the three scenarios of seeds 1-4000 (131, 677
+// and 2875) in which an SMT speed change once finished a thread's work
+// by rounding and cancelled its completion, leaving the thread running a
+// Run request forever: here a worker of a 2-CPU Search enclave, from
+// 10.705 ms on.
+const stuckRunRepro = "seed=677 policy=search cpus=2 threads=2 horizon=20.000ms watchdog=10.000ms faults=crash@2.024ms"
+
+// TestStuckRunRepro replays stuckRunRepro under the Default oracles,
+// no-stuck-run among them: it must run clean.
+func TestStuckRunRepro(t *testing.T) {
+	s, err := ParseRepro(stuckRunRepro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s != Generate(s.Seed) {
+		t.Errorf("seed %d: parsed scenario differs from Generate(%d)", s.Seed, s.Seed)
+	}
+	if !slices.ContainsFunc(Default(), func(o Oracle) bool { return o.Name() == "no-stuck-run" }) {
+		t.Fatal("no-stuck-run is not a Default oracle")
+	}
+	if res := s.Run(); res.Failed() {
+		t.Errorf("%s: replay raised violations: %v", stuckRunRepro, violationStrings(res))
 	}
 }

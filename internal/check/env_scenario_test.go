@@ -2,9 +2,9 @@ package check_test
 
 // Drives a machine end-to-end through the versioned environment API
 // (env.V1) with seeded random controller interference and asserts the
-// six default protocol oracles (sequence, status-word, atomicity,
-// conservation, lost-thread, fallback) stay silent. This is the
-// external-controller twin of the package's internal scenarios:
+// seven default oracles (sequence, status-word, atomicity,
+// conservation, lost-thread, fallback, stuck-run) stay silent. This is
+// the external-controller twin of the package's internal scenarios:
 // same oracles, but every scheduling decision arrives through the
 // public step/observe/act surface instead of the agent SDK.
 //

@@ -590,6 +590,41 @@ func (o *fallbackOracle) Finish(now sim.Time) {
 	}
 }
 
+// stuckRunOracle checks the kernel's completion rule: a thread running a
+// Run request has its completion pending, so its work ends
+// (kernel.CPU.Stuck). Mid-burn, only an SMT speed change re-times a
+// segment, on the busy and idle edges of its sibling, and those edges
+// come just before the sibling's switch and idle hooks: the oracle checks
+// the sibling there, at O(1) per hook. Each stuck episode is reported
+// once.
+type stuckRunOracle struct {
+	Base
+	stuck kernel.Mask // CPUs in a reported episode
+}
+
+func newStuckRunOracle() *stuckRunOracle { return &stuckRunOracle{} }
+
+func (o *stuckRunOracle) Name() string { return "no-stuck-run" }
+
+func (o *stuckRunOracle) SwitchIn(cpu *kernel.CPU, _ *kernel.Thread) { o.checkSibling(cpu) }
+
+func (o *stuckRunOracle) Idle(cpu *kernel.CPU) { o.checkSibling(cpu) }
+
+func (o *stuckRunOracle) checkSibling(cpu *kernel.CPU) {
+	id := cpu.Info.Sibling()
+	if id == hw.NoCPU {
+		return
+	}
+	sib := o.c.k.CPU(id)
+	stuck := sib.Stuck()
+	if o.stuck.Has(id) != stuck {
+		o.stuck.SetTo(id, stuck)
+		if stuck {
+			o.c.Reportf(o, "cpu%d stuck: %v runs a Run request with no completion pending", id, sib.Curr())
+		}
+	}
+}
+
 // at returns &(*s)[i], growing *s with zero values to hold index i.
 func at[T any](s *[]T, i int) *T {
 	if i >= len(*s) {

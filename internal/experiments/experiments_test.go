@@ -308,10 +308,12 @@ func TestFig8AblationRuns(t *testing.T) {
 	// A, B and C p99 (µs), then A QPS.
 	const noLoc, numa, ccx = 0, 1, 2
 	const p99A, p99B, qpsA = 1, 2, 4
-	// §4.4: placement locality is what lets the memory-bound type A
-	// keep up with its offered load at all.
-	if r := cell(t, rep, noLoc, qpsA) / cell(t, rep, numa, qpsA); r >= 0.5 {
-		t.Fatalf("no-locality/numa-only A QPS = %.2f, want < 0.5 (locality recovers throughput)", r)
+	// §4.4: every variant serves its offered type A load; locality
+	// shows in the tail latencies, not in throughput.
+	for row := range rep.Rows {
+		if r := cell(t, rep, row, qpsA) / cell(t, rep, ccx, qpsA); r < 0.99 || r > 1.01 {
+			t.Fatalf("%s A QPS = %.3f× numa+ccx's, want within 1%% (every variant keeps up with its load)", rep.Rows[row][0], r)
+		}
 	}
 	if a, b := cell(t, rep, numa, p99A), cell(t, rep, noLoc, p99A); a >= b {
 		t.Fatalf("numa-only A p99 %.0fµs, want below no-locality's %.0fµs", a, b)

@@ -19,9 +19,9 @@ type CPU struct {
 	needResched    bool
 	reschedPending bool
 
-	// Burn state for the current run segment.
+	// Burn state for the current run segment. The segment burns work
+	// while its completion is pending.
 	segStart   sim.Time
-	burning    bool
 	speed      float64 // work-units per wall-ns for the current segment
 	completion sim.Event
 
@@ -36,6 +36,15 @@ func (c *CPU) Curr() *Thread { return c.curr }
 
 // Idle reports whether the CPU has no thread.
 func (c *CPU) Idle() bool { return c.curr == nil && !c.switching }
+
+// Stuck reports whether the CPU's current thread is Running a Run request
+// with no completion pending, outside a context switch: work that can
+// never end, since only the completion asks the thread for its next
+// request. The kernel never leaves a CPU so between events; invariant
+// checks assert it.
+func (c *CPU) Stuck() bool {
+	return c.curr != nil && !c.switching && c.curr.curKind == actRun && !c.completion.Pending()
+}
 
 // setCurr and setSwitching are the only writers of curr and switching
 // outside snapshot restore; both keep the kernel's idle mask in step.
@@ -98,11 +107,7 @@ func (c *CPU) startSegment() {
 	c.segStart = c.k.eng.Now()
 	c.speed = c.effSpeed()
 	if t.pendingWork > 0 {
-		c.burning = true
 		c.completion = c.k.eng.AfterCall(c.burnTime(t), c.k.workDoneFn, c)
-	} else {
-		c.burning = false
-		c.completion = sim.Event{}
 	}
 }
 
@@ -125,49 +130,38 @@ func (c *CPU) stopSegment() {
 }
 
 // charge credits t, the current thread, with the segment's CPU time and,
-// when it was burning, its progress through the pending work, then
-// restarts the segment clock. It reports whether the segment was burning;
-// the caller owns that segment's completion event.
-func (c *CPU) charge(t *Thread) (burned bool) {
+// while its completion is pending, its progress through the pending
+// work, then restarts the segment clock. Progress always leaves at least
+// one unit: a thread's work reaches zero only in workDone, when its
+// completion fires. It reports whether the completion is pending; the
+// caller owns it.
+func (c *CPU) charge(t *Thread) (burning bool) {
 	now := c.k.eng.Now()
 	elapsed := now - c.segStart
 	if elapsed > 0 {
 		t.cpuTime += elapsed
 	}
-	burned = c.burning
-	if burned {
+	burning = c.completion.Pending()
+	if burning {
 		progress := sim.Duration(float64(elapsed)*c.speed + 0.5)
-		if progress >= t.pendingWork {
-			t.pendingWork = 0
-		} else {
-			t.pendingWork -= progress
-		}
-		c.burning = false
+		t.pendingWork -= min(progress, t.pendingWork-1)
 	}
 	c.segStart = now
-	return burned
+	return burning
 }
 
-// resegment restarts the current segment with a fresh speed, e.g. after
-// the SMT sibling's busy state changed. A segment that keeps burning
-// moves its completion event rather than cancelling it and arming a new
-// one; the move takes a fresh sequence number, so the event fires exactly
-// where the new one would have.
+// resegment re-times the current segment at a fresh speed after the SMT
+// sibling's busy state changed; smtChanged calls it only on a CPU that
+// runs a thread outside a switch. A burning segment moves its completion
+// event rather than cancelling it and arming a new one; the move takes a
+// fresh sequence number, so the event fires exactly where a new one
+// would have.
 func (c *CPU) resegment() {
-	t := c.curr
-	if t == nil || c.switching {
-		return
+	burning := c.charge(c.curr)
+	c.speed = c.effSpeed()
+	if burning {
+		c.completion.Move(c.segStart + c.burnTime(c.curr))
 	}
-	if c.charge(t) {
-		if t.pendingWork > 0 {
-			c.speed = c.effSpeed()
-			c.burning = true
-			c.completion.Move(c.segStart + c.burnTime(t))
-			return
-		}
-		c.completion.Cancel()
-	}
-	c.startSegment()
 }
 
 // smtChanged is invoked when this CPU's busy state flips, so the sibling

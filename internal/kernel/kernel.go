@@ -530,14 +530,8 @@ func (k *Kernel) resumeOnCPU(c *CPU) {
 	if t == nil {
 		return
 	}
-	if t.pendingWork > 0 {
-		c.startSegment()
-		return
-	}
+	// Only a Run request has pending work, and never zero of it.
 	switch t.curKind {
-	case actRun:
-		// Work already exhausted (completed exactly at preemption).
-		k.applyAction(t, t.nextAction())
 	case actSpinIdle, actStepPending:
 		k.applyAction(t, Action{kind: t.curKind})
 	default:
@@ -548,18 +542,12 @@ func (k *Kernel) resumeOnCPU(c *CPU) {
 // workDoneFire adapts workDone to the engine's pre-bound callback shape.
 func (k *Kernel) workDoneFire(a any) { k.workDone(a.(*CPU)) }
 
-// workDone fires when the current thread's run segment completes.
+// workDone fires when the current thread's run segment completes: the
+// one place its pending work reaches zero (charge leaves a unit).
 func (k *Kernel) workDone(c *CPU) {
 	t := c.curr
-	if t == nil {
-		return
-	}
-	c.stopSegment()
-	if t.pendingWork > 0 {
-		// Rounding left residual work; keep burning.
-		c.startSegment()
-		return
-	}
+	c.charge(t)
+	t.pendingWork = 0
 	k.applyAction(t, t.nextAction())
 }
 

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"testing"
 
 	"ghost/internal/hw"
@@ -725,5 +726,105 @@ func TestTicklessSkipsOverheadAndTicks(t *testing.T) {
 	}
 	if hookFired != 0 {
 		t.Fatalf("tick hooks fired %d times on tickless CPU", hookFired)
+	}
+}
+
+// TestWorkEndsAtItsCompletion stops or re-times a burning segment at the
+// instant rounding its progress to nearest would already cover the
+// thread's work: the SMT sibling flipping idle or busy, or a preemption.
+// The charge must leave work for the completion, which then asks the
+// thread for its next request, and no CPU may ever be Stuck.
+func TestWorkEndsAtItsCompletion(t *testing.T) {
+	dilated := 1 / hw.DefaultCostModel().SMTPenalty
+	// work is the shortest Run from 1 µs that a dilated segment finishes
+	// by rounding at offset early, before its completion.
+	work, early := sim.Duration(999), sim.Duration(0)
+	for early == 0 {
+		work++
+		burn := sim.Duration(float64(work)/dilated + 0.5)
+		for e := burn - 1; e > 0 && sim.Duration(float64(e)*dilated+0.5) >= work; e-- {
+			early = e
+		}
+	}
+	// A flip to busy re-times only a full-speed segment, whose progress
+	// is exact, so its case fires at the segment's last nanosecond.
+	cases := []struct {
+		name    string
+		sibBusy bool // the sibling runs when the segment starts
+		// at is the event's offset into the segment, which lasts burn.
+		at   func(burn sim.Duration) sim.Duration
+		fire func(k *Kernel, sib, preempter *Thread)
+	}{
+		{"sibling-flips-idle", true, func(sim.Duration) sim.Duration { return early },
+			func(k *Kernel, sib, _ *Thread) { k.Kill(sib) }},
+		{"sibling-flips-busy", false, func(burn sim.Duration) sim.Duration { return burn - 1 },
+			func(k *Kernel, sib, _ *Thread) { k.Wake(sib) }},
+		{"preempted", true, func(sim.Duration) sim.Duration { return early },
+			func(k *Kernel, _, pre *Thread) { k.Wake(pre) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			topo := smallTopo()
+			env := newTestEnv(t, topo)
+			mq := NewMicroQuanta(env.k)
+			sibCPU := topo.CPU(0).Sibling()
+			// script's thread takes acts in order, then repeats the last.
+			script := func(acts ...Action) ThreadFunc {
+				return Steps(func(*Thread) (Action, bool) {
+					a := acts[0]
+					if len(acts) > 1 {
+						acts = acts[1:]
+					}
+					return a, true
+				})
+			}
+			sibBody := script(RunAction(sim.Millisecond))
+			if !tc.sibBusy {
+				sibBody = script(BlockAction(), RunAction(sim.Millisecond))
+			}
+			sib := env.k.Spawn(SpawnOpts{Name: "sib", Class: env.cfs, Affinity: MaskOf(sibCPU)}, sibBody)
+			pre := env.k.Spawn(SpawnOpts{Name: "pre", Class: mq, Affinity: MaskOf(0)},
+				script(BlockAction(), RunAction(10*sim.Microsecond), BlockAction()))
+			var next sim.Time
+			steps := 0
+			a := env.k.Spawn(SpawnOpts{Name: "a", Class: env.cfs, Affinity: MaskOf(0)}, Steps(func(*Thread) (Action, bool) {
+				if steps++; steps == 1 {
+					return RunAction(work), true
+				}
+				next = env.k.Now()
+				return BlockAction(), true
+			}))
+			c := env.k.CPU(0)
+			for i := 0; !c.completion.Pending(); i++ {
+				if i == 10000 {
+					t.Fatal("a never started burning on cpu0")
+				}
+				env.eng.RunFor(1)
+			}
+			want := 1.0
+			if tc.sibBusy {
+				want = dilated
+			}
+			if c.curr != a || c.speed != want {
+				t.Fatalf("cpu0 runs %v at speed %v, want a at %v", c.curr, c.speed, want)
+			}
+			at := c.segStart + tc.at(c.burnTime(a))
+			env.eng.At(at, func() { tc.fire(env.k, sib, pre) })
+			var stuck []string
+			env.eng.OnDispatch = func(now sim.Time, _ int) {
+				for _, id := range []hw.CPUID{0, sibCPU} {
+					if cpu := env.k.CPU(id); cpu.Stuck() && len(stuck) < 3 {
+						stuck = append(stuck, fmt.Sprintf("t=%v cpu%d %v", now, id, cpu.Curr()))
+					}
+				}
+			}
+			env.eng.RunFor(sim.Millisecond)
+			if stuck != nil {
+				t.Errorf("Stuck held: %v", stuck)
+			}
+			if next < at {
+				t.Errorf("a took no request after its Run (event at %v, step %d at %v)", at, steps, next)
+			}
+		})
 	}
 }

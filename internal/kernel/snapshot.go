@@ -313,7 +313,7 @@ func (k *Kernel) RestoreImage(img *KernelImage) error {
 	}
 	// Each CPU's current thread is running and current there only. The
 	// switch end, completion and scheduling pass pending on a CPU set its
-	// flags when the events are restored (SnapshotEvents).
+	// state when the events are restored (SnapshotEvents).
 	for i := range img.CPUs {
 		rec := &img.CPUs[i]
 		if rec.ID < 0 || rec.ID >= len(k.cpus) {
@@ -338,7 +338,6 @@ func (k *Kernel) RestoreImage(img *KernelImage) error {
 		c.needResched = rec.NeedResched
 		c.setReschedPending(false)
 		c.segStart = sim.Time(rec.SegStart)
-		c.burning = false
 		c.speed = rec.Speed
 		c.accBusy = rec.AccBusy
 		c.completion = sim.Event{}
@@ -419,6 +418,10 @@ func (t *Thread) restoreRec(rec *ThreadRec) error {
 	if rec.PendingWork < 0 {
 		return fmt.Errorf("thread %v: negative pending work %d", t, rec.PendingWork)
 	}
+	if t.curKind == actRun && rec.PendingWork == 0 {
+		// Work ends only when its completion fires, with the next request.
+		return fmt.Errorf("thread %v: a Run request with no work left", t)
+	}
 	t.pendingWork = sim.Duration(rec.PendingWork)
 	t.wakePending = rec.WakePending
 	t.poked = rec.Poked
@@ -490,14 +493,13 @@ func (c *CFS) restoreRec(rec *CFSRec) error {
 // its CPU or TID (the CFS balancer by nothing). A CPU holds one tick or
 // start stagger. Its completion, switch end and scheduling pass are the
 // only record that it burns, switches or is due a pass: restoring one
-// sets the flag, so a CPU holds at most one of each. A CPU burns or
-// switches, never both, so its completion and switch end exclude each
-// other. A completion is refused unless the CPU's current thread has
-// work left. A switch end
-// needs no current thread: one that is killed, moved to another class
-// or forced off in the dead time leaves the CPU switching with none. A
-// MicroQuanta thread holds at most one throttle and one refill; the
-// balancer is one event.
+// adopts the completion or sets the flag, so a CPU holds at most one of
+// each. A CPU burns or switches, never both, so its completion and
+// switch end exclude each other. A completion is refused unless the
+// CPU's current thread has work left. A switch end needs no current
+// thread: one that is killed, moved to another class or forced off in
+// the dead time leaves the CPU switching with none. A MicroQuanta thread
+// holds at most one throttle and one refill; the balancer is one event.
 func (k *Kernel) SnapshotEvents() []sim.EventKind {
 	n := len(k.cpus)
 	ticked := make([]bool, n)
@@ -536,13 +538,10 @@ func (k *Kernel) SnapshotEvents() []sim.EventKind {
 			Load: onCPU("running a thread with work left outside a switch", func(c *CPU) bool {
 				return c.curr != nil && c.curr.pendingWork > 0 && !c.switching
 			}),
-			Pending: func(a any) bool { return a.(*CPU).burning },
-			Adopt: func(a any, _ sim.Time, ev sim.Event) {
-				c := a.(*CPU)
-				c.burning, c.completion = true, ev
-			}},
+			Pending: func(a any) bool { return a.(*CPU).completion.Pending() },
+			Adopt:   func(a any, _ sim.Time, ev sim.Event) { a.(*CPU).completion = ev }},
 		{Name: "kernel.switchdone", Fn: k.switchDoneFn, Save: cpuRef,
-			Load:    onCPU("free of a pending completion", func(c *CPU) bool { return !c.burning }),
+			Load:    onCPU("free of a pending completion", func(c *CPU) bool { return !c.completion.Pending() }),
 			Pending: func(a any) bool { return a.(*CPU).switching },
 			Adopt:   func(a any, _ sim.Time, _ sim.Event) { a.(*CPU).setSwitching(true) }},
 		{Name: "kernel.wake", Fn: k.wakeFn, Save: threadRef, Load: thread},

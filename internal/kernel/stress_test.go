@@ -21,7 +21,8 @@ import (
 // mirror (CheckMasks): IdleMask the CPUs whose Idle() is true, the
 // pending mask the CPUs with a resched pending, and CFS's queued mask the
 // CPUs with a non-empty runqueue; the same must hold after a SaveImage →
-// RestoreImage round trip.
+// RestoreImage round trip. After every event no CPU is Stuck either: a
+// thread running a Run request always has its completion pending.
 func TestKernelStressInvariants(t *testing.T) {
 	topo := hw.NewTopology(hw.Config{Name: "s", Sockets: 2, CCXsPerSocket: 2, CoresPerCCX: 2, SMTWidth: 2})
 	eng := sim.NewEngine()
@@ -71,10 +72,21 @@ func TestKernelStressInvariants(t *testing.T) {
 			violations++
 		}
 	}
+	// The round trip below restores no events, so only the run checks
+	// the completions.
+	checkRules := func(when string) {
+		checkMasks(when)
+		for _, c := range k.cpus {
+			if c.Stuck() {
+				t.Errorf("%s: cpu%d is stuck: %v runs a Run request with no completion pending", when, c.ID, c.curr)
+				violations++
+			}
+		}
+	}
 	eng.OnDispatch = func(now sim.Time, _ int) {
 		// Dispatch of event n+1 observes the state event n left.
 		if violations < 10 {
-			checkMasks(fmt.Sprintf("t=%v", now))
+			checkRules(fmt.Sprintf("t=%v", now))
 		}
 		queuedSeen = queuedSeen || !cfs.queued.Empty()
 		pendingSeen = pendingSeen || !k.pending.Empty()
@@ -130,7 +142,7 @@ func TestKernelStressInvariants(t *testing.T) {
 	if !queuedSeen || !pendingSeen {
 		t.Fatalf("the run never queued a CFS thread (%v) or left a resched pending (%v): the mask checks are vacuous", queuedSeen, pendingSeen)
 	}
-	checkMasks("end of run")
+	checkRules("end of run")
 
 	// Round trip with some CPUs busy and some idle: RestoreImage must
 	// re-derive the mask rather than keep whatever it finds.

@@ -326,13 +326,10 @@ func (e *Engine) step(limit Time) bool {
 		e.advance(next.at)
 	}
 	e.Executed++
-	// Recycle before dispatch: the callback may immediately schedule a
-	// new event into this storage; outstanding handles to the fired
-	// event are invalidated by the generation bump either way.
-	afn, arg := next.afn, next.arg
-	e.recycle(next)
 	// The queued figure sampled here (and handed to OnDispatch) is the
-	// number of live events still pending after this pop.
+	// number of live events still pending after this pop. OnDispatch
+	// runs before the recycle, so it sees the state the previous event
+	// left: handles to this event still report Pending.
 	queued := e.Queued()
 	if queued > e.MaxQueue {
 		e.MaxQueue = queued
@@ -340,6 +337,11 @@ func (e *Engine) step(limit Time) bool {
 	if e.OnDispatch != nil {
 		e.OnDispatch(e.now, queued)
 	}
+	// Recycle before the callback: it may immediately schedule a new
+	// event into this storage; outstanding handles to the fired event
+	// are invalidated by the generation bump either way.
+	afn, arg := next.afn, next.arg
+	e.recycle(next)
 	if afn != nil {
 		afn(arg)
 	} else {

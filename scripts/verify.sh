@@ -18,10 +18,13 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
-echo "== ghost-lint -escape ./... (determinism taint, maporder, hotpathalloc, eventhandle, apisurface, unreachable, hotpathescape)"
-go run ./cmd/ghost-lint -escape -summary ./...
-
-# ghost-lint already fails on a reason-less //ghostlint:allow or
+# The lint (ghost-lint -escape ./...: determinism taint, maporder,
+# hotpathalloc, eventhandle, apisurface, unreachable, hotpathescape) runs
+# once, in the tier-1 step below: internal/analysis's TestTreeClean runs
+# every analyzer over the tree, and TestRealTreeEscapeBaseline gates the
+# hot-path escapes against the committed baseline.
+#
+# The lint already fails on a reason-less //ghostlint:allow or
 # //ghostlint:root; this grep also catches the case where the directive
 # grammar itself has drifted. testdata holds the analyzer's deliberately
 # malformed fixtures.
